@@ -5,11 +5,15 @@
 //!
 //! * `cache_retrieve` — `ImageCache::retrieve` on a full 128-entry shard
 //!   (the fleet's per-node slice), hit and miss mixes, exact flat scan
-//!   vs the anchored inverted index;
-//! * `cache_insert` — insert-with-eviction on the same shard, per
+//!   vs the anchored inverted index; plus the exact scan alone at 600
+//!   and 1,600 entries (`.../exact/600`, `.../exact/1600`: the elastic
+//!   tier's shard and the overload study's single-node cache);
+//! * `cache_insert` — insert-with-eviction on the 128-entry shard, per
 //!   backend;
 //! * `cluster_of` — the affinity leader probe at the fleet's 512-leader
-//!   bound, exact f64 matrix scan vs the two-level f32 probe.
+//!   bound, exact lane-blocked f64 scan vs the two-level f32 probe; plus
+//!   the exact scan over a full table at the default 4,096-leader bound
+//!   (`cluster_of/exact/4096`).
 
 use modm_bench::Bench;
 use modm_cache::{CacheConfig, ImageCache};
@@ -23,13 +27,13 @@ fn main() {
     let text = TextEncoder::new(space.clone());
     let sampler = Sampler::new(QualityModel::new(space, 1, 6.29));
     let mut rng = SimRng::seed_from(7);
-    let images: Vec<_> = (0..256)
+    let images: Vec<_> = (0..1_600)
         .map(|i| {
             let e = text.encode(&format!("session {} scene {i} canyon", i % 24));
             sampler.generate(ModelId::Sd35Large, &e, &mut rng)
         })
         .collect();
-    let hit_queries: Vec<_> = (0..256)
+    let hit_queries: Vec<_> = (0..1_600)
         .map(|i| text.encode(&format!("session {} scene {i} canyon", i % 24)))
         .collect();
     let miss_queries: Vec<_> = (0..256)
@@ -73,6 +77,31 @@ fn main() {
         });
     }
 
+    for entries in [600, 1_600] {
+        let mut cache = ImageCache::new(CacheConfig::fifo(entries));
+        for (i, img) in images.iter().take(entries).enumerate() {
+            cache.insert(SimTime::from_micros(i as u64), img.clone());
+        }
+        let mut i = 0usize;
+        bench.measure(format!("cache_retrieve_hit/exact/{entries}"), || {
+            i += 1;
+            cache.retrieve(
+                SimTime::from_micros(10_000 + i as u64),
+                &hit_queries[i % entries],
+                0.25,
+            )
+        });
+        let mut j = 0usize;
+        bench.measure(format!("cache_retrieve_miss/exact/{entries}"), || {
+            j += 1;
+            cache.retrieve(
+                SimTime::from_micros(90_000 + j as u64),
+                &miss_queries[j % 256],
+                0.25,
+            )
+        });
+    }
+
     for (name, policy) in [
         ("exact", IndexPolicy::Exact),
         ("approx", IndexPolicy::Approx),
@@ -91,4 +120,29 @@ fn main() {
             clusterer.cluster_of(&warm[(i * 17) % 512])
         });
     }
+
+    // Unrelated prompts each mint a leader; warm past the bound so the
+    // ring is full, then probe only live leaders so the table stays put.
+    let leaders = SemanticClusterer::DEFAULT_MAX_LEADERS;
+    let mut clusterer = SemanticClusterer::default_config();
+    let warm: Vec<_> = (0..leaders + leaders / 4)
+        .map(|i| {
+            text.encode(&format!(
+                "alpha{i} beta{} gamma{} delta{}",
+                i * 3,
+                i * 7,
+                i * 11
+            ))
+        })
+        .collect();
+    for e in &warm {
+        clusterer.cluster_of(e);
+    }
+    assert_eq!(clusterer.num_leaders(), leaders, "leader table not full");
+    let live = &warm[warm.len() - leaders..];
+    let mut i = 0usize;
+    bench.measure(format!("cluster_of/exact/{leaders}"), || {
+        i += 1;
+        clusterer.cluster_of(&live[(i * 17) % leaders])
+    });
 }

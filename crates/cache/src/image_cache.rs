@@ -841,22 +841,21 @@ impl ImageCache {
 
     /// Removes and returns every resident image (with its owning tenant)
     /// whose embedding satisfies `pred`, in ascending id order
-    /// (deterministic despite the hash-map backing). Hit-count and recency
-    /// bookkeeping of the *remaining* entries is untouched, and the
-    /// removals are not counted as evictions. This is the
-    /// selective-migration primitive: a shard joining the fleet pulls
-    /// exactly the entries whose keyspace it now owns.
+    /// (deterministic despite the hash-map backing). `pred` is also
+    /// *called* in ascending id order, so a stateful predicate (the fleet
+    /// router's, which can mint clusterer leaders) sees the same sequence
+    /// every run. Hit-count and recency bookkeeping of the *remaining*
+    /// entries is untouched, and the removals are not counted as
+    /// evictions. This is the selective-migration primitive: a shard
+    /// joining the fleet pulls exactly the entries whose keyspace it now
+    /// owns.
     pub fn extract_matching(
         &mut self,
         mut pred: impl FnMut(&Embedding) -> bool,
     ) -> Vec<(TenantId, GeneratedImage)> {
-        let mut keys: Vec<u64> = self
-            .entries
-            .values()
-            .filter(|e| pred(&e.image.embedding))
-            .map(|e| e.image.id.0)
-            .collect();
+        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
         keys.sort_unstable();
+        keys.retain(|key| pred(&self.entries[key].image.embedding));
         keys.into_iter()
             .map(|key| {
                 let entry = self.entries.remove(&key).expect("key from entries");

@@ -4,14 +4,25 @@
 //! matmul on GPU (0.05 s over 100k entries, §5.2). A flat scan over 64-d
 //! vectors reproduces that cost profile in simulation and keeps results
 //! exact; removals (FIFO eviction) are O(1) via slot recycling.
+//!
+//! The rows are stored lane-blocked ([`LaneRows`]): eight slots share a
+//! block, component-major, so the scan scores eight entries at once with
+//! independent accumulators. Every similarity is still the f64 a serial
+//! `unit_dot` of the query against the row produces, and live slots are
+//! still compared in slot order, so results match a row-at-a-time scan
+//! bit for bit.
 
 use std::collections::HashMap;
+
+use modm_numerics::lanes::{LaneRows, LANES};
 
 use crate::space::Embedding;
 
 /// Dot product of two unit vectors, clamped to the cosine range. Stored
 /// embeddings and queries are normalized by [`Embedding::from_vec`], so this
-/// equals the cosine at a third of the flops.
+/// equals the cosine at a third of the flops. [`EmbeddingIndex`] computes
+/// the same value for eight rows at once: the same fold from `0.0`, then
+/// the same clamp.
 #[inline]
 pub(crate) fn unit_dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -48,14 +59,13 @@ pub struct Neighbor<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmbeddingIndex<K> {
+    /// Key per slot; `None` marks a removed slot awaiting reuse.
     keys: Vec<Option<K>>,
-    /// Slot-indexed `dim`-strided rows in one contiguous allocation, so the
-    /// scan in [`EmbeddingIndex::nearest`] streams cache lines instead of
-    /// chasing a heap pointer per entry. Rows of removed slots keep their
-    /// stale values (skipped via `keys`) until recycled.
-    vectors: Vec<f64>,
-    /// Row stride; learned from the first inserted embedding.
-    dim: usize,
+    /// Slot-parallel rows, lane-blocked so the scan in
+    /// [`EmbeddingIndex::nearest`] scores eight slots per pass. Rows of
+    /// removed slots keep their stale values (skipped via `keys`) until
+    /// recycled; the row length is learned from the first insert.
+    rows: LaneRows,
     free_slots: Vec<usize>,
     by_key: HashMap<K, usize>,
     live: usize,
@@ -72,18 +82,11 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     pub fn new() -> Self {
         EmbeddingIndex {
             keys: Vec::new(),
-            vectors: Vec::new(),
-            dim: 0,
+            rows: LaneRows::new(),
             free_slots: Vec::new(),
             by_key: HashMap::new(),
             live: 0,
         }
-    }
-
-    /// The `dim`-length row stored at `slot`.
-    #[inline]
-    fn row(&self, slot: usize) -> &[f64] {
-        &self.vectors[slot * self.dim..(slot + 1) * self.dim]
     }
 
     /// Number of live entries.
@@ -103,22 +106,18 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// Panics if `embedding`'s dimension differs from earlier inserts.
     pub fn insert(&mut self, key: K, embedding: Embedding) {
         let values = embedding.as_slice();
-        if self.dim == 0 {
-            self.dim = values.len();
-        }
-        assert_eq!(values.len(), self.dim, "embedding dimension mismatch");
         if let Some(&slot) = self.by_key.get(&key) {
-            self.vectors[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+            self.rows.set(slot, values);
             return;
         }
         let slot = if let Some(s) = self.free_slots.pop() {
+            self.rows.set(s, values);
             self.keys[s] = Some(key);
-            self.vectors[s * self.dim..(s + 1) * self.dim].copy_from_slice(values);
             s
         } else {
+            let s = self.rows.push(values);
             self.keys.push(Some(key));
-            self.vectors.extend_from_slice(values);
-            self.keys.len() - 1
+            s
         };
         self.by_key.insert(key, slot);
         self.live += 1;
@@ -141,18 +140,33 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
         self.by_key.contains_key(key)
     }
 
-    /// The single most similar entry to `query`, if any entry is live.
+    /// Every live entry scored against `query`, in slot order. Each
+    /// similarity equals [`unit_dot`] of the query and the stored row.
+    fn scored<'a>(&'a self, query: &'a Embedding) -> impl Iterator<Item = Neighbor<K>> + 'a {
+        self.rows
+            .block_dots(query.as_slice(), 0.0)
+            .zip(self.keys.chunks(LANES))
+            .flat_map(|(dots, keys)| {
+                keys.iter().zip(dots).filter_map(|(key, dot)| {
+                    key.map(|k| Neighbor {
+                        key: k,
+                        similarity: dot.clamp(-1.0, 1.0),
+                    })
+                })
+            })
+    }
+
+    /// The single most similar entry to `query`, if any entry is live. Ties
+    /// go to the lowest slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        let q = query.as_slice();
         let mut best: Option<Neighbor<K>> = None;
-        for (slot, key) in self.keys.iter().enumerate() {
-            let Some(k) = key else { continue };
-            let sim = unit_dot(q, self.row(slot));
-            if best.is_none_or(|b| sim > b.similarity) {
-                best = Some(Neighbor {
-                    key: *k,
-                    similarity: sim,
-                });
+        for hit in self.scored(query) {
+            if best.is_none_or(|b| hit.similarity > b.similarity) {
+                best = Some(hit);
             }
         }
         best
@@ -160,24 +174,22 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
 
     /// The most similar entry at or above `threshold`, mirroring the paper's
     /// retrieval rule "retrieve only if S(q, I*) >= tau".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn nearest_above(&self, query: &Embedding, threshold: f64) -> Option<Neighbor<K>> {
         self.nearest(query).filter(|n| n.similarity >= threshold)
     }
 
-    /// The `k` most similar entries, best first.
+    /// The `k` most similar entries, best first; equal similarities keep
+    /// slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn top_k(&self, query: &Embedding, k: usize) -> Vec<Neighbor<K>> {
-        let q = query.as_slice();
-        let mut hits: Vec<Neighbor<K>> = self
-            .keys
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, key)| {
-                key.map(|k| Neighbor {
-                    key: k,
-                    similarity: unit_dot(q, self.row(slot)),
-                })
-            })
-            .collect();
+        let mut hits: Vec<Neighbor<K>> = self.scored(query).collect();
         hits.sort_by(|a, b| b.similarity.partial_cmp(&a.similarity).expect("NaN sim"));
         hits.truncate(k);
         hits
@@ -186,7 +198,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// Total bytes of embedding storage currently live (f32 accounting, as
     /// the paper's 0.29 GB figure uses GPU f32 tensors).
     pub fn storage_bytes(&self) -> usize {
-        self.live * (self.dim * 4 + 16)
+        self.live * (self.rows.dim() * 4 + 16)
     }
 }
 
@@ -265,6 +277,23 @@ mod tests {
         let idx: EmbeddingIndex<u64> = EmbeddingIndex::new();
         assert!(idx.nearest(&emb(vec![1.0, 0.0])).is_none());
         assert!(idx.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension mismatch")]
+    fn nearest_rejects_mismatched_query() {
+        let mut idx = EmbeddingIndex::new();
+        idx.insert(1, emb(vec![1.0, 0.0, 0.0]));
+        let _ = idx.nearest(&emb(vec![1.0, 0.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension mismatch")]
+    fn top_k_rejects_mismatched_query_after_removals() {
+        let mut idx = EmbeddingIndex::new();
+        idx.insert(1, emb(vec![1.0, 0.0, 0.0]));
+        idx.remove(&1);
+        let _ = idx.top_k(&emb(vec![1.0, 0.0, 0.0, 0.0]), 1);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use modm_embedding::probe::unit_f32_into;
 use modm_embedding::{Embedding, IndexPolicy, TwoLevelProbe};
+use modm_numerics::lanes::LaneRows;
 use modm_numerics::vector;
 
 /// Maps embeddings to coarse semantic clusters by online leader
@@ -39,24 +40,24 @@ use modm_numerics::vector;
 pub struct SemanticClusterer {
     threshold: f64,
     max_leaders: usize,
-    /// Leader vectors as a contiguous slot-indexed ring buffer of
-    /// `dim`-strided rows, so the per-request scan walks cache lines
-    /// instead of chasing one heap allocation per leader. Slot
+    /// Leader vectors as a slot-indexed ring buffer of lane-blocked rows,
+    /// so the per-request scan scores eight leaders per pass. Slot
     /// `(head + k) % max_leaders` holds the `k`-th leader in admission
     /// order; when the table is full the oldest slot is overwritten in
     /// place (identical retirement order to the old push-then-pop deque).
-    mat: Vec<f64>,
-    /// Cluster id per slot, parallel to `mat` rows.
+    /// The row length is learned from the first admitted leader.
+    rows: LaneRows,
+    /// Cluster id per slot, parallel to `rows`.
     ids: Vec<u64>,
     /// Cached `l2_norm` per slot — a pure function of the stored row, so
     /// scoring with it is bit-identical to recomputing per probe.
     norms: Vec<f64>,
-    /// Row stride; learned from the first admitted leader.
-    dim: usize,
-    /// Slot of the oldest leader.
+    /// Reused per-slot dot products of the current query, in slot order,
+    /// so the exact scan performs no per-request allocation.
+    dots_scratch: Vec<f64>,
+    /// Slot of the oldest leader. Stays 0 until the table is full, so
+    /// the live leaders always fill slots `0..ids.len()`.
     head: usize,
-    /// Live leader count (`<= max_leaders`).
-    len: usize,
     next_id: u64,
     /// How the leader probe runs; `Exact` (the default) keeps the
     /// admission-order scan above bit-identical to the historical one.
@@ -108,12 +109,11 @@ impl SemanticClusterer {
         SemanticClusterer {
             threshold,
             max_leaders,
-            mat: Vec::new(),
+            rows: LaneRows::new(),
             ids: Vec::new(),
             norms: Vec::new(),
-            dim: 0,
+            dots_scratch: Vec::new(),
             head: 0,
-            len: 0,
             next_id: 0,
             policy,
             approx: None,
@@ -142,11 +142,10 @@ impl SemanticClusterer {
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.policy = policy;
         self.approx = None;
-        if policy.approximates_leader_probe(self.max_leaders) && self.dim != 0 {
-            let mut probe = TwoLevelProbe::new(self.dim, self.max_leaders);
-            for slot in 0..self.ids.len() {
-                let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
-                probe.set(slot, row, self.norms[slot]);
+        if policy.approximates_leader_probe(self.max_leaders) && !self.rows.is_empty() {
+            let mut probe = TwoLevelProbe::new(self.rows.dim(), self.max_leaders);
+            for slot in 0..self.rows.len() {
+                probe.set(slot, &self.rows.row(slot), self.norms[slot]);
             }
             self.approx = Some(probe);
         }
@@ -154,7 +153,7 @@ impl SemanticClusterer {
 
     /// Number of live leaders.
     pub fn num_leaders(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
     /// The coarse cluster of an embedding: the id of the nearest leader
@@ -162,12 +161,24 @@ impl SemanticClusterer {
     ///
     /// The scan must stay bit-identical to probing each leader with
     /// [`Embedding::cosine`] in admission order (first strict maximum
-    /// wins), so it walks slots oldest-first and scores with
-    /// [`vector::cosine_with_norms`] — the query norm hoisted out of the
-    /// loop and leader norms cached at admission, both pure functions of
-    /// the same values the naive probe reads.
+    /// wins). It batch-scores every physical slot with the lane-blocked
+    /// kernel ([`LaneRows::block_dots`], each lane folding from `-0.0` as
+    /// `vector::dot`'s `Sum` does), then walks slots oldest-first and
+    /// finishes each score with [`vector::cosine_with_norms`] — the query
+    /// norm hoisted out of the loop and leader norms cached at admission,
+    /// all pure functions of the same values the naive probe reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `embedding`'s dimension differs from the leaders'.
     pub fn cluster_of(&mut self, embedding: &Embedding) -> u64 {
         let q = embedding.as_slice();
+        assert!(
+            self.rows.is_empty() || q.len() == self.rows.dim(),
+            "query dimension mismatch: {} vs {}",
+            q.len(),
+            self.rows.dim()
+        );
         let qn = vector::l2_norm(q);
         if let Some(probe) = self.approx.as_ref() {
             // Approximate path: one pruned pass over the partitions. The
@@ -187,11 +198,15 @@ impl SemanticClusterer {
             self.admit(id, q, qn);
             return id;
         }
+        // Every scored slot but the block padding holds a live leader.
+        self.dots_scratch.clear();
+        for dots in self.rows.block_dots(q, -0.0) {
+            self.dots_scratch.extend_from_slice(&dots);
+        }
         let mut best: Option<(u64, f64)> = None;
-        for k in 0..self.len {
+        for k in 0..self.ids.len() {
             let slot = self.slot_at(k);
-            let row = &self.mat[slot * self.dim..(slot + 1) * self.dim];
-            let sim = vector::cosine_with_norms(q, qn, row, self.norms[slot]);
+            let sim = vector::cosine_with_norms(self.dots_scratch[slot], qn, self.norms[slot]);
             if best.is_none_or(|(_, b)| sim > b) {
                 best = Some((self.ids[slot], sim));
             }
@@ -219,30 +234,18 @@ impl SemanticClusterer {
 
     /// Appends a new leader, retiring the oldest when the table is full.
     fn admit(&mut self, id: u64, values: &[f64], norm: f64) {
-        if self.dim == 0 {
-            self.dim = values.len();
-            if self.policy.approximates_leader_probe(self.max_leaders) {
-                self.approx = Some(TwoLevelProbe::new(self.dim, self.max_leaders));
-            }
+        if self.rows.is_empty() && self.policy.approximates_leader_probe(self.max_leaders) {
+            self.approx = Some(TwoLevelProbe::new(values.len(), self.max_leaders));
         }
-        assert_eq!(values.len(), self.dim, "leader dimension mismatch");
-        let slot = if self.len < self.max_leaders {
-            let slot = self.slot_at(self.len);
-            if slot == self.ids.len() {
-                self.mat.extend_from_slice(values);
-                self.ids.push(id);
-                self.norms.push(norm);
-            } else {
-                self.mat[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
-                self.ids[slot] = id;
-                self.norms[slot] = norm;
-            }
-            self.len += 1;
+        let slot = if self.ids.len() < self.max_leaders {
+            let slot = self.rows.push(values);
+            self.ids.push(id);
+            self.norms.push(norm);
             slot
         } else {
             // Full: the new leader replaces the oldest in place.
             let slot = self.head;
-            self.mat[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+            self.rows.set(slot, values);
             self.ids[slot] = id;
             self.norms[slot] = norm;
             self.head = self.slot_at(1);
@@ -385,6 +388,15 @@ mod tests {
         c.set_index_policy(IndexPolicy::Exact);
         let id = c.cluster_of(&enc.encode("warm0 lead0 seed0"));
         assert_eq!(id, warm[0], "exact path intact after switching back");
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension mismatch")]
+    fn approx_probe_rejects_mismatched_query() {
+        // The f32 probe would truncate silently; the clusterer checks first.
+        let mut c = SemanticClusterer::with_index_policy(0.7, 32, IndexPolicy::Approx);
+        c.cluster_of(&Embedding::from_vec(vec![1.0, 0.0, 0.0]));
+        c.cluster_of(&Embedding::from_vec(vec![1.0, 0.0]));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! This crate implements the small amount of dense linear algebra needed —
 //! vectors, symmetric matrices, a Jacobi eigensolver, the PSD matrix square
 //! root, running Gaussian moment estimation and the Fréchet distance itself —
-//! with no external dependencies.
+//! with no external dependencies. It also holds the exact lane-blocked
+//! dot-product kernel ([`lanes`]) behind the flat similarity scans.
 //!
 //! # Example: FID between two feature sets
 //!
@@ -26,6 +27,7 @@
 
 pub mod frechet;
 pub mod gaussian;
+pub mod lanes;
 pub mod matrix;
 pub mod vector;
 

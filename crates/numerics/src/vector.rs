@@ -52,31 +52,22 @@ pub fn normalize(a: &mut [f64]) {
 /// assert!((s - 1.0).abs() < 1e-12);
 /// ```
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    cosine_with_norms(dot(a, b), l2_norm(a), l2_norm(b))
 }
 
-/// Cosine similarity for callers that already hold `l2_norm(a)` and
-/// `l2_norm(b)`.
+/// Cosine similarity of `a` and `b` from their precomputed `dot(a, b)`,
+/// `l2_norm(a)` and `l2_norm(b)`; zero if either norm is zero.
 ///
-/// Bit-identical to [`cosine_similarity`]: the norms are pure functions of
-/// the vector values, so hoisting them out of the call changes no f64
-/// operation — hot paths that scan one query against many stored vectors
-/// (leader clustering, retrieval) use this to skip recomputing `n` norms
-/// per probe.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn cosine_with_norms(a: &[f64], na: f64, b: &[f64], nb: f64) -> f64 {
+/// Bit-identical to [`cosine_similarity`] when the inputs are computed
+/// the same way: they are pure functions of the vector values, so hoisting
+/// them out of the call changes no f64 operation. Hot paths that scan one
+/// query against many stored vectors (leader clustering) use this to
+/// cache the stored norms and batch the dot products.
+pub fn cosine_with_norms(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
 /// `out += scale * v`, element-wise.

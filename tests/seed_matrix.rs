@@ -10,7 +10,9 @@
 //! * **reference models** — the rebuilt structures replayed op-for-op
 //!   against naive models with the documented semantics (a stably
 //!   sorted vector for the event queue, a `VecDeque` for the intrusive
-//!   list, an admission-ordered linear scan for the clusterer);
+//!   list, an admission-ordered linear scan for the clusterer, and a
+//!   row-at-a-time serial scan for the lane-blocked flat index, compared
+//!   on similarity bits);
 //! * **run-to-run determinism** — every serving tier (single node,
 //!   fleet, elastic, scenario) executed twice per seed and compared on
 //!   its full debug rendering, so any hidden iteration-order or
@@ -20,14 +22,15 @@ use std::collections::VecDeque;
 
 use modm::cache::IndexedList;
 use modm::cluster::GpuKind;
+use modm::controlplane::{FaultInjector, FleetEventKind};
 use modm::core::MoDMConfig;
-use modm::deploy::{Deployment, ServingBackend};
-use modm::embedding::{Embedding, IndexPolicy};
+use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
+use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
 use modm::fleet::{Fleet, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
 use modm::workload::TraceBuilder;
-use modm_experiments::elastic::{diurnal_trace, elastic_fleet, predictive};
+use modm_experiments::elastic::{diurnal_trace, elastic_fleet, node_config, predictive};
 use modm_experiments::scenarios::storm_scenario_for;
 
 /// Seeds the equivalence sweeps run under. Defaults to `[1]`; CI's
@@ -229,34 +232,196 @@ impl NaiveClusterer {
 
 #[test]
 fn clusterer_matches_naive_admission_order_scan() {
-    for seed in sweep_seeds() {
-        let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA5A5) ^ 0xC10C);
-        let max_leaders = 12;
-        let threshold = 0.7;
-        let mut fast = SemanticClusterer::new(threshold, max_leaders);
-        let mut naive = NaiveClusterer {
-            threshold,
-            max_leaders,
-            leaders: VecDeque::new(),
-            next_id: 0,
-        };
-        // A handful of base directions plus jitter: enough reuse to
-        // exercise joins, enough novelty to exercise ring retirement.
-        let dim = 16;
-        let bases: Vec<Vec<f64>> = (0..8)
-            .map(|_| (0..dim).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
-            .collect();
-        for step in 0..2_000 {
-            let base = &bases[rng.index(bases.len())];
-            let v: Vec<f64> = base.iter().map(|x| x + rng.uniform_in(-0.4, 0.4)).collect();
-            let e = Embedding::from_vec(v);
-            assert_eq!(
-                fast.cluster_of(&e),
-                naive.cluster_of(&e),
-                "seed {seed}: cluster assignment diverged at step {step}"
+    // (leader bound, base directions): a table barely past one 8-slot
+    // block, and one spanning 13 blocks (not a multiple of 8). Both see
+    // more bases than slots, so the ring keeps wrapping.
+    for (max_leaders, num_bases) in [(12, 24), (100, 160)] {
+        for seed in sweep_seeds() {
+            let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA5A5) ^ 0xC10C);
+            let threshold = 0.7;
+            let mut fast = SemanticClusterer::new(threshold, max_leaders);
+            let mut naive = NaiveClusterer {
+                threshold,
+                max_leaders,
+                leaders: VecDeque::new(),
+                next_id: 0,
+            };
+            // Base directions plus jitter: enough reuse to exercise joins,
+            // enough novelty to exercise ring retirement.
+            let dim = 16;
+            let bases: Vec<Vec<f64>> = (0..num_bases)
+                .map(|_| (0..dim).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
+                .collect();
+            for step in 0..3_000 {
+                let base = &bases[rng.index(bases.len())];
+                let v: Vec<f64> = base.iter().map(|x| x + rng.uniform_in(-0.4, 0.4)).collect();
+                let e = Embedding::from_vec(v);
+                assert_eq!(
+                    fast.cluster_of(&e),
+                    naive.cluster_of(&e),
+                    "seed {seed}, {max_leaders} leaders: assignment diverged at step {step}"
+                );
+            }
+            assert_eq!(fast.num_leaders(), naive.leaders.len(), "seed {seed}");
+            assert!(
+                naive.next_id as usize > max_leaders,
+                "seed {seed}: the {max_leaders}-leader ring never wrapped"
             );
         }
-        assert_eq!(fast.num_leaders(), naive.leaders.len(), "seed {seed}");
+    }
+}
+
+/// Reference model for [`EmbeddingIndex`]: one row per slot, scored one
+/// at a time with a serial fold from `0.0` (then clamped), live slots
+/// compared in slot order with the first strict maximum winning. A
+/// replaced key keeps its slot; removed slots are recycled last-freed
+/// first, as the index documents.
+#[derive(Default)]
+struct NaiveFlatIndex {
+    slots: Vec<Option<(u64, Vec<f64>)>>,
+    free: Vec<usize>,
+}
+
+impl NaiveFlatIndex {
+    fn insert(&mut self, key: u64, e: &Embedding) {
+        let row = e.as_slice().to_vec();
+        if let Some(slot) = self.slot_of(key) {
+            self.slots[slot] = Some((key, row));
+        } else if let Some(slot) = self.free.pop() {
+            self.slots[slot] = Some((key, row));
+        } else {
+            self.slots.push(Some((key, row)));
+        }
+    }
+
+    fn remove(&mut self, key: u64) -> bool {
+        let Some(slot) = self.slot_of(key) else {
+            return false;
+        };
+        self.slots[slot] = None;
+        self.free.push(slot);
+        true
+    }
+
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|(k, _)| *k == key))
+    }
+
+    fn scored(&self, q: &Embedding) -> Vec<(u64, f64)> {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|(key, row)| {
+                let dot = q
+                    .as_slice()
+                    .iter()
+                    .zip(row)
+                    .fold(0.0, |acc, (x, y)| acc + x * y);
+                (*key, dot.clamp(-1.0, 1.0))
+            })
+            .collect()
+    }
+
+    fn nearest(&self, q: &Embedding) -> Option<(u64, f64)> {
+        let mut best: Option<(u64, f64)> = None;
+        for (key, sim) in self.scored(q) {
+            if best.is_none_or(|(_, b)| sim > b) {
+                best = Some((key, sim));
+            }
+        }
+        best
+    }
+
+    fn top_k(&self, q: &Embedding, k: usize) -> Vec<(u64, f64)> {
+        let mut hits = self.scored(q);
+        hits.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN sim"));
+        hits.truncate(k);
+        hits
+    }
+}
+
+/// Neighbors as `(key, similarity bits)`, so a one-ulp drift fails.
+fn bits(hits: impl IntoIterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
+    hits.into_iter().map(|(k, s)| (k, s.to_bits())).collect()
+}
+
+#[test]
+fn flat_index_matches_serial_slot_order_reference() {
+    for seed in sweep_seeds() {
+        for dim in [2, 16, 64] {
+            let mut rng = SimRng::seed_from(seed.wrapping_mul(0x1D_E7) ^ dim as u64);
+            let mut index: EmbeddingIndex<u64> = EmbeddingIndex::new();
+            let mut model = NaiveFlatIndex::default();
+            // A small palette of rows, reused on purpose: duplicate rows
+            // tie exactly, where only slot order decides the winner.
+            let palette: Vec<Embedding> = (0..6)
+                .map(|_| Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect()))
+                .collect();
+            let fresh = |rng: &mut SimRng| {
+                if rng.chance(0.3) {
+                    palette[rng.index(palette.len())].clone()
+                } else {
+                    Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect())
+                }
+            };
+            let mut next_key = 0u64;
+            let mut live: Vec<u64> = Vec::new();
+            for step in 0..1_500 {
+                match rng.index(10) {
+                    0..=3 => {
+                        let e = fresh(&mut rng);
+                        index.insert(next_key, e.clone());
+                        model.insert(next_key, &e);
+                        live.push(next_key);
+                        next_key += 1;
+                    }
+                    4 if !live.is_empty() => {
+                        // Replace in place.
+                        let key = live[rng.index(live.len())];
+                        let e = fresh(&mut rng);
+                        index.insert(key, e.clone());
+                        model.insert(key, &e);
+                    }
+                    5..=6 => {
+                        // Remove a live key (freeing a slot for recycling)
+                        // or an absent one.
+                        let key = if !live.is_empty() && rng.chance(0.8) {
+                            live.swap_remove(rng.index(live.len()))
+                        } else {
+                            next_key + 1
+                        };
+                        assert_eq!(index.remove(&key), model.remove(key), "step {step}");
+                    }
+                    _ => {
+                        let q = if rng.chance(0.5) {
+                            palette[rng.index(palette.len())].clone()
+                        } else {
+                            fresh(&mut rng)
+                        };
+                        let ctx = format!("seed {seed}, dim {dim}, step {step}");
+                        assert_eq!(
+                            bits(index.nearest(&q).map(|n| (n.key, n.similarity))),
+                            bits(model.nearest(&q)),
+                            "{ctx}: nearest"
+                        );
+                        let k = 1 + rng.index(12);
+                        assert_eq!(
+                            bits(index.top_k(&q, k).iter().map(|n| (n.key, n.similarity))),
+                            bits(model.top_k(&q, k)),
+                            "{ctx}: top_{k}"
+                        );
+                    }
+                }
+                assert_eq!(index.len(), live.len(), "step {step}");
+            }
+            assert!(
+                !model.slots.len().is_multiple_of(8),
+                "seed {seed}, dim {dim}: end on a partial block ({} slots)",
+                model.slots.len()
+            );
+        }
     }
 }
 
@@ -331,6 +496,50 @@ fn elastic_and_scenario_tiers_are_bit_identical_run_to_run() {
             )
         };
         assert_eq!(scenario(), scenario(), "seed {seed}: scenario tier");
+    }
+}
+
+#[test]
+fn elastic_run_with_scale_ups_and_crashes_is_bit_identical_run_to_run() {
+    // Scale-ups pull owned entries onto the new shard, and the ownership
+    // predicate routes through the clusterer, which mints leaders as it
+    // goes: if the donor cache evaluated that predicate in hash-map order,
+    // leader ids (and so routing) would differ between two runs in one
+    // process, since every `HashMap` there draws fresh hash keys.
+    for seed in sweep_seeds() {
+        let trace = diurnal_trace(seed, 2_000);
+        let horizon = trace
+            .requests()
+            .last()
+            .expect("non-empty")
+            .arrival
+            .as_mins_f64();
+        let crashes = [0.3 * horizon, 0.6 * horizon];
+        let run = || {
+            let mut outcome = Deployment::elastic(
+                node_config(),
+                predictive(),
+                LifecyclePlan::new(3, 2, 8),
+                FaultInjector::at(&crashes, 5.0),
+            )
+            .run(&trace);
+            let events = &outcome.as_elastic().expect("elastic tier").events;
+            assert!(
+                events.iter().any(|e| matches!(
+                    e.kind,
+                    FleetEventKind::NodeActive { prewarmed, .. } if prewarmed > 0
+                )),
+                "seed {seed}: the run must scale up and pull entries"
+            );
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e.kind, FleetEventKind::Crash { .. })),
+                "seed {seed}: the run must crash a node"
+            );
+            outcome.summary(2.0)
+        };
+        assert_eq!(run(), run(), "seed {seed}: elastic tier with crashes");
     }
 }
 
