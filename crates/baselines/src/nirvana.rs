@@ -13,7 +13,7 @@ use modm_cluster::GpuKind;
 use modm_core::report::ServingReport;
 use modm_core::RunOptions;
 use modm_diffusion::{GeneratedImage, ModelId, QualityModel, Sampler, K_CHOICES};
-use modm_embedding::{SemanticSpace, TextEncoder};
+use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
 use modm_simkit::{SimRng, SimTime};
 use modm_workload::{Request, Trace};
 
@@ -76,7 +76,7 @@ impl NirvanaSystem {
             model,
             encoder: TextEncoder::new(space.clone()),
             sampler: Sampler::new(QualityModel::new(space, 0xBB22, floor)),
-            cache: LatentCache::new_utility(cache_capacity),
+            cache: LatentCache::new_utility(cache_capacity, IndexPolicy::Exact),
         };
         NirvanaSystem {
             engine: BaselineEngine::new(policy, gpu, num_gpus),

@@ -5,7 +5,8 @@
 //! mechanisms*, backing the paper's §5.2 claim that retrieval is negligible
 //! next to denoising:
 //!
-//! * `retrieval` — flat vs IVF cache lookup across cache sizes.
+//! * `retrieval` — exact flat vs approximate inverted index lookup across
+//!   cache sizes.
 //! * `cache_ops` — insert/evict throughput of the image cache, per policy.
 //! * `scheduler` — prompt encoding, k-decision, Algorithm 1 planning.
 //! * `metrics` — FID (eigendecomposition) and Inception Score kernels.

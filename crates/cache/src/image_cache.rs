@@ -15,37 +15,27 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use modm_diffusion::GeneratedImage;
-use modm_embedding::{Embedding, EmbeddingIndex, IndexPolicy, InvertedIndex, IvfIndex, Neighbor};
+use modm_embedding::{Embedding, EmbeddingIndex, IndexPolicy, InvertedIndex, Neighbor};
 use modm_simkit::{profile, SimTime};
 use modm_workload::TenantId;
 
 use crate::slot_list::IndexedList;
 use crate::stats::CacheStats;
 
-/// The legacy capacity switch point between the exact flat index and the
-/// IVF index, now [`IndexPolicy::DEFAULT_IVF_THRESHOLD`]. Kept as a named
-/// constant for existing call sites; new code should select backends
-/// through [`CacheConfig::with_index_policy`].
-pub const IVF_THRESHOLD: usize = IndexPolicy::DEFAULT_IVF_THRESHOLD;
-
 /// Index backend shared by the cache variants, selected by the
-/// [`IndexPolicy`] on [`CacheConfig`]: exact flat scan, the legacy f64
-/// IVF index, or the f32 anchored inverted index.
+/// [`IndexPolicy`] on [`CacheConfig`]: the exact flat scan or the f32
+/// anchored inverted index.
 #[derive(Debug, Clone)]
 pub(crate) enum CacheIndex {
     Flat(EmbeddingIndex<u64>),
-    Ivf(IvfIndex<u64>),
     Inverted(InvertedIndex<u64>),
 }
 
 impl CacheIndex {
     pub(crate) fn for_policy(policy: IndexPolicy, capacity: usize, dim: usize) -> Self {
-        if policy.selects_inverted(capacity) {
-            CacheIndex::Inverted(InvertedIndex::for_capacity(dim, capacity))
-        } else if policy.selects_ivf(capacity) {
-            CacheIndex::Ivf(IvfIndex::new(dim, 256, 12))
-        } else {
-            CacheIndex::Flat(EmbeddingIndex::new())
+        match policy {
+            IndexPolicy::Exact => CacheIndex::Flat(EmbeddingIndex::new()),
+            IndexPolicy::Approx => CacheIndex::Inverted(InvertedIndex::for_capacity(dim, capacity)),
         }
     }
 
@@ -53,7 +43,6 @@ impl CacheIndex {
     pub(crate) fn backend(&self) -> &'static str {
         match self {
             CacheIndex::Flat(_) => "flat",
-            CacheIndex::Ivf(_) => "ivf",
             CacheIndex::Inverted(_) => "inverted",
         }
     }
@@ -66,7 +55,6 @@ impl CacheIndex {
     pub(crate) fn insert(&mut self, key: u64, e: Embedding, anchor: &Embedding) {
         match self {
             CacheIndex::Flat(i) => i.insert(key, e),
-            CacheIndex::Ivf(i) => i.insert(key, e),
             CacheIndex::Inverted(i) => i.insert_anchored(key, anchor, e),
         }
     }
@@ -74,7 +62,6 @@ impl CacheIndex {
     pub(crate) fn remove(&mut self, key: &u64) -> bool {
         match self {
             CacheIndex::Flat(i) => i.remove(key),
-            CacheIndex::Ivf(i) => i.remove(key),
             CacheIndex::Inverted(i) => i.remove(key),
         }
     }
@@ -85,7 +72,6 @@ impl CacheIndex {
     pub(crate) fn nearest_with_floor(&self, q: &Embedding, floor: f64) -> Option<Neighbor<u64>> {
         match self {
             CacheIndex::Flat(i) => i.nearest(q),
-            CacheIndex::Ivf(i) => i.nearest(q),
             CacheIndex::Inverted(i) => i.nearest_with_floor(q, floor),
         }
     }
@@ -93,7 +79,6 @@ impl CacheIndex {
     pub(crate) fn top_k(&self, q: &Embedding, k: usize) -> Vec<Neighbor<u64>> {
         match self {
             CacheIndex::Flat(i) => i.top_k(q, k),
-            CacheIndex::Ivf(i) => i.top_k(q, k),
             CacheIndex::Inverted(i) => i.top_k(q, k),
         }
     }
@@ -101,7 +86,6 @@ impl CacheIndex {
     pub(crate) fn storage_bytes(&self) -> usize {
         match self {
             CacheIndex::Flat(i) => i.storage_bytes(),
-            CacheIndex::Ivf(i) => i.storage_bytes(),
             CacheIndex::Inverted(i) => i.storage_bytes(),
         }
     }
@@ -140,9 +124,7 @@ pub struct CacheConfig {
     /// protection entirely.
     pub tenant_reserves: Vec<(TenantId, usize)>,
     /// Similarity-index backend selection. Defaults to
-    /// [`IndexPolicy::legacy_ivf`] — the historical behavior (exact below
-    /// [`IVF_THRESHOLD`], IVF at or above) — so direct cache users are
-    /// unchanged; `MoDMConfig` overrides it with its own policy.
+    /// [`IndexPolicy::Exact`] at any capacity, as `MoDMConfig` does.
     pub index_policy: IndexPolicy,
 }
 
@@ -158,7 +140,7 @@ impl CacheConfig {
             capacity,
             policy: MaintenancePolicy::Fifo,
             tenant_reserves: Vec::new(),
-            index_policy: IndexPolicy::legacy_ivf(),
+            index_policy: IndexPolicy::Exact,
         }
     }
 
@@ -173,20 +155,13 @@ impl CacheConfig {
             capacity,
             policy,
             tenant_reserves: Vec::new(),
-            index_policy: IndexPolicy::legacy_ivf(),
+            index_policy: IndexPolicy::Exact,
         }
     }
 
     /// Selects the similarity-index backend (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid policy (`Ivf { threshold: 0 }`).
     #[must_use]
     pub fn with_index_policy(mut self, index_policy: IndexPolicy) -> Self {
-        if let Err(e) = index_policy.validate() {
-            panic!("{e}");
-        }
         self.index_policy = index_policy;
         self
     }
@@ -416,14 +391,7 @@ impl ImageCache {
         }
     }
 
-    /// True when the cache retrieves through the approximate IVF index
-    /// rather than the exact flat scan — derived from the configured
-    /// [`IndexPolicy`] and the capacity, not from a hardcoded constant.
-    pub fn uses_ivf_index(&self) -> bool {
-        self.config.index_policy.selects_ivf(self.config.capacity)
-    }
-
-    /// The active index backend: `"flat"`, `"ivf"` or `"inverted"`.
+    /// The active index backend: `"flat"` or `"inverted"`.
     pub fn index_backend(&self) -> &'static str {
         self.index.backend()
     }

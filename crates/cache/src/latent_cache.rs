@@ -9,7 +9,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use modm_diffusion::{Latent, ModelId};
-use modm_embedding::Embedding;
+use modm_embedding::{Embedding, IndexPolicy};
 
 use crate::image_cache::CacheIndex;
 use modm_simkit::SimTime;
@@ -53,28 +53,36 @@ pub struct LatentCache {
 }
 
 impl LatentCache {
-    /// Creates an empty cache.
+    /// Creates an empty FIFO cache whose text index runs `index_policy`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_utility_policy(capacity, false)
+    pub fn new(capacity: usize, index_policy: IndexPolicy) -> Self {
+        Self::with_utility_policy(capacity, index_policy, false)
     }
 
     /// Creates a cache with Nirvana's utility-based maintenance: the entry
     /// with the fewest hits is evicted first (ties broken oldest-first).
-    pub fn new_utility(capacity: usize) -> Self {
-        Self::with_utility_policy(capacity, true)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn new_utility(capacity: usize, index_policy: IndexPolicy) -> Self {
+        Self::with_utility_policy(capacity, index_policy, true)
     }
 
-    fn with_utility_policy(capacity: usize, utility_based: bool) -> Self {
+    fn with_utility_policy(
+        capacity: usize,
+        index_policy: IndexPolicy,
+        utility_based: bool,
+    ) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         LatentCache {
             capacity,
             entries: HashMap::new(),
             index: CacheIndex::for_policy(
-                modm_embedding::IndexPolicy::legacy_ivf(),
+                index_policy,
                 capacity,
                 modm_embedding::space::DEFAULT_DIM,
             ),
@@ -251,7 +259,7 @@ mod tests {
     #[test]
     fn retrieves_by_text_similarity() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(10);
+        let mut cache = LatentCache::new(10, IndexPolicy::Exact);
         let p = "forgotten library awakening ruins twilight charcoal sketch";
         let (e, latents) = bundle(&s, &t, &mut rng, p, ModelId::Sd35Large);
         cache.insert(SimTime::ZERO, e, latents);
@@ -275,7 +283,7 @@ mod tests {
     #[test]
     fn family_restriction_enforced() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(10);
+        let mut cache = LatentCache::new(10, IndexPolicy::Exact);
         let p = "ancient monk meditating temple dawn ukiyo-e woodblock";
         let (e, latents) = bundle(&s, &t, &mut rng, p, ModelId::Sd35Large);
         cache.insert(SimTime::ZERO, e, latents);
@@ -290,7 +298,7 @@ mod tests {
     #[test]
     fn k_selection_picks_deepest_allowed() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(10);
+        let mut cache = LatentCache::new(10, IndexPolicy::Exact);
         let p = "crystal valley blooming meadow spring macro photograph";
         let (e, latents) = bundle(&s, &t, &mut rng, p, ModelId::Sd35Large);
         cache.insert(SimTime::ZERO, e, latents);
@@ -305,7 +313,7 @@ mod tests {
     #[test]
     fn fifo_capacity_respected() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(3);
+        let mut cache = LatentCache::new(3, IndexPolicy::Exact);
         for i in 0..8 {
             let p = format!("variant {i} shattered comet orbiting moon eclipse");
             let (e, latents) = bundle(&s, &t, &mut rng, &p, ModelId::Sd35Large);
@@ -318,7 +326,7 @@ mod tests {
     #[test]
     fn latent_storage_dwarfs_image_storage() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(10);
+        let mut cache = LatentCache::new(10, IndexPolicy::Exact);
         let (e, latents) = bundle(
             &s,
             &t,
@@ -334,7 +342,7 @@ mod tests {
     #[should_panic(expected = "mixes model families")]
     fn mixed_family_bundle_rejected() {
         let (s, t, mut rng) = setup();
-        let mut cache = LatentCache::new(4);
+        let mut cache = LatentCache::new(4, IndexPolicy::Exact);
         let e = t.encode("prismatic oracle glowing observatory aurora");
         let img_a = s.generate(ModelId::Sd35Large, &e, &mut rng);
         let img_b = s.generate(ModelId::Sana, &e, &mut rng);

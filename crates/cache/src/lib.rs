@@ -37,7 +37,6 @@ pub use slot_list::IndexedList;
 
 pub use image_cache::{
     CacheConfig, CachedImage, ImageCache, MaintenancePolicy, ReserveError, RetrievedImage,
-    IVF_THRESHOLD,
 };
 pub use latent_cache::{CachedLatent, LatentCache, RetrievedLatent};
 pub use stats::CacheStats;

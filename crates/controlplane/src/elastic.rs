@@ -24,7 +24,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use modm_cache::CacheConfig;
 use modm_core::config::{AdmissionPolicy, MoDMConfig};
 use modm_core::events::{emit, Obs, Observer, SimEvent};
 use modm_core::node::{render_completion, NodeInFlight, ServingNode};
@@ -348,11 +347,7 @@ impl<'a> ElasticRun<'a> {
         let sampler = Sampler::new(quality_model);
         let rng = SimRng::seed_from(node_config.seed ^ 0x454C_4153); // "ELAS"
         let router = Router::new(config.policy, config.initial_nodes);
-        let cache = ShardedCache::new(
-            config.max_nodes,
-            CacheConfig::with_policy(node_config.cache_capacity, node_config.cache_policy)
-                .with_reserves(node_config.tenancy.cache_reserves()),
-        );
+        let cache = ShardedCache::new(config.max_nodes, node_config.cache_config());
 
         // Re-base arrivals to start at zero.
         let base = trace
@@ -976,6 +971,31 @@ mod tests {
 
     fn fleet(initial: usize, min: usize, max: usize) -> ElasticFleet {
         ElasticFleet::new(ElasticFleetConfig::new(node_config(), initial, min, max))
+    }
+
+    #[test]
+    fn shards_follow_the_node_config_index_policy() {
+        // Every shard is built from `MoDMConfig::cache_config`, so the
+        // node config's index policy reaches the elastic tier's caches;
+        // the default stays on the exact flat scan.
+        let trace = TraceBuilder::diffusion_db(43)
+            .requests(60)
+            .rate_per_min(12.0)
+            .build();
+        let approx = MoDMConfig {
+            index_policy: modm_core::IndexPolicy::Approx,
+            ..node_config()
+        };
+        for (node, backend) in [(node_config(), "flat"), (approx, "inverted")] {
+            let config = ElasticFleetConfig::new(node, 2, 1, 4);
+            let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+            let run = ElasticRun::new(&config, &trace, &mut scaler, &faults, None);
+            for shard in 0..run.cache.num_shards() {
+                assert_eq!(run.cache.shard(shard).index_backend(), backend);
+            }
+            let report = ElasticFleet::new(config).run(&trace, &mut HoldAutoscaler);
+            assert_eq!(report.completed, 60, "{backend} shards serve everything");
+        }
     }
 
     #[test]

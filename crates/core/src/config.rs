@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use modm_cache::MaintenancePolicy;
+use modm_cache::{CacheConfig, MaintenancePolicy};
 use modm_cluster::GpuKind;
 use modm_diffusion::ModelId;
 use modm_embedding::IndexPolicy;
@@ -53,8 +53,6 @@ pub enum ConfigError {
     BadAgingBounds,
     /// The queue-time shed budget was zero.
     ZeroQueueBudget,
-    /// The similarity-index policy carried an IVF threshold of zero.
-    ZeroIvfThreshold,
 }
 
 impl fmt::Display for ConfigError {
@@ -97,9 +95,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroQueueBudget => {
                 write!(f, "queue-time shed budget must be positive")
-            }
-            ConfigError::ZeroIvfThreshold => {
-                write!(f, "IVF index threshold must be positive")
             }
         }
     }
@@ -216,12 +211,11 @@ pub struct MoDMConfig {
     /// ([`TenancyPolicy::fifo`]) is the legacy single-queue behavior and
     /// is exactly tenant-neutral.
     pub tenancy: TenancyPolicy,
-    /// Similarity-index backend for the cache (and, in fleet tiers, the
-    /// affinity leader probe). The default is [`IndexPolicy::Exact`] —
-    /// bit-identical to the historical flat scan on every tier below the
-    /// legacy IVF threshold; `Approx`/`Auto` opt into the f32 probes,
-    /// and [`IndexPolicy::legacy_ivf`] restores the old capacity switch
-    /// for very large single-node caches.
+    /// Similarity-index backend for every cache built from this config
+    /// (through [`MoDMConfig::cache_config`], on every tier) and, where a
+    /// tier wires it into its `RoutingConfig`, the affinity leader probe.
+    /// The default is [`IndexPolicy::Exact`], the bit-identical flat scan;
+    /// [`IndexPolicy::Approx`] opts into the f32 probes.
     pub index_policy: IndexPolicy,
 }
 
@@ -230,6 +224,16 @@ impl MoDMConfig {
     /// SDXL -> SANA escalation, 10k FIFO cache-all, throughput-optimized.
     pub fn builder() -> MoDMConfigBuilder {
         MoDMConfigBuilder::default()
+    }
+
+    /// The cache every tier builds from this config: capacity,
+    /// maintenance policy, tenant reserves and index policy. One node's
+    /// cache on the single-node tier, one shard per node on the fleet,
+    /// elastic and scenario tiers.
+    pub fn cache_config(&self) -> CacheConfig {
+        CacheConfig::with_policy(self.cache_capacity, self.cache_policy)
+            .with_reserves(self.tenancy.cache_reserves())
+            .with_index_policy(self.index_policy)
     }
 
     /// The cheapest configured small model.
@@ -375,9 +379,6 @@ impl MoDMConfigBuilder {
         }
         if c.monitor_period.is_zero() {
             return Err(ConfigError::ZeroMonitorPeriod);
-        }
-        if c.index_policy.validate().is_err() {
-            return Err(ConfigError::ZeroIvfThreshold);
         }
         validate_tenancy(&c.tenancy, c.cache_capacity)?;
         Ok(self.config)

@@ -1,7 +1,7 @@
 //! The Request Scheduler: prompt embedding, cache retrieval, k-decision and
 //! hit/miss routing (paper Fig 4, left box).
 
-use modm_cache::{CacheConfig, ImageCache, RetrievedImage};
+use modm_cache::{ImageCache, RetrievedImage};
 use modm_embedding::{Embedding, TextEncoder};
 use modm_simkit::SimTime;
 use modm_workload::{QosClass, Request, TenantId};
@@ -87,11 +87,7 @@ impl RequestScheduler {
     pub fn new(config: &MoDMConfig, encoder: TextEncoder) -> Self {
         RequestScheduler {
             encoder,
-            cache: ImageCache::new(
-                CacheConfig::with_policy(config.cache_capacity, config.cache_policy)
-                    .with_reserves(config.tenancy.cache_reserves())
-                    .with_index_policy(config.index_policy),
-            ),
+            cache: ImageCache::new(config.cache_config()),
             threshold_shift: config.threshold_shift,
             hits: 0,
             misses: 0,

@@ -165,12 +165,14 @@ enum Tier {
 ///
 /// # Example
 ///
-/// The [`IndexPolicy`](modm_core::IndexPolicy) on the node config (and,
-/// for fleets, on the [`RoutingConfig`](modm_fleet::RoutingConfig))
-/// selects the similarity-probe backend: `Exact` — the default — keeps
-/// every scan bit-identical to the historical one, while `Approx` swaps
-/// in the anchored inverted cache index and the two-level leader probe
-/// behind the same API.
+/// The [`IndexPolicy`](modm_core::IndexPolicy) on the node config selects
+/// the cache backend on every tier (each tier builds its caches from
+/// `MoDMConfig::cache_config`). A fixed fleet's affinity leader probe
+/// follows the policy on its [`RoutingConfig`](modm_fleet::RoutingConfig);
+/// the elastic and scenario tiers route with the exact probe. `Exact` —
+/// the default — keeps every scan bit-identical to the historical one,
+/// while `Approx` swaps in the anchored inverted cache index and the
+/// two-level leader probe.
 ///
 /// ```
 /// use modm_deploy::{Deployment, ServingBackend};

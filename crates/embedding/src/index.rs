@@ -8,7 +8,8 @@
 //! The rows are stored lane-blocked ([`LaneRows`]): eight slots share a
 //! block, component-major, so the scan scores eight entries at once with
 //! independent accumulators. Every similarity is still the f64 a serial
-//! `unit_dot` of the query against the row produces, and live slots are
+//! dot product of the query against the row produces (folded from `0.0`
+//! in component order, then clamped to `[-1, 1]`), and live slots are
 //! still compared in slot order, so results match a row-at-a-time scan
 //! bit for bit.
 
@@ -17,21 +18,6 @@ use std::collections::HashMap;
 use modm_numerics::lanes::{LaneRows, LANES};
 
 use crate::space::Embedding;
-
-/// Dot product of two unit vectors, clamped to the cosine range. Stored
-/// embeddings and queries are normalized by [`Embedding::from_vec`], so this
-/// equals the cosine at a third of the flops. [`EmbeddingIndex`] computes
-/// the same value for eight rows at once: the same fold from `0.0`, then
-/// the same clamp.
-#[inline]
-pub(crate) fn unit_dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc.clamp(-1.0, 1.0)
-}
 
 /// A search hit: the key of the stored embedding and its cosine similarity
 /// to the query.
@@ -140,8 +126,9 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
         self.by_key.contains_key(key)
     }
 
-    /// Every live entry scored against `query`, in slot order. Each
-    /// similarity equals [`unit_dot`] of the query and the stored row.
+    /// Every live entry scored against `query`, in slot order. Stored
+    /// embeddings and queries are unit vectors ([`Embedding::from_vec`]
+    /// normalizes), so each clamped dot product is their cosine.
     fn scored<'a>(&'a self, query: &'a Embedding) -> impl Iterator<Item = Neighbor<K>> + 'a {
         self.rows
             .block_dots(query.as_slice(), 0.0)

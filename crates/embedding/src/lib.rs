@@ -36,12 +36,10 @@
 
 pub mod clip;
 pub mod index;
-pub mod ivf;
 pub mod probe;
 pub mod space;
 
 pub use clip::{clip_score, pick_score, retrieval_similarity, CLIP_COS_SCALE};
 pub use index::{EmbeddingIndex, Neighbor};
-pub use ivf::IvfIndex;
-pub use probe::{IndexPolicy, IndexPolicyError, InvertedIndex, SimilarityProbe, TwoLevelProbe};
+pub use probe::{IndexPolicy, InvertedIndex, TwoLevelProbe};
 pub use space::{Embedding, ImageEncoder, SemanticSpace, TextEncoder};

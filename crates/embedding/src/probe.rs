@@ -1,219 +1,45 @@
-//! The pluggable similarity-probe API: one trait over every index
-//! backend, a capacity-aware [`IndexPolicy`] selecting between them, and
-//! the approximate backends the exact scans graduate to at fleet scale.
+//! The similarity-index policy and the approximate backends.
 //!
-//! PR 9's self-profile pinned >95% of the million-request wall time in
-//! the *semantic* work: the affinity clusterer's exact cosine probe over
-//! up to 512 leaders and the per-shard cache's exact scan below the old
-//! hardcoded IVF threshold. Both were fixed exact scans behind buried
-//! constants, so a faster backend could not even be expressed. This
-//! module makes the probe strategy a first-class API:
+//! MoDM has one retrieval primitive: find the cached entry nearest to a
+//! prompt embedding and act on it only if it clears a similarity floor
+//! (the cache-hit threshold, or the affinity clusterer's join threshold).
+//! Every structure serving that primitive has exactly two backends, chosen
+//! by [`IndexPolicy`]:
 //!
-//! * [`SimilarityProbe`] — the trait every index implements (the exact
-//!   [`EmbeddingIndex`], the legacy [`IvfIndex`], and the new
-//!   [`InvertedIndex`]), so callers select backends by policy instead of
-//!   hardcoding one.
-//! * [`IndexPolicy`] — `Exact` (default; bit-identical to the historical
-//!   flat scan), `Ivf { threshold }` (the legacy capacity switch, with
-//!   the old constant as its default threshold), `Approx` (the new
-//!   f32 backends everywhere) and `Auto` (fastest expected backend for
-//!   the capacity).
-//! * [`InvertedIndex`] — a small-shard inverted file: contiguous f32
-//!   rows bucketed under ~√n fixed random unit centroids, scored with
-//!   [`dot_f32`]'s lane-split accumulators (written so LLVM
-//!   autovectorizes the dim-64 dot into SIMD adds), probing only the top
-//!   few buckets per query.
+//! * `Exact` — the lane-blocked f64 scan:
+//!   [`EmbeddingIndex`](crate::EmbeddingIndex) for caches and the
+//!   clusterer's own leader table for affinity routing.
+//! * `Approx` — the f32 backends in this module: [`InvertedIndex`] for
+//!   caches (with [`InvertedIndex::nearest_with_floor`]'s verify-on-miss
+//!   fallback keeping hit/miss verdicts exact to f32 precision) and
+//!   [`TwoLevelProbe::resolve`] for leader tables. Rows are scored with
+//!   [`dot_f32`]'s lane-split accumulators, which LLVM autovectorizes into
+//!   SIMD adds.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use modm_numerics::vector;
 use modm_simkit::SimRng;
 
-use crate::index::{EmbeddingIndex, Neighbor};
-use crate::ivf::IvfIndex;
+use crate::index::Neighbor;
 use crate::space::Embedding;
 
-/// How a similarity-searchable structure (cache index, leader table)
-/// picks its probe backend.
+/// Which backend a similarity-searchable structure (cache index, leader
+/// table) probes with.
 ///
 /// The policy travels on `MoDMConfig` (and `RoutingConfig` for the
-/// affinity clusterer) and is consulted wherever an index is built, with
-/// the capacity of that particular structure as context.
+/// affinity clusterer) and is consulted wherever an index is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IndexPolicy {
-    /// Exact flat f64 scan, regardless of capacity. Bit-identical to the
-    /// historical behavior on every structure below the legacy IVF
-    /// threshold — the determinism contract `tests/seed_matrix.rs` pins.
+    /// Exact lane-blocked f64 scan at any capacity — the determinism
+    /// contract `tests/seed_matrix.rs` pins bit for bit.
     #[default]
     Exact,
-    /// The legacy capacity switch: exact below `threshold` entries, the
-    /// f64 [`IvfIndex`] at or above it. `threshold` must be positive.
-    Ivf {
-        /// Capacity at which the structure switches to the IVF index.
-        threshold: usize,
-    },
-    /// The approximate f32 backends everywhere: the [`InvertedIndex`]
-    /// for caches and the two-level leader probe for affinity routing.
-    /// Opt-in — results are near-exact (recall properties pin ≥95%
-    /// agreement) but not bit-identical to `Exact`.
+    /// The approximate f32 backends: the [`InvertedIndex`] for caches and
+    /// the [`TwoLevelProbe`] for affinity leader tables. Opt-in — hit/miss
+    /// and join/mint verdicts are exact to f32 precision, but similarities
+    /// and tie-breaks are not bit-identical to `Exact`.
     Approx,
-    /// Pick the fastest expected backend for the capacity: exact for
-    /// structures small enough that a flat scan wins outright
-    /// ([`IndexPolicy::AUTO_EXACT_CEILING`]), approximate above.
-    Auto,
-}
-
-/// Why an [`IndexPolicy`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum IndexPolicyError {
-    /// `Ivf { threshold: 0 }` — a zero threshold means "always IVF",
-    /// which is what `Approx`/`Auto` are for; requiring a positive
-    /// threshold keeps the variants non-overlapping.
-    ZeroIvfThreshold,
-}
-
-impl fmt::Display for IndexPolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexPolicyError::ZeroIvfThreshold => {
-                write!(f, "IVF index threshold must be positive")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IndexPolicyError {}
-
-impl IndexPolicy {
-    /// The legacy capacity switch point, formerly the hardcoded
-    /// `IVF_THRESHOLD` constant in `modm-cache`: caches at or above this
-    /// many entries used the IVF index, smaller ones the exact flat scan.
-    pub const DEFAULT_IVF_THRESHOLD: usize = 20_000;
-
-    /// Under [`IndexPolicy::Auto`], structures at or below this many
-    /// entries stay on the exact flat scan — a scan this short beats the
-    /// approximate probe's bucketing overhead.
-    pub const AUTO_EXACT_CEILING: usize = 64;
-
-    /// The pre-policy default: exact below
-    /// [`IndexPolicy::DEFAULT_IVF_THRESHOLD`], IVF at or above. Call
-    /// sites that relied on the old automatic switch (large single-node
-    /// caches) pass this explicitly to keep their results unchanged.
-    pub fn legacy_ivf() -> Self {
-        IndexPolicy::Ivf {
-            threshold: Self::DEFAULT_IVF_THRESHOLD,
-        }
-    }
-
-    /// Validates the policy parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexPolicyError::ZeroIvfThreshold`] for
-    /// `Ivf { threshold: 0 }`.
-    pub fn validate(self) -> Result<(), IndexPolicyError> {
-        match self {
-            IndexPolicy::Ivf { threshold: 0 } => Err(IndexPolicyError::ZeroIvfThreshold),
-            _ => Ok(()),
-        }
-    }
-
-    /// True when a structure of `capacity` entries should use the legacy
-    /// f64 [`IvfIndex`] under this policy.
-    pub fn selects_ivf(self, capacity: usize) -> bool {
-        matches!(self, IndexPolicy::Ivf { threshold } if capacity >= threshold)
-    }
-
-    /// True when a structure of `capacity` entries should use the
-    /// approximate f32 [`InvertedIndex`] under this policy.
-    pub fn selects_inverted(self, capacity: usize) -> bool {
-        match self {
-            IndexPolicy::Exact | IndexPolicy::Ivf { .. } => false,
-            IndexPolicy::Approx => true,
-            IndexPolicy::Auto => capacity > Self::AUTO_EXACT_CEILING,
-        }
-    }
-
-    /// True when an affinity leader table bounded at `max_leaders`
-    /// should run the approximate two-level probe under this policy.
-    pub fn approximates_leader_probe(self, max_leaders: usize) -> bool {
-        match self {
-            IndexPolicy::Exact | IndexPolicy::Ivf { .. } => false,
-            IndexPolicy::Approx => true,
-            IndexPolicy::Auto => max_leaders > Self::AUTO_EXACT_CEILING,
-        }
-    }
-}
-
-/// One interface over every similarity-index backend, so callers select
-/// a backend by [`IndexPolicy`] instead of hardcoding one.
-///
-/// All three backends implement it with identical semantics: `insert`
-/// replaces an existing key, `nearest` returns the best live entry by
-/// cosine similarity (exactly for [`EmbeddingIndex`], approximately for
-/// [`IvfIndex`] and [`InvertedIndex`]), and `storage_bytes` uses the
-/// f32 accounting convention of the paper's GPU tensors.
-pub trait SimilarityProbe<K> {
-    /// Inserts (or replaces) the embedding for `key`.
-    fn insert(&mut self, key: K, embedding: Embedding);
-    /// Removes `key`; returns whether it existed.
-    fn remove(&mut self, key: &K) -> bool;
-    /// Number of live entries.
-    fn len(&self) -> usize;
-    /// True when no entries are live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// The most similar live entry to `query`, if any.
-    fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>>;
-    /// The `k` most similar entries, best first.
-    fn top_k(&self, query: &Embedding, k: usize) -> Vec<Neighbor<K>>;
-    /// Bytes of embedding storage currently live.
-    fn storage_bytes(&self) -> usize;
-}
-
-impl<K: Copy + Eq + std::hash::Hash> SimilarityProbe<K> for EmbeddingIndex<K> {
-    fn insert(&mut self, key: K, embedding: Embedding) {
-        EmbeddingIndex::insert(self, key, embedding);
-    }
-    fn remove(&mut self, key: &K) -> bool {
-        EmbeddingIndex::remove(self, key)
-    }
-    fn len(&self) -> usize {
-        EmbeddingIndex::len(self)
-    }
-    fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        EmbeddingIndex::nearest(self, query)
-    }
-    fn top_k(&self, query: &Embedding, k: usize) -> Vec<Neighbor<K>> {
-        EmbeddingIndex::top_k(self, query, k)
-    }
-    fn storage_bytes(&self) -> usize {
-        EmbeddingIndex::storage_bytes(self)
-    }
-}
-
-impl<K: Copy + Eq + std::hash::Hash> SimilarityProbe<K> for IvfIndex<K> {
-    fn insert(&mut self, key: K, embedding: Embedding) {
-        IvfIndex::insert(self, key, embedding);
-    }
-    fn remove(&mut self, key: &K) -> bool {
-        IvfIndex::remove(self, key)
-    }
-    fn len(&self) -> usize {
-        IvfIndex::len(self)
-    }
-    fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        IvfIndex::nearest(self, query)
-    }
-    fn top_k(&self, query: &Embedding, k: usize) -> Vec<Neighbor<K>> {
-        IvfIndex::top_k(self, query, k)
-    }
-    fn storage_bytes(&self) -> usize {
-        IvfIndex::storage_bytes(self)
-    }
 }
 
 /// Dot product of two f32 slices with lane-split accumulators: the loop
@@ -710,41 +536,6 @@ impl TwoLevelProbe {
         self.part_minrcos[p] = self.part_minrcos[p].min(own_sim);
     }
 
-    /// Best slot among the `nprobe` partitions closest to the normalized
-    /// f32 query, with its similarity. `None` when the probed partitions
-    /// are all empty.
-    pub fn best_slot(&self, q: &[f32]) -> Option<(usize, f32)> {
-        let mut sims = [f32::NEG_INFINITY; MAX_CENTROIDS];
-        for (i, sim) in sims.iter_mut().enumerate().take(self.ncent) {
-            *sim = dot_f32(q, self.centroid(i));
-        }
-        let mut order = [0usize; MAX_CENTROIDS];
-        let probes = select_top(&sims[..self.ncent], self.nprobe, &mut order);
-        let mut best: Option<(usize, f32)> = None;
-        for &part in order.iter().take(probes) {
-            for &slot in &self.parts[part] {
-                let sim = dot_f32(q, self.row(slot as usize));
-                if best.is_none_or(|(_, b)| sim > b) {
-                    best = Some((slot as usize, sim));
-                }
-            }
-        }
-        best
-    }
-
-    /// Best slot over the whole table (full f32 scan) — the reference
-    /// fallback that keeps miss verdicts exact.
-    pub fn full_best_slot(&self, q: &[f32]) -> Option<(usize, f32)> {
-        let mut best: Option<(usize, f32)> = None;
-        for slot in 0..self.slot_part.len() {
-            let sim = dot_f32(q, self.row(slot));
-            if best.is_none_or(|(_, b)| sim > b) {
-                best = Some((slot, sim));
-            }
-        }
-        best
-    }
-
     /// One-pass join resolution: probe the top partitions, and — when the
     /// probed best misses `join_floor` — sweep the remaining partitions,
     /// scanning only those whose triangle-inequality partition bound
@@ -806,60 +597,16 @@ impl TwoLevelProbe {
     }
 }
 
-impl<K: Copy + Eq + std::hash::Hash> SimilarityProbe<K> for InvertedIndex<K> {
-    fn insert(&mut self, key: K, embedding: Embedding) {
-        InvertedIndex::insert(self, key, embedding);
-    }
-    fn remove(&mut self, key: &K) -> bool {
-        InvertedIndex::remove(self, key)
-    }
-    fn len(&self) -> usize {
-        InvertedIndex::len(self)
-    }
-    fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        InvertedIndex::nearest(self, query)
-    }
-    fn top_k(&self, query: &Embedding, k: usize) -> Vec<Neighbor<K>> {
-        InvertedIndex::top_k(self, query, k)
-    }
-    fn storage_bytes(&self) -> usize {
-        InvertedIndex::storage_bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::EmbeddingIndex;
     use crate::space::{SemanticSpace, TextEncoder};
 
     #[test]
     fn policy_defaults_and_selection() {
         assert_eq!(IndexPolicy::default(), IndexPolicy::Exact);
-        let legacy = IndexPolicy::legacy_ivf();
-        assert!(legacy.selects_ivf(IndexPolicy::DEFAULT_IVF_THRESHOLD));
-        assert!(!legacy.selects_ivf(IndexPolicy::DEFAULT_IVF_THRESHOLD - 1));
-        assert!(!legacy.selects_inverted(1_000_000));
-        assert!(!IndexPolicy::Exact.selects_ivf(usize::MAX));
-        assert!(!IndexPolicy::Exact.selects_inverted(usize::MAX));
-        assert!(IndexPolicy::Approx.selects_inverted(1));
-        assert!(IndexPolicy::Auto.selects_inverted(128));
-        assert!(!IndexPolicy::Auto.selects_inverted(IndexPolicy::AUTO_EXACT_CEILING));
-        assert!(IndexPolicy::Approx.approximates_leader_probe(12));
-        assert!(IndexPolicy::Auto.approximates_leader_probe(512));
-        assert!(!IndexPolicy::Auto.approximates_leader_probe(32));
-        assert!(!IndexPolicy::Exact.approximates_leader_probe(4_096));
-    }
-
-    #[test]
-    fn policy_validation_rejects_zero_threshold() {
-        assert_eq!(
-            IndexPolicy::Ivf { threshold: 0 }.validate(),
-            Err(IndexPolicyError::ZeroIvfThreshold)
-        );
-        assert!(IndexPolicy::Ivf { threshold: 1 }.validate().is_ok());
-        assert!(IndexPolicy::Exact.validate().is_ok());
-        assert!(IndexPolicy::Approx.validate().is_ok());
-        assert!(IndexPolicy::Auto.validate().is_ok());
+        assert_ne!(IndexPolicy::Exact, IndexPolicy::Approx);
     }
 
     #[test]
@@ -901,6 +648,20 @@ mod tests {
         let n = idx.nearest(&e2).unwrap();
         assert_eq!(n.key, 1);
         assert!((n.similarity - 1.0).abs() < 1e-6);
+        assert_eq!(
+            idx.storage_bytes(),
+            8 * 4 + 16,
+            "one f32 row plus bookkeeping"
+        );
+        // Every bucket probed: top_k sees both rows, best first.
+        let mut all: InvertedIndex<u64> = InvertedIndex::new(8, 4, 4);
+        all.insert(1, e1.clone());
+        all.insert(2, e2.clone());
+        let ranked = all.top_k(&e2, 2);
+        assert_eq!(ranked.iter().map(|n| n.key).collect::<Vec<_>>(), vec![2, 1]);
+        assert!(ranked[0].similarity > ranked[1].similarity);
+        assert_eq!(all.top_k(&e2, 1).len(), 1, "truncates to k");
+        assert!(all.top_k(&e2, 0).is_empty());
         assert!(idx.remove(&1));
         assert!(!idx.remove(&1));
         assert!(idx.nearest(&e1).is_none());
@@ -955,27 +716,5 @@ mod tests {
                 "probe outscored exact at {i}"
             );
         }
-    }
-
-    #[test]
-    fn probe_trait_unifies_all_backends() {
-        fn exercise<P: SimilarityProbe<u64>>(mut probe: P) {
-            let enc = TextEncoder::new(SemanticSpace::default());
-            let a = enc.encode("amber lighthouse guarding archipelago dusk");
-            let b = enc.encode("chrome automaton patrolling megacity midnight");
-            probe.insert(1, a.clone());
-            probe.insert(2, b);
-            assert_eq!(probe.len(), 2);
-            assert!(!probe.is_empty());
-            let hit = probe.nearest(&a).expect("two live entries");
-            assert_eq!(hit.key, 1);
-            assert_eq!(probe.top_k(&a, 1)[0].key, 1);
-            assert!(probe.storage_bytes() > 0);
-            assert!(probe.remove(&1));
-            assert_eq!(probe.len(), 1);
-        }
-        exercise(EmbeddingIndex::<u64>::new());
-        exercise(IvfIndex::<u64>::new(64, 16, 4));
-        exercise(InvertedIndex::<u64>::for_capacity(64, 128));
     }
 }

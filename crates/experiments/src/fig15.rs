@@ -21,7 +21,6 @@ pub fn run() {
         MoDMConfig::builder()
             .gpus(gpu, n)
             .cache_capacity(100_000) // no eviction: measure raw locality
-            .index_policy(modm_embedding::IndexPolicy::legacy_ivf())
             .build(),
     )
     .run(&trace);

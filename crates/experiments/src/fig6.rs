@@ -8,7 +8,7 @@ use modm_cache::{CacheConfig, ImageCache};
 use modm_core::kselect::HIT_THRESHOLD;
 use modm_core::{k_decision, KDecision};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
-use modm_embedding::{SemanticSpace, TextEncoder};
+use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
 use modm_simkit::{SimRng, SimTime};
 use modm_workload::TraceBuilder;
 
@@ -30,12 +30,17 @@ pub fn run_scaled(replay: usize) {
         .requests(replay)
         .rate_per_min(10.0)
         .build();
-    for capacity in [10_000usize, 100_000] {
+    // The 100k cache runs the approximate index: its hit/miss verdicts are
+    // exact to f32 precision, and the flat scan would dominate the replay.
+    for (capacity, index) in [
+        (10_000usize, IndexPolicy::Exact),
+        (100_000, IndexPolicy::Approx),
+    ] {
         let space = SemanticSpace::default();
         let text = TextEncoder::new(space.clone());
         let sampler = Sampler::new(QualityModel::new(space, 6, 6.29));
         let mut rng = SimRng::seed_from(62);
-        let mut cache = ImageCache::new(CacheConfig::fifo(capacity));
+        let mut cache = ImageCache::new(CacheConfig::fifo(capacity).with_index_policy(index));
         let mut window_hits = 0u64;
         let mut window_total = 0u64;
         let mut series = Vec::new();

@@ -6,7 +6,7 @@ use modm_cache::{CacheConfig, ImageCache, LatentCache};
 use modm_core::kselect::HIT_THRESHOLD;
 use modm_core::{k_decision, KDecision};
 use modm_diffusion::{ModelId, QualityModel, Sampler, K_CHOICES};
-use modm_embedding::{SemanticSpace, TextEncoder};
+use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
 use modm_simkit::{SimRng, SimTime};
 use modm_workload::{DatasetKind, Trace, TraceBuilder};
 
@@ -30,12 +30,12 @@ fn fmt(o: &Outcome) -> String {
     format!("hit={:.3}  [{}]", o.hit_rate, ks.join(" "))
 }
 
-fn run_nirvana(trace: &Trace, capacity: usize) -> Outcome {
+fn run_nirvana(trace: &Trace, capacity: usize, index: IndexPolicy) -> Outcome {
     let space = SemanticSpace::default();
     let text = TextEncoder::new(space.clone());
     let sampler = Sampler::new(QualityModel::new(space, 9, trace.dataset().fid_floor()));
     let mut rng = SimRng::seed_from(91);
-    let mut cache = LatentCache::new_utility(capacity);
+    let mut cache = LatentCache::new_utility(capacity, index);
     let mut hits = 0u64;
     let mut k_counts = [0u64; K_CHOICES.len()];
     for (i, req) in trace.iter().enumerate() {
@@ -62,12 +62,12 @@ fn run_nirvana(trace: &Trace, capacity: usize) -> Outcome {
     finish(hits, k_counts, trace.len())
 }
 
-fn run_modm(trace: &Trace, capacity: usize, cache_all: bool) -> Outcome {
+fn run_modm(trace: &Trace, capacity: usize, index: IndexPolicy, cache_all: bool) -> Outcome {
     let space = SemanticSpace::default();
     let text = TextEncoder::new(space.clone());
     let sampler = Sampler::new(QualityModel::new(space, 9, trace.dataset().fid_floor()));
     let mut rng = SimRng::seed_from(92);
-    let mut cache = ImageCache::new(CacheConfig::fifo(capacity));
+    let mut cache = ImageCache::new(CacheConfig::fifo(capacity).with_index_policy(index));
     let mut hits = 0u64;
     let mut k_counts = [0u64; K_CHOICES.len()];
     for (i, req) in trace.iter().enumerate() {
@@ -105,8 +105,9 @@ fn finish(hits: u64, k_counts: [u64; K_CHOICES.len()], total: usize) -> Outcome 
     }
 }
 
-/// Shared body for Figs 9 and 19.
-pub fn run_for(dataset: DatasetKind, sizes: &[usize], replay: usize) {
+/// Shared body for Figs 9 and 19: one block per `(cache size, index
+/// policy)` column.
+pub fn run_for(dataset: DatasetKind, sizes: &[(usize, IndexPolicy)], replay: usize) {
     let trace = match dataset {
         DatasetKind::DiffusionDb => TraceBuilder::diffusion_db(90),
         DatasetKind::Mjhq => TraceBuilder::mjhq(90),
@@ -114,17 +115,36 @@ pub fn run_for(dataset: DatasetKind, sizes: &[usize], replay: usize) {
     .requests(replay)
     .rate_per_min(10.0)
     .build();
-    for &size in sizes {
+    for &(size, index) in sizes {
         println!("\ncache size = {size}:");
-        println!("  NIRVANA          {}", fmt(&run_nirvana(&trace, size)));
-        println!("  MoDM cache-large {}", fmt(&run_modm(&trace, size, false)));
-        println!("  MoDM cache-all   {}", fmt(&run_modm(&trace, size, true)));
+        println!(
+            "  NIRVANA          {}",
+            fmt(&run_nirvana(&trace, size, index))
+        );
+        println!(
+            "  MoDM cache-large {}",
+            fmt(&run_modm(&trace, size, index, false))
+        );
+        println!(
+            "  MoDM cache-all   {}",
+            fmt(&run_modm(&trace, size, index, true))
+        );
     }
 }
 
-/// Fig 9: DiffusionDB, cache sizes 1k / 10k / 100k.
+/// Fig 9: DiffusionDB, cache sizes 1k / 10k / 100k. The 100k column runs
+/// the approximate index, whose hit/miss verdicts are exact to f32
+/// precision at a fraction of the flat scan's cost.
 pub fn run() {
     banner("Fig 9: hit rates and skipped-step distributions (DiffusionDB)");
-    run_for(DatasetKind::DiffusionDb, &[1_000, 10_000, 100_000], 80_000);
+    run_for(
+        DatasetKind::DiffusionDb,
+        &[
+            (1_000, IndexPolicy::Exact),
+            (10_000, IndexPolicy::Exact),
+            (100_000, IndexPolicy::Approx),
+        ],
+        80_000,
+    );
     println!("\n(paper: MoDM > Nirvana; cache-all > cache-large; 100k reaches ~0.93)");
 }

@@ -6,7 +6,7 @@ use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm_core::report::ServingReport;
 use modm_core::{AdmissionPolicy, MoDMConfig, ServingSystem};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
-use modm_embedding::{SemanticSpace, TextEncoder};
+use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
 use modm_metrics::{QualityAggregator, QualityRow};
 use modm_simkit::SimRng;
 use modm_workload::{DatasetKind, Trace};
@@ -110,7 +110,11 @@ pub fn run_table3() {
 /// Fig 19 (appendix A.5): MJHQ hit rates for cache sizes 1k and 10k.
 pub fn run_fig19() {
     banner("Fig 19: cache hit rates on MJHQ");
-    crate::fig9::run_for(DatasetKind::Mjhq, &[1_000, 10_000], 30_000);
+    crate::fig9::run_for(
+        DatasetKind::Mjhq,
+        &[(1_000, IndexPolicy::Exact), (10_000, IndexPolicy::Exact)],
+        30_000,
+    );
     println!("\n(paper: MoDM > Nirvana; cache-large ~ cache-all without temporal locality)");
 }
 

@@ -63,7 +63,7 @@ pub struct SemanticClusterer {
     /// admission-order scan above bit-identical to the historical one.
     policy: IndexPolicy,
     /// Slot-parallel f32 mirror driving the approximate probe. Present
-    /// exactly when `policy` approximates the leader probe and at least
+    /// exactly when `policy` is `Approx` and at least
     /// one leader has been admitted (the dimension is learned then).
     approx: Option<TwoLevelProbe>,
     /// Reused f32 query buffer for the approximate probe, so the hot
@@ -92,10 +92,8 @@ impl SemanticClusterer {
     }
 
     /// Creates a clusterer with an explicit [`IndexPolicy`] for the
-    /// leader probe. `Exact` (and `Ivf`, which has no leader-table
-    /// meaning) keep the bit-identical admission-order scan; `Approx`
-    /// and (above [`IndexPolicy::AUTO_EXACT_CEILING`] leaders) `Auto`
-    /// run the two-level probe.
+    /// leader probe. `Exact` keeps the bit-identical admission-order scan;
+    /// `Approx` runs the two-level probe.
     ///
     /// # Panics
     ///
@@ -142,7 +140,7 @@ impl SemanticClusterer {
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.policy = policy;
         self.approx = None;
-        if policy.approximates_leader_probe(self.max_leaders) && !self.rows.is_empty() {
+        if policy == IndexPolicy::Approx && !self.rows.is_empty() {
             let mut probe = TwoLevelProbe::new(self.rows.dim(), self.max_leaders);
             for slot in 0..self.rows.len() {
                 probe.set(slot, &self.rows.row(slot), self.norms[slot]);
@@ -234,7 +232,7 @@ impl SemanticClusterer {
 
     /// Appends a new leader, retiring the oldest when the table is full.
     fn admit(&mut self, id: u64, values: &[f64], norm: f64) {
-        if self.rows.is_empty() && self.policy.approximates_leader_probe(self.max_leaders) {
+        if self.rows.is_empty() && self.policy == IndexPolicy::Approx {
             self.approx = Some(TwoLevelProbe::new(values.len(), self.max_leaders));
         }
         let slot = if self.ids.len() < self.max_leaders {

@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use modm_cache::CacheConfig;
 use modm_core::config::{AdmissionPolicy, MoDMConfig};
 use modm_core::events::{Obs, Observer};
 use modm_core::node::{render_completion, NodeInFlight, ServingNode};
@@ -184,12 +183,7 @@ impl<'a> FleetRun<'a> {
         let sampler = Sampler::new(quality_model);
         let mut rng = SimRng::seed_from(config.seed ^ 0x464C_5452); // "FLTR"
         let mut router = fleet.router.clone();
-        let mut cache = ShardedCache::new(
-            n_nodes,
-            CacheConfig::with_policy(config.cache_capacity, config.cache_policy)
-                .with_reserves(config.tenancy.cache_reserves())
-                .with_index_policy(config.index_policy),
-        );
+        let mut cache = ShardedCache::new(n_nodes, config.cache_config());
 
         // Warm the shards off-line via the affinity placement map (not
         // `route`, which would count warmup traffic in the per-node routed

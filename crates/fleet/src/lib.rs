@@ -9,9 +9,9 @@
 //!   round-robin, least-loaded, and *cache-affinity* (consistent-hash of
 //!   the prompt embedding's coarse semantic cluster, so similar prompts
 //!   land on the shard that holds their session's images).
-//! * [`SemanticClusterer`] / [`HashRing`] — the affinity machinery: IVF-
-//!   style nearest-anchor quantization feeding a virtual-node consistent-
-//!   hash ring.
+//! * [`SemanticClusterer`] / [`HashRing`] — the affinity machinery: online
+//!   leader clustering of prompt embeddings feeding a virtual-node
+//!   consistent-hash ring.
 //! * [`ShardedCache`] — the image cache partitioned one shard per node,
 //!   with per-shard statistics and a [`ShardedCache::rebalance`] hook for
 //!   node-count changes.

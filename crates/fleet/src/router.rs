@@ -34,8 +34,8 @@ use crate::ring::HashRing;
 
 /// Why a [`Router`] configuration was rejected.
 ///
-/// Returned by [`RoutingConfig::try_build`] and the `try_*` shims; the
-/// panicking variants format the same messages.
+/// Returned by [`RoutingConfig::try_build`] and the `try_*` membership
+/// edits; the panicking variants format the same messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RouterConfigError {
@@ -46,8 +46,6 @@ pub enum RouterConfigError {
     /// The hybrid-affinity spill threshold was below 1.0 (spilling below
     /// the mean would invert the policy).
     SpillThresholdBelowMean(f64),
-    /// The [`IndexPolicy`] carried an IVF threshold of zero.
-    ZeroIvfThreshold,
     /// A membership change tried to admit a node that is already active.
     NodeAlreadyActive(usize),
     /// A membership change named a node that is not active.
@@ -64,9 +62,6 @@ impl fmt::Display for RouterConfigError {
             RouterConfigError::SpillThresholdBelowMean(t) => {
                 write!(f, "spill threshold below the mean: {t}")
             }
-            RouterConfigError::ZeroIvfThreshold => {
-                write!(f, "IVF index threshold must be positive")
-            }
             RouterConfigError::NodeAlreadyActive(n) => write!(f, "node {n} already active"),
             RouterConfigError::NodeNotActive(n) => write!(f, "node {n} is not active"),
             RouterConfigError::LastActiveNode => {
@@ -78,9 +73,8 @@ impl fmt::Display for RouterConfigError {
 
 impl std::error::Error for RouterConfigError {}
 
-/// One validated builder for every [`Router`] knob, replacing the old
-/// scatter of `Router::{try_new, try_with_affinity, try_spill_threshold}`
-/// constructors (which survive as thin shims over this type).
+/// One validated builder for every [`Router`] knob; [`Router::new`] is
+/// its all-defaults shorthand.
 ///
 /// # Example
 ///
@@ -155,10 +149,9 @@ impl RoutingConfig {
     /// # Errors
     ///
     /// [`RouterConfigError::NoNodes`] for zero nodes,
-    /// [`RouterConfigError::NoVnodes`] for zero virtual nodes,
+    /// [`RouterConfigError::NoVnodes`] for zero virtual nodes, and
     /// [`RouterConfigError::SpillThresholdBelowMean`] for a spill
-    /// threshold below 1.0, and [`RouterConfigError::ZeroIvfThreshold`]
-    /// for an `Ivf { threshold: 0 }` index policy.
+    /// threshold below 1.0.
     pub fn try_build(self) -> Result<Router, RouterConfigError> {
         if self.nodes == 0 {
             return Err(RouterConfigError::NoNodes);
@@ -170,11 +163,6 @@ impl RoutingConfig {
             return Err(RouterConfigError::SpillThresholdBelowMean(
                 self.spill_threshold,
             ));
-        }
-        if let Some(policy) = self.index_policy {
-            policy
-                .validate()
-                .map_err(|_| RouterConfigError::ZeroIvfThreshold)?;
         }
         let mut clusterer = self
             .clusterer
@@ -284,81 +272,6 @@ impl Router {
     /// Panics if `nodes` is zero.
     pub fn new(policy: RoutingPolicy, nodes: usize) -> Self {
         RoutingConfig::new(policy, nodes).build()
-    }
-
-    /// Deprecated shim: prefer `RoutingConfig::new(policy, nodes)
-    /// .try_build()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterConfigError::NoNodes`] if `nodes` is zero.
-    pub fn try_new(policy: RoutingPolicy, nodes: usize) -> Result<Self, RouterConfigError> {
-        RoutingConfig::new(policy, nodes).try_build()
-    }
-
-    /// Deprecated shim: prefer [`RoutingConfig`] with
-    /// [`RoutingConfig::clusterer`] and [`RoutingConfig::vnodes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` or `vnodes` is zero.
-    pub fn with_affinity(
-        policy: RoutingPolicy,
-        nodes: usize,
-        clusterer: SemanticClusterer,
-        vnodes: usize,
-    ) -> Self {
-        RoutingConfig::new(policy, nodes)
-            .clusterer(clusterer)
-            .vnodes(vnodes)
-            .build()
-    }
-
-    /// Deprecated shim: fallible variant of [`Router::with_affinity`];
-    /// prefer [`RoutingConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `nodes` or `vnodes` is zero.
-    pub fn try_with_affinity(
-        policy: RoutingPolicy,
-        nodes: usize,
-        clusterer: SemanticClusterer,
-        vnodes: usize,
-    ) -> Result<Self, RouterConfigError> {
-        RoutingConfig::new(policy, nodes)
-            .clusterer(clusterer)
-            .vnodes(vnodes)
-            .try_build()
-    }
-
-    /// Deprecated shim: prefer [`RoutingConfig::spill_threshold`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold < 1.0` (spilling below the mean would invert
-    /// the policy).
-    pub fn with_spill_threshold(self, threshold: f64) -> Self {
-        match self.try_spill_threshold(threshold) {
-            Ok(router) => router,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Deprecated shim: fallible variant of
-    /// [`Router::with_spill_threshold`]; prefer
-    /// [`RoutingConfig::spill_threshold`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterConfigError::SpillThresholdBelowMean`] if
-    /// `threshold < 1.0`.
-    pub fn try_spill_threshold(mut self, threshold: f64) -> Result<Self, RouterConfigError> {
-        if threshold < 1.0 {
-            return Err(RouterConfigError::SpillThresholdBelowMean(threshold));
-        }
-        self.spill_threshold = threshold;
-        Ok(self)
     }
 
     /// The routing policy.
@@ -690,27 +603,28 @@ mod tests {
 
     #[test]
     fn try_constructors_report_typed_errors() {
+        // The error paths of the former fallible constructors, through the
+        // one builder: a supplied clusterer does not bypass validation.
+        let affinity = |vnodes| {
+            RoutingConfig::new(RoutingPolicy::CacheAffinity, 4)
+                .clusterer(SemanticClusterer::default_config())
+                .vnodes(vnodes)
+                .try_build()
+        };
+        assert_eq!(affinity(0).unwrap_err(), RouterConfigError::NoVnodes);
+        assert!(affinity(HashRing::DEFAULT_VNODES).is_ok());
         assert_eq!(
-            Router::try_new(RoutingPolicy::RoundRobin, 0).unwrap_err(),
-            RouterConfigError::NoNodes
-        );
-        assert_eq!(
-            Router::try_with_affinity(
-                RoutingPolicy::CacheAffinity,
-                4,
-                SemanticClusterer::default_config(),
-                0
-            )
-            .unwrap_err(),
-            RouterConfigError::NoVnodes
-        );
-        assert_eq!(
-            Router::new(RoutingPolicy::HybridAffinity, 4)
-                .try_spill_threshold(0.5)
+            RoutingConfig::new(RoutingPolicy::HybridAffinity, 4)
+                .clusterer(SemanticClusterer::default_config())
+                .spill_threshold(0.5)
+                .try_build()
                 .unwrap_err(),
             RouterConfigError::SpillThresholdBelowMean(0.5)
         );
-        assert!(Router::try_new(RoutingPolicy::CacheAffinity, 4).is_ok());
+        assert!(RoutingConfig::new(RoutingPolicy::HybridAffinity, 4)
+            .spill_threshold(1.0)
+            .try_build()
+            .is_ok());
     }
 
     #[test]
@@ -735,36 +649,11 @@ mod tests {
                 .unwrap_err(),
             RouterConfigError::SpillThresholdBelowMean(0.5)
         );
-        assert_eq!(
-            RoutingConfig::new(RoutingPolicy::CacheAffinity, 4)
-                .index_policy(IndexPolicy::Ivf { threshold: 0 })
-                .try_build()
-                .unwrap_err(),
-            RouterConfigError::ZeroIvfThreshold
-        );
         let r = RoutingConfig::new(RoutingPolicy::CacheAffinity, 4)
             .index_policy(IndexPolicy::Approx)
             .try_build()
             .expect("valid");
         assert_eq!(r.nodes(), 4);
-    }
-
-    #[test]
-    fn shims_match_routing_config_builds() {
-        // The deprecated constructors are thin shims: routing decisions
-        // must match a builder-made router decision for decision.
-        let enc = encoder();
-        let mut old = Router::with_affinity(
-            RoutingPolicy::CacheAffinity,
-            8,
-            SemanticClusterer::default_config(),
-            HashRing::DEFAULT_VNODES,
-        );
-        let mut new = RoutingConfig::new(RoutingPolicy::CacheAffinity, 8).build();
-        for i in 0..200 {
-            let e = enc.encode(&format!("shim parity scene {i} tokens {}", i * 29));
-            assert_eq!(old.route(&e, &[0.0; 8]), new.route(&e, &[0.0; 8]));
-        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use modm_cache::CacheConfig;
 use modm_controlplane::RegionLifecycle;
 use modm_core::config::{AdmissionPolicy, MoDMConfig};
 use modm_core::events::{Obs, Observer, SimEvent};
@@ -358,13 +357,7 @@ impl<'a> ScenarioRun<'a> {
             .map(|_| Router::new(scenario.routing, npr))
             .collect();
         let caches: Vec<ShardedCache> = (0..regions)
-            .map(|_| {
-                ShardedCache::new(
-                    npr,
-                    CacheConfig::with_policy(config.cache_capacity, config.cache_policy)
-                        .with_reserves(config.tenancy.cache_reserves()),
-                )
-            })
+            .map(|_| ShardedCache::new(npr, config.cache_config()))
             .collect();
         let geo = GeoRouter::new(regions, scenario.topology.rtt);
         let lifecycles = vec![RegionLifecycle::new(SimTime::ZERO); regions];
@@ -872,6 +865,29 @@ mod tests {
                 TenantMix::new(TenantId(2), QosClass::Standard, 6.0),
             ],
         )
+    }
+
+    #[test]
+    fn shards_follow_the_node_config_index_policy() {
+        // Both regions' shards are built from `MoDMConfig::cache_config`,
+        // so the node config's index policy reaches the scenario tier's
+        // caches; the default stays on the exact flat scan.
+        let approx = MoDMConfig {
+            index_policy: modm_core::IndexPolicy::Approx,
+            ..node_config(2, 400)
+        };
+        for (node, backend) in [(node_config(2, 400), "flat"), (approx, "inverted")] {
+            let scenario =
+                Scenario::new(node, quiet_script(), TwoRegion::new(2)).expect("valid script");
+            let trace = scenario.trace();
+            let run = ScenarioRun::new(&scenario, &trace, None);
+            for cache in &run.caches {
+                for shard in 0..cache.num_shards() {
+                    assert_eq!(cache.shard(shard).index_backend(), backend);
+                }
+            }
+            assert_eq!(scenario.run().completed(), trace.len() as u64);
+        }
     }
 
     #[test]

@@ -148,7 +148,6 @@ fn temporal_locality_matches_fig15() {
         MoDMConfig::builder()
             .gpus(GPU, N)
             .cache_capacity(50_000)
-            .index_policy(modm::embedding::IndexPolicy::legacy_ivf())
             .build(),
     )
     .run(&t);

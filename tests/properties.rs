@@ -5,13 +5,13 @@
 //! a fixed-seed [`SimRng`] stream, giving wide input coverage with exact
 //! reproducibility — a failing case is re-run by its printed seed.
 
-use modm::cache::{CacheConfig, ImageCache, MaintenancePolicy, IVF_THRESHOLD};
+use modm::cache::{CacheConfig, ImageCache, MaintenancePolicy};
 use modm::core::{
     k_decision, FairQueue, KDecision, PidController, TenancyPolicy, TenantShare, TokenBucket,
 };
 use modm::diffusion::{forward_noise, ModelId, NoiseSchedule, QualityModel, Sampler, TOTAL_STEPS};
 use modm::embedding::{
-    Embedding, EmbeddingIndex, IndexPolicy, IvfIndex, SemanticSpace, TextEncoder,
+    Embedding, EmbeddingIndex, IndexPolicy, InvertedIndex, SemanticSpace, TextEncoder,
 };
 use modm::numerics::{cosine_similarity, frechet_distance, GaussianStats};
 use modm::simkit::{EventQueue, Percentiles, SimDuration, SimRng, SimTime};
@@ -314,43 +314,35 @@ fn s3fifo_evicts_cold_before_protected() {
 #[test]
 fn cache_index_selection_respects_policy() {
     // The third cache invariant: the backend is exactly what the
-    // [`IndexPolicy`] dictates, for every maintenance policy. The legacy
-    // default keeps the historical capacity-vs-threshold switch.
+    // [`IndexPolicy`] dictates, for every maintenance policy and at any
+    // capacity. The default is the exact flat scan even for very large
+    // caches; only an explicit `Approx` picks the inverted index.
     for policy in ALL_POLICIES {
-        let below = ImageCache::new(CacheConfig::with_policy(IVF_THRESHOLD - 1, policy));
-        assert!(
-            !below.uses_ivf_index(),
-            "{policy:?}: capacity {} must use the flat index",
-            IVF_THRESHOLD - 1
-        );
-        assert_eq!(below.index_backend(), "flat");
-        let at = ImageCache::new(CacheConfig::with_policy(IVF_THRESHOLD, policy));
-        assert!(
-            at.uses_ivf_index(),
-            "{policy:?}: capacity {IVF_THRESHOLD} must use the IVF index"
-        );
-        assert_eq!(at.index_backend(), "ivf");
-        // Explicit policies override capacity entirely.
-        let exact = ImageCache::new(
-            CacheConfig::with_policy(IVF_THRESHOLD, policy).with_index_policy(IndexPolicy::Exact),
-        );
-        assert!(!exact.uses_ivf_index());
-        assert_eq!(exact.index_backend(), "flat");
-        let approx = ImageCache::new(
-            CacheConfig::with_policy(64, policy).with_index_policy(IndexPolicy::Approx),
-        );
-        assert_eq!(approx.index_backend(), "inverted");
+        for capacity in [64, 19_999, 20_000, 100_000] {
+            let default = ImageCache::new(CacheConfig::with_policy(capacity, policy));
+            assert_eq!(
+                default.index_backend(),
+                "flat",
+                "{policy:?}: default at capacity {capacity}"
+            );
+            let approx = ImageCache::new(
+                CacheConfig::with_policy(capacity, policy).with_index_policy(IndexPolicy::Approx),
+            );
+            assert_eq!(
+                approx.index_backend(),
+                "inverted",
+                "{policy:?}: Approx at capacity {capacity}"
+            );
+        }
     }
-    // All three backends serve the same near-duplicate retrievals.
+    // Both backends serve the same near-duplicate retrievals.
     let mut f = CacheFixture::new(77);
-    let mut flat_cache = ImageCache::new(CacheConfig::fifo(IVF_THRESHOLD - 1));
-    let mut ivf_cache = ImageCache::new(CacheConfig::fifo(IVF_THRESHOLD));
+    let mut flat_cache = ImageCache::new(CacheConfig::fifo(256));
     let mut inv_cache =
         ImageCache::new(CacheConfig::fifo(256).with_index_policy(IndexPolicy::Approx));
     for i in 0..40 {
         let p = format!("indexed vista {i} basalt shoreline {}", i * 7);
         flat_cache.insert(SimTime::ZERO, f.image(&p));
-        ivf_cache.insert(SimTime::ZERO, f.image(&p));
         inv_cache.insert(SimTime::ZERO, f.image(&p));
     }
     let now = SimTime::from_secs_f64(1.0);
@@ -361,10 +353,6 @@ fn cache_index_selection_respects_policy() {
         assert!(
             flat_cache.retrieve(now, &q, 0.2).is_some(),
             "flat miss at {i}"
-        );
-        assert!(
-            ivf_cache.retrieve(now, &q, 0.2).is_some(),
-            "ivf miss at {i}"
         );
         assert!(
             inv_cache.retrieve(now, &q, 0.2).is_some(),
@@ -429,28 +417,158 @@ fn retrieval_respects_threshold() {
     }
 }
 
-#[test]
-fn flat_and_ivf_agree_on_self_queries() {
-    let space = SemanticSpace::default();
-    let text = TextEncoder::new(space.clone());
-    let mut case_rng = SimRng::seed_from(500);
-    for case in 0..32 {
-        let n = 1 + case_rng.index(60);
-        let probe = case_rng.index(60);
-        let mut flat = EmbeddingIndex::new();
-        // Probe all lists: exact.
-        let mut ivf: IvfIndex<u64> = IvfIndex::new(space.dim(), 16, 16);
-        let embs: Vec<Embedding> = (0..n)
-            .map(|i| text.encode(&format!("item {i} distinct tokens {}", i * 7)))
-            .collect();
-        for (i, e) in embs.iter().enumerate() {
-            flat.insert(i as u64, e.clone());
-            ivf.insert(i as u64, e.clone());
+/// Asserts that the inverted index's hit/miss verdict equals the exact
+/// scan's at the cache-hit floor and at floors just under and just over
+/// the exact best similarity. The last two put the probed best below the
+/// floor, so the verify-on-miss fallback must decide. Floors within f32
+/// rounding of the exact best are skipped: the backend is exact to f32
+/// precision, not to the last f64 bit.
+fn assert_floor_verdicts_match(
+    inv: &InvertedIndex<u64>,
+    flat: &EmbeddingIndex<u64>,
+    q: &Embedding,
+    ctx: &str,
+) {
+    let exact = flat.nearest(q);
+    let mut floors = vec![0.25];
+    if let Some(best) = exact {
+        floors.extend([best.similarity - 1e-3, best.similarity + 1e-3]);
+    }
+    for floor in floors {
+        if exact.is_some_and(|b| (b.similarity - floor).abs() < 1e-5) {
+            continue;
         }
-        let q = &embs[probe % n];
-        let a = flat.nearest(q).unwrap();
-        let b = ivf.nearest(q).unwrap();
-        assert!((a.similarity - b.similarity).abs() < 1e-12, "case {case}");
+        let approx = inv.nearest_with_floor(q, floor);
+        assert_eq!(approx.is_some(), exact.is_some(), "{ctx}: emptiness");
+        assert_eq!(
+            approx.is_some_and(|n| n.similarity >= floor),
+            exact.is_some_and(|n| n.similarity >= floor),
+            "{ctx}: verdict at floor {floor:.4} (approx {approx:?}, exact {exact:?})"
+        );
+        if let (Some(a), Some(b)) = (approx, exact) {
+            assert!(
+                a.similarity <= b.similarity + 1e-5,
+                "{ctx}: probe outscored exact"
+            );
+        }
+    }
+}
+
+#[test]
+fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
+    // Seeded sweep over inputs built to defeat the anchored buckets: the
+    // verify-on-miss floor must keep every hit/miss verdict exact anyway.
+    let space = SemanticSpace::default();
+    let dim = space.dim();
+    let text = TextEncoder::new(space);
+    let gaussian =
+        |rng: &mut SimRng| Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect());
+    let antipode = |e: &Embedding| Embedding::from_vec(e.as_slice().iter().map(|x| -x).collect());
+    let near = |e: &Embedding, rng: &mut SimRng| {
+        Embedding::from_vec(
+            e.as_slice()
+                .iter()
+                .map(|x| x + 0.02 * rng.standard_normal())
+                .collect(),
+        )
+    };
+    for seed in sweep_seeds() {
+        let mut rng = SimRng::seed_from(0xAD7E ^ seed);
+        for case in 0..8 {
+            let n = 8 + rng.index(40);
+
+            // Duplicate rows: every third key shares one row. Queries: the
+            // row itself, a near duplicate, and its antipode.
+            let mut inv = InvertedIndex::new(dim, 16, 4);
+            let mut flat = EmbeddingIndex::new();
+            let dup = gaussian(&mut rng);
+            for k in 0..n as u64 {
+                let e = if k % 3 == 0 {
+                    dup.clone()
+                } else {
+                    gaussian(&mut rng)
+                };
+                inv.insert(k, e.clone());
+                flat.insert(k, e);
+            }
+            let ctx = format!("seed {seed} case {case} duplicates");
+            for q in [dup.clone(), near(&dup, &mut rng), antipode(&dup)] {
+                assert_floor_verdicts_match(&inv, &flat, &q, &ctx);
+            }
+
+            // Antipodal queries against distinct rows: the best exact
+            // match sits far below the hit floor.
+            for k in 0..n as u64 {
+                let row = gaussian(&mut rng);
+                let ctx = format!("seed {seed} case {case} antipode {k}");
+                let mut inv = InvertedIndex::new(dim, 16, 4);
+                let mut flat = EmbeddingIndex::new();
+                inv.insert(k, row.clone());
+                flat.insert(k, row.clone());
+                assert_floor_verdicts_match(&inv, &flat, &antipode(&row), &ctx);
+            }
+
+            // Every row anchored into one bucket: self-queries must still
+            // hit although most of them probe other buckets.
+            let anchor = gaussian(&mut rng);
+            let mut inv = InvertedIndex::new(dim, 16, 4);
+            let mut flat = EmbeddingIndex::new();
+            let rows: Vec<Embedding> = (0..n)
+                .map(|i| text.encode(&format!("anchored {i} cobalt tokens {}", i * 11 + case)))
+                .collect();
+            for (k, e) in rows.iter().enumerate() {
+                inv.insert_anchored(k as u64, &anchor, e.clone());
+                flat.insert(k as u64, e.clone());
+            }
+            let ctx = format!("seed {seed} case {case} one bucket");
+            for q in rows.iter().chain([&anchor, &gaussian(&mut rng)]) {
+                assert_floor_verdicts_match(&inv, &flat, q, &ctx);
+            }
+
+            // All probed buckets empty: rows near the query are anchored at
+            // its antipode, whose bucket is the query's least similar
+            // centroid and so never among its top four of sixteen.
+            let q = gaussian(&mut rng);
+            let far = antipode(&q);
+            let mut inv = InvertedIndex::new(dim, 16, 4);
+            let mut flat = EmbeddingIndex::new();
+            for k in 0..n as u64 {
+                let e = if k % 2 == 0 {
+                    near(&q, &mut rng)
+                } else {
+                    gaussian(&mut rng)
+                };
+                inv.insert_anchored(k, &far, e.clone());
+                flat.insert(k, e);
+            }
+            assert!(
+                inv.nearest(&q).is_none(),
+                "seed {seed} case {case}: a probed bucket is populated"
+            );
+            let ctx = format!("seed {seed} case {case} empty probes");
+            assert_floor_verdicts_match(&inv, &flat, &q, &ctx);
+
+            // Probing every bucket makes the index exact: self-queries
+            // agree with the flat scan to f32 precision.
+            let mut inv = InvertedIndex::new(dim, 16, 16);
+            let mut flat = EmbeddingIndex::new();
+            let rows: Vec<Embedding> = (0..n)
+                .map(|i| text.encode(&format!("item {i} distinct tokens {}", i * 7 + case)))
+                .collect();
+            for (k, e) in rows.iter().enumerate() {
+                inv.insert(k as u64, e.clone());
+                flat.insert(k as u64, e.clone());
+            }
+            let q = &rows[rng.index(n)];
+            let a = inv.nearest(q).unwrap();
+            let b = flat.nearest(q).unwrap();
+            assert!(
+                (a.similarity - b.similarity).abs() < 1e-6,
+                "seed {seed} case {case}: full probe {} vs exact {}",
+                a.similarity,
+                b.similarity
+            );
+        }
     }
 }
 
