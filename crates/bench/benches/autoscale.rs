@@ -10,6 +10,10 @@
 //! `elastic` experiment reports and `tests/elastic.rs` pins — when the
 //! study is retuned, this trajectory point follows automatically.
 //!
+//! Each policy's wall time is the median of `runs_k` timed samples (each
+//! the mean of several back-to-back runs), recorded with the fastest and
+//! slowest sample so the spread travels with the point.
+//!
 //! Pass `--smoke` (CI does) for a down-scaled run that still exercises the
 //! full pipeline and writes the JSON.
 
@@ -31,19 +35,26 @@ fn scalers() -> Vec<Box<dyn Autoscaler>> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
-    let (requests, sample_secs) = if smoke { (300, 0.05) } else { (1_600, 0.5) };
+    let (requests, sample_secs, samples) = if smoke {
+        (300, 0.05, 3)
+    } else {
+        (1_600, 0.5, 9)
+    };
 
     let trace = diurnal_trace(5, requests);
     let fleet = elastic_fleet(8, 3, 8);
 
-    let mut bench = Bench::new("autoscale").with_sample_secs(sample_secs);
+    let mut bench = Bench::new("autoscale")
+        .with_sample_secs(sample_secs)
+        .with_samples(samples);
     let mut points: Vec<Json> = Vec::new();
     for mut scaler in scalers() {
         let name = scaler.name();
         bench.measure(format!("run/{name}"), || {
             std::hint::black_box(fleet.run(&trace, scaler.as_mut()))
         });
-        let wall_ns = bench.results().last().expect("just measured").median_ns;
+        let timing = bench.results().last().expect("just measured").clone();
+        let wall_ns = timing.median_ns;
         let report = fleet.run(&trace, scaler.as_mut());
         let scale_actions = report
             .events
@@ -70,6 +81,9 @@ fn main() {
                 Json::Num(report.completed as f64 / (wall_ns / 1e9)),
             ),
             ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
+            ("runs_k".into(), Json::Num(timing.samples as f64)),
         ]));
     }
 

@@ -13,13 +13,20 @@
 //! * `cluster_of` — the affinity leader probe at the fleet's 512-leader
 //!   bound, exact lane-blocked f64 scan vs the two-level f32 probe; plus
 //!   the exact scan over a full table at the default 4,096-leader bound
-//!   (`cluster_of/exact/4096`).
+//!   (`cluster_of/exact/4096`);
+//! * `prewarm` — one node joining and draining again at the elastic
+//!   tier's shape (6 serving shards × 600 entries, full 4,096-leader
+//!   exact clusterer), priced per resident entry: `prewarm/closure`
+//!   places every entry with `Router::shard_for` (a full leader scan),
+//!   `prewarm/verdict` with `Router::shard_for_image` (only leaders
+//!   minted since the entry's last placement). Each cycle also mints a
+//!   few leaders, as live traffic does between scale events.
 
 use modm_bench::Bench;
 use modm_cache::{CacheConfig, ImageCache};
-use modm_diffusion::{ModelId, QualityModel, Sampler};
-use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
-use modm_fleet::SemanticClusterer;
+use modm_diffusion::{GeneratedImage, ModelId, QualityModel, Sampler};
+use modm_embedding::{Embedding, IndexPolicy, SemanticSpace, TextEncoder};
+use modm_fleet::{Router, RoutingConfig, RoutingPolicy, SemanticClusterer, ShardedCache};
 use modm_simkit::{SimRng, SimTime};
 
 fn main() {
@@ -145,4 +152,66 @@ fn main() {
         i += 1;
         clusterer.cluster_of(&live[(i * 17) % leaders])
     });
+
+    let prewarm_images: Vec<GeneratedImage> = (0..3_600)
+        .map(|i| {
+            let e = text.encode(&format!("visit {} vista {} quartz dunes", i % 7, i % 900));
+            sampler.generate(ModelId::Sd35Large, &e, &mut rng)
+        })
+        .collect();
+    let fresh: Vec<Embedding> = (0..4_096)
+        .map(|i| text.encode(&format!("novel{i} glyph{} ember{}", i * 5, i * 13)))
+        .collect();
+    for verdicts in [false, true] {
+        let (mut cache, mut router) = prewarm_fleet(&clusterer, &prewarm_images);
+        let joiner = cache.num_shards() - 1;
+        let mut minted = 0usize;
+        let mut cycle = |cache: &mut ShardedCache, router: &mut Router| {
+            for k in minted..minted + 16 {
+                router.route(&fresh[k % fresh.len()], &[]);
+            }
+            minted += 16;
+            router.add_node(joiner);
+            let pulled = if verdicts {
+                cache.pull_routed(SimTime::ZERO, joiner, router)
+            } else {
+                cache.pull_owned(SimTime::ZERO, joiner, |e| router.shard_for(e))
+            };
+            router.remove_node(joiner);
+            let all = cache.shard(joiner).len();
+            if verdicts {
+                cache.handoff_routed(SimTime::ZERO, joiner, all, router);
+            } else {
+                cache.handoff(SimTime::ZERO, joiner, all, |e| router.shard_for(e));
+            }
+            pulled
+        };
+        // One untimed cycle leaves every resident entry with a verdict.
+        cycle(&mut cache, &mut router);
+        let entries = cache.len() as u64;
+        let name = if verdicts { "verdict" } else { "closure" };
+        bench.measure_per(format!("prewarm/{name}"), entries, || {
+            cycle(&mut cache, &mut router)
+        });
+    }
+}
+
+/// Six 600-entry shards filled with `images` by an affinity router over
+/// the warmed 4,096-leader `clusterer`, plus an empty seventh shard for
+/// the node that joins.
+fn prewarm_fleet(
+    clusterer: &SemanticClusterer,
+    images: &[GeneratedImage],
+) -> (ShardedCache, Router) {
+    let serving = 6;
+    let mut router = RoutingConfig::new(RoutingPolicy::CacheAffinity, serving + 1)
+        .clusterer(clusterer.clone())
+        .build();
+    router.remove_node(serving);
+    let mut cache = ShardedCache::new(serving + 1, CacheConfig::fifo(600));
+    for image in images {
+        let shard = router.shard_for(&image.embedding);
+        cache.shard_mut(shard).insert(SimTime::ZERO, image.clone());
+    }
+    (cache, router)
 }

@@ -28,10 +28,15 @@ pub struct BenchResult {
     pub id: String,
     /// Iterations per sample.
     pub iters: u64,
-    /// Median per-iteration time over the samples, nanoseconds.
+    /// Median per-iteration time over the samples (per unit for
+    /// [`Bench::measure_per`]), nanoseconds.
     pub median_ns: f64,
-    /// Fastest sample's per-iteration time, nanoseconds.
+    /// Fastest sample's per-iteration (or per-unit) time, nanoseconds.
     pub min_ns: f64,
+    /// Slowest sample's per-iteration (or per-unit) time, nanoseconds.
+    pub max_ns: f64,
+    /// Samples the median, min and max are taken over.
+    pub samples: usize,
 }
 
 /// A tiny Criterion stand-in: warms up, auto-calibrates the iteration
@@ -66,6 +71,18 @@ impl Bench {
         }
     }
 
+    /// Overrides the number of samples per case (the median, min and max
+    /// are taken over them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is zero.
+    pub fn with_samples(mut self, samples: usize) -> Self {
+        assert!(samples > 0, "need at least one sample");
+        self.samples = samples;
+        self
+    }
+
     /// Overrides the per-sample duration target (e.g. for slow end-to-end
     /// cases).
     pub fn with_sample_secs(mut self, secs: f64) -> Self {
@@ -85,7 +102,24 @@ impl Bench {
 
     /// Measures `work`, printing and recording the median per-iteration
     /// time.
-    pub fn measure<T>(&mut self, id: impl Into<String>, mut work: impl FnMut() -> T) {
+    pub fn measure<T>(&mut self, id: impl Into<String>, work: impl FnMut() -> T) {
+        self.measure_per(id, 1, work);
+    }
+
+    /// [`Bench::measure`] for a `work` that handles `units` items per
+    /// call (e.g. every entry of a migration pass): records the median
+    /// time per item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` is zero.
+    pub fn measure_per<T>(
+        &mut self,
+        id: impl Into<String>,
+        units: u64,
+        mut work: impl FnMut() -> T,
+    ) {
+        assert!(units > 0, "need at least one unit per call");
         let id = id.into();
         // Warm-up + calibration: run once, then scale to the sample target.
         let t0 = Instant::now();
@@ -99,7 +133,7 @@ impl Bench {
             for _ in 0..iters {
                 std::hint::black_box(work());
             }
-            per_iter.push(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
+            per_iter.push(t.elapsed().as_secs_f64() * 1e9 / (iters * units) as f64);
         }
         per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let median_ns = per_iter[per_iter.len() / 2];
@@ -117,6 +151,8 @@ impl Bench {
             iters,
             median_ns,
             min_ns,
+            max_ns: per_iter[per_iter.len() - 1],
+            samples: per_iter.len(),
         });
     }
 
@@ -182,6 +218,8 @@ impl Bench {
                 iters: 1,
                 median_ns,
                 min_ns,
+                max_ns: sorted[sorted.len() - 1],
+                samples: sorted.len(),
             });
         }
         matrix
@@ -288,6 +326,8 @@ impl Bench {
                 iters: 1,
                 median_ns,
                 min_ns,
+                max_ns: sorted[sorted.len() - 1],
+                samples: sorted.len(),
             });
         };
         record(base_id, &base_runs, "abba base");
@@ -329,6 +369,8 @@ impl Bench {
             iters: 1,
             median_ns,
             min_ns,
+            max_ns: per_run[per_run.len() - 1],
+            samples: per_run.len(),
         });
     }
 }

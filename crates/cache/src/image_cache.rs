@@ -14,7 +14,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use modm_diffusion::GeneratedImage;
+use modm_diffusion::{GeneratedImage, ImageId};
 use modm_embedding::{Embedding, EmbeddingIndex, IndexPolicy, InvertedIndex, Neighbor};
 use modm_simkit::{profile, SimTime};
 use modm_workload::TenantId;
@@ -770,6 +770,11 @@ impl ImageCache {
         })
     }
 
+    /// True when the image with id `id` is resident.
+    pub fn contains(&self, id: ImageId) -> bool {
+        self.entries.contains_key(&id.0)
+    }
+
     /// Iterates over the cached entries (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &CachedImage> {
         self.entries.values()
@@ -808,7 +813,7 @@ impl ImageCache {
     }
 
     /// Removes and returns every resident image (with its owning tenant)
-    /// whose embedding satisfies `pred`, in ascending id order
+    /// that satisfies `pred`, in ascending id order
     /// (deterministic despite the hash-map backing). `pred` is also
     /// *called* in ascending id order, so a stateful predicate (the fleet
     /// router's, which can mint clusterer leaders) sees the same sequence
@@ -819,11 +824,11 @@ impl ImageCache {
     /// owns.
     pub fn extract_matching(
         &mut self,
-        mut pred: impl FnMut(&Embedding) -> bool,
+        mut pred: impl FnMut(&GeneratedImage) -> bool,
     ) -> Vec<(TenantId, GeneratedImage)> {
         let mut keys: Vec<u64> = self.entries.keys().copied().collect();
         keys.sort_unstable();
-        keys.retain(|key| pred(&self.entries[key].image.embedding));
+        keys.retain(|key| pred(&self.entries[key].image));
         keys.into_iter()
             .map(|key| {
                 let entry = self.entries.remove(&key).expect("key from entries");

@@ -785,10 +785,7 @@ impl<'a> ElasticRun<'a> {
         self.transition(node, NodeState::Active, now);
         self.nodes[node] = Some(ServingNode::new(&self.config.node_config, node));
         self.router.add_node(node);
-        let router = &mut self.router;
-        let prewarmed = self
-            .cache
-            .pull_owned(now, node, |emb| router.shard_for(emb));
+        let prewarmed = self.cache.pull_routed(now, node, &mut self.router);
         self.events.schedule(
             now + self.config.node_config.monitor_period,
             Event::MonitorTick { node, epoch },
@@ -824,13 +821,12 @@ impl<'a> ElasticRun<'a> {
             self.transition(victim, NodeState::Draining, now);
             // Cache handoff: the hottest entries follow their keyspace to
             // the ring successors (the ring no longer contains the victim,
-            // so `shard_for` is exactly the successor map).
+            // so its affinity map is exactly the successor map).
             let resident = self.cache.shard(victim).len();
             let count = (resident as f64 * self.config.handoff_fraction).ceil() as usize;
-            let router = &mut self.router;
             let handoff = self
                 .cache
-                .handoff(now, victim, count, |emb| router.shard_for(emb));
+                .handoff_routed(now, victim, count, &mut self.router);
             self.log.push(FleetEvent {
                 at: now,
                 kind: FleetEventKind::ScaleDown {

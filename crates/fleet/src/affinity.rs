@@ -13,14 +13,45 @@
 //! trending prompt — map to one cluster, while unrelated prompts mint
 //! fresh leaders. The leader table is bounded; when full, the oldest
 //! leader retires (matching the workload's trending-recency structure).
+//!
+//! Shard migration re-places the same resident images again and again
+//! against a leader table that barely moved in between. A
+//! [`LeaderVerdict`] remembers an embedding's last exact scan, so
+//! [`SemanticClusterer::cluster_of_since`] only scores the leaders minted
+//! since — with the same answer the full scan gives.
 
 use modm_embedding::probe::unit_f32_into;
 use modm_embedding::{Embedding, IndexPolicy, TwoLevelProbe};
 use modm_numerics::lanes::LaneRows;
 use modm_numerics::vector;
 
+/// One embedding's exact leader verdict: the first strict maximum, in
+/// admission order, over every leader live when it was computed.
+///
+/// Opaque to callers beyond persisting it between
+/// [`SemanticClusterer::cluster_of_since`] calls for the same embedding
+/// on the same clusterer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeaderVerdict {
+    /// Cluster id of the winning leader.
+    pub id: u64,
+    /// Its cosine against the embedding, as the exact scan computes it.
+    pub sim: f64,
+    /// The clusterer's next cluster id when the verdict was computed:
+    /// every leader with a smaller id was live then or already retired,
+    /// so only ids `>= seen` are new to it.
+    pub seen: u64,
+}
+
 /// Maps embeddings to coarse semantic clusters by online leader
 /// clustering.
+///
+/// Cluster ids are minted in order, one per admitted leader, and leaders
+/// retire oldest-first, so the live leaders always hold the contiguous
+/// ids `next_id - num_leaders() .. next_id` in admission order. The exact
+/// scan keeps the first strict maximum in that order, which is what lets
+/// [`SemanticClusterer::cluster_of_since`] extend an old verdict over the
+/// newer leaders instead of rescanning the table.
 ///
 /// # Example
 ///
@@ -166,10 +197,37 @@ impl SemanticClusterer {
     /// norm hoisted out of the loop and leader norms cached at admission,
     /// all pure functions of the same values the naive probe reads.
     ///
+    /// Equivalent to [`SemanticClusterer::cluster_of_since`] with no
+    /// earlier verdict.
+    ///
     /// # Panics
     ///
     /// Panics if `embedding`'s dimension differs from the leaders'.
     pub fn cluster_of(&mut self, embedding: &Embedding) -> u64 {
+        self.cluster_of_since(embedding, &mut None)
+    }
+
+    /// [`SemanticClusterer::cluster_of`] resumed from `verdict`, the
+    /// verdict an earlier call left for this same embedding; updates it
+    /// to this call's.
+    ///
+    /// While the verdict's leader is live, every leader it beat or tied
+    /// and that is still live remains behind it in admission order, so
+    /// the full scan's winner is the verdict extended over the leaders
+    /// minted since (ids `>= seen`) with a strict `>`: only those are
+    /// scored. A missing verdict, or one whose leader retired, takes the
+    /// full scan. Either way the answer, and any mint, is bit-identical
+    /// to [`SemanticClusterer::cluster_of`]'s. Under
+    /// [`IndexPolicy::Approx`] the verdict is cleared and ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `embedding`'s dimension differs from the leaders'.
+    pub fn cluster_of_since(
+        &mut self,
+        embedding: &Embedding,
+        verdict: &mut Option<LeaderVerdict>,
+    ) -> u64 {
         let q = embedding.as_slice();
         assert!(
             self.rows.is_empty() || q.len() == self.rows.dim(),
@@ -179,6 +237,7 @@ impl SemanticClusterer {
         );
         let qn = vector::l2_norm(q);
         if let Some(probe) = self.approx.as_ref() {
+            *verdict = None;
             // Approximate path: one pruned pass over the partitions. The
             // join floor sits a hair under the threshold so the f32/f64
             // boundary cannot flip a should-join into a mint; partitions
@@ -196,6 +255,59 @@ impl SemanticClusterer {
             self.admit(id, q, qn);
             return id;
         }
+        let oldest = self.next_id - self.ids.len() as u64;
+        let best = match *verdict {
+            Some(v) if v.id >= oldest && v.id < self.next_id => {
+                debug_assert!(v.seen <= self.next_id, "verdict from another clusterer");
+                let (mut id, mut sim) = (v.id, v.sim);
+                for newer in v.seen..self.next_id {
+                    let slot = self.slot_at((newer - oldest) as usize);
+                    let s = vector::cosine_with_norms(
+                        self.rows.slot_dot(slot, q, -0.0),
+                        qn,
+                        self.norms[slot],
+                    );
+                    if s > sim {
+                        (id, sim) = (newer, s);
+                    }
+                }
+                Some((id, sim))
+            }
+            _ => self.full_scan(q, qn),
+        };
+        if let Some((id, sim)) = best {
+            if sim >= self.threshold {
+                *verdict = Some(LeaderVerdict {
+                    id,
+                    sim,
+                    seen: self.next_id,
+                });
+                return id;
+            }
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let slot = self.admit(id, q, qn);
+        // The new leader's score is exactly what a later scan computes.
+        // It wins unless the query scores nothing above the old best (a
+        // zero embedding); then rescan, as the mint may have retired it.
+        let sim = vector::cosine_with_norms(self.rows.slot_dot(slot, q, -0.0), qn, qn);
+        let (won, won_sim) = if best.is_none_or(|(_, b)| sim > b) {
+            (id, sim)
+        } else {
+            self.full_scan(q, qn).expect("a leader was just admitted")
+        };
+        *verdict = Some(LeaderVerdict {
+            id: won,
+            sim: won_sim,
+            seen: self.next_id,
+        });
+        id
+    }
+
+    /// The exact scan over every live leader: the first strict maximum
+    /// in admission order, or `None` on an empty table.
+    fn full_scan(&mut self, q: &[f64], qn: f64) -> Option<(u64, f64)> {
         // Every scored slot but the block padding holds a live leader.
         self.dots_scratch.clear();
         for dots in self.rows.block_dots(q, -0.0) {
@@ -209,15 +321,7 @@ impl SemanticClusterer {
                 best = Some((self.ids[slot], sim));
             }
         }
-        if let Some((id, sim)) = best {
-            if sim >= self.threshold {
-                return id;
-            }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.admit(id, q, qn);
-        id
+        best
     }
 
     /// Slot index of the `k`-th leader in admission order.
@@ -230,8 +334,9 @@ impl SemanticClusterer {
         }
     }
 
-    /// Appends a new leader, retiring the oldest when the table is full.
-    fn admit(&mut self, id: u64, values: &[f64], norm: f64) {
+    /// Appends a new leader, retiring the oldest when the table is full;
+    /// returns its slot.
+    fn admit(&mut self, id: u64, values: &[f64], norm: f64) -> usize {
         if self.rows.is_empty() && self.policy == IndexPolicy::Approx {
             self.approx = Some(TwoLevelProbe::new(values.len(), self.max_leaders));
         }
@@ -252,6 +357,7 @@ impl SemanticClusterer {
         if let Some(probe) = self.approx.as_mut() {
             probe.set(slot, values, norm);
         }
+        slot
     }
 }
 

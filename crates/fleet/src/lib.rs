@@ -47,7 +47,7 @@ pub mod ring;
 pub mod router;
 pub mod shard;
 
-pub use affinity::SemanticClusterer;
+pub use affinity::{LeaderVerdict, SemanticClusterer};
 pub use fleet::{Fleet, FleetRunOptions};
 pub use geo::{GeoError, GeoRouter};
 pub use report::{FleetReport, NodeReport};

@@ -25,11 +25,13 @@
 //! over the new active set — the primitive behind elastic scale-out,
 //! draining and crash handling in `modm-controlplane`.
 
+use std::collections::HashMap;
 use std::fmt;
 
+use modm_diffusion::{GeneratedImage, ImageId};
 use modm_embedding::{Embedding, IndexPolicy};
 
-use crate::affinity::SemanticClusterer;
+use crate::affinity::{LeaderVerdict, SemanticClusterer};
 use crate::ring::HashRing;
 
 /// Why a [`Router`] configuration was rejected.
@@ -178,6 +180,8 @@ impl RoutingConfig {
             ring: HashRing::new(self.nodes, self.vnodes),
             routed: vec![0; self.nodes],
             spill_threshold: self.spill_threshold,
+            verdicts: HashMap::new(),
+            visit: 0,
         })
     }
 
@@ -252,6 +256,12 @@ pub struct Router {
     /// Requests routed per node id (grows as nodes are added).
     routed: Vec<u64>,
     spill_threshold: f64,
+    /// Each migrated image's last exact leader verdict, stamped with the
+    /// migration pass that placed it (see [`Router::shard_for_image`]).
+    verdicts: HashMap<ImageId, (LeaderVerdict, u64)>,
+    /// The current migration pass; [`Router::sweeping_verdicts`] starts
+    /// a new one.
+    visit: u64,
 }
 
 impl Router {
@@ -364,6 +374,11 @@ impl Router {
         Ok(())
     }
 
+    /// The affinity clusterer behind [`Router::shard_for`].
+    pub fn clusterer(&self) -> &SemanticClusterer {
+        &self.clusterer
+    }
+
     /// Requests routed to each node id so far.
     pub fn routed_per_node(&self) -> &[u64] {
         &self.routed
@@ -388,6 +403,52 @@ impl Router {
     /// neighborhood.)
     pub fn shard_for(&mut self, embedding: &Embedding) -> usize {
         self.ring.node_for(self.clusterer.cluster_of(embedding))
+    }
+
+    /// [`Router::shard_for`] of a resident image's embedding, resumed
+    /// from the leader verdict its last placement left: only leaders
+    /// minted since are scored, and the answer is bit-identical to
+    /// `shard_for(&image.embedding)`. Shard migration re-places the same
+    /// images on every membership change, which is where this pays.
+    ///
+    /// Verdicts are keyed by [`ImageId`], so every image placed through
+    /// one router must carry a distinct id for its embedding. Ids are
+    /// unique per `Sampler`, and each tier runs one sampler per run.
+    pub fn shard_for_image(&mut self, image: &GeneratedImage) -> usize {
+        let mut verdict = self.verdicts.get(&image.id).map(|&(v, _)| v);
+        let cluster = self
+            .clusterer
+            .cluster_of_since(&image.embedding, &mut verdict);
+        match verdict {
+            Some(v) => {
+                self.verdicts.insert(image.id, (v, self.visit));
+            }
+            None => {
+                self.verdicts.remove(&image.id);
+            }
+        }
+        self.ring.node_for(cluster)
+    }
+
+    /// Leader verdicts currently kept for migrated images.
+    pub fn num_verdicts(&self) -> usize {
+        self.verdicts.len()
+    }
+
+    /// Runs `pull`, a migration pass that places every resident image
+    /// off one shard through [`Router::shard_for_image`], then drops the
+    /// verdicts of images it did not place: those are no longer resident.
+    pub(crate) fn sweeping_verdicts<R>(&mut self, pull: impl FnOnce(&mut Router) -> R) -> R {
+        self.visit += 1;
+        let out = pull(self);
+        let visit = self.visit;
+        self.verdicts.retain(|_, &mut (_, placed)| placed == visit);
+        out
+    }
+
+    /// Drops the verdicts of images `resident` rejects.
+    pub(crate) fn retain_verdicts(&mut self, mut resident: impl FnMut(ImageId) -> bool) {
+        self.verdicts.retain(|&id, _| resident(id));
     }
 
     /// Whether [`Router::route`] reads its `loads` argument. Pure

@@ -9,9 +9,18 @@
 //! scatters sessions over shards and loses it.
 
 use modm_cache::{CacheConfig, CacheStats, ImageCache};
+use modm_diffusion::GeneratedImage;
 use modm_embedding::Embedding;
 use modm_simkit::SimTime;
 use modm_workload::TenantId;
+
+use crate::router::Router;
+
+/// The one target rule every migration applies: a placement function's
+/// answer names shard `assigned % shards`.
+fn target(assigned: usize, shards: usize) -> usize {
+    assigned % shards
+}
 
 /// Aggregated counters over every shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,14 +188,14 @@ impl ShardedCache {
         now: SimTime,
         mut assign: impl FnMut(&Embedding) -> usize,
     ) -> RebalanceReport {
-        let mut drained: Vec<(usize, Vec<(TenantId, modm_diffusion::GeneratedImage)>)> = Vec::new();
+        let mut drained: Vec<(usize, Vec<(TenantId, GeneratedImage)>)> = Vec::new();
         for (i, shard) in self.shards.iter_mut().enumerate() {
             drained.push((i, shard.drain_images()));
         }
         let mut report = RebalanceReport { total: 0, moved: 0 };
         for (from, images) in drained {
             for (tenant, image) in images {
-                let to = assign(&image.embedding) % self.shards.len();
+                let to = target(assign(&image.embedding), self.shards.len());
                 report.total += 1;
                 if to != from {
                     report.moved += 1;
@@ -202,19 +211,56 @@ impl ShardedCache {
     /// migrates in, so the newcomer can hit on the keyspace slice it just
     /// inherited instead of starting cold. The donors' remaining entries
     /// keep their hit-count/recency bookkeeping; returns how many entries
-    /// moved.
+    /// moved. `assign`'s answer is reduced modulo the shard count, as in
+    /// every migration.
     pub fn pull_owned(
         &mut self,
         now: SimTime,
         to: usize,
         mut assign: impl FnMut(&Embedding) -> usize,
     ) -> usize {
+        self.pull_images(now, to, |image| assign(&image.embedding))
+    }
+
+    /// [`ShardedCache::pull_owned`] placed by `router`'s affinity map
+    /// through [`Router::shard_for_image`], so each entry re-uses its last
+    /// leader verdict; moves exactly the entries
+    /// `pull_owned(now, to, |e| router.shard_for(e))` moves.
+    ///
+    /// The pull visits every entry off `to`, and a joining shard is
+    /// empty, so afterwards the router keeps verdicts only for the images
+    /// this pull placed that are still resident: at most one per
+    /// resident entry. Handoffs add verdicts until the next pull.
+    pub fn pull_routed(&mut self, now: SimTime, to: usize, router: &mut Router) -> usize {
+        let before = self.shards[to].len();
+        let moved = router.sweeping_verdicts(|router| {
+            self.pull_images(now, to, |image| router.shard_for_image(image))
+        });
+        if self.shards[to].len() != before + moved {
+            // `to` overflowed and evicted some of what it pulled.
+            let shards = &self.shards;
+            router.retain_verdicts(|id| shards.iter().any(|shard| shard.contains(id)));
+        }
+        moved
+    }
+
+    /// The pull primitive: moves every entry off `to` whose image
+    /// `assign` targets at `to`, calling `assign` shard by shard in
+    /// ascending image id order.
+    fn pull_images(
+        &mut self,
+        now: SimTime,
+        to: usize,
+        mut assign: impl FnMut(&GeneratedImage) -> usize,
+    ) -> usize {
+        let shards = self.shards.len();
         let mut moved = 0;
-        for from in 0..self.shards.len() {
+        for from in 0..shards {
             if from == to {
                 continue;
             }
-            let pulled = self.shards[from].extract_matching(|emb| assign(emb) == to);
+            let pulled =
+                self.shards[from].extract_matching(|image| target(assign(image), shards) == to);
             moved += pulled.len();
             for (tenant, image) in pulled {
                 self.shards[to].insert_for(now, tenant, image);
@@ -242,6 +288,34 @@ impl ShardedCache {
         count: usize,
         mut assign: impl FnMut(&Embedding) -> usize,
     ) -> HandoffReport {
+        self.handoff_images(now, from, count, |image| assign(&image.embedding))
+    }
+
+    /// [`ShardedCache::handoff`] placed by `router`'s affinity map through
+    /// [`Router::shard_for_image`]; migrates exactly what
+    /// `handoff(now, from, count, |e| router.shard_for(e))` migrates.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedCache::handoff`].
+    pub fn handoff_routed(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        count: usize,
+        router: &mut Router,
+    ) -> HandoffReport {
+        self.handoff_images(now, from, count, |image| router.shard_for_image(image))
+    }
+
+    /// The handoff primitive behind both entry points.
+    fn handoff_images(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        count: usize,
+        mut assign: impl FnMut(&GeneratedImage) -> usize,
+    ) -> HandoffReport {
         let hot = self.shards[from].export_hottest(count);
         let mut report = HandoffReport {
             exported: hot.len(),
@@ -249,7 +323,7 @@ impl ShardedCache {
             abandoned: self.shards[from].len(),
         };
         for (tenant, image) in hot {
-            let to = assign(&image.embedding) % self.shards.len();
+            let to = target(assign(&image), self.shards.len());
             assert_ne!(to, from, "handoff target is the draining shard");
             self.shards[to].insert_for(now, tenant, image);
             report.migrated += 1;
@@ -377,6 +451,147 @@ mod tests {
                     .is_some(),
                 "hot entry survived the handoff"
             );
+        }
+    }
+
+    #[test]
+    fn every_migration_reduces_targets_modulo_the_shard_count() {
+        let mut f = fixture();
+        let mut cache = ShardedCache::new(3, CacheConfig::fifo(10));
+        for i in 0..4 {
+            let p = format!("tidal cave {i} violet haze gouache");
+            cache
+                .shard_mut(0)
+                .insert(SimTime::ZERO, image_for(&mut f, &p));
+        }
+        let shards = cache.num_shards();
+        let moved = cache.pull_owned(SimTime::ZERO, 2, |_| 2 + shards);
+        assert_eq!(moved, 4, "`to + num_shards()` names shard `to`");
+        assert_eq!(cache.shard(2).len(), 4);
+        let report = cache.handoff(SimTime::ZERO, 2, 4, |_| 1 + shards);
+        assert_eq!(report.migrated, 4);
+        assert_eq!(cache.shard(1).len(), 4);
+        let report = cache.rebalance(SimTime::ZERO, |_| 2 * shards);
+        assert_eq!((report.total, report.moved), (4, 4));
+        assert_eq!(cache.shard(0).len(), 4);
+    }
+
+    /// One resident entry: image id, tenant, admission time.
+    type Resident = (u64, TenantId, SimTime);
+
+    /// Every shard's eviction count and resident entries in id order.
+    fn contents(cache: &ShardedCache) -> Vec<(u64, Vec<Resident>)> {
+        (0..cache.num_shards())
+            .map(|i| {
+                let shard = cache.shard(i);
+                let mut ids: Vec<_> = shard
+                    .iter()
+                    .map(|c| (c.image.id.0, c.tenant, c.cached_at))
+                    .collect();
+                ids.sort_unstable();
+                (shard.stats().evictions(), ids)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn routed_migrations_match_closure_migrations() {
+        use crate::{RoutingConfig, RoutingPolicy, SemanticClusterer};
+        // Twin fleets: one migrates through `shard_for` closures, the
+        // other through persisted leader verdicts. A 24-leader table keeps
+        // verdict leaders retiring, and 8-entry shards keep evicting
+        // (including the pulling shard itself).
+        for seed in 0..6 {
+            let mut f = fixture();
+            let mut rng = SimRng::seed_from(0x7_1115 + seed);
+            let nodes = 5;
+            let router = RoutingConfig::new(RoutingPolicy::CacheAffinity, nodes)
+                .clusterer(SemanticClusterer::new(0.7, 24))
+                .build();
+            let mut closure = (ShardedCache::new(nodes, CacheConfig::fifo(8)), router);
+            let mut routed = closure.clone();
+            let mut active: Vec<usize> = (0..nodes).collect();
+            let mut bound = 0; // verdicts after the last pull + handed off since
+            let topics = 40;
+            for step in 0..400 {
+                let now = SimTime::from_secs_f64(step as f64);
+                let ctx = format!("seed {seed}, step {step}");
+                match rng.index(8) {
+                    // Serve a request: route (may mint), insert on a miss.
+                    0..=3 => {
+                        let t = rng.index(topics);
+                        let p = format!("topic{t} scene{t} hue{t} mood{t} take{}", rng.index(3));
+                        let image = image_for(&mut f, &p);
+                        let a = closure.1.route(&image.embedding, &[]);
+                        let b = routed.1.route(&image.embedding, &[]);
+                        assert_eq!(a, b, "{ctx}: routes diverged");
+                        let tenant = TenantId(rng.index(2) as u16);
+                        closure
+                            .0
+                            .shard_mut(a)
+                            .insert_for(now, tenant, image.clone());
+                        routed.0.shard_mut(b).insert_for(now, tenant, image);
+                    }
+                    // A node joins and pre-warms.
+                    4 | 5 => {
+                        let Some(node) = (0..nodes).find(|n| !active.contains(n)) else {
+                            continue;
+                        };
+                        active.push(node);
+                        closure.1.add_node(node);
+                        routed.1.add_node(node);
+                        let router = &mut closure.1;
+                        let a = closure.0.pull_owned(now, node, |e| router.shard_for(e));
+                        let b = routed.0.pull_routed(now, node, &mut routed.1);
+                        assert_eq!(a, b, "{ctx}: pulls moved different counts");
+                        assert!(
+                            routed.1.num_verdicts() <= routed.0.len(),
+                            "{ctx}: {} verdicts for {} residents",
+                            routed.1.num_verdicts(),
+                            routed.0.len()
+                        );
+                        bound = routed.1.num_verdicts();
+                    }
+                    // A node drains (hot handoff, then decommission) or
+                    // crashes (no handoff).
+                    _ => {
+                        if active.len() <= 1 {
+                            continue;
+                        }
+                        let node = active.swap_remove(rng.index(active.len()));
+                        closure.1.remove_node(node);
+                        routed.1.remove_node(node);
+                        if rng.index(3) != 0 {
+                            let count = rng.index(closure.0.shard(node).len() + 1);
+                            let router = &mut closure.1;
+                            let a = closure.0.handoff(now, node, count, |e| router.shard_for(e));
+                            let b = routed.0.handoff_routed(now, node, count, &mut routed.1);
+                            assert_eq!(a, b, "{ctx}: handoffs diverged");
+                            bound += b.exported;
+                        }
+                        drop(closure.0.shard_mut(node).drain_images());
+                        drop(routed.0.shard_mut(node).drain_images());
+                    }
+                }
+                assert_eq!(contents(&closure.0), contents(&routed.0), "{ctx}: shards");
+                assert!(routed.1.num_verdicts() <= bound, "{ctx}: verdicts grew");
+                let (mut a, mut b) = (closure.1.clusterer().clone(), routed.1.clusterer().clone());
+                assert_eq!(a.num_leaders(), b.num_leaders(), "{ctx}: leader tables");
+                for shard in 0..nodes {
+                    let mut resident: Vec<_> =
+                        closure.0.shard(shard).iter().map(|c| &c.image).collect();
+                    resident.sort_unstable_by_key(|image| image.id);
+                    for image in resident {
+                        assert_eq!(
+                            a.cluster_of(&image.embedding),
+                            b.cluster_of(&image.embedding),
+                            "{ctx}: cluster of {}",
+                            image.id
+                        );
+                    }
+                }
+            }
+            assert!(bound > 0, "seed {seed}: no verdict was ever kept");
         }
     }
 

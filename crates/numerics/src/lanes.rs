@@ -112,6 +112,26 @@ impl LaneRows {
         cols.iter().map(|col| col[slot % LANES]).collect()
     }
 
+    /// Dot product of `q` with the row at `slot` alone: a serial fold from
+    /// `init`, bit-identical to that slot's lane of
+    /// [`LaneRows::block_dots`]. Scoring a handful of rows this way skips
+    /// the rest of their blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range or `q`'s length differs from the
+    /// stored rows'.
+    pub fn slot_dot(&self, slot: usize, q: &[f64], init: f64) -> f64 {
+        assert!(slot < self.len, "slot {slot} out of range");
+        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        let stride = self.dim * LANES;
+        let (cols, _) = self.data[slot / LANES * stride..][..stride].as_chunks::<LANES>();
+        let lane = slot % LANES;
+        q.iter()
+            .zip(cols)
+            .fold(init, |acc, (&x, col)| acc + x * col[lane])
+    }
+
     /// Block `b` as its `dim` component columns, one value per lane.
     fn columns_mut(&mut self, b: usize) -> &mut [[f64; LANES]] {
         let stride = self.dim * LANES;
@@ -191,6 +211,27 @@ mod tests {
                             "dim {dim}, n {n}, slot {s}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_dot_matches_its_block_lane_bit_for_bit() {
+        for dim in [1, 3, 64] {
+            let mut rows = LaneRows::new();
+            for s in 0..19 {
+                rows.push(&(0..dim).map(|d| pseudo(s * 97 + d)).collect::<Vec<_>>());
+            }
+            let q: Vec<f64> = (0..dim).map(|d| pseudo(4_999 + d)).collect();
+            for init in [0.0, -0.0] {
+                let lanes: Vec<f64> = rows.block_dots(&q, init).flatten().collect();
+                for (s, lane) in lanes.iter().take(rows.len()).enumerate() {
+                    assert_eq!(
+                        rows.slot_dot(s, &q, init).to_bits(),
+                        lane.to_bits(),
+                        "dim {dim}, slot {s}"
+                    );
                 }
             }
         }

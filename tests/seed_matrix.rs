@@ -26,7 +26,7 @@ use modm::controlplane::{FaultInjector, FleetEventKind};
 use modm::core::MoDMConfig;
 use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
 use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
-use modm::fleet::{Fleet, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm::fleet::{Fleet, LeaderVerdict, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
 use modm::workload::TraceBuilder;
@@ -207,7 +207,17 @@ struct NaiveClusterer {
 }
 
 impl NaiveClusterer {
-    fn cluster_of(&mut self, query: &Embedding) -> u64 {
+    fn new(threshold: f64, max_leaders: usize) -> Self {
+        NaiveClusterer {
+            threshold,
+            max_leaders,
+            leaders: VecDeque::new(),
+            next_id: 0,
+        }
+    }
+
+    /// The first strict maximum over the live leaders.
+    fn best(&self, query: &Embedding) -> Option<(u64, f64)> {
         let mut best: Option<(u64, f64)> = None;
         for (id, leader) in &self.leaders {
             let sim = query.cosine(leader);
@@ -215,7 +225,11 @@ impl NaiveClusterer {
                 best = Some((*id, sim));
             }
         }
-        if let Some((id, sim)) = best {
+        best
+    }
+
+    fn cluster_of(&mut self, query: &Embedding) -> u64 {
+        if let Some((id, sim)) = self.best(query) {
             if sim >= self.threshold {
                 return id;
             }
@@ -240,12 +254,7 @@ fn clusterer_matches_naive_admission_order_scan() {
             let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA5A5) ^ 0xC10C);
             let threshold = 0.7;
             let mut fast = SemanticClusterer::new(threshold, max_leaders);
-            let mut naive = NaiveClusterer {
-                threshold,
-                max_leaders,
-                leaders: VecDeque::new(),
-                next_id: 0,
-            };
+            let mut naive = NaiveClusterer::new(threshold, max_leaders);
             // Base directions plus jitter: enough reuse to exercise joins,
             // enough novelty to exercise ring retirement.
             let dim = 16;
@@ -267,6 +276,97 @@ fn clusterer_matches_naive_admission_order_scan() {
                 naive.next_id as usize > max_leaders,
                 "seed {seed}: the {max_leaders}-leader ring never wrapped"
             );
+        }
+    }
+}
+
+/// A small-integer embedding: exact dot products and norms, so leaders
+/// related by a coordinate swap tie bit-for-bit against a query that is
+/// symmetric in those coordinates.
+fn integer_embedding(rng: &mut SimRng, dim: usize) -> Embedding {
+    let mut v = vec![0.0; dim];
+    for _ in 0..2 + rng.index(2) {
+        v[rng.index(dim)] += (1 + rng.index(3)) as f64;
+    }
+    Embedding::from_vec(v)
+}
+
+#[test]
+fn clusterer_verdicts_match_naive_full_scan() {
+    // A resident pool re-placed through persisted verdicts, interleaved
+    // with fresh queries that mint. Every answer, every verdict and
+    // every mint must match the naive admission-order scan. The
+    // 12-leader table retires verdict leaders constantly; the integer
+    // embeddings make duplicate-score ties between leaders common, so
+    // the extension's strict `>` is pinned too.
+    for (max_leaders, num_bases) in [(12, 24), (100, 160)] {
+        for integer in [false, true] {
+            for seed in sweep_seeds() {
+                let mut rng = SimRng::seed_from(seed.wrapping_mul(0x5EED) ^ 0x7E4D);
+                let threshold = 0.7;
+                let mut fast = SemanticClusterer::new(threshold, max_leaders);
+                let mut naive = NaiveClusterer::new(threshold, max_leaders);
+                let dim = 16;
+                let bases: Vec<Vec<f64>> = (0..num_bases)
+                    .map(|_| (0..dim).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
+                    .collect();
+                let fresh = |rng: &mut SimRng| {
+                    if !integer {
+                        let base = &bases[rng.index(bases.len())];
+                        Embedding::from_vec(
+                            base.iter().map(|x| x + rng.uniform_in(-0.4, 0.4)).collect(),
+                        )
+                    } else if rng.index(50) == 0 {
+                        // Scores 0 against every leader, so it mints but
+                        // its verdict stays with the oldest leader.
+                        Embedding::from_vec(vec![0.0; dim])
+                    } else {
+                        integer_embedding(rng, dim)
+                    }
+                };
+                let mut pool: Vec<(Embedding, Option<LeaderVerdict>)> = Vec::new();
+                let (mut resumed, mut mints) = (0, 0);
+                for step in 0..3_000 {
+                    let drawn =
+                        (!pool.is_empty() && rng.index(3) != 0).then(|| rng.index(pool.len()));
+                    let (e, mut verdict) = match drawn {
+                        Some(i) => pool[i].clone(),
+                        None => (fresh(&mut rng), None),
+                    };
+                    resumed += usize::from(verdict.is_some());
+                    let minted_before = naive.next_id;
+                    let got = fast.cluster_of_since(&e, &mut verdict);
+                    let want = naive.cluster_of(&e);
+                    mints += usize::from(naive.next_id > minted_before);
+                    let ctx = format!(
+                        "seed {seed}, {max_leaders} leaders, integer {integer}, step {step}"
+                    );
+                    assert_eq!(got, want, "{ctx}: assignment diverged");
+                    let (id, sim) = naive.best(&e).expect("a leader is live");
+                    let v = verdict.expect("exact scans leave a verdict");
+                    assert_eq!(v.id, id, "{ctx}: verdict leader");
+                    assert_eq!(v.sim.to_bits(), sim.to_bits(), "{ctx}: verdict score");
+                    assert_eq!(v.seen, naive.next_id, "{ctx}: verdict horizon");
+                    match drawn {
+                        Some(i) => pool[i].1 = verdict,
+                        None if pool.len() < 64 => pool.push((e, verdict)),
+                        // A fresh image evicts a random resident.
+                        None => {
+                            let i = rng.index(pool.len());
+                            pool[i] = (e, verdict);
+                        }
+                    }
+                }
+                assert_eq!(fast.num_leaders(), naive.leaders.len(), "seed {seed}");
+                assert!(
+                    naive.next_id as usize > max_leaders,
+                    "seed {seed}: the {max_leaders}-leader ring never wrapped"
+                );
+                assert!(
+                    resumed > 1_000 && mints > 0,
+                    "seed {seed}: {resumed} resumed, {mints} mints"
+                );
+            }
         }
     }
 }
