@@ -8,7 +8,9 @@
 //! fails loudly even when every property still holds. Five studies are
 //! pinned: `tiers` (on two seeds), one seed each of `fleet`, `elastic`
 //! and `tenancy`, plus the `trace` study's critical-path table (text,
-//! not JSON — the rendered attribution itself is the artifact).
+//! not JSON — the rendered attribution itself is the artifact). One
+//! more snapshot pins a single node under overload control, closed-loop
+//! and open-loop with warmup, next to a one-node fleet.
 //!
 //! When a change is *supposed* to move the numbers (new feature, fixed
 //! bug), regenerate the snapshots and review the diff like any other
@@ -19,7 +21,14 @@
 //! git diff tests/golden/
 //! ```
 
-use modm::deploy::{summaries_to_json, Summary};
+use modm::cluster::GpuKind;
+use modm::core::{MoDMConfig, ServingReport, TenancyPolicy, TenantShare};
+use modm::deploy::{
+    summaries_to_json, DeployOptions, Deployment, EventLogObserver, ServingBackend, Summary,
+};
+use modm::fleet::{Router, RoutingPolicy};
+use modm::simkit::SimDuration;
+use modm::workload::{QosClass, TenantId, TenantMix, Trace, TraceBuilder};
 use modm_experiments::{elastic, fleet_scaling, scenarios, tenancy, tiers, trace};
 
 /// The `tiers` study's pinned seeds: its own seed and an independent
@@ -32,6 +41,9 @@ const FLEET_REQUESTS: usize = 500;
 const ELASTIC_REQUESTS: usize = 400;
 const TENANCY_REQUESTS: usize = 300;
 const TRACE_REQUESTS: usize = 400;
+const SINGLE_SEED: u64 = 5_150;
+const SINGLE_REQUESTS: usize = 600;
+const SINGLE_WARMUP: usize = 100;
 
 fn golden_path(study: &str, seed: u64) -> String {
     format!(
@@ -149,4 +161,113 @@ fn scenarios_failover_table_matches_golden_snapshot() {
         seed,
         &scenarios::failover_table_for(seed),
     );
+}
+
+/// One 4-GPU node under overload control: token buckets on two of the
+/// three tenants and a queue-time budget tight enough to shed.
+fn overloaded_node() -> MoDMConfig {
+    MoDMConfig::builder()
+        .gpus(GpuKind::Mi210, 4)
+        .cache_capacity(300)
+        .tenancy(
+            TenancyPolicy::weighted_fair(vec![
+                TenantShare::new(TenantId(1), 4.0),
+                TenantShare::new(TenantId(2), 2.0),
+                TenantShare::new(TenantId(3), 1.0),
+            ])
+            .with_rate_limit(TenantId(2), 6.0, 4.0)
+            .with_rate_limit(TenantId(3), 3.0, 2.0)
+            .with_queue_budget(SimDuration::from_secs_f64(240.0)),
+        )
+        .build()
+}
+
+/// A three-tenant trace offered at about twice the node's capacity.
+fn overload_trace() -> Trace {
+    TraceBuilder::diffusion_db(SINGLE_SEED)
+        .requests(SINGLE_REQUESTS)
+        .tenants(vec![
+            TenantMix::new(TenantId(1), QosClass::Interactive, 3.0),
+            TenantMix::new(TenantId(2), QosClass::Standard, 20.0),
+            TenantMix::new(TenantId(3), QosClass::BestEffort, 5.0),
+        ])
+        .build()
+}
+
+/// The `ServingReport` fields `Summary` leaves out, as one text line.
+fn report_extras(report: &ServingReport) -> String {
+    format!(
+        "k_histogram={:?} model_switches={} cache_insertions={} cache_evictions={} \
+         allocation_samples={} mean_clip_bits={:#018x}",
+        report.k_histogram,
+        report.model_switches,
+        report.cache_stats.insertions(),
+        report.cache_stats.evictions(),
+        report.allocation_series.len(),
+        report.quality.mean_clip().to_bits(),
+    )
+}
+
+/// Renders the single-node snapshot: a saturated (closed-loop) single
+/// node with warmup, the same node open-loop with warmup, and a one-node
+/// cache-affinity fleet with warmup. Each run is two lines: its
+/// `Summary` JSON and the report fields the summary omits.
+fn single_closed_loop_rows(observe: bool) -> (String, Vec<Summary>) {
+    let trace = overload_trace();
+    let runs = [
+        (
+            "single saturated",
+            Deployment::single(overloaded_node()),
+            DeployOptions::saturated(SINGLE_WARMUP),
+        ),
+        (
+            "single open-loop",
+            Deployment::single(overloaded_node()),
+            DeployOptions {
+                warmup: SINGLE_WARMUP,
+                saturate: false,
+            },
+        ),
+        (
+            "fleet of one",
+            Deployment::fleet(
+                overloaded_node(),
+                Router::new(RoutingPolicy::CacheAffinity, 1),
+            ),
+            DeployOptions::saturated(SINGLE_WARMUP),
+        ),
+    ];
+    let mut rendered = String::new();
+    let mut summaries = Vec::new();
+    for (label, mut deployment, options) in runs {
+        let mut outcome = if observe {
+            let mut log = EventLogObserver::new();
+            deployment.run_observed(&trace, options, &mut log)
+        } else {
+            deployment.run_with(&trace, options)
+        };
+        let summary = outcome.summary(2.0);
+        let report = outcome
+            .as_single()
+            .or_else(|| outcome.as_fleet().map(|f| &f.nodes[0].report))
+            .expect("a one-node tier");
+        rendered.push_str(&summary.to_json(label));
+        rendered.push('\n');
+        rendered.push_str(&report_extras(report));
+        rendered.push('\n');
+        summaries.push(summary);
+    }
+    (rendered, summaries)
+}
+
+#[test]
+fn single_closed_loop_matches_golden_snapshot() {
+    let (rendered, summaries) = single_closed_loop_rows(false);
+    // The saturated run must exercise both closed-loop backfill paths:
+    // refusals retry after their hint, sheds release their slot.
+    assert!(summaries[0].rejected > 0, "token buckets must refuse");
+    assert!(summaries[0].shed > 0, "the queue budget must shed");
+    let (observed, _) = single_closed_loop_rows(true);
+    assert!(observed == rendered, "observation perturbed the runs");
+    check_text("single_closed_loop", SINGLE_SEED, &rendered);
 }
