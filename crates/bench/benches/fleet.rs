@@ -5,6 +5,10 @@
 //! (hit rate, throughput, load imbalance) into `BENCH_fleet.json`, so the
 //! repo's performance trajectory tracks the fleet subsystem over time.
 //!
+//! Each policy's wall time is the median of `runs_k` timed samples (each
+//! the mean of several back-to-back runs), recorded with the fastest and
+//! slowest sample so the spread travels with the point.
+//!
 //! Pass `--smoke` (CI does) for a down-scaled run that still exercises
 //! every policy and writes the JSON.
 
@@ -18,7 +22,11 @@ const NODES: usize = 8;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
-    let (requests, sample_secs) = if smoke { (300, 0.05) } else { (1_200, 0.5) };
+    let (requests, sample_secs, samples) = if smoke {
+        (300, 0.05, 3)
+    } else {
+        (1_200, 0.5, 9)
+    };
     let trace = TraceBuilder::diffusion_db(5)
         .requests(requests)
         .rate_per_min(20.0)
@@ -28,7 +36,9 @@ fn main() {
         .cache_capacity(1_000)
         .build();
 
-    let mut bench = Bench::new("fleet").with_sample_secs(sample_secs);
+    let mut bench = Bench::new("fleet")
+        .with_sample_secs(sample_secs)
+        .with_samples(samples);
     let mut points: Vec<Json> = Vec::new();
     for policy in [
         RoutingPolicy::RoundRobin,
@@ -39,7 +49,8 @@ fn main() {
         bench.measure(format!("run/{}", policy.name()), || {
             std::hint::black_box(fleet.run(&trace))
         });
-        let wall_ns = bench.results().last().expect("just measured").median_ns;
+        let timing = bench.results().last().expect("just measured").clone();
+        let wall_ns = timing.median_ns;
         let report = fleet.run(&trace);
         points.push(Json::Obj(vec![
             ("policy".into(), Json::Str(policy.name().into())),
@@ -55,6 +66,9 @@ fn main() {
                 Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
             ),
             ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
+            ("runs_k".into(), Json::Num(timing.samples as f64)),
         ]));
     }
 

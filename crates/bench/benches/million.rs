@@ -22,9 +22,9 @@ use std::time::Instant;
 
 use modm_bench::{format_ns, write_json, Json};
 use modm_cluster::GpuKind;
-use modm_core::MoDMConfig;
+use modm_core::{MoDMConfig, RunOptions};
 use modm_embedding::IndexPolicy;
-use modm_fleet::{Fleet, FleetRunOptions, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm_fleet::{Fleet, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
 use modm_workload::TraceBuilder;
 
@@ -63,10 +63,7 @@ fn main() {
         .requests(requests)
         .rate_per_min(20_000.0)
         .build();
-    let opts = FleetRunOptions {
-        warmup: requests / 20,
-        saturate: true,
-    };
+    let opts = RunOptions::saturated(requests / 20);
 
     // The headline runs the approximate probes (anchored inverted cache
     // index + two-level leader probe); smoke mode also runs the exact

@@ -6,6 +6,10 @@
 //! stream and the "<5% when fully observed" telemetry budget stay
 //! measured, not assumed.
 //!
+//! The bare system's wall time is the median of its `runs_k` timed runs
+//! across the paired rounds, recorded with the fastest and slowest run
+//! so the spread travels with the point.
+//!
 //! `--smoke` is accepted for CLI uniformity but runs the full sizing:
 //! the overhead fractions need the full run length to clear timer and
 //! scheduler noise, and the whole bench takes only a few seconds.
@@ -14,8 +18,9 @@ use modm_baselines::VanillaSystem;
 use modm_bench::{median_frac, write_json, Bench, Json};
 use modm_cluster::GpuKind;
 use modm_core::events::{Observer, SimEvent};
-use modm_core::{MoDMConfig, RunOptions, ServingSystem};
+use modm_core::{MoDMConfig, RunOptions};
 use modm_diffusion::ModelId;
+use modm_fleet::ServingSystem;
 use modm_simkit::SimTime;
 use modm_telemetry::{TelemetryConfig, TelemetryObserver};
 use modm_trace::{TraceConfig, TraceObserver};
@@ -77,17 +82,17 @@ fn main() {
     };
     let mut arm_observed = || {
         let mut counter = CountingObserver::default();
-        std::hint::black_box(system.run_observed(&trace, opts, &mut counter));
+        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut counter)));
     };
     // The full telemetry pipeline: registry + series + spans + alerts.
     let mut arm_telemetry = || {
         let mut telemetry = TelemetryObserver::new(TelemetryConfig::new(192.0));
-        std::hint::black_box(system.run_observed(&trace, opts, &mut telemetry));
+        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut telemetry)));
     };
     // Causal tracing: span-tree assembly under default tail sampling.
     let mut arm_trace = || {
         let mut tracer = TraceObserver::new(TraceConfig::new());
-        std::hint::black_box(system.run_observed(&trace, opts, &mut tracer));
+        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut tracer)));
     };
     let arm_vanilla = || {
         let mut v = VanillaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16);
@@ -104,14 +109,15 @@ fn main() {
         rounds,
     );
     bench.measure("system/vanilla", arm_vanilla);
-    let plain_ns = bench.results()[0].median_ns;
+    let plain = bench.results()[0].clone();
+    let plain_ns = plain.median_ns;
     let observed_ns = bench.results()[1].median_ns;
     let telemetry_ns = bench.results()[2].median_ns;
     let trace_ns = bench.results()[3].median_ns;
 
     // One verification run for the event tally and the report cross-check.
     let mut counter = CountingObserver::default();
-    let report = system.run_observed(&trace, opts, &mut counter);
+    let report = system.run_observed(&trace, opts, Some(&mut counter));
     assert_eq!(
         report.completed() as f64,
         served,
@@ -134,6 +140,9 @@ fn main() {
         ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
         ("trace_requests".into(), Json::Num(requests as f64)),
         ("modm_ns".into(), Json::Num(plain_ns)),
+        ("wall_ms_min".into(), Json::Num(plain.min_ns / 1e6)),
+        ("wall_ms_max".into(), Json::Num(plain.max_ns / 1e6)),
+        ("runs_k".into(), Json::Num(plain.samples as f64)),
         ("modm_observed_ns".into(), Json::Num(observed_ns)),
         ("observer_overhead_frac".into(), Json::Num(overhead)),
         ("modm_telemetry_ns".into(), Json::Num(telemetry_ns)),

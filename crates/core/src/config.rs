@@ -11,6 +11,30 @@ use modm_workload::TenantId;
 
 use crate::fairqueue::TenancyPolicy;
 
+/// Options controlling a serving run, shared by every tier that replays
+/// or collapses trace timestamps (the single node and the fixed fleet).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunOptions {
+    /// Number of leading trace requests used only to warm the cache
+    /// (generated by the large model off-line, excluded from all metrics).
+    pub warmup: usize,
+    /// Ignore arrival timestamps and keep the system saturated — the
+    /// paper's maximum-throughput methodology. Requests are admitted
+    /// closed-loop (a deep constant backlog), so each request is still
+    /// routed against the cache state at its admission time.
+    pub saturate: bool,
+}
+
+impl RunOptions {
+    /// Saturated options with `warmup` warm-up requests.
+    pub fn saturated(warmup: usize) -> Self {
+        RunOptions {
+            warmup,
+            saturate: true,
+        }
+    }
+}
+
 /// Why a [`MoDMConfigBuilder`] rejected its configuration.
 ///
 /// Returned by [`MoDMConfigBuilder::try_build`]; the panicking
@@ -180,7 +204,8 @@ pub enum ServingMode {
     QualityOptimized,
 }
 
-/// Full configuration of a [`crate::ServingSystem`].
+/// Full configuration of one MoDM serving node: the single-node
+/// `modm_fleet::ServingSystem`, and every node of a fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoDMConfig {
     /// GPU kind of every worker (the paper's clusters are homogeneous).

@@ -12,32 +12,34 @@
 //!   throughput-optimized allocations, smoothed by a [`pid`] controller,
 //!   plus the dynamic small-model escalation (SDXL -> SANA) of Fig 10.
 //! * [`node`] — the per-node serving step (queues, dispatch, monitor
-//!   window) shared by this crate's single-node loop and the multi-node
-//!   loops in `modm-fleet` / `modm-controlplane`.
+//!   window) shared by the event loops in `modm-fleet` (one node or many)
+//!   and `modm-controlplane`.
 //! * [`admission`] — per-tenant token buckets enforced at the front of
 //!   that step: overload is refused up front instead of absorbed into
 //!   unbounded queues.
-//! * [`system`] — the discrete-event serving loop tying scheduler, monitor,
-//!   GPU workers, cache and metrics together.
 //! * [`events`] — the typed event stream ([`SimEvent`] / [`Observer`])
 //!   every serving loop can narrate its run to; the foundation of the
 //!   `modm-deploy` observer API.
 //!
+//! The discrete-event loop that ties these to GPU workers, the cache and
+//! the metrics lives in `modm-fleet`: `modm_fleet::ServingSystem` runs
+//! one node, `modm_fleet::Fleet` runs N of them on one clock.
+//!
 //! # Quickstart
 //!
 //! ```
-//! use modm_core::{MoDMConfig, ServingSystem};
+//! use modm_core::{k_decision, KDecision, MoDMConfig, RunOptions};
 //! use modm_cluster::GpuKind;
-//! use modm_workload::TraceBuilder;
 //!
-//! let trace = TraceBuilder::diffusion_db(42).requests(60).rate_per_min(12.0).build();
 //! let config = MoDMConfig::builder()
 //!     .gpus(GpuKind::Mi210, 8)
 //!     .cache_capacity(500)
 //!     .build();
-//! let report = ServingSystem::new(config).run(&trace);
-//! assert_eq!(report.completed(), 60);
-//! assert!(report.hit_rate() > 0.0);
+//! assert_eq!(config.num_gpus, 8);
+//! // A near-duplicate prompt skips denoising steps; a distant one misses.
+//! assert!(matches!(k_decision(0.9), KDecision::Hit { .. }));
+//! assert_eq!(k_decision(0.1), KDecision::Miss);
+//! assert!(RunOptions::saturated(100).saturate);
 //! ```
 
 pub mod admission;
@@ -50,11 +52,11 @@ pub mod node;
 pub mod pid;
 pub mod report;
 pub mod scheduler;
-pub mod system;
 
 pub use admission::{AdmissionControl, TokenBucket};
 pub use config::{
-    validate_tenancy, AdmissionPolicy, ConfigError, MoDMConfig, MoDMConfigBuilder, ServingMode,
+    validate_tenancy, AdmissionPolicy, ConfigError, MoDMConfig, MoDMConfigBuilder, RunOptions,
+    ServingMode,
 };
 pub use events::{NullObserver, Obs, Observer, SimEvent};
 pub use fairqueue::{
@@ -66,5 +68,4 @@ pub use monitor::{GlobalMonitor, WindowStats};
 pub use node::{EnqueueOutcome, NodeInFlight, ServingNode};
 pub use pid::PidController;
 pub use report::{ServingReport, TenantSlice};
-pub use scheduler::{route_against_cache, RequestScheduler, RouteKind, RoutedRequest};
-pub use system::{RunOptions, ServingSystem};
+pub use scheduler::{route_against_cache, RouteKind, RoutedRequest};

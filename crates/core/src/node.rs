@@ -1,12 +1,12 @@
 //! The per-node serving step, shared by every event loop that hosts a
 //! MoDM node.
 //!
-//! `modm_core::system::Run` (one node) and the fleet/control-plane event
-//! loops (`modm-fleet`, `modm-controlplane`) all advance a node the same
-//! way: enqueue a routed request, dispatch idle workers toward the
+//! The fleet event loop (`modm-fleet`, which also serves the single-node
+//! tier as a fleet of one) and the control-plane loop
+//! (`modm-controlplane`) advance a node the same way: enqueue a routed request, dispatch idle workers toward the
 //! monitor's desired assignment, record completions, and tick the global
 //! monitor once per period. [`ServingNode`] is that step extracted into
-//! one component, so the single-node and multi-node loops cannot diverge.
+//! one component, so the loops cannot diverge.
 //! The host loop keeps what genuinely differs per deployment: the event
 //! queue, the cache a request is scheduled against, and fleet-wide
 //! aggregation.

@@ -97,7 +97,8 @@ impl TenantSlice {
     }
 }
 
-/// Everything measured during a [`crate::ServingSystem`] run.
+/// Everything measured on one serving node during a run: the single-node
+/// tier's report, and each node's share of a fleet run.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     /// Per-request end-to-end latencies.

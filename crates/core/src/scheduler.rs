@@ -1,12 +1,12 @@
-//! The Request Scheduler: prompt embedding, cache retrieval, k-decision and
-//! hit/miss routing (paper Fig 4, left box).
+//! The Request Scheduler's decision: cache retrieval, k-decision and
+//! hit/miss routing (paper Fig 4, left box). The serving loops embed the
+//! prompt, pick the cache to consult and queue the [`RoutedRequest`].
 
 use modm_cache::{ImageCache, RetrievedImage};
-use modm_embedding::{Embedding, TextEncoder};
+use modm_embedding::Embedding;
 use modm_simkit::SimTime;
-use modm_workload::{QosClass, Request, TenantId};
+use modm_workload::{QosClass, TenantId};
 
-use crate::config::MoDMConfig;
 use crate::kselect::{k_decision_shifted, KDecision};
 
 /// How a request is to be served.
@@ -49,9 +49,10 @@ impl RoutedRequest {
 
 /// The hit/miss decision against one cache: retrieve at the (possibly
 /// shifted) hit threshold and pick `k` from the similarity ladder. This is
-/// the single routing rule every serving loop applies — the monolithic
-/// scheduler below, the fleet's per-shard front-end, and the elastic
-/// fleet's re-delivery path all call it, so the decision cannot diverge.
+/// the single routing rule every serving loop applies — the fleet's
+/// per-shard front-end (one shard on the single-node tier) and the
+/// elastic fleet's re-delivery path both call it, so the decision cannot
+/// diverge.
 pub fn route_against_cache(
     cache: &mut ImageCache,
     now: SimTime,
@@ -70,149 +71,70 @@ pub fn route_against_cache(
     }
 }
 
-/// The scheduler: owns the text encoder and the image cache.
-#[derive(Debug)]
-pub struct RequestScheduler {
-    encoder: TextEncoder,
-    cache: ImageCache,
-    threshold_shift: f64,
-    hits: u64,
-    misses: u64,
-}
-
-impl RequestScheduler {
-    /// Builds the scheduler from a system config, sharing `encoder`'s
-    /// semantic space. The cache inherits the config's per-tenant
-    /// reserves.
-    pub fn new(config: &MoDMConfig, encoder: TextEncoder) -> Self {
-        RequestScheduler {
-            encoder,
-            cache: ImageCache::new(config.cache_config()),
-            threshold_shift: config.threshold_shift,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Routes one request at time `now`: embed, retrieve, decide `k`.
-    pub fn route(&mut self, now: SimTime, request: &Request) -> RoutedRequest {
-        let embedding = self.encoder.encode(&request.prompt);
-        let route = route_against_cache(&mut self.cache, now, &embedding, self.threshold_shift);
-        match route {
-            RouteKind::Hit { .. } => self.hits += 1,
-            RouteKind::Miss => self.misses += 1,
-        }
-        RoutedRequest {
-            request_id: request.id,
-            arrival: request.arrival,
-            tenant: request.tenant,
-            qos: request.qos,
-            prompt_embedding: embedding,
-            route,
-        }
-    }
-
-    /// Adds a finished image to the cache on the default tenant's account
-    /// (per the system's admission policy, decided by the caller).
-    pub fn admit(&mut self, now: SimTime, image: modm_diffusion::GeneratedImage) {
-        self.cache.insert(now, image);
-    }
-
-    /// Adds `tenant`'s finished image to the cache, charged against its
-    /// quota (see [`ImageCache::insert_for`]).
-    pub fn admit_for(
-        &mut self,
-        now: SimTime,
-        tenant: TenantId,
-        image: modm_diffusion::GeneratedImage,
-    ) {
-        self.cache.insert_for(now, tenant, image);
-    }
-
-    /// The underlying cache (for stats and experiment probes).
-    pub fn cache(&self) -> &ImageCache {
-        &self.cache
-    }
-
-    /// Scheduler-level hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// The text encoder (shared semantic space).
-    pub fn encoder(&self) -> &TextEncoder {
-        &self.encoder
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MoDMConfig;
     use modm_diffusion::{ModelId, QualityModel, Sampler};
-    use modm_embedding::SemanticSpace;
+    use modm_embedding::{SemanticSpace, TextEncoder};
     use modm_simkit::SimRng;
 
-    fn setup() -> (RequestScheduler, Sampler, SimRng) {
+    const PROMPT: &str = "ancient dragon soaring mountains dusk oil painting moody golden";
+
+    fn setup() -> (ImageCache, TextEncoder, Sampler, SimRng) {
         let space = SemanticSpace::default();
         let config = MoDMConfig::builder().cache_capacity(100).build();
-        let sched = RequestScheduler::new(&config, TextEncoder::new(space.clone()));
-        let sampler = Sampler::new(QualityModel::new(space, 3, 6.29));
-        (sched, sampler, SimRng::seed_from(11))
+        let cache = ImageCache::new(config.cache_config());
+        let sampler = Sampler::new(QualityModel::new(space.clone(), 3, 6.29));
+        (
+            cache,
+            TextEncoder::new(space),
+            sampler,
+            SimRng::seed_from(11),
+        )
+    }
+
+    /// Caches one full generation for `PROMPT`, returning its embedding.
+    fn cache_prompt(
+        cache: &mut ImageCache,
+        encoder: &TextEncoder,
+        sampler: &Sampler,
+        rng: &mut SimRng,
+    ) -> Embedding {
+        let emb = encoder.encode(PROMPT);
+        let img = sampler.generate_for(ModelId::Sd35Large, &emb, 0, rng);
+        cache.insert(SimTime::ZERO, img);
+        emb
     }
 
     #[test]
     fn empty_cache_routes_miss() {
-        let (mut sched, _, _) = setup();
-        let r = Request::new(0, "crystal garden blooming valley dawn", SimTime::ZERO);
-        let routed = sched.route(SimTime::ZERO, &r);
-        assert!(!routed.is_hit());
-        assert_eq!(sched.hit_rate(), 0.0);
+        let (mut cache, encoder, _, _) = setup();
+        let emb = encoder.encode("crystal garden blooming valley dawn");
+        let route = route_against_cache(&mut cache, SimTime::ZERO, &emb, 0.0);
+        assert!(matches!(route, RouteKind::Miss));
     }
 
     #[test]
     fn cached_image_routes_hit_with_valid_k() {
-        let (mut sched, sampler, mut rng) = setup();
-        let prompt = "ancient dragon soaring mountains dusk oil painting moody golden";
-        let r0 = Request::new(0, prompt, SimTime::ZERO);
-        let routed0 = sched.route(SimTime::ZERO, &r0);
-        let img = sampler.generate_for(ModelId::Sd35Large, &routed0.prompt_embedding, 0, &mut rng);
-        sched.admit(SimTime::ZERO, img);
-
-        let r1 = Request::new(1, prompt, SimTime::from_secs_f64(30.0));
-        let routed1 = sched.route(SimTime::from_secs_f64(30.0), &r1);
-        match routed1.route {
+        let (mut cache, encoder, sampler, mut rng) = setup();
+        let emb = cache_prompt(&mut cache, &encoder, &sampler, &mut rng);
+        match route_against_cache(&mut cache, SimTime::from_secs_f64(30.0), &emb, 0.0) {
             RouteKind::Hit { k, ref retrieved } => {
                 assert!(modm_diffusion::K_CHOICES.contains(&k));
                 assert!(retrieved.similarity >= crate::kselect::HIT_THRESHOLD);
             }
             RouteKind::Miss => panic!("identical prompt should hit"),
         }
-        assert!((sched.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn threshold_shift_tightens_hits() {
-        let space = SemanticSpace::default();
-        let config = MoDMConfig::builder()
-            .cache_capacity(100)
-            .threshold_shift(0.08)
-            .build();
-        let mut sched = RequestScheduler::new(&config, TextEncoder::new(space.clone()));
-        let sampler = Sampler::new(QualityModel::new(space, 3, 6.29));
-        let mut rng = SimRng::seed_from(11);
-        let prompt = "ancient dragon soaring mountains dusk oil painting moody golden";
-        let r0 = Request::new(0, prompt, SimTime::ZERO);
-        let routed0 = sched.route(SimTime::ZERO, &r0);
-        let img = sampler.generate_for(ModelId::Sd35Large, &routed0.prompt_embedding, 0, &mut rng);
-        sched.admit(SimTime::ZERO, img);
+        let (mut cache, encoder, sampler, mut rng) = setup();
+        let emb = cache_prompt(&mut cache, &encoder, &sampler, &mut rng);
         // With the ladder shifted by +0.08, even an identical prompt
         // (similarity ~0.29) falls below the raised threshold (0.33).
-        let r1 = Request::new(1, prompt, SimTime::ZERO);
-        assert!(!sched.route(SimTime::ZERO, &r1).is_hit());
+        let route = route_against_cache(&mut cache, SimTime::ZERO, &emb, 0.08);
+        assert!(matches!(route, RouteKind::Miss));
     }
 }

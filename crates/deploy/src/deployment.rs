@@ -4,8 +4,8 @@ use modm_controlplane::{
     Autoscaler, ElasticConfigError, ElasticFleet, ElasticFleetConfig, FaultInjector,
 };
 use modm_core::events::Observer;
-use modm_core::{MoDMConfig, RunOptions, ServingSystem};
-use modm_fleet::{Fleet, FleetRunOptions, Router, RoutingPolicy};
+use modm_core::{MoDMConfig, RunOptions};
+use modm_fleet::{Fleet, Router, RoutingPolicy, ServingSystem};
 use modm_simkit::SimDuration;
 use modm_workload::Trace;
 
@@ -17,25 +17,7 @@ use crate::outcome::{RunOutcome, TierKind};
 /// (which replay or collapse trace timestamps); the elastic tier always
 /// replays real arrival times — its whole point is reacting to them — and
 /// rejects non-default options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeployOptions {
-    /// Leading trace requests used only to warm the cache (excluded from
-    /// all metrics).
-    pub warmup: usize,
-    /// Ignore arrival timestamps and keep the system saturated — the
-    /// paper's maximum-throughput methodology.
-    pub saturate: bool,
-}
-
-impl DeployOptions {
-    /// Saturated options with `warmup` warm-up requests.
-    pub fn saturated(warmup: usize) -> Self {
-        DeployOptions {
-            warmup,
-            saturate: true,
-        }
-    }
-}
+pub type DeployOptions = RunOptions;
 
 /// How an elastic deployment's node set behaves over time: bounds,
 /// routing, control cadence and the cold-start/drain mechanics.
@@ -143,10 +125,10 @@ pub trait ServingBackend {
 }
 
 enum Tier {
-    Single(ServingSystem),
+    Single(Box<ServingSystem>),
     Fleet(Box<Fleet>),
     Elastic {
-        fleet: ElasticFleet,
+        fleet: Box<ElasticFleet>,
         scaler: Box<dyn Autoscaler>,
         faults: FaultInjector,
     },
@@ -157,11 +139,11 @@ enum Tier {
 /// `Deployment` is the front door of the whole reproduction — the same
 /// trace can be replayed through a single node, a sharded fleet, or an
 /// autoscaled elastic fleet, and the [`RunOutcome`]s compare through one
-/// accessor surface. The legacy per-tier entry points
-/// (`ServingSystem::run`, `Fleet::run`, `ElasticFleet::run`) remain the
-/// engines underneath; a deployment is a thin, uniformly-shaped handle
-/// over them, which is what the seed-for-seed equivalence tests in
-/// `tests/deploy.rs` pin.
+/// accessor surface. A deployment is a thin, uniformly-shaped handle over
+/// two event loops: the fleet loop (`Fleet`, which also serves the single
+/// node as a fleet of one through `ServingSystem`) and the elastic
+/// control loop (`ElasticFleet`). The tests in `tests/deploy.rs` pin
+/// that each handle reproduces its per-tier entry point seed for seed.
 ///
 /// # Example
 ///
@@ -211,7 +193,7 @@ impl Deployment {
     /// the paper's deployment.
     pub fn single(config: MoDMConfig) -> Self {
         Deployment {
-            tier: Tier::Single(ServingSystem::new(config)),
+            tier: Tier::Single(Box::new(ServingSystem::new(config))),
         }
     }
 
@@ -256,7 +238,7 @@ impl Deployment {
         lifecycle: LifecyclePlan,
         faults: FaultInjector,
     ) -> Result<Self, ElasticConfigError> {
-        let fleet = ElasticFleet::try_new(lifecycle.into_config(node_config))?;
+        let fleet = Box::new(ElasticFleet::try_new(lifecycle.into_config(node_config))?);
         Ok(Deployment {
             tier: Tier::Elastic {
                 fleet,
@@ -312,40 +294,7 @@ impl ServingBackend for Deployment {
     }
 
     fn run_with(&mut self, trace: &Trace, options: DeployOptions) -> RunOutcome {
-        match &mut self.tier {
-            Tier::Single(system) => {
-                let gpus = system.config().num_gpus;
-                let report = system.run_with(
-                    trace,
-                    RunOptions {
-                        warmup: options.warmup,
-                        saturate: options.saturate,
-                    },
-                );
-                RunOutcome::from_single(report, gpus)
-            }
-            Tier::Fleet(fleet) => {
-                let gpus = fleet.node_config().num_gpus;
-                let report = fleet.run_with(
-                    trace,
-                    FleetRunOptions {
-                        warmup: options.warmup,
-                        saturate: options.saturate,
-                    },
-                );
-                RunOutcome::from_fleet(report, gpus)
-            }
-            Tier::Elastic {
-                fleet,
-                scaler,
-                faults,
-            } => {
-                Self::assert_elastic_options(options);
-                let gpus = fleet.config().node_config.num_gpus;
-                let report = fleet.run_with_faults(trace, scaler.as_mut(), faults);
-                RunOutcome::from_elastic(report, gpus)
-            }
-        }
+        self.serve(trace, options, None)
     }
 
     fn run_observed(
@@ -354,30 +303,25 @@ impl ServingBackend for Deployment {
         options: DeployOptions,
         observer: &mut dyn Observer,
     ) -> RunOutcome {
+        self.serve(trace, options, Some(observer))
+    }
+}
+
+impl Deployment {
+    /// The one run path behind both [`ServingBackend`] entry points.
+    fn serve(
+        &mut self,
+        trace: &Trace,
+        options: DeployOptions,
+        observer: Option<&mut dyn Observer>,
+    ) -> RunOutcome {
+        let gpus = self.node_config().num_gpus;
         match &mut self.tier {
             Tier::Single(system) => {
-                let gpus = system.config().num_gpus;
-                let report = system.run_observed(
-                    trace,
-                    RunOptions {
-                        warmup: options.warmup,
-                        saturate: options.saturate,
-                    },
-                    observer,
-                );
-                RunOutcome::from_single(report, gpus)
+                RunOutcome::from_single(system.run_observed(trace, options, observer), gpus)
             }
             Tier::Fleet(fleet) => {
-                let gpus = fleet.node_config().num_gpus;
-                let report = fleet.run_observed(
-                    trace,
-                    FleetRunOptions {
-                        warmup: options.warmup,
-                        saturate: options.saturate,
-                    },
-                    observer,
-                );
-                RunOutcome::from_fleet(report, gpus)
+                RunOutcome::from_fleet(fleet.run_observed(trace, options, observer), gpus)
             }
             Tier::Elastic {
                 fleet,
@@ -385,8 +329,10 @@ impl ServingBackend for Deployment {
                 faults,
             } => {
                 Self::assert_elastic_options(options);
-                let gpus = fleet.config().node_config.num_gpus;
-                let report = fleet.run_observed(trace, scaler.as_mut(), faults, observer);
+                let report = match observer {
+                    Some(observer) => fleet.run_observed(trace, scaler.as_mut(), faults, observer),
+                    None => fleet.run_with_faults(trace, scaler.as_mut(), faults),
+                };
                 RunOutcome::from_elastic(report, gpus)
             }
         }

@@ -1,6 +1,6 @@
 //! `modm-deploy` — one deployment API across every serving tier.
 //!
-//! The reproduction grew three tiers — `modm_core::ServingSystem` (one
+//! The reproduction grew three tiers — `modm_fleet::ServingSystem` (one
 //! node), `modm_fleet::Fleet` (a sharded fleet) and
 //! `modm_controlplane::ElasticFleet` (an autoscaled fleet) — each with its
 //! own constructor, run entry point and report type. This crate redesigns
@@ -25,9 +25,8 @@
 //!   ([`EventLogObserver`]) and CSV/JSON trace export
 //!   ([`TraceExportObserver`]).
 //!
-//! The legacy per-tier entry points stay as the engines underneath;
-//! `tests/deploy.rs` pins seed-for-seed equivalence between them and
-//! this API.
+//! The per-tier entry points stay public; `tests/deploy.rs` pins
+//! seed-for-seed equivalence between them and this API.
 //!
 //! # Example: the same trace through all three tiers
 //!

@@ -22,7 +22,7 @@ use crate::scenario_report::{RegionSlice, ScenarioReport};
 /// Which serving tier produced an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TierKind {
-    /// One MoDM node with a monolithic cache (`modm_core::ServingSystem`).
+    /// One MoDM node with a monolithic cache (`modm_fleet::ServingSystem`).
     Single,
     /// A fixed fleet of nodes behind a router (`modm_fleet::Fleet`).
     Fleet,

@@ -8,9 +8,10 @@
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm_cluster::GpuKind;
-use modm_core::{MoDMConfig, RunOptions, ServingSystem};
+use modm_core::{MoDMConfig, RunOptions};
 use modm_deploy::{DeployOptions, Deployment, RunOutcome, ServingBackend, Summary};
 use modm_diffusion::ModelId;
+use modm_fleet::ServingSystem;
 use modm_workload::{Trace, TraceBuilder};
 
 /// The paper's default cluster for throughput studies: 16x AMD MI210.

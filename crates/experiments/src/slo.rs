@@ -4,8 +4,9 @@
 use modm_baselines::{NirvanaSystem, VanillaSystem};
 use modm_cluster::GpuKind;
 use modm_core::report::ServingReport;
-use modm_core::{MoDMConfig, ServingSystem};
+use modm_core::MoDMConfig;
 use modm_diffusion::ModelId;
+use modm_fleet::ServingSystem;
 use modm_workload::TraceBuilder;
 
 use crate::common::banner;

@@ -4,14 +4,14 @@
 //! Each node is a full MoDM deployment in miniature — its own GPU workers,
 //! global monitor, hit/miss queues and cache shard — while arrivals,
 //! routing and completions interleave on one shared virtual clock. The
-//! per-node mechanics are [`modm_core::node::ServingNode`], the same
-//! component `modm_core::ServingSystem`'s event loop runs, lifted to
+//! per-node mechanics are [`modm_core::node::ServingNode`], lifted to
 //! `(node, event)` pairs, so fleet runs remain exactly deterministic under
-//! a fixed seed.
+//! a fixed seed. The same loop serves the single-node tier as a fleet of
+//! one ([`crate::ServingSystem`]).
 
 use std::collections::BTreeMap;
 
-use modm_core::config::{AdmissionPolicy, MoDMConfig};
+use modm_core::config::{AdmissionPolicy, MoDMConfig, RunOptions};
 use modm_core::events::{Obs, Observer};
 use modm_core::node::{render_completion, NodeInFlight, ServingNode};
 use modm_core::report::TenantSlice;
@@ -26,17 +26,8 @@ use crate::report::{FleetReport, NodeReport};
 use crate::router::Router;
 use crate::shard::ShardedCache;
 
-/// Options controlling a fleet run (mirrors `modm_core::RunOptions`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetRunOptions {
-    /// Leading trace requests used only to warm the shards (placed by the
-    /// affinity map, generated off-line by the large model, excluded from
-    /// all metrics including per-node routed counts).
-    pub warmup: usize,
-    /// Ignore arrival timestamps and keep every node saturated
-    /// (closed-loop admission, as in the paper's max-throughput runs).
-    pub saturate: bool,
-}
+/// RNG salt of fleet runs ("FLTR").
+const FLEET_SALT: u64 = 0x464C_5452;
 
 /// Closed-loop backlog depth per worker under saturation.
 const SATURATION_BACKLOG_PER_WORKER: usize = 2;
@@ -111,27 +102,23 @@ impl Fleet {
 
     /// Serves the trace with default options.
     pub fn run(&self, trace: &Trace) -> FleetReport {
-        self.run_with(trace, FleetRunOptions::default())
+        self.run_with(trace, RunOptions::default())
     }
 
-    /// Serves the trace with explicit options.
+    /// Serves the trace with explicit options, unobserved.
     ///
     /// # Panics
     ///
     /// Panics if `options.warmup >= trace.len()`.
-    pub fn run_with(&self, trace: &Trace, options: FleetRunOptions) -> FleetReport {
-        assert!(
-            options.warmup < trace.len(),
-            "warmup consumes the whole trace"
-        );
-        FleetRun::new(self, trace, options, None).execute()
+    pub fn run_with(&self, trace: &Trace, options: RunOptions) -> FleetReport {
+        self.run_observed(trace, options, None)
     }
 
     /// Serves the trace while streaming every
     /// [`SimEvent`](modm_core::events::SimEvent) — admissions, per-shard
     /// cache decisions, dispatches and completions, tagged with the node
-    /// that produced them — to `observer`. Identical results to
-    /// [`Fleet::run_with`]: observation never perturbs the simulation.
+    /// that produced them — to `observer`, if one is attached.
+    /// Observation never perturbs the simulation.
     ///
     /// # Panics
     ///
@@ -139,18 +126,16 @@ impl Fleet {
     pub fn run_observed(
         &self,
         trace: &Trace,
-        options: FleetRunOptions,
-        observer: &mut dyn Observer,
+        options: RunOptions,
+        observer: Option<&mut dyn Observer>,
     ) -> FleetReport {
-        assert!(
-            options.warmup < trace.len(),
-            "warmup consumes the whole trace"
-        );
-        FleetRun::new(self, trace, options, Some(observer)).execute()
+        FleetRun::new(self, trace, options, FLEET_SALT, observer).execute()
     }
 }
 
-struct FleetRun<'a> {
+/// One run of the fleet event loop: the fixed fleet's, and the
+/// single-node tier's as a fleet of one.
+pub(crate) struct FleetRun<'a, 'o> {
     config: &'a MoDMConfig,
     router: Router,
     nodes: Vec<ServingNode>,
@@ -170,28 +155,50 @@ struct FleetRun<'a> {
     arrivals_pending: usize,
     saturate: bool,
     next_admission: usize,
-    obs: Obs<'a, 'a>,
+    obs: Obs<'o, 'o>,
 }
 
-impl<'a> FleetRun<'a> {
-    fn new(fleet: &'a Fleet, trace: &Trace, options: FleetRunOptions, obs: Obs<'a, 'a>) -> Self {
+impl<'a, 'o> FleetRun<'a, 'o> {
+    /// Sets up a run whose RNG stream is salted by `salt`: each entry
+    /// point keeps its own, so its results stay seed-for-seed stable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.warmup >= trace.len()`.
+    pub(crate) fn new(
+        fleet: &'a Fleet,
+        trace: &Trace,
+        options: RunOptions,
+        salt: u64,
+        obs: Obs<'o, 'o>,
+    ) -> Self {
+        assert!(
+            options.warmup < trace.len(),
+            "warmup consumes the whole trace"
+        );
         let config = &fleet.node_config;
         let n_nodes = fleet.nodes();
         let space = SemanticSpace::default();
         let encoder = TextEncoder::new(space.clone());
         let quality_model = QualityModel::new(space, config.seed, trace.dataset().fid_floor());
         let sampler = Sampler::new(quality_model);
-        let mut rng = SimRng::seed_from(config.seed ^ 0x464C_5452); // "FLTR"
+        let mut rng = SimRng::seed_from(config.seed ^ salt);
         let mut router = fleet.router.clone();
         let mut cache = ShardedCache::new(n_nodes, config.cache_config());
 
         // Warm the shards off-line via the affinity placement map (not
         // `route`, which would count warmup traffic in the per-node routed
         // metrics — and, under LeastLoaded's uniform tie-break, pile every
-        // warmup image onto node 0).
+        // warmup image onto node 0). One node owns every cluster and a
+        // fixed fleet never changes membership, so there the map's leader
+        // scan is skipped.
         for req in trace.iter().take(options.warmup) {
             let emb = encoder.encode(&req.prompt);
-            let shard = router.shard_for(&emb);
+            let shard = if n_nodes == 1 {
+                0
+            } else {
+                router.shard_for(&emb)
+            };
             let img = sampler.generate_for(config.large_model, &emb, req.id, &mut rng);
             cache
                 .shard_mut(shard)
@@ -261,7 +268,7 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    fn execute(mut self) -> FleetReport {
+    pub(crate) fn execute(mut self) -> FleetReport {
         while let Some((now, event)) = self.events.pop() {
             match event {
                 Event::Arrival(i) => {
@@ -620,13 +627,8 @@ mod tests {
             .requests(260)
             .rate_per_min(2.0)
             .build();
-        let report = fleet(RoutingPolicy::CacheAffinity, 4).run_with(
-            &trace,
-            FleetRunOptions {
-                warmup: 60,
-                saturate: true,
-            },
-        );
+        let report =
+            fleet(RoutingPolicy::CacheAffinity, 4).run_with(&trace, RunOptions::saturated(60));
         assert_eq!(report.completed(), 200);
         // At 2 req/min the timed run would take 100 minutes; saturation
         // finishes far faster.
@@ -646,7 +648,7 @@ mod tests {
         ] {
             let report = fleet(policy, 4).run_with(
                 &trace,
-                FleetRunOptions {
+                RunOptions {
                     warmup: 60,
                     saturate: false,
                 },

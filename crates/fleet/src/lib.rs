@@ -1,9 +1,8 @@
 //! `modm-fleet` — multi-node sharded MoDM serving.
 //!
-//! The single-node `modm_core::ServingSystem` reproduces the paper's
-//! deployment: one cluster, one monolithic image cache. This crate scales
-//! that design out, simulating N serving nodes as one discrete-event
-//! system:
+//! The paper's deployment is one cluster with one monolithic image
+//! cache. This crate simulates N such serving nodes as one
+//! discrete-event system, and the paper's deployment as the case N = 1:
 //!
 //! * [`Router`] — the front-end, with pluggable [`RoutingPolicy`]s:
 //!   round-robin, least-loaded, and *cache-affinity* (consistent-hash of
@@ -20,6 +19,8 @@
 //!   the primitive under the two-region failover scenarios.
 //! * [`Fleet`] — N miniature MoDM deployments (workers, monitor, queues,
 //!   shard) interleaved on one virtual clock.
+//! * [`ServingSystem`] — the single-node tier: the same event loop over
+//!   a fleet of one, reporting that node's [`modm_core::ServingReport`].
 //! * [`FleetReport`] — per-node [`modm_core::ServingReport`]s plus the
 //!   fleet-wide latency/SLO/throughput/hit-rate aggregates.
 //!
@@ -46,11 +47,13 @@ pub mod report;
 pub mod ring;
 pub mod router;
 pub mod shard;
+pub mod system;
 
 pub use affinity::{LeaderVerdict, SemanticClusterer};
-pub use fleet::{Fleet, FleetRunOptions};
+pub use fleet::Fleet;
 pub use geo::{GeoError, GeoRouter};
 pub use report::{FleetReport, NodeReport};
 pub use ring::{HashRing, RingMembershipError};
 pub use router::{Router, RouterConfigError, RoutingConfig, RoutingPolicy};
 pub use shard::{HandoffReport, RebalanceReport, ShardSummary, ShardedCache};
+pub use system::ServingSystem;

@@ -10,7 +10,8 @@
 //! ```
 
 use modm::cluster::GpuKind;
-use modm::core::{MoDMConfig, ServingSystem};
+use modm::core::MoDMConfig;
+use modm::fleet::ServingSystem;
 use modm::workload::{RateSchedule, TraceBuilder};
 
 fn main() {

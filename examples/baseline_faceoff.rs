@@ -11,8 +11,9 @@
 use modm::baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm::cluster::GpuKind;
 use modm::core::report::ServingReport;
-use modm::core::{MoDMConfig, RunOptions, ServingSystem};
+use modm::core::{MoDMConfig, RunOptions};
 use modm::diffusion::ModelId;
+use modm::fleet::ServingSystem;
 use modm::workload::TraceBuilder;
 
 fn main() {

@@ -8,9 +8,10 @@
 
 use modm::baselines::VanillaSystem;
 use modm::cluster::GpuKind;
-use modm::core::{MoDMConfig, RunOptions, ServingSystem};
+use modm::core::{MoDMConfig, RunOptions};
 use modm::diffusion::{ModelId, QualityModel, Sampler};
 use modm::embedding::{SemanticSpace, TextEncoder};
+use modm::fleet::ServingSystem;
 use modm::metrics::{QualityAggregator, QualityRow};
 use modm::simkit::SimRng;
 use modm::workload::TraceBuilder;

@@ -6,7 +6,8 @@
 //! ```
 
 use modm::cluster::GpuKind;
-use modm::core::{MoDMConfig, ServingSystem};
+use modm::core::MoDMConfig;
+use modm::fleet::ServingSystem;
 use modm::workload::TraceBuilder;
 
 fn main() {

@@ -10,11 +10,13 @@
 //! * [`cache`] — image cache (FIFO/LRU/utility/S3-FIFO) and Nirvana's latent cache.
 //! * [`cluster`] — GPU workers, model switching and energy accounting.
 //! * [`metrics`] — CLIPScore, FID, IS, PickScore, latency/SLO/throughput.
-//! * [`core`] — the MoDM serving system (scheduler, global monitor, PID)
-//!   and the typed [`core::events`] stream.
+//! * [`core`] — the MoDM node (scheduler decision, global monitor, PID,
+//!   per-node serving step) and the typed [`core::events`] stream.
 //! * [`baselines`] — Vanilla, Nirvana and Pinecone baselines.
-//! * [`fleet`] — multi-node sharded serving: pluggable request routing and
-//!   a consistent-hash semantic cache.
+//! * [`fleet`] — the serving event loop: the single-node
+//!   [`fleet::ServingSystem`] (a fleet of one) and multi-node sharded
+//!   serving with pluggable request routing and a consistent-hash
+//!   semantic cache.
 //! * [`controlplane`] — elastic autoscaling above the fleet: node
 //!   lifecycle, cache handoff, fault injection.
 //! * [`deploy`] — **the front door**: one [`deploy::Deployment`] builder

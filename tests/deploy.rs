@@ -7,12 +7,13 @@ use modm::controlplane::{
     ElasticFleet, ElasticFleetConfig, FaultInjector, HoldAutoscaler, ScaleDecision,
     ScheduledAutoscaler,
 };
-use modm::core::{MoDMConfig, RunOptions, ServingSystem, TenancyPolicy, TenantShare};
+use modm::core::{MoDMConfig, RunOptions, TenancyPolicy, TenantShare};
 use modm::deploy::{
     DeployOptions, Deployment, EventLogObserver, LifecyclePlan, RunOutcome, ServingBackend,
     SimEvent, TierKind,
 };
-use modm::fleet::{Fleet, FleetRunOptions, Router, RoutingPolicy};
+use modm::fleet::ServingSystem;
+use modm::fleet::{Fleet, Router, RoutingPolicy};
 use modm::workload::{TenantId, Trace, TraceBuilder};
 
 /// Float tolerance for [`modm::deploy::Summary::approx_eq`] in the
@@ -83,7 +84,7 @@ fn fleet_deployment_matches_legacy_fleet() {
     let router = || Router::new(RoutingPolicy::CacheAffinity, 4);
     let legacy = Fleet::new(cfg.clone(), router()).run_with(
         &t,
-        FleetRunOptions {
+        RunOptions {
             warmup: 50,
             saturate: false,
         },

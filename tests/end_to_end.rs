@@ -3,8 +3,9 @@
 
 use modm::baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm::cluster::GpuKind;
-use modm::core::{MoDMConfig, RunOptions, ServingSystem};
+use modm::core::{MoDMConfig, RunOptions};
 use modm::diffusion::ModelId;
+use modm::fleet::ServingSystem;
 use modm::workload::{RateSchedule, TraceBuilder};
 
 const GPU: GpuKind = GpuKind::Mi210;

@@ -80,7 +80,7 @@ fn fleet_runs_are_deterministic() {
 fn affinity_hit_rate_tracks_the_monolith() {
     // Sharding with semantic affinity should recover most of the
     // monolithic cache's hit rate (same total GPUs and cache).
-    use modm::core::ServingSystem;
+    use modm::fleet::ServingSystem;
     let trace = TraceBuilder::diffusion_db(6)
         .requests(1_600)
         .rate_per_min(20.0)

@@ -996,7 +996,8 @@ fn fair_queue_gpu_cost_shares_track_charged_cost_within_tolerance() {
 #[test]
 fn serving_conserves_requests() {
     use modm::cluster::GpuKind;
-    use modm::core::{MoDMConfig, ServingSystem};
+    use modm::core::MoDMConfig;
+    use modm::fleet::ServingSystem;
     use modm::workload::TraceBuilder;
     let mut rng = SimRng::seed_from(109);
     for case in 0..12 {
