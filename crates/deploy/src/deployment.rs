@@ -273,6 +273,36 @@ impl Deployment {
              warmup/saturate apply to single and fleet tiers only"
         );
     }
+
+    /// The one run path behind both [`ServingBackend`] entry points.
+    fn serve(
+        &mut self,
+        trace: &Trace,
+        options: DeployOptions,
+        observer: Option<&mut dyn Observer>,
+    ) -> RunOutcome {
+        let gpus = self.node_config().num_gpus;
+        match &mut self.tier {
+            Tier::Single(system) => {
+                RunOutcome::from_single(system.run_observed(trace, options, observer), gpus)
+            }
+            Tier::Fleet(fleet) => {
+                RunOutcome::from_fleet(fleet.run_observed(trace, options, observer), gpus)
+            }
+            Tier::Elastic {
+                fleet,
+                scaler,
+                faults,
+            } => {
+                Self::assert_elastic_options(options);
+                let report = match observer {
+                    Some(observer) => fleet.run_observed(trace, scaler.as_mut(), faults, observer),
+                    None => fleet.run_with_faults(trace, scaler.as_mut(), faults),
+                };
+                RunOutcome::from_elastic(report, gpus)
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for Deployment {
@@ -304,38 +334,6 @@ impl ServingBackend for Deployment {
         observer: &mut dyn Observer,
     ) -> RunOutcome {
         self.serve(trace, options, Some(observer))
-    }
-}
-
-impl Deployment {
-    /// The one run path behind both [`ServingBackend`] entry points.
-    fn serve(
-        &mut self,
-        trace: &Trace,
-        options: DeployOptions,
-        observer: Option<&mut dyn Observer>,
-    ) -> RunOutcome {
-        let gpus = self.node_config().num_gpus;
-        match &mut self.tier {
-            Tier::Single(system) => {
-                RunOutcome::from_single(system.run_observed(trace, options, observer), gpus)
-            }
-            Tier::Fleet(fleet) => {
-                RunOutcome::from_fleet(fleet.run_observed(trace, options, observer), gpus)
-            }
-            Tier::Elastic {
-                fleet,
-                scaler,
-                faults,
-            } => {
-                Self::assert_elastic_options(options);
-                let report = match observer {
-                    Some(observer) => fleet.run_observed(trace, scaler.as_mut(), faults, observer),
-                    None => fleet.run_with_faults(trace, scaler.as_mut(), faults),
-                };
-                RunOutcome::from_elastic(report, gpus)
-            }
-        }
     }
 }
 
