@@ -218,10 +218,7 @@ mod tests {
             .requests(250)
             .rate_per_min(1.0)
             .build();
-        let opts = RunOptions {
-            warmup: 50,
-            saturate: true,
-        };
+        let opts = RunOptions::saturated(50);
         let mut nirvana = NirvanaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16, 2_000);
         let n = nirvana.run_with(&trace, opts);
         let mut vanilla = crate::VanillaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16);

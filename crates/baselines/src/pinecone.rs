@@ -199,10 +199,7 @@ mod tests {
             .requests(400)
             .rate_per_min(10.0)
             .build();
-        let opts = RunOptions {
-            warmup: 100,
-            saturate: true,
-        };
+        let opts = RunOptions::saturated(100);
         let mut pinecone = PineconeSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16, 2_000);
         let p = pinecone.run_with(&trace, opts);
         let mut vanilla = crate::VanillaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16);

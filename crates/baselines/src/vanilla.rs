@@ -110,13 +110,7 @@ mod tests {
             .rate_per_min(1.0)
             .build();
         let mut sys = VanillaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16);
-        let report = sys.run_with(
-            &trace,
-            RunOptions {
-                warmup: 0,
-                saturate: true,
-            },
-        );
+        let report = sys.run_with(&trace, RunOptions::saturated(0));
         let rpm = report.requests_per_minute();
         assert!((rpm - 10.0).abs() < 1.5, "rpm = {rpm}");
     }

@@ -55,10 +55,7 @@ fn main() {
         .requests(requests)
         .rate_per_min(10.0)
         .build();
-    let opts = RunOptions {
-        warmup: requests / 6,
-        saturate: true,
-    };
+    let opts = RunOptions::saturated(requests / 6);
     let served = (requests - requests / 6) as f64;
 
     let mut bench = Bench::new("end_to_end");

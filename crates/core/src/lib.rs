@@ -27,19 +27,35 @@
 //!
 //! # Quickstart
 //!
+//! The scheduler's decision on one node's cache:
+//!
 //! ```
-//! use modm_core::{k_decision, KDecision, MoDMConfig, RunOptions};
+//! use modm_cache::ImageCache;
 //! use modm_cluster::GpuKind;
+//! use modm_core::{route_against_cache, MoDMConfig, RouteKind};
+//! use modm_diffusion::{QualityModel, Sampler};
+//! use modm_embedding::{SemanticSpace, TextEncoder};
+//! use modm_simkit::{SimRng, SimTime};
 //!
 //! let config = MoDMConfig::builder()
 //!     .gpus(GpuKind::Mi210, 8)
 //!     .cache_capacity(500)
 //!     .build();
-//! assert_eq!(config.num_gpus, 8);
-//! // A near-duplicate prompt skips denoising steps; a distant one misses.
-//! assert!(matches!(k_decision(0.9), KDecision::Hit { .. }));
-//! assert_eq!(k_decision(0.1), KDecision::Miss);
-//! assert!(RunOptions::saturated(100).saturate);
+//! let space = SemanticSpace::default();
+//! let encoder = TextEncoder::new(space.clone());
+//! let sampler = Sampler::new(QualityModel::new(space, 3, 6.29));
+//! let mut cache = ImageCache::new(config.cache_config());
+//!
+//! let prompt = encoder.encode("ancient dragon soaring mountains dusk oil painting moody golden");
+//! // An empty cache sends the request to the large model...
+//! let route = route_against_cache(&mut cache, SimTime::ZERO, &prompt, config.threshold_shift);
+//! assert!(matches!(route, RouteKind::Miss));
+//! // ...and once its image is cached, the same prompt becomes a cheap
+//! // refinement that skips `k` denoising steps.
+//! let image = sampler.generate_for(config.large_model, &prompt, 0, &mut SimRng::seed_from(11));
+//! cache.insert(SimTime::ZERO, image);
+//! let route = route_against_cache(&mut cache, SimTime::ZERO, &prompt, config.threshold_shift);
+//! assert!(matches!(route, RouteKind::Hit { .. }));
 //! ```
 
 pub mod admission;

@@ -3,9 +3,10 @@
 //!
 //! The fleet event loop (`modm-fleet`, which also serves the single-node
 //! tier as a fleet of one) and the control-plane loop
-//! (`modm-controlplane`) advance a node the same way: enqueue a routed request, dispatch idle workers toward the
-//! monitor's desired assignment, record completions, and tick the global
-//! monitor once per period. [`ServingNode`] is that step extracted into
+//! (`modm-controlplane`) advance a node the same way: enqueue a routed
+//! request, dispatch idle workers toward the monitor's desired
+//! assignment, record completions, and tick the global monitor once per
+//! period. [`ServingNode`] is that step extracted into
 //! one component, so the loops cannot diverge.
 //! The host loop keeps what genuinely differs per deployment: the event
 //! queue, the cache a request is scheduled against, and fleet-wide

@@ -29,10 +29,7 @@ pub const SERVED: usize = 6_000;
 /// Saturated-run options with the standard warm-up (legacy entry point;
 /// new code takes [`deploy_opts`]).
 pub fn saturated() -> RunOptions {
-    RunOptions {
-        warmup: WARMUP,
-        saturate: true,
-    }
+    RunOptions::saturated(WARMUP)
 }
 
 /// Saturated deployment options with the standard warm-up.

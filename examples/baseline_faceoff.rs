@@ -21,10 +21,7 @@ fn main() {
         .requests(4_000)
         .rate_per_min(10.0)
         .build();
-    let opts = RunOptions {
-        warmup: 1_500,
-        saturate: true,
-    };
+    let opts = RunOptions::saturated(1_500);
     let (gpu, n) = (GpuKind::Mi210, 16);
     let cache = 10_000;
 

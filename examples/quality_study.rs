@@ -21,10 +21,7 @@ fn main() {
         .requests(3_000)
         .rate_per_min(10.0)
         .build();
-    let opts = RunOptions {
-        warmup: 1_000,
-        saturate: true,
-    };
+    let opts = RunOptions::saturated(1_000);
     let (gpu, n) = (GpuKind::Mi210, 16);
 
     // Ground truth for FID: the large model under an independent seed.

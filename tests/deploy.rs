@@ -63,13 +63,7 @@ fn single_deployment_matches_legacy_serving_system() {
 fn single_deployment_matches_legacy_under_warmup_and_saturation() {
     let cfg = node_config(8, 1_000);
     let t = trace(102, 400);
-    let legacy = ServingSystem::new(cfg.clone()).run_with(
-        &t,
-        RunOptions {
-            warmup: 100,
-            saturate: true,
-        },
-    );
+    let legacy = ServingSystem::new(cfg.clone()).run_with(&t, RunOptions::saturated(100));
     let mut unified = Deployment::single(cfg.clone()).run_with(&t, DeployOptions::saturated(100));
     assert!(unified.summary(2.0).approx_eq(
         &RunOutcome::from_single(legacy, cfg.num_gpus).summary(2.0),

@@ -13,10 +13,7 @@ const N: usize = 16;
 const CACHE: usize = 4_000;
 
 fn opts() -> RunOptions {
-    RunOptions {
-        warmup: 800,
-        saturate: true,
-    }
+    RunOptions::saturated(800)
 }
 
 fn trace(seed: u64) -> modm::workload::Trace {
