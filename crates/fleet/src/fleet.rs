@@ -189,16 +189,10 @@ impl<'a, 'o> FleetRun<'a, 'o> {
         // Warm the shards off-line via the affinity placement map (not
         // `route`, which would count warmup traffic in the per-node routed
         // metrics — and, under LeastLoaded's uniform tie-break, pile every
-        // warmup image onto node 0). One node owns every cluster and a
-        // fixed fleet never changes membership, so there the map's leader
-        // scan is skipped.
+        // warmup image onto node 0).
         for req in trace.iter().take(options.warmup) {
             let emb = encoder.encode(&req.prompt);
-            let shard = if n_nodes == 1 {
-                0
-            } else {
-                router.shard_for(&emb)
-            };
+            let shard = router.shard_for(&emb);
             let img = sampler.generate_for(config.large_model, &emb, req.id, &mut rng);
             cache
                 .shard_mut(shard)

@@ -331,6 +331,34 @@ mod tests {
     }
 
     #[test]
+    fn threshold_shift_tightens_hits() {
+        // The config's shift must reach the serving decision: raising
+        // every rung of the ladder by 0.08 puts even identical prompts
+        // (similarity ~0.29) below the hit threshold.
+        let trace = TraceBuilder::diffusion_db(3)
+            .requests(200)
+            .rate_per_min(10.0)
+            .build();
+        let config = |shift: f64| {
+            MoDMConfig::builder()
+                .gpus(GpuKind::Mi210, 16)
+                .cache_capacity(2_000)
+                .threshold_shift(shift)
+                .build()
+        };
+        let base = ServingSystem::new(config(0.0)).run(&trace);
+        let shifted = ServingSystem::new(config(0.08)).run(&trace);
+        assert!(base.hits > 0, "locality must hit without a shift");
+        assert!(
+            shifted.hits < base.hits,
+            "{} vs {}",
+            shifted.hits,
+            base.hits
+        );
+        assert_eq!(shifted.completed(), base.completed());
+    }
+
+    #[test]
     fn single_and_fleet_reject_whole_trace_warmup_alike() {
         // One loop, one input check: a warmup that leaves nothing to
         // serve panics with the same message on both static tiers.
