@@ -10,7 +10,10 @@
 //! and `tenancy`, plus the `trace` study's critical-path table (text,
 //! not JSON — the rendered attribution itself is the artifact). One
 //! more snapshot pins a single node under overload control, closed-loop
-//! and open-loop with warmup, next to a one-node fleet.
+//! and open-loop with warmup, next to a one-node fleet, and another pins
+//! the serving engine's multi-node paths under the same overload policy:
+//! a closed-loop hybrid-affinity fleet with warmup, and an elastic fleet
+//! that scales up, holds, scales down and survives a crash.
 //!
 //! When a change is *supposed* to move the numbers (new feature, fixed
 //! bug), regenerate the snapshots and review the diff like any other
@@ -22,9 +25,11 @@
 //! ```
 
 use modm::cluster::GpuKind;
+use modm::controlplane::{FaultInjector, ScaleDecision, ScheduledAutoscaler};
 use modm::core::{MoDMConfig, ServingReport, TenancyPolicy, TenantShare};
 use modm::deploy::{
-    summaries_to_json, DeployOptions, Deployment, EventLogObserver, ServingBackend, Summary,
+    summaries_to_json, DeployOptions, Deployment, EventLogObserver, LifecyclePlan, RunOutcome,
+    ServingBackend, Summary,
 };
 use modm::fleet::{Router, RoutingPolicy};
 use modm::simkit::SimDuration;
@@ -44,6 +49,9 @@ const TRACE_REQUESTS: usize = 400;
 const SINGLE_SEED: u64 = 5_150;
 const SINGLE_REQUESTS: usize = 600;
 const SINGLE_WARMUP: usize = 100;
+const ENGINE_SEED: u64 = 6_161;
+const ENGINE_REQUESTS: usize = 600;
+const ENGINE_WARMUP: usize = 100;
 
 fn golden_path(study: &str, seed: u64) -> String {
     format!(
@@ -163,11 +171,11 @@ fn scenarios_failover_table_matches_golden_snapshot() {
     );
 }
 
-/// One 4-GPU node under overload control: token buckets on two of the
-/// three tenants and a queue-time budget tight enough to shed.
-fn overloaded_node() -> MoDMConfig {
+/// One `gpus`-GPU node under overload control: token buckets on two of
+/// the three tenants and a queue-time budget tight enough to shed.
+fn overloaded_node(gpus: usize) -> MoDMConfig {
     MoDMConfig::builder()
-        .gpus(GpuKind::Mi210, 4)
+        .gpus(GpuKind::Mi210, gpus)
         .cache_capacity(300)
         .tenancy(
             TenancyPolicy::weighted_fair(vec![
@@ -182,10 +190,10 @@ fn overloaded_node() -> MoDMConfig {
         .build()
 }
 
-/// A three-tenant trace offered at about twice the node's capacity.
-fn overload_trace() -> Trace {
-    TraceBuilder::diffusion_db(SINGLE_SEED)
-        .requests(SINGLE_REQUESTS)
+/// A three-tenant trace offered at about twice a 4-GPU node's capacity.
+fn overload_trace(seed: u64, requests: usize) -> Trace {
+    TraceBuilder::diffusion_db(seed)
+        .requests(requests)
         .tenants(vec![
             TenantMix::new(TenantId(1), QosClass::Interactive, 3.0),
             TenantMix::new(TenantId(2), QosClass::Standard, 20.0),
@@ -213,16 +221,16 @@ fn report_extras(report: &ServingReport) -> String {
 /// cache-affinity fleet with warmup. Each run is two lines: its
 /// `Summary` JSON and the report fields the summary omits.
 fn single_closed_loop_rows(observe: bool) -> (String, Vec<Summary>) {
-    let trace = overload_trace();
+    let trace = overload_trace(SINGLE_SEED, SINGLE_REQUESTS);
     let runs = [
         (
             "single saturated",
-            Deployment::single(overloaded_node()),
+            Deployment::single(overloaded_node(4)),
             DeployOptions::saturated(SINGLE_WARMUP),
         ),
         (
             "single open-loop",
-            Deployment::single(overloaded_node()),
+            Deployment::single(overloaded_node(4)),
             DeployOptions {
                 warmup: SINGLE_WARMUP,
                 saturate: false,
@@ -231,7 +239,7 @@ fn single_closed_loop_rows(observe: bool) -> (String, Vec<Summary>) {
         (
             "fleet of one",
             Deployment::fleet(
-                overloaded_node(),
+                overloaded_node(4),
                 Router::new(RoutingPolicy::CacheAffinity, 1),
             ),
             DeployOptions::saturated(SINGLE_WARMUP),
@@ -270,4 +278,101 @@ fn single_closed_loop_matches_golden_snapshot() {
     let (observed, _) = single_closed_loop_rows(true);
     assert!(observed == rendered, "observation perturbed the runs");
     check_text("single_closed_loop", SINGLE_SEED, &rendered);
+}
+
+/// Runs `deployment` on `trace`, observed or not.
+fn serve(
+    deployment: &mut Deployment,
+    trace: &Trace,
+    options: DeployOptions,
+    observe: bool,
+) -> RunOutcome {
+    if observe {
+        let mut log = EventLogObserver::new();
+        deployment.run_observed(trace, options, &mut log)
+    } else {
+        deployment.run_with(trace, options)
+    }
+}
+
+/// Renders the engine snapshot: a closed-loop 4-node hybrid-affinity
+/// fleet with warmup, and an elastic fleet that scales up, holds, scales
+/// down and loses a node to a crash, both under the overload policy.
+/// Each run is its `Summary` JSON followed by the report fields the
+/// summary omits.
+fn engine_rows(observe: bool) -> (String, Vec<Summary>) {
+    let trace = overload_trace(ENGINE_SEED, ENGINE_REQUESTS);
+    let mut rendered = String::new();
+    let mut summaries = Vec::new();
+
+    let mut fleet = Deployment::fleet(
+        overloaded_node(2),
+        Router::new(RoutingPolicy::HybridAffinity, 4),
+    );
+    let mut outcome = serve(
+        &mut fleet,
+        &trace,
+        DeployOptions::saturated(ENGINE_WARMUP),
+        observe,
+    );
+    let summary = outcome.summary(2.0);
+    rendered.push_str(&summary.to_json("hybrid fleet saturated"));
+    rendered.push('\n');
+    let report = outcome.as_fleet().expect("a fleet outcome");
+    for node in &report.nodes {
+        rendered.push_str(&format!(
+            "node={} routed={} {}\n",
+            node.node,
+            node.routed,
+            report_extras(&node.report)
+        ));
+    }
+    let cache = &report.cache;
+    rendered.push_str(&format!(
+        "cache lookups={} hits={} insertions={} evictions={} len={} capacity={}\n",
+        cache.lookups, cache.hits, cache.insertions, cache.evictions, cache.len, cache.capacity
+    ));
+    summaries.push(summary);
+
+    let mut elastic = Deployment::elastic(
+        overloaded_node(4),
+        ScheduledAutoscaler::new(vec![
+            ScaleDecision::Up(1),
+            ScaleDecision::Hold,
+            ScaleDecision::Down(1),
+        ]),
+        LifecyclePlan::new(3, 2, 5),
+        FaultInjector::seeded(ENGINE_SEED, 6.0, 1, 3.0),
+    );
+    let mut outcome = serve(&mut elastic, &trace, DeployOptions::default(), observe);
+    let summary = outcome.summary(2.0);
+    rendered.push_str(&summary.to_json("elastic scripted crash"));
+    rendered.push('\n');
+    let report = outcome.as_elastic().expect("an elastic outcome");
+    // Each event's Debug form carries its node and its prewarm, handoff
+    // or crash counts.
+    for event in &report.events {
+        rendered.push_str(&format!("event at={:?} {:?}\n", event.at, event.kind));
+    }
+    rendered.push_str(&format!(
+        "windows={} routed_per_node={:?} gpu_hours_bits={:#018x}\n",
+        report.windows.len(),
+        report.routed_per_node,
+        report.gpu_hours.to_bits()
+    ));
+    summaries.push(summary);
+    (rendered, summaries)
+}
+
+#[test]
+fn engine_matches_golden_snapshot() {
+    let (rendered, summaries) = engine_rows(false);
+    for (summary, tier) in summaries.iter().zip(["fleet", "elastic"]) {
+        assert!(summary.rejected > 0, "{tier}: token buckets must refuse");
+        assert!(summary.shed > 0, "{tier}: the queue budget must shed");
+    }
+    assert!(rendered.contains(" Crash {"), "the fault must fire");
+    let (observed, _) = engine_rows(true);
+    assert!(observed == rendered, "observation perturbed the runs");
+    check_text("engine", ENGINE_SEED, &rendered);
 }
