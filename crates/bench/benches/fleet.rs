@@ -14,8 +14,9 @@
 
 use modm_bench::{write_json, Bench, Json};
 use modm_cluster::GpuKind;
+use modm_controlplane::Fleet;
 use modm_core::MoDMConfig;
-use modm_fleet::{Fleet, Router, RoutingPolicy};
+use modm_fleet::{Router, RoutingPolicy};
 use modm_workload::TraceBuilder;
 
 const NODES: usize = 8;

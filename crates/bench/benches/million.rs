@@ -22,9 +22,10 @@ use std::time::Instant;
 
 use modm_bench::{format_ns, write_json, Json};
 use modm_cluster::GpuKind;
+use modm_controlplane::Fleet;
 use modm_core::{MoDMConfig, RunOptions};
 use modm_embedding::IndexPolicy;
-use modm_fleet::{Fleet, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm_fleet::{RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
 use modm_workload::TraceBuilder;
 

@@ -17,10 +17,10 @@
 use modm_baselines::VanillaSystem;
 use modm_bench::{median_frac, write_json, Bench, Json};
 use modm_cluster::GpuKind;
+use modm_controlplane::ServingSystem;
 use modm_core::events::{Observer, SimEvent};
 use modm_core::{MoDMConfig, RunOptions};
 use modm_diffusion::ModelId;
-use modm_fleet::ServingSystem;
 use modm_simkit::SimTime;
 use modm_telemetry::{TelemetryConfig, TelemetryObserver};
 use modm_trace::{TraceConfig, TraceObserver};

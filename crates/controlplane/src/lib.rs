@@ -47,10 +47,13 @@
 
 pub mod autoscaler;
 pub mod elastic;
+mod engine;
 pub mod fault;
+pub mod fleet;
 pub mod lifecycle;
 pub mod region;
 pub mod report;
+pub mod system;
 
 pub use autoscaler::{
     Autoscaler, HoldAutoscaler, PredictiveAutoscaler, PredictiveConfig, ReactiveAutoscaler,
@@ -58,6 +61,8 @@ pub use autoscaler::{
 };
 pub use elastic::{ElasticConfigError, ElasticFleet, ElasticFleetConfig};
 pub use fault::FaultInjector;
+pub use fleet::Fleet;
 pub use lifecycle::{IllegalTransition, NodeLifecycle, NodeState};
 pub use region::{RegionLifecycle, RegionState, RegionTransitionError};
 pub use report::{ElasticReport, FleetEvent, FleetEventKind, WindowSample};
+pub use system::ServingSystem;

@@ -3,9 +3,9 @@
 //! cache.
 //!
 //! It runs as a fleet of one. Behind a one-node router every request
-//! reaches node 0, whose shard is the whole cache, so the [`Fleet`] event
-//! loop (arrivals, worker completions, monitor ticks) is exactly the
-//! single-node loop. Workers are never preempted; the monitor's
+//! reaches node 0, whose shard is the whole cache, so the serving
+//! engine's loop (arrivals, worker completions, monitor ticks) over a
+//! one-node [`Fleet`] is exactly the single-node loop. Workers are never preempted; the monitor's
 //! re-allocation takes effect as workers become idle, paying the
 //! model-load latency on switches — the same dynamics that make Fig 10's
 //! regime transitions gradual rather than instantaneous.
@@ -13,14 +13,14 @@
 use modm_core::config::{MoDMConfig, RunOptions};
 use modm_core::events::Observer;
 use modm_core::report::ServingReport;
+use modm_fleet::{Router, RoutingPolicy};
 use modm_workload::Trace;
 
-use crate::fleet::{Fleet, FleetRun};
-use crate::router::{Router, RoutingPolicy};
+use crate::fleet::Fleet;
 
-/// RNG salt of single-node runs ("RUN"). The fleet salts its runs
-/// differently; keeping both is what keeps each tier's results
-/// seed-for-seed stable.
+/// RNG salt of single-node runs ("RUN"). The fleet and elastic tiers
+/// salt their runs differently; keeping each is what keeps each tier's
+/// results seed-for-seed stable.
 const SINGLE_SALT: u64 = 0x52_554E;
 
 /// The MoDM serving system on one node.
@@ -32,7 +32,7 @@ const SINGLE_SALT: u64 = 0x52_554E;
 /// # Example
 ///
 /// ```
-/// use modm_fleet::ServingSystem;
+/// use modm_controlplane::ServingSystem;
 /// use modm_core::MoDMConfig;
 /// use modm_cluster::GpuKind;
 /// use modm_workload::TraceBuilder;
@@ -92,8 +92,7 @@ impl ServingSystem {
         options: RunOptions,
         observer: Option<&mut dyn Observer>,
     ) -> ServingReport {
-        let mut report =
-            FleetRun::new(&self.fleet, trace, options, SINGLE_SALT, observer).execute();
+        let mut report = self.fleet.serve(trace, options, SINGLE_SALT, observer);
         report.nodes.pop().expect("a fleet of one").report
     }
 }

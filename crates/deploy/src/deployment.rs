@@ -1,11 +1,12 @@
 //! The deployment builder and the one trait every tier serves through.
 
 use modm_controlplane::{
-    Autoscaler, ElasticConfigError, ElasticFleet, ElasticFleetConfig, FaultInjector,
+    Autoscaler, ElasticConfigError, ElasticFleet, ElasticFleetConfig, FaultInjector, Fleet,
+    ServingSystem,
 };
 use modm_core::events::Observer;
 use modm_core::{MoDMConfig, RunOptions};
-use modm_fleet::{Fleet, Router, RoutingPolicy, ServingSystem};
+use modm_fleet::{Router, RoutingPolicy};
 use modm_simkit::SimDuration;
 use modm_workload::Trace;
 

@@ -6,8 +6,8 @@
 //!   allocation at moderate load.
 
 use modm_cache::MaintenancePolicy;
+use modm_controlplane::ServingSystem;
 use modm_core::{MoDMConfig, ServingMode};
-use modm_fleet::ServingSystem;
 use modm_workload::TraceBuilder;
 
 use crate::common::{banner, db_trace, saturated, CACHE, CLUSTER};

@@ -7,8 +7,8 @@
 //! paper's cluster runs), not closed-loop.
 
 use modm_cluster::GpuKind;
+use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
-use modm_fleet::ServingSystem;
 use modm_workload::TraceBuilder;
 
 use crate::common::banner;

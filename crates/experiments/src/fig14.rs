@@ -2,10 +2,10 @@
 //! with FLUX as the large model, sweeping MoDM's runtime knobs.
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
+use modm_controlplane::ServingSystem;
 use modm_core::{AdmissionPolicy, MoDMConfig};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
-use modm_fleet::ServingSystem;
 use modm_metrics::QualityAggregator;
 use modm_simkit::SimRng;
 use modm_workload::Trace;

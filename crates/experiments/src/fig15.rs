@@ -2,8 +2,8 @@
 //! generation of its retrieved image — the temporal-locality evidence for
 //! FIFO maintenance.
 
+use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
-use modm_fleet::ServingSystem;
 use modm_simkit::Histogram;
 use modm_workload::TraceBuilder;
 

@@ -6,9 +6,9 @@
 //! running refinements on lower-power small models.
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
+use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
 use modm_diffusion::ModelId;
-use modm_fleet::ServingSystem;
 use modm_workload::TraceBuilder;
 
 use crate::common::{banner, CACHE, CLUSTER};

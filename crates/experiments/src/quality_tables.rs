@@ -3,11 +3,11 @@
 //! (MJHQ hit rates).
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
+use modm_controlplane::ServingSystem;
 use modm_core::report::ServingReport;
 use modm_core::{AdmissionPolicy, MoDMConfig};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
 use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
-use modm_fleet::ServingSystem;
 use modm_metrics::{QualityAggregator, QualityRow};
 use modm_simkit::SimRng;
 use modm_workload::{DatasetKind, Trace};

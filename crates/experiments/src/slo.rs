@@ -3,10 +3,10 @@
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
 use modm_cluster::GpuKind;
+use modm_controlplane::ServingSystem;
 use modm_core::report::ServingReport;
 use modm_core::MoDMConfig;
 use modm_diffusion::ModelId;
-use modm_fleet::ServingSystem;
 use modm_workload::TraceBuilder;
 
 use crate::common::banner;

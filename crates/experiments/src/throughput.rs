@@ -3,9 +3,9 @@
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
 use modm_cluster::GpuKind;
+use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
 use modm_diffusion::ModelId;
-use modm_fleet::ServingSystem;
 use modm_workload::{RateSchedule, TraceBuilder};
 
 use crate::common::{banner, db_trace, mjhq_trace, run_fig7_suite};

@@ -10,8 +10,8 @@
 //! ```
 
 use modm::cluster::GpuKind;
+use modm::controlplane::ServingSystem;
 use modm::core::MoDMConfig;
-use modm::fleet::ServingSystem;
 use modm::workload::{RateSchedule, TraceBuilder};
 
 fn main() {

@@ -10,10 +10,10 @@
 
 use modm::baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm::cluster::GpuKind;
+use modm::controlplane::ServingSystem;
 use modm::core::report::ServingReport;
 use modm::core::{MoDMConfig, RunOptions};
 use modm::diffusion::ModelId;
-use modm::fleet::ServingSystem;
 use modm::workload::TraceBuilder;
 
 fn main() {

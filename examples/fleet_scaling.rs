@@ -6,8 +6,9 @@
 //! ```
 
 use modm::cluster::GpuKind;
+use modm::controlplane::Fleet;
 use modm::core::MoDMConfig;
-use modm::fleet::{Fleet, Router, RoutingPolicy};
+use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::TraceBuilder;
 
 fn main() {

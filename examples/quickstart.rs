@@ -6,8 +6,8 @@
 //! ```
 
 use modm::cluster::GpuKind;
+use modm::controlplane::ServingSystem;
 use modm::core::MoDMConfig;
-use modm::fleet::ServingSystem;
 use modm::workload::TraceBuilder;
 
 fn main() {

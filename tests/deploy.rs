@@ -4,16 +4,15 @@
 
 use modm::cluster::GpuKind;
 use modm::controlplane::{
-    ElasticFleet, ElasticFleetConfig, FaultInjector, HoldAutoscaler, ScaleDecision,
-    ScheduledAutoscaler,
+    ElasticFleet, ElasticFleetConfig, FaultInjector, Fleet, HoldAutoscaler, ScaleDecision,
+    ScheduledAutoscaler, ServingSystem,
 };
 use modm::core::{MoDMConfig, RunOptions, TenancyPolicy, TenantShare};
 use modm::deploy::{
     DeployOptions, Deployment, EventLogObserver, LifecyclePlan, RunOutcome, ServingBackend,
     SimEvent, TierKind,
 };
-use modm::fleet::ServingSystem;
-use modm::fleet::{Fleet, Router, RoutingPolicy};
+use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::{TenantId, Trace, TraceBuilder};
 
 /// Float tolerance for [`modm::deploy::Summary::approx_eq`] in the

@@ -128,8 +128,9 @@ fn elastic_and_static_fleet_agree_on_workload_accounting() {
     // same trace with the same per-node shape; their hit rates must be in
     // the same regime (the harnesses differ only in bookkeeping details).
     use modm::cluster::GpuKind;
+    use modm::controlplane::Fleet;
     use modm::core::MoDMConfig;
-    use modm::fleet::{Fleet, Router, RoutingPolicy};
+    use modm::fleet::{Router, RoutingPolicy};
     use modm::workload::TraceBuilder;
 
     let trace = TraceBuilder::diffusion_db(77)

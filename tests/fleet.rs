@@ -2,8 +2,9 @@
 //! routing-policy claims must hold on full serving runs.
 
 use modm::cluster::GpuKind;
+use modm::controlplane::Fleet;
 use modm::core::MoDMConfig;
-use modm::fleet::{Fleet, FleetReport, Router, RoutingPolicy};
+use modm::fleet::{FleetReport, Router, RoutingPolicy};
 use modm::workload::TraceBuilder;
 
 /// Fleet-wide budget: 16 GPUs / 8k cache over 8 nodes.
@@ -80,7 +81,7 @@ fn fleet_runs_are_deterministic() {
 fn affinity_hit_rate_tracks_the_monolith() {
     // Sharding with semantic affinity should recover most of the
     // monolithic cache's hit rate (same total GPUs and cache).
-    use modm::fleet::ServingSystem;
+    use modm::controlplane::ServingSystem;
     let trace = TraceBuilder::diffusion_db(6)
         .requests(1_600)
         .rate_per_min(20.0)

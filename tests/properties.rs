@@ -996,8 +996,8 @@ fn fair_queue_gpu_cost_shares_track_charged_cost_within_tolerance() {
 #[test]
 fn serving_conserves_requests() {
     use modm::cluster::GpuKind;
+    use modm::controlplane::ServingSystem;
     use modm::core::MoDMConfig;
-    use modm::fleet::ServingSystem;
     use modm::workload::TraceBuilder;
     let mut rng = SimRng::seed_from(109);
     for case in 0..12 {
@@ -1025,8 +1025,9 @@ fn serving_conserves_requests() {
 #[test]
 fn fleet_conserves_requests_property() {
     use modm::cluster::GpuKind;
+    use modm::controlplane::Fleet;
     use modm::core::MoDMConfig;
-    use modm::fleet::{Fleet, Router, RoutingPolicy};
+    use modm::fleet::{Router, RoutingPolicy};
     use modm::workload::TraceBuilder;
     let mut rng = SimRng::seed_from(110);
     for case in 0..6 {

@@ -22,11 +22,11 @@ use std::collections::VecDeque;
 
 use modm::cache::IndexedList;
 use modm::cluster::GpuKind;
-use modm::controlplane::{FaultInjector, FleetEventKind};
+use modm::controlplane::{FaultInjector, Fleet, FleetEventKind};
 use modm::core::MoDMConfig;
 use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
 use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
-use modm::fleet::{Fleet, LeaderVerdict, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm::fleet::{LeaderVerdict, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
 use modm::workload::TraceBuilder;
