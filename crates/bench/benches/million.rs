@@ -7,9 +7,10 @@
 //! O(1) rebuild of the cache, event-queue and routing hot paths. This
 //! bench produces it and writes `BENCH_million.json`:
 //!
-//! * a **headline run** — unprofiled, timed once end to end (the run is
-//!   long enough that a single measurement is stable), reported as
-//!   `sim_requests_per_wall_sec`;
+//! * **headline runs** — unprofiled, `runs_k` of them timed end to end;
+//!   the median is reported as `sim_requests_per_wall_sec`, with the
+//!   fastest and slowest run as `wall_ms_min` / `wall_ms_max` so the
+//!   spread travels with the point;
 //! * a **profiled run** — identical configuration under a
 //!   [`modm_simkit::profile::Profiler`], reported as per-subsystem
 //!   `{calls, total_ms, ns_per_call, frac}` rows plus the
@@ -25,7 +26,7 @@ use modm_cluster::GpuKind;
 use modm_controlplane::Fleet;
 use modm_core::{MoDMConfig, RunOptions};
 use modm_embedding::IndexPolicy;
-use modm_fleet::{RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm_fleet::{FleetReport, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
 use modm_workload::TraceBuilder;
 
@@ -40,6 +41,8 @@ const CACHE_PER_NODE: usize = 128;
 /// trending pool clusters cleanly, small enough that the per-request
 /// leader lookup stays cheap.
 const MAX_LEADERS: usize = 512;
+/// Timed headline runs; the median is the headline.
+const RUNS_K: usize = 5;
 
 fn build_fleet(index_policy: IndexPolicy) -> Fleet {
     let node = MoDMConfig::builder()
@@ -87,16 +90,34 @@ fn main() {
         None
     };
 
-    // Headline: one unprofiled end-to-end run. At a million requests the
-    // run is long enough (seconds) that a single timing is stable.
-    let t0 = Instant::now();
-    let report = fleet.run_with(&trace, opts);
-    let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
+    // Headline: the median of `RUNS_K` unprofiled end-to-end runs. Runs
+    // are deterministic, so every one completes the same requests.
+    let mut walls_ns = Vec::with_capacity(RUNS_K);
+    let mut report: Option<FleetReport> = None;
+    for _ in 0..RUNS_K {
+        let t0 = Instant::now();
+        let run = fleet.run_with(&trace, opts);
+        walls_ns.push(t0.elapsed().as_secs_f64() * 1e9);
+        if let Some(previous) = &report {
+            assert_eq!(
+                previous.completed(),
+                run.completed(),
+                "runs are deterministic"
+            );
+        }
+        report = Some(run);
+    }
+    let report = report.expect("at least one headline run");
+    walls_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let wall_ns = walls_ns[RUNS_K / 2];
     let headline = report.completed() as f64 / (wall_ns / 1e9);
     println!(
-        "million/headline: {} requests in {} — {:.0} sim-requests/wall-sec (hit rate {:.3})",
+        "million/headline: {} requests in {} (median of {RUNS_K}; min {}, max {}) — \
+         {:.0} sim-requests/wall-sec (hit rate {:.3})",
         report.completed(),
         format_ns(wall_ns),
+        format_ns(walls_ns[0]),
+        format_ns(walls_ns[RUNS_K - 1]),
         headline,
         report.hit_rate()
     );
@@ -156,6 +177,9 @@ fn main() {
         ("completed".into(), Json::Num(report.completed() as f64)),
         ("hit_rate".into(), Json::Num(report.hit_rate())),
         ("wall_secs".into(), Json::Num(wall_ns / 1e9)),
+        ("wall_ms_min".into(), Json::Num(walls_ns[0] / 1e6)),
+        ("wall_ms_max".into(), Json::Num(walls_ns[RUNS_K - 1] / 1e6)),
+        ("runs_k".into(), Json::Num(RUNS_K as f64)),
         ("sim_requests_per_wall_sec".into(), Json::Num(headline)),
         ("top_subsystem".into(), Json::Str(top.label().into())),
         ("profile".into(), Json::Arr(rows)),

@@ -12,8 +12,8 @@
 //!   throughput-optimized allocations, smoothed by a [`pid`] controller,
 //!   plus the dynamic small-model escalation (SDXL -> SANA) of Fig 10.
 //! * [`node`] — the per-node serving step (queues, dispatch, monitor
-//!   window) shared by the event loops in `modm-fleet` (one node or many)
-//!   and `modm-controlplane`.
+//!   window) that `modm-controlplane`'s event loop runs on every node of
+//!   every tier.
 //! * [`admission`] — per-tenant token buckets enforced at the front of
 //!   that step: overload is refused up front instead of absorbed into
 //!   unbounded queues.
@@ -22,8 +22,10 @@
 //!   `modm-deploy` observer API.
 //!
 //! The discrete-event loop that ties these to GPU workers, the cache and
-//! the metrics lives in `modm-fleet`: `modm_fleet::ServingSystem` runs
-//! one node, `modm_fleet::Fleet` runs N of them on one clock.
+//! the metrics lives in `modm-controlplane`:
+//! `modm_controlplane::ServingSystem` runs one node,
+//! `modm_controlplane::Fleet` runs N of them on one clock, and
+//! `modm_controlplane::ElasticFleet` lets a control plane change N.
 //!
 //! # Quickstart
 //!

@@ -141,9 +141,9 @@ enum Tier {
 /// trace can be replayed through a single node, a sharded fleet, or an
 /// autoscaled elastic fleet, and the [`RunOutcome`]s compare through one
 /// accessor surface. A deployment is a thin, uniformly-shaped handle over
-/// two event loops: the fleet loop (`Fleet`, which also serves the single
-/// node as a fleet of one through `ServingSystem`) and the elastic
-/// control loop (`ElasticFleet`). The tests in `tests/deploy.rs` pin
+/// one event loop, `modm-controlplane`'s engine: `ElasticFleet` runs it
+/// with the control plane on, `Fleet` as an elastic fleet that holds, and
+/// `ServingSystem` as a fleet of one. The tests in `tests/deploy.rs` pin
 /// that each handle reproduces its per-tier entry point seed for seed.
 ///
 /// # Example

@@ -1,10 +1,10 @@
 //! `modm-deploy` — one deployment API across every serving tier.
 //!
-//! The reproduction grew three tiers — `modm_fleet::ServingSystem` (one
-//! node), `modm_fleet::Fleet` (a sharded fleet) and
+//! The reproduction grew three tiers — `modm_controlplane::ServingSystem`
+//! (one node), `modm_controlplane::Fleet` (a sharded fleet) and
 //! `modm_controlplane::ElasticFleet` (an autoscaled fleet) — each with its
-//! own constructor, run entry point and report type. This crate redesigns
-//! the public surface around three pieces:
+//! own constructor, run entry point and report type, all over one event
+//! loop. This crate redesigns the public surface around three pieces:
 //!
 //! * [`Deployment`] — one builder for every tier:
 //!   [`Deployment::single`], [`Deployment::fleet`],
@@ -19,7 +19,7 @@
 //! * The typed observer API — an [`Observer`] receives every
 //!   [`SimEvent`] (admitted, cache hit/miss, dispatched, completed,
 //!   scale-up/down, crash/recover) emitted from the shared
-//!   `modm_core::node::ServingNode` step and the control loops, with
+//!   `modm_core::node::ServingNode` step and the control loop, with
 //!   built-in observers for latency histograms
 //!   ([`LatencyHistogramObserver`]), event-log capture
 //!   ([`EventLogObserver`]) and CSV/JSON trace export

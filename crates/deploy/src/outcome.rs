@@ -22,9 +22,9 @@ use crate::scenario_report::{RegionSlice, ScenarioReport};
 /// Which serving tier produced an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TierKind {
-    /// One MoDM node with a monolithic cache (`modm_fleet::ServingSystem`).
+    /// One MoDM node with a monolithic cache (`modm_controlplane::ServingSystem`).
     Single,
-    /// A fixed fleet of nodes behind a router (`modm_fleet::Fleet`).
+    /// A fixed fleet of nodes behind a router (`modm_controlplane::Fleet`).
     Fleet,
     /// An autoscaled fleet under a control plane
     /// (`modm_controlplane::ElasticFleet`).

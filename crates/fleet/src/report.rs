@@ -20,7 +20,8 @@ pub struct NodeReport {
     pub report: ServingReport,
 }
 
-/// Everything measured during a [`crate::Fleet`] run.
+/// Everything measured during a fixed-fleet run
+/// (`modm_controlplane::Fleet`, and the single node as a fleet of one).
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// The routing policy the run used.
