@@ -1,9 +1,24 @@
-//! `modm-controlplane` — the elastic control plane above `modm-fleet`.
+//! `modm-controlplane` — the serving engine and the elastic control
+//! plane above it.
 //!
-//! `modm-fleet` serves a trace on a *fixed* set of nodes. In production,
-//! capacity itself is a control variable: diurnal load, bursts and
-//! failures all change how many nodes should exist. This crate drives the
-//! fleet through time:
+//! One discrete-event loop serves every tier. In production, capacity
+//! itself is a control variable: diurnal load, bursts and failures all
+//! change how many nodes should exist. The engine drives a fleet of
+//! [`modm_core::node::ServingNode`]s behind a `modm_fleet::Router`
+//! through time, and a fixed node count is the case where the control
+//! plane holds:
+//!
+//! * [`ElasticFleet`] — the control plane switched on: an autoscaler,
+//!   node lifecycles, cache handoff and injected faults.
+//! * [`Fleet`] — a fixed fleet: an elastic fleet under
+//!   [`HoldAutoscaler`] with no faults and `min = initial = max` nodes,
+//!   routed by the caller's router template.
+//! * [`ServingSystem`] — the paper's single-node deployment: a [`Fleet`]
+//!   of one.
+//!
+//! Each entry point salts the run's RNG with its own private constant,
+//! so every tier's results stay seed-for-seed stable. The control-plane
+//! pieces:
 //!
 //! * [`Autoscaler`] — the scaling policy interface, with
 //!   [`ReactiveAutoscaler`] (queue-depth/SLO hysteresis),
@@ -18,9 +33,6 @@
 //!   scale-down does not torch the fleet's hit rate.
 //! * [`FaultInjector`] — seeded node crashes and recovery, for measuring
 //!   hit-rate/SLO recovery after shard loss.
-//! * [`ElasticFleet`] — the discrete-event loop tying it together, built
-//!   on the same [`modm_core::node::ServingNode`] per-node step as the
-//!   single-node and fixed-fleet simulations.
 //!
 //! # Example: a scripted 4 → 6 → 4 run
 //!
