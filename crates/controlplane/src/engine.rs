@@ -79,11 +79,11 @@ pub(crate) struct ElasticRun<'a, 'o> {
     config: &'a ElasticFleetConfig,
     scaler: &'a mut dyn Autoscaler,
     faults: &'a FaultInjector,
-    /// The serving phase: the trace past its warmup.
+    /// The serving phase: the trace past its warmup, re-based to start at
+    /// time zero.
     requests: &'a [Request],
-    /// Arrival of the first serving request; arrivals re-base to zero.
-    base: SimTime,
-    /// Closed-loop saturation: every request arrives at time zero.
+    /// Closed-loop saturation: every request counts as arriving at time
+    /// zero, whenever the loop admits it.
     saturate: bool,
     /// The next request the closed loop admits (`requests.len()` in an
     /// open loop, where every arrival is scheduled up front).
@@ -222,7 +222,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             scaler,
             faults,
             requests,
-            base,
             saturate: options.saturate,
             next_admission,
             encoder,
@@ -274,11 +273,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 Event::Arrival(i) => {
                     let requests = self.requests;
                     let request = &requests[i];
-                    let arrival = if self.saturate {
-                        SimTime::ZERO
-                    } else {
-                        SimTime::ZERO + request.arrival.saturating_since(self.base)
-                    };
+                    // An open-loop arrival fires at its re-based time.
+                    let arrival = if self.saturate { SimTime::ZERO } else { now };
                     let embedding = self.encoder.encode(&request.prompt);
                     let node = self.route_to_node(
                         now,
