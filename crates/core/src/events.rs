@@ -1,8 +1,8 @@
 //! The typed event stream of a serving run.
 //!
 //! Every event loop that hosts a [`crate::node::ServingNode`] — the
-//! single node and the fixed fleet in `modm-fleet`, and the elastic
-//! fleet in `modm-controlplane` — can narrate its run to
+//! serving engine in `modm-controlplane`, behind the single node, the
+//! fixed fleet and the elastic fleet — can narrate its run to
 //! an [`Observer`]: one [`SimEvent`] per admission, cache decision,
 //! dispatch and completion, plus the control-plane transitions
 //! (scale-up/down, crash, recovery) where a control loop exists.

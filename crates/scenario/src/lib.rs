@@ -1,7 +1,7 @@
 //! `modm-scenario` — adversarial workload scenarios over the deployment
 //! stack.
 //!
-//! The open-loop tiers (`modm-fleet`, `modm-controlplane`) replay a trace
+//! The open-loop tiers (`modm-controlplane`'s engine) replay a trace
 //! and drop whatever the system refuses. That measures capacity; it says
 //! nothing about *overload dynamics* — what happens when rejected clients
 //! come back, one tenant goes viral, the tenant set churns mid-run, or a

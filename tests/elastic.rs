@@ -123,10 +123,10 @@ fn crash_recovery_restores_the_hit_rate() {
 
 #[test]
 fn elastic_and_static_fleet_agree_on_workload_accounting() {
-    // Cross-check the two multi-node harnesses: an ElasticFleet that never
-    // scales and a modm-fleet Fleet over the same node count serve the
-    // same trace with the same per-node shape; their hit rates must be in
-    // the same regime (the harnesses differ only in bookkeeping details).
+    // Cross-check the two multi-node entry points: an ElasticFleet that
+    // never scales and a Fleet over the same node count serve the same
+    // trace with the same per-node shape; their hit rates must be in the
+    // same regime (the entry points differ in RNG salt and router).
     use modm::cluster::GpuKind;
     use modm::controlplane::Fleet;
     use modm::core::MoDMConfig;
