@@ -409,19 +409,25 @@ impl NaiveFlatIndex {
             .position(|s| s.as_ref().is_some_and(|(k, _)| *k == key))
     }
 
-    fn scored(&self, q: &Embedding) -> Vec<(u64, f64)> {
+    /// Every live row's serial dot with `q`, unclamped, in slot order.
+    fn raw_scored(&self, q: &Embedding) -> Vec<(u64, f64)> {
         self.slots
             .iter()
             .flatten()
-            .map(|(key, row)| {
-                let dot = q
-                    .as_slice()
-                    .iter()
-                    .zip(row)
-                    .fold(0.0, |acc, (x, y)| acc + x * y);
-                (*key, dot.clamp(-1.0, 1.0))
-            })
+            .map(|(key, row)| (*key, serial_dot(q.as_slice(), row)))
             .collect()
+    }
+
+    fn scored(&self, q: &Embedding) -> Vec<(u64, f64)> {
+        self.raw_scored(q)
+            .into_iter()
+            .map(|(key, dot)| (key, dot.clamp(-1.0, 1.0)))
+            .collect()
+    }
+
+    fn row_of(&self, key: u64) -> Option<Vec<f64>> {
+        let slot = self.slot_of(key)?;
+        self.slots[slot].as_ref().map(|(_, row)| row.clone())
     }
 
     fn nearest(&self, q: &Embedding) -> Option<(u64, f64)> {
@@ -442,33 +448,116 @@ impl NaiveFlatIndex {
     }
 }
 
+fn serial_dot(q: &[f64], row: &[f64]) -> f64 {
+    q.iter().zip(row).fold(0.0, |acc, (x, y)| acc + x * y)
+}
+
+/// `e` with component `d` moved by `steps` ulps (of f32 when `wide`, of
+/// f64 otherwise), renormalized: a row whose score against any query is
+/// within a few f32 ulps of `e`'s.
+fn nudged(e: &Embedding, d: usize, steps: i32, wide: bool) -> Embedding {
+    let mut v = e.as_slice().to_vec();
+    for _ in 0..steps.abs() {
+        v[d] = if wide {
+            let x = v[d] as f32;
+            f64::from(if steps > 0 {
+                x.next_up()
+            } else {
+                x.next_down()
+            })
+        } else if steps > 0 {
+            v[d].next_up()
+        } else {
+            v[d].next_down()
+        };
+    }
+    Embedding::from_vec(v)
+}
+
 /// Neighbors as `(key, similarity bits)`, so a one-ulp drift fails.
 fn bits(hits: impl IntoIterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
     hits.into_iter().map(|(k, s)| (k, s.to_bits())).collect()
 }
 
+/// The f32 screen's error bound for unit rows, `(dim + 4) * f32::EPSILON`:
+/// scores closer than this are near-ties only the f64 re-score can order.
+fn screen_bound(dim: usize) -> f64 {
+    (dim + 4) as f64 * f64::from(f32::EPSILON)
+}
+
 #[test]
 fn flat_index_matches_serial_slot_order_reference() {
     for seed in sweep_seeds() {
+        // Edge cases the sweep must reach (summed over dims), so the
+        // comparison covers them rather than hoping to.
+        let mut clamped_ties = 0usize;
+        let mut near_ties = 0usize;
+        let mut zero_ties = 0usize;
+        let mut stale_would_win = 0usize;
         for dim in [2, 16, 64] {
             let mut rng = SimRng::seed_from(seed.wrapping_mul(0x1D_E7) ^ dim as u64);
             let mut index: EmbeddingIndex<u64> = EmbeddingIndex::new();
             let mut model = NaiveFlatIndex::default();
             // A small palette of rows, reused on purpose: duplicate rows
-            // tie exactly, where only slot order decides the winner.
+            // tie exactly, where only slot order decides the winner. Each
+            // row's serial dot with itself rounds above 1.0, so a palette
+            // query against its copies yields clamped ties at 1.0.
             let palette: Vec<Embedding> = (0..6)
-                .map(|_| Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect()))
+                .map(|_| {
+                    (0..10_000)
+                        .map(|_| {
+                            Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect())
+                        })
+                        .find(|e| serial_dot(e.as_slice(), e.as_slice()) > 1.0)
+                        .expect("some unit row's self-dot rounds above 1.0")
+                })
                 .collect();
             let fresh = |rng: &mut SimRng| {
-                if rng.chance(0.3) {
-                    palette[rng.index(palette.len())].clone()
-                } else {
-                    Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect())
+                let p = &palette[rng.index(palette.len())];
+                match rng.index(20) {
+                    0..=5 => p.clone(),
+                    // 1-4 ulps off a palette row in one component: f64
+                    // scores within the screen's bound of the original's.
+                    6..=8 => nudged(p, rng.index(dim), 1 + rng.index(4) as i32, true),
+                    9..=11 => nudged(p, rng.index(dim), -1 - rng.index(4) as i32, false),
+                    12 => Embedding::from_vec(vec![0.0; dim]),
+                    _ => Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect()),
+                }
+            };
+            let mut check = |index: &EmbeddingIndex<u64>,
+                             model: &NaiveFlatIndex,
+                             q: &Embedding,
+                             k: usize,
+                             ctx: &str| {
+                assert_eq!(
+                    bits(index.nearest(q).map(|n| (n.key, n.similarity))),
+                    bits(model.nearest(q)),
+                    "{ctx}: nearest"
+                );
+                assert_eq!(
+                    bits(index.top_k(q, k).iter().map(|n| (n.key, n.similarity))),
+                    bits(model.top_k(q, k)),
+                    "{ctx}: top_{k}"
+                );
+                let raw = model.raw_scored(q);
+                if raw.iter().filter(|(_, d)| *d > 1.0).count() > 1 {
+                    clamped_ties += 1;
+                }
+                let mut sims: Vec<f64> = raw.iter().map(|(_, d)| d.clamp(-1.0, 1.0)).collect();
+                sims.sort_by(|a, b| b.partial_cmp(a).expect("NaN sim"));
+                if let [a, b, ..] = sims[..] {
+                    if a > b && a - b < screen_bound(dim) {
+                        near_ties += 1;
+                    }
+                }
+                if sims.first() == Some(&0.0) && sims.get(1) == Some(&0.0) {
+                    zero_ties += 1;
                 }
             };
             let mut next_key = 0u64;
             let mut live: Vec<u64> = Vec::new();
             for step in 0..1_500 {
+                let ctx = format!("seed {seed}, dim {dim}, step {step}");
                 match rng.index(10) {
                     0..=3 => {
                         let e = fresh(&mut rng);
@@ -492,36 +581,68 @@ fn flat_index_matches_serial_slot_order_reference() {
                         } else {
                             next_key + 1
                         };
-                        assert_eq!(index.remove(&key), model.remove(key), "step {step}");
+                        let stale = model.row_of(key);
+                        assert_eq!(index.remove(&key), model.remove(key), "{ctx}");
+                        // Probe with the removed row itself: its stale
+                        // values stay in the slot and would win if scored.
+                        if let Some(row) = stale {
+                            let q = Embedding::from_vec(row.clone());
+                            let best = model.nearest(&q).map_or(f64::NEG_INFINITY, |(_, s)| s);
+                            if serial_dot(q.as_slice(), &row).clamp(-1.0, 1.0) > best {
+                                stale_would_win += 1;
+                            }
+                            check(&index, &model, &q, 1, &format!("{ctx}: stale"));
+                        }
                     }
                     _ => {
-                        let q = if rng.chance(0.5) {
-                            palette[rng.index(palette.len())].clone()
-                        } else {
-                            fresh(&mut rng)
+                        let q = match rng.index(10) {
+                            0..=4 => palette[rng.index(palette.len())].clone(),
+                            // Negated: palette copies score at or past -1.
+                            5 => Embedding::from_vec(
+                                palette[rng.index(palette.len())]
+                                    .as_slice()
+                                    .iter()
+                                    .map(|x| -x)
+                                    .collect(),
+                            ),
+                            // Zero: every row scores 0.0 and the first
+                            // live slot wins.
+                            6 => Embedding::from_vec(vec![0.0; dim]),
+                            _ => fresh(&mut rng),
                         };
-                        let ctx = format!("seed {seed}, dim {dim}, step {step}");
-                        assert_eq!(
-                            bits(index.nearest(&q).map(|n| (n.key, n.similarity))),
-                            bits(model.nearest(&q)),
-                            "{ctx}: nearest"
-                        );
                         let k = 1 + rng.index(12);
-                        assert_eq!(
-                            bits(index.top_k(&q, k).iter().map(|n| (n.key, n.similarity))),
-                            bits(model.top_k(&q, k)),
-                            "{ctx}: top_{k}"
-                        );
+                        check(&index, &model, &q, k, &ctx);
                     }
                 }
                 assert_eq!(index.len(), live.len(), "step {step}");
             }
+            // Grow to a partial block of both the f64 (8-lane) and the
+            // f32 (16-lane) layout, so the padding lanes are exercised.
+            while model.slots.len().is_multiple_of(8) {
+                let e = fresh(&mut rng);
+                index.insert(next_key, e.clone());
+                model.insert(next_key, &e);
+                next_key += 1;
+            }
+            let q = palette[rng.index(palette.len())].clone();
+            check(
+                &index,
+                &model,
+                &q,
+                12,
+                &format!("seed {seed}, dim {dim}: end"),
+            );
             assert!(
                 !model.slots.len().is_multiple_of(8),
                 "seed {seed}, dim {dim}: end on a partial block ({} slots)",
                 model.slots.len()
             );
         }
+        assert!(
+            clamped_ties > 0 && near_ties > 0 && zero_ties > 0 && stale_would_win > 0,
+            "seed {seed}: {clamped_ties} clamped ties, {near_ties} near-ties, \
+             {zero_ties} ties at 0.0, {stale_would_win} stale rows that would win"
+        );
     }
 }
 
