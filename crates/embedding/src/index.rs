@@ -5,17 +5,21 @@
 //! vectors reproduces that cost profile in simulation and keeps results
 //! exact; removals (FIFO eviction) are O(1) via slot recycling.
 //!
-//! The rows are stored lane-blocked ([`LaneRows`]): eight slots share a
-//! block, component-major, so the scan scores eight entries at once with
-//! independent accumulators. Every similarity is still the f64 a serial
-//! dot product of the query against the row produces (folded from `0.0`
-//! in component order, then clamped to `[-1, 1]`), and live slots are
-//! still compared in slot order, so results match a row-at-a-time scan
-//! bit for bit.
+//! Every row is stored twice, lane-blocked ([`ScreenedRows`]): in f64,
+//! eight slots per block, and in f32, sixteen slots per block.
+//! [`EmbeddingIndex::nearest`] screens every live row in f32, which reads
+//! half the bytes, then re-scores in f64, in slot order, only the rows
+//! whose f32 score lies within twice a proven error bound of the f32
+//! maximum (usually just the winner). The best row in f64 is always among
+//! them, so the answer is the one a full f64 scan gives: every similarity
+//! is the f64 a serial dot product of the query against the row produces
+//! (folded from `0.0` in component order, then clamped to `[-1, 1]`), and
+//! the first strict maximum in slot order wins, bit for bit.
+//! [`EmbeddingIndex::top_k`] scans the f64 rows in full.
 
 use std::collections::HashMap;
 
-use modm_numerics::lanes::{LaneRows, LANES};
+use modm_numerics::lanes::{ScreenedRows, LANES};
 
 use crate::space::Embedding;
 
@@ -47,11 +51,11 @@ pub struct Neighbor<K> {
 pub struct EmbeddingIndex<K> {
     /// Key per slot; `None` marks a removed slot awaiting reuse.
     keys: Vec<Option<K>>,
-    /// Slot-parallel rows, lane-blocked so the scan in
-    /// [`EmbeddingIndex::nearest`] scores eight slots per pass. Rows of
-    /// removed slots keep their stale values (skipped via `keys`) until
-    /// recycled; the row length is learned from the first insert.
-    rows: LaneRows,
+    /// Slot-parallel rows in f64 and f32, lane-blocked so the scans score
+    /// eight (f64) or sixteen (f32) slots per pass. Rows of removed slots
+    /// keep their stale values (skipped via `keys`) until recycled; the
+    /// row length is learned from the first insert.
+    rows: ScreenedRows,
     free_slots: Vec<usize>,
     by_key: HashMap<K, usize>,
     live: usize,
@@ -68,7 +72,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     pub fn new() -> Self {
         EmbeddingIndex {
             keys: Vec::new(),
-            rows: LaneRows::new(),
+            rows: ScreenedRows::new(),
             free_slots: Vec::new(),
             by_key: HashMap::new(),
             live: 0,
@@ -126,11 +130,13 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
         self.by_key.contains_key(key)
     }
 
-    /// Every live entry scored against `query`, in slot order. Stored
-    /// embeddings and queries are unit vectors ([`Embedding::from_vec`]
-    /// normalizes), so each clamped dot product is their cosine.
+    /// Every live entry scored against `query` in f64, in slot order.
+    /// Stored embeddings and queries are unit vectors
+    /// ([`Embedding::from_vec`] normalizes), so each clamped dot product
+    /// is their cosine.
     fn scored<'a>(&'a self, query: &'a Embedding) -> impl Iterator<Item = Neighbor<K>> + 'a {
         self.rows
+            .exact()
             .block_dots(query.as_slice(), 0.0)
             .zip(self.keys.chunks(LANES))
             .flat_map(|(dots, keys)| {
@@ -146,16 +152,38 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// The single most similar entry to `query`, if any entry is live. Ties
     /// go to the lowest slot.
     ///
+    /// Screens in f32 and re-scores the leaders in f64
+    /// ([`ScreenedRows::nearest`]); the result is bit-identical to taking
+    /// the first strict maximum of a full f64 scan, which debug builds
+    /// check on every call.
+    ///
     /// # Panics
     ///
     /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        let mut best: Option<Neighbor<K>> = None;
-        for hit in self.scored(query) {
-            if best.is_none_or(|b| hit.similarity > b.similarity) {
-                best = Some(hit);
-            }
-        }
+        let best = self
+            .rows
+            .nearest(query.as_slice(), self.keys.iter().map(Option::is_some))
+            .map(|(slot, similarity)| Neighbor {
+                key: self.keys[slot].expect("the screen answers live slots"),
+                similarity,
+            });
+        debug_assert!(
+            {
+                let full = self
+                    .scored(query)
+                    .fold(None, |best: Option<Neighbor<K>>, hit| {
+                        if best.is_none_or(|b| hit.similarity > b.similarity) {
+                            Some(hit)
+                        } else {
+                            best
+                        }
+                    });
+                let bits = |n: Option<Neighbor<K>>| n.map(|n| (n.key, n.similarity.to_bits()));
+                bits(best) == bits(full)
+            },
+            "the f32 screen changed the answer of the full f64 scan"
+        );
         best
     }
 

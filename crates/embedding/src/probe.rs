@@ -6,9 +6,10 @@
 //! Every structure serving that primitive has exactly two backends, chosen
 //! by [`IndexPolicy`]:
 //!
-//! * `Exact` — the lane-blocked f64 scan:
-//!   [`EmbeddingIndex`](crate::EmbeddingIndex) for caches and the
-//!   clusterer's own leader table for affinity routing.
+//! * `Exact` — lane-blocked scans with f64 answers:
+//!   [`EmbeddingIndex`](crate::EmbeddingIndex) for caches (an f32 screen,
+//!   then an f64 re-score of the rows near the top) and the clusterer's
+//!   own f64 leader table for affinity routing.
 //! * `Approx` — the f32 backends in this module: [`InvertedIndex`] for
 //!   caches (with [`InvertedIndex::nearest_with_floor`]'s verify-on-miss
 //!   fallback keeping hit/miss verdicts exact to f32 precision) and

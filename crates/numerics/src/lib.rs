@@ -6,7 +6,9 @@
 //! vectors, symmetric matrices, a Jacobi eigensolver, the PSD matrix square
 //! root, running Gaussian moment estimation and the Fréchet distance itself —
 //! with no external dependencies. It also holds the exact lane-blocked
-//! dot-product kernel ([`lanes`]) behind the flat similarity scans.
+//! dot-product kernel ([`lanes`]) behind the flat similarity scans, and
+//! the f32 screen that lets the exact nearest-row search read half the
+//! bytes.
 //!
 //! # Example: FID between two feature sets
 //!
