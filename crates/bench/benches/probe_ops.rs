@@ -1,7 +1,7 @@
 //! Similarity-probe micro-costs: the per-operation prices behind the
 //! million-request headline, measured per backend.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `cache_retrieve` — `ImageCache::retrieve` on a full 128-entry shard
 //!   (the fleet's per-node slice), hit and miss mixes, exact flat scan
@@ -21,6 +21,9 @@
 //!   `prewarm/verdict` with `Router::shard_for_image` (only leaders
 //!   minted since the entry's last placement). Each cycle also mints a
 //!   few leaders, as live traffic does between scale events.
+//!
+//! Pass `--smoke` (CI does) to take one sample per case instead of five:
+//! every case still runs and prints its price, which nothing gates on.
 
 use modm_bench::Bench;
 use modm_cache::{CacheConfig, ImageCache};
@@ -47,7 +50,8 @@ fn main() {
         .map(|i| text.encode(&format!("unrelated basalt {i} moonlit harbor")))
         .collect();
 
-    let mut bench = Bench::new("probe_ops");
+    let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
+    let mut bench = Bench::new("probe_ops").with_samples(if smoke { 1 } else { 5 });
     for (name, policy) in [
         ("exact", IndexPolicy::Exact),
         ("approx", IndexPolicy::Approx),

@@ -8,6 +8,10 @@
 //! hit rate, retry amplification) into `BENCH_scenarios.json`, so the
 //! repo's performance trajectory tracks the closed loop over time.
 //!
+//! Each scenario's wall time is the median of `runs_k` timed samples
+//! (each the mean of several back-to-back runs), recorded with the
+//! fastest and slowest sample so the spread travels with the point.
+//!
 //! Pass `--smoke` (CI does) for a short-sample run that still exercises
 //! every scenario and writes the JSON.
 
@@ -17,7 +21,7 @@ use modm_scenario::{RetryPolicy, Scenario};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
-    let sample_secs = if smoke { 0.05 } else { 0.5 };
+    let (sample_secs, samples) = if smoke { (0.05, 3) } else { (0.5, 9) };
 
     let cases: Vec<(&str, Scenario)> = vec![
         (
@@ -31,13 +35,16 @@ fn main() {
         ("failover/loss", failover_scenario_for(STUDY_SEED, true)),
     ];
 
-    let mut bench = Bench::new("scenarios").with_sample_secs(sample_secs);
+    let mut bench = Bench::new("scenarios")
+        .with_sample_secs(sample_secs)
+        .with_samples(samples);
     let mut points: Vec<Json> = Vec::new();
     for (name, scenario) in &cases {
         bench.measure(format!("run/{name}"), || {
             std::hint::black_box(scenario.run())
         });
-        let wall_ns = bench.results().last().expect("just measured").median_ns;
+        let timing = bench.results().last().expect("just measured").clone();
+        let wall_ns = timing.median_ns;
         let report = scenario.run();
         points.push(Json::Obj(vec![
             ("scenario".into(), Json::Str((*name).into())),
@@ -57,6 +64,9 @@ fn main() {
                 Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
             ),
             ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
+            ("runs_k".into(), Json::Num(timing.samples as f64)),
         ]));
     }
 
