@@ -152,7 +152,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// The single most similar entry to `query`, if any entry is live. Ties
     /// go to the lowest slot.
     ///
-    /// Screens in f32 and re-scores the leaders in f64
+    /// Screens in f32 and re-scores the rows near the top in f64
     /// ([`ScreenedRows::nearest`]); the result is bit-identical to taking
     /// the first strict maximum of a full f64 scan, which debug builds
     /// check on every call.

@@ -92,11 +92,7 @@ pub struct BlockedRows<T, const L: usize> {
 impl<T: Lane, const L: usize> BlockedRows<T, L> {
     /// Creates an empty store.
     pub fn new() -> Self {
-        BlockedRows {
-            data: Vec::new(),
-            dim: 0,
-            len: 0,
-        }
+        Self::default()
     }
 
     /// Row length (0 before the first push).
@@ -230,7 +226,8 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
 ///
 /// Write `n = dim`, `u = f32::EPSILON / 2` (f32 unit roundoff) and
 /// `v = 2^-53` (f64's), and let `q`, `r` be the f64 query and row, with
-/// `‖q‖, ‖r‖ <= 1 + 2^-40` (f64 normalization is that accurate) and
+/// `‖q‖, ‖r‖ <= 1 + 2^-30` (f64 normalization errs by about
+/// `(n / 2 + 2) v`) and
 /// `S = Σ|q_i r_i| <= ‖q‖ ‖r‖` (Cauchy–Schwarz). Both kernels fold left
 /// to right with a separate rounding per multiply and per add, so the
 /// standard recursive dot-product bound (Higham, *Accuracy and
