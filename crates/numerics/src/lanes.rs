@@ -54,18 +54,6 @@ impl Lane for f32 {
 }
 
 /// Equal-length f64 rows, eight lanes per block: the exact kernel.
-pub type LaneRows = BlockedRows<f64, LANES>;
-
-/// Equal-length f32 rows, sixteen lanes per block: the screening kernel.
-pub type LaneRows32 = BlockedRows<f32, LANES32>;
-
-/// Equal-length rows of `T` in lane-blocked layout (`L` rows per block),
-/// addressed by slot. Rows are pushed and set as f64 and stored rounded to
-/// `T`.
-///
-/// The row length is learned from the first pushed row. Slots are never
-/// removed; owners that retire rows overwrite them in place with
-/// [`BlockedRows::set`] and skip dead slots themselves.
 ///
 /// # Example
 ///
@@ -78,6 +66,18 @@ pub type LaneRows32 = BlockedRows<f32, LANES32>;
 /// let scores = rows.block_dots(&[1.0, 2.0], 0.0).next().unwrap();
 /// assert_eq!(&scores[..2], &[1.0, 1.5]);
 /// ```
+pub type LaneRows = BlockedRows<f64, LANES>;
+
+/// Equal-length f32 rows, sixteen lanes per block: the screening kernel.
+pub type LaneRows32 = BlockedRows<f32, LANES32>;
+
+/// Equal-length rows of `T` in lane-blocked layout (`L` rows per block),
+/// addressed by slot. Rows are pushed and set as f64 and stored rounded to
+/// `T`.
+///
+/// The row length is learned from the first pushed row. Slots are never
+/// removed; owners that retire rows overwrite them in place with
+/// [`BlockedRows::set`] and skip dead slots themselves.
 #[derive(Debug, Clone, Default)]
 pub struct BlockedRows<T, const L: usize> {
     /// `L`-slot blocks of `dim * L` values each, component-major within a
@@ -290,16 +290,6 @@ impl ScreenedRows {
         self.exact.dim()
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// True before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
-    }
-
     /// The f64 copy, for full exact scans ([`BlockedRows::block_dots`]).
     pub fn exact(&self) -> &LaneRows {
         &self.exact
@@ -370,7 +360,7 @@ impl ScreenedRows {
         // The running floor only rises, so every row that clears the
         // final one cleared it when seen.
         let mut candidates: Vec<(usize, f32)> = Vec::new();
-        let mut live = live.into_iter().take(self.len());
+        let mut live = live.into_iter().take(self.exact.len());
         let mut slot = 0;
         for scores in self.screen.block_dots(&q32, 0.0) {
             for (s, alive) in scores.into_iter().zip(live.by_ref()) {
