@@ -240,9 +240,12 @@ pub struct CachedImage {
     pub tenant: TenantId,
     /// When it entered the cache.
     pub cached_at: SimTime,
-    /// Last retrieval time (LRU bookkeeping).
+    /// Last retrieval time (LRU bookkeeping). The serving loops retrieve
+    /// only for requests admission let through, so a refused request
+    /// never refreshes it.
     pub last_used: SimTime,
-    /// Number of times it has been retrieved (utility bookkeeping).
+    /// Number of times it has been retrieved (utility bookkeeping): by
+    /// the serving loops, the admitted requests that hit it.
     pub hit_count: u64,
 }
 
@@ -691,7 +694,11 @@ impl ImageCache {
 
     /// Looks up the most similar cached image for a query text embedding,
     /// returning it only if the text-to-image similarity (paper scale)
-    /// reaches `threshold`. Records hit/miss statistics either way.
+    /// reaches `threshold`. Records hit/miss statistics either way, and a
+    /// hit refreshes the entry's recency and hit count. The serving loops
+    /// call it once per *admitted* request (after admission control), so
+    /// these counters count admitted requests' retrievals and equal the
+    /// scheduler's hit/miss decisions.
     pub fn retrieve(
         &mut self,
         now: SimTime,

@@ -21,13 +21,13 @@ use modm_core::config::{AdmissionPolicy, RunOptions};
 use modm_core::events::{emit, Obs, SimEvent};
 use modm_core::node::{render_completion, NodeInFlight, ServingNode};
 use modm_core::report::TenantSlice;
-use modm_core::scheduler::{route_against_cache, RouteKind, RoutedRequest};
+use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
 use modm_diffusion::{QualityModel, Sampler};
-use modm_embedding::{Embedding, SemanticSpace, TextEncoder};
+use modm_embedding::{SemanticSpace, TextEncoder};
 use modm_fleet::{FleetReport, NodeReport, Router, ShardedCache};
 use modm_metrics::{LatencyReport, SloThresholds, ThroughputReport};
 use modm_simkit::{EventQueue, SimDuration, SimRng, SimTime};
-use modm_workload::{QosClass, Request, TenantId, Trace};
+use modm_workload::{Request, TenantId, Trace};
 
 use crate::autoscaler::{Autoscaler, ScaleDecision, ScalerObservation};
 use crate::elastic::ElasticFleetConfig;
@@ -64,16 +64,6 @@ enum Event {
     Recover { node: usize, epoch: u64 },
 }
 
-/// A request that outlived its node and awaits re-routing.
-#[derive(Debug, Clone)]
-struct Redelivery {
-    request_id: u64,
-    arrival: SimTime,
-    tenant: TenantId,
-    qos: QosClass,
-    embedding: Embedding,
-}
-
 /// One run of the serving engine.
 pub(crate) struct ElasticRun<'a, 'o> {
     config: &'a ElasticFleetConfig,
@@ -102,7 +92,8 @@ pub(crate) struct ElasticRun<'a, 'o> {
     /// dropped on arrival.
     epoch: Vec<u64>,
     events: EventQueue<Event>,
-    redeliveries: Vec<Option<Redelivery>>,
+    /// Requests that outlived their node and await re-routing.
+    redeliveries: Vec<Option<IncomingRequest>>,
     pending_redeliveries: usize,
     arrivals_pending: usize,
     // Fleet-wide metrics (completion-based, so every request counts once
@@ -275,28 +266,20 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     let request = &requests[i];
                     // An open-loop arrival fires at its re-based time.
                     let arrival = if self.saturate { SimTime::ZERO } else { now };
-                    let embedding = self.encoder.encode(&request.prompt);
-                    let node = self.route_to_node(
-                        now,
-                        request.id,
+                    let incoming = IncomingRequest {
+                        request_id: request.id,
                         arrival,
-                        request.tenant,
-                        request.qos,
-                        embedding,
-                    );
+                        tenant: request.tenant,
+                        qos: request.qos,
+                        prompt_embedding: self.encoder.encode(&request.prompt),
+                    };
+                    let node = self.route_to_node(now, incoming);
                     self.arrivals_pending -= 1;
                     self.dispatch(now, node);
                 }
                 Event::Redeliver(i) => {
-                    let r = self.redeliveries[i].take().expect("redelivered once");
-                    let node = self.route_to_node(
-                        now,
-                        r.request_id,
-                        r.arrival,
-                        r.tenant,
-                        r.qos,
-                        r.embedding,
-                    );
+                    let incoming = self.redeliveries[i].take().expect("redelivered once");
+                    let node = self.route_to_node(now, incoming);
                     self.pending_redeliveries -= 1;
                     self.dispatch(now, node);
                 }
@@ -386,45 +369,32 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     }
 
     /// Routes one request (fresh or re-delivered) onto an active node and
-    /// into its queues, deciding hit/miss against that node's shard.
-    fn route_to_node(
-        &mut self,
-        now: SimTime,
-        request_id: u64,
-        arrival: SimTime,
-        tenant: TenantId,
-        qos: QosClass,
-        embedding: Embedding,
-    ) -> usize {
+    /// offers it there: the node's admission runs first, and only an
+    /// admitted request decides hit/miss against that node's shard (a
+    /// refused one never probes it). Returns the chosen node.
+    fn route_to_node(&mut self, now: SimTime, incoming: IncomingRequest) -> usize {
         if self.router.needs_loads() {
             for (load, node) in self.loads.iter_mut().zip(&self.nodes) {
                 *load = node.as_ref().map_or(0.0, ServingNode::load);
             }
         }
-        let node_idx = self.router.route(&embedding, &self.loads);
+        let node_idx = self.router.route(&incoming.prompt_embedding, &self.loads);
         debug_assert!(
             self.lifecycle[node_idx].state().accepts_traffic(),
             "routed to node {node_idx} in state {:?}",
             self.lifecycle[node_idx].state()
         );
-        let route = route_against_cache(
-            self.cache.shard_mut(node_idx),
-            now,
-            &embedding,
-            self.config.node_config.threshold_shift,
-        );
-        let routed = RoutedRequest {
-            request_id,
-            arrival,
-            tenant,
-            qos,
-            prompt_embedding: embedding,
-            route,
-        };
+        let shard = self.cache.shard_mut(node_idx);
+        let shift = self.config.node_config.threshold_shift;
         let outcome = self.nodes[node_idx]
             .as_mut()
             .expect("active node exists")
-            .enqueue(now, routed, self.obs.as_deref_mut());
+            .enqueue(
+                now,
+                incoming,
+                |e| route_against_cache(shard, now, e, shift),
+                self.obs.as_deref_mut(),
+            );
         // The control window sees admitted work only: refused requests
         // are being deliberately turned away, so they must not drive the
         // autoscaler toward capacity the policy chose not to serve.
@@ -755,12 +725,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let redelivered = pending.len();
         for routed in pending {
             let idx = self.redeliveries.len();
-            self.redeliveries.push(Some(Redelivery {
+            self.redeliveries.push(Some(IncomingRequest {
                 request_id: routed.request_id,
                 arrival: routed.arrival,
                 tenant: routed.tenant,
                 qos: routed.qos,
-                embedding: routed.prompt_embedding,
+                prompt_embedding: routed.prompt_embedding,
             }));
             self.pending_redeliveries += 1;
             self.events.schedule(now, Event::Redeliver(idx));
@@ -864,9 +834,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
 
 #[cfg(test)]
 mod tests {
+    use modm_cache::ImageCache;
     use modm_cluster::GpuKind;
     use modm_core::config::MoDMConfig;
     use modm_core::fairqueue::{TenancyPolicy, TenantShare};
+    use modm_core::kselect::HIT_THRESHOLD;
     use modm_fleet::RoutingPolicy;
     use modm_workload::{QosClass, TenantMix, TraceBuilder};
 
@@ -890,6 +862,72 @@ mod tests {
                 .with_queue_budget(SimDuration::from_secs_f64(120.0)),
             )
             .build()
+    }
+
+    /// Everything a cache probe could touch on a shard: its statistics
+    /// and every entry's retrieval bookkeeping, in id order.
+    fn probe_state(shard: &ImageCache) -> (String, Vec<(u64, u64, SimTime)>) {
+        let mut entries: Vec<_> = shard
+            .iter()
+            .map(|e| (e.image.id.0, e.hit_count, e.last_used))
+            .collect();
+        entries.sort_unstable();
+        (format!("{:?}", shard.stats()), entries)
+    }
+
+    #[test]
+    fn refused_offer_leaves_the_shard_untouched() {
+        // Tenant 2's bucket holds one token and refills once per 100
+        // minutes: its first offer is admitted and probes the warm shard,
+        // its second is refused and must not reach the shard at all.
+        let node = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 2)
+            .cache_capacity(100)
+            .tenancy(TenancyPolicy::fifo().with_rate_limit(TenantId(2), 0.01, 1.0))
+            .build();
+        let config = ElasticFleetConfig::new(node, 1, 1, 1);
+        let trace = TraceBuilder::diffusion_db(5).requests(40).build();
+        let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+        let options = RunOptions {
+            warmup: 30,
+            saturate: false,
+        };
+        let router = Router::new(config.policy, 1);
+        let mut run = ElasticRun::new(
+            &config,
+            router,
+            &trace,
+            options,
+            ELASTIC_SALT,
+            &mut scaler,
+            &faults,
+            None,
+        );
+        // A prompt whose warm image a probe would retrieve (and refresh).
+        let embedding = trace
+            .iter()
+            .take(options.warmup)
+            .map(|r| run.encoder.encode(&r.prompt))
+            .find(|e| run.cache.shard(0).peek(e, HIT_THRESHOLD).is_some())
+            .expect("a retrievable warm image");
+        let offer = |request_id| IncomingRequest {
+            request_id,
+            arrival: SimTime::ZERO,
+            tenant: TenantId(2),
+            qos: QosClass::Standard,
+            prompt_embedding: embedding.clone(),
+        };
+        let node = |run: &ElasticRun| {
+            let node = run.nodes[0].as_ref().expect("node 0 is active");
+            (node.hits(), node.rejected())
+        };
+
+        run.route_to_node(SimTime::from_secs_f64(60.0), offer(1_000));
+        assert_eq!(node(&run), (1, 0), "the admitted offer hits");
+        let before = probe_state(run.cache.shard(0));
+        run.route_to_node(SimTime::from_secs_f64(120.0), offer(1_001));
+        assert_eq!(node(&run), (1, 1), "the second offer is refused");
+        assert_eq!(probe_state(run.cache.shard(0)), before);
     }
 
     fn latency_quantiles(latency: &mut LatencyReport) -> [Option<f64>; 3] {

@@ -86,4 +86,4 @@ pub use monitor::{GlobalMonitor, WindowStats};
 pub use node::{EnqueueOutcome, NodeInFlight, ServingNode};
 pub use pid::PidController;
 pub use report::{ServingReport, TenantSlice};
-pub use scheduler::{route_against_cache, RouteKind, RoutedRequest};
+pub use scheduler::{route_against_cache, IncomingRequest, RouteKind, RoutedRequest};

@@ -3,9 +3,11 @@
 //!
 //! The serving engine in `modm-controlplane` (behind the single node, the
 //! fixed fleet and the elastic fleet) and the scenario loop advance a
-//! node the same way: enqueue a routed request, dispatch idle workers
-//! toward the monitor's desired assignment, record completions, and tick
-//! the global monitor once per period. [`ServingNode`] is that step extracted into
+//! node the same way: admit a request, decide hit/miss against the cache
+//! and queue it, dispatch idle workers toward the monitor's desired
+//! assignment, record completions, and tick the global monitor once per
+//! period. Admission runs before the cache decision, so a refused request
+//! never reaches the cache. [`ServingNode`] is that step extracted into
 //! one component, so the loops cannot diverge.
 //! The host loop keeps what genuinely differs per deployment: the event
 //! queue, the cache a request is scheduled against, and fleet-wide
@@ -15,6 +17,7 @@ use std::collections::BTreeMap;
 
 use modm_cluster::{ClusterEnergy, Worker};
 use modm_diffusion::{GeneratedImage, ModelId, Sampler, K_CHOICES, TOTAL_STEPS};
+use modm_embedding::Embedding;
 use modm_metrics::{LatencyReport, QualityAggregator, SloThresholds, ThroughputReport};
 use modm_simkit::{profile, SimDuration, SimRng, SimTime};
 use modm_workload::TenantId;
@@ -25,7 +28,7 @@ use crate::events::{emit, Obs, SimEvent};
 use crate::fairqueue::{FairQueue, FairnessCharge, TenancyPolicy};
 use crate::monitor::{GlobalMonitor, WindowStats};
 use crate::report::{AllocationSample, ServingReport, TenantSlice};
-use crate::scheduler::{RouteKind, RoutedRequest};
+use crate::scheduler::{IncomingRequest, RouteKind, RoutedRequest};
 
 /// Which admission lane a dispatch pop draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +37,7 @@ enum Lane {
     Miss,
 }
 
-/// What [`ServingNode::enqueue`] did with a routed request.
+/// What [`ServingNode::enqueue`] did with an offered request.
 ///
 /// A refusal carries the token bucket's retry-after hint so the host
 /// loop can re-prime closed-loop clients at the moment the bucket can
@@ -253,13 +256,13 @@ impl ServingNode {
         Ok(())
     }
 
-    /// Accepts a routed request into the node's queues, updating hit/miss
-    /// accounting and the monitor window counters. Emits
-    /// [`SimEvent::Admitted`] followed by the cache decision
-    /// ([`SimEvent::CacheHit`] / [`SimEvent::CacheMiss`]) to `obs`.
+    /// Offers a request to the node: admission first, then the cache
+    /// decision, then the queue.
     ///
     /// When the request's tenant has a token bucket and it is empty, the
-    /// request is refused instead: [`SimEvent::Rejected`] is emitted
+    /// request is refused: `decide` is never called, so a refused request
+    /// never probes the cache (no lookup is counted and no entry's
+    /// recency or hit count moves). [`SimEvent::Rejected`] is emitted
     /// (carrying the bucket's retry-after hint), the tenant's `rejected`
     /// counter advances, nothing is queued, and the method returns
     /// [`EnqueueOutcome::Rejected`] (the host loop uses the hint to
@@ -267,27 +270,42 @@ impl ServingNode {
     /// requests never touch the hit/miss accounting or the monitor's
     /// window counters — the monitor plans capacity for admitted work
     /// only.
+    ///
+    /// An admitted request emits [`SimEvent::Admitted`], is routed by
+    /// `decide` (the host's cache decision on the prompt embedding,
+    /// typically [`route_against_cache`](crate::route_against_cache) on
+    /// this node's shard), emits [`SimEvent::CacheHit`] /
+    /// [`SimEvent::CacheMiss`], updates hit/miss accounting and the
+    /// monitor window counters, and joins its lane's queue.
     pub fn enqueue(
         &mut self,
         now: SimTime,
-        routed: RoutedRequest,
+        request: IncomingRequest,
+        decide: impl FnOnce(&Embedding) -> RouteKind,
         mut obs: Obs<'_, '_>,
     ) -> EnqueueOutcome {
+        let IncomingRequest {
+            request_id,
+            arrival,
+            tenant,
+            qos,
+            prompt_embedding,
+        } = request;
         let admit = profile::timed(profile::Subsystem::Admission, || {
-            self.admission.try_admit_or_retry(now, routed.tenant)
+            self.admission.try_admit_or_retry(now, tenant)
         });
+        let slice = self
+            .tenants
+            .entry(tenant)
+            .or_insert_with(|| TenantSlice::new(tenant, qos));
+        slice.qos = qos;
         if let Err(retry_after_secs) = admit {
             self.rejected += 1;
-            let slice = self
-                .tenants
-                .entry(routed.tenant)
-                .or_insert_with(|| TenantSlice::new(routed.tenant, routed.qos));
-            slice.qos = routed.qos;
             slice.rejected += 1;
             emit(&mut obs, now, || SimEvent::Rejected {
                 node: self.id,
-                request_id: routed.request_id,
-                tenant: routed.tenant,
+                request_id,
+                tenant,
                 retry_after_secs,
             });
             return EnqueueOutcome::Rejected { retry_after_secs };
@@ -295,14 +313,18 @@ impl ServingNode {
         self.win_arrivals += 1;
         emit(&mut obs, now, || SimEvent::Admitted {
             node: self.id,
-            request_id: routed.request_id,
-            tenant: routed.tenant,
+            request_id,
+            tenant,
         });
-        let slice = self
-            .tenants
-            .entry(routed.tenant)
-            .or_insert_with(|| TenantSlice::new(routed.tenant, routed.qos));
-        slice.qos = routed.qos;
+        let route = decide(&prompt_embedding);
+        let routed = RoutedRequest {
+            request_id,
+            arrival,
+            tenant,
+            qos,
+            prompt_embedding,
+            route,
+        };
         let cost = match self.charge {
             FairnessCharge::PerRequest => 1.0,
             FairnessCharge::GpuCost => steps_for(&routed, self.charge_model) as f64,
@@ -317,12 +339,11 @@ impl ServingNode {
                 self.win_k[slot] += 1;
                 emit(&mut obs, now, || SimEvent::CacheHit {
                     node: self.id,
-                    request_id: routed.request_id,
-                    tenant: routed.tenant,
+                    request_id,
+                    tenant,
                     k: *k,
                 });
-                self.hit_q
-                    .push_weighted(now, routed.tenant, routed.qos, cost, routed);
+                self.hit_q.push_weighted(now, tenant, qos, cost, routed);
             }
             RouteKind::Miss => {
                 slice.misses += 1;
@@ -330,11 +351,10 @@ impl ServingNode {
                 self.win_misses += 1;
                 emit(&mut obs, now, || SimEvent::CacheMiss {
                     node: self.id,
-                    request_id: routed.request_id,
-                    tenant: routed.tenant,
+                    request_id,
+                    tenant,
                 });
-                self.miss_q
-                    .push_weighted(now, routed.tenant, routed.qos, cost, routed);
+                self.miss_q.push_weighted(now, tenant, qos, cost, routed);
             }
         }
         EnqueueOutcome::Accepted
@@ -612,16 +632,20 @@ mod tests {
             .build()
     }
 
-    fn miss_request(id: u64, prompt: &str) -> RoutedRequest {
+    fn request(id: u64, prompt: &str) -> IncomingRequest {
         let enc = TextEncoder::new(SemanticSpace::default());
-        RoutedRequest {
+        IncomingRequest {
             request_id: id,
             arrival: SimTime::ZERO,
             tenant: TenantId::DEFAULT,
             qos: modm_workload::QosClass::default(),
             prompt_embedding: enc.encode(prompt),
-            route: RouteKind::Miss,
         }
+    }
+
+    /// The cache decision for a node without a cache: always a miss.
+    fn miss(_: &Embedding) -> RouteKind {
+        RouteKind::Miss
     }
 
     #[test]
@@ -629,10 +653,16 @@ mod tests {
         let mut node = ServingNode::new(&config(2), 0);
         node.enqueue(
             SimTime::ZERO,
-            miss_request(0, "amber lighthouse storm"),
+            request(0, "amber lighthouse storm"),
+            miss,
             None,
         );
-        node.enqueue(SimTime::ZERO, miss_request(1, "cobalt orchard frost"), None);
+        node.enqueue(
+            SimTime::ZERO,
+            request(1, "cobalt orchard frost"),
+            miss,
+            None,
+        );
         assert_eq!(node.load(), 2.0);
         let mut scheduled = Vec::new();
         node.dispatch(SimTime::ZERO, |done, w| scheduled.push((done, w)), None);
@@ -651,7 +681,7 @@ mod tests {
     fn drain_pending_returns_queued_and_in_flight_work() {
         let mut node = ServingNode::new(&config(1), 0);
         for i in 0..3 {
-            node.enqueue(SimTime::ZERO, miss_request(i, "slate canyon dusk"), None);
+            node.enqueue(SimTime::ZERO, request(i, "slate canyon dusk"), miss, None);
         }
         node.dispatch(SimTime::ZERO, |_, _| {}, None);
         let pending = node.drain_pending();
@@ -677,7 +707,8 @@ mod tests {
         let mut obs = Kinds::default();
         node.enqueue(
             SimTime::ZERO,
-            miss_request(0, "opal tundra night"),
+            request(0, "opal tundra night"),
+            miss,
             Some(&mut obs),
         );
         node.dispatch(SimTime::ZERO, |_, _| {}, Some(&mut obs));
@@ -691,7 +722,7 @@ mod tests {
         let mut node = ServingNode::new(&config(1), 0);
         // Unlimited at birth: both offers are accepted.
         for i in 0..2 {
-            let out = node.enqueue(SimTime::ZERO, miss_request(i, "jade harbor rain"), None);
+            let out = node.enqueue(SimTime::ZERO, request(i, "jade harbor rain"), miss, None);
             assert!(out.is_accepted());
         }
 
@@ -708,23 +739,23 @@ mod tests {
             }
         ));
         assert!(node
-            .enqueue(SimTime::ZERO, miss_request(2, "jade harbor rain"), None)
+            .enqueue(SimTime::ZERO, request(2, "jade harbor rain"), miss, None)
             .is_accepted());
 
         // A valid revision installs the new rate limit immediately.
         let strict = TenancyPolicy::fifo().with_rate_limit(TenantId::DEFAULT, 60.0, 1.0);
         node.try_update_tenancy(&strict, 100).unwrap();
         assert!(node
-            .enqueue(SimTime::ZERO, miss_request(3, "jade harbor rain"), None)
+            .enqueue(SimTime::ZERO, request(3, "jade harbor rain"), miss, None)
             .is_accepted());
-        let out = node.enqueue(SimTime::ZERO, miss_request(4, "jade harbor rain"), None);
+        let out = node.enqueue(SimTime::ZERO, request(4, "jade harbor rain"), miss, None);
         assert!(matches!(out, EnqueueOutcome::Rejected { .. }));
     }
 
     #[test]
     fn monitor_tick_resets_window_and_records_allocation() {
         let mut node = ServingNode::new(&config(4), 0);
-        node.enqueue(SimTime::ZERO, miss_request(0, "ivory comet meadow"), None);
+        node.enqueue(SimTime::ZERO, request(0, "ivory comet meadow"), miss, None);
         node.monitor_tick(
             SimTime::from_secs_f64(60.0),
             SimDuration::from_secs_f64(60.0),

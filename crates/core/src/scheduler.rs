@@ -23,6 +23,24 @@ pub enum RouteKind {
     },
 }
 
+/// A request as it reaches a serving node: embedded, but neither admitted
+/// nor routed. [`ServingNode::enqueue`](crate::ServingNode::enqueue) runs
+/// admission on it and only then makes the cache decision that turns it
+/// into a [`RoutedRequest`].
+#[derive(Debug, Clone)]
+pub struct IncomingRequest {
+    /// The original request id.
+    pub request_id: u64,
+    /// Arrival time.
+    pub arrival: SimTime,
+    /// The tenant the request belongs to.
+    pub tenant: TenantId,
+    /// The service class it is admitted under.
+    pub qos: QosClass,
+    /// The prompt's text embedding (computed once, reused everywhere).
+    pub prompt_embedding: Embedding,
+}
+
 /// A request after scheduling: embedded, classified and ready to queue.
 #[derive(Debug, Clone)]
 pub struct RoutedRequest {

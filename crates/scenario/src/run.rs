@@ -24,7 +24,7 @@ use modm_core::config::{AdmissionPolicy, MoDMConfig};
 use modm_core::events::{Obs, Observer, SimEvent};
 use modm_core::node::{render_completion, NodeInFlight, ServingNode};
 use modm_core::report::TenantSlice;
-use modm_core::scheduler::{route_against_cache, RouteKind, RoutedRequest};
+use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
 use modm_deploy::{
     DeployOptions, RegionSlice, RetryStats, RunOutcome, ScenarioReport, ServingBackend, TierKind,
 };
@@ -512,42 +512,40 @@ impl<'a> ScenarioRun<'a> {
         if self.terminal[idx] != Terminal::Pending {
             return None;
         }
-        let request = self.requests[idx].clone();
-        let (region, _) = self.geo.target_region(request.tenant);
-        let embedding = self.encoder.encode(&request.prompt);
+        let request = &self.requests[idx];
+        let tenant = request.tenant;
+        let (region, _) = self.geo.target_region(tenant);
+        let incoming = IncomingRequest {
+            request_id: request.id,
+            arrival: request.arrival,
+            tenant,
+            qos: request.qos,
+            prompt_embedding: self.encoder.encode(&request.prompt),
+        };
         let first = region * self.nodes_per_region;
         let loads: Vec<f64> = self.nodes[first..first + self.nodes_per_region]
             .iter()
             .map(ServingNode::load)
             .collect();
-        let local = self.routers[region].route(&embedding, &loads);
+        let local = self.routers[region].route(&incoming.prompt_embedding, &loads);
         let node_idx = first + local;
-        let route = route_against_cache(
-            self.caches[region].shard_mut(local),
-            now,
-            &embedding,
-            self.config.threshold_shift,
-        );
-        let routed = RoutedRequest {
-            request_id: request.id,
-            arrival: request.arrival,
-            tenant: request.tenant,
-            qos: request.qos,
-            prompt_embedding: embedding,
-            route,
-        };
         self.stats.offers += 1;
         if is_retry {
             self.stats.reoffers += 1;
         }
         self.region_routed[region] += 1;
-        let outcome = {
-            let mut tap = ShedTap {
-                inner: self.obs.as_deref_mut(),
-                log: &mut self.shed_log,
-            };
-            self.nodes[node_idx].enqueue(now, routed, Some(&mut tap))
+        let shard = self.caches[region].shard_mut(local);
+        let shift = self.config.threshold_shift;
+        let mut tap = ShedTap {
+            inner: self.obs.as_deref_mut(),
+            log: &mut self.shed_log,
         };
+        let outcome = self.nodes[node_idx].enqueue(
+            now,
+            incoming,
+            |e| route_against_cache(shard, now, e, shift),
+            Some(&mut tap),
+        );
         if let Some(hint) = outcome.retry_after_secs() {
             let next = attempt + 1;
             match self.retry.delay(next, hint, &mut self.jitter_rng) {
@@ -847,7 +845,10 @@ impl<'a> ScenarioRun<'a> {
 mod tests {
     use super::*;
     use crate::script::ScenarioAction;
+    use modm_cache::ImageCache;
     use modm_cluster::GpuKind;
+    use modm_core::kselect::HIT_THRESHOLD;
+    use modm_core::TenancyPolicy;
     use modm_workload::{QosClass, TenantMix};
 
     fn node_config(gpus: usize, cache: usize) -> MoDMConfig {
@@ -888,6 +889,71 @@ mod tests {
             }
             assert_eq!(scenario.run().completed(), trace.len() as u64);
         }
+    }
+
+    /// Everything a cache probe could touch on a shard: its statistics
+    /// and every entry's retrieval bookkeeping, in id order.
+    fn probe_state(shard: &ImageCache) -> (String, Vec<(u64, u64, SimTime)>) {
+        let mut entries: Vec<_> = shard
+            .iter()
+            .map(|e| (e.image.id.0, e.hit_count, e.last_used))
+            .collect();
+        entries.sort_unstable();
+        (format!("{:?}", shard.stats()), entries)
+    }
+
+    #[test]
+    fn refused_offer_leaves_the_shards_untouched() {
+        // Tenant 2's bucket holds one token and refills once per 100
+        // minutes. Its first two requests both ask for an image every
+        // shard holds: the first is admitted and hits, the second is
+        // refused and must not reach any shard.
+        let node = MoDMConfig {
+            tenancy: TenancyPolicy::fifo().with_rate_limit(TenantId(2), 0.01, 1.0),
+            ..node_config(2, 400)
+        };
+        let scenario =
+            Scenario::new(node, quiet_script(), TwoRegion::new(2)).expect("valid script");
+        let trace = scenario.trace();
+        let mut run = ScenarioRun::new(&scenario, &trace, None);
+        let mut offers = (0..run.requests.len()).filter(|&i| run.requests[i].tenant == TenantId(2));
+        let (first, second) = (offers.next().unwrap(), offers.next().unwrap());
+        let prompt = run.requests[first].prompt.clone();
+        run.requests[second].prompt = prompt.clone();
+        let embedding = run.encoder.encode(&prompt);
+        let mut rng = SimRng::seed_from(3);
+        let image = run
+            .sampler
+            .generate_for(run.config.large_model, &embedding, 0, &mut rng);
+        for cache in &mut run.caches {
+            for i in 0..cache.num_shards() {
+                let shard = cache.shard_mut(i);
+                shard.insert_for(SimTime::ZERO, TenantId(1), image.clone());
+                assert!(shard.peek(&embedding, HIT_THRESHOLD).is_some());
+            }
+        }
+        let state = |run: &ScenarioRun| -> Vec<_> {
+            let shards = run
+                .caches
+                .iter()
+                .flat_map(|c| (0..c.num_shards()).map(|i| c.shard(i)));
+            shards.map(probe_state).collect()
+        };
+        let tally = |run: &ScenarioRun| -> (u64, u64) {
+            let hits = run.nodes.iter().map(ServingNode::hits).sum();
+            (hits, run.nodes.iter().map(ServingNode::rejected).sum())
+        };
+
+        assert!(run
+            .place(SimTime::from_secs_f64(60.0), first, 0, false)
+            .is_some());
+        assert_eq!(tally(&run), (1, 0), "the admitted offer hits");
+        let before = state(&run);
+        assert!(run
+            .place(SimTime::from_secs_f64(120.0), second, 0, false)
+            .is_none());
+        assert_eq!(tally(&run), (1, 1), "the second offer is refused");
+        assert_eq!(state(&run), before);
     }
 
     #[test]

@@ -3,9 +3,18 @@
 //! seed, fleet shape, policies), plus overload-accounting conservation
 //! laws.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use modm::cache::MaintenancePolicy;
+use modm::cluster::GpuKind;
+use modm::controlplane::ServingSystem;
+use modm::core::config::AdmissionPolicy;
+use modm::core::fairqueue::TenancyPolicy;
+use modm::core::{MoDMConfig, Observer, RunOptions, SimEvent};
 use modm::deploy::Summary;
+use modm::simkit::{SimDuration, SimTime};
+use modm::workload::{DatasetKind, Request, TenantId, Trace};
 use modm_experiments::overload::{
     run_pair, study_trace, tenant_of, BATCH, FREE, INTERACTIVE, INTERACTIVE_TARGET, REQUESTS,
 };
@@ -135,4 +144,96 @@ fn rate_limited_tenants_are_refused_but_interactive_never_is() {
     );
     // The free tier is throttled, not denied: it still completes work.
     assert!(tenant_of(&ctrl, FREE).completed > 0);
+}
+
+/// The cache decision each request drew, by request id, in a single-node
+/// run: `"cache_hit"`, `"cache_miss"` or `"rejected"`.
+fn cache_decisions(config: MoDMConfig, trace: &Trace) -> BTreeMap<u64, Vec<&'static str>> {
+    #[derive(Default)]
+    struct Decisions(BTreeMap<u64, Vec<&'static str>>);
+    impl Observer for Decisions {
+        fn on_event(&mut self, _at: SimTime, event: &SimEvent) {
+            if let (kind @ ("cache_hit" | "cache_miss" | "rejected"), Some(id)) =
+                (event.kind(), event.request_id())
+            {
+                self.0.entry(id).or_default().push(kind);
+            }
+        }
+    }
+    let mut decisions = Decisions::default();
+    ServingSystem::new(config).run_observed(trace, RunOptions::default(), Some(&mut decisions));
+    decisions.0
+}
+
+#[test]
+fn refused_requests_do_not_keep_lru_entries_warm() {
+    // Tenant 1 caches an image for `OLD`, then floods the node with the
+    // same prompt; tenant 2 meanwhile fills the two-entry LRU cache with
+    // unrelated images, and finally asks for `OLD` itself. When the flood
+    // is admitted its hits keep the old entry the most recently used, so
+    // the newer filler is evicted and tenant 2 hits. When tenant 1 is
+    // rate-limited the flood is refused before it reaches the cache, so
+    // the old entry stays the least recently used and is evicted.
+    const OLD: &str = "ancient dragon soaring mountains dusk oil painting moody golden";
+    let at = |mins: f64| SimTime::ZERO + SimDuration::from_mins_f64(mins);
+    let offer = |id: u64, tenant: u16, prompt: &str, mins: f64| Request {
+        tenant: TenantId(tenant),
+        ..Request::new(id, prompt, at(mins))
+    };
+    let mut requests = vec![
+        offer(0, 1, OLD, 0.0),
+        offer(
+            1,
+            2,
+            "neon harbor cyberpunk rain reflections night city",
+            10.0,
+        ),
+    ];
+    requests.extend((2..6).map(|id| offer(id, 1, OLD, 20.0 + id as f64)));
+    requests.push(offer(
+        6,
+        2,
+        "quiet snowy forest cabin watercolor morning",
+        30.0,
+    ));
+    requests.push(offer(7, 2, OLD, 40.0));
+    let trace = Trace::from_requests(DatasetKind::DiffusionDb, requests);
+    let config = |tenancy: TenancyPolicy| {
+        MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 2)
+            .cache_capacity(2)
+            .cache_policy(MaintenancePolicy::Lru)
+            .admission(AdmissionPolicy::CacheLarge)
+            .tenancy(tenancy)
+            .build()
+    };
+
+    let admitted = cache_decisions(config(TenancyPolicy::fifo()), &trace);
+    let limited = cache_decisions(
+        config(TenancyPolicy::fifo().with_rate_limit(TenantId(1), 0.01, 1.0)),
+        &trace,
+    );
+    for decisions in [&admitted, &limited] {
+        for id in [0, 1, 6] {
+            assert_eq!(
+                decisions[&id],
+                ["cache_miss"],
+                "request {id} fills the cache"
+            );
+        }
+    }
+    for id in 2..6 {
+        assert_eq!(admitted[&id], ["cache_hit"], "admitted flood request {id}");
+        assert_eq!(limited[&id], ["rejected"], "refused flood request {id}");
+    }
+    assert_eq!(
+        admitted[&7],
+        ["cache_hit"],
+        "the admitted flood kept OLD warm"
+    );
+    assert_eq!(
+        limited[&7],
+        ["cache_miss"],
+        "a refused flood must not save OLD from eviction"
+    );
 }

@@ -1058,3 +1058,73 @@ fn fleet_conserves_requests_property() {
         assert_eq!(r.hits() + r.misses(), n as u64, "case {case}");
     }
 }
+
+#[test]
+fn cache_counters_agree_with_scheduler_decisions_under_overload() {
+    // Admission runs before the cache decision, so only admitted requests
+    // probe the cache: its own lookup and hit counters equal the
+    // scheduler's hit/miss decisions (shed work included, since it was
+    // routed before it was shed) even while token buckets refuse.
+    use modm::cluster::GpuKind;
+    use modm::core::MoDMConfig;
+    use modm::deploy::{DeployOptions, Deployment, ServingBackend};
+    use modm::fleet::{Router, RoutingPolicy};
+    use modm::workload::{TenantMix, TraceBuilder};
+    let (mut rejected, mut shed) = (0, 0);
+    for seed in sweep_seeds() {
+        let mut rng = SimRng::seed_from(seed ^ 0x4147_5245); // "AGRE"
+        for case in 0..3 {
+            let n = 150 + rng.index(150);
+            let nodes = 2 + rng.index(3);
+            let policy = [
+                RoutingPolicy::RoundRobin,
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::CacheAffinity,
+                RoutingPolicy::HybridAffinity,
+            ][rng.index(4)];
+            let config = MoDMConfig::builder()
+                .gpus(GpuKind::Mi210, 1 + rng.index(3))
+                .cache_capacity(100 + rng.index(200))
+                .tenancy(
+                    TenancyPolicy::weighted_fair(vec![
+                        TenantShare::new(TenantId(1), 4.0),
+                        TenantShare::new(TenantId(2), 1.0),
+                    ])
+                    .with_rate_limit(TenantId(2), rng.uniform_in(1.0, 6.0), 2.0)
+                    .with_queue_budget(SimDuration::from_secs_f64(rng.uniform_in(60.0, 300.0))),
+                )
+                .build();
+            let trace = TraceBuilder::diffusion_db(rng.index(1_000) as u64)
+                .requests(n)
+                .tenants(vec![
+                    TenantMix::new(TenantId(1), QosClass::Interactive, 4.0),
+                    TenantMix::new(TenantId(2), QosClass::BestEffort, 16.0),
+                ])
+                .build();
+            let options = DeployOptions {
+                warmup: rng.index(40),
+                saturate: rng.index(2) == 0,
+            };
+            let deployments = [
+                Deployment::single(config.clone()),
+                Deployment::fleet(config, Router::new(policy, nodes)),
+            ];
+            for mut deployment in deployments {
+                let mut outcome = deployment.run_with(&trace, options);
+                let summary = outcome.summary(2.0);
+                let (lookups, hits) = match (outcome.as_single(), outcome.as_fleet()) {
+                    (Some(report), _) => (report.cache_stats.lookups(), report.cache_stats.hits()),
+                    (_, Some(report)) => (report.cache.lookups, report.cache.hits),
+                    _ => unreachable!("single or fixed fleet"),
+                };
+                let label = format!("seed {seed} case {case} {:?} ({policy:?})", summary.tier);
+                assert_eq!(lookups, summary.hits + summary.misses, "{label}");
+                assert_eq!(hits, summary.hits, "{label}");
+                rejected += summary.rejected;
+                shed += summary.shed;
+            }
+        }
+    }
+    assert!(rejected > 0, "the sweep must exercise refusals");
+    assert!(shed > 0, "the sweep must exercise sheds");
+}
