@@ -27,6 +27,7 @@ use modm::core::MoDMConfig;
 use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
 use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
 use modm::fleet::{LeaderVerdict, Router, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm::numerics::{dot, l2_norm};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
 use modm::workload::TraceBuilder;
@@ -203,6 +204,8 @@ struct NaiveClusterer {
     threshold: f64,
     max_leaders: usize,
     leaders: VecDeque<(u64, Embedding)>,
+    /// Every leader retired so far, oldest first.
+    retired: Vec<(u64, Embedding)>,
     next_id: u64,
 }
 
@@ -212,6 +215,7 @@ impl NaiveClusterer {
             threshold,
             max_leaders,
             leaders: VecDeque::new(),
+            retired: Vec::new(),
             next_id: 0,
         }
     }
@@ -238,7 +242,7 @@ impl NaiveClusterer {
         self.next_id += 1;
         self.leaders.push_back((id, query.clone()));
         if self.leaders.len() > self.max_leaders {
-            self.leaders.pop_front();
+            self.retired.extend(self.leaders.pop_front());
         }
         id
     }
@@ -368,6 +372,103 @@ fn clusterer_verdicts_match_naive_full_scan() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn clusterer_matches_naive_scan_on_edge_rows() {
+    // The leader-table counterpart of the flat index's edge rows: near-
+    // ties, scores that round past 1.0, ties at 0.0 and retired leaders'
+    // rows. A join threshold below 1 keeps any two live leaders apart, so
+    // two leaders can never both clamp to 1.0; the clamped rows are
+    // probes with a live leader's own values (or their negation).
+    for seed in sweep_seeds() {
+        let mut near_ties = 0usize;
+        let mut clamped = 0usize;
+        let mut zero_ties = 0usize;
+        let mut retired_would_win = 0usize;
+        for (dim, max_leaders) in [(16, 12), (64, 100)] {
+            let mut rng = SimRng::seed_from(seed.wrapping_mul(0xC1_05E) ^ dim as u64);
+            let threshold = 0.7;
+            let mut fast = SemanticClusterer::new(threshold, max_leaders);
+            let mut naive = NaiveClusterer::new(threshold, max_leaders);
+            for step in 0..2_000 {
+                let ctx = format!("seed {seed}, dim {dim}, step {step}");
+                let live = naive.leaders.len();
+                let q = match rng.index(10) {
+                    4 => Embedding::from_vec(vec![0.0; dim]),
+                    // Two leaders' bisector, a few f32 or f64 ulps off in
+                    // one component: it scores the two within a few ulps.
+                    5..=6 if live >= 2 => {
+                        let a = naive.leaders[rng.index(live)].1.as_slice();
+                        let b = naive.leaders[rng.index(live)].1.as_slice();
+                        let bisector =
+                            Embedding::from_vec(a.iter().zip(b).map(|(x, y)| x + y).collect());
+                        let steps = 1 + rng.index(4) as i32;
+                        let steps = if rng.chance(0.5) { steps } else { -steps };
+                        nudged(&bisector, rng.index(dim), steps, rng.chance(0.5))
+                    }
+                    7 if live > 0 => {
+                        let own = naive.leaders[rng.index(live)].1.as_slice();
+                        let sign = if rng.chance(0.8) { 1.0 } else { -1.0 };
+                        Embedding::from_vec(own.iter().map(|x| sign * x).collect())
+                    }
+                    8 if !naive.retired.is_empty() => {
+                        naive.retired[rng.index(naive.retired.len())].1.clone()
+                    }
+                    _ => Embedding::from_vec((0..dim).map(|_| rng.standard_normal()).collect()),
+                };
+                let mut sims: Vec<f64> = naive.leaders.iter().map(|(_, l)| q.cosine(l)).collect();
+                sims.sort_by(|a, b| b.partial_cmp(a).expect("NaN sim"));
+                if let [a, b, ..] = sims[..] {
+                    if a > b && a - b < screen_bound(dim) && a >= threshold {
+                        near_ties += 1;
+                    }
+                    if a == 0.0 && b == 0.0 {
+                        zero_ties += 1;
+                    }
+                }
+                let qn = l2_norm(q.as_slice());
+                if naive.leaders.iter().any(|(_, l)| {
+                    let raw = dot(q.as_slice(), l.as_slice()) / (qn * l2_norm(l.as_slice()));
+                    raw.abs() > 1.0
+                }) {
+                    clamped += 1;
+                }
+                let best = sims.first().copied().unwrap_or(f64::NEG_INFINITY);
+                if naive
+                    .retired
+                    .iter()
+                    .any(|(_, r)| r == &q && q.cosine(r) > best)
+                {
+                    retired_would_win += 1;
+                }
+                let mut verdict = None;
+                assert_eq!(
+                    fast.cluster_of_since(&q, &mut verdict),
+                    naive.cluster_of(&q),
+                    "{ctx}: assignment diverged"
+                );
+                let (id, sim) = naive.best(&q).expect("a leader is live");
+                let v = verdict.expect("exact scans leave a verdict");
+                assert_eq!(v.id, id, "{ctx}: verdict leader");
+                assert_eq!(v.sim.to_bits(), sim.to_bits(), "{ctx}: verdict score");
+            }
+            assert_eq!(
+                fast.num_leaders(),
+                naive.leaders.len(),
+                "seed {seed}, dim {dim}"
+            );
+            assert!(
+                !naive.retired.is_empty() && !naive.leaders.len().is_multiple_of(8),
+                "seed {seed}, dim {dim}: the ring never wrapped or ends on a full block"
+            );
+        }
+        assert!(
+            near_ties > 0 && clamped > 0 && zero_ties > 0 && retired_would_win > 0,
+            "seed {seed}: {near_ties} near-ties, {clamped} clamped rows, \
+             {zero_ties} ties at 0.0, {retired_would_win} retired rows that would win"
+        );
     }
 }
 
