@@ -4,10 +4,11 @@
 //! Four groups:
 //!
 //! * `cache_retrieve` — `ImageCache::retrieve` on a full 128-entry shard
-//!   (the fleet's per-node slice), hit and miss mixes, exact flat scan
-//!   vs the anchored inverted index; plus the exact scan alone at 600
-//!   and 1,600 entries (`.../exact/600`, `.../exact/1600`: the elastic
-//!   tier's shard and the overload study's single-node cache);
+//!   (the fleet's per-node slice), hit and miss mixes, exact flat index
+//!   (a 16-bit fixed-point screen, then an f64 re-score of the rows near
+//!   the top) vs the anchored inverted index; plus the exact index alone
+//!   at 600 and 1,600 entries (`.../exact/600`, `.../exact/1600`: the
+//!   elastic tier's shard and the overload study's single-node cache);
 //! * `cache_insert` — insert-with-eviction on the 128-entry shard, per
 //!   backend;
 //! * `cluster_of` — the affinity leader probe at the fleet's 512-leader

@@ -24,9 +24,9 @@ use crate::stats::CacheStats;
 
 /// Index backend shared by the cache variants, selected by the
 /// [`IndexPolicy`] on [`CacheConfig`]: the exact flat index or the f32
-/// anchored inverted index. The flat index screens every entry in f32
-/// and re-scores the few within the screen's error bound of the best in
-/// f64, so its answers are bit-identical to a full f64 scan.
+/// anchored inverted index. The flat index screens its entries in 16-bit
+/// fixed point and re-scores the few within the screen's error bound of
+/// the best in f64, so its answers are bit-identical to a full f64 scan.
 #[derive(Debug, Clone)]
 pub(crate) enum CacheIndex {
     Flat(EmbeddingIndex<u64>),

@@ -6,16 +6,19 @@
 //! exact; removals (FIFO eviction) are O(1) via slot recycling.
 //!
 //! Every row is stored twice, lane-blocked ([`ScreenedRows`]): in f64,
-//! eight slots per block, and in f32, sixteen slots per block.
-//! [`EmbeddingIndex::nearest`] screens every live row in f32, which reads
-//! half the bytes, then re-scores in f64, in slot order, only the rows
-//! whose f32 score lies within twice a proven error bound of the f32
-//! maximum (usually just the winner). The best row in f64 is always among
-//! them, so the answer is the one a full f64 scan gives: every similarity
-//! is the f64 a serial dot product of the query against the row produces
-//! (folded from `0.0` in component order, then clamped to `[-1, 1]`), and
-//! the first strict maximum in slot order wins, bit for bit.
-//! [`EmbeddingIndex::top_k`] scans the f64 rows in full.
+//! eight slots per block, and in 16-bit fixed point, sixteen slots per
+//! block. [`EmbeddingIndex::nearest`] screens the live rows with exact
+//! integer dot products, which read a quarter of the bytes and pass over
+//! whole blocks that cannot reach the top, then re-scores in f64, in slot
+//! order, only the rows whose integer score lies within twice a proven
+//! quantization bound of the integer maximum (a handful). The best row in
+//! f64 is always among them, so the answer is the one a full f64 scan
+//! gives: every similarity is the f64 a serial dot product of the query
+//! against the row produces (folded from `0.0` in component order, then
+//! clamped to `[-1, 1]`), and the first strict maximum in slot order
+//! wins, bit for bit. The bound needs unit (or zero) rows and queries,
+//! which [`Embedding::from_vec`] guarantees. [`EmbeddingIndex::top_k`]
+//! scans the f64 rows in full.
 
 use std::collections::HashMap;
 
@@ -51,8 +54,8 @@ pub struct Neighbor<K> {
 pub struct EmbeddingIndex<K> {
     /// Key per slot; `None` marks a removed slot awaiting reuse.
     keys: Vec<Option<K>>,
-    /// Slot-parallel rows in f64 and f32, lane-blocked so the scans score
-    /// eight (f64) or sixteen (f32) slots per pass. Rows of removed slots
+    /// Slot-parallel rows in f64 and 16-bit fixed point, lane-blocked so
+    /// the scans score eight (f64) or sixteen (fixed point) slots per pass. Rows of removed slots
     /// keep their stale values (skipped via `keys`) until recycled; the
     /// row length is learned from the first insert.
     rows: ScreenedRows,
@@ -152,10 +155,11 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// The single most similar entry to `query`, if any entry is live. Ties
     /// go to the lowest slot.
     ///
-    /// Screens in f32 and re-scores the rows near the top in f64
-    /// ([`ScreenedRows::nearest`]); the result is bit-identical to taking
-    /// the first strict maximum of a full f64 scan, which debug builds
-    /// check on every call.
+    /// Screens in 16-bit fixed point and re-scores the rows near the top
+    /// in f64 ([`ScreenedRows::nearest`]); the result is bit-identical to
+    /// taking the first strict maximum of a full f64 scan, which debug
+    /// builds check on every call. That holds because every stored
+    /// embedding and query is a unit or zero vector.
     ///
     /// # Panics
     ///
@@ -182,7 +186,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
                 let bits = |n: Option<Neighbor<K>>| n.map(|n| (n.key, n.similarity.to_bits()));
                 bits(best) == bits(full)
             },
-            "the f32 screen changed the answer of the full f64 scan"
+            "the fixed-point screen changed the answer of the full f64 scan"
         );
         best
     }

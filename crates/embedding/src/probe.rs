@@ -7,9 +7,9 @@
 //! by [`IndexPolicy`]:
 //!
 //! * `Exact` — lane-blocked scans with f64 answers:
-//!   [`EmbeddingIndex`](crate::EmbeddingIndex) for caches (an f32 screen,
-//!   then an f64 re-score of the rows near the top) and the clusterer's
-//!   own f64 leader table for affinity routing.
+//!   [`EmbeddingIndex`](crate::EmbeddingIndex) for caches (a 16-bit
+//!   fixed-point screen, then an f64 re-score of the rows near the top)
+//!   and the clusterer's own f64 leader table for affinity routing.
 //! * `Approx` — the f32 backends in this module: [`InvertedIndex`] for
 //!   caches (with [`InvertedIndex::nearest_with_floor`]'s verify-on-miss
 //!   fallback keeping hit/miss verdicts exact to f32 precision) and

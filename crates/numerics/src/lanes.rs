@@ -1,59 +1,65 @@
 //! Lane-blocked row storage, the exact batched dot-product kernel
-//! behind every flat f64 similarity scan, and the f32 screen that lets
-//! the exact nearest-row search read half the bytes.
+//! behind every flat f64 similarity scan, and the 16-bit fixed-point
+//! screen that lets the exact nearest-row search read a quarter of the
+//! bytes.
 //!
 //! A flat scan scores one query against many stored rows. Stored
 //! row-major, each dot product is one serial chain of dependent adds, so
 //! the scan runs at the latency of one add per component per row.
-//! [`BlockedRows`] interleaves `L` rows per block instead: slot `s` lives
-//! in block `s / L`, lane `s % L`, and component `d` of it sits at
-//! `block * dim * L + d * L + lane`. [`BlockedRows::block_dots`] then
-//! scores a whole block with `L` independent accumulators, which the
-//! compiler turns into vector multiplies and adds. [`LaneRows`] is the f64
-//! layout ([`LANES`] = 8 lanes), [`LaneRows32`] the f32 one ([`LANES32`] =
-//! 16 lanes: the same register width, twice the rows).
+//! [`LaneRows`] interleaves [`LANES`] = 8 rows per block instead: slot `s`
+//! lives in block `s / 8`, lane `s % 8`, and component `d` of it sits at
+//! `block * dim * 8 + d * 8 + lane`. [`LaneRows::block_dots`] then scores
+//! a whole block with 8 independent accumulators, which the compiler
+//! turns into vector multiplies and adds.
 //!
 //! The f64 results are exact, not approximate: each lane still computes
 //! `init + q[0] * r[0] + q[1] * r[1] + ...` left to right, with a separate
 //! multiply and add, so every score is the same f64 a serial fold from
 //! `init` produces.
 //!
-//! [`ScreenedRows`] keeps both layouts of the same rows and finds the
-//! best-scoring row in two steps. It screens every row in f32, which reads
-//! half the bytes of the f64 scan, and keeps the f32 maximum. It then
-//! re-scores in f64, with [`BlockedRows::slot_dot`] and in slot order,
-//! only the rows whose f32 score is within twice [`screen_error_bound`]
-//! of that maximum. No f32 score is further than the bound from its f64
-//! score, so the row an all-f64 scan would pick is always among those
-//! re-scored, and the answer is bit for bit the full scan's.
-
-use std::ops::{Add, Mul};
+//! [`ScreenedRows`] keeps a second, fixed-point copy of the same rows:
+//! each component `x` as the `i16` `round(x * 32767)`, saturated to
+//! `±32767`, sixteen rows per block. It finds the best-scoring row in two
+//! steps. It screens the rows with integer dot products (SSE2 `pmaddwd`
+//! on x86-64), which read a quarter of the f64 scan's bytes, and keeps
+//! the largest. It then re-scores in f64, with [`LaneRows::slot_dot`] and
+//! in slot order, only the rows whose integer score is within twice
+//! [`fixed_screen_error_bound`] of that maximum. Integer dot products are
+//! exact, so the bound covers only quantization and the f64 fold's own
+//! rounding; no integer score is further than it from its f64 score
+//! (scaled by `32767²`), so the row an all-f64 scan would pick is always
+//! among those re-scored, and the answer is bit for bit the full scan's.
+//! A block whose best lane is already below the re-score floor is passed
+//! over without looking at its lanes.
+//!
+//! The guarantee needs rows and queries of Euclidean norm at most
+//! `1 + 2^-30`, which every normalized (or zero) vector meets.
 
 /// Rows per f64 block, and accumulators per kernel call.
 pub const LANES: usize = 8;
 
-/// Rows per f32 block: the register width of [`LANES`] f64 lanes.
-pub const LANES32: usize = 16;
+/// Rows per fixed-point screen block: four SSE2 registers of four `i32`
+/// lanes each.
+const SCREEN_LANES: usize = 16;
 
-/// A component type [`BlockedRows`] can store and score.
-pub trait Lane: Copy + Default + Add<Output = Self> + Mul<Output = Self> {
-    /// `x` rounded to the nearest value of this type.
-    fn narrow(x: f64) -> Self;
-}
+/// The fixed-point scale `S`: a component `x` is stored as
+/// `round(x * S)`, saturated to `±S`. `-32768` is never stored, so one
+/// `pmaddwd` pair sum stays below `2 S² < 2^31` and cannot wrap.
+const FIXED_ONE: i16 = i16::MAX;
 
-impl Lane for f64 {
-    fn narrow(x: f64) -> Self {
-        x
-    }
-}
+/// `S²`, the fixed-point score of a unit row against itself.
+const FIXED_ONE_SQ: i64 = FIXED_ONE as i64 * FIXED_ONE as i64;
 
-impl Lane for f32 {
-    fn narrow(x: f64) -> Self {
-        x as f32
-    }
-}
+/// The largest row length for which [`fixed_screen_error_bound`]'s
+/// derivation and its no-overflow argument are carried out.
+pub const MAX_SCREEN_DIM: usize = 1 << 20;
 
-/// Equal-length f64 rows, eight lanes per block: the exact kernel.
+/// Equal-length f64 rows in lane-blocked layout (eight rows per block),
+/// addressed by slot: the exact kernel.
+///
+/// The row length is learned from the first pushed row. Slots are never
+/// removed; owners that retire rows overwrite them in place with
+/// [`LaneRows::set`] and skip dead slots themselves.
 ///
 /// # Example
 ///
@@ -66,30 +72,18 @@ impl Lane for f32 {
 /// let scores = rows.block_dots(&[1.0, 2.0], 0.0).next().unwrap();
 /// assert_eq!(&scores[..2], &[1.0, 1.5]);
 /// ```
-pub type LaneRows = BlockedRows<f64, LANES>;
-
-/// Equal-length f32 rows, sixteen lanes per block: the screening kernel.
-pub type LaneRows32 = BlockedRows<f32, LANES32>;
-
-/// Equal-length rows of `T` in lane-blocked layout (`L` rows per block),
-/// addressed by slot. Rows are pushed and set as f64 and stored rounded to
-/// `T`.
-///
-/// The row length is learned from the first pushed row. Slots are never
-/// removed; owners that retire rows overwrite them in place with
-/// [`BlockedRows::set`] and skip dead slots themselves.
 #[derive(Debug, Clone, Default)]
-pub struct BlockedRows<T, const L: usize> {
-    /// `L`-slot blocks of `dim * L` values each, component-major within a
-    /// block. Lanes past the last slot are zero padding.
-    data: Vec<T>,
+pub struct LaneRows {
+    /// [`LANES`]-slot blocks of `dim * LANES` values each, component-major
+    /// within a block. Lanes past the last slot are zero padding.
+    data: Vec<f64>,
     /// Row length; 0 until the first push.
     dim: usize,
     /// Slots in use.
     len: usize,
 }
 
-impl<T: Lane, const L: usize> BlockedRows<T, L> {
+impl LaneRows {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
@@ -110,7 +104,7 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
         self.len == 0
     }
 
-    /// Appends `row` as slot [`BlockedRows::len`] and returns that slot.
+    /// Appends `row` as slot [`LaneRows::len`] and returns that slot.
     ///
     /// # Panics
     ///
@@ -121,9 +115,8 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
             self.dim = row.len();
         }
         let slot = self.len;
-        if slot.is_multiple_of(L) {
-            self.data
-                .resize(self.data.len() + self.dim * L, T::default());
+        if slot.is_multiple_of(LANES) {
+            self.data.resize(self.data.len() + self.dim * LANES, 0.0);
         }
         self.len += 1;
         self.set(slot, row);
@@ -139,8 +132,8 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
     pub fn set(&mut self, slot: usize, row: &[f64]) {
         assert!(slot < self.len, "slot {slot} out of range");
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
-        for (col, &x) in self.columns_mut(slot / L).iter_mut().zip(row) {
-            col[slot % L] = T::narrow(x);
+        for (col, &x) in self.columns_mut(slot / LANES).iter_mut().zip(row) {
+            col[slot % LANES] = x;
         }
     }
 
@@ -149,55 +142,60 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    pub fn row(&self, slot: usize) -> Vec<T> {
+    pub fn row(&self, slot: usize) -> Vec<f64> {
         assert!(slot < self.len, "slot {slot} out of range");
-        self.columns(slot / L)
+        self.columns(slot / LANES)
             .iter()
-            .map(|col| col[slot % L])
+            .map(|col| col[slot % LANES])
             .collect()
     }
 
     /// Dot product of `q` with the row at `slot` alone: a serial fold from
     /// `init`, bit-identical to that slot's lane of
-    /// [`BlockedRows::block_dots`]. Scoring a handful of rows this way
-    /// skips the rest of their blocks.
+    /// [`LaneRows::block_dots`]. Scoring a handful of rows this way skips
+    /// the rest of their blocks.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range or `q`'s length differs from the
     /// stored rows'.
-    pub fn slot_dot(&self, slot: usize, q: &[T], init: T) -> T {
+    pub fn slot_dot(&self, slot: usize, q: &[f64], init: f64) -> f64 {
         assert!(slot < self.len, "slot {slot} out of range");
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let lane = slot % L;
+        let lane = slot % LANES;
         q.iter()
-            .zip(self.columns(slot / L))
+            .zip(self.columns(slot / LANES))
             .fold(init, |acc, (&x, col)| acc + x * col[lane])
     }
 
     /// Block `b` as its `dim` component columns, one value per lane.
-    fn columns(&self, b: usize) -> &[[T; L]] {
-        let stride = self.dim * L;
+    fn columns(&self, b: usize) -> &[[f64; LANES]] {
+        let stride = self.dim * LANES;
         self.data[b * stride..][..stride].as_chunks().0
     }
 
-    /// [`BlockedRows::columns`], writable.
-    fn columns_mut(&mut self, b: usize) -> &mut [[T; L]] {
-        let stride = self.dim * L;
+    /// [`LaneRows::columns`], writable.
+    fn columns_mut(&mut self, b: usize) -> &mut [[f64; LANES]] {
+        let stride = self.dim * LANES;
         self.data[b * stride..][..stride].as_chunks_mut().0
     }
 
-    /// Dot products of `q` with every row, one `[T; L]` per block: lane
-    /// `l` of the `b`-th item scores slot `b * L + l`. Each score is
-    /// bit-identical to `q.iter().zip(row).fold(init, |a, (x, y)| a + x * y)`.
-    /// Lanes past the last slot score the zero padding and are the
-    /// caller's to ignore (zipping with a `chunks(L)` view of
-    /// slot-parallel data does this).
+    /// Dot products of `q` with every row, one `[f64; LANES]` per block:
+    /// lane `l` of the `b`-th item scores slot `b * LANES + l`. Each score
+    /// is bit-identical to
+    /// `q.iter().zip(row).fold(init, |a, (x, y)| a + x * y)`. Lanes past
+    /// the last slot score the zero padding and are the caller's to
+    /// ignore (zipping with a `chunks(LANES)` view of slot-parallel data
+    /// does this).
     ///
     /// # Panics
     ///
     /// Panics if rows are stored and `q`'s length differs from theirs.
-    pub fn block_dots<'a>(&'a self, q: &'a [T], init: T) -> impl Iterator<Item = [T; L]> + 'a {
+    pub fn block_dots<'a>(
+        &'a self,
+        q: &'a [f64],
+        init: f64,
+    ) -> impl Iterator<Item = [f64; LANES]> + 'a {
         assert!(
             self.len == 0 || q.len() == self.dim,
             "query dimension mismatch: {} vs {}",
@@ -206,13 +204,13 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
         );
         // `max(1)` only matters while empty, when `data` is too.
         self.data
-            .chunks_exact(self.dim.max(1) * L)
+            .chunks_exact(self.dim.max(1) * LANES)
             .map(move |block| {
-                let (cols, _) = block.as_chunks::<L>();
-                let mut acc = [init; L];
+                let (cols, _) = block.as_chunks::<LANES>();
+                let mut acc = [init; LANES];
                 for (&x, col) in q.iter().zip(cols) {
                     for (a, &y) in acc.iter_mut().zip(col) {
-                        *a = *a + x * y;
+                        *a += x * y;
                     }
                 }
                 acc
@@ -220,45 +218,201 @@ impl<T: Lane, const L: usize> BlockedRows<T, L> {
     }
 }
 
-/// A bound on how far a [`LaneRows32`] score can fall from the
-/// [`LaneRows`] score of the same row and query, when both are unit (or
-/// zero) vectors of length `dim` held in f64: `(dim + 4) * f32::EPSILON`.
-///
-/// Write `n = dim`, `u = f32::EPSILON / 2` (f32 unit roundoff) and
-/// `v = 2^-53` (f64's), and let `q`, `r` be the f64 query and row, with
-/// `‖q‖, ‖r‖ <= 1 + 2^-30` (f64 normalization errs by about
-/// `(n / 2 + 2) v`) and
-/// `S = Σ|q_i r_i| <= ‖q‖ ‖r‖` (Cauchy–Schwarz). Both kernels fold left
-/// to right with a separate rounding per multiply and per add, so the
-/// standard recursive dot-product bound (Higham, *Accuracy and
-/// Stability of Numerical Algorithms*, §3.1) applies, with
-/// `γ_n(w) = n w / (1 − n w)`:
-///
-/// 1. Narrowing rounds each component to f32 with relative error at
-///    most `u`, so the exact dot of the narrowed vectors is within
-///    `(2u + u²) S` of the exact dot of `q` and `r`, and its absolute
-///    terms sum to at most `(1 + u)² S`.
-/// 2. The f32 fold is within `γ_n(u) (1 + u)² S` of that narrowed exact
-///    dot.
-/// 3. The f64 fold is within `γ_n(v) S` of the exact dot.
-///
-/// So `|f32 − f64| <= (γ_n(u) (1 + u)² + 2u + u² + γ_n(v)) S`. For
-/// `n u <= 1/4` (`dim` up to 2^22) `γ_n(u) <= (4/3) n u`, and the sum is
-/// below `(4/3) n u + 3u`, while the bound returned is `2 n u + 8u`. The
-/// slack also covers `S`'s excess over 1 and f32 underflow, which moves a
-/// component or product by at most 2^-150. Zero rows score exactly 0.0
-/// in both kernels.
-///
-/// The worst case grows like `n u`; typical errors grow like `√n u`, so
-/// the screen in [`ScreenedRows::nearest`] almost always re-scores only
-/// the winner.
-pub fn screen_error_bound(dim: usize) -> f64 {
-    (dim + 4) as f64 * f64::from(f32::EPSILON)
+/// `x` in fixed point: `x * 32767` rounded to the nearest integer (ties
+/// to even), saturated to `±32767`.
+fn quantize(x: f64) -> i16 {
+    // Adding and subtracting 1.5 * 2^52 rounds any |y| < 2^51 to an
+    // integer in two exact-or-nearest adds, with no libm call.
+    const ROUNDER: f64 = 6_755_399_441_055_744.0;
+    let s = f64::from(FIXED_ONE);
+    let y = (x * s).clamp(-s, s);
+    ((y + ROUNDER) - ROUNDER) as i16
 }
 
-/// The same rows stored twice, in [`LaneRows`] (exact) and [`LaneRows32`]
-/// (screen) layout, kept in step: [`ScreenedRows::push`] and
-/// [`ScreenedRows::set`] write both copies.
+/// One or two components (a row's last pair when its length is odd) in
+/// fixed point, padded with a zero.
+fn quantize_pair(values: &[f64]) -> [i16; 2] {
+    [
+        quantize(values[0]),
+        values.get(1).copied().map_or(0, quantize),
+    ]
+}
+
+/// The bound, in fixed-point units (`S = 32767`, so a score of `S²`
+/// means 1.0), on how far the screen's integer score of a row can fall
+/// from `S²` times its f64 score ([`LaneRows::block_dots`] from `0.0`),
+/// when row and query are f64 vectors of length `n = dim` and Euclidean
+/// norm at most `1 + δ`, `δ = 2^-30`: `⌈S √n + n / 4⌉ + 1`. Normalizing
+/// in f64 errs by about `(n / 2 + 2) 2^-53`, so every unit vector of
+/// length up to [`MAX_SCREEN_DIM`] qualifies, and so does the zero vector.
+///
+/// Write `v = 2^-53` (f64 unit roundoff), `Q(x)` for the stored integer
+/// and `I = Σ Q(q_i) Q(r_i)` for the screen's score:
+///
+/// 1. Every component has `|x| <= 1 + δ`, so `fl(x S)` is within
+///    `S (1 + δ) v < 2^-37` of `x S`, and `x S` is within `S δ < 2^-15`
+///    of `[−S, S]`. Clamping to `[−S, S]` and rounding to the nearest
+///    integer then gives `Q(x) = S x + e` with `|e| <= ε := 1/2 + 2^-37`.
+/// 2. `I` is the exact integer dot product (see below for why no
+///    overflow can change it). Expanding the products,
+///    `I − S² (q·r) = S Σ (q_i e_{r,i} + r_i e_{q,i}) + Σ e_{q,i} e_{r,i}`,
+///    and `‖x‖₁ <= √n ‖x‖₂` gives
+///    `|I − S² (q·r)| <= 2 S ε (1 + δ) √n + n ε²`.
+/// 3. The f64 fold is within `γ_n(v) ‖q‖ ‖r‖` of `q·r` (Higham,
+///    *Accuracy and Stability of Numerical Algorithms*, §3.1, with
+///    `γ_n(w) = n w / (1 − n w)`), and `S² γ_n(v) (1 + δ)² <= n 2^-22`
+///    for `n <= 2^20`.
+///
+/// So `|I − S² d| <= S √n (1 + 2^-29) + n (1/4 + 2^-36) + n 2^-22`. For
+/// `n <= 2^20` the terms past `S √n + n / 4` add up to less than 0.4,
+/// which the `+ 1` covers along with the rounding of `√n` in f64. Zero
+/// rows score exactly 0 on both sides.
+///
+/// **No overflow.** Saturation keeps `|Q(x)| <= S`, so one `pmaddwd` pair
+/// sum is at most `2 S² < 2^31` and never wraps. The lanes then add in
+/// wrapping `i32` arithmetic, exact modulo `2^32`, so a lane equals `I`
+/// whenever `|I| < 2^31`. By Cauchy–Schwarz
+/// `|I| <= ‖Q(q)‖ ‖Q(r)‖` and `‖Q(x)‖ <= S (1 + δ) + ε √n <= 33 281` for
+/// `n <= 2^20`, so `|I| < 1.04 · 2^30`.
+///
+/// The worst case grows like `S √n`; it is reached when every component
+/// rounds the same way by nearly `1/2`. Typical errors are a few times
+/// smaller, so the screen in [`ScreenedRows::nearest`] re-scores only a
+/// handful of rows.
+///
+/// # Panics
+///
+/// Panics if `dim` exceeds [`MAX_SCREEN_DIM`].
+pub fn fixed_screen_error_bound(dim: usize) -> i64 {
+    assert!(
+        dim <= MAX_SCREEN_DIM,
+        "row length {dim} exceeds the screen's proven range ({MAX_SCREEN_DIM})"
+    );
+    let n = dim as f64;
+    (f64::from(FIXED_ONE) * n.sqrt() + n / 4.0).ceil() as i64 + 1
+}
+
+/// The fixed-point copy behind [`ScreenedRows`]: sixteen slots per
+/// block, components interleaved in pairs. Within a block, pair `p` of
+/// lane `l` holds `[Q(r[2p]), Q(r[2p + 1])]` at `p * 32 + 2 * l`, so one
+/// 16-byte load feeds `pmaddwd` four lanes' pair. An odd row length is
+/// padded with a zero component.
+#[derive(Debug, Clone, Default)]
+struct FixedRows {
+    /// Blocks of `pairs * 2 * SCREEN_LANES` values; unset lanes are zero.
+    data: Vec<i16>,
+    /// Component pairs per row, `dim.div_ceil(2)`.
+    pairs: usize,
+}
+
+impl FixedRows {
+    /// Values per block.
+    fn stride(&self) -> usize {
+        self.pairs * 2 * SCREEN_LANES
+    }
+
+    /// Writes `row` into slot `slot`, growing the store by whole blocks.
+    /// The owner checks the slot and the row length.
+    fn set(&mut self, slot: usize, row: &[f64]) {
+        self.pairs = row.len().div_ceil(2);
+        let stride = self.stride();
+        let end = (slot / SCREEN_LANES + 1) * stride;
+        if self.data.len() < end {
+            self.data.resize(end, 0);
+        }
+        let block = &mut self.data[end - stride..end];
+        let lane = 2 * (slot % SCREEN_LANES);
+        for (pair, values) in block.chunks_exact_mut(2 * SCREEN_LANES).zip(row.chunks(2)) {
+            pair[lane..lane + 2].copy_from_slice(&quantize_pair(values));
+        }
+    }
+
+    /// Integer scores of every block against `q` (packed pairs, from
+    /// [`FixedRows::query`]), one `[i32; SCREEN_LANES]` per block.
+    fn block_scores<'a>(&'a self, q: &'a [i32]) -> impl Iterator<Item = [i32; SCREEN_LANES]> + 'a {
+        // `max(1)` only matters while empty, when `data` is too.
+        self.data
+            .chunks_exact(self.stride().max(1))
+            .map(move |block| block_scores(block, q))
+    }
+
+    /// `q` in fixed point, each component pair packed into one `i32`,
+    /// the first in the low half: the operand `_mm_set1_epi32` broadcasts
+    /// to every `pmaddwd` pair.
+    fn query(q: &[f64]) -> Vec<i32> {
+        q.chunks(2)
+            .map(|p| {
+                let [lo, hi] = quantize_pair(p);
+                (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32
+            })
+            .collect()
+    }
+}
+
+/// One block's sixteen integer scores against the packed query pairs
+/// `q`: lane `l` is `Σ_p q[2p] r_l[2p] + q[2p + 1] r_l[2p + 1]`, summed in
+/// wrapping `i32` arithmetic. SSE2 `pmaddwd`, four lanes per register,
+/// four accumulators.
+///
+/// # Panics
+///
+/// Panics if `block` does not hold exactly `2 * SCREEN_LANES` values per
+/// query pair.
+#[cfg(target_arch = "x86_64")]
+fn block_scores(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_madd_epi16, _mm_set1_epi32, _mm_setzero_si128,
+        _mm_storeu_si128,
+    };
+    assert_eq!(block.len(), q.len() * 2 * SCREEN_LANES, "screen block size");
+    let mut out = [0; SCREEN_LANES];
+    // SAFETY: SSE2 is part of the x86-64 baseline, so its intrinsics are
+    // always available. `block` holds 64 bytes per query pair (asserted
+    // above), so the load at register offset `4p + k`, `k < 4`, reads
+    // inside it, and the four stores write exactly the 64 bytes of
+    // `out`. `loadu` and `storeu` need no alignment.
+    unsafe {
+        let rows = block.as_ptr().cast::<__m128i>();
+        let mut acc = [_mm_setzero_si128(); 4];
+        for (p, &pair) in q.iter().enumerate() {
+            let pair = _mm_set1_epi32(pair);
+            for (k, a) in acc.iter_mut().enumerate() {
+                let r = _mm_loadu_si128(rows.add(4 * p + k));
+                *a = _mm_add_epi32(*a, _mm_madd_epi16(r, pair));
+            }
+        }
+        for (k, a) in acc.into_iter().enumerate() {
+            _mm_storeu_si128(out.as_mut_ptr().cast::<__m128i>().add(k), a);
+        }
+    }
+    out
+}
+
+/// [`block_scores`] as a scalar fold: the same wrapping sums, lane for
+/// lane. The kernel on targets without SSE2, and its reference in tests.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn block_scores_scalar(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
+    assert_eq!(block.len(), q.len() * 2 * SCREEN_LANES, "screen block size");
+    let mut acc = [0i32; SCREEN_LANES];
+    for (&pair, values) in q.iter().zip(block.as_chunks::<{ 2 * SCREEN_LANES }>().0) {
+        let (q0, q1) = (i32::from(pair as i16), i32::from((pair >> 16) as i16));
+        for (a, r) in acc.iter_mut().zip(values.as_chunks::<2>().0) {
+            let dot = (i32::from(r[0]) * q0).wrapping_add(i32::from(r[1]) * q1);
+            *a = a.wrapping_add(dot);
+        }
+    }
+    acc
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use block_scores_scalar as block_scores;
+
+/// The same rows stored twice, as exact f64 [`LaneRows`] and as a 16-bit
+/// fixed-point screen copy, kept in step: [`ScreenedRows::push`] and
+/// [`ScreenedRows::set`] write both. Rows and queries are meant to have
+/// Euclidean norm at most `1 + 2^-30` (unit or zero vectors, such as
+/// normalized embeddings); [`ScreenedRows::nearest`] states what it
+/// guarantees for them.
 ///
 /// # Example
 ///
@@ -276,7 +430,7 @@ pub fn screen_error_bound(dim: usize) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct ScreenedRows {
     exact: LaneRows,
-    screen: LaneRows32,
+    screen: FixedRows,
 }
 
 impl ScreenedRows {
@@ -290,7 +444,7 @@ impl ScreenedRows {
         self.exact.dim()
     }
 
-    /// The f64 copy, for full exact scans ([`BlockedRows::block_dots`]).
+    /// The f64 copy, for full exact scans ([`LaneRows::block_dots`]).
     pub fn exact(&self) -> &LaneRows {
         &self.exact
     }
@@ -299,20 +453,21 @@ impl ScreenedRows {
     ///
     /// # Panics
     ///
-    /// As [`BlockedRows::push`].
+    /// As [`LaneRows::push`].
     pub fn push(&mut self, row: &[f64]) -> usize {
-        self.screen.push(row);
-        self.exact.push(row)
+        let slot = self.exact.push(row);
+        self.screen.set(slot, row);
+        slot
     }
 
     /// Overwrites slot `slot` in both copies.
     ///
     /// # Panics
     ///
-    /// As [`BlockedRows::set`].
+    /// As [`LaneRows::set`].
     pub fn set(&mut self, slot: usize, row: &[f64]) {
-        self.screen.set(slot, row);
         self.exact.set(slot, row);
+        self.screen.set(slot, row);
     }
 
     /// The live slot with the highest f64 score against `q`, and that
@@ -322,63 +477,82 @@ impl ScreenedRows {
     ///
     /// The answer is bit-identical to clamping every live lane of
     /// `exact().block_dots(q, 0.0)` and keeping the first strict maximum,
-    /// provided every row is finite and no row's f32 score is further than
-    /// [`screen_error_bound`] from its f64 score. That holds for unit or
-    /// zero rows and queries, and for any rows whose products and sums
-    /// are exact in f32.
+    /// provided every row is finite and every live row's integer score,
+    /// clamped to `[−S², S²]`, is within [`fixed_screen_error_bound`] of
+    /// `S²` times its clamped f64 score (`S = 32767`). That holds when
+    /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
+    /// rows whose scores saturate on both sides.
     ///
-    /// Why: write `s` for a row's f32 score and `d` for its f64 one, and
-    /// `ŝ`, `c` for them clamped to `[-1, 1]`. Clamping never widens a
-    /// gap, so `|ŝ − c| <= B`. Let `m` be the largest `s` among live
-    /// rows, from row `k`, and `j` the full scan's answer, so
-    /// `c_j >= c_k`. Then `ŝ_j >= c_j − B >= c_k − B >= ŝ_k − 2B`, and
-    /// `ŝ_k` is `m` clamped. Every row with `ŝ >= clamp(m) − 2B` is
-    /// re-scored, `j` among them, and any other re-scored row either
-    /// scores below `c_j` or ties it from a later slot. Clamping `m`
-    /// matters: rows whose f64 dot rounds above 1.0 all clamp to 1.0 and
-    /// tie, and a later one may lead the f32 screen by more than `2B`.
+    /// Why: write `I` for a row's integer score, `d` for its f64 one,
+    /// `B` for the bound and `Î`, `c` for `I` clamped to `[−S², S²]` and
+    /// `d` to `[-1, 1]`. Clamping never widens a gap, so
+    /// `|Î − S² c| <= B`. Let `m` be the largest `I` among live rows, from
+    /// row `k`, and `j` the full scan's answer, so `c_j >= c_k`. Then
+    /// `Î_j >= S² c_j − B >= S² c_k − B >= Î_k − 2B`, and `Î_k` is `m`
+    /// clamped. Every row with `I >= min(m, S²) − 2B` is re-scored (all of
+    /// them if that floor is at or below `−S²`), `j` among them, and any
+    /// other re-scored row either scores below `c_j` or ties it from a
+    /// later slot. Clamping `m` matters: rows whose f64 dot rounds above
+    /// 1.0 all clamp to 1.0 and tie, and a later one may lead the screen
+    /// by more than `2B`.
+    ///
+    /// A block whose largest lane (dead and padding lanes included) is
+    /// below the running floor is skipped: the floor never exceeds the
+    /// running maximum and only rises, so no lane of such a block could
+    /// raise the maximum or clear the final floor.
     ///
     /// # Panics
     ///
-    /// Panics if rows are stored and `q`'s length differs from theirs.
+    /// Panics if rows are stored and `q`'s length differs from theirs,
+    /// or if their length exceeds [`MAX_SCREEN_DIM`].
     pub fn nearest(&self, q: &[f64], live: impl IntoIterator<Item = bool>) -> Option<(usize, f64)> {
-        let q32: Vec<f32> = q.iter().map(|&x| x as f32).collect();
-        let window = 2.0 * screen_error_bound(self.dim());
-        // Rows whose clamped f32 score reaches `clamp(m) − window`, for
-        // the running maximum `m`. A floor at or below −1 admits every
-        // row, whatever its unclamped score.
-        let floor_of = |m: f32| {
-            let floor = f64::from(m).clamp(-1.0, 1.0) - window;
-            if floor > -1.0 {
+        assert!(
+            self.exact.is_empty() || q.len() == self.dim(),
+            "query dimension mismatch: {} vs {}",
+            q.len(),
+            self.dim()
+        );
+        let window = 2 * fixed_screen_error_bound(self.dim());
+        // Rows whose clamped integer score reaches `min(m, S²) − window`,
+        // for the running maximum `m`. A floor at or below −S² admits
+        // every row, whatever its unclamped score.
+        let floor_of = |m: i64| {
+            let floor = m.min(FIXED_ONE_SQ) - window;
+            if floor > -FIXED_ONE_SQ {
                 floor
             } else {
-                f64::NEG_INFINITY
+                i64::MIN
             }
         };
-        let mut m = f32::NEG_INFINITY;
-        let mut floor = f64::NEG_INFINITY;
+        let qi = FixedRows::query(q);
+        let mut m = i64::MIN;
+        let mut floor = i64::MIN;
         // The running floor only rises, so every row that clears the
         // final one cleared it when seen.
-        let mut candidates: Vec<(usize, f32)> = Vec::new();
+        let mut candidates: Vec<(usize, i64)> = Vec::new();
         let mut live = live.into_iter().take(self.exact.len());
-        let mut slot = 0;
-        for scores in self.screen.block_dots(&q32, 0.0) {
-            for (s, alive) in scores.into_iter().zip(live.by_ref()) {
+        for (b, scores) in self.screen.block_scores(&qi).enumerate() {
+            let top = i64::from(scores.into_iter().fold(i32::MIN, i32::max));
+            if top < floor {
+                live.nth(SCREEN_LANES - 1);
+                continue;
+            }
+            for (lane, (s, alive)) in scores.into_iter().zip(live.by_ref()).enumerate() {
+                let s = i64::from(s);
                 if alive {
                     if s > m {
                         m = s;
                         floor = floor_of(m);
                     }
-                    if f64::from(s) >= floor {
-                        candidates.push((slot, s));
+                    if s >= floor {
+                        candidates.push((b * SCREEN_LANES + lane, s));
                     }
                 }
-                slot += 1;
             }
         }
         let mut best: Option<(usize, f64)> = None;
         for (slot, s) in candidates {
-            if f64::from(s) < floor {
+            if s < floor {
                 continue;
             }
             let sim = self.exact.slot_dot(slot, q, 0.0).clamp(-1.0, 1.0);
@@ -499,29 +673,29 @@ mod tests {
         v
     }
 
-    /// Largest `|f32 score − f64 score| / screen_error_bound(dim)` over
-    /// every pair of `rows` (each also used as a query).
+    /// Largest `|integer score − S² · f64 score| / fixed_screen_error_bound(dim)`
+    /// over every pair of `rows` (each also used as a query).
     fn worst_ratio(rows: &[Vec<f64>]) -> f64 {
         let dim = rows[0].len();
-        let (mut exact, mut screen) = (LaneRows::new(), LaneRows32::new());
+        let mut screened = ScreenedRows::new();
         for r in rows {
-            exact.push(r);
-            screen.push(r);
+            screened.push(r);
         }
+        let bound = fixed_screen_error_bound(dim) as f64;
         let mut worst: f64 = 0.0;
         for q in rows {
-            let q32: Vec<f32> = q.iter().map(|&x| x as f32).collect();
-            let wide = exact.block_dots(q, 0.0).flatten();
-            let narrow = screen.block_dots(&q32, 0.0).flatten();
-            for (d, s) in wide.zip(narrow).take(rows.len()) {
-                worst = worst.max((f64::from(s) - d).abs() / screen_error_bound(dim));
+            let qi = FixedRows::query(q);
+            let wide = screened.exact.block_dots(q, 0.0).flatten();
+            let fixed = screened.screen.block_scores(&qi).flatten();
+            for (d, s) in wide.zip(fixed).take(rows.len()) {
+                worst = worst.max((f64::from(s) - d * FIXED_ONE_SQ as f64).abs() / bound);
             }
         }
         worst
     }
 
     #[test]
-    fn screen_error_bound_holds_and_is_not_loose() {
+    fn fixed_screen_error_bound_holds_and_is_not_loose() {
         let mut seed = 0x5EED;
         for dim in [1, 3, 64, 512] {
             let mut rows: Vec<Vec<f64>> = (0..128).map(|_| unit(dim, &mut seed)).collect();
@@ -534,7 +708,7 @@ mod tests {
             }
         }
         // Adversarial: equal magnitudes with alternating signs, so every
-        // product has the same magnitude and partial sums either grow in
+        // component rounds by the same amount and the errors add up in
         // lockstep (a row against itself) or cancel (against its flip).
         for dim in [3, 63, 64, 511, 512] {
             let c = 1.0 / (dim as f64).sqrt();
@@ -543,6 +717,244 @@ mod tests {
             let worst = worst_ratio(&[alternating, flat]);
             assert!(worst <= 1.0, "dim {dim}: error {worst} x the bound");
         }
+    }
+
+    /// Splitmix64 step, for raw fixed-point test values.
+    fn next(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn fixed_kernel_matches_scalar_fold() {
+        let s = f64::from(FIXED_ONE);
+        let mut seed = 0xC0DE;
+        for dim in [1, 7, 64, 512] {
+            // Rows of the given integers (`k / S` quantizes back to `k`).
+            type Pattern = fn(usize, usize, &mut u64) -> i16;
+            let patterns: [Pattern; 4] = [
+                |_, _, seed| ((next(seed) % 65_535) as i32 - i32::from(FIXED_ONE)) as i16,
+                |_, _, _| FIXED_ONE,
+                |_, _, _| -FIXED_ONE,
+                |slot, d, _| {
+                    if (slot + d) % 2 == 0 {
+                        FIXED_ONE
+                    } else {
+                        -FIXED_ONE
+                    }
+                },
+            ];
+            for (p, pattern) in patterns.iter().enumerate() {
+                let mut rows = ScreenedRows::new();
+                let ints = |slot: usize, seed: &mut u64| -> Vec<f64> {
+                    (0..dim)
+                        .map(|d| f64::from(pattern(slot, d, seed)) / s)
+                        .collect()
+                };
+                for slot in 0..21 {
+                    rows.push(&ints(slot, &mut seed));
+                }
+                for query in 0..4 {
+                    let q = ints(100 + query, &mut seed);
+                    let qi = FixedRows::query(&q);
+                    let stride = rows.screen.stride();
+                    for block in rows.screen.data.chunks_exact(stride) {
+                        assert_eq!(
+                            block_scores(block, &qi),
+                            block_scores_scalar(block, &qi),
+                            "dim {dim}, pattern {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_components_never_wrap_a_pair() {
+        assert_eq!(quantize(-2.0), -FIXED_ONE);
+        assert_eq!(quantize(2.0), FIXED_ONE);
+        // Both components of query and row saturate: the pair sum is
+        // 2 S², just inside i32, and the row must still win.
+        let mut rows = ScreenedRows::new();
+        rows.push(&[-2.0, -2.0]);
+        rows.push(&[0.0, 0.0]);
+        assert_eq!(rows.nearest(&[-2.0, -2.0], [true, true]), Some((0, 1.0)));
+    }
+
+    /// The first strict maximum of the clamped f64 scores of live rows.
+    fn full_scan(rows: &ScreenedRows, q: &[f64], live: &[bool]) -> Option<(usize, f64)> {
+        let mut full: Option<(usize, f64)> = None;
+        let dots = rows.exact().block_dots(q, 0.0).flatten();
+        for (slot, (d, &alive)) in dots.zip(live).enumerate() {
+            let sim = d.clamp(-1.0, 1.0);
+            if alive && full.is_none_or(|(_, b)| sim > b) {
+                full = Some((slot, sim));
+            }
+        }
+        full
+    }
+
+    /// `rows` pushed in order into a fresh store.
+    fn screened(rows: &[&[f64]]) -> ScreenedRows {
+        let mut store = ScreenedRows::new();
+        for r in rows {
+            store.push(r);
+        }
+        store
+    }
+
+    /// Integer screen scores of `rows` against `q`, in slot order.
+    fn fixed_scores(rows: &ScreenedRows, q: &[f64]) -> Vec<i32> {
+        let qi = FixedRows::query(q);
+        let n = rows.exact().len();
+        rows.screen.block_scores(&qi).flatten().take(n).collect()
+    }
+
+    #[test]
+    fn quantization_near_ties_go_to_the_f64_winner() {
+        let mut seed = 0x71E5;
+        let dim = 64;
+        let q = unit(dim, &mut seed);
+        // Equal integer rows: a few f64 ulps apart in one component, on
+        // the side where the query makes them score higher.
+        let r = unit(dim, &mut seed);
+        let d = (0..dim)
+            .max_by(|&a, &b| q[a].abs().total_cmp(&q[b].abs()))
+            .unwrap();
+        let mut up = r.clone();
+        for _ in 0..4 {
+            up[d] = if q[d] > 0.0 {
+                up[d].next_up()
+            } else {
+                up[d].next_down()
+            };
+        }
+        let pair = screened(&[&r, &up]);
+        let ints = fixed_scores(&pair, &q);
+        assert_eq!(
+            ints[0], ints[1],
+            "the nudge must not change the integer row"
+        );
+        let (low, high) = (
+            pair.exact().slot_dot(0, &q, 0.0),
+            pair.exact().slot_dot(1, &q, 0.0),
+        );
+        assert!(high > low, "the nudge must raise the f64 score");
+        assert_eq!(pair.nearest(&q, [true, true]), Some((1, high)));
+        let swapped = screened(&[&up, &r]);
+        assert_eq!(swapped.nearest(&q, [true, true]), Some((0, high)));
+        let twins = screened(&[&r, &r]);
+        assert_eq!(twins.nearest(&q, [true, true]), Some((0, low)));
+
+        // Rows whose integer order is the reverse of their f64 order: the
+        // screen's leader loses the re-score, from either slot.
+        let flipped = (0..10_000)
+            .find_map(|_| {
+                let base = unit(dim, &mut seed);
+                let noise = unit(dim, &mut seed);
+                let mut near: Vec<f64> =
+                    base.iter().zip(&noise).map(|(b, n)| b + 1e-5 * n).collect();
+                crate::vector::normalize(&mut near);
+                let rows = screened(&[&base, &near]);
+                let ints = fixed_scores(&rows, &q);
+                let dots = [
+                    rows.exact().slot_dot(0, &q, 0.0),
+                    rows.exact().slot_dot(1, &q, 0.0),
+                ];
+                (ints[0] < ints[1] && dots[0] > dots[1]).then_some((base, near, dots[0]))
+            })
+            .expect("some nearby rows round out of f64 order");
+        let (base, near, best) = flipped;
+        assert_eq!(
+            screened(&[&base, &near]).nearest(&q, [true, true]),
+            Some((0, best))
+        );
+        assert_eq!(
+            screened(&[&near, &base]).nearest(&q, [true, true]),
+            Some((1, best))
+        );
+    }
+
+    #[test]
+    fn skipped_blocks_never_hide_the_best_live_row() {
+        let mut seed = 0x5A1F;
+        let dim = 16;
+        let q = unit(dim, &mut seed);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        // Block 0: a dead copy of the query, which outscores every live
+        // row, then live rows in random directions.
+        rows.push(q.clone());
+        rows.extend((1..16).map(|_| unit(dim, &mut seed)));
+        // Block 1: dead rows opposite the query, so the block is skipped.
+        rows.extend((0..16).map(|_| q.iter().map(|x| -x).collect::<Vec<f64>>()));
+        // Block 2 (partial): the best live row last, near the query.
+        rows.extend((0..7).map(|_| unit(dim, &mut seed)));
+        let noise = unit(dim, &mut seed);
+        let mut best: Vec<f64> = q.iter().zip(&noise).map(|(x, n)| x + 0.05 * n).collect();
+        crate::vector::normalize(&mut best);
+        rows.push(best);
+        let store = screened(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let live: Vec<bool> = (0..rows.len())
+            .map(|s| s != 0 && !(16..32).contains(&s))
+            .collect();
+        let want = full_scan(&store, &q, &live);
+        assert_eq!(want.map(|(s, _)| s), Some(39));
+        assert_eq!(store.nearest(&q, live.iter().copied()), want);
+        // With block 1 live too, it still cannot win: same answer.
+        let live: Vec<bool> = (0..rows.len()).map(|s| s != 0).collect();
+        assert_eq!(store.nearest(&q, live.iter().copied()), want);
+    }
+
+    #[test]
+    fn a_block_whose_top_lane_meets_the_floor_is_scored() {
+        // Integer query (1, 1, S): slot 0 scores exactly S² (the running
+        // maximum, f64 score just below 1.0), and slot 16, alone in block
+        // 1, scores exactly the floor S² − 2B. Its first component
+        // saturates, so its f64 score clamps to 1.0 and it is the answer.
+        let s = i64::from(FIXED_ONE);
+        let sf = f64::from(FIXED_ONE);
+        let q = [1.0 / sf, 1.0 / sf, 1.0];
+        let floor = FIXED_ONE_SQ - 2 * fixed_screen_error_bound(3);
+        let rest = floor - s;
+        let (hi, lo) = (rest.div_euclid(s), rest.rem_euclid(s));
+        let top = [0.0, 0.0, 1.0 - 0.25 / sf];
+        let at_floor = [1e6, lo as f64 / sf, hi as f64 / sf];
+        let low = [0.0, 0.0, -1.0];
+        let mut rows: Vec<&[f64]> = vec![&top];
+        rows.extend([&low[..]; 15]);
+        rows.push(&at_floor);
+        let store = screened(&rows);
+        let ints = fixed_scores(&store, &q);
+        assert_eq!(
+            (i64::from(ints[0]), i64::from(ints[16])),
+            (FIXED_ONE_SQ, floor)
+        );
+        assert_eq!(store.nearest(&q, [true; 17]), Some((16, 1.0)));
+    }
+
+    #[test]
+    fn screened_rows_keep_slot_order_past_the_fixed_point_range() {
+        // Rows past unit norm along the query: integer scores of about
+        // 1.06 S² and 1.41 S² both clamp to S², as the f64 dots clamp to
+        // 1.0, so slot 0 must win although slot 1 leads the screen by far
+        // more than twice the bound.
+        let c = 0.5_f64.sqrt();
+        let mut rows = ScreenedRows::new();
+        rows.push(&[0.75, 0.75]);
+        rows.push(&[1.0, 1.0]);
+        assert!(fixed_scores(&rows, &[c, c])
+            .iter()
+            .all(|&s| i64::from(s) > FIXED_ONE_SQ));
+        assert_eq!(rows.nearest(&[c, c], [true, true]), Some((0, 1.0)));
+        // The same at the bottom, where the floor falls below −S².
+        let mut rows = ScreenedRows::new();
+        rows.push(&[-1.0, -1.0]);
+        rows.push(&[-0.75, -0.75]);
+        assert_eq!(rows.nearest(&[c, c], [true, true]), Some((0, -1.0)));
     }
 
     #[test]

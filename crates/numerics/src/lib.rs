@@ -7,8 +7,8 @@
 //! root, running Gaussian moment estimation and the Fréchet distance itself —
 //! with no external dependencies. It also holds the exact lane-blocked
 //! dot-product kernel ([`lanes`]) behind the flat similarity scans, and
-//! the f32 screen that lets the exact nearest-row search read half the
-//! bytes.
+//! the 16-bit fixed-point screen that lets the exact nearest-row search
+//! read a quarter of the bytes, for unit or zero rows and queries.
 //!
 //! # Example: FID between two feature sets
 //!
