@@ -221,12 +221,12 @@ impl LaneRows {
 /// `x` in fixed point: `x * 32767` rounded to the nearest integer (ties
 /// to even), saturated to `±32767`.
 fn quantize(x: f64) -> i16 {
-    // Adding and subtracting 1.5 * 2^52 rounds any |y| < 2^51 to an
-    // integer in two exact-or-nearest adds, with no libm call.
+    // For |y| <= S, y + 1.5 * 2^52 lies in [2^52, 2^53), where the f64
+    // spacing is 1, so the add rounds y to an integer held in the low
+    // bits of the sum's mantissa (offset by 2^51, above the low 16).
     const ROUNDER: f64 = 6_755_399_441_055_744.0;
     let s = f64::from(FIXED_ONE);
-    let y = (x * s).clamp(-s, s);
-    ((y + ROUNDER) - ROUNDER) as i16
+    ((x * s).clamp(-s, s) + ROUNDER).to_bits() as i16
 }
 
 /// One or two components (a row's last pair when its length is odd) in
