@@ -481,7 +481,8 @@ impl ScreenedRows {
     /// clamped to `[−S², S²]`, is within [`fixed_screen_error_bound`] of
     /// `S²` times its clamped f64 score (`S = 32767`). That holds when
     /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
-    /// rows whose scores saturate on both sides.
+    /// rows whose integer and f64 scores both clamp to the same end of
+    /// the range.
     ///
     /// Why: write `I` for a row's integer score, `d` for its f64 one,
     /// `B` for the bound and `Î`, `c` for `I` clamped to `[−S², S²]` and
