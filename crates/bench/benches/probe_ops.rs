@@ -12,9 +12,14 @@
 //! * `cache_insert` — insert-with-eviction on the 128-entry shard, per
 //!   backend;
 //! * `cluster_of` — the affinity leader probe at the fleet's 512-leader
-//!   bound, exact lane-blocked f64 scan vs the two-level f32 probe; plus
-//!   the exact scan over a full table at the default 4,096-leader bound
-//!   (`cluster_of/exact/4096`);
+//!   bound, exact scan (a 16-bit fixed-point screen seeded with the join
+//!   threshold, then an f64 re-score of the candidates) vs the two-level
+//!   f32 probe; the exact scan over a full table at the default
+//!   4,096-leader bound (`cluster_of/exact/4096`); and at the elastic
+//!   tier's ~660 live leaders, a join stream of prompts near live leaders
+//!   (`cluster_of/exact/660/join`) and a mint stream of unrelated prompts
+//!   on a full 660-leader table, each retiring the oldest leader so the
+//!   table stays put (`cluster_of/exact/660/mint`);
 //! * `prewarm` — one node joining and draining again at the elastic
 //!   tier's shape (6 serving shards × 600 entries, full 4,096-leader
 //!   exact clusterer), priced per resident entry: `prewarm/closure`
@@ -156,6 +161,34 @@ fn main() {
     bench.measure(format!("cluster_of/exact/{leaders}"), || {
         i += 1;
         clusterer.cluster_of(&live[(i * 17) % leaders])
+    });
+
+    // The elastic tier's shape: ~660 live leaders. Joiners share four of
+    // five tokens with a live leader (cosine ~0.9); minters share none,
+    // and there are more of them than slots, so each has retired by the
+    // time the stream comes round to it again.
+    let leaders = 660;
+    let mut elastic = SemanticClusterer::new(SemanticClusterer::DEFAULT_THRESHOLD, leaders);
+    let prompt = |i: usize| format!("orchid{i} lantern{} meadow{} tide{}", i * 3, i * 7, i * 11);
+    for i in 0..leaders {
+        elastic.cluster_of(&text.encode(&prompt(i)));
+    }
+    assert_eq!(elastic.num_leaders(), leaders, "leader table not full");
+    let joiners: Vec<_> = (0..leaders)
+        .map(|i| text.encode(&format!("{} dusk", prompt(i))))
+        .collect();
+    let minters: Vec<_> = (0..4 * leaders)
+        .map(|i| text.encode(&format!("quartz{i} ember{} glyph{}", i * 5, i * 13)))
+        .collect();
+    let mut i = 0usize;
+    bench.measure(format!("cluster_of/exact/{leaders}/join"), || {
+        i += 1;
+        elastic.cluster_of(&joiners[(i * 17) % leaders])
+    });
+    let mut i = 0usize;
+    bench.measure(format!("cluster_of/exact/{leaders}/mint"), || {
+        i += 1;
+        elastic.cluster_of(&minters[i % minters.len()])
     });
 
     let prewarm_images: Vec<GeneratedImage> = (0..3_600)

@@ -167,7 +167,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
         let best = self
             .rows
-            .nearest(query.as_slice(), self.keys.iter().map(Option::is_some))
+            .nearest(query.as_slice(), |slot| self.keys[slot].is_some())
             .map(|(slot, similarity)| Neighbor {
                 key: self.keys[slot].expect("the screen answers live slots"),
                 similarity,

@@ -1,5 +1,6 @@
 //! The joint text/image semantic space and its encoders.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -151,21 +152,17 @@ impl TextEncoder {
         let mut any = false;
         let mut memo = self.memo.borrow_mut();
         for raw in prompt.split_whitespace() {
-            let token: String = raw
-                .chars()
-                .filter(|c| c.is_alphanumeric() || *c == '-')
-                .collect::<String>()
-                .to_lowercase();
+            let token = normalize_token(raw);
             if token.is_empty() {
                 continue;
             }
-            match memo.get(&token) {
+            match memo.get(token.as_ref()) {
                 Some(dir) => vector::axpy(&mut acc, 1.0, dir),
                 None => {
                     let dir = self.space.token_direction(&token);
                     vector::axpy(&mut acc, 1.0, &dir);
                     if memo.len() < Self::MEMO_CAPACITY {
-                        memo.insert(token, dir);
+                        memo.insert(token.into_owned(), dir);
                     }
                 }
             }
@@ -175,6 +172,26 @@ impl TextEncoder {
             acc = self.space.token_direction("<empty>");
         }
         Embedding::from_vec(acc)
+    }
+}
+
+/// `raw` as a vocabulary key: its alphanumeric and `-` characters,
+/// lowercased. A token already in that form (only ASCII lowercase
+/// letters, digits and `-`, as every generated prompt's are) is borrowed
+/// as is; any other is filtered and lowercased into a new `String`.
+fn normalize_token(raw: &str) -> Cow<'_, str> {
+    if raw
+        .bytes()
+        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
+    {
+        Cow::Borrowed(raw)
+    } else {
+        Cow::Owned(
+            raw.chars()
+                .filter(|c| c.is_alphanumeric() || *c == '-')
+                .collect::<String>()
+                .to_lowercase(),
+        )
     }
 }
 
@@ -315,6 +332,68 @@ mod tests {
             for p in &prompts {
                 let cold = TextEncoder::new(SemanticSpace::default());
                 assert_eq!(warm.encode(p), cold.encode(p));
+            }
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_allocating_normalization() {
+        // The normalization every token went through before the borrowed
+        // path existed, and an encoder built on it: the reference.
+        let old = |raw: &str| -> String {
+            raw.chars()
+                .filter(|c| c.is_alphanumeric() || *c == '-')
+                .collect::<String>()
+                .to_lowercase()
+        };
+        let space = SemanticSpace::default();
+        let reference = |prompt: &str| -> Embedding {
+            let mut acc = vec![0.0; space.dim()];
+            let tokens: Vec<String> = prompt
+                .split_whitespace()
+                .map(old)
+                .filter(|t| !t.is_empty())
+                .collect();
+            if tokens.is_empty() {
+                return Embedding::from_vec(space.token_direction("<empty>"));
+            }
+            for t in &tokens {
+                vector::axpy(&mut acc, 1.0, &space.token_direction(t));
+            }
+            Embedding::from_vec(acc)
+        };
+        let tokens = [
+            "castle",
+            "f16-jet",
+            "a--b",
+            "-",
+            "Sunset,",
+            "LAKE!",
+            "MiXeD-Case",
+            "!?.,",
+            "ΟΔΟΣ",
+            "İstanbul",
+            "Ünïcode",
+            "naïve",
+            "x²",
+        ];
+        for raw in tokens {
+            assert_eq!(normalize_token(raw), old(raw), "token {raw:?}");
+        }
+        assert!(matches!(normalize_token("f16-jet"), Cow::Borrowed(_)));
+        assert!(matches!(normalize_token("a--b"), Cow::Borrowed(_)));
+        assert!(matches!(normalize_token("Sunset"), Cow::Owned(_)));
+        let enc = TextEncoder::new(SemanticSpace::default());
+        let prompts = [
+            tokens.join(" "),
+            "ΟΔΟΣ İstanbul Ünïcode".to_string(),
+            "!?., ...".to_string(),
+            "a--b castle a--b".to_string(),
+        ];
+        for prompt in &prompts {
+            // Twice: the cold walk and the memoized one.
+            for _ in 0..2 {
+                assert_eq!(enc.encode(prompt), reference(prompt), "{prompt:?}");
             }
         }
     }

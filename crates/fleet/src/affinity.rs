@@ -14,6 +14,15 @@
 //! fresh leaders. The leader table is bounded; when full, the oldest
 //! leader retires (matching the workload's trending-recency structure).
 //!
+//! The exact leader scan reads a 16-bit fixed-point copy of the leader
+//! rows first ([`ScreenedRows::screen`], the screen the cache's flat
+//! index uses too), seeded with the join threshold: only leaders whose
+//! integer score could still belong to a cosine at or above the
+//! threshold, and within the screen's error window of the best, are
+//! re-scored in f64, in admission order. A query that joins no cluster
+//! mostly mints without a single f64 dot product. Every answer is bit for
+//! bit the full f64 scan's; [`SemanticClusterer`] states why.
+//!
 //! Shard migration re-places the same resident images again and again
 //! against a leader table that barely moved in between. A
 //! [`LeaderVerdict`] remembers an embedding's last exact scan, so
@@ -22,7 +31,7 @@
 
 use modm_embedding::probe::unit_f32_into;
 use modm_embedding::{Embedding, IndexPolicy, TwoLevelProbe};
-use modm_numerics::lanes::LaneRows;
+use modm_numerics::lanes::{Candidates, ScreenedRows};
 use modm_numerics::vector;
 
 /// One embedding's exact leader verdict: the first strict maximum, in
@@ -53,6 +62,54 @@ pub struct LeaderVerdict {
 /// [`SemanticClusterer::cluster_of_since`] extend an old verdict over the
 /// newer leaders instead of rescanning the table.
 ///
+/// # The screened exact scan
+///
+/// A leader's score is its cosine with the query,
+/// `c = cosine_with_norms(dot, qn, n)`: the f64 dot product folded from
+/// `-0.0`, the query's norm and the leader's norm cached at admission,
+/// exactly as [`Embedding::cosine`] computes it. The scan must return
+/// the first strict maximum of `c` in admission order.
+///
+/// **Norm contract.** Leaders and queries are [`Embedding`]s, so each is
+/// the zero vector or a vector normalized in f64 by
+/// [`Embedding::from_vec`]: its Euclidean norm is within
+/// `(n / 2 + 2) 2^-53` of 1 (`n` the dimension) and its computed `l2_norm`
+/// within `(n + 3) 2^-53`. That meets the screen's `1 + 2^-30` contract.
+///
+/// **Cosine vs dot slack.** The screen's bound `B`
+/// ([`fixed_screen_error_bound`](modm_numerics::lanes::fixed_screen_error_bound))
+/// is proven for the clamped f64 dot `d`. For nonzero rows the norms'
+/// product is within `(2n + 7) 2^-53` of 1, so with the division's own
+/// rounding `|c − clamp(d)| <= (2n + 9) 2^-53`: at most `(2n + 9) 2^-23`
+/// in fixed-point units (`S² < 2^30`), under 0.26 for `n <= 2^20`. `B`'s
+/// final `+ 1` holds more than 0.6 beyond the dot's own error, so
+/// `|Î − S² c| <= B` for the cosine as well. A zero leader scores 0 on
+/// both sides.
+///
+/// **Seed.** The screen keeps the leaders whose integer score reaches
+/// `max(seed, min(m, S²) − 2B)`, `m` the best integer score, with `seed`
+/// from [`ScreenedRows::seed_for`] at the join threshold. If the full
+/// scan's winner reaches the threshold, it is among them: the window
+/// keeps every leader that can be the best, and the seed every leader
+/// whose cosine can reach the threshold. So when no leader passes, no
+/// leader can be joined and the query mints without an f64 re-score;
+/// when the re-scored best misses the threshold, so does the full
+/// scan's.
+///
+/// **Ring order.** The candidates come back in slot order, and slot
+/// order is admission order rotated at the ring's head. Re-scoring them
+/// from the head around (slots `head..`, then `..head`) with a strict
+/// `>` keeps the first strict maximum in admission order: every leader
+/// admitted before the full scan's winner scores strictly less, and any
+/// later one at most ties it. When two live leaders tie exactly and the
+/// older sits in the higher slot, the older still wins.
+///
+/// **Zero query.** Every cosine against a zero query is `0.0`, so the
+/// answer is the oldest live leader at `0.0`, given without a scan.
+///
+/// Debug builds check every screened scan against the f64 scan in
+/// admission order.
+///
 /// # Example
 ///
 /// ```
@@ -71,21 +128,21 @@ pub struct LeaderVerdict {
 pub struct SemanticClusterer {
     threshold: f64,
     max_leaders: usize,
-    /// Leader vectors as a slot-indexed ring buffer of lane-blocked rows,
-    /// so the per-request scan scores eight leaders per pass. Slot
-    /// `(head + k) % max_leaders` holds the `k`-th leader in admission
-    /// order; when the table is full the oldest slot is overwritten in
-    /// place (identical retirement order to the old push-then-pop deque).
-    /// The row length is learned from the first admitted leader.
-    rows: LaneRows,
+    /// Leader vectors as a slot-indexed ring buffer, in f64 and in the
+    /// 16-bit fixed-point screen copy. Slot `(head + k) % max_leaders`
+    /// holds the `k`-th leader in admission order; when the table is full
+    /// the oldest slot is overwritten in place (identical retirement
+    /// order to the old push-then-pop deque). The row length is learned
+    /// from the first admitted leader.
+    rows: ScreenedRows,
     /// Cluster id per slot, parallel to `rows`.
     ids: Vec<u64>,
     /// Cached `l2_norm` per slot — a pure function of the stored row, so
     /// scoring with it is bit-identical to recomputing per probe.
     norms: Vec<f64>,
-    /// Reused per-slot dot products of the current query, in slot order,
-    /// so the exact scan performs no per-request allocation.
-    dots_scratch: Vec<f64>,
+    /// Reused screen buffers, so the exact scan performs no per-request
+    /// allocation.
+    candidates: Candidates,
     /// Slot of the oldest leader. Stays 0 until the table is full, so
     /// the live leaders always fill slots `0..ids.len()`.
     head: usize,
@@ -138,10 +195,10 @@ impl SemanticClusterer {
         SemanticClusterer {
             threshold,
             max_leaders,
-            rows: LaneRows::new(),
+            rows: ScreenedRows::new(),
             ids: Vec::new(),
             norms: Vec::new(),
-            dots_scratch: Vec::new(),
+            candidates: Candidates::new(),
             head: 0,
             next_id: 0,
             policy,
@@ -174,7 +231,7 @@ impl SemanticClusterer {
         if policy == IndexPolicy::Approx && !self.rows.is_empty() {
             let mut probe = TwoLevelProbe::new(self.rows.dim(), self.max_leaders);
             for slot in 0..self.rows.len() {
-                probe.set(slot, &self.rows.row(slot), self.norms[slot]);
+                probe.set(slot, &self.rows.exact().row(slot), self.norms[slot]);
             }
             self.approx = Some(probe);
         }
@@ -188,14 +245,18 @@ impl SemanticClusterer {
     /// The coarse cluster of an embedding: the id of the nearest leader
     /// within the threshold, or a freshly minted cluster otherwise.
     ///
-    /// The scan must stay bit-identical to probing each leader with
+    /// The answer stays bit-identical to probing each leader with
     /// [`Embedding::cosine`] in admission order (first strict maximum
-    /// wins). It batch-scores every physical slot with the lane-blocked
-    /// kernel ([`LaneRows::block_dots`], each lane folding from `-0.0` as
-    /// `vector::dot`'s `Sum` does), then walks slots oldest-first and
-    /// finishes each score with [`vector::cosine_with_norms`] — the query
-    /// norm hoisted out of the loop and leader norms cached at admission,
-    /// all pure functions of the same values the naive probe reads.
+    /// wins). The scan screens every leader in fixed point, seeded with
+    /// the join threshold, and re-scores only the candidates, walking
+    /// them oldest-first from the ring's head: each score is
+    /// [`LaneRows::slot_dot`](modm_numerics::lanes::LaneRows::slot_dot)
+    /// folded from `-0.0` (as `vector::dot`'s `Sum` does) finished with
+    /// [`vector::cosine_with_norms`], the query norm hoisted out of the
+    /// loop and leader norms cached at admission, all pure functions of
+    /// the same values the naive probe reads. When no leader passes the
+    /// seed, the query mints without an f64 score; the struct docs give
+    /// the argument.
     ///
     /// Equivalent to [`SemanticClusterer::cluster_of_since`] with no
     /// earlier verdict.
@@ -262,18 +323,14 @@ impl SemanticClusterer {
                 let (mut id, mut sim) = (v.id, v.sim);
                 for newer in v.seen..self.next_id {
                     let slot = self.slot_at((newer - oldest) as usize);
-                    let s = vector::cosine_with_norms(
-                        self.rows.slot_dot(slot, q, -0.0),
-                        qn,
-                        self.norms[slot],
-                    );
+                    let s = self.cosine(slot, q, qn);
                     if s > sim {
                         (id, sim) = (newer, s);
                     }
                 }
                 Some((id, sim))
             }
-            _ => self.full_scan(q, qn),
+            _ => self.full_scan(q, qn, self.threshold),
         };
         if let Some((id, sim)) = best {
             if sim >= self.threshold {
@@ -289,13 +346,15 @@ impl SemanticClusterer {
         self.next_id += 1;
         let slot = self.admit(id, q, qn);
         // The new leader's score is exactly what a later scan computes.
-        // It wins unless the query scores nothing above the old best (a
-        // zero embedding); then rescan, as the mint may have retired it.
-        let sim = vector::cosine_with_norms(self.rows.slot_dot(slot, q, -0.0), qn, qn);
-        let (won, won_sim) = if best.is_none_or(|(_, b)| sim > b) {
+        // Every older live leader scores below the threshold, so the new
+        // one wins if it reaches it. Otherwise (a zero embedding) rescan,
+        // as the mint may have retired the old best.
+        let sim = self.cosine(slot, q, qn);
+        let (won, won_sim) = if sim >= self.threshold {
             (id, sim)
         } else {
-            self.full_scan(q, qn).expect("a leader was just admitted")
+            self.full_scan(q, qn, f64::NEG_INFINITY)
+                .expect("a leader was just admitted")
         };
         *verdict = Some(LeaderVerdict {
             id: won,
@@ -305,23 +364,64 @@ impl SemanticClusterer {
         id
     }
 
-    /// The exact scan over every live leader: the first strict maximum
-    /// in admission order, or `None` on an empty table.
-    fn full_scan(&mut self, q: &[f64], qn: f64) -> Option<(u64, f64)> {
-        // Every scored slot but the block padding holds a live leader.
-        self.dots_scratch.clear();
-        for dots in self.rows.block_dots(q, -0.0) {
-            self.dots_scratch.extend_from_slice(&dots);
+    /// The exact scan's answer over every live leader — the first strict
+    /// maximum in admission order — whenever it reaches `at_least`;
+    /// otherwise `None` or a leader scoring below `at_least`. `None` on
+    /// an empty table. Screens in fixed point seeded at `at_least`, then
+    /// re-scores the candidates in admission order (see the struct docs).
+    fn full_scan(&mut self, q: &[f64], qn: f64, at_least: f64) -> Option<(u64, f64)> {
+        if self.ids.is_empty() {
+            return None;
         }
+        if qn == 0.0 {
+            // Every cosine is 0.0: the oldest live leader is the first.
+            return Some((self.ids[self.head], 0.0));
+        }
+        let seed = self.rows.seed_for(at_least);
+        // Every slot the screen scores holds a live leader.
+        self.rows.screen(q, |_| true, seed, &mut self.candidates);
+        let head = self.head;
+        let older = self.candidates.slots().filter(|&slot| slot >= head);
+        let newer = self.candidates.slots().filter(|&slot| slot < head);
         let mut best: Option<(u64, f64)> = None;
-        for k in 0..self.ids.len() {
-            let slot = self.slot_at(k);
-            let sim = vector::cosine_with_norms(self.dots_scratch[slot], qn, self.norms[slot]);
+        for slot in older.chain(newer) {
+            let sim = self.cosine(slot, q, qn);
             if best.is_none_or(|(_, b)| sim > b) {
                 best = Some((self.ids[slot], sim));
             }
         }
+        debug_assert!(
+            {
+                let full = (0..self.ids.len()).map(|k| self.slot_at(k)).fold(
+                    None,
+                    |best: Option<(u64, f64)>, slot| {
+                        let sim = self.cosine(slot, q, qn);
+                        if best.is_none_or(|(_, b)| sim > b) {
+                            Some((self.ids[slot], sim))
+                        } else {
+                            best
+                        }
+                    },
+                );
+                let bits = |b: Option<(u64, f64)>| b.map(|(id, sim)| (id, sim.to_bits()));
+                match full {
+                    Some((_, sim)) if sim >= at_least => bits(best) == bits(full),
+                    _ => best.is_none_or(|(_, sim)| sim < at_least),
+                }
+            },
+            "the fixed-point screen changed the answer of the full f64 leader scan"
+        );
         best
+    }
+
+    /// The cosine of the leader in `slot` against `q` of norm `qn`, as
+    /// [`Embedding::cosine`] computes it.
+    fn cosine(&self, slot: usize, q: &[f64], qn: f64) -> f64 {
+        vector::cosine_with_norms(
+            self.rows.exact().slot_dot(slot, q, -0.0),
+            qn,
+            self.norms[slot],
+        )
     }
 
     /// Slot index of the `k`-th leader in admission order.
@@ -501,6 +601,114 @@ mod tests {
         let mut c = SemanticClusterer::with_index_policy(0.7, 32, IndexPolicy::Approx);
         c.cluster_of(&Embedding::from_vec(vec![1.0, 0.0, 0.0]));
         c.cluster_of(&Embedding::from_vec(vec![1.0, 0.0]));
+    }
+
+    /// Basis vector `i` of length `dim`.
+    fn axis(dim: usize, i: usize) -> Vec<f64> {
+        let mut v = vec![0.0; dim];
+        v[i] = 1.0;
+        v
+    }
+
+    #[test]
+    fn wrapped_ring_ties_go_to_the_older_leader_in_the_higher_slot() {
+        // Twenty slots, three f64 blocks and two screen blocks. Nineteen
+        // mutually orthogonal fillers, then `a` in slot 19; `b` wraps to
+        // slot 0, retiring the first filler. `a` and `b` are the same
+        // row with two coordinates swapped, and the query is symmetric in
+        // them, so both score exactly the same cosine (0.866).
+        let dim = 32;
+        let mut c = SemanticClusterer::new(0.7, 20);
+        for i in 0..19 {
+            assert_eq!(
+                c.cluster_of(&Embedding::from_vec(axis(dim, 3 + i))),
+                i as u64
+            );
+        }
+        let mut a = axis(dim, 0);
+        a[2] = 1.0;
+        let mut b = axis(dim, 1);
+        b[2] = 1.0;
+        let (a, b) = (Embedding::from_vec(a), Embedding::from_vec(b));
+        assert!(a.cosine(&b) < 0.7, "b must mint its own cluster");
+        assert_eq!(c.cluster_of(&a), 19);
+        assert_eq!(c.cluster_of(&b), 20);
+        assert_eq!((c.num_leaders(), c.head), (20, 1), "the ring wrapped");
+        let mut q = vec![1.0, 1.0, 2.0];
+        q.resize(dim, 0.0);
+        let q = Embedding::from_vec(q);
+        let sim = q.cosine(&a);
+        assert_eq!(sim.to_bits(), q.cosine(&b).to_bits(), "an exact tie");
+        assert!(sim >= 0.7);
+        let mut verdict = None;
+        assert_eq!(c.cluster_of_since(&q, &mut verdict), 19, "the older leader");
+        let v = verdict.expect("a join leaves a verdict");
+        assert_eq!((v.id, v.sim.to_bits(), v.seen), (19, sim.to_bits(), 21));
+    }
+
+    #[test]
+    fn a_leader_the_screen_rounds_below_the_threshold_still_joins() {
+        // The join threshold is set to the query's exact cosine with the
+        // leader, so it must join, while its fixed-point score (computed
+        // here independently) lies below S² times the threshold: only the
+        // seed's error margin keeps it.
+        let s = f64::from(i16::MAX);
+        let fixed = |x: f64| (x * s).round_ties_even() as i64;
+        let mut rng = modm_simkit::SimRng::seed_from(0x7E5E);
+        let dim = 64;
+        let (leader, q, cos) = (0..1_000)
+            .find_map(|_| {
+                let leader: Vec<f64> = (0..dim).map(|_| rng.standard_normal()).collect();
+                let leader = Embedding::from_vec(leader);
+                let q: Vec<f64> = leader
+                    .as_slice()
+                    .iter()
+                    .map(|x| x + 0.1 * rng.standard_normal())
+                    .collect();
+                let q = Embedding::from_vec(q);
+                let cos = q.cosine(&leader);
+                let int: i64 = q
+                    .as_slice()
+                    .iter()
+                    .zip(leader.as_slice())
+                    .map(|(&x, &y)| fixed(x) * fixed(y))
+                    .sum();
+                (int < (s * s * cos).floor() as i64).then_some((leader, q, cos))
+            })
+            .expect("some query rounds below its cosine");
+        assert!(cos > 0.0 && cos < 1.0);
+        let mut c = SemanticClusterer::new(cos, 8);
+        assert_eq!(c.cluster_of(&leader), 0);
+        let mut verdict = None;
+        assert_eq!(
+            c.cluster_of_since(&q, &mut verdict),
+            0,
+            "joins at the threshold"
+        );
+        assert_eq!(verdict.map(|v| v.sim.to_bits()), Some(cos.to_bits()));
+        assert_eq!(c.num_leaders(), 1);
+    }
+
+    #[test]
+    fn zero_queries_answer_without_a_screen() {
+        let enc = encoder();
+        let mut c = SemanticClusterer::new(0.7, 4);
+        let prompts = ["amber dune", "cobalt reef", "ivory spire", "jade marsh"];
+        for p in prompts {
+            c.cluster_of(&enc.encode(p));
+        }
+        // A join leaves the screen's candidates behind.
+        assert_eq!(c.cluster_of(&enc.encode(prompts[2])), 2);
+        let before: Vec<usize> = c.candidates.slots().collect();
+        assert!(!before.is_empty());
+        let zero = Embedding::from_vec(vec![0.0; enc.space().dim()]);
+        let mut verdict = None;
+        // The zero query mints (retiring the oldest leader, id 0), and
+        // every cosine is 0.0: the oldest live leader, id 1, wins.
+        assert_eq!(c.cluster_of_since(&zero, &mut verdict), 4);
+        assert_eq!(verdict.map(|v| (v.id, v.sim.to_bits())), Some((1, 0)));
+        let after: Vec<usize> = c.candidates.slots().collect();
+        assert_eq!(after, before, "a zero query never reaches the screen");
     }
 
     #[test]

@@ -20,17 +20,27 @@
 //! [`ScreenedRows`] keeps a second, fixed-point copy of the same rows:
 //! each component `x` as the `i16` `round(x * 32767)`, saturated to
 //! `±32767`, sixteen rows per block. It finds the best-scoring row in two
-//! steps. It screens the rows with integer dot products (SSE2 `pmaddwd`
-//! on x86-64), which read a quarter of the f64 scan's bytes, and keeps
-//! the largest. It then re-scores in f64, with [`LaneRows::slot_dot`] and
-//! in slot order, only the rows whose integer score is within twice
-//! [`fixed_screen_error_bound`] of that maximum. Integer dot products are
-//! exact, so the bound covers only quantization and the f64 fold's own
-//! rounding; no integer score is further than it from its f64 score
-//! (scaled by `32767²`), so the row an all-f64 scan would pick is always
-//! among those re-scored, and the answer is bit for bit the full scan's.
-//! A block whose best lane is already below the re-score floor is passed
-//! over without looking at its lanes.
+//! steps. [`ScreenedRows::screen`] scores the rows with integer dot
+//! products (SSE2 `pmaddwd` on x86-64), which read a quarter of the f64
+//! scan's bytes, and keeps as candidates only the rows whose integer
+//! score is within twice [`fixed_screen_error_bound`] of the largest. The
+//! caller then re-scores the candidates in f64 with
+//! [`LaneRows::slot_dot`]. Integer dot products are exact, so the bound
+//! covers only quantization and the f64 fold's own rounding; no integer
+//! score is further than it from its f64 score (scaled by `32767²`), so
+//! the row an all-f64 scan would pick is always among the candidates,
+//! and the answer is bit for bit the full scan's. A block whose best lane
+//! is already below the floor is passed over without looking at its
+//! lanes.
+//!
+//! The screen has two consumers. The cache's flat index asks
+//! [`ScreenedRows::nearest`] for the best row, re-scored in slot order.
+//! The fleet's affinity leader table only cares about a leader that
+//! reaches its join threshold, so it also passes a *seed*: a floor
+//! ([`ScreenedRows::seed_for`]) below which no row can reach that score.
+//! Rows under it are never candidates, and when every row falls under
+//! it, nothing is re-scored at all. The table re-scores its candidates in
+//! its own admission order.
 //!
 //! The guarantee needs rows and queries of Euclidean norm at most
 //! `1 + 2^-30`, which every normalized (or zero) vector meets.
@@ -277,8 +287,7 @@ fn quantize_pair(values: &[f64]) -> [i16; 2] {
 ///
 /// The worst case grows like `S √n`; it is reached when every component
 /// rounds the same way by nearly `1/2`. Typical errors are a few times
-/// smaller, so the screen in [`ScreenedRows::nearest`] re-scores only a
-/// handful of rows.
+/// smaller, so [`ScreenedRows::screen`] passes only a handful of rows.
 ///
 /// # Panics
 ///
@@ -328,7 +337,7 @@ impl FixedRows {
     }
 
     /// Integer scores of every block against `q` (packed pairs, from
-    /// [`FixedRows::query`]), one `[i32; SCREEN_LANES]` per block.
+    /// [`FixedRows::query_into`]), one `[i32; SCREEN_LANES]` per block.
     fn block_scores<'a>(&'a self, q: &'a [i32]) -> impl Iterator<Item = [i32; SCREEN_LANES]> + 'a {
         // `max(1)` only matters while empty, when `data` is too.
         self.data
@@ -336,16 +345,15 @@ impl FixedRows {
             .map(move |block| block_scores(block, q))
     }
 
-    /// `q` in fixed point, each component pair packed into one `i32`,
-    /// the first in the low half: the operand `_mm_set1_epi32` broadcasts
-    /// to every `pmaddwd` pair.
-    fn query(q: &[f64]) -> Vec<i32> {
-        q.chunks(2)
-            .map(|p| {
-                let [lo, hi] = quantize_pair(p);
-                (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32
-            })
-            .collect()
+    /// Writes `q` in fixed point to `out`, each component pair packed
+    /// into one `i32`, the first in the low half: the operand
+    /// `_mm_set1_epi32` broadcasts to every `pmaddwd` pair.
+    fn query_into(q: &[f64], out: &mut Vec<i32>) {
+        out.clear();
+        out.extend(q.chunks(2).map(|p| {
+            let [lo, hi] = quantize_pair(p);
+            (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32
+        }));
     }
 }
 
@@ -407,12 +415,43 @@ fn block_scores_scalar(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
 #[cfg(not(target_arch = "x86_64"))]
 use block_scores_scalar as block_scores;
 
+/// The rows a [`ScreenedRows::screen`] passed, with the buffers the
+/// screen reuses: a caller that keeps one `Candidates` across calls
+/// screens without allocating once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Candidates {
+    /// The query in fixed point, as [`FixedRows::query_into`] packs it.
+    query: Vec<i32>,
+    /// `(slot, integer score)` of every live row that cleared the
+    /// running floor; once the screen returns, only those that clear the
+    /// final one, in slot order.
+    hits: Vec<(usize, i64)>,
+}
+
+impl Candidates {
+    /// Creates empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The candidate slots of the last screen, in increasing order.
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.hits.iter().map(|&(slot, _)| slot)
+    }
+}
+
 /// The same rows stored twice, as exact f64 [`LaneRows`] and as a 16-bit
 /// fixed-point screen copy, kept in step: [`ScreenedRows::push`] and
 /// [`ScreenedRows::set`] write both. Rows and queries are meant to have
 /// Euclidean norm at most `1 + 2^-30` (unit or zero vectors, such as
-/// normalized embeddings); [`ScreenedRows::nearest`] states what it
-/// guarantees for them.
+/// normalized embeddings).
+///
+/// Two exact probes store their rows here and share
+/// [`ScreenedRows::screen`]: the cache's flat index, through
+/// [`ScreenedRows::nearest`] (no seed, re-scored in slot order), and the
+/// fleet's affinity leader table, which seeds the screen with its join
+/// threshold ([`ScreenedRows::seed_for`]) and re-scores the candidates
+/// in its own admission order.
 ///
 /// # Example
 ///
@@ -424,7 +463,7 @@ use block_scores_scalar as block_scores;
 /// rows.push(&[0.6, 0.8]);
 /// rows.push(&[0.0, 1.0]);
 /// // Slot 2 is dead; slot 1 is the best live row.
-/// let best = rows.nearest(&[0.0, 1.0], [true, true, false]);
+/// let best = rows.nearest(&[0.0, 1.0], |slot| slot != 2);
 /// assert_eq!(best, Some((1, 0.8)));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -444,7 +483,18 @@ impl ScreenedRows {
         self.exact.dim()
     }
 
-    /// The f64 copy, for full exact scans ([`LaneRows::block_dots`]).
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.exact.len()
+    }
+
+    /// True before the first push.
+    pub fn is_empty(&self) -> bool {
+        self.exact.is_empty()
+    }
+
+    /// The f64 copy, for exact scores ([`LaneRows::slot_dot`],
+    /// [`LaneRows::block_dots`]).
     pub fn exact(&self) -> &LaneRows {
         &self.exact
     }
@@ -470,43 +520,74 @@ impl ScreenedRows {
         self.screen.set(slot, row);
     }
 
-    /// The live slot with the highest f64 score against `q`, and that
-    /// score, clamped to `[-1, 1]`: the first strict maximum in slot
-    /// order. `live` yields one flag per slot, in slot order; dead slots
-    /// are never scored into the answer. `None` when no slot is live.
+    /// The seed for [`ScreenedRows::screen`] that keeps every row whose
+    /// score reaches `score`: `⌊S² score⌋ − B`, with `score` clamped to
+    /// `[-1, 1]` and `B` the [`fixed_screen_error_bound`] of the stored
+    /// rows; `i64::MIN` (no seed) when that is at or below `−S²`.
     ///
-    /// The answer is bit-identical to clamping every live lane of
-    /// `exact().block_dots(q, 0.0)` and keeping the first strict maximum,
-    /// provided every row is finite and every live row's integer score,
-    /// clamped to `[−S², S²]`, is within [`fixed_screen_error_bound`] of
-    /// `S²` times its clamped f64 score (`S = 32767`). That holds when
-    /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
-    /// rows whose integer and f64 scores both clamp to the same end of
-    /// the range.
+    /// "Score" is any f64 score within `B / S²` of the integer one, as
+    /// [`ScreenedRows::screen`] states: a row whose clamped score `c`
+    /// reaches `score` has clamped integer score `Î >= S² c − B >=
+    /// S² score − B`, and so, being an integer, `Î >= ⌈S² score⌉ − B`.
+    /// `S² score` is rounded once in f64, by far less than 1, so its floor
+    /// is at most that ceiling. A seed above `−S²` exceeds the clamp's
+    /// lower end, so the unclamped score clears it too.
     ///
-    /// Why: write `I` for a row's integer score, `d` for its f64 one,
-    /// `B` for the bound and `Î`, `c` for `I` clamped to `[−S², S²]` and
-    /// `d` to `[-1, 1]`. Clamping never widens a gap, so
-    /// `|Î − S² c| <= B`. Let `m` be the largest `I` among live rows, from
-    /// row `k`, and `j` the full scan's answer, so `c_j >= c_k`. Then
-    /// `Î_j >= S² c_j − B >= S² c_k − B >= Î_k − 2B`, and `Î_k` is `m`
-    /// clamped. Every row with `I >= min(m, S²) − 2B` is re-scored (all of
-    /// them if that floor is at or below `−S²`), `j` among them, and any
-    /// other re-scored row either scores below `c_j` or ties it from a
-    /// later slot. Clamping `m` matters: rows whose f64 dot rounds above
-    /// 1.0 all clamp to 1.0 and tie, and a later one may lead the screen
-    /// by more than `2B`.
+    /// # Panics
     ///
-    /// A block whose largest lane (dead and padding lanes included) is
-    /// below the running floor is skipped: the floor never exceeds the
-    /// running maximum and only rises, so no lane of such a block could
-    /// raise the maximum or clear the final floor.
+    /// Panics if `score` is NaN, or as [`fixed_screen_error_bound`].
+    pub fn seed_for(&self, score: f64) -> i64 {
+        assert!(!score.is_nan(), "seed score is NaN");
+        let scaled = (FIXED_ONE_SQ as f64 * score.clamp(-1.0, 1.0)).floor() as i64;
+        let seed = scaled - fixed_screen_error_bound(self.dim());
+        if seed > -FIXED_ONE_SQ {
+            seed
+        } else {
+            i64::MIN
+        }
+    }
+
+    /// Screens every live row against `q` in fixed point and leaves in
+    /// `out` the candidate slots, in slot order: the live rows whose
+    /// integer score reaches `max(seed, min(m, S²) − 2B)`, where `m` is
+    /// the largest integer score of a live row, `S = 32767` and `B` is
+    /// [`fixed_screen_error_bound`]. `live(slot)` says whether a slot is
+    /// live; it is asked only about slots of blocks that are scored lane
+    /// by lane. Pass `i64::MIN` as `seed` for no seed.
+    ///
+    /// What the candidates guarantee: write `I` for a row's integer
+    /// score, `Î` for it clamped to `[−S², S²]`, and `c` for an f64 score
+    /// of the row, clamped to `[-1, 1]`, with `|Î − S² c| <= B`. The
+    /// clamped f64 dot from [`LaneRows::slot_dot`] is such a score when
+    /// the rows and `q` have Euclidean norm at most `1 + 2^-30` (see
+    /// [`fixed_screen_error_bound`]); a cosine within `B`'s slack of that
+    /// dot is another. Every live row of largest `c` whose `c` reaches
+    /// the score the seed was made for ([`ScreenedRows::seed_for`]; any
+    /// score when there is no seed) is then a candidate. So re-scoring
+    /// the candidates in some order and keeping the first strict maximum
+    /// in that order gives the full f64 scan's answer in the same order,
+    /// whenever that answer reaches the seed's score.
+    ///
+    /// Why: let `k` be the live row of integer score `m` and `j` a row of
+    /// largest `c`, so `c_j >= c_k`. Then `Î_j >= S² c_j − B >= S² c_k − B
+    /// >= Î_k − 2B`, and `Î_k` is `m` clamped; `Î_j >= seed` by the seed's
+    /// definition. A floor at or below `−S²` admits every row, whatever
+    /// its unclamped score. Clamping `m` matters: rows whose f64 dot
+    /// rounds above 1.0 all clamp to 1.0 and tie, and a later one may lead
+    /// the screen by more than `2B`.
+    ///
+    /// The floor is kept as the scan runs and only rises, so every row
+    /// that clears the final floor cleared it when seen. A block whose
+    /// largest lane (dead and padding lanes included) is below the
+    /// running floor is skipped without asking `live`: none of its lanes
+    /// could clear the final floor, and none could raise it, since a lane
+    /// below the floor lifts `min(m, S²) − 2B` to less than itself.
     ///
     /// # Panics
     ///
     /// Panics if rows are stored and `q`'s length differs from theirs,
     /// or if their length exceeds [`MAX_SCREEN_DIM`].
-    pub fn nearest(&self, q: &[f64], live: impl IntoIterator<Item = bool>) -> Option<(usize, f64)> {
+    pub fn screen(&self, q: &[f64], live: impl Fn(usize) -> bool, seed: i64, out: &mut Candidates) {
         assert!(
             self.exact.is_empty() || q.len() == self.dim(),
             "query dimension mismatch: {} vs {}",
@@ -520,42 +601,64 @@ impl ScreenedRows {
         let floor_of = |m: i64| {
             let floor = m.min(FIXED_ONE_SQ) - window;
             if floor > -FIXED_ONE_SQ {
-                floor
+                floor.max(seed)
             } else {
-                i64::MIN
+                seed
             }
         };
-        let qi = FixedRows::query(q);
+        FixedRows::query_into(q, &mut out.query);
+        out.hits.clear();
         let mut m = i64::MIN;
-        let mut floor = i64::MIN;
-        // The running floor only rises, so every row that clears the
-        // final one cleared it when seen.
-        let mut candidates: Vec<(usize, i64)> = Vec::new();
-        let mut live = live.into_iter().take(self.exact.len());
-        for (b, scores) in self.screen.block_scores(&qi).enumerate() {
+        let mut floor = seed;
+        for (b, scores) in self.screen.block_scores(&out.query).enumerate() {
             let top = i64::from(scores.into_iter().fold(i32::MIN, i32::max));
             if top < floor {
-                live.nth(SCREEN_LANES - 1);
                 continue;
             }
-            for (lane, (s, alive)) in scores.into_iter().zip(live.by_ref()).enumerate() {
+            let first = b * SCREEN_LANES;
+            for (lane, s) in scores.into_iter().enumerate().take(self.len() - first) {
+                let slot = first + lane;
+                if !live(slot) {
+                    continue;
+                }
                 let s = i64::from(s);
-                if alive {
-                    if s > m {
-                        m = s;
-                        floor = floor_of(m);
-                    }
-                    if s >= floor {
-                        candidates.push((b * SCREEN_LANES + lane, s));
-                    }
+                if s > m {
+                    m = s;
+                    floor = floor_of(m);
+                }
+                if s >= floor {
+                    out.hits.push((slot, s));
                 }
             }
         }
+        out.hits.retain(|&(_, s)| s >= floor);
+    }
+
+    /// The live slot with the highest f64 score against `q`, and that
+    /// score, clamped to `[-1, 1]`: the first strict maximum in slot
+    /// order. `live(slot)` says whether a slot is live; dead slots are
+    /// never scored into the answer. `None` when no slot is live.
+    ///
+    /// Runs [`ScreenedRows::screen`] with no seed, then re-scores the
+    /// candidates in slot order with [`LaneRows::slot_dot`] from `0.0`.
+    /// The answer is bit-identical to clamping every live lane of
+    /// `exact().block_dots(q, 0.0)` and keeping the first strict maximum,
+    /// provided every row is finite and every live row's integer score,
+    /// clamped to `[−S², S²]`, is within [`fixed_screen_error_bound`] of
+    /// `S²` times its clamped f64 score (`S = 32767`). That holds when
+    /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
+    /// rows whose integer and f64 scores both clamp to the same end of
+    /// the range. The screen allocates its buffers afresh; callers that
+    /// probe in a loop keep a [`Candidates`] and call the screen.
+    ///
+    /// # Panics
+    ///
+    /// As [`ScreenedRows::screen`].
+    pub fn nearest(&self, q: &[f64], live: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
+        let mut candidates = Candidates::new();
+        self.screen(q, live, i64::MIN, &mut candidates);
         let mut best: Option<(usize, f64)> = None;
-        for (slot, s) in candidates {
-            if s < floor {
-                continue;
-            }
+        for slot in candidates.slots() {
             let sim = self.exact.slot_dot(slot, q, 0.0).clamp(-1.0, 1.0);
             if best.is_none_or(|(_, b)| sim > b) {
                 best = Some((slot, sim));
@@ -568,6 +671,13 @@ impl ScreenedRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `q` in fixed point, packed as the kernel reads it.
+    fn packed(q: &[f64]) -> Vec<i32> {
+        let mut out = Vec::new();
+        FixedRows::query_into(q, &mut out);
+        out
+    }
 
     fn serial(q: &[f64], row: &[f64], init: f64) -> f64 {
         q.iter().zip(row).fold(init, |a, (x, y)| a + x * y)
@@ -685,7 +795,7 @@ mod tests {
         let bound = fixed_screen_error_bound(dim) as f64;
         let mut worst: f64 = 0.0;
         for q in rows {
-            let qi = FixedRows::query(q);
+            let qi = packed(q);
             let wide = screened.exact.block_dots(q, 0.0).flatten();
             let fixed = screened.screen.block_scores(&qi).flatten();
             for (d, s) in wide.zip(fixed).take(rows.len()) {
@@ -760,7 +870,7 @@ mod tests {
                 }
                 for query in 0..4 {
                     let q = ints(100 + query, &mut seed);
-                    let qi = FixedRows::query(&q);
+                    let qi = packed(&q);
                     let stride = rows.screen.stride();
                     for block in rows.screen.data.chunks_exact(stride) {
                         assert_eq!(
@@ -783,7 +893,7 @@ mod tests {
         let mut rows = ScreenedRows::new();
         rows.push(&[-2.0, -2.0]);
         rows.push(&[0.0, 0.0]);
-        assert_eq!(rows.nearest(&[-2.0, -2.0], [true, true]), Some((0, 1.0)));
+        assert_eq!(rows.nearest(&[-2.0, -2.0], |_| true), Some((0, 1.0)));
     }
 
     /// The first strict maximum of the clamped f64 scores of live rows.
@@ -810,7 +920,7 @@ mod tests {
 
     /// Integer screen scores of `rows` against `q`, in slot order.
     fn fixed_scores(rows: &ScreenedRows, q: &[f64]) -> Vec<i32> {
-        let qi = FixedRows::query(q);
+        let qi = packed(q);
         let n = rows.exact().len();
         rows.screen.block_scores(&qi).flatten().take(n).collect()
     }
@@ -845,11 +955,11 @@ mod tests {
             pair.exact().slot_dot(1, &q, 0.0),
         );
         assert!(high > low, "the nudge must raise the f64 score");
-        assert_eq!(pair.nearest(&q, [true, true]), Some((1, high)));
+        assert_eq!(pair.nearest(&q, |_| true), Some((1, high)));
         let swapped = screened(&[&up, &r]);
-        assert_eq!(swapped.nearest(&q, [true, true]), Some((0, high)));
+        assert_eq!(swapped.nearest(&q, |_| true), Some((0, high)));
         let twins = screened(&[&r, &r]);
-        assert_eq!(twins.nearest(&q, [true, true]), Some((0, low)));
+        assert_eq!(twins.nearest(&q, |_| true), Some((0, low)));
 
         // Rows whose integer order is the reverse of their f64 order: the
         // screen's leader loses the re-score, from either slot.
@@ -871,11 +981,11 @@ mod tests {
             .expect("some nearby rows round out of f64 order");
         let (base, near, best) = flipped;
         assert_eq!(
-            screened(&[&base, &near]).nearest(&q, [true, true]),
+            screened(&[&base, &near]).nearest(&q, |_| true),
             Some((0, best))
         );
         assert_eq!(
-            screened(&[&near, &base]).nearest(&q, [true, true]),
+            screened(&[&near, &base]).nearest(&q, |_| true),
             Some((1, best))
         );
     }
@@ -904,10 +1014,10 @@ mod tests {
             .collect();
         let want = full_scan(&store, &q, &live);
         assert_eq!(want.map(|(s, _)| s), Some(39));
-        assert_eq!(store.nearest(&q, live.iter().copied()), want);
+        assert_eq!(store.nearest(&q, |s| live[s]), want);
         // With block 1 live too, it still cannot win: same answer.
         let live: Vec<bool> = (0..rows.len()).map(|s| s != 0).collect();
-        assert_eq!(store.nearest(&q, live.iter().copied()), want);
+        assert_eq!(store.nearest(&q, |s| live[s]), want);
     }
 
     #[test]
@@ -934,7 +1044,7 @@ mod tests {
             (i64::from(ints[0]), i64::from(ints[16])),
             (FIXED_ONE_SQ, floor)
         );
-        assert_eq!(store.nearest(&q, [true; 17]), Some((16, 1.0)));
+        assert_eq!(store.nearest(&q, |_| true), Some((16, 1.0)));
     }
 
     #[test]
@@ -950,12 +1060,12 @@ mod tests {
         assert!(fixed_scores(&rows, &[c, c])
             .iter()
             .all(|&s| i64::from(s) > FIXED_ONE_SQ));
-        assert_eq!(rows.nearest(&[c, c], [true, true]), Some((0, 1.0)));
+        assert_eq!(rows.nearest(&[c, c], |_| true), Some((0, 1.0)));
         // The same at the bottom, where the floor falls below −S².
         let mut rows = ScreenedRows::new();
         rows.push(&[-1.0, -1.0]);
         rows.push(&[-0.75, -0.75]);
-        assert_eq!(rows.nearest(&[c, c], [true, true]), Some((0, -1.0)));
+        assert_eq!(rows.nearest(&[c, c], |_| true), Some((0, -1.0)));
     }
 
     #[test]
@@ -966,12 +1076,138 @@ mod tests {
         let mut rows = ScreenedRows::new();
         rows.push(&[1.5, 0.0]);
         rows.push(&[2.0, 0.0]);
-        assert_eq!(rows.nearest(&[1.0, 0.0], [true, true]), Some((0, 1.0)));
+        assert_eq!(rows.nearest(&[1.0, 0.0], |_| true), Some((0, 1.0)));
         // The same at the bottom: -2.0 and -1.5 both clamp to -1.0.
         let mut rows = ScreenedRows::new();
         rows.push(&[-2.0, 0.0]);
         rows.push(&[-1.5, 0.0]);
-        assert_eq!(rows.nearest(&[1.0, 0.0], [true, true]), Some((0, -1.0)));
+        assert_eq!(rows.nearest(&[1.0, 0.0], |_| true), Some((0, -1.0)));
+    }
+
+    /// Rows of two components whose integer scores against
+    /// [`integer_query`] are exactly `scores`: `[hi / S, lo / S]` with
+    /// `S hi + lo` the score.
+    fn rows_scoring(scores: &[i64]) -> ScreenedRows {
+        let s = i64::from(FIXED_ONE);
+        let sf = f64::from(FIXED_ONE);
+        let mut rows = ScreenedRows::new();
+        for &score in scores {
+            let (hi, lo) = (score.div_euclid(s), score.rem_euclid(s));
+            rows.push(&[hi as f64 / sf, lo as f64 / sf]);
+        }
+        rows
+    }
+
+    /// `(S, 1)` in fixed point, so a row `(hi, lo)` scores `S hi + lo`.
+    fn integer_query() -> [f64; 2] {
+        [1.0, 1.0 / f64::from(FIXED_ONE)]
+    }
+
+    /// The candidate slots of a screen of every row, all live.
+    fn screened_slots(rows: &ScreenedRows, seed: i64) -> Vec<usize> {
+        let mut out = Candidates::new();
+        rows.screen(&integer_query(), |_| true, seed, &mut out);
+        out.slots().collect()
+    }
+
+    #[test]
+    fn a_row_at_the_seed_is_a_candidate_and_one_below_is_not() {
+        let seed = FIXED_ONE_SQ / 2;
+        let rows = rows_scoring(&[seed - 1, seed]);
+        let q = integer_query();
+        assert_eq!(
+            fixed_scores(&rows, &q),
+            [(seed - 1) as i32, seed as i32],
+            "the rows score as built"
+        );
+        assert_eq!(screened_slots(&rows, seed), [1]);
+        assert_eq!(screened_slots(&rows_scoring(&[seed, seed - 1]), seed), [0]);
+        assert_eq!(screened_slots(&rows, seed + 1), [0usize; 0]);
+        // Without a seed, both lie well within the window.
+        assert_eq!(screened_slots(&rows, i64::MIN), [0, 1]);
+    }
+
+    #[test]
+    fn a_seed_above_every_row_passes_none_and_asks_about_no_lane() {
+        let scores: Vec<i64> = (0..37).map(|s| s * (FIXED_ONE_SQ / 40)).collect();
+        let rows = rows_scoring(&scores);
+        let seed = FIXED_ONE_SQ - FIXED_ONE_SQ / 40;
+        let asked = std::cell::Cell::new(0);
+        let mut out = Candidates::new();
+        // Stale candidates from an earlier screen must not survive.
+        rows.screen(&integer_query(), |_| true, i64::MIN, &mut out);
+        assert_ne!(out.slots().count(), 0);
+        let live = |_| {
+            asked.set(asked.get() + 1);
+            true
+        };
+        rows.screen(&integer_query(), live, seed, &mut out);
+        assert_eq!(out.slots().count(), 0);
+        assert_eq!(asked.get(), 0, "every block lies below the seed");
+    }
+
+    #[test]
+    fn seed_and_running_floor_combine_without_hiding_the_best_live_row() {
+        let window = 2 * fixed_screen_error_bound(2);
+        let q = integer_query();
+        let low = |n: usize| vec![0; n];
+        // The seed binds: the best row's window reaches below the seed, so
+        // the seed decides, and a dead row above everything changes
+        // nothing.
+        let seed = FIXED_ONE_SQ / 2;
+        let best = seed + window / 4;
+        let mut scores = vec![seed - 1, seed, FIXED_ONE_SQ];
+        scores.extend(low(14));
+        scores.extend([best, seed + 5]);
+        let rows = rows_scoring(&scores);
+        let mut out = Candidates::new();
+        rows.screen(&q, |slot| slot != 2, seed, &mut out);
+        assert_eq!(out.slots().collect::<Vec<_>>(), [1, 17, 18]);
+        // The running floor binds: the best live row comes late and lifts
+        // the floor past an early row that had cleared the seed; the dead
+        // row above everything is never counted.
+        let seed = FIXED_ONE_SQ / 4;
+        let best = FIXED_ONE_SQ / 2;
+        let mut scores = vec![seed + 10, FIXED_ONE_SQ];
+        scores.extend(low(15));
+        scores.extend([best, best - window, best - window - 1, seed]);
+        let rows = rows_scoring(&scores);
+        rows.screen(&q, |slot| slot != 1, seed, &mut out);
+        assert_eq!(out.slots().collect::<Vec<_>>(), [17, 18]);
+        // The f64 re-score of the candidates picks the best live row.
+        let top = out
+            .slots()
+            .max_by(|&a, &b| {
+                let score = |s| rows.exact().slot_dot(s, &q, 0.0);
+                score(a).total_cmp(&score(b))
+            })
+            .expect("candidates");
+        assert_eq!(top, 17);
+    }
+
+    #[test]
+    fn seed_for_keeps_every_row_whose_score_reaches_the_threshold() {
+        let mut seed = 0x5EED_F00D;
+        let dim = 64;
+        let rows: Vec<Vec<f64>> = (0..64).map(|_| unit(dim, &mut seed)).collect();
+        let store = screened(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let mut rounded_below = 0;
+        for q in (0..32).map(|_| unit(dim, &mut seed)) {
+            let ints = fixed_scores(&store, &q);
+            for (slot, &int) in ints.iter().enumerate() {
+                let c = store.exact().slot_dot(slot, &q, 0.0).clamp(-1.0, 1.0);
+                // Keyed to the row's own score: the tightest threshold it
+                // must still clear.
+                assert!(i64::from(int) >= store.seed_for(c), "slot {slot}");
+                if i64::from(int) < (FIXED_ONE_SQ as f64 * c).floor() as i64 {
+                    rounded_below += 1;
+                }
+            }
+        }
+        assert!(rounded_below > 0, "no row rounded below its own score");
+        assert_eq!(store.seed_for(-1.0), i64::MIN);
+        assert_eq!(store.seed_for(f64::NEG_INFINITY), i64::MIN);
+        assert!(store.seed_for(0.7) > 0);
     }
 
     #[test]
@@ -995,14 +1231,14 @@ mod tests {
                         full = Some((slot, sim));
                     }
                 }
-                let screened = rows.nearest(q, live.iter().copied());
+                let screened = rows.nearest(q, |s| live[s]);
                 assert_eq!(
                     screened.map(|(s, x)| (s, x.to_bits())),
                     full.map(|(s, x)| (s, x.to_bits())),
                     "dim {dim}"
                 );
             }
-            assert_eq!(rows.nearest(&stored[0], vec![false; stored.len()]), None);
+            assert_eq!(rows.nearest(&stored[0], |_| false), None);
         }
     }
 
