@@ -13,7 +13,9 @@
 //! and open-loop with warmup, next to a one-node fleet, and another pins
 //! the serving engine's multi-node paths under the same overload policy:
 //! a closed-loop hybrid-affinity fleet with warmup, and an elastic fleet
-//! that scales up, holds, scales down and survives a crash.
+//! that scales up, holds, scales down and survives a crash. A last
+//! snapshot pins the scenario tier's five study runs at full precision
+//! (the two scenario tables print three decimals).
 //!
 //! When a change is *supposed* to move the numbers (new feature, fixed
 //! bug), regenerate the snapshots and review the diff like any other
@@ -32,6 +34,7 @@ use modm::deploy::{
     ServingBackend, Summary,
 };
 use modm::fleet::{Router, RoutingPolicy};
+use modm::scenario::RetryPolicy;
 use modm::simkit::SimDuration;
 use modm::workload::{QosClass, TenantId, TenantMix, Trace, TraceBuilder};
 use modm_experiments::{elastic, fleet_scaling, scenarios, tenancy, tiers, trace};
@@ -168,6 +171,61 @@ fn scenarios_failover_table_matches_golden_snapshot() {
         "scenarios_failover",
         seed,
         &scenarios::failover_table_for(seed),
+    );
+}
+
+/// Renders the scenario tier at full precision: the honoring and naive
+/// storms with the crowd, the steady and loss failovers, and churn. Each
+/// run is its `Summary` JSON followed by the report fields the summary
+/// omits — retry accounting, every region slice, per-node routing, and
+/// the exact bits of the GPU-hours and the last completion.
+fn scenarios_full_rows() -> String {
+    let seed = scenarios::STUDY_SEED;
+    let runs = [
+        (
+            "honoring storm",
+            scenarios::storm_scenario_for(seed, RetryPolicy::honoring(), true),
+        ),
+        (
+            "naive storm",
+            scenarios::storm_scenario_for(seed, RetryPolicy::naive(), true),
+        ),
+        (
+            "steady failover",
+            scenarios::failover_scenario_for(seed, false),
+        ),
+        (
+            "loss failover",
+            scenarios::failover_scenario_for(seed, true),
+        ),
+        ("churn", scenarios::churn_scenario_for(seed)),
+    ];
+    let mut rendered = String::new();
+    for (label, scenario) in runs {
+        let mut outcome =
+            RunOutcome::from_scenario(scenario.run(), scenario.nodes(), scenario.total_gpus());
+        rendered.push_str(&outcome.summary(scenarios::SLO_MULTIPLE).to_json(label));
+        rendered.push('\n');
+        let report = outcome.as_scenario().expect("a scenario outcome");
+        rendered.push_str(&format!(
+            "retry={:?}\nregions={:?}\nrouted_per_node={:?} gpu_hours_bits={:#018x} \
+             finished_at={:?}\n",
+            report.retry,
+            report.regions,
+            report.routed_per_node,
+            report.gpu_hours.to_bits(),
+            report.finished_at,
+        ));
+    }
+    rendered
+}
+
+#[test]
+fn scenarios_full_precision_matches_golden_snapshot() {
+    check_text(
+        "scenarios_full",
+        scenarios::STUDY_SEED,
+        &scenarios_full_rows(),
     );
 }
 
