@@ -38,15 +38,20 @@
 //! up. The floor admits small negative readings, which are ordinary
 //! paired-measurement noise.
 //!
-//! Parsing is a string scan for the metric key, like every other JSON
-//! touchpoint in this workspace — no external dependencies.
+//! Each file is parsed as JSON (`modm_trace::parse_json`) and walked
+//! for every `sim_requests_per_wall_sec`, every `*_overhead_frac` and
+//! `smoke`, at any depth. A file that does not parse, or a gated key
+//! whose value is not a finite number (`Json` writes NaN as `null`),
+//! fails the gate.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-const METRIC: &str = "\"sim_requests_per_wall_sec\": ";
-const TELEMETRY_METRIC: &str = "\"telemetry_overhead_frac\": ";
-const OVERHEAD_SUFFIX: &str = "_overhead_frac\": ";
+use modm_trace::{parse_json, JsonValue};
+
+const METRIC: &str = "sim_requests_per_wall_sec";
+const TELEMETRY_METRIC: &str = "telemetry_overhead_frac";
+const OVERHEAD_SUFFIX: &str = "_overhead_frac";
 const DEFAULT_TOLERANCE: f64 = 0.25;
 const DEFAULT_TELEMETRY_BUDGET: f64 = 0.05;
 /// Floor for every `*_overhead_frac` sample: below this the paired
@@ -55,63 +60,65 @@ const OVERHEAD_FLOOR: f64 = -0.02;
 /// Absolute headline floor for a fresh *full* (non-smoke) million run.
 const DEFAULT_MILLION_FLOOR: f64 = 40_000.0;
 
-/// Whether `text` records a full (non-smoke) run: `"smoke": 0`.
-fn is_full_run(text: &str) -> bool {
-    const KEY: &str = "\"smoke\": ";
-    let Some(pos) = text.find(KEY) else {
-        return false;
-    };
-    let rest = &text[pos + KEY.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>() == Ok(0.0)
+/// The gated values of one `BENCH_*.json` document, in walk order
+/// (object keys sorted, array items in order).
+#[derive(Debug, Default, PartialEq)]
+struct Metrics {
+    /// Every `sim_requests_per_wall_sec`.
+    throughputs: Vec<f64>,
+    /// Every `*_overhead_frac`, with its key.
+    overheads: Vec<(String, f64)>,
+    /// Every `smoke` flag.
+    smoke: Vec<f64>,
 }
 
-/// Every `sim_requests_per_wall_sec` value in `text`, in file order.
-fn extract_throughputs(text: &str) -> Vec<f64> {
-    let mut values = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(METRIC) {
-        rest = &rest[pos + METRIC.len()..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        match rest[..end].trim().parse::<f64>() {
-            Ok(v) => values.push(v),
-            Err(_) => eprintln!("bench-gate: unparseable value near '{}'", &rest[..end]),
-        }
+impl Metrics {
+    /// Parses `text` and collects its gated values.
+    fn parse(text: &str) -> Result<Metrics, String> {
+        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let mut metrics = Metrics::default();
+        metrics.walk(&doc)?;
+        Ok(metrics)
     }
-    values
-}
 
-/// Every `telemetry_overhead_frac` value in `text`, in file order.
-fn extract_telemetry_overheads(text: &str) -> Vec<f64> {
-    let mut values = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(TELEMETRY_METRIC) {
-        rest = &rest[pos + TELEMETRY_METRIC.len()..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        match rest[..end].trim().parse::<f64>() {
-            Ok(v) => values.push(v),
-            Err(_) => eprintln!("bench-gate: unparseable value near '{}'", &rest[..end]),
+    fn walk(&mut self, value: &JsonValue) -> Result<(), String> {
+        match value {
+            JsonValue::Obj(map) => {
+                for (key, value) in map {
+                    let number = || match value.as_f64() {
+                        Some(v) if v.is_finite() => Ok(v),
+                        _ => Err(format!("\"{key}\" is {value:?}, not a finite number")),
+                    };
+                    if key == METRIC {
+                        self.throughputs.push(number()?);
+                    } else if key.ends_with(OVERHEAD_SUFFIX) {
+                        self.overheads.push((key.clone(), number()?));
+                    } else if key == "smoke" {
+                        self.smoke.push(number()?);
+                    }
+                    self.walk(value)?;
+                }
+            }
+            JsonValue::Arr(items) => {
+                for item in items {
+                    self.walk(item)?;
+                }
+            }
+            _ => {}
         }
+        Ok(())
     }
-    values
-}
 
-/// Every `*_overhead_frac` key/value pair in `text`, in file order.
-fn extract_overhead_fracs(text: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let mut offset = 0;
-    while let Some(pos) = text[offset..].find(OVERHEAD_SUFFIX) {
-        let key_end = offset + pos + OVERHEAD_SUFFIX.len() - "\": ".len();
-        let key_start = text[..key_end].rfind('"').map(|q| q + 1).unwrap_or(key_end);
-        let rest = &text[offset + pos + OVERHEAD_SUFFIX.len()..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        match rest[..end].trim().parse::<f64>() {
-            Ok(v) => pairs.push((text[key_start..key_end].to_string(), v)),
-            Err(_) => eprintln!("bench-gate: unparseable value near '{}'", &rest[..end]),
-        }
-        offset += pos + OVERHEAD_SUFFIX.len();
+    /// Whether the document records a full (non-smoke) run: `"smoke": 0`.
+    fn is_full_run(&self) -> bool {
+        !self.smoke.is_empty() && self.smoke.iter().all(|&s| s == 0.0)
     }
-    pairs
+
+    /// Every `telemetry_overhead_frac`.
+    fn telemetry_overheads(&self) -> impl Iterator<Item = f64> + '_ {
+        let telemetry = self.overheads.iter().filter(|(k, _)| k == TELEMETRY_METRIC);
+        telemetry.map(|&(_, v)| v)
+    }
 }
 
 fn main() -> ExitCode {
@@ -160,25 +167,29 @@ fn main() -> ExitCode {
     );
     let mut failed = false;
     for name in &names {
-        let read = |dir: &str| std::fs::read_to_string(Path::new(dir).join(name));
+        let read = |dir: &str| {
+            let text = std::fs::read_to_string(Path::new(dir).join(name));
+            text.map_err(|e| e.to_string())
+                .and_then(|t| Metrics::parse(&t))
+        };
         let baseline = match read(baseline_dir) {
-            Ok(text) => extract_throughputs(&text),
+            Ok(metrics) => metrics.throughputs,
             Err(err) => {
-                eprintln!("bench-gate: {name}: cannot read baseline: {err}");
+                eprintln!("bench-gate: {name}: bad baseline: {err}");
                 failed = true;
                 continue;
             }
         };
-        let fresh_text = match read(fresh_dir) {
-            Ok(text) => text,
+        let fresh_metrics = match read(fresh_dir) {
+            Ok(metrics) => metrics,
             Err(err) => {
-                eprintln!("bench-gate: {name}: missing fresh run: {err}");
+                eprintln!("bench-gate: {name}: missing or bad fresh run: {err}");
                 failed = true;
                 continue;
             }
         };
-        let fresh = extract_throughputs(&fresh_text);
-        if name == "BENCH_million.json" && is_full_run(&fresh_text) {
+        let fresh = &fresh_metrics.throughputs;
+        if name == "BENCH_million.json" && fresh_metrics.is_full_run() {
             for (i, new) in fresh.iter().enumerate() {
                 let verdict = if *new < million_floor {
                     failed = true;
@@ -196,8 +207,8 @@ fn main() -> ExitCode {
                 );
             }
         }
-        for (i, frac) in extract_telemetry_overheads(&fresh_text).iter().enumerate() {
-            let verdict = if *frac > telemetry_budget {
+        for (i, frac) in fresh_metrics.telemetry_overheads().enumerate() {
+            let verdict = if frac > telemetry_budget {
                 failed = true;
                 "FAIL"
             } else {
@@ -213,8 +224,8 @@ fn main() -> ExitCode {
                 telemetry_budget * 100.0
             );
         }
-        for (key, frac) in extract_overhead_fracs(&fresh_text) {
-            if frac < OVERHEAD_FLOOR {
+        for (key, frac) in &fresh_metrics.overheads {
+            if *frac < OVERHEAD_FLOOR {
                 failed = true;
                 println!(
                     "{:<28} {:>14} {:>13.1}% {:>7}   FAIL (floor {:.0}%: paired measurement broken)",
@@ -236,7 +247,7 @@ fn main() -> ExitCode {
             failed = true;
             continue;
         }
-        for (i, (base, new)) in baseline.iter().zip(&fresh).enumerate() {
+        for (i, (base, new)) in baseline.iter().zip(fresh).enumerate() {
             let ratio = new / base;
             let verdict = if ratio < 1.0 - tolerance {
                 failed = true;
@@ -272,25 +283,29 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{extract_telemetry_overheads, extract_throughputs};
+    use super::Metrics;
+
+    fn parse(text: &str) -> Metrics {
+        Metrics::parse(text).expect("a well-formed document")
+    }
 
     #[test]
     fn extracts_nested_and_top_level_values() {
         let top = r#"{"bench": "serving", "sim_requests_per_wall_sec": 42315.6}"#;
-        assert_eq!(extract_throughputs(top), vec![42315.6]);
+        assert_eq!(parse(top).throughputs, vec![42315.6]);
         let nested = r#"{"points": [
             {"policy": "a", "sim_requests_per_wall_sec": 100.0, "x": 1},
             {"policy": "b", "sim_requests_per_wall_sec": 200.5}]}"#;
-        assert_eq!(extract_throughputs(nested), vec![100.0, 200.5]);
-        assert!(extract_throughputs("{}").is_empty());
+        assert_eq!(parse(nested).throughputs, vec![100.0, 200.5]);
+        assert!(parse("{}").throughputs.is_empty());
     }
 
     #[test]
     fn full_runs_are_distinguished_from_smoke() {
-        assert!(super::is_full_run(r#"{"bench": "million", "smoke": 0}"#));
-        assert!(super::is_full_run(r#"{"smoke": 0, "completed": 1}"#));
-        assert!(!super::is_full_run(r#"{"bench": "million", "smoke": 1}"#));
-        assert!(!super::is_full_run("{}"));
+        assert!(parse(r#"{"bench": "million", "smoke": 0}"#).is_full_run());
+        assert!(parse(r#"{"smoke": 0, "completed": 1}"#).is_full_run());
+        assert!(!parse(r#"{"bench": "million", "smoke": 1}"#).is_full_run());
+        assert!(!parse("{}").is_full_run());
     }
 
     #[test]
@@ -298,8 +313,9 @@ mod tests {
         let doc = r#"{"sim_requests_per_wall_sec": 40000.0,
             "telemetry_overhead_frac": 0.0298,
             "trace_overhead_frac": 0.9}"#;
-        assert_eq!(extract_telemetry_overheads(doc), vec![0.0298]);
-        assert!(extract_telemetry_overheads("{}").is_empty());
+        let telemetry: Vec<f64> = parse(doc).telemetry_overheads().collect();
+        assert_eq!(telemetry, vec![0.0298]);
+        assert_eq!(parse("{}").telemetry_overheads().count(), 0);
     }
 
     #[test]
@@ -308,13 +324,32 @@ mod tests {
             "telemetry_overhead_frac": 0.0298,
             "trace_overhead_frac": -0.125}"#;
         assert_eq!(
-            super::extract_overhead_fracs(doc),
+            parse(doc).overheads,
             vec![
                 ("observer_overhead_frac".to_string(), 0.01),
                 ("telemetry_overhead_frac".to_string(), 0.0298),
                 ("trace_overhead_frac".to_string(), -0.125),
             ]
         );
-        assert!(super::extract_overhead_fracs("{}").is_empty());
+        assert!(parse("{}").overheads.is_empty());
+    }
+
+    #[test]
+    fn null_or_non_numeric_gated_values_fail() {
+        // `Json` writes a NaN as `null`: a gated value that is not a
+        // finite number fails the file instead of vanishing from it.
+        for doc in [
+            r#"{"sim_requests_per_wall_sec": 40000.0, "telemetry_overhead_frac": null}"#,
+            r#"{"points": [{"sim_requests_per_wall_sec": null}]}"#,
+            r#"{"trace_overhead_frac": "0.01"}"#,
+            r#"{"smoke": false}"#,
+            r#"{"sim_requests_per_wall_sec": 1.0"#,
+        ] {
+            assert!(Metrics::parse(doc).is_err(), "{doc} must fail the gate");
+        }
+        assert!(
+            Metrics::parse(r#"{"other": null}"#).is_ok(),
+            "ungated keys are free"
+        );
     }
 }
