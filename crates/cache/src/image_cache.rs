@@ -78,6 +78,19 @@ impl CacheIndex {
         }
     }
 
+    /// [`CacheIndex::nearest_with_floor`] on the retrieval path: the
+    /// flat index screens with its own buffers instead of allocating.
+    pub(crate) fn nearest_with_floor_mut(
+        &mut self,
+        q: &Embedding,
+        floor: f64,
+    ) -> Option<Neighbor<u64>> {
+        match self {
+            CacheIndex::Flat(i) => i.nearest_mut(q),
+            CacheIndex::Inverted(i) => i.nearest_with_floor(q, floor),
+        }
+    }
+
     pub(crate) fn top_k(&self, q: &Embedding, k: usize) -> Vec<Neighbor<u64>> {
         match self {
             CacheIndex::Flat(i) => i.top_k(q, k),
@@ -718,7 +731,7 @@ impl ImageCache {
     ) -> Option<RetrievedImage> {
         let best = self
             .index
-            .nearest_with_floor(query, threshold / modm_embedding::CLIP_COS_SCALE);
+            .nearest_with_floor_mut(query, threshold / modm_embedding::CLIP_COS_SCALE);
         let hit = best.and_then(|n| {
             let sim = modm_embedding::CLIP_COS_SCALE * n.similarity;
             (sim >= threshold).then_some((n.key, sim))

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use modm_numerics::lanes::{ScreenedRows, LANES};
+use modm_numerics::lanes::{Candidates, ScreenedRows, LANES};
 
 use crate::space::Embedding;
 
@@ -59,6 +59,8 @@ pub struct EmbeddingIndex<K> {
     /// keep their stale values (skipped via `keys`) until recycled; the
     /// row length is learned from the first insert.
     rows: ScreenedRows,
+    /// The screen's buffers, reused by [`EmbeddingIndex::nearest_mut`].
+    candidates: Candidates,
     free_slots: Vec<usize>,
     by_key: HashMap<K, usize>,
     live: usize,
@@ -76,6 +78,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
         EmbeddingIndex {
             keys: Vec::new(),
             rows: ScreenedRows::new(),
+            candidates: Candidates::new(),
             free_slots: Vec::new(),
             by_key: HashMap::new(),
             live: 0,
@@ -165,9 +168,30 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     ///
     /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
+        self.nearest_in(query, &mut Candidates::new())
+    }
+
+    /// [`EmbeddingIndex::nearest`], screening with the index's own
+    /// buffers: a probe allocates nothing once they have grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the inserted embeddings'.
+    pub fn nearest_mut(&mut self, query: &Embedding) -> Option<Neighbor<K>> {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        let best = self.nearest_in(query, &mut candidates);
+        self.candidates = candidates;
+        best
+    }
+
+    fn nearest_in(&self, query: &Embedding, candidates: &mut Candidates) -> Option<Neighbor<K>> {
         let best = self
             .rows
-            .nearest(query.as_slice(), |slot| self.keys[slot].is_some())
+            .nearest_in(
+                query.as_slice(),
+                |slot| self.keys[slot].is_some(),
+                candidates,
+            )
             .map(|(slot, similarity)| Neighbor {
                 key: self.keys[slot].expect("the screen answers live slots"),
                 similarity,

@@ -649,14 +649,29 @@ impl ScreenedRows {
     /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
     /// rows whose integer and f64 scores both clamp to the same end of
     /// the range. The screen allocates its buffers afresh; callers that
-    /// probe in a loop keep a [`Candidates`] and call the screen.
+    /// probe in a loop keep a [`Candidates`] and call
+    /// [`ScreenedRows::nearest_in`].
     ///
     /// # Panics
     ///
     /// As [`ScreenedRows::screen`].
     pub fn nearest(&self, q: &[f64], live: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
-        let mut candidates = Candidates::new();
-        self.screen(q, live, i64::MIN, &mut candidates);
+        self.nearest_in(q, live, &mut Candidates::new())
+    }
+
+    /// [`ScreenedRows::nearest`], screening into the caller's
+    /// `candidates`: no allocation once its buffers have grown.
+    ///
+    /// # Panics
+    ///
+    /// As [`ScreenedRows::screen`].
+    pub fn nearest_in(
+        &self,
+        q: &[f64],
+        live: impl Fn(usize) -> bool,
+        candidates: &mut Candidates,
+    ) -> Option<(usize, f64)> {
+        self.screen(q, live, i64::MIN, candidates);
         let mut best: Option<(usize, f64)> = None;
         for slot in candidates.slots() {
             let sim = self.exact.slot_dot(slot, q, 0.0).clamp(-1.0, 1.0);
