@@ -1,4 +1,4 @@
-//! Closed-loop scenario engine speed and the `BENCH_scenarios.json`
+//! Closed-loop scenario speed and the `BENCH_scenarios.json`
 //! trajectory point.
 //!
 //! Times the `scenarios` study's three adversarial runs — the flash-crowd

@@ -1,14 +1,16 @@
-//! The closed-loop client population: what a rejected request does next.
+//! The client population: who offers the trace's requests to the serving
+//! engine, and what a refused request does next.
 //!
-//! Open-loop replay (the fleet and elastic tiers) drops a rejected
-//! request on the floor — fine for measuring steady-state capacity,
-//! wrong for studying overload: real clients *retry*, and the retry
-//! policy decides whether a transient burst decays or amplifies into a
-//! retry storm. A [`RetryPolicy`] models one client population's
-//! behaviour: whether it honors the server's `retry_after` hint (the
-//! token-bucket refill estimate carried by
-//! [`SimEvent::Rejected`](modm_core::events::SimEvent::Rejected)),
-//! how its exponential backoff grows, and when it gives up.
+//! Open-loop replay offers every request once, at its arrival, and a
+//! refusal is final — fine for measuring steady-state capacity, wrong for
+//! studying overload: real clients *retry*, and the retry policy decides
+//! whether a transient burst decays or amplifies into a retry storm. A
+//! [`RetryPolicy`] models one client population's behaviour: whether it
+//! honors the server's `retry_after` hint (the token-bucket refill
+//! estimate carried by
+//! [`SimEvent::Rejected`](modm_core::events::SimEvent::Rejected)), how
+//! its exponential backoff grows, and when it gives up. The open loop is
+//! the population with a zero budget.
 
 use modm_simkit::{SimDuration, SimRng};
 
@@ -17,7 +19,7 @@ use modm_simkit::{SimDuration, SimRng};
 /// Two canonical populations anchor the retry-storm study:
 /// [`RetryPolicy::honoring`] (waits out the server's hint, capped
 /// exponential backoff, jittered) and [`RetryPolicy::naive`] (immediate
-/// constant-interval hammering). The scenario engine schedules a
+/// constant-interval hammering). The serving engine schedules a
 /// re-offer [`RetryPolicy::delay`] after each rejection until the
 /// attempt budget runs out, at which point the request is abandoned.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,6 +92,33 @@ impl RetryPolicy {
             secs *= 1.0 + rng.uniform_in(0.0, self.jitter);
         }
         Some(SimDuration::from_secs_f64(secs))
+    }
+}
+
+/// The engine's client population.
+pub(crate) enum Clients {
+    /// Closed-loop saturation: a backlog of a few requests per worker,
+    /// all counted as arriving at time zero. Each completion or shed
+    /// admits the request at `next`, and each refusal abandons its
+    /// request and admits the next one after the refusal's hint.
+    Saturated { next: usize },
+    /// Each request is offered at its re-based arrival; a refused one
+    /// re-offers under `policy`, its jitter drawn from `jitter`.
+    Retrying { policy: RetryPolicy, jitter: SimRng },
+}
+
+impl Clients {
+    /// The open loop: retrying clients with a zero budget, so every
+    /// refusal is final.
+    pub(crate) fn open_loop() -> Self {
+        Clients::Retrying {
+            policy: RetryPolicy {
+                max_attempts: 0,
+                ..RetryPolicy::naive()
+            },
+            // Never drawn: a zero budget abandons before any jitter.
+            jitter: SimRng::seed_from(0),
+        }
     }
 }
 

@@ -25,13 +25,14 @@
 
 use std::fmt;
 
-use modm_core::config::{MoDMConfig, RunOptions};
+use modm_core::config::MoDMConfig;
 use modm_core::events::Observer;
 use modm_fleet::{Router, RoutingPolicy};
 use modm_simkit::SimDuration;
 use modm_workload::Trace;
 
 use crate::autoscaler::Autoscaler;
+use crate::client::Clients;
 use crate::engine::ElasticRun;
 use crate::fault::FaultInjector;
 use crate::report::ElasticReport;
@@ -253,11 +254,12 @@ impl ElasticFleet {
     ) -> ElasticReport {
         scaler.reset();
         let router = Router::new(self.config.policy, self.config.initial_nodes);
-        ElasticRun::new(
+        ElasticRun::one_region(
             &self.config,
             router,
             trace,
-            RunOptions::default(),
+            0,
+            Clients::open_loop(),
             ELASTIC_SALT,
             scaler,
             faults,
@@ -304,11 +306,12 @@ mod tests {
             let config = ElasticFleetConfig::new(node, 2, 1, 4);
             let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
             let router = Router::new(config.policy, config.initial_nodes);
-            let run = ElasticRun::new(
+            let run = ElasticRun::one_region(
                 &config,
                 router,
                 &trace,
-                RunOptions::default(),
+                0,
+                Clients::open_loop(),
                 ELASTIC_SALT,
                 &mut scaler,
                 &faults,

@@ -1,49 +1,77 @@
 //! The serving engine: the one discrete-event loop behind every tier.
 //!
-//! [`ElasticFleet`](crate::ElasticFleet), [`Fleet`](crate::Fleet) and
-//! [`ServingSystem`](crate::ServingSystem) are thin entry points over
-//! [`ElasticRun`]: per-node [`ServingNode`]s behind a [`Router`], one
-//! cache shard per node, arrivals, worker completions and monitor ticks
-//! interleaved on one virtual clock, and a control tick that asks an
-//! [`Autoscaler`] whether to change the node count. A fixed fleet is an
-//! elastic fleet that holds — [`HoldAutoscaler`](crate::HoldAutoscaler),
-//! no faults, `min = initial = max` — and the single node is a fixed
-//! fleet of one. Under a holding scaler the control tick changes no
-//! serving state, and ties on the clock break in scheduling order, so
-//! the extra ticks leave every other event where it was.
+//! [`ElasticFleet`](crate::ElasticFleet), [`Fleet`](crate::Fleet),
+//! [`ServingSystem`](crate::ServingSystem) and
+//! [`run_regions`](crate::run_regions) (the scenario tier's entry) are
+//! thin entry points over [`ElasticRun`]: per-node [`ServingNode`]s,
+//! one cache shard per node, arrivals, worker completions and monitor
+//! ticks interleaved on one virtual clock, and a control tick that asks
+//! an [`Autoscaler`] whether to change the node count. Three pieces of
+//! data shape a run, not tier branches:
+//!
+//! * **The topology**: regions, each a [`Router`] and a [`ShardedCache`]
+//!   over a contiguous range of node ids, with a [`GeoRouter`] picking
+//!   the region. Single, fleet and elastic runs are one region.
+//! * **The client population** ([`Clients`]): the open loop, the
+//!   saturated closed loop, or clients that retry under a
+//!   [`RetryPolicy`](crate::RetryPolicy).
+//! * **The control timeline**: scripted tenancy rewrites and region
+//!   losses ([`ControlAction`]) fire next to the [`FaultInjector`]'s
+//!   crashes.
+//!
+//! A fixed fleet is an elastic fleet that holds —
+//! [`HoldAutoscaler`](crate::HoldAutoscaler), no faults,
+//! `min = initial = max` — and the single node is a fixed fleet of one.
+//! Under a holding scaler the control tick changes no serving state, and
+//! ties on the clock break in scheduling order, so the extra ticks leave
+//! every other event where it was.
 //!
 //! Each entry point salts the run's RNG with its own constant, which
 //! keeps every tier's results seed-for-seed stable.
 
 use std::collections::BTreeMap;
 
-use modm_core::config::{AdmissionPolicy, RunOptions};
+use modm_core::config::AdmissionPolicy;
 use modm_core::events::{emit, Obs, SimEvent};
-use modm_core::node::{render_completion, NodeInFlight, ServingNode};
+use modm_core::node::{render_completion, EnqueueOutcome, NodeInFlight, ServingNode};
 use modm_core::report::TenantSlice;
 use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
+use modm_core::TenancyPolicy;
 use modm_diffusion::{QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
-use modm_fleet::{FleetReport, NodeReport, Router, ShardedCache};
+use modm_fleet::{FleetReport, GeoRouter, NodeReport, Router, ShardedCache};
 use modm_metrics::{LatencyReport, SloThresholds, ThroughputReport};
 use modm_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use modm_workload::{Request, TenantId, Trace};
 
 use crate::autoscaler::{Autoscaler, ScaleDecision, ScalerObservation};
+use crate::client::Clients;
 use crate::elastic::ElasticFleetConfig;
 use crate::fault::FaultInjector;
 use crate::lifecycle::{NodeLifecycle, NodeState};
+use crate::region::RegionLifecycle;
 use crate::report::{ElasticReport, FleetEvent, FleetEventKind, WindowSample};
+use crate::scenario_report::{RegionSlice, RetryStats, ScenarioReport};
 
 /// Closed-loop backlog depth per worker under saturation.
 const SATURATION_BACKLOG_PER_WORKER: usize = 2;
 
+/// A control-plane action the engine replays at a scripted time.
+#[derive(Debug, Clone)]
+pub enum ControlAction {
+    /// Swap every live node and shard to this policy snapshot.
+    Policy(TenancyPolicy),
+    /// Kill the region.
+    RegionLoss(usize),
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// Serving-phase request `idx` reaches the front-end.
+    /// Serving-phase request `idx` is offered for the first time.
     Arrival(usize),
-    /// Crash re-delivery `idx` (into the redelivery buffer) re-routes.
-    Redeliver(usize),
+    /// Parked offer `idx` (a retry, a crossing offer or a redelivery)
+    /// reaches the front end.
+    Reoffer(usize),
     /// Worker completion; stale epochs are dropped.
     WorkerFree {
         node: usize,
@@ -62,6 +90,39 @@ enum Event {
     Crash(usize),
     /// A crashed node begins re-provisioning.
     Recover { node: usize, epoch: u64 },
+    /// The `idx`-th action of the control timeline fires.
+    Control(usize),
+}
+
+/// How a parked offer reaches the front end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// A client's offer: it pays one inter-region round trip first when
+    /// its home region is lost.
+    Client,
+    /// A client's offer that already paid the round trip.
+    Crossed,
+    /// A failed node's request, re-placed by the front end (not a client
+    /// retry).
+    Redelivered,
+}
+
+/// A request waiting off-node for its [`Event::Reoffer`].
+struct Parked {
+    request: IncomingRequest,
+    /// Client retries the request has made so far.
+    attempt: u32,
+    leg: Leg,
+}
+
+/// One region: a router and a cache shard per node over a contiguous
+/// range of node ids, with the region's own lifecycle and hit counters.
+struct Region {
+    router: Router,
+    cache: ShardedCache,
+    lifecycle: RegionLifecycle,
+    hits: u64,
+    misses: u64,
 }
 
 /// One run of the serving engine.
@@ -69,42 +130,46 @@ pub(crate) struct ElasticRun<'a, 'o> {
     config: &'a ElasticFleetConfig,
     scaler: &'a mut dyn Autoscaler,
     faults: &'a FaultInjector,
-    /// The serving phase: the trace past its warmup, re-based to start at
-    /// time zero.
+    /// The serving phase: the trace past its warmup.
     requests: &'a [Request],
-    /// Closed-loop saturation: every request counts as arriving at time
-    /// zero, whenever the loop admits it.
-    saturate: bool,
-    /// The next request the closed loop admits (`requests.len()` in an
-    /// open loop, where every arrival is scheduled up front).
-    next_admission: usize,
+    /// The serving phase's first arrival; arrivals are re-based to start
+    /// at time zero.
+    base: SimTime,
+    clients: Clients,
     encoder: TextEncoder,
     sampler: Sampler,
     rng: SimRng,
-    router: Router,
-    /// Per-node-id backlog, refreshed on each arrival for load-aware
-    /// routers.
+    geo: GeoRouter,
+    regions: Vec<Region>,
+    /// Node ids per region; region `r` owns ids `r * region_size..`.
+    region_size: usize,
+    /// Per-local-node backlog, refreshed on each placement for
+    /// load-aware routers.
     loads: Vec<f64>,
-    cache: ShardedCache,
     nodes: Vec<Option<ServingNode>>,
     lifecycle: Vec<NodeLifecycle>,
     /// Incarnation counter per node id; events from dead incarnations are
     /// dropped on arrival.
     epoch: Vec<u64>,
     events: EventQueue<Event>,
-    /// Requests that outlived their node and await re-routing.
-    redeliveries: Vec<Option<IncomingRequest>>,
-    pending_redeliveries: usize,
+    timeline: Vec<(SimTime, ControlAction)>,
+    /// Offers waiting off-node (retries, crossings, redeliveries).
+    parked: Vec<Option<Parked>>,
+    /// Work that may still reach a node: first offers not yet made,
+    /// parked offers, and control actions not yet fired.
     arrivals_pending: usize,
+    parked_pending: usize,
+    controls_pending: usize,
+    /// The attempt each re-offered request is on, by request id: a
+    /// redelivery keeps its request's retry count.
+    retried: BTreeMap<u64, u32>,
+    stats: RetryStats,
     // Fleet-wide metrics (completion-based, so every request counts once
     // even if a crash re-routed it).
     latency: LatencyReport,
     throughput: ThroughputReport,
-    hits: u64,
-    misses: u64,
-    /// Refusals/sheds harvested from node incarnations as they tear down
-    /// (nodes come and go; the counters must outlive them).
-    rejected: u64,
+    /// Sheds harvested from node incarnations as they tear down (nodes
+    /// come and go; the counters must outlive them).
     shed: u64,
     tenants: BTreeMap<TenantId, TenantSlice>,
     slo: SloThresholds,
@@ -125,45 +190,53 @@ pub(crate) struct ElasticRun<'a, 'o> {
 }
 
 impl<'a, 'o> ElasticRun<'a, 'o> {
-    /// Sets up a run of `config` starting from `router`, whose RNG stream
-    /// is salted by `salt`. `options.warmup` requests pre-fill the shards
-    /// off-line; `options.saturate` closes the loop.
+    /// Sets up a run of `config` over one region per router in
+    /// `routers` (`geo` picks the region; each region owns an equal share
+    /// of `config.max_nodes`), drawing from `rng`. The first `warmup`
+    /// requests pre-fill the shards off-line; `clients` offer the rest.
     ///
     /// # Panics
     ///
-    /// Panics if `options.warmup > trace.len()`.
+    /// Panics if `warmup > trace.len()`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         config: &'a ElasticFleetConfig,
-        mut router: Router,
+        geo: GeoRouter,
+        mut routers: Vec<Router>,
         trace: &'a Trace,
-        options: RunOptions,
-        salt: u64,
+        warmup: usize,
+        mut clients: Clients,
+        mut rng: SimRng,
         scaler: &'a mut dyn Autoscaler,
         faults: &'a FaultInjector,
         obs: Obs<'o, 'o>,
     ) -> Self {
+        debug_assert_eq!(routers.len(), geo.regions(), "one router per region");
         let node_config = &config.node_config;
         let space = SemanticSpace::default();
         let encoder = TextEncoder::new(space.clone());
         let quality_model = QualityModel::new(space, node_config.seed, trace.dataset().fid_floor());
         let sampler = Sampler::new(quality_model);
-        let mut rng = SimRng::seed_from(node_config.seed ^ salt);
-        let mut cache = ShardedCache::new(config.max_nodes, node_config.cache_config());
+        let region_size = config.max_nodes / routers.len();
+        let mut caches: Vec<ShardedCache> = routers
+            .iter()
+            .map(|_| ShardedCache::new(region_size, node_config.cache_config()))
+            .collect();
 
         // Warm the shards off-line via the affinity placement map (not
         // `route`, which would count warmup traffic in the per-node routed
         // metrics — and, under LeastLoaded's uniform tie-break, pile every
         // warmup image onto node 0).
-        for req in trace.iter().take(options.warmup) {
+        for req in trace.iter().take(warmup) {
             let emb = encoder.encode(&req.prompt);
-            let shard = router.shard_for(&emb);
+            let (region, _) = geo.target_region(req.tenant);
+            let shard = routers[region].shard_for(&emb);
             let img = sampler.generate_for(node_config.large_model, &emb, req.id, &mut rng);
-            cache
+            caches[region]
                 .shard_mut(shard)
                 .insert_for(SimTime::ZERO, req.tenant, img);
         }
-        let requests = &trace.requests()[options.warmup..];
+        let requests = &trace.requests()[warmup..];
         let base = requests.first().map_or(SimTime::ZERO, |r| r.arrival);
 
         let mut nodes: Vec<Option<ServingNode>> = (0..config.max_nodes).map(|_| None).collect();
@@ -180,22 +253,23 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
 
         let mut events = EventQueue::with_capacity(requests.len() + 64);
-        let next_admission = if options.saturate {
-            let workers = config.initial_nodes * node_config.num_gpus;
-            let initial = (workers * SATURATION_BACKLOG_PER_WORKER).min(requests.len());
-            for i in 0..initial {
-                events.schedule(SimTime::ZERO, Event::Arrival(i));
+        match &mut clients {
+            Clients::Saturated { next } => {
+                let workers = config.initial_nodes * node_config.num_gpus;
+                *next = (workers * SATURATION_BACKLOG_PER_WORKER).min(requests.len());
+                for i in 0..*next {
+                    events.schedule(SimTime::ZERO, Event::Arrival(i));
+                }
             }
-            initial
-        } else {
-            for (i, r) in requests.iter().enumerate() {
-                events.schedule(
-                    SimTime::ZERO + r.arrival.saturating_since(base),
-                    Event::Arrival(i),
-                );
+            Clients::Retrying { .. } => {
+                for (i, r) in requests.iter().enumerate() {
+                    events.schedule(
+                        SimTime::ZERO + r.arrival.saturating_since(base),
+                        Event::Arrival(i),
+                    );
+                }
             }
-            requests.len()
-        };
+        }
         for id in 0..config.initial_nodes {
             events.schedule(
                 SimTime::ZERO + node_config.monitor_period,
@@ -207,32 +281,45 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             events.schedule(at, Event::Crash(k));
         }
 
+        let regions = routers
+            .into_iter()
+            .zip(caches)
+            .map(|(router, cache)| Region {
+                router,
+                cache,
+                lifecycle: RegionLifecycle::new(SimTime::ZERO),
+                hits: 0,
+                misses: 0,
+            })
+            .collect();
         let slo = SloThresholds::for_deployment(node_config.gpu, node_config.large_model);
         ElasticRun {
             config,
             scaler,
             faults,
             requests,
-            saturate: options.saturate,
-            next_admission,
+            base,
+            clients,
             encoder,
             sampler,
             rng,
-            router,
-            loads: vec![0.0; config.max_nodes],
-            cache,
+            geo,
+            regions,
+            region_size,
+            loads: vec![0.0; region_size],
             nodes,
             lifecycle,
             epoch: vec![0; config.max_nodes],
             events,
-            redeliveries: Vec::new(),
-            pending_redeliveries: 0,
+            timeline: Vec::new(),
+            parked: Vec::new(),
             arrivals_pending: requests.len(),
+            parked_pending: 0,
+            controls_pending: 0,
+            retried: BTreeMap::new(),
+            stats: RetryStats::default(),
             latency: LatencyReport::new(),
             throughput: ThroughputReport::new(),
-            hits: 0,
-            misses: 0,
-            rejected: 0,
             shed: 0,
             tenants: BTreeMap::new(),
             slo_bound_secs: slo.bound_secs(config.slo_multiple),
@@ -250,22 +337,65 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
     }
 
-    /// The shards, as the run left them.
+    /// A one-region run — the single, fleet and elastic tiers — starting
+    /// from `router`, whose RNG stream is salted by `salt`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn one_region(
+        config: &'a ElasticFleetConfig,
+        router: Router,
+        trace: &'a Trace,
+        warmup: usize,
+        clients: Clients,
+        salt: u64,
+        scaler: &'a mut dyn Autoscaler,
+        faults: &'a FaultInjector,
+        obs: Obs<'o, 'o>,
+    ) -> Self {
+        Self::new(
+            config,
+            GeoRouter::new(1, SimDuration::ZERO),
+            vec![router],
+            trace,
+            warmup,
+            clients,
+            SimRng::seed_from(config.node_config.seed ^ salt),
+            scaler,
+            faults,
+            obs,
+        )
+    }
+
+    /// Schedules the control timeline: each action fires at its time,
+    /// after any event already scheduled for that instant.
+    pub(crate) fn with_timeline(mut self, timeline: Vec<(SimTime, ControlAction)>) -> Self {
+        for (k, (at, _)) in timeline.iter().enumerate() {
+            self.events.schedule(*at, Event::Control(k));
+        }
+        self.controls_pending = timeline.len();
+        self.timeline = timeline;
+        self
+    }
+
+    /// The first region's shards, as the run left them.
     #[cfg(test)]
     pub(crate) fn cache(&self) -> &ShardedCache {
-        &self.cache
+        &self.regions[0].cache
     }
 
     /// Runs the event loop to exhaustion, then closes GPU metering and
-    /// harvests the surviving nodes' overload counters.
+    /// harvests the surviving nodes' shed counters.
     pub(crate) fn execute(mut self) -> Self {
         while let Some((now, event)) = self.events.pop() {
             match event {
                 Event::Arrival(i) => {
                     let requests = self.requests;
                     let request = &requests[i];
-                    // An open-loop arrival fires at its re-based time.
-                    let arrival = if self.saturate { SimTime::ZERO } else { now };
+                    let arrival = match self.clients {
+                        Clients::Saturated { .. } => SimTime::ZERO,
+                        Clients::Retrying { .. } => {
+                            SimTime::ZERO + request.arrival.saturating_since(self.base)
+                        }
+                    };
                     let incoming = IncomingRequest {
                         request_id: request.id,
                         arrival,
@@ -273,15 +403,13 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                         qos: request.qos,
                         prompt_embedding: self.encoder.encode(&request.prompt),
                     };
-                    let node = self.route_to_node(now, incoming);
                     self.arrivals_pending -= 1;
-                    self.dispatch(now, node);
+                    self.offer(now, incoming, 0, Leg::Client);
                 }
-                Event::Redeliver(i) => {
-                    let incoming = self.redeliveries[i].take().expect("redelivered once");
-                    let node = self.route_to_node(now, incoming);
-                    self.pending_redeliveries -= 1;
-                    self.dispatch(now, node);
+                Event::Reoffer(i) => {
+                    let parked = self.parked[i].take().expect("re-offered once");
+                    self.parked_pending -= 1;
+                    self.offer(now, parked.request, parked.attempt, parked.leg);
                 }
                 Event::WorkerFree {
                     node,
@@ -306,7 +434,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     self.nodes[node].as_mut().unwrap().monitor_tick(now, period);
                     let busy = self.nodes[node].as_ref().unwrap().busy();
                     // Keep ticking while this node may still see work: any
-                    // pending arrival could route here, or it is draining.
+                    // pending offer could route here, or it is draining.
                     if self.lifecycle[node].state().serves() && (self.work_pending() || busy) {
                         self.events
                             .schedule(now + period, Event::MonitorTick { node, epoch });
@@ -342,6 +470,13 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     emit(&mut self.obs, now, || SimEvent::RecoveryStarted { node });
                     self.provision(now, node);
                 }
+                Event::Control(k) => {
+                    self.controls_pending -= 1;
+                    match self.timeline[k].1.clone() {
+                        ControlAction::Policy(policy) => self.apply_policy(&policy),
+                        ControlAction::RegionLoss(region) => self.lose_region(now, region),
+                    }
+                }
             }
         }
         let end = self.finished_at;
@@ -349,84 +484,166 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             self.end_gpu(node, end);
         }
         for node in self.nodes.iter().flatten() {
-            Self::harvest_overload(&mut self.rejected, &mut self.shed, &mut self.tenants, node);
+            Self::harvest_shed(&mut self.shed, &mut self.tenants, node);
         }
         self
     }
 
+    /// True while a request may still reach some node: a first offer not
+    /// yet made, a parked offer (a client waiting out its backoff, a
+    /// crossing, a redelivery), or a control action that may move work.
     fn work_pending(&self) -> bool {
-        self.arrivals_pending > 0 || self.pending_redeliveries > 0
+        self.arrivals_pending > 0 || self.parked_pending > 0 || self.controls_pending > 0
     }
 
     /// Closed-loop saturation: schedules the next request's arrival at
-    /// `at`. A no-op in an open loop, or once the trace is exhausted.
+    /// `at`. A no-op for other populations, or once the trace is
+    /// exhausted.
     fn admit_next(&mut self, at: SimTime) {
-        if self.next_admission < self.requests.len() {
-            self.events
-                .schedule(at, Event::Arrival(self.next_admission));
-            self.next_admission += 1;
+        if let Clients::Saturated { next } = &mut self.clients {
+            if *next < self.requests.len() {
+                self.events.schedule(at, Event::Arrival(*next));
+                *next += 1;
+            }
         }
     }
 
-    /// Routes one request (fresh or re-delivered) onto an active node and
-    /// offers it there: the node's admission runs first, and only an
-    /// admitted request decides hit/miss against that node's shard (a
-    /// refused one never probes it). Returns the chosen node.
-    fn route_to_node(&mut self, now: SimTime, incoming: IncomingRequest) -> usize {
-        if self.router.needs_loads() {
-            for (load, node) in self.loads.iter_mut().zip(&self.nodes) {
+    /// Parks `parked` until `at`.
+    fn park(&mut self, at: SimTime, parked: Parked) {
+        self.events.schedule(at, Event::Reoffer(self.parked.len()));
+        self.parked.push(Some(parked));
+        self.parked_pending += 1;
+    }
+
+    /// Offers one request to the region serving its tenant. A client
+    /// whose home region is lost pays one round trip first; the node the
+    /// request lands on dispatches if it was admitted.
+    fn offer(&mut self, now: SimTime, request: IncomingRequest, attempt: u32, leg: Leg) {
+        let (region, crossed) = self.geo.target_region(request.tenant);
+        if crossed && leg == Leg::Client {
+            let leg = Leg::Crossed;
+            self.park(
+                now + self.geo.rtt(),
+                Parked {
+                    request,
+                    attempt,
+                    leg,
+                },
+            );
+            return;
+        }
+        if attempt > 0 && leg != Leg::Redelivered {
+            self.stats.reoffers += 1;
+        }
+        if let Some(node) = self.place(now, region, request, attempt) {
+            self.dispatch(now, node);
+        }
+    }
+
+    /// Routes one request onto an active node of `region` and offers it
+    /// there: the node's admission runs first, and only an admitted
+    /// request decides hit/miss against that node's shard (a refused one
+    /// never probes it). Returns the node if it admitted the request.
+    fn place(
+        &mut self,
+        now: SimTime,
+        region: usize,
+        request: IncomingRequest,
+        attempt: u32,
+    ) -> Option<usize> {
+        let first = region * self.region_size;
+        let Region { router, cache, .. } = &mut self.regions[region];
+        if router.needs_loads() {
+            for (load, node) in self.loads.iter_mut().zip(&self.nodes[first..]) {
                 *load = node.as_ref().map_or(0.0, ServingNode::load);
             }
         }
-        let node_idx = self.router.route(&incoming.prompt_embedding, &self.loads);
+        let local = router.route(&request.prompt_embedding, &self.loads);
+        let node_idx = first + local;
         debug_assert!(
             self.lifecycle[node_idx].state().accepts_traffic(),
             "routed to node {node_idx} in state {:?}",
             self.lifecycle[node_idx].state()
         );
-        let shard = self.cache.shard_mut(node_idx);
+        let shard = cache.shard_mut(local);
         let shift = self.config.node_config.threshold_shift;
         let outcome = self.nodes[node_idx]
             .as_mut()
             .expect("active node exists")
             .enqueue(
                 now,
-                incoming,
+                request,
                 |e| route_against_cache(shard, now, e, shift),
                 self.obs.as_deref_mut(),
             );
-        // The control window sees admitted work only: refused requests
-        // are being deliberately turned away, so they must not drive the
-        // autoscaler toward capacity the policy chose not to serve.
-        if outcome.is_accepted() {
-            self.win_arrivals += 1;
+        match outcome {
+            // The control window sees admitted work only: refused requests
+            // are being deliberately turned away, so they must not drive
+            // the autoscaler toward capacity the policy chose not to serve.
+            EnqueueOutcome::Accepted => {
+                self.win_arrivals += 1;
+                Some(node_idx)
+            }
+            EnqueueOutcome::Rejected {
+                retry_after_secs,
+                request,
+            } => {
+                self.refused(now, request, attempt, retry_after_secs);
+                None
+            }
         }
-        // Closed-loop saturation: a refused admission frees its backlog
-        // slot (it will never complete); the replacement arrives after
-        // the refusal's retry-after hint, like a backing-off client.
-        if let Some(retry_after_secs) = outcome.retry_after_secs() {
-            self.admit_next(now + SimDuration::from_secs_f64(retry_after_secs));
-        }
-        node_idx
     }
 
-    /// Merges a node incarnation's refusal/shed counters into the
-    /// fleet-level accounting. Must run exactly once per incarnation,
-    /// right before its serving state is dropped (decommission, crash)
-    /// or at the end of the run for nodes still alive.
-    fn harvest_overload(
-        rejected: &mut u64,
+    /// What the client population does with a refusal: retry after its
+    /// backoff, or abandon the request. Under saturation the abandoned
+    /// request frees its backlog slot, and the replacement arrives after
+    /// the refusal's hint, like a backing-off client.
+    fn refused(&mut self, now: SimTime, request: IncomingRequest, attempt: u32, hint: f64) {
+        let retry = match &mut self.clients {
+            Clients::Saturated { .. } => None,
+            Clients::Retrying { policy, jitter } => policy.delay(attempt + 1, hint, jitter),
+        };
+        let Some(wait) = retry else {
+            self.stats.abandoned += 1;
+            self.tenants
+                .entry(request.tenant)
+                .or_insert_with(|| TenantSlice::new(request.tenant, request.qos))
+                .absorb_overload(1, 0);
+            self.admit_next(now + SimDuration::from_secs_f64(hint));
+            return;
+        };
+        let attempt = attempt + 1;
+        self.retried.insert(request.request_id, attempt);
+        let leg = Leg::Client;
+        self.park(
+            now + wait,
+            Parked {
+                request,
+                attempt,
+                leg,
+            },
+        );
+    }
+
+    /// Merges a node incarnation's shed counters into the fleet-level
+    /// accounting. Must run exactly once per incarnation, right before
+    /// its serving state is dropped (decommission, crash) or at the end
+    /// of the run for nodes still alive. (Refusals are counted as the
+    /// clients abandon them.)
+    fn harvest_shed(
         shed: &mut u64,
         tenants: &mut BTreeMap<TenantId, TenantSlice>,
         node: &ServingNode,
     ) {
-        *rejected += node.rejected();
         *shed += node.shed();
-        for (tenant, qos, node_rejected, node_shed) in node.tenant_overload() {
+        for (tenant, qos, _, node_shed) in node.tenant_overload() {
+            if node_shed == 0 {
+                continue;
+            }
             tenants
                 .entry(tenant)
                 .or_insert_with(|| TenantSlice::new(tenant, qos))
-                .absorb_overload(node_rejected, node_shed);
+                .absorb_overload(0, node_shed);
         }
     }
 
@@ -442,6 +659,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         self.latency.record(inflight.routed.arrival, now);
         self.throughput.record_completion(now);
         self.win_completions += 1;
+        let region = &mut self.regions[node_idx / self.region_size];
         let slice = self
             .tenants
             .entry(inflight.routed.tenant)
@@ -451,12 +669,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         slice.latency.record(inflight.routed.arrival, now);
         match inflight.routed.route {
             RouteKind::Hit { .. } => {
-                self.hits += 1;
+                region.hits += 1;
                 self.win_hits += 1;
                 slice.hits += 1;
             }
             RouteKind::Miss => {
-                self.misses += 1;
+                region.misses += 1;
                 slice.misses += 1;
             }
         }
@@ -469,8 +687,9 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             AdmissionPolicy::CacheLarge => image.is_full_generation(),
         };
         if admit {
-            self.cache
-                .shard_mut(node_idx)
+            region
+                .cache
+                .shard_mut(node_idx % self.region_size)
                 .insert_for(now, inflight.routed.tenant, image);
         }
         // Closed-loop saturation: each completion admits the next request,
@@ -516,6 +735,14 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         {
             self.decommission(now, node_idx);
         }
+    }
+
+    /// The region owning `node`, and the node's index within it.
+    fn locate(&mut self, node: usize) -> (&mut Region, usize) {
+        (
+            &mut self.regions[node / self.region_size],
+            node % self.region_size,
+        )
     }
 
     fn on_control_tick(&mut self, now: SimTime) {
@@ -632,8 +859,9 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     fn activate(&mut self, now: SimTime, node: usize, epoch: u64) {
         self.transition(node, NodeState::Active, now);
         self.nodes[node] = Some(ServingNode::new(&self.config.node_config, node));
-        self.router.add_node(node);
-        let prewarmed = self.cache.pull_routed(now, node, &mut self.router);
+        let (region, local) = self.locate(node);
+        region.router.add_node(local);
+        let prewarmed = region.cache.pull_routed(now, local, &mut region.router);
         self.events.schedule(
             now + self.config.node_config.monitor_period,
             Event::MonitorTick { node, epoch },
@@ -665,16 +893,18 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     la.partial_cmp(&lb).expect("finite loads")
                 })
                 .expect("non-empty active set");
-            self.router.remove_node(victim);
-            self.transition(victim, NodeState::Draining, now);
+            let fraction = self.config.handoff_fraction;
+            let (region, local) = self.locate(victim);
+            region.router.remove_node(local);
             // Cache handoff: the hottest entries follow their keyspace to
             // the ring successors (the ring no longer contains the victim,
             // so its affinity map is exactly the successor map).
-            let resident = self.cache.shard(victim).len();
-            let count = (resident as f64 * self.config.handoff_fraction).ceil() as usize;
-            let handoff = self
+            let resident = region.cache.shard(local).len();
+            let count = (resident as f64 * fraction).ceil() as usize;
+            let handoff = region
                 .cache
-                .handoff_routed(now, victim, count, &mut self.router);
+                .handoff_routed(now, local, count, &mut region.router);
+            self.transition(victim, NodeState::Draining, now);
             self.log.push(FleetEvent {
                 at: now,
                 kind: FleetEventKind::ScaleDown {
@@ -690,12 +920,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     fn decommission(&mut self, now: SimTime, node: usize) {
         self.transition(node, NodeState::Decommissioned, now);
         self.epoch[node] += 1; // invalidate any straggler events
-        if let Some(n) = self.nodes[node].as_ref() {
-            Self::harvest_overload(&mut self.rejected, &mut self.shed, &mut self.tenants, n);
+        if let Some(n) = self.nodes[node].take() {
+            Self::harvest_shed(&mut self.shed, &mut self.tenants, &n);
         }
-        self.nodes[node] = None;
         // The cold tail the handoff left behind dies with the shard.
-        drop(self.cache.shard_mut(node).drain_images());
+        let (region, local) = self.locate(node);
+        drop(region.cache.shard_mut(local).drain_images());
         self.end_gpu(node, now);
         self.log.push(FleetEvent {
             at: now,
@@ -714,40 +944,10 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let Some(victim) = self.faults.pick_victim(k, &active) else {
             return;
         };
-        self.router.remove_node(victim);
-        self.transition(victim, NodeState::Failed, now);
-        self.epoch[victim] += 1;
-        let mut node = self.nodes[victim].take().expect("crashing node existed");
-        Self::harvest_overload(&mut self.rejected, &mut self.shed, &mut self.tenants, &node);
-        let pending = node.drain_pending();
-        let lost = self.cache.shard_mut(victim).drain_images().len();
-        self.end_gpu(victim, now);
-        let redelivered = pending.len();
-        for routed in pending {
-            let idx = self.redeliveries.len();
-            self.redeliveries.push(Some(IncomingRequest {
-                request_id: routed.request_id,
-                arrival: routed.arrival,
-                tenant: routed.tenant,
-                qos: routed.qos,
-                prompt_embedding: routed.prompt_embedding,
-            }));
-            self.pending_redeliveries += 1;
-            self.events.schedule(now, Event::Redeliver(idx));
-        }
-        self.log.push(FleetEvent {
-            at: now,
-            kind: FleetEventKind::Crash {
-                node: victim,
-                lost_entries: lost,
-                redelivered,
-            },
-        });
-        emit(&mut self.obs, now, || SimEvent::Crash {
-            node: victim,
-            redelivered,
-            lost_entries: lost,
-        });
+        let (region, local) = self.locate(victim);
+        region.router.remove_node(local);
+        let lost = region.cache.shard_mut(local).drain_images().len();
+        self.fail_node(now, victim, SimDuration::ZERO, lost);
         self.events.schedule(
             now + self.faults.recovery_delay(),
             Event::Recover {
@@ -755,6 +955,112 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 epoch: self.epoch[victim],
             },
         );
+    }
+
+    /// The crash path: the node fails, its serving state is dropped, and
+    /// its backlog (queued and in-flight) is redelivered through the
+    /// front end after `delay`. The caller settles the node's router
+    /// membership and its shard's `lost_entries`.
+    fn fail_node(&mut self, now: SimTime, node: usize, delay: SimDuration, lost_entries: usize) {
+        self.transition(node, NodeState::Failed, now);
+        self.epoch[node] += 1;
+        let mut serving = self.nodes[node].take().expect("failing node existed");
+        Self::harvest_shed(&mut self.shed, &mut self.tenants, &serving);
+        let pending = serving.drain_pending();
+        self.end_gpu(node, now);
+        let redelivered = pending.len();
+        self.stats.redelivered += redelivered as u64;
+        for routed in pending {
+            let attempt = self.retried.get(&routed.request_id).copied().unwrap_or(0);
+            let request = IncomingRequest {
+                request_id: routed.request_id,
+                arrival: routed.arrival,
+                tenant: routed.tenant,
+                qos: routed.qos,
+                prompt_embedding: routed.prompt_embedding,
+            };
+            let leg = Leg::Redelivered;
+            self.park(
+                now + delay,
+                Parked {
+                    request,
+                    attempt,
+                    leg,
+                },
+            );
+        }
+        self.log.push(FleetEvent {
+            at: now,
+            kind: FleetEventKind::Crash {
+                node,
+                lost_entries,
+                redelivered,
+            },
+        });
+        emit(&mut self.obs, now, || SimEvent::Crash {
+            node,
+            redelivered,
+            lost_entries,
+        });
+    }
+
+    /// Swaps the tenancy policy on every live node and every shard of a
+    /// live region — the runtime half of tenant join/leave. Timelines
+    /// are validated before the run, so these rewrites cannot fail.
+    fn apply_policy(&mut self, policy: &TenancyPolicy) {
+        let reserves = policy.cache_reserves();
+        let capacity = self.config.node_config.cache_capacity;
+        let nodes = self.nodes.chunks_mut(self.region_size);
+        for (region, nodes) in self.regions.iter_mut().zip(nodes) {
+            if !region.lifecycle.is_alive() {
+                continue;
+            }
+            for (local, node) in nodes.iter_mut().enumerate() {
+                if let Some(node) = node {
+                    node.try_update_tenancy(policy, capacity)
+                        .expect("timeline pre-validated every policy snapshot");
+                }
+                region
+                    .cache
+                    .shard_mut(local)
+                    .try_set_reserves(reserves.clone())
+                    .expect("timeline pre-validated every reserve set");
+            }
+        }
+    }
+
+    /// Loses a region: the crash path runs on each of its nodes, their
+    /// backlog reaching the surviving region after one round trip, then
+    /// the hottest `handoff_fraction` of each shard crosses over. The
+    /// rest of the cache is lost with the region.
+    fn lose_region(&mut self, now: SimTime, region: usize) {
+        self.geo
+            .fail_region(region)
+            .expect("timeline pre-validated the region loss");
+        self.regions[region]
+            .lifecycle
+            .fail(now)
+            .expect("geo router and lifecycle agree");
+        let first = region * self.region_size;
+        for local in 0..self.region_size {
+            if self.nodes[first + local].is_some() {
+                let lost = self.regions[region].cache.shard(local).len();
+                self.fail_node(now, first + local, self.geo.rtt(), lost);
+            }
+        }
+        for local in 0..self.region_size {
+            let shard = self.regions[region].cache.shard_mut(local);
+            let keep = (shard.len() as f64 * self.config.handoff_fraction).ceil() as usize;
+            let exported = shard.export_hottest(keep);
+            shard.drain_images();
+            for (tenant, image) in exported {
+                let dest = &mut self.regions[self.geo.target_region(tenant).0];
+                let dest_local = dest.router.shard_for(&image.embedding);
+                dest.cache
+                    .shard_mut(dest_local)
+                    .insert_for(now, tenant, image);
+            }
+        }
     }
 
     fn transition(&mut self, node: usize, to: NodeState, at: SimTime) {
@@ -769,6 +1075,20 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
     }
 
+    fn hits(&self) -> u64 {
+        self.regions.iter().map(|r| r.hits).sum()
+    }
+
+    fn misses(&self) -> u64 {
+        self.regions.iter().map(|r| r.misses).sum()
+    }
+
+    /// Offers routed to each node id, across regions.
+    fn routed_per_node(&self) -> Vec<u64> {
+        let routers = self.regions.iter().map(|r| r.router.routed_per_node());
+        routers.flatten().copied().collect()
+    }
+
     /// The elastic view of an executed run: fleet-wide counters, GPU-hours,
     /// the control-plane log and the per-window series.
     pub(crate) fn into_elastic_report(self) -> ElasticReport {
@@ -777,24 +1097,25 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         ElasticReport {
             scaler: self.scaler.name(),
             completed: self.throughput.completed(),
-            hits: self.hits,
-            misses: self.misses,
-            rejected: self.rejected,
+            hits: self.hits(),
+            misses: self.misses(),
+            rejected: self.stats.abandoned,
             shed: self.shed,
+            routed_per_node: self.routed_per_node(),
             latency: self.latency,
             slo: self.slo,
             slo_multiple: self.config.slo_multiple,
             gpu_hours,
             events: self.log,
             windows: self.windows,
-            routed_per_node: self.router.routed_per_node().to_vec(),
             tenant_slices: self.tenants.into_values().collect(),
             finished_at: self.finished_at,
         }
     }
 
-    /// The fixed-fleet view of an executed run: one [`NodeReport`] per
-    /// node id, the shard-cache summary and the fleet-wide aggregates.
+    /// The fixed-fleet view of an executed one-region run: one
+    /// [`NodeReport`] per node id, the shard-cache summary and the
+    /// fleet-wide aggregates.
     ///
     /// # Panics
     ///
@@ -803,9 +1124,16 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     pub(crate) fn into_fleet_report(self) -> FleetReport {
         let finished_at = self.finished_at;
         let slo = self.slo;
-        let routed = self.router.routed_per_node();
-        let cache_summary = self.cache.summary();
-        let mut cache = self.cache;
+        let Ok(
+            [Region {
+                router, mut cache, ..
+            }],
+        ) = <[Region; 1]>::try_from(self.regions)
+        else {
+            panic!("a fleet report covers one region");
+        };
+        let routed = router.routed_per_node();
+        let cache_summary = cache.summary();
         let nodes: Vec<NodeReport> = self
             .nodes
             .into_iter()
@@ -821,12 +1149,67 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             })
             .collect();
         FleetReport {
-            policy: self.router.policy(),
+            policy: router.policy(),
             nodes,
             latency: self.latency,
             throughput: self.throughput,
             cache: cache_summary,
             tenant_slices: self.tenants.into_values().collect(),
+            finished_at,
+        }
+    }
+
+    /// The scenario view of an executed run: retry accounting, per-region
+    /// slices, and GPU-hours billed per region up to its loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every request reached exactly one terminal.
+    pub(crate) fn into_scenario_report(self) -> ScenarioReport {
+        let completed = self.throughput.completed();
+        assert_eq!(
+            completed + self.stats.abandoned + self.shed,
+            self.requests.len() as u64,
+            "every request reaches exactly one terminal"
+        );
+        let finished_at = self.finished_at;
+        let routed_per_node = self.routed_per_node();
+        let gpus_per_region = (self.region_size * self.config.node_config.num_gpus) as f64;
+        let mut gpu_hours = 0.0;
+        let mut regions = Vec::with_capacity(self.regions.len());
+        for (r, region) in self.regions.iter().enumerate() {
+            let lost_at = region.lifecycle.lost_at();
+            // A lost region stops billing at the loss instant.
+            gpu_hours += gpus_per_region * lost_at.unwrap_or(finished_at).as_mins_f64() / 60.0;
+            let (hits, misses) = (region.hits, region.misses);
+            regions.push(RegionSlice {
+                region: r,
+                routed: region.router.routed_per_node().iter().sum(),
+                completed: hits + misses,
+                hit_rate: if hits + misses == 0 {
+                    0.0
+                } else {
+                    hits as f64 / (hits + misses) as f64
+                },
+                lost_at_mins: lost_at.map(SimTime::as_mins_f64),
+            });
+        }
+        ScenarioReport {
+            hits: self.hits(),
+            misses: self.misses(),
+            rejected: self.stats.abandoned,
+            shed: self.shed,
+            retry: RetryStats {
+                offers: routed_per_node.iter().sum(),
+                ..self.stats
+            },
+            regions,
+            routed_per_node,
+            latency: self.latency,
+            throughput: self.throughput,
+            slo: self.slo,
+            tenant_slices: self.tenants.into_values().collect(),
+            gpu_hours,
             finished_at,
         }
     }
@@ -836,7 +1219,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
 mod tests {
     use modm_cache::ImageCache;
     use modm_cluster::GpuKind;
-    use modm_core::config::MoDMConfig;
+    use modm_core::config::{MoDMConfig, RunOptions};
     use modm_core::fairqueue::{TenancyPolicy, TenantShare};
     use modm_core::kselect::HIT_THRESHOLD;
     use modm_fleet::RoutingPolicy;
@@ -893,11 +1276,12 @@ mod tests {
             saturate: false,
         };
         let router = Router::new(config.policy, 1);
-        let mut run = ElasticRun::new(
+        let mut run = ElasticRun::one_region(
             &config,
             router,
             &trace,
-            options,
+            options.warmup,
+            Clients::open_loop(),
             ELASTIC_SALT,
             &mut scaler,
             &faults,
@@ -908,7 +1292,7 @@ mod tests {
             .iter()
             .take(options.warmup)
             .map(|r| run.encoder.encode(&r.prompt))
-            .find(|e| run.cache.shard(0).peek(e, HIT_THRESHOLD).is_some())
+            .find(|e| run.cache().shard(0).peek(e, HIT_THRESHOLD).is_some())
             .expect("a retrievable warm image");
         let offer = |request_id| IncomingRequest {
             request_id,
@@ -922,12 +1306,54 @@ mod tests {
             (node.hits(), node.rejected())
         };
 
-        run.route_to_node(SimTime::from_secs_f64(60.0), offer(1_000));
+        let admitted = run.place(SimTime::from_secs_f64(60.0), 0, offer(1_000), 0);
+        assert_eq!(admitted, Some(0));
         assert_eq!(node(&run), (1, 0), "the admitted offer hits");
-        let before = probe_state(run.cache.shard(0));
-        run.route_to_node(SimTime::from_secs_f64(120.0), offer(1_001));
+        let before = probe_state(run.cache().shard(0));
+        let refused = run.place(SimTime::from_secs_f64(120.0), 0, offer(1_001), 0);
+        assert_eq!(refused, None);
         assert_eq!(node(&run), (1, 1), "the second offer is refused");
-        assert_eq!(probe_state(run.cache.shard(0)), before);
+        assert_eq!(probe_state(run.cache().shard(0)), before);
+    }
+
+    #[test]
+    fn region_shards_follow_the_node_config_index_policy() {
+        // Every region's shards are built from `MoDMConfig::cache_config`,
+        // so the node config's index policy reaches the scenario tier's
+        // caches; the default stays on the exact flat scan.
+        let trace = TraceBuilder::diffusion_db(43)
+            .requests(60)
+            .rate_per_min(12.0)
+            .build();
+        let plain = || MoDMConfig::builder().gpus(GpuKind::Mi210, 2).build();
+        let approx = MoDMConfig {
+            index_policy: modm_core::IndexPolicy::Approx,
+            ..plain()
+        };
+        for (node, backend) in [(plain(), "flat"), (approx, "inverted")] {
+            let config = ElasticFleetConfig::new(node, 4, 4, 4);
+            let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+            let run = ElasticRun::new(
+                &config,
+                GeoRouter::new(2, SimDuration::ZERO),
+                vec![Router::new(config.policy, 2); 2],
+                &trace,
+                0,
+                Clients::open_loop(),
+                SimRng::seed_from(1),
+                &mut scaler,
+                &faults,
+                None,
+            );
+            for region in &run.regions {
+                assert_eq!(region.cache.num_shards(), 2);
+                for shard in 0..region.cache.num_shards() {
+                    assert_eq!(region.cache.shard(shard).index_backend(), backend);
+                }
+            }
+            let report = run.execute().into_scenario_report();
+            assert_eq!(report.completed(), 60, "{backend} shards serve everything");
+        }
     }
 
     fn latency_quantiles(latency: &mut LatencyReport) -> [Option<f64>; 3] {
@@ -1010,5 +1436,92 @@ mod tests {
             "{} GPU-h vs {expect}",
             elastic.gpu_hours
         );
+    }
+
+    #[test]
+    fn fixed_fleet_and_two_region_run_agree() {
+        // The cross-tier oracle: one overloaded configuration, one salt,
+        // run as a fixed fleet of `NODES` nodes and as a two-region run
+        // whose tenants all home to region 0 (even ids), with an empty
+        // timeline and the fleet's open-loop clients. Region 1 idles.
+        const NODES: usize = 3;
+        let node = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 4)
+            .cache_capacity(300)
+            .tenancy(
+                TenancyPolicy::weighted_fair(vec![
+                    TenantShare::new(TenantId(2), 4.0),
+                    TenantShare::new(TenantId(4), 1.0),
+                ])
+                .with_rate_limit(TenantId(4), 3.0, 2.0)
+                .with_queue_budget(SimDuration::from_secs_f64(120.0)),
+            )
+            .build();
+        let trace = TraceBuilder::diffusion_db(78)
+            .requests(400)
+            .tenants(vec![
+                TenantMix::new(TenantId(2), QosClass::Interactive, 6.0),
+                TenantMix::new(TenantId(4), QosClass::BestEffort, 16.0),
+            ])
+            .build();
+        let policy = RoutingPolicy::CacheAffinity;
+        let fleet = Fleet::new(node.clone(), Router::new(policy, NODES)).serve(
+            &trace,
+            RunOptions::default(),
+            ELASTIC_SALT,
+            None,
+        );
+        let config = ElasticFleetConfig::new(node, 2 * NODES, 2 * NODES, 2 * NODES);
+        let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+        let mut regions = ElasticRun::new(
+            &config,
+            GeoRouter::new(2, SimDuration::from_secs_f64(0.2)),
+            vec![Router::new(policy, NODES); 2],
+            &trace,
+            0,
+            Clients::open_loop(),
+            SimRng::seed_from(config.node_config.seed ^ ELASTIC_SALT),
+            &mut scaler,
+            &faults,
+            None,
+        )
+        .execute()
+        .into_scenario_report();
+
+        assert!(regions.rejected > 0, "token buckets must refuse");
+        assert!(regions.shed > 0, "the queue budget must shed");
+        assert_eq!(regions.regions[1].routed, 0, "no tenant homes to region 1");
+        assert_eq!(fleet.completed(), regions.completed());
+        let served =
+            |kind: fn(&TenantSlice) -> u64| fleet.tenant_slices.iter().map(kind).sum::<u64>();
+        assert_eq!(served(|s| s.hits), regions.hits);
+        assert_eq!(served(|s| s.misses), regions.misses);
+        assert_eq!(fleet.rejected(), regions.rejected);
+        assert_eq!(fleet.shed(), regions.shed);
+        let routed: Vec<u64> = fleet.nodes.iter().map(|n| n.routed).collect();
+        assert_eq!(routed, regions.routed_per_node[..NODES]);
+        let mut fleet_latency = fleet.latency.clone();
+        assert_eq!(
+            latency_quantiles(&mut fleet_latency),
+            latency_quantiles(&mut regions.latency)
+        );
+        assert_eq!(fleet.tenant_slices.len(), regions.tenant_slices.len());
+        for (f, r) in fleet.tenant_slices.iter().zip(&regions.tenant_slices) {
+            let counts = |s: &TenantSlice| {
+                (
+                    s.tenant,
+                    s.qos,
+                    s.completed,
+                    s.hits,
+                    s.misses,
+                    s.rejected,
+                    s.shed,
+                )
+            };
+            assert_eq!(counts(f), counts(r));
+            let (mut fl, mut rl) = (f.latency.clone(), r.latency.clone());
+            assert_eq!(latency_quantiles(&mut fl), latency_quantiles(&mut rl));
+        }
+        assert_eq!(fleet.finished_at, regions.finished_at);
     }
 }

@@ -15,6 +15,7 @@ use modm_fleet::{FleetReport, Router};
 use modm_workload::Trace;
 
 use crate::autoscaler::HoldAutoscaler;
+use crate::client::Clients;
 use crate::elastic::ElasticFleetConfig;
 use crate::engine::ElasticRun;
 use crate::fault::FaultInjector;
@@ -135,11 +136,17 @@ impl Fleet {
             "warmup consumes the whole trace"
         );
         let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
-        ElasticRun::new(
+        let clients = if options.saturate {
+            Clients::Saturated { next: 0 }
+        } else {
+            Clients::open_loop()
+        };
+        ElasticRun::one_region(
             &self.config,
             self.router.clone(),
             trace,
-            options,
+            options.warmup,
+            clients,
             salt,
             &mut scaler,
             &faults,

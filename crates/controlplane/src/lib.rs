@@ -15,6 +15,11 @@
 //!   routed by the caller's router template.
 //! * [`ServingSystem`] — the paper's single-node deployment: a [`Fleet`]
 //!   of one.
+//! * [`run_regions`] — the scenario tier: a holding fleet split into
+//!   regions behind a `modm_fleet::GeoRouter`, offered by clients that
+//!   retry under a [`RetryPolicy`], with a control timeline of tenancy
+//!   rewrites and region losses ([`ControlAction`]); it reports a
+//!   [`ScenarioReport`].
 //!
 //! Each entry point salts the run's RNG with its own private constant,
 //! so every tier's results stay seed-for-seed stable. The control-plane
@@ -58,6 +63,7 @@
 //! ```
 
 pub mod autoscaler;
+pub mod client;
 pub mod elastic;
 mod engine;
 pub mod fault;
@@ -65,16 +71,20 @@ pub mod fleet;
 pub mod lifecycle;
 pub mod region;
 pub mod report;
+pub mod scenario_report;
 pub mod system;
 
 pub use autoscaler::{
     Autoscaler, HoldAutoscaler, PredictiveAutoscaler, PredictiveConfig, ReactiveAutoscaler,
     ReactiveConfig, ScaleDecision, ScalerConfigError, ScalerObservation, ScheduledAutoscaler,
 };
+pub use client::RetryPolicy;
 pub use elastic::{ElasticConfigError, ElasticFleet, ElasticFleetConfig};
+pub use engine::ControlAction;
 pub use fault::FaultInjector;
 pub use fleet::Fleet;
 pub use lifecycle::{IllegalTransition, NodeLifecycle, NodeState};
-pub use region::{RegionLifecycle, RegionState, RegionTransitionError};
+pub use region::{run_regions, RegionLifecycle, RegionState, RegionTransitionError};
 pub use report::{ElasticReport, FleetEvent, FleetEventKind, WindowSample};
+pub use scenario_report::{RegionSlice, RetryStats, ScenarioReport};
 pub use system::ServingSystem;

@@ -1,14 +1,84 @@
-//! The region lifecycle state machine.
+//! Regions: the lifecycle state machine, and the multi-region entry
+//! point of the serving engine.
 //!
-//! Two-region failover scenarios need one fact per region — alive or
-//! lost, and since when — with the same typed-`Result` discipline as
+//! A region loss needs one fact per region — alive or lost, and since
+//! when — with the same typed-`Result` discipline as
 //! [`crate::NodeLifecycle`]: a scripted `RegionLoss` firing twice, or a
 //! restore of a region that never failed, is a script bug that should
 //! surface as an error, not silently corrupt the run. Routing across the
 //! surviving regions is the geo router's job (`modm_fleet::GeoRouter`);
 //! this machine owns the authoritative state and its history.
+//!
+//! [`run_regions`] serves a trace over several equal regions with
+//! clients that retry under a [`RetryPolicy`] and a control timeline —
+//! the scenario tier.
 
-use modm_simkit::SimTime;
+use modm_core::events::Observer;
+use modm_fleet::{GeoRouter, Router};
+use modm_simkit::{SimRng, SimTime};
+use modm_workload::Trace;
+
+use crate::autoscaler::HoldAutoscaler;
+use crate::client::{Clients, RetryPolicy};
+use crate::elastic::ElasticFleetConfig;
+use crate::engine::{ControlAction, ElasticRun};
+use crate::fault::FaultInjector;
+use crate::scenario_report::ScenarioReport;
+
+/// Salt of the retrying clients' jitter stream ("JITT"), forked off the
+/// run's stream before anything else draws from it.
+const JITTER_SALT: u64 = 0x4A49_5454;
+
+/// Serves `trace` on `geo.regions()` regions of `config.max_nodes /
+/// geo.regions()` nodes each, every region routed by its own
+/// `config.policy` router over its own cache shards, under a holding
+/// control plane with no faults. Clients retry refusals under `retry`,
+/// and `timeline`'s actions fire at their times: a policy rewrite
+/// reaches every live node and shard, and a region loss redelivers its
+/// backlog after one `geo` round trip and hands the hottest
+/// `config.handoff_fraction` of each lost shard to the survivors. The
+/// run's RNG is salted by `salt`. Observation never perturbs the run.
+///
+/// # Panics
+///
+/// Panics unless the timeline's policies validate against the node
+/// config and its region losses are legal for `geo`, or if the run
+/// breaks request conservation.
+pub fn run_regions(
+    config: &ElasticFleetConfig,
+    geo: GeoRouter,
+    trace: &Trace,
+    retry: RetryPolicy,
+    timeline: Vec<(SimTime, ControlAction)>,
+    salt: u64,
+    observer: Option<&mut dyn Observer>,
+) -> ScenarioReport {
+    let mut rng = SimRng::seed_from(config.node_config.seed ^ salt);
+    let jitter = rng.fork(JITTER_SALT);
+    let routers = (0..geo.regions())
+        .map(|_| Router::new(config.policy, config.max_nodes / geo.regions()))
+        .collect();
+    let clients = Clients::Retrying {
+        policy: retry,
+        jitter,
+    };
+    let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+    ElasticRun::new(
+        config,
+        geo,
+        routers,
+        trace,
+        0,
+        clients,
+        rng,
+        &mut scaler,
+        &faults,
+        observer,
+    )
+    .with_timeline(timeline)
+    .execute()
+    .into_scenario_report()
+}
 
 /// Where a region is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

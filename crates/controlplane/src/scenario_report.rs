@@ -6,9 +6,9 @@
 //! runs produce their own [`ScenarioReport`] — the familiar
 //! latency/throughput/SLO/tenant surface plus two new axes:
 //! [`RetryStats`] (offer amplification, re-offers, abandonments,
-//! redeliveries) and per-region [`RegionSlice`]s. The report lives in
-//! `modm-deploy` so [`crate::RunOutcome`] can wrap it without a
-//! dependency cycle (`modm-scenario` builds *on* the deployment layer).
+//! redeliveries) and per-region [`RegionSlice`]s. The serving engine
+//! builds it from its final state, as it builds the fleet and elastic
+//! reports; `modm-deploy` re-exports it and wraps it in its run outcome.
 
 use modm_core::report::TenantSlice;
 use modm_metrics::{LatencyReport, SloThresholds, ThroughputReport};

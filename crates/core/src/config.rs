@@ -129,8 +129,8 @@ impl std::error::Error for ConfigError {}
 /// Validates a [`TenancyPolicy`] against a cache capacity, reporting the
 /// first violated invariant as a typed [`ConfigError`].
 ///
-/// [`MoDMConfigBuilder::try_build`] runs this at construction; the
-/// scenario engine runs the same checks again before every *mid-run*
+/// [`MoDMConfigBuilder::try_build`] runs this at construction; scenario
+/// scripts run the same checks again for every *mid-run*
 /// policy mutation (tenant join/leave), so a rejected weight or an
 /// overcommitted reserve set surfaces as a declined transition instead of
 /// unwinding the DES.

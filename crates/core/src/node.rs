@@ -42,8 +42,8 @@ enum Lane {
 /// A refusal carries the token bucket's retry-after hint so the host
 /// loop can re-prime closed-loop clients at the moment the bucket can
 /// next admit them, rather than immediately (which would be refused
-/// again).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// again), and hands the request back for the client to re-offer.
+#[derive(Debug, Clone)]
 pub enum EnqueueOutcome {
     /// The request entered the node's queues.
     Accepted,
@@ -51,20 +51,24 @@ pub enum EnqueueOutcome {
     Rejected {
         /// Virtual seconds until the bucket can next admit a request.
         retry_after_secs: f64,
+        /// The refused request, untouched.
+        request: IncomingRequest,
     },
 }
 
 impl EnqueueOutcome {
     /// True when the request was queued.
-    pub fn is_accepted(self) -> bool {
+    pub fn is_accepted(&self) -> bool {
         matches!(self, EnqueueOutcome::Accepted)
     }
 
     /// The refusal's back-off hint, if the request was refused.
-    pub fn retry_after_secs(self) -> Option<f64> {
+    pub fn retry_after_secs(&self) -> Option<f64> {
         match self {
             EnqueueOutcome::Accepted => None,
-            EnqueueOutcome::Rejected { retry_after_secs } => Some(retry_after_secs),
+            EnqueueOutcome::Rejected {
+                retry_after_secs, ..
+            } => Some(*retry_after_secs),
         }
     }
 }
@@ -265,8 +269,8 @@ impl ServingNode {
     /// recency or hit count moves). [`SimEvent::Rejected`] is emitted
     /// (carrying the bucket's retry-after hint), the tenant's `rejected`
     /// counter advances, nothing is queued, and the method returns
-    /// [`EnqueueOutcome::Rejected`] (the host loop uses the hint to
-    /// re-prime a closed-loop saturation backlog with back-off). Refused
+    /// [`EnqueueOutcome::Rejected`] with the request (the host loop uses
+    /// the hint to schedule the client's next move). Refused
     /// requests never touch the hit/miss accounting or the monitor's
     /// window counters — the monitor plans capacity for admitted work
     /// only.
@@ -284,13 +288,7 @@ impl ServingNode {
         decide: impl FnOnce(&Embedding) -> RouteKind,
         mut obs: Obs<'_, '_>,
     ) -> EnqueueOutcome {
-        let IncomingRequest {
-            request_id,
-            arrival,
-            tenant,
-            qos,
-            prompt_embedding,
-        } = request;
+        let (tenant, qos) = (request.tenant, request.qos);
         let admit = profile::timed(profile::Subsystem::Admission, || {
             self.admission.try_admit_or_retry(now, tenant)
         });
@@ -304,12 +302,21 @@ impl ServingNode {
             slice.rejected += 1;
             emit(&mut obs, now, || SimEvent::Rejected {
                 node: self.id,
-                request_id,
+                request_id: request.request_id,
                 tenant,
                 retry_after_secs,
             });
-            return EnqueueOutcome::Rejected { retry_after_secs };
+            return EnqueueOutcome::Rejected {
+                retry_after_secs,
+                request,
+            };
         }
+        let IncomingRequest {
+            request_id,
+            arrival,
+            prompt_embedding,
+            ..
+        } = request;
         self.win_arrivals += 1;
         emit(&mut obs, now, || SimEvent::Admitted {
             node: self.id,

@@ -71,7 +71,6 @@
 pub mod deployment;
 pub mod observers;
 pub mod outcome;
-pub mod scenario_report;
 
 pub use deployment::{run_backend, DeployOptions, Deployment, LifecyclePlan, ServingBackend};
 pub use observers::{
@@ -81,7 +80,9 @@ pub use observers::{
 pub use outcome::{
     summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary, TierKind, TierReport,
 };
-pub use scenario_report::{RegionSlice, RetryStats, ScenarioReport};
+// The scenario report is built by the serving engine, next to the
+// elastic report; re-export it so deployment users need only this crate.
+pub use modm_controlplane::{RegionSlice, RetryStats, ScenarioReport};
 
 // The observer vocabulary lives in modm-core (the nodes emit it); re-export
 // it so deployment users need only this crate.

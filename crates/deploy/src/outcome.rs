@@ -10,14 +10,12 @@
 //! which is what the cross-tier equivalence tests compare and what the
 //! generic table printers render.
 
-use modm_controlplane::ElasticReport;
+use modm_controlplane::{ElasticReport, RegionSlice, ScenarioReport};
 use modm_core::report::{ServingReport, TenantSlice};
 use modm_fleet::FleetReport;
 use modm_metrics::SloThresholds;
 use modm_simkit::SimTime;
 use modm_workload::{QosClass, TenantId};
-
-use crate::scenario_report::{RegionSlice, ScenarioReport};
 
 /// Which serving tier produced an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -165,7 +165,7 @@ pub fn failover_scenario_for(seed: u64, with_loss: bool) -> Scenario {
     Scenario::new(
         node_config(tenancy, seed),
         failover_script(with_loss),
-        TwoRegion::new(NODES_PER_REGION).with_handoff_fraction(0.5),
+        TwoRegion::new(NODES_PER_REGION),
     )
     .expect("the failover script validates against its policy")
 }

@@ -7,7 +7,7 @@
 //! region (the one closest to its users) and stays there while it is
 //! alive. When a region is lost, its tenants fail over to the nearest
 //! surviving region and each cross-region offer pays one inter-region
-//! round trip; the scenario engine layers cache handoff and backlog
+//! round trip; the serving engine layers cache handoff and backlog
 //! redelivery on top of this primitive.
 //!
 //! Region lifecycle transitions are fallible values, never panics: a

@@ -1,11 +1,13 @@
 //! `modm-scenario` — adversarial workload scenarios over the deployment
-//! stack.
+//! stack: a script, client and topology layer over the serving engine.
 //!
-//! The open-loop tiers (`modm-controlplane`'s engine) replay a trace
-//! and drop whatever the system refuses. That measures capacity; it says
-//! nothing about *overload dynamics* — what happens when rejected clients
-//! come back, one tenant goes viral, the tenant set churns mid-run, or a
-//! whole region disappears. This crate closes the loop:
+//! The fleet and elastic tiers replay a trace open-loop and drop
+//! whatever the system refuses. That measures capacity; it says nothing
+//! about *overload dynamics* — what happens when rejected clients come
+//! back, one tenant goes viral, the tenant set churns mid-run, or a
+//! whole region disappears. This crate scripts those and runs them on
+//! `modm-controlplane`'s engine ([`run_regions`](modm_controlplane::run_regions)),
+//! the same event loop every other tier uses:
 //!
 //! * [`RetryPolicy`] — the client population model: rejected requests
 //!   re-offer with capped exponential backoff and jitter, either
@@ -19,9 +21,10 @@
 //!   node and shard mid-run), and wholesale region loss. Scripts are
 //!   validated end to end before the run ([`ScenarioError`]).
 //! * [`TwoRegion`] / [`Scenario`] — two regional fleets behind a
-//!   latency-biased [`GeoRouter`](modm_fleet::GeoRouter); on region loss
-//!   the backlog is redelivered to the survivor and the hottest cache
-//!   entries are handed off across the region boundary.
+//!   latency-biased [`GeoRouter`](modm_fleet::GeoRouter) with a fixed
+//!   200 ms round trip and cache-affinity routing; on region loss the
+//!   backlog is redelivered to the survivor and the hottest half of the
+//!   cache entries is handed off across the region boundary.
 //!
 //! Runs produce a [`ScenarioReport`] —
 //! the familiar latency/SLO/tenant surface plus retry amplification and
@@ -69,14 +72,13 @@
 //! );
 //! ```
 
-pub mod client;
 pub mod run;
 pub mod script;
 
-pub use client::RetryPolicy;
 pub use run::{Scenario, TwoRegion};
-pub use script::{ControlAction, ScenarioAction, ScenarioError, ScenarioScript};
+pub use script::{ScenarioAction, ScenarioError, ScenarioScript};
 
-// The report type lives in modm-deploy (so RunOutcome can wrap it);
-// re-export it so scenario users need only this crate.
-pub use modm_deploy::{RegionSlice, RetryStats, ScenarioReport};
+// The client population, the control vocabulary and the report belong
+// to the serving engine that runs them; re-export them so scenario
+// users need only this crate.
+pub use modm_controlplane::{ControlAction, RegionSlice, RetryPolicy, RetryStats, ScenarioReport};

@@ -22,6 +22,7 @@
 
 use std::fmt;
 
+use modm_controlplane::ControlAction;
 use modm_core::{validate_tenancy, ConfigError, TenancyPolicy, TenantShare};
 use modm_workload::{RateSchedule, TenantId, TenantMix};
 
@@ -153,16 +154,6 @@ impl From<ConfigError> for ScenarioError {
     fn from(e: ConfigError) -> Self {
         ScenarioError::InvalidPolicy(e)
     }
-}
-
-/// A control-plane action the engine replays at a scripted time (the
-/// lowered form of the policy-touching half of a script).
-#[derive(Debug, Clone)]
-pub enum ControlAction {
-    /// Swap every live node and shard to this policy snapshot.
-    Policy(TenancyPolicy),
-    /// Kill the region.
-    RegionLoss(usize),
 }
 
 /// A timed adversarial plan over a base tenant mix.
