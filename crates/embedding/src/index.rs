@@ -187,7 +187,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     fn nearest_in(&self, query: &Embedding, candidates: &mut Candidates) -> Option<Neighbor<K>> {
         let best = self
             .rows
-            .nearest_in(
+            .nearest(
                 query.as_slice(),
                 |slot| self.keys[slot].is_some(),
                 candidates,

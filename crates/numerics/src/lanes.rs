@@ -456,14 +456,14 @@ impl Candidates {
 /// # Example
 ///
 /// ```
-/// use modm_numerics::lanes::ScreenedRows;
+/// use modm_numerics::lanes::{Candidates, ScreenedRows};
 ///
 /// let mut rows = ScreenedRows::new();
 /// rows.push(&[1.0, 0.0]);
 /// rows.push(&[0.6, 0.8]);
 /// rows.push(&[0.0, 1.0]);
 /// // Slot 2 is dead; slot 1 is the best live row.
-/// let best = rows.nearest(&[0.0, 1.0], |slot| slot != 2);
+/// let best = rows.nearest(&[0.0, 1.0], |slot| slot != 2, &mut Candidates::new());
 /// assert_eq!(best, Some((1, 0.8)));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -648,24 +648,14 @@ impl ScreenedRows {
     /// `S²` times its clamped f64 score (`S = 32767`). That holds when
     /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
     /// rows whose integer and f64 scores both clamp to the same end of
-    /// the range. The screen allocates its buffers afresh; callers that
-    /// probe in a loop keep a [`Candidates`] and call
-    /// [`ScreenedRows::nearest_in`].
+    /// the range. The screen runs in `candidates`' buffers: a caller that
+    /// keeps one `Candidates` across probes allocates nothing once they
+    /// have grown.
     ///
     /// # Panics
     ///
     /// As [`ScreenedRows::screen`].
-    pub fn nearest(&self, q: &[f64], live: impl Fn(usize) -> bool) -> Option<(usize, f64)> {
-        self.nearest_in(q, live, &mut Candidates::new())
-    }
-
-    /// [`ScreenedRows::nearest`], screening into the caller's
-    /// `candidates`: no allocation once its buffers have grown.
-    ///
-    /// # Panics
-    ///
-    /// As [`ScreenedRows::screen`].
-    pub fn nearest_in(
+    pub fn nearest(
         &self,
         q: &[f64],
         live: impl Fn(usize) -> bool,
@@ -908,7 +898,10 @@ mod tests {
         let mut rows = ScreenedRows::new();
         rows.push(&[-2.0, -2.0]);
         rows.push(&[0.0, 0.0]);
-        assert_eq!(rows.nearest(&[-2.0, -2.0], |_| true), Some((0, 1.0)));
+        assert_eq!(
+            rows.nearest(&[-2.0, -2.0], |_| true, &mut Candidates::new()),
+            Some((0, 1.0))
+        );
     }
 
     /// The first strict maximum of the clamped f64 scores of live rows.
@@ -970,11 +963,20 @@ mod tests {
             pair.exact().slot_dot(1, &q, 0.0),
         );
         assert!(high > low, "the nudge must raise the f64 score");
-        assert_eq!(pair.nearest(&q, |_| true), Some((1, high)));
+        assert_eq!(
+            pair.nearest(&q, |_| true, &mut Candidates::new()),
+            Some((1, high))
+        );
         let swapped = screened(&[&up, &r]);
-        assert_eq!(swapped.nearest(&q, |_| true), Some((0, high)));
+        assert_eq!(
+            swapped.nearest(&q, |_| true, &mut Candidates::new()),
+            Some((0, high))
+        );
         let twins = screened(&[&r, &r]);
-        assert_eq!(twins.nearest(&q, |_| true), Some((0, low)));
+        assert_eq!(
+            twins.nearest(&q, |_| true, &mut Candidates::new()),
+            Some((0, low))
+        );
 
         // Rows whose integer order is the reverse of their f64 order: the
         // screen's leader loses the re-score, from either slot.
@@ -996,11 +998,11 @@ mod tests {
             .expect("some nearby rows round out of f64 order");
         let (base, near, best) = flipped;
         assert_eq!(
-            screened(&[&base, &near]).nearest(&q, |_| true),
+            screened(&[&base, &near]).nearest(&q, |_| true, &mut Candidates::new()),
             Some((0, best))
         );
         assert_eq!(
-            screened(&[&near, &base]).nearest(&q, |_| true),
+            screened(&[&near, &base]).nearest(&q, |_| true, &mut Candidates::new()),
             Some((1, best))
         );
     }
@@ -1029,10 +1031,10 @@ mod tests {
             .collect();
         let want = full_scan(&store, &q, &live);
         assert_eq!(want.map(|(s, _)| s), Some(39));
-        assert_eq!(store.nearest(&q, |s| live[s]), want);
+        assert_eq!(store.nearest(&q, |s| live[s], &mut Candidates::new()), want);
         // With block 1 live too, it still cannot win: same answer.
         let live: Vec<bool> = (0..rows.len()).map(|s| s != 0).collect();
-        assert_eq!(store.nearest(&q, |s| live[s]), want);
+        assert_eq!(store.nearest(&q, |s| live[s], &mut Candidates::new()), want);
     }
 
     #[test]
@@ -1059,7 +1061,10 @@ mod tests {
             (i64::from(ints[0]), i64::from(ints[16])),
             (FIXED_ONE_SQ, floor)
         );
-        assert_eq!(store.nearest(&q, |_| true), Some((16, 1.0)));
+        assert_eq!(
+            store.nearest(&q, |_| true, &mut Candidates::new()),
+            Some((16, 1.0))
+        );
     }
 
     #[test]
@@ -1075,12 +1080,18 @@ mod tests {
         assert!(fixed_scores(&rows, &[c, c])
             .iter()
             .all(|&s| i64::from(s) > FIXED_ONE_SQ));
-        assert_eq!(rows.nearest(&[c, c], |_| true), Some((0, 1.0)));
+        assert_eq!(
+            rows.nearest(&[c, c], |_| true, &mut Candidates::new()),
+            Some((0, 1.0))
+        );
         // The same at the bottom, where the floor falls below −S².
         let mut rows = ScreenedRows::new();
         rows.push(&[-1.0, -1.0]);
         rows.push(&[-0.75, -0.75]);
-        assert_eq!(rows.nearest(&[c, c], |_| true), Some((0, -1.0)));
+        assert_eq!(
+            rows.nearest(&[c, c], |_| true, &mut Candidates::new()),
+            Some((0, -1.0))
+        );
     }
 
     #[test]
@@ -1091,12 +1102,18 @@ mod tests {
         let mut rows = ScreenedRows::new();
         rows.push(&[1.5, 0.0]);
         rows.push(&[2.0, 0.0]);
-        assert_eq!(rows.nearest(&[1.0, 0.0], |_| true), Some((0, 1.0)));
+        assert_eq!(
+            rows.nearest(&[1.0, 0.0], |_| true, &mut Candidates::new()),
+            Some((0, 1.0))
+        );
         // The same at the bottom: -2.0 and -1.5 both clamp to -1.0.
         let mut rows = ScreenedRows::new();
         rows.push(&[-2.0, 0.0]);
         rows.push(&[-1.5, 0.0]);
-        assert_eq!(rows.nearest(&[1.0, 0.0], |_| true), Some((0, -1.0)));
+        assert_eq!(
+            rows.nearest(&[1.0, 0.0], |_| true, &mut Candidates::new()),
+            Some((0, -1.0))
+        );
     }
 
     /// Rows of two components whose integer scores against
@@ -1246,14 +1263,17 @@ mod tests {
                         full = Some((slot, sim));
                     }
                 }
-                let screened = rows.nearest(q, |s| live[s]);
+                let screened = rows.nearest(q, |s| live[s], &mut Candidates::new());
                 assert_eq!(
                     screened.map(|(s, x)| (s, x.to_bits())),
                     full.map(|(s, x)| (s, x.to_bits())),
                     "dim {dim}"
                 );
             }
-            assert_eq!(rows.nearest(&stored[0], |_| false), None);
+            assert_eq!(
+                rows.nearest(&stored[0], |_| false, &mut Candidates::new()),
+                None
+            );
         }
     }
 
