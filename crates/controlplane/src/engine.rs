@@ -1227,6 +1227,7 @@ mod tests {
 
     use super::*;
     use crate::autoscaler::HoldAutoscaler;
+    use crate::client::RetryPolicy;
     use crate::elastic::{ElasticFleet, ELASTIC_SALT};
     use crate::fleet::Fleet;
 
@@ -1354,6 +1355,65 @@ mod tests {
             let report = run.execute().into_scenario_report();
             assert_eq!(report.completed(), 60, "{backend} shards serve everything");
         }
+    }
+
+    #[test]
+    fn redelivery_keeps_the_retry_count() {
+        // Request 7 is refused once and parks a retry at attempt 1. Both
+        // it and request 6 then land on region 1's one-GPU node, which is
+        // lost before either completes: each redelivery resumes its own
+        // request's retry count, so a later refusal continues the
+        // client's budget instead of restarting it.
+        let node = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 1)
+            .cache_capacity(50)
+            .build();
+        let config = ElasticFleetConfig::new(node, 2, 2, 2);
+        let trace = TraceBuilder::diffusion_db(5).requests(10).build();
+        let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
+        let clients = Clients::Retrying {
+            policy: RetryPolicy::honoring(),
+            jitter: SimRng::seed_from(2),
+        };
+        let mut run = ElasticRun::new(
+            &config,
+            GeoRouter::new(2, SimDuration::from_secs_f64(0.2)),
+            vec![Router::new(config.policy, 1); 2],
+            &trace,
+            0,
+            clients,
+            SimRng::seed_from(1),
+            &mut scaler,
+            &faults,
+            None,
+        );
+        let embedding = run.encoder.encode("a quiet harbor at dawn");
+        let request = |request_id| IncomingRequest {
+            request_id,
+            arrival: SimTime::ZERO,
+            tenant: TenantId(1),
+            qos: QosClass::Standard,
+            prompt_embedding: embedding.clone(),
+        };
+        let now = SimTime::from_secs_f64(1.0);
+        run.refused(now, request(7), 0, 5.0);
+        let retry = run.parked[0].take().expect("the refusal parks a retry");
+        assert_eq!((retry.attempt, retry.leg), (1, Leg::Client));
+        run.offer(now, request(6), 0, Leg::Client);
+        run.offer(now, retry.request, retry.attempt, retry.leg);
+        run.lose_region(now, 1);
+        let mut redelivered: Vec<_> = run
+            .parked
+            .iter()
+            .flatten()
+            .map(|p| (p.request.request_id, p.attempt, p.leg))
+            .collect();
+        redelivered.sort_unstable_by_key(|&(id, _, _)| id);
+        assert_eq!(
+            redelivered,
+            vec![(6, 0, Leg::Redelivered), (7, 1, Leg::Redelivered)]
+        );
+        assert_eq!(run.stats.redelivered, 2);
     }
 
     fn latency_quantiles(latency: &mut LatencyReport) -> [Option<f64>; 3] {
