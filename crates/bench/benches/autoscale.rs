@@ -17,13 +17,14 @@
 //! Pass `--smoke` (CI does) for a down-scaled run that still exercises the
 //! full pipeline and writes the JSON.
 
-use modm_bench::{write_json, Bench, Json};
+use modm_bench::{write_json, Bench};
 use modm_controlplane::{
     Autoscaler, FleetEventKind, HoldAutoscaler, PredictiveAutoscaler, ReactiveAutoscaler,
 };
 use modm_experiments::elastic::{
     diurnal_trace, elastic_fleet, predictive, reactive, GPUS_PER_NODE,
 };
+use modm_simkit::Json;
 
 fn scalers() -> Vec<Box<dyn Autoscaler>> {
     vec![
@@ -66,33 +67,30 @@ fn main() {
                 )
             })
             .count();
-        points.push(Json::Obj(vec![
-            ("scaler".into(), Json::Str(name.into())),
-            ("hit_rate".into(), Json::Num(report.hit_rate())),
-            ("slo_attainment".into(), Json::Num(report.slo_attainment())),
-            ("gpu_hours".into(), Json::Num(report.gpu_hours)),
+        points.push(Json::obj([
+            ("scaler", Json::Str(name.into())),
+            ("hit_rate", Json::Num(report.hit_rate())),
+            ("slo_attainment", Json::Num(report.slo_attainment())),
+            ("gpu_hours", Json::Num(report.gpu_hours)),
+            ("mean_active_nodes", Json::Num(report.mean_active_nodes())),
+            ("scale_actions", Json::Num(scale_actions as f64)),
             (
-                "mean_active_nodes".into(),
-                Json::Num(report.mean_active_nodes()),
-            ),
-            ("scale_actions".into(), Json::Num(scale_actions as f64)),
-            (
-                "sim_requests_per_wall_sec".into(),
+                "sim_requests_per_wall_sec",
                 Json::Num(report.completed as f64 / (wall_ns / 1e9)),
             ),
-            ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
-            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
-            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
-            ("runs_k".into(), Json::Num(timing.samples as f64)),
+            ("wall_ms_per_run", Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min", Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max", Json::Num(timing.max_ns / 1e6)),
+            ("runs_k", Json::Num(timing.samples as f64)),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("autoscale".into())),
-        ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("trace_requests".into(), Json::Num(requests as f64)),
-        ("gpus_per_node".into(), Json::Num(GPUS_PER_NODE as f64)),
-        ("points".into(), Json::Arr(points)),
+    let doc = Json::obj([
+        ("bench", Json::Str("autoscale".into())),
+        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
+        ("trace_requests", Json::Num(requests as f64)),
+        ("gpus_per_node", Json::Num(GPUS_PER_NODE as f64)),
+        ("points", Json::Arr(points)),
     ]);
     // Emit at the workspace root (cargo bench runs with the package as
     // its working directory).

@@ -12,11 +12,12 @@
 //! Pass `--smoke` (CI does) for a down-scaled run that still exercises
 //! every policy and writes the JSON.
 
-use modm_bench::{write_json, Bench, Json};
+use modm_bench::{write_json, Bench};
 use modm_cluster::GpuKind;
 use modm_controlplane::Fleet;
 use modm_core::MoDMConfig;
 use modm_fleet::{Router, RoutingPolicy};
+use modm_simkit::Json;
 use modm_workload::TraceBuilder;
 
 const NODES: usize = 8;
@@ -53,33 +54,33 @@ fn main() {
         let timing = bench.results().last().expect("just measured").clone();
         let wall_ns = timing.median_ns;
         let report = fleet.run(&trace);
-        points.push(Json::Obj(vec![
-            ("policy".into(), Json::Str(policy.name().into())),
-            ("nodes".into(), Json::Num(NODES as f64)),
-            ("hit_rate".into(), Json::Num(report.hit_rate())),
+        points.push(Json::obj([
+            ("policy", Json::Str(policy.name().into())),
+            ("nodes", Json::Num(NODES as f64)),
+            ("hit_rate", Json::Num(report.hit_rate())),
             (
-                "requests_per_minute".into(),
+                "requests_per_minute",
                 Json::Num(report.requests_per_minute()),
             ),
-            ("load_imbalance".into(), Json::Num(report.load_imbalance())),
+            ("load_imbalance", Json::Num(report.load_imbalance())),
             (
-                "sim_requests_per_wall_sec".into(),
+                "sim_requests_per_wall_sec",
                 Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
             ),
-            ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
-            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
-            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
-            ("runs_k".into(), Json::Num(timing.samples as f64)),
+            ("wall_ms_per_run", Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min", Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max", Json::Num(timing.max_ns / 1e6)),
+            ("runs_k", Json::Num(timing.samples as f64)),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("fleet".into())),
-        ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("trace_requests".into(), Json::Num(requests as f64)),
-        ("gpus_per_node".into(), Json::Num(2.0)),
-        ("cache_per_node".into(), Json::Num(1_000.0)),
-        ("points".into(), Json::Arr(points)),
+    let doc = Json::obj([
+        ("bench", Json::Str("fleet".into())),
+        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
+        ("trace_requests", Json::Num(requests as f64)),
+        ("gpus_per_node", Json::Num(2.0)),
+        ("cache_per_node", Json::Num(1_000.0)),
+        ("points", Json::Arr(points)),
     ]);
     // Emit at the workspace root (cargo bench runs with the package as
     // its working directory).

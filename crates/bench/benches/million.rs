@@ -21,13 +21,14 @@
 
 use std::time::Instant;
 
-use modm_bench::{format_ns, write_json, Json};
+use modm_bench::{format_ns, write_json};
 use modm_cluster::GpuKind;
 use modm_controlplane::Fleet;
 use modm_core::{MoDMConfig, RunOptions};
 use modm_embedding::IndexPolicy;
 use modm_fleet::{FleetReport, RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
+use modm_simkit::Json;
 use modm_workload::TraceBuilder;
 
 const NODES: usize = 64;
@@ -154,35 +155,35 @@ fn main() {
         if prof.nanos(sub) > prof.nanos(top) {
             top = sub;
         }
-        rows.push(Json::Obj(vec![
-            ("subsystem".into(), Json::Str(sub.label().into())),
-            ("calls".into(), Json::Num(prof.calls(sub) as f64)),
-            ("total_ms".into(), Json::Num(prof.nanos(sub) as f64 / 1e6)),
-            ("ns_per_call".into(), Json::Num(prof.mean_nanos(sub))),
-            ("frac".into(), Json::Num(prof.nanos(sub) as f64 / total)),
+        rows.push(Json::obj([
+            ("subsystem", Json::Str(sub.label().into())),
+            ("calls", Json::Num(prof.calls(sub) as f64)),
+            ("total_ms", Json::Num(prof.nanos(sub) as f64 / 1e6)),
+            ("ns_per_call", Json::Num(prof.mean_nanos(sub))),
+            ("frac", Json::Num(prof.nanos(sub) as f64 / total)),
         ]));
     }
     println!("\n{prof}");
     println!("top subsystem by attributed wall-clock: {}", top.label());
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("million".into())),
-        ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("trace_requests".into(), Json::Num(requests as f64)),
-        ("nodes".into(), Json::Num(NODES as f64)),
-        ("gpus_per_node".into(), Json::Num(GPUS_PER_NODE as f64)),
-        ("cache_per_node".into(), Json::Num(CACHE_PER_NODE as f64)),
-        ("policy".into(), Json::Str("cache-affinity".into())),
-        ("index_policy".into(), Json::Str("approx".into())),
-        ("completed".into(), Json::Num(report.completed() as f64)),
-        ("hit_rate".into(), Json::Num(report.hit_rate())),
-        ("wall_secs".into(), Json::Num(wall_ns / 1e9)),
-        ("wall_ms_min".into(), Json::Num(walls_ns[0] / 1e6)),
-        ("wall_ms_max".into(), Json::Num(walls_ns[RUNS_K - 1] / 1e6)),
-        ("runs_k".into(), Json::Num(RUNS_K as f64)),
-        ("sim_requests_per_wall_sec".into(), Json::Num(headline)),
-        ("top_subsystem".into(), Json::Str(top.label().into())),
-        ("profile".into(), Json::Arr(rows)),
+    let doc = Json::obj([
+        ("bench", Json::Str("million".into())),
+        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
+        ("trace_requests", Json::Num(requests as f64)),
+        ("nodes", Json::Num(NODES as f64)),
+        ("gpus_per_node", Json::Num(GPUS_PER_NODE as f64)),
+        ("cache_per_node", Json::Num(CACHE_PER_NODE as f64)),
+        ("policy", Json::Str("cache-affinity".into())),
+        ("index_policy", Json::Str("approx".into())),
+        ("completed", Json::Num(report.completed() as f64)),
+        ("hit_rate", Json::Num(report.hit_rate())),
+        ("wall_secs", Json::Num(wall_ns / 1e9)),
+        ("wall_ms_min", Json::Num(walls_ns[0] / 1e6)),
+        ("wall_ms_max", Json::Num(walls_ns[RUNS_K - 1] / 1e6)),
+        ("runs_k", Json::Num(RUNS_K as f64)),
+        ("sim_requests_per_wall_sec", Json::Num(headline)),
+        ("top_subsystem", Json::Str(top.label().into())),
+        ("profile", Json::Arr(rows)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_million.json");
     write_json(path, &doc).expect("write BENCH_million.json");

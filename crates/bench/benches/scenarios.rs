@@ -15,9 +15,10 @@
 //! Pass `--smoke` (CI does) for a short-sample run that still exercises
 //! every scenario and writes the JSON.
 
-use modm_bench::{write_json, Bench, Json};
+use modm_bench::{write_json, Bench};
 use modm_experiments::scenarios::{failover_scenario_for, storm_scenario_for, STUDY_SEED};
 use modm_scenario::{RetryPolicy, Scenario};
+use modm_simkit::Json;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
@@ -46,35 +47,29 @@ fn main() {
         let timing = bench.results().last().expect("just measured").clone();
         let wall_ns = timing.median_ns;
         let report = scenario.run();
-        points.push(Json::Obj(vec![
-            ("scenario".into(), Json::Str((*name).into())),
+        points.push(Json::obj([
+            ("scenario", Json::Str((*name).into())),
+            ("trace_requests", Json::Num(scenario.trace().len() as f64)),
+            ("completed", Json::Num(report.completed() as f64)),
+            ("abandoned", Json::Num(report.retry.abandoned as f64)),
+            ("amplification", Json::Num(report.retry.amplification())),
+            ("hit_rate", Json::Num(report.hit_rate())),
             (
-                "trace_requests".into(),
-                Json::Num(scenario.trace().len() as f64),
-            ),
-            ("completed".into(), Json::Num(report.completed() as f64)),
-            ("abandoned".into(), Json::Num(report.retry.abandoned as f64)),
-            (
-                "amplification".into(),
-                Json::Num(report.retry.amplification()),
-            ),
-            ("hit_rate".into(), Json::Num(report.hit_rate())),
-            (
-                "sim_requests_per_wall_sec".into(),
+                "sim_requests_per_wall_sec",
                 Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
             ),
-            ("wall_ms_per_run".into(), Json::Num(wall_ns / 1e6)),
-            ("wall_ms_min".into(), Json::Num(timing.min_ns / 1e6)),
-            ("wall_ms_max".into(), Json::Num(timing.max_ns / 1e6)),
-            ("runs_k".into(), Json::Num(timing.samples as f64)),
+            ("wall_ms_per_run", Json::Num(wall_ns / 1e6)),
+            ("wall_ms_min", Json::Num(timing.min_ns / 1e6)),
+            ("wall_ms_max", Json::Num(timing.max_ns / 1e6)),
+            ("runs_k", Json::Num(timing.samples as f64)),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("scenarios".into())),
-        ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("seed".into(), Json::Num(STUDY_SEED as f64)),
-        ("points".into(), Json::Arr(points)),
+    let doc = Json::obj([
+        ("bench", Json::Str("scenarios".into())),
+        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
+        ("seed", Json::Num(STUDY_SEED as f64)),
+        ("points", Json::Arr(points)),
     ]);
     // Emit at the workspace root (cargo bench runs with the package as
     // its working directory).

@@ -15,13 +15,13 @@
 //! scheduler noise, and the whole bench takes only a few seconds.
 
 use modm_baselines::VanillaSystem;
-use modm_bench::{median_frac, write_json, Bench, Json};
+use modm_bench::{median_frac, write_json, Bench};
 use modm_cluster::GpuKind;
 use modm_controlplane::ServingSystem;
 use modm_core::events::{Observer, SimEvent};
 use modm_core::{MoDMConfig, RunOptions};
 use modm_diffusion::ModelId;
-use modm_simkit::SimTime;
+use modm_simkit::{Json, SimTime};
 use modm_telemetry::{TelemetryConfig, TelemetryObserver};
 use modm_trace::{TraceConfig, TraceObserver};
 use modm_workload::TraceBuilder;
@@ -132,26 +132,23 @@ fn main() {
         trace_overhead * 100.0
     );
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("serving".into())),
-        ("smoke".into(), Json::Num(if smoke { 1.0 } else { 0.0 })),
-        ("trace_requests".into(), Json::Num(requests as f64)),
-        ("modm_ns".into(), Json::Num(plain_ns)),
-        ("wall_ms_min".into(), Json::Num(plain.min_ns / 1e6)),
-        ("wall_ms_max".into(), Json::Num(plain.max_ns / 1e6)),
-        ("runs_k".into(), Json::Num(plain.samples as f64)),
-        ("modm_observed_ns".into(), Json::Num(observed_ns)),
-        ("observer_overhead_frac".into(), Json::Num(overhead)),
-        ("modm_telemetry_ns".into(), Json::Num(telemetry_ns)),
+    let doc = Json::obj([
+        ("bench", Json::Str("serving".into())),
+        ("smoke", Json::Num(if smoke { 1.0 } else { 0.0 })),
+        ("trace_requests", Json::Num(requests as f64)),
+        ("modm_ns", Json::Num(plain_ns)),
+        ("wall_ms_min", Json::Num(plain.min_ns / 1e6)),
+        ("wall_ms_max", Json::Num(plain.max_ns / 1e6)),
+        ("runs_k", Json::Num(plain.samples as f64)),
+        ("modm_observed_ns", Json::Num(observed_ns)),
+        ("observer_overhead_frac", Json::Num(overhead)),
+        ("modm_telemetry_ns", Json::Num(telemetry_ns)),
+        ("telemetry_overhead_frac", Json::Num(telemetry_overhead)),
+        ("modm_trace_ns", Json::Num(trace_ns)),
+        ("trace_overhead_frac", Json::Num(trace_overhead)),
+        ("events_per_run", Json::Num(counter.events as f64)),
         (
-            "telemetry_overhead_frac".into(),
-            Json::Num(telemetry_overhead),
-        ),
-        ("modm_trace_ns".into(), Json::Num(trace_ns)),
-        ("trace_overhead_frac".into(), Json::Num(trace_overhead)),
-        ("events_per_run".into(), Json::Num(counter.events as f64)),
-        (
-            "sim_requests_per_wall_sec".into(),
+            "sim_requests_per_wall_sec",
             Json::Num(served / (plain_ns / 1e9)),
         ),
     ]);

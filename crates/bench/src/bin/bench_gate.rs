@@ -38,16 +38,16 @@
 //! up. The floor admits small negative readings, which are ordinary
 //! paired-measurement noise.
 //!
-//! Each file is parsed as JSON (`modm_trace::parse_json`) and walked
+//! Each file is parsed as JSON (`modm_simkit::Json::parse`) and walked
 //! for every `sim_requests_per_wall_sec`, every `*_overhead_frac` and
 //! `smoke`, at any depth. A file that does not parse, or a gated key
-//! whose value is not a finite number (`Json` writes NaN as `null`),
-//! fails the gate.
+//! whose value is not a finite number (`Json::render` writes NaN as
+//! `null`), fails the gate.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use modm_trace::{parse_json, JsonValue};
+use modm_simkit::Json;
 
 const METRIC: &str = "sim_requests_per_wall_sec";
 const TELEMETRY_METRIC: &str = "telemetry_overhead_frac";
@@ -61,7 +61,7 @@ const OVERHEAD_FLOOR: f64 = -0.02;
 const DEFAULT_MILLION_FLOOR: f64 = 40_000.0;
 
 /// The gated values of one `BENCH_*.json` document, in walk order
-/// (object keys sorted, array items in order).
+/// (object keys and array items in document order).
 #[derive(Debug, Default, PartialEq)]
 struct Metrics {
     /// Every `sim_requests_per_wall_sec`.
@@ -75,16 +75,16 @@ struct Metrics {
 impl Metrics {
     /// Parses `text` and collects its gated values.
     fn parse(text: &str) -> Result<Metrics, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let mut metrics = Metrics::default();
         metrics.walk(&doc)?;
         Ok(metrics)
     }
 
-    fn walk(&mut self, value: &JsonValue) -> Result<(), String> {
+    fn walk(&mut self, value: &Json) -> Result<(), String> {
         match value {
-            JsonValue::Obj(map) => {
-                for (key, value) in map {
+            Json::Obj(fields) => {
+                for (key, value) in fields {
                     let number = || match value.as_f64() {
                         Some(v) if v.is_finite() => Ok(v),
                         _ => Err(format!("\"{key}\" is {value:?}, not a finite number")),
@@ -99,7 +99,7 @@ impl Metrics {
                     self.walk(value)?;
                 }
             }
-            JsonValue::Arr(items) => {
+            Json::Arr(items) => {
                 for item in items {
                     self.walk(item)?;
                 }
@@ -336,8 +336,8 @@ mod tests {
 
     #[test]
     fn null_or_non_numeric_gated_values_fail() {
-        // `Json` writes a NaN as `null`: a gated value that is not a
-        // finite number fails the file instead of vanishing from it.
+        // `Json::render` writes a NaN as `null`: a gated value that is
+        // not a finite number fails the file instead of vanishing from it.
         for doc in [
             r#"{"sim_requests_per_wall_sec": 40000.0, "telemetry_overhead_frac": null}"#,
             r#"{"points": [{"sim_requests_per_wall_sec": null}]}"#,

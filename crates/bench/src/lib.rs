@@ -16,10 +16,12 @@
 //!
 //! The build runs fully offline, so instead of Criterion the benches share
 //! the [`Bench`] harness below: auto-calibrated iteration counts, median-of
-//! -samples timing, a plain-text table, and a dependency-free JSON writer
-//! for trajectory files. Run with `cargo bench -p modm-bench`.
+//! -samples timing, a plain-text table, and [`write_json`] for trajectory
+//! files. Run with `cargo bench -p modm-bench`.
 
 use std::time::Instant;
+
+use modm_simkit::Json;
 
 /// One measured benchmark case.
 #[derive(Debug, Clone)]
@@ -418,60 +420,6 @@ pub fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Minimal JSON value model for trajectory files — enough structure for
-/// `BENCH_*.json` without an external serializer.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A float (serialized with full precision).
-    Num(f64),
-    /// A string (escaped).
-    Str(String),
-    /// An ordered object.
-    Obj(Vec<(String, Json)>),
-    /// An array.
-    Arr(Vec<Json>),
-}
-
-impl Json {
-    /// Serializes the value.
-    pub fn render(&self) -> String {
-        match self {
-            Json::Num(x) => {
-                if x.is_finite() {
-                    format!("{x}")
-                } else {
-                    "null".to_string()
-                }
-            }
-            Json::Str(s) => format!("\"{}\"", escape(s)),
-            Json::Obj(fields) => {
-                let body: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\": {}", escape(k), v.render()))
-                    .collect();
-                format!("{{{}}}", body.join(", "))
-            }
-            Json::Arr(items) => {
-                let body: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", body.join(", "))
-            }
-        }
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Writes a trajectory-point JSON file to `path`.
 ///
 /// # Errors
@@ -563,23 +511,6 @@ mod tests {
         assert_eq!(paired_overhead_frac(&base, &base), 0.0);
         let double: Vec<f64> = base.iter().map(|x| x * 2.0).collect();
         assert!((paired_overhead_frac(&base, &double) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_renders_and_escapes() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::Str("a \"quoted\"\nvalue".into())),
-            ("x".into(), Json::Num(1.5)),
-            (
-                "arr".into(),
-                Json::Arr(vec![Json::Num(1.0), Json::Str("two".into())]),
-            ),
-        ]);
-        let s = v.render();
-        assert!(s.contains("\\\"quoted\\\""));
-        assert!(s.contains("\\n"));
-        assert!(s.contains("\"x\": 1.5"));
-        assert!(s.starts_with('{') && s.ends_with('}'));
     }
 
     #[test]

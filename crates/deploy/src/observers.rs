@@ -8,7 +8,7 @@
 //! only when asked.
 
 use modm_core::events::{Observer, SimEvent};
-use modm_simkit::SimTime;
+use modm_simkit::{Json, SimTime};
 
 /// Streams completion latencies into a fixed-width histogram.
 ///
@@ -311,53 +311,48 @@ pub fn events_to_csv(events: &[(SimTime, SimEvent)]) -> String {
 pub fn events_to_json(events: &[(SimTime, SimEvent)]) -> String {
     let mut out = String::new();
     for (at, event) in events {
-        out.push_str(&format!(
-            "{{\"at_secs\": {}, \"event\": \"{}\", \"node\": {}",
-            at.as_secs_f64(),
-            event.kind(),
-            event.node()
-        ));
+        let mut fields: Vec<(&str, Json)> = vec![
+            ("at_secs", at.as_secs_f64().into()),
+            ("event", event.kind().into()),
+            ("node", event.node().into()),
+        ];
         if let Some(req) = event.request_id() {
-            out.push_str(&format!(", \"request\": {req}"));
+            fields.push(("request", req.into()));
         }
         if let Some(tenant) = event.tenant() {
-            out.push_str(&format!(", \"tenant\": {}", tenant.0));
+            fields.push(("tenant", tenant.0.into()));
         }
         match *event {
             SimEvent::Dispatched { worker, model, .. } => {
-                out.push_str(&format!(", \"worker\": {worker}, \"model\": \"{model}\""));
+                fields.push(("worker", worker.into()));
+                fields.push(("model", model.to_string().into()));
             }
-            SimEvent::CacheHit { k, .. } => out.push_str(&format!(", \"k\": {k}")),
+            SimEvent::CacheHit { k, .. } => fields.push(("k", k.into())),
             SimEvent::Rejected {
                 retry_after_secs, ..
-            } => {
-                out.push_str(&format!(", \"retry_after_secs\": {retry_after_secs}"));
-            }
+            } => fields.push(("retry_after_secs", retry_after_secs.into())),
             SimEvent::Completed {
                 latency_secs, hit, ..
             } => {
-                out.push_str(&format!(
-                    ", \"latency_secs\": {latency_secs}, \"hit\": {hit}"
-                ));
+                fields.push(("latency_secs", latency_secs.into()));
+                fields.push(("hit", hit.into()));
             }
             SimEvent::ShedDeadline { waited_secs, .. } => {
-                out.push_str(&format!(", \"waited_secs\": {waited_secs}"));
+                fields.push(("waited_secs", waited_secs.into()));
             }
-            SimEvent::NodeActive { prewarmed, .. } => {
-                out.push_str(&format!(", \"prewarmed\": {prewarmed}"));
-            }
+            SimEvent::NodeActive { prewarmed, .. } => fields.push(("prewarmed", prewarmed.into())),
             SimEvent::Crash {
                 redelivered,
                 lost_entries,
                 ..
             } => {
-                out.push_str(&format!(
-                    ", \"redelivered\": {redelivered}, \"lost_entries\": {lost_entries}"
-                ));
+                fields.push(("redelivered", redelivered.into()));
+                fields.push(("lost_entries", lost_entries.into()));
             }
             _ => {}
         }
-        out.push_str("}\n");
+        out.push_str(&Json::obj(fields).render());
+        out.push('\n');
     }
     out
 }
@@ -510,6 +505,17 @@ mod tests {
         );
     }
 
+    /// Parses every line of a JSON Lines export as one object.
+    fn json_rows(json: &str) -> Vec<Json> {
+        json.lines()
+            .map(|line| {
+                let row = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                assert!(row.as_obj().is_some(), "not an object: {line}");
+                row
+            })
+            .collect()
+    }
+
     #[test]
     fn export_renders_csv_and_json() {
         let mut exp = TraceExportObserver::new();
@@ -531,7 +537,10 @@ mod tests {
         assert!(json.contains("\"tenant\": 7"));
         assert!(json.contains("\"k\": 20"));
         assert!(json.contains("\"latency_secs\": 1.5"));
-        assert_eq!(json.lines().count(), 2);
+        let rows = json_rows(&json);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("k").and_then(Json::as_f64), Some(20.0));
+        assert_eq!(rows[1].get("hit"), Some(&Json::Bool(false)));
     }
 
     #[test]
@@ -563,6 +572,7 @@ mod tests {
         assert!(json.contains("\"retry_after_secs\": 12.5"));
         assert!(json.contains("\"event\": \"shed_deadline\""));
         assert!(json.contains("\"waited_secs\": 480.5"));
+        assert_eq!(json_rows(&json).len(), 2);
     }
 
     #[test]
@@ -583,6 +593,7 @@ mod tests {
         log.on_event(SimTime::from_secs_f64(9.0), &crash);
         assert_eq!(events_to_csv(log.events()), exp.to_csv());
         assert_eq!(events_to_json(log.events()), exp.to_json());
+        assert_eq!(json_rows(&exp.to_json()).len(), 1);
     }
 
     #[test]

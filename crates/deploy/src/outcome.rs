@@ -14,7 +14,7 @@ use modm_controlplane::{ElasticReport, RegionSlice, ScenarioReport};
 use modm_core::report::{ServingReport, TenantSlice};
 use modm_fleet::FleetReport;
 use modm_metrics::SloThresholds;
-use modm_simkit::SimTime;
+use modm_simkit::{Json, SimTime};
 use modm_workload::{QosClass, TenantId};
 
 /// Which serving tier produced an outcome.
@@ -634,72 +634,63 @@ impl Summary {
     /// Renders the summary as one stable JSON object (field order fixed,
     /// floats via Rust's shortest round-trip formatting) — the byte-exact
     /// form the golden-run regression snapshots pin. The label is
-    /// JSON-escaped.
+    /// JSON-escaped, control characters included.
     ///
     /// The overload columns (`rejected`, `shed`, `goodput`) render only
     /// when the run actually refused or shed work, so runs without
     /// overload control — including every pre-existing golden snapshot —
     /// keep their exact historical byte shape.
     pub fn to_json(&self, label: &str) -> String {
-        let label = label.replace('\\', "\\\\").replace('"', "\\\"");
         let overloaded = self.rejected > 0 || self.shed > 0;
-        let mut out = format!(
-            "{{\"label\": \"{label}\", \"tier\": \"{}\", \"nodes\": {}, \"total_gpus\": {}, \
-             \"completed\": {}, \"hits\": {}, \"misses\": {}, ",
-            self.tier.name(),
-            self.nodes,
-            self.total_gpus,
-            self.completed,
-            self.hits,
-            self.misses,
-        );
-        if overloaded {
-            out.push_str(&format!(
-                "\"rejected\": {}, \"shed\": {}, \"goodput\": {}, ",
-                self.rejected, self.shed, self.goodput,
-            ));
-        }
-        out.push_str(&format!(
-            "\"hit_rate\": {}, \
-             \"requests_per_minute\": {}, \"p99_secs\": {}, \"slo_multiple\": {}, \
-             \"slo_attainment\": {}, \"gpu_hours\": {}, \"finished_mins\": {}, \"tenants\": [",
-            self.hit_rate,
-            self.requests_per_minute,
-            self.p99_secs.map_or("null".into(), |v| v.to_string()),
-            self.slo_multiple,
-            self.slo_attainment,
-            self.gpu_hours,
-            self.finished_mins,
-        ));
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let overload = |rejected: u64, shed: u64, goodput: u64| -> Vec<(&str, Json)> {
+            if !overloaded {
+                return Vec::new();
             }
-            out.push_str(&format!(
-                "{{\"tenant\": {}, \"qos\": \"{}\", \"completed\": {}, \"hits\": {}, \
-                 \"misses\": {}, ",
-                t.tenant.0,
-                t.qos.name(),
-                t.completed,
-                t.hits,
-                t.misses,
-            ));
-            if overloaded {
-                out.push_str(&format!(
-                    "\"rejected\": {}, \"shed\": {}, \"goodput\": {}, ",
-                    t.rejected, t.shed, t.goodput,
-                ));
-            }
-            out.push_str(&format!(
-                "\"hit_rate\": {}, \"p99_secs\": {}, \"slo_attainment\": {}}}",
-                t.hit_rate,
-                t.p99_secs.map_or("null".into(), |v| v.to_string()),
-                t.slo_attainment,
-            ));
-        }
-        out.push_str("]}");
-        out
+            let columns = [("rejected", rejected), ("shed", shed), ("goodput", goodput)];
+            Vec::from(columns.map(|(key, n)| (key, n.into())))
+        };
+        let tenants = self.tenants.iter().map(|t| {
+            let head = [
+                ("tenant", t.tenant.0.into()),
+                ("qos", t.qos.name().into()),
+                ("completed", t.completed.into()),
+                ("hits", t.hits.into()),
+                ("misses", t.misses.into()),
+            ];
+            let tail = [
+                ("hit_rate", t.hit_rate.into()),
+                ("p99_secs", t.p99_secs.into()),
+                ("slo_attainment", t.slo_attainment.into()),
+            ];
+            Json::obj(
+                head.into_iter()
+                    .chain(overload(t.rejected, t.shed, t.goodput))
+                    .chain(tail),
+            )
+        });
+        let head = [
+            ("label", label.into()),
+            ("tier", self.tier.name().into()),
+            ("nodes", self.nodes.into()),
+            ("total_gpus", self.total_gpus.into()),
+            ("completed", self.completed.into()),
+            ("hits", self.hits.into()),
+            ("misses", self.misses.into()),
+        ];
+        let tail = [
+            ("hit_rate", self.hit_rate.into()),
+            ("requests_per_minute", self.requests_per_minute.into()),
+            ("p99_secs", self.p99_secs.into()),
+            ("slo_multiple", self.slo_multiple.into()),
+            ("slo_attainment", self.slo_attainment.into()),
+            ("gpu_hours", self.gpu_hours.into()),
+            ("finished_mins", self.finished_mins.into()),
+            ("tenants", Json::Arr(tenants.collect())),
+        ];
+        let overload = overload(self.rejected, self.shed, self.goodput);
+        Json::obj(head.into_iter().chain(overload).chain(tail)).render()
     }
+
     /// Header row matching [`Summary::row`], for generic tables.
     pub fn table_header() -> String {
         format!(
@@ -840,6 +831,16 @@ mod tests {
         assert!(json.contains("\"label\": \"8\\\" \\\\ fleet\""));
         assert!(json.contains("\"p99_secs\": null"));
         assert!(json.contains("\"tenants\": [{\"tenant\": 1"));
+        // Control characters are escaped too, so the line stays one
+        // valid JSON document and the label reads back unchanged.
+        let label = "a\nb\u{1}";
+        let json = summary().to_json(label);
+        assert!(
+            json.chars().all(|c| c >= ' '),
+            "raw control character: {json:?}"
+        );
+        let doc = Json::parse(&json).expect("one valid JSON document");
+        assert_eq!(doc.get("label").and_then(Json::as_str), Some(label));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The MoDM paper evaluates a distributed serving system (PyTorch RPC across
 //! GPU nodes). This crate provides the substrate we run that system on in
 //! simulation: a virtual clock, an event queue, seeded random distributions
-//! and streaming statistics. Everything is deterministic under a fixed seed,
-//! which the integration tests rely on.
+//! and streaming statistics, plus the [`Json`] type every crate writes its
+//! reports with. Everything is deterministic under a fixed seed, which the
+//! integration tests rely on.
 //!
 //! # Example
 //!
@@ -21,6 +22,7 @@
 //! ```
 
 pub mod event;
+pub mod json;
 pub mod profile;
 pub mod queue;
 pub mod rng;
@@ -29,6 +31,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
+pub use json::{Json, JsonError};
 pub use profile::{timed, ProfileReport, Profiler, Subsystem};
 pub use queue::FifoQueue;
 pub use rng::{mix64, SimRng};

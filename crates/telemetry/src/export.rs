@@ -4,21 +4,22 @@
 //! byte-deterministic for a fixed run — the `telemetry` experiment's
 //! snapshots diff cleanly. Histograms render summary-style (count, sum,
 //! p50/p90/p99 quantiles) rather than as cumulative buckets: the
-//! quantiles are what every consumer of this repo actually plots. JSON
-//! is hand-rolled like the rest of the workspace (`Summary::to_json`),
-//! with stable field order and no external dependencies.
+//! quantiles are what every consumer of this repo actually plots. The
+//! JSON snapshot is a `modm_simkit::Json` tree with a fixed section
+//! order, rendered like every other JSON document in the workspace.
 
 use std::fmt::Write as _;
 
 use modm_simkit::profile::ProfileReport;
+use modm_simkit::Json;
 
 use crate::observer::TelemetryObserver;
-use crate::registry::LogLinearHistogram;
+use crate::registry::Key;
 
 const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
-/// Renders `value` the way the workspace's JSON renderers do: shortest
-/// representation that round-trips the displayed precision.
+/// Renders a Prometheus sample value: integral values keep a `.0`,
+/// others print their shortest round-trip form.
 fn fmt_f64(value: f64) -> String {
     if value == value.trunc() && value.abs() < 1e15 {
         format!("{value:.1}")
@@ -95,106 +96,68 @@ impl TelemetryObserver {
     }
 
     fn json_snapshot_inner(&self, profile: Option<&ProfileReport>) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let counters: Vec<String> = self
-            .registry()
-            .counters()
-            .map(|(k, v)| format!("\"{}\": {}", k.prometheus().replace('"', "'"), v))
-            .collect();
-        out.push_str(&counters.join(", "));
-        out.push_str("},\n  \"histograms\": {");
-        let hists: Vec<String> = self
-            .registry()
-            .histograms()
-            .map(|(k, h)| format!("\"{}\": {}", k.prometheus().replace('"', "'"), hist_json(h)))
-            .collect();
-        out.push_str(&hists.join(", "));
-        out.push_str("},\n  \"series\": {");
-        let series: Vec<String> = self
-            .series()
-            .keys()
-            .map(|key| {
-                let sums = self.series().window_sums(key.metric, key.tenant);
-                let label = match key.tenant {
-                    Some(t) => format!("{}{{tenant='{}'}}", key.metric, t.0),
-                    None => key.metric.to_string(),
-                };
-                let values: Vec<String> = sums.iter().map(|&v| fmt_f64(v)).collect();
-                format!("\"{label}\": [{}]", values.join(", "))
-            })
-            .collect();
-        out.push_str(&series.join(", "));
-        out.push_str("},\n  \"spans\": {");
-        let spans: Vec<String> = self
-            .spans()
-            .by_tenant()
-            .iter()
-            .map(|(tenant, b)| {
-                format!(
-                    "\"{}\": {{\"completed\": {}, \"rejected\": {}, \"shed\": {}, \
-                     \"queue_secs\": {}, \"service_secs\": {}, \"hits\": {}}}",
-                    tenant.0,
-                    b.completed,
-                    b.rejected,
-                    b.shed,
-                    fmt_f64(b.queue_secs),
-                    fmt_f64(b.service_secs),
-                    b.hits
-                )
-            })
-            .collect();
-        out.push_str(&spans.join(", "));
-        out.push_str("},\n  \"alerts\": [");
-        let alerts: Vec<String> = self
-            .alerts()
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"at_secs\": {}, \"rule\": \"{}\", \"fast_burn\": {}, \"slow_burn\": {}}}",
-                    fmt_f64(a.at.as_secs_f64()),
-                    a.rule.replace('"', "'"),
-                    fmt_f64(a.fast_burn),
-                    fmt_f64(a.slow_burn)
-                )
-            })
-            .collect();
-        out.push_str(&alerts.join(", "));
-        out.push(']');
+        // Keys render their Prometheus labels with `'` in place of `"`.
+        let key = |k: Key| k.prometheus().replace('"', "'");
+        let counters = self.registry().counters().map(|(k, v)| (key(k), v.into()));
+        let histograms = self.registry().histograms().map(|(k, h)| {
+            let summary = Json::obj([
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+                ("p50", h.quantile(0.5).into()),
+                ("p99", h.quantile(0.99).into()),
+                ("max", h.max().into()),
+            ]);
+            (key(k), summary)
+        });
+        let series = self.series().keys().map(|k| {
+            let sums = self.series().window_sums(k.metric, k.tenant);
+            let label = match k.tenant {
+                Some(t) => format!("{}{{tenant='{}'}}", k.metric, t.0),
+                None => k.metric.to_string(),
+            };
+            (label, Json::Arr(sums.into_iter().map(Json::from).collect()))
+        });
+        let spans = self.spans().by_tenant().iter().map(|(tenant, b)| {
+            let breakdown = Json::obj([
+                ("completed", b.completed.into()),
+                ("rejected", b.rejected.into()),
+                ("shed", b.shed.into()),
+                ("queue_secs", b.queue_secs.into()),
+                ("service_secs", b.service_secs.into()),
+                ("hits", b.hits.into()),
+            ]);
+            (tenant.0.to_string(), breakdown)
+        });
+        let alerts = self.alerts().iter().map(|a| {
+            Json::obj([
+                ("at_secs", a.at.as_secs_f64().into()),
+                ("rule", a.rule.as_str().into()),
+                ("fast_burn", a.fast_burn.into()),
+                ("slow_burn", a.slow_burn.into()),
+            ])
+        });
+        let mut doc = vec![
+            ("counters", Json::obj(counters)),
+            ("histograms", Json::obj(histograms)),
+            ("series", Json::obj(series)),
+            ("spans", Json::obj(spans)),
+            ("alerts", Json::Arr(alerts.collect())),
+        ];
         if let Some(report) = profile {
-            out.push_str(",\n  \"profile\": {");
-            let rows: Vec<String> = report
-                .rows()
-                .iter()
-                .map(|(sub, calls, nanos)| {
-                    format!(
-                        "\"{}\": {{\"calls\": {calls}, \"total_ns\": {nanos}}}",
-                        sub.label()
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(", "));
-            out.push('}');
+            let rows = report.rows().into_iter().map(|(sub, calls, nanos)| {
+                let row = Json::obj([("calls", calls.into()), ("total_ns", nanos.into())]);
+                (sub.label(), row)
+            });
+            doc.push(("profile", Json::obj(rows)));
         }
-        out.push_str("\n}\n");
-        out
+        Json::obj(doc).render() + "\n"
     }
-}
-
-fn hist_json(h: &LogLinearHistogram) -> String {
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-        h.count(),
-        fmt_f64(h.sum()),
-        fmt_f64(h.quantile(0.5)),
-        fmt_f64(h.quantile(0.99)),
-        fmt_f64(h.max())
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use modm_core::events::{Observer as _, SimEvent};
-    use modm_simkit::SimTime;
+    use modm_simkit::{Json, SimTime};
     use modm_workload::TenantId;
 
     use crate::observer::{metric, TelemetryConfig, TelemetryObserver};
@@ -238,15 +201,17 @@ mod tests {
         let a = obs.json_snapshot();
         let b = obs.json_snapshot();
         assert_eq!(a, b, "deterministic rendering");
-        assert!(a.contains("\"counters\""));
-        assert!(a.contains("\"series\""));
-        assert!(a.contains("\"spans\""));
-        assert!(a.contains("\"alerts\""));
+        let doc = Json::parse(&a).expect("one JSON document");
+        let sections: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| &**k).collect();
+        assert_eq!(
+            sections,
+            ["counters", "histograms", "series", "spans", "alerts"]
+        );
         assert!(a.contains(metric::COMPLETED));
         // With a profile appended.
         let profiler = modm_simkit::Profiler::start();
         let with = obs.json_snapshot_with_profile(&profiler.report());
-        assert!(with.contains("\"profile\""));
-        assert!(with.contains("\"event_heap\""));
+        let profile = Json::parse(&with).unwrap().get("profile").cloned();
+        assert!(profile.is_some_and(|p| p.get("event_heap").is_some()));
     }
 }

@@ -20,7 +20,8 @@
 //! * **Perfetto export** ([`perfetto_json`]): the run as a Chrome
 //!   Trace Event Format document — nodes as processes, workers as
 //!   threads, scale/crash events as instants — openable in
-//!   `chrome://tracing` or `ui.perfetto.dev`.
+//!   `chrome://tracing` or `ui.perfetto.dev`, and readable back with
+//!   `modm_simkit::Json::parse`.
 //! * **Run-diff diagnosis** ([`diagnose`]): compare two snapshots and
 //!   get regressions localized to (tenant, phase, node), ranked by
 //!   SLO-weighted P99 impact.
@@ -30,14 +31,12 @@
 //! pins this on all three tiers).
 
 pub mod diff;
-pub mod json;
 pub mod observer;
 pub mod perfetto;
 pub mod report;
 pub mod span;
 
 pub use diff::{diagnose, Finding, NodePhaseRow, RunDiff, RunSnapshot};
-pub use json::{parse_json, JsonError, JsonValue};
 pub use observer::{PhaseAttribution, TraceConfig, TraceObserver};
 pub use perfetto::perfetto_json;
 pub use report::{CriticalPathReport, TenantCriticalPath};

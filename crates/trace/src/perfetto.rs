@@ -18,10 +18,8 @@
 //! tally, so a consumer can check the export against an independent
 //! event log — `tests/trace.rs` pins exactly that.
 
-use std::fmt::Write as _;
-
 use modm_core::events::SimEvent;
-use modm_simkit::SimTime;
+use modm_simkit::{Json, SimTime};
 
 use crate::observer::TraceObserver;
 use crate::span::{CacheRoute, SpanTree, Terminal};
@@ -33,60 +31,61 @@ fn micros(at: SimTime) -> f64 {
     at.as_secs_f64() * 1e6
 }
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-    out.push_str("    ");
-    out.push_str(body);
+/// A complete (`"X"`) slice on lane `(pid, tid)`.
+fn slice(name: String, pid: usize, tid: usize, ts: f64, dur: f64, args: Json) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", "request".into()),
+        ("ph", "X".into()),
+        ("ts", ts.into()),
+        ("dur", dur.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("args", args),
+    ])
 }
 
-fn slice(name: &str, cat: &str, pid: usize, tid: usize, ts: f64, dur: f64, args: &str) -> String {
-    format!(
-        "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {ts}, \
-         \"dur\": {dur}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{{args}}}}}"
-    )
+/// A global instant (`"i"`) on node `pid`'s queue lane.
+fn instant(name: String, cat: &str, pid: usize, ts: f64, args: Json) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "i".into()),
+        ("s", "g".into()),
+        ("ts", ts.into()),
+        ("pid", pid.into()),
+        ("tid", QUEUE_TID.into()),
+        ("args", args),
+    ])
 }
 
-fn instant(name: &str, cat: &str, pid: usize, tid: usize, ts: f64, args: &str) -> String {
-    format!(
-        "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"i\", \"s\": \"g\", \
-         \"ts\": {ts}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{{args}}}}}"
-    )
+/// A metadata (`"M"`) event naming a process or thread.
+fn metadata(name: &str, pid: usize, tid: usize, value: String) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+        ("args", Json::obj([("name", value.into())])),
+    ])
 }
 
-fn metadata(name: &str, pid: usize, tid: usize, value: &str) -> String {
-    format!(
-        "{{\"name\": \"{name}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-         \"args\": {{\"name\": \"{value}\"}}}}"
-    )
-}
-
-fn tree_events(out: &mut String, first: &mut bool, tree: &SpanTree) {
+fn tree_events(out: &mut Vec<Json>, tree: &SpanTree) {
     let end = tree.ended_at.unwrap_or(tree.started_at);
     let sampled = if tree.head_sampled { "head" } else { "tail" };
+    let tenant = || ("tenant", Json::from(tree.tenant.0));
     for (i, attempt) in tree.attempts.iter().enumerate() {
         let attempt_end = attempt.ended_at.unwrap_or(end);
-        let args = format!(
-            "\"tenant\": {}, \"attempt\": {}, \"sampled\": \"{}\"",
-            tree.tenant.0, i, sampled
-        );
+        let args = Json::obj([tenant(), ("attempt", i.into()), ("sampled", sampled.into())]);
         let queue_end = attempt.dispatched_at.unwrap_or(attempt_end);
-        push_event(
-            out,
-            first,
-            &slice(
-                &format!("queue req{}", tree.request_id),
-                "request",
-                attempt.node,
-                QUEUE_TID,
-                micros(attempt.admitted_at),
-                (micros(queue_end) - micros(attempt.admitted_at)).max(0.0),
-                &args,
-            ),
-        );
+        out.push(slice(
+            format!("queue req{}", tree.request_id),
+            attempt.node,
+            QUEUE_TID,
+            micros(attempt.admitted_at),
+            (micros(queue_end) - micros(attempt.admitted_at)).max(0.0),
+            args.clone(),
+        ));
         if let Some(dispatched) = attempt.dispatched_at {
             let route = match attempt.route {
                 Some(CacheRoute::Hit { k }) => format!("hit k={k}"),
@@ -97,78 +96,51 @@ fn tree_events(out: &mut String, first: &mut bool, tree: &SpanTree) {
                 .model
                 .map(|m| m.to_string())
                 .unwrap_or_else(|| "?".to_string());
-            push_event(
-                out,
-                first,
-                &slice(
-                    &format!("serve req{} {model} {route}", tree.request_id),
-                    "request",
-                    attempt.node,
-                    attempt.worker.map(|w| w + 1).unwrap_or(QUEUE_TID),
-                    micros(dispatched),
-                    (micros(attempt_end) - micros(dispatched)).max(0.0),
-                    &args,
-                ),
-            );
+            out.push(slice(
+                format!("serve req{} {model} {route}", tree.request_id),
+                attempt.node,
+                attempt.worker.map(|w| w + 1).unwrap_or(QUEUE_TID),
+                micros(dispatched),
+                (micros(attempt_end) - micros(dispatched)).max(0.0),
+                args,
+            ));
         }
     }
-    match tree.terminal {
+    let (name, arg) = match tree.terminal {
         Some(Terminal::Rejected { retry_after_secs }) => {
-            let node = tree.final_attempt().map(|a| a.node).unwrap_or(0);
-            push_event(
-                out,
-                first,
-                &instant(
-                    &format!("rejected req{}", tree.request_id),
-                    "terminal",
-                    node,
-                    QUEUE_TID,
-                    micros(end),
-                    &format!(
-                        "\"tenant\": {}, \"retry_after_secs\": {}",
-                        tree.tenant.0, retry_after_secs
-                    ),
-                ),
-            );
+            ("rejected", ("retry_after_secs", retry_after_secs))
         }
-        Some(Terminal::Shed { waited_secs }) => {
-            let node = tree.final_attempt().map(|a| a.node).unwrap_or(0);
-            push_event(
-                out,
-                first,
-                &instant(
-                    &format!("shed req{}", tree.request_id),
-                    "terminal",
-                    node,
-                    QUEUE_TID,
-                    micros(end),
-                    &format!(
-                        "\"tenant\": {}, \"waited_secs\": {}",
-                        tree.tenant.0, waited_secs
-                    ),
-                ),
-            );
-        }
-        _ => {}
-    }
+        Some(Terminal::Shed { waited_secs }) => ("shed", ("waited_secs", waited_secs)),
+        _ => return,
+    };
+    let node = tree.final_attempt().map(|a| a.node).unwrap_or(0);
+    out.push(instant(
+        format!("{name} req{}", tree.request_id),
+        "terminal",
+        node,
+        micros(end),
+        Json::obj([tenant(), (arg.0, arg.1.into())]),
+    ));
 }
 
-fn control_args(event: &SimEvent) -> String {
+fn control_args(event: &SimEvent) -> Json {
     match *event {
-        SimEvent::NodeActive { prewarmed, .. } => format!("\"prewarmed\": {prewarmed}"),
+        SimEvent::NodeActive { prewarmed, .. } => Json::obj([("prewarmed", prewarmed.into())]),
         SimEvent::Crash {
             redelivered,
             lost_entries,
             ..
-        } => format!("\"redelivered\": {redelivered}, \"lost_entries\": {lost_entries}"),
-        _ => String::new(),
+        } => Json::obj([
+            ("redelivered", redelivered.into()),
+            ("lost_entries", lost_entries.into()),
+        ]),
+        _ => Json::Obj(Vec::new()),
     }
 }
 
 /// Renders `obs` as one Chrome Trace Event Format document.
 pub fn perfetto_json(obs: &TraceObserver) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
+    let mut events = Vec::new();
 
     // Process/thread naming metadata for every (node, worker) that
     // appears in a retained tree or a control event.
@@ -187,73 +159,61 @@ pub fn perfetto_json(obs: &TraceObserver) -> String {
     let mut named_pids = std::collections::BTreeSet::new();
     for &(pid, tid) in &lanes {
         if named_pids.insert(pid) {
-            push_event(
-                &mut out,
-                &mut first,
-                &metadata("process_name", pid, QUEUE_TID, &format!("node {pid}")),
-            );
+            events.push(metadata(
+                "process_name",
+                pid,
+                QUEUE_TID,
+                format!("node {pid}"),
+            ));
         }
         let lane = if tid == QUEUE_TID {
             "queue".to_string()
         } else {
             format!("worker {}", tid - 1)
         };
-        push_event(
-            &mut out,
-            &mut first,
-            &metadata("thread_name", pid, tid, &lane),
-        );
+        events.push(metadata("thread_name", pid, tid, lane));
     }
 
     for tree in obs.sampled_trees() {
-        tree_events(&mut out, &mut first, tree);
+        tree_events(&mut events, tree);
     }
     // Head-sampled rejections render too (they are not in the
     // retained set — they stay revivable — but the head sample means
     // the operator asked to see this id's fate).
     for tree in obs.rejected_trees().filter(|t| t.head_sampled) {
-        tree_events(&mut out, &mut first, tree);
+        tree_events(&mut events, tree);
     }
 
     for (at, event) in obs.control_events() {
-        push_event(
-            &mut out,
-            &mut first,
-            &instant(
-                event.kind(),
-                "control",
-                event.node(),
-                QUEUE_TID,
-                micros(*at),
-                &control_args(event),
-            ),
-        );
+        events.push(instant(
+            event.kind().to_string(),
+            "control",
+            event.node(),
+            micros(*at),
+            control_args(event),
+        ));
     }
 
-    out.push_str("\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {");
-    let mut first_count = true;
-    write!(
-        out,
-        "\"retained_trees\": {}, \"open_trees\": {}, \"event_counts\": {{",
-        obs.sampled_tree_count(),
-        obs.open_trees()
-    )
-    .expect("string write");
-    for (kind, count) in obs.event_counts() {
-        if !first_count {
-            out.push_str(", ");
-        }
-        first_count = false;
-        write!(out, "\"{kind}\": {count}").expect("string write");
-    }
-    out.push_str("}}}\n");
-    out
+    let counts = obs
+        .event_counts()
+        .iter()
+        .map(|(&kind, &n)| (kind, n.into()));
+    let other = Json::obj([
+        ("retained_trees", obs.sampled_tree_count().into()),
+        ("open_trees", obs.open_trees().into()),
+        ("event_counts", Json::obj(counts)),
+    ]);
+    let doc = Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+        ("otherData", other),
+    ]);
+    doc.render() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_json;
     use crate::observer::{TraceConfig, TraceObserver};
     use modm_core::events::Observer;
     use modm_diffusion::ModelId;
@@ -316,7 +276,7 @@ mod tests {
         );
 
         let text = perfetto_json(&obs);
-        let doc = parse_json(&text).expect("export must be valid JSON");
+        let doc = Json::parse(&text).expect("export must be valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // 2 metadata (process + thread queue) + 1 thread worker, 1
         // queue slice, 1 service slice, 1 control instant.

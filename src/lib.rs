@@ -307,7 +307,8 @@
 //! use modm::core::MoDMConfig;
 //! use modm::cluster::GpuKind;
 //! use modm::fleet::{Router, RoutingPolicy};
-//! use modm::trace::{parse_json, perfetto_json, CriticalPathReport, TraceConfig, TraceObserver};
+//! use modm::simkit::Json;
+//! use modm::trace::{perfetto_json, CriticalPathReport, TraceConfig, TraceObserver};
 //! use modm::workload::{QosClass, TenantId, TenantMix, TraceBuilder};
 //!
 //! let interactive = TenantId(1);
@@ -342,7 +343,7 @@
 //! // And the whole run exports as Perfetto JSON (nodes as processes,
 //! // workers as threads) — written anywhere, loadable in the trace UI.
 //! let json = perfetto_json(&tracer);
-//! assert!(parse_json(&json).is_ok());
+//! assert!(Json::parse(&json).is_ok());
 //! let path = std::env::temp_dir().join("modm_quickstart.perfetto.json");
 //! std::fs::write(&path, &json).unwrap();
 //! assert_eq!(summary.completed, 200);

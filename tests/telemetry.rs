@@ -10,7 +10,7 @@ use modm::cluster::GpuKind;
 use modm::controlplane::{FaultInjector, ScaleDecision, ScheduledAutoscaler};
 use modm::core::{MoDMConfig, TenancyPolicy, TenantShare};
 use modm::deploy::{DeployOptions, Deployment, LifecyclePlan, ServingBackend, Summary};
-use modm::simkit::SimDuration;
+use modm::simkit::{Json, SimDuration};
 use modm::telemetry::{metric, TelemetryConfig, TelemetryObserver};
 use modm::workload::{QosClass, TenantId, TenantMix, Trace, TraceBuilder};
 use modm_experiments::overload::{
@@ -151,8 +151,32 @@ fn burn_rate_alert_fires_before_attainment_collapses() {
         first.fast_burn >= 2.0 && first.slow_burn >= 2.0,
         "both windows hot"
     );
-    // The exports carry the alert.
-    assert!(telemetry.json_snapshot().contains("\"rule\": \"slo-burn\""));
+}
+
+#[test]
+fn json_snapshot_parses_into_typed_sections() {
+    let (_, telemetry, profile) = observed();
+    let text = telemetry.json_snapshot_with_profile(profile);
+    let doc = Json::parse(&text).expect("the snapshot is one JSON document");
+    for section in ["counters", "histograms", "series", "spans"] {
+        let members = doc.get(section).and_then(Json::as_obj);
+        assert!(members.is_some_and(|m| !m.is_empty()), "{section}");
+    }
+    // The export carries the alert.
+    let alerts = doc.get("alerts").and_then(Json::as_arr).expect("alerts");
+    let rules: Vec<&str> = alerts
+        .iter()
+        .map(|a| a.get("rule").and_then(Json::as_str).expect("string rule"))
+        .collect();
+    assert!(rules.contains(&"slo-burn"), "rules: {rules:?}");
+    let rows = doc.get("profile").and_then(Json::as_obj).expect("profile");
+    assert_eq!(rows.len(), profile.rows().len());
+    for (label, row) in rows {
+        for field in ["calls", "total_ns"] {
+            let value = row.get(field).and_then(Json::as_f64);
+            assert!(value.is_some(), "{label}.{field}");
+        }
+    }
 }
 
 #[test]
