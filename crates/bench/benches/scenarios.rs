@@ -50,13 +50,13 @@ fn main() {
         points.push(Json::obj([
             ("scenario", Json::Str((*name).into())),
             ("trace_requests", Json::Num(scenario.trace().len() as f64)),
-            ("completed", Json::Num(report.completed() as f64)),
+            ("completed", Json::Num(report.completed as f64)),
             ("abandoned", Json::Num(report.retry.abandoned as f64)),
             ("amplification", Json::Num(report.retry.amplification())),
             ("hit_rate", Json::Num(report.hit_rate())),
             (
                 "sim_requests_per_wall_sec",
-                Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
+                Json::Num(report.completed as f64 / (wall_ns / 1e9)),
             ),
             ("wall_ms_per_run", Json::Num(wall_ns / 1e6)),
             ("wall_ms_min", Json::Num(timing.min_ns / 1e6)),

@@ -50,8 +50,9 @@ use crate::elastic::ElasticFleetConfig;
 use crate::fault::FaultInjector;
 use crate::lifecycle::{NodeLifecycle, NodeState};
 use crate::region::RegionLifecycle;
-use crate::report::{ElasticReport, FleetEvent, FleetEventKind, WindowSample};
-use crate::scenario_report::{RegionSlice, RetryStats, ScenarioReport};
+use crate::report::{
+    ElasticReport, FleetEvent, FleetEventKind, RegionSlice, RetryStats, WindowSample,
+};
 
 /// Closed-loop backlog depth per worker under saturation.
 const SATURATION_BACKLOG_PER_WORKER: usize = 2;
@@ -384,6 +385,10 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
 
     /// Runs the event loop to exhaustion, then closes GPU metering and
     /// harvests the surviving nodes' shed counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every request reached exactly one terminal.
     pub(crate) fn execute(mut self) -> Self {
         while let Some((now, event)) = self.events.pop() {
             match event {
@@ -486,6 +491,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         for node in self.nodes.iter().flatten() {
             Self::harvest_shed(&mut self.shed, &mut self.tenants, node);
         }
+        assert_eq!(
+            self.throughput.completed() + self.stats.abandoned + self.shed,
+            self.requests.len() as u64,
+            "every request reaches exactly one terminal"
+        );
         self
     }
 
@@ -1089,11 +1099,32 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         routers.flatten().copied().collect()
     }
 
-    /// The elastic view of an executed run: fleet-wide counters, GPU-hours,
-    /// the control-plane log and the per-window series.
+    /// The elastic view of an executed run: fleet-wide counters, GPU-hours
+    /// metered per node, the control-plane log, the per-window series,
+    /// retry accounting and one slice per region.
     pub(crate) fn into_elastic_report(self) -> ElasticReport {
         let gpu_hours =
             self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
+        let routed_per_node = self.routed_per_node();
+        let regions = self
+            .regions
+            .iter()
+            .enumerate()
+            .map(|(r, region)| {
+                let completed = region.hits + region.misses;
+                RegionSlice {
+                    region: r,
+                    routed: region.router.routed_per_node().iter().sum(),
+                    completed,
+                    hit_rate: if completed == 0 {
+                        0.0
+                    } else {
+                        region.hits as f64 / completed as f64
+                    },
+                    lost_at_mins: region.lifecycle.lost_at().map(SimTime::as_mins_f64),
+                }
+            })
+            .collect();
         ElasticReport {
             scaler: self.scaler.name(),
             completed: self.throughput.completed(),
@@ -1101,7 +1132,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             misses: self.misses(),
             rejected: self.stats.abandoned,
             shed: self.shed,
-            routed_per_node: self.routed_per_node(),
+            retry: RetryStats {
+                offers: routed_per_node.iter().sum(),
+                ..self.stats
+            },
+            regions,
+            routed_per_node,
             latency: self.latency,
             slo: self.slo,
             slo_multiple: self.config.slo_multiple,
@@ -1155,61 +1191,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             throughput: self.throughput,
             cache: cache_summary,
             tenant_slices: self.tenants.into_values().collect(),
-            finished_at,
-        }
-    }
-
-    /// The scenario view of an executed run: retry accounting, per-region
-    /// slices, and GPU-hours billed per region up to its loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every request reached exactly one terminal.
-    pub(crate) fn into_scenario_report(self) -> ScenarioReport {
-        let completed = self.throughput.completed();
-        assert_eq!(
-            completed + self.stats.abandoned + self.shed,
-            self.requests.len() as u64,
-            "every request reaches exactly one terminal"
-        );
-        let finished_at = self.finished_at;
-        let routed_per_node = self.routed_per_node();
-        let gpus_per_region = (self.region_size * self.config.node_config.num_gpus) as f64;
-        let mut gpu_hours = 0.0;
-        let mut regions = Vec::with_capacity(self.regions.len());
-        for (r, region) in self.regions.iter().enumerate() {
-            let lost_at = region.lifecycle.lost_at();
-            // A lost region stops billing at the loss instant.
-            gpu_hours += gpus_per_region * lost_at.unwrap_or(finished_at).as_mins_f64() / 60.0;
-            let (hits, misses) = (region.hits, region.misses);
-            regions.push(RegionSlice {
-                region: r,
-                routed: region.router.routed_per_node().iter().sum(),
-                completed: hits + misses,
-                hit_rate: if hits + misses == 0 {
-                    0.0
-                } else {
-                    hits as f64 / (hits + misses) as f64
-                },
-                lost_at_mins: lost_at.map(SimTime::as_mins_f64),
-            });
-        }
-        ScenarioReport {
-            hits: self.hits(),
-            misses: self.misses(),
-            rejected: self.stats.abandoned,
-            shed: self.shed,
-            retry: RetryStats {
-                offers: routed_per_node.iter().sum(),
-                ..self.stats
-            },
-            regions,
-            routed_per_node,
-            latency: self.latency,
-            throughput: self.throughput,
-            slo: self.slo,
-            tenant_slices: self.tenants.into_values().collect(),
-            gpu_hours,
             finished_at,
         }
     }
@@ -1352,8 +1333,8 @@ mod tests {
                     assert_eq!(region.cache.shard(shard).index_backend(), backend);
                 }
             }
-            let report = run.execute().into_scenario_report();
-            assert_eq!(report.completed(), 60, "{backend} shards serve everything");
+            let report = run.execute().into_elastic_report();
+            assert_eq!(report.completed, 60, "{backend} shards serve everything");
         }
     }
 
@@ -1499,6 +1480,37 @@ mod tests {
     }
 
     #[test]
+    fn holding_elastic_fleet_reports_one_region_slice_and_its_retries() {
+        // A one-region run carries one slice, and it covers the whole
+        // run; open-loop clients abandon every refusal on the spot, and
+        // every offer reached a node.
+        let trace = TraceBuilder::diffusion_db(79)
+            .requests(300)
+            .tenants(vec![
+                TenantMix::new(TenantId(1), QosClass::Interactive, 6.0),
+                TenantMix::new(TenantId(2), QosClass::BestEffort, 16.0),
+            ])
+            .build();
+        let report = ElasticFleet::new(ElasticFleetConfig::new(overloaded_node(), 2, 2, 2))
+            .run(&trace, &mut HoldAutoscaler);
+
+        assert!(report.rejected > 0, "token buckets must refuse");
+        assert_eq!(report.regions.len(), 1);
+        let region = report.region(0).expect("the one region");
+        assert_eq!(region.routed, report.routed_per_node.iter().sum::<u64>());
+        assert_eq!(region.completed, report.completed);
+        assert_eq!(region.hit_rate.to_bits(), report.hit_rate().to_bits());
+        assert_eq!(region.lost_at_mins, None);
+        assert!(report.region(1).is_none());
+        assert_eq!(
+            report.retry.offers,
+            report.routed_per_node.iter().sum::<u64>()
+        );
+        assert_eq!(report.retry.abandoned, report.rejected);
+        assert_eq!((report.retry.reoffers, report.retry.redelivered), (0, 0));
+    }
+
+    #[test]
     fn fixed_fleet_and_two_region_run_agree() {
         // The cross-tier oracle: one overloaded configuration, one salt,
         // run as a fixed fleet of `NODES` nodes and as a two-region run
@@ -1546,12 +1558,12 @@ mod tests {
             None,
         )
         .execute()
-        .into_scenario_report();
+        .into_elastic_report();
 
         assert!(regions.rejected > 0, "token buckets must refuse");
         assert!(regions.shed > 0, "the queue budget must shed");
         assert_eq!(regions.regions[1].routed, 0, "no tenant homes to region 1");
-        assert_eq!(fleet.completed(), regions.completed());
+        assert_eq!(fleet.completed(), regions.completed);
         let served =
             |kind: fn(&TenantSlice) -> u64| fleet.tenant_slices.iter().map(kind).sum::<u64>();
         assert_eq!(served(|s| s.hits), regions.hits);

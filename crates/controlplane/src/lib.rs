@@ -18,8 +18,13 @@
 //! * [`run_regions`] — the scenario tier: a holding fleet split into
 //!   regions behind a `modm_fleet::GeoRouter`, offered by clients that
 //!   retry under a [`RetryPolicy`], with a control timeline of tenancy
-//!   rewrites and region losses ([`ControlAction`]); it reports a
-//!   [`ScenarioReport`].
+//!   rewrites and region losses ([`ControlAction`]).
+//!
+//! Every run that is not a fixed fleet reports an [`ElasticReport`]:
+//! fleet-wide counters, GPU-hours metered per node, the control-plane
+//! log, retry accounting ([`RetryStats`]) and one [`RegionSlice`] per
+//! region. A fixed fleet keeps every node to the end, so it reports
+//! per-node detail instead (`modm_fleet::FleetReport`).
 //!
 //! Each entry point salts the run's RNG with its own private constant,
 //! so every tier's results stay seed-for-seed stable. The control-plane
@@ -71,7 +76,6 @@ pub mod fleet;
 pub mod lifecycle;
 pub mod region;
 pub mod report;
-pub mod scenario_report;
 pub mod system;
 
 pub use autoscaler::{
@@ -85,6 +89,7 @@ pub use fault::FaultInjector;
 pub use fleet::Fleet;
 pub use lifecycle::{IllegalTransition, NodeLifecycle, NodeState};
 pub use region::{run_regions, RegionLifecycle, RegionState, RegionTransitionError};
-pub use report::{ElasticReport, FleetEvent, FleetEventKind, WindowSample};
-pub use scenario_report::{RegionSlice, RetryStats, ScenarioReport};
+pub use report::{
+    ElasticReport, FleetEvent, FleetEventKind, RegionSlice, RetryStats, WindowSample,
+};
 pub use system::ServingSystem;

@@ -23,7 +23,7 @@ use crate::client::{Clients, RetryPolicy};
 use crate::elastic::ElasticFleetConfig;
 use crate::engine::{ControlAction, ElasticRun};
 use crate::fault::FaultInjector;
-use crate::scenario_report::ScenarioReport;
+use crate::report::ElasticReport;
 
 /// Salt of the retrying clients' jitter stream ("JITT"), forked off the
 /// run's stream before anything else draws from it.
@@ -52,7 +52,7 @@ pub fn run_regions(
     timeline: Vec<(SimTime, ControlAction)>,
     salt: u64,
     observer: Option<&mut dyn Observer>,
-) -> ScenarioReport {
+) -> ElasticReport {
     let mut rng = SimRng::seed_from(config.node_config.seed ^ salt);
     let jitter = rng.fork(JITTER_SALT);
     let routers = (0..geo.regions())
@@ -77,7 +77,7 @@ pub fn run_regions(
     )
     .with_timeline(timeline)
     .execute()
-    .into_scenario_report()
+    .into_elastic_report()
 }
 
 /// Where a region is in its life.

@@ -1,5 +1,6 @@
-//! What an elastic run measured: fleet-wide serving metrics, GPU-hours,
-//! the control-plane event log and the per-window time series.
+//! What an engine run measured: fleet-wide serving metrics, GPU-hours,
+//! the control-plane event log, the per-window time series, retry
+//! accounting and one slice per region.
 
 use modm_core::report::TenantSlice;
 use modm_fleet::HandoffReport;
@@ -95,7 +96,56 @@ impl WindowSample {
     }
 }
 
-/// Everything measured during an [`crate::ElasticFleet`] run.
+/// Closed-loop retry accounting over a run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RetryStats {
+    /// Total offers made to the serving fleet, including re-offers. One
+    /// trace request that is rejected twice and then completes counts
+    /// three offers.
+    pub offers: u64,
+    /// Offers that were retries of previously rejected requests.
+    pub reoffers: u64,
+    /// Trace requests whose clients gave up after exhausting their retry
+    /// budget (open-loop clients give up on the first refusal) — the
+    /// only terminal besides completion and shedding.
+    pub abandoned: u64,
+    /// Requests re-offered after their node or region was lost (counted
+    /// once per redelivered request, not per attempt).
+    pub redelivered: u64,
+}
+
+impl RetryStats {
+    /// Offer amplification: offers per unique first offer. `1.0` means no
+    /// request was ever re-offered; a retry storm pushes this well above
+    /// one.
+    pub fn amplification(&self) -> f64 {
+        let first = self.offers - self.reoffers;
+        if first == 0 {
+            return 0.0;
+        }
+        self.offers as f64 / first as f64
+    }
+}
+
+/// One region's slice of a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionSlice {
+    /// The region (index into the run's topology).
+    pub region: usize,
+    /// Offers routed into the region (before any loss).
+    pub routed: u64,
+    /// Requests the region completed.
+    pub completed: u64,
+    /// The region's cache hit rate over its completions.
+    pub hit_rate: f64,
+    /// When the region was lost, in virtual minutes (`None` if it
+    /// survived the run).
+    pub lost_at_mins: Option<f64>,
+}
+
+/// Everything measured during an engine run that is not a fixed fleet:
+/// an [`crate::ElasticFleet`] run, or a multi-region
+/// [`crate::run_regions`] run.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Name of the autoscaling policy that drove the run.
@@ -107,26 +157,33 @@ pub struct ElasticReport {
     pub hits: u64,
     /// Completions that were cache misses.
     pub misses: u64,
-    /// Requests refused at admission by tenant token buckets.
+    /// Requests refused at admission by tenant token buckets and then
+    /// abandoned by their clients (unique requests, not per-offer
+    /// refusals — see [`RetryStats::reoffers`] for those).
     pub rejected: u64,
     /// Requests shed at dispatch after exceeding the queue-time budget.
     pub shed: u64,
-    /// Fleet-wide end-to-end latencies (crash re-deliveries keep their
-    /// original arrival time, so failures show up in the tail).
+    /// Fleet-wide end-to-end latencies, measured from the original
+    /// arrival (crash re-deliveries and client retries keep it, so
+    /// failures and backoff show up in the tail).
     pub latency: LatencyReport,
     /// The deployment's SLO reference.
     pub slo: SloThresholds,
     /// The SLO multiple the run was judged against.
     pub slo_multiple: f64,
     /// GPU-hours consumed: per-node occupancy (provisioning through
-    /// draining) × GPUs per node.
+    /// draining, crash or region loss) × GPUs per node.
     pub gpu_hours: f64,
     /// The control-plane event log, in time order.
     pub events: Vec<FleetEvent>,
     /// Per-control-window series.
     pub windows: Vec<WindowSample>,
-    /// Requests routed per node id.
+    /// Requests routed per node id (global ids across regions).
     pub routed_per_node: Vec<u64>,
+    /// Closed-loop retry accounting.
+    pub retry: RetryStats,
+    /// Per-region slices, in region order (one for single-region runs).
+    pub regions: Vec<RegionSlice>,
     /// Fleet-level per-tenant slices, sorted by tenant id
     /// (completion-based, like [`ElasticReport::latency`]).
     pub tenant_slices: Vec<TenantSlice>,
@@ -190,6 +247,11 @@ impl ElasticReport {
             .unwrap_or(0)
     }
 
+    /// The slice for `region`, if the topology has it.
+    pub fn region(&self, region: usize) -> Option<&RegionSlice> {
+        self.regions.iter().find(|r| r.region == region)
+    }
+
     /// The first event matching `pred`, if any.
     pub fn find_event(&self, mut pred: impl FnMut(&FleetEventKind) -> bool) -> Option<&FleetEvent> {
         self.events.iter().find(|e| pred(&e.kind))
@@ -211,5 +273,27 @@ impl ElasticReport {
         let before = agg(&self.windows[split.saturating_sub(span)..split])?;
         let after = agg(&self.windows[split..(split + span).min(self.windows.len())])?;
         Some((before, after))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn amplification_counts_reoffers() {
+        let calm = RetryStats {
+            offers: 100,
+            ..RetryStats::default()
+        };
+        assert_eq!(calm.amplification(), 1.0);
+        let storm = RetryStats {
+            offers: 300,
+            reoffers: 200,
+            abandoned: 40,
+            redelivered: 0,
+        };
+        assert_eq!(storm.amplification(), 3.0);
+        assert_eq!(RetryStats::default().amplification(), 0.0);
     }
 }

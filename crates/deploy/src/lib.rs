@@ -77,12 +77,10 @@ pub use observers::{
     events_to_csv, events_to_json, EventLogObserver, LatencyHistogramObserver, MultiObserver,
     TraceExportObserver,
 };
-pub use outcome::{
-    summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary, TierKind, TierReport,
-};
-// The scenario report is built by the serving engine, next to the
-// elastic report; re-export it so deployment users need only this crate.
-pub use modm_controlplane::{RegionSlice, RetryStats, ScenarioReport};
+pub use outcome::{summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary, TierKind};
+// The elastic and scenario tiers' report is built by the serving engine;
+// re-export it so deployment users need only this crate.
+pub use modm_controlplane::{ElasticReport, RegionSlice, RetryStats};
 
 // The observer vocabulary lives in modm-core (the nodes emit it); re-export
 // it so deployment users need only this crate.

@@ -2,7 +2,8 @@
 //! reports, so cross-tier comparison tables are generic code.
 //!
 //! A [`RunOutcome`] wraps whichever report the tier produced
-//! ([`ServingReport`], [`FleetReport`] or [`ElasticReport`]) and answers
+//! ([`ServingReport`], [`FleetReport`] or [`ElasticReport`], which the
+//! elastic and scenario tiers share) and answers
 //! the questions every experiment asks — completions, hit rate,
 //! throughput, tail latency, SLO attainment, GPU-hours, per-node
 //! breakdown — identically across tiers. [`RunOutcome::summary`] flattens
@@ -10,7 +11,7 @@
 //! which is what the cross-tier equivalence tests compare and what the
 //! generic table printers render.
 
-use modm_controlplane::{ElasticReport, RegionSlice, ScenarioReport};
+use modm_controlplane::ElasticReport;
 use modm_core::report::{ServingReport, TenantSlice};
 use modm_fleet::FleetReport;
 use modm_metrics::SloThresholds;
@@ -65,27 +66,24 @@ pub struct NodeSlice {
 /// Reports are boxed: a `ServingReport` alone is half a kilobyte, and
 /// outcomes move through generic experiment code by value.
 #[derive(Debug, Clone)]
-pub enum TierReport {
-    /// A single-node serving report.
+enum TierReport {
     Single(Box<ServingReport>),
-    /// A fixed-fleet report.
     Fleet(Box<FleetReport>),
-    /// An elastic-fleet report.
+    /// An elastic fleet's or a multi-region scenario's run.
     Elastic(Box<ElasticReport>),
-    /// A closed-loop scenario report.
-    Scenario(Box<ScenarioReport>),
 }
 
 /// What a deployment run produced: the tier's own report behind one
 /// accessor surface.
 ///
 /// Tier-specific detail stays reachable through [`RunOutcome::as_single`]
-/// / [`RunOutcome::as_fleet`] / [`RunOutcome::as_elastic`] (and the
-/// consuming `into_*` variants), so porting an experiment to the unified
-/// API never loses information.
+/// / [`RunOutcome::as_fleet`] / [`RunOutcome::as_elastic`], so porting an
+/// experiment to the unified API never loses information.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     report: TierReport,
+    /// The tier that ran: the elastic and scenario tiers share a report.
+    tier: TierKind,
     /// Nodes the deployment ran (peak active count for elastic tiers).
     nodes: usize,
     /// Total GPUs across those nodes.
@@ -98,6 +96,7 @@ impl RunOutcome {
     pub fn from_single(report: ServingReport, total_gpus: usize) -> Self {
         RunOutcome {
             report: TierReport::Single(Box::new(report)),
+            tier: TierKind::Single,
             nodes: 1,
             total_gpus,
         }
@@ -109,6 +108,7 @@ impl RunOutcome {
         let nodes = report.nodes.len();
         RunOutcome {
             report: TierReport::Fleet(Box::new(report)),
+            tier: TierKind::Fleet,
             nodes,
             total_gpus: nodes * gpus_per_node,
         }
@@ -120,16 +120,20 @@ impl RunOutcome {
         let nodes = report.peak_active_nodes();
         RunOutcome {
             report: TierReport::Elastic(Box::new(report)),
+            tier: TierKind::Elastic,
             nodes,
             total_gpus: nodes * gpus_per_node,
         }
     }
 
-    /// Wraps a [`ScenarioReport`]. `nodes` is the total node count
-    /// across regions; `total_gpus` the GPUs across those nodes.
-    pub fn from_scenario(report: ScenarioReport, nodes: usize, total_gpus: usize) -> Self {
+    /// Wraps the [`ElasticReport`] of a multi-region run
+    /// (`modm_controlplane::run_regions`) as a scenario-tier outcome.
+    /// `nodes` is the total node count across regions; `total_gpus` the
+    /// GPUs across those nodes.
+    pub fn from_regions(report: ElasticReport, nodes: usize, total_gpus: usize) -> Self {
         RunOutcome {
-            report: TierReport::Scenario(Box::new(report)),
+            report: TierReport::Elastic(Box::new(report)),
+            tier: TierKind::Scenario,
             nodes,
             total_gpus,
         }
@@ -137,12 +141,7 @@ impl RunOutcome {
 
     /// Which tier produced this outcome.
     pub fn tier(&self) -> TierKind {
-        match &self.report {
-            TierReport::Single(_) => TierKind::Single,
-            TierReport::Fleet(_) => TierKind::Fleet,
-            TierReport::Elastic(_) => TierKind::Elastic,
-            TierReport::Scenario(_) => TierKind::Scenario,
-        }
+        self.tier
     }
 
     /// Nodes the deployment ran (peak active count for elastic tiers).
@@ -161,7 +160,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.completed(),
             TierReport::Fleet(r) => r.completed(),
             TierReport::Elastic(r) => r.completed,
-            TierReport::Scenario(r) => r.completed(),
         }
     }
 
@@ -171,7 +169,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.hits,
             TierReport::Fleet(r) => r.hits(),
             TierReport::Elastic(r) => r.hits,
-            TierReport::Scenario(r) => r.hits,
         }
     }
 
@@ -181,7 +178,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.misses,
             TierReport::Fleet(r) => r.misses(),
             TierReport::Elastic(r) => r.misses,
-            TierReport::Scenario(r) => r.misses,
         }
     }
 
@@ -192,7 +188,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.rejected,
             TierReport::Fleet(r) => r.rejected(),
             TierReport::Elastic(r) => r.rejected,
-            TierReport::Scenario(r) => r.rejected,
         }
     }
 
@@ -203,7 +198,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.shed,
             TierReport::Fleet(r) => r.shed(),
             TierReport::Elastic(r) => r.shed,
-            TierReport::Scenario(r) => r.shed,
         }
     }
 
@@ -222,7 +216,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.goodput(multiple),
             TierReport::Fleet(r) => r.goodput(multiple),
             TierReport::Elastic(r) => r.goodput(multiple),
-            TierReport::Scenario(r) => r.goodput(multiple),
         }
     }
 
@@ -232,7 +225,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.hit_rate(),
             TierReport::Fleet(r) => r.hit_rate(),
             TierReport::Elastic(r) => r.hit_rate(),
-            TierReport::Scenario(r) => r.hit_rate(),
         }
     }
 
@@ -242,7 +234,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.requests_per_minute(),
             TierReport::Fleet(r) => r.requests_per_minute(),
             TierReport::Elastic(r) => r.requests_per_minute(),
-            TierReport::Scenario(r) => r.requests_per_minute(),
         }
     }
 
@@ -252,7 +243,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.p99_secs(),
             TierReport::Fleet(r) => r.p99_secs(),
             TierReport::Elastic(r) => r.latency.p99_secs(),
-            TierReport::Scenario(r) => r.p99_secs(),
         }
     }
 
@@ -263,19 +253,17 @@ impl RunOutcome {
             TierReport::Single(r) => 1.0 - r.slo_violation_rate(multiple),
             TierReport::Fleet(r) => 1.0 - r.slo_violation_rate(multiple),
             TierReport::Elastic(r) => 1.0 - r.latency.slo_violation_rate(&r.slo, multiple),
-            TierReport::Scenario(r) => 1.0 - r.slo_violation_rate(multiple),
         }
     }
 
     /// GPU-hours the run consumed. Static tiers occupy all their GPUs
-    /// for the whole run; elastic tiers meter per-node occupancy from
-    /// provisioning to release.
+    /// for the whole run; the elastic and scenario tiers meter per-node
+    /// occupancy from provisioning to release, crash or region loss.
     pub fn gpu_hours(&self) -> f64 {
         match &self.report {
             TierReport::Single(r) => self.total_gpus as f64 * r.finished_at.as_secs_f64() / 3600.0,
             TierReport::Fleet(r) => self.total_gpus as f64 * r.finished_at.as_secs_f64() / 3600.0,
             TierReport::Elastic(r) => r.gpu_hours,
-            TierReport::Scenario(r) => r.gpu_hours,
         }
     }
 
@@ -285,7 +273,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.finished_at,
             TierReport::Fleet(r) => r.finished_at,
             TierReport::Elastic(r) => r.finished_at,
-            TierReport::Scenario(r) => r.finished_at,
         }
     }
 
@@ -297,7 +284,6 @@ impl RunOutcome {
             TierReport::Single(r) => &r.tenant_slices,
             TierReport::Fleet(r) => &r.tenant_slices,
             TierReport::Elastic(r) => &r.tenant_slices,
-            TierReport::Scenario(r) => &r.tenant_slices,
         }
     }
 
@@ -308,7 +294,6 @@ impl RunOutcome {
             TierReport::Single(r) => r.slo,
             TierReport::Fleet(r) => r.nodes.first().expect("fleet has nodes").report.slo,
             TierReport::Elastic(r) => r.slo,
-            TierReport::Scenario(r) => r.slo,
         }
     }
 
@@ -319,7 +304,6 @@ impl RunOutcome {
             TierReport::Single(_) => None,
             TierReport::Fleet(r) => Some(r.load_imbalance()),
             TierReport::Elastic(_) => None,
-            TierReport::Scenario(_) => None,
         }
     }
 
@@ -355,26 +339,6 @@ impl RunOutcome {
                     hit_rate: None,
                 })
                 .collect(),
-            TierReport::Scenario(r) => r
-                .routed_per_node
-                .iter()
-                .enumerate()
-                .map(|(node, &routed)| NodeSlice {
-                    node,
-                    routed,
-                    completed: None,
-                    hit_rate: None,
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-region slices, where the deployment spans regions (`None` for
-    /// the single-region tiers).
-    pub fn region_slices(&self) -> Option<&[RegionSlice]> {
-        match &self.report {
-            TierReport::Scenario(r) => Some(&r.regions),
-            _ => None,
         }
     }
 
@@ -394,50 +358,11 @@ impl RunOutcome {
         }
     }
 
-    /// The elastic report, if this is an elastic-tier outcome.
+    /// The elastic report, if this is an elastic- or scenario-tier
+    /// outcome.
     pub fn as_elastic(&self) -> Option<&ElasticReport> {
         match &self.report {
             TierReport::Elastic(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The scenario report, if this is a scenario-tier outcome.
-    pub fn as_scenario(&self) -> Option<&ScenarioReport> {
-        match &self.report {
-            TierReport::Scenario(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into its single-node report, if applicable.
-    pub fn into_single(self) -> Option<ServingReport> {
-        match self.report {
-            TierReport::Single(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into its fleet report, if applicable.
-    pub fn into_fleet(self) -> Option<FleetReport> {
-        match self.report {
-            TierReport::Fleet(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into its elastic report, if applicable.
-    pub fn into_elastic(self) -> Option<ElasticReport> {
-        match self.report {
-            TierReport::Elastic(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into its scenario report, if applicable.
-    pub fn into_scenario(self) -> Option<ScenarioReport> {
-        match self.report {
-            TierReport::Scenario(r) => Some(*r),
             _ => None,
         }
     }

@@ -198,7 +198,7 @@ pub fn run() {
     )
     .run(&trace);
     row("static-6 + crash", &crashed);
-    let crashed = crashed.into_elastic().expect("elastic outcome");
+    let crashed = crashed.as_elastic().expect("elastic outcome");
     if let Some(e) = crashed.find_event(|k| matches!(k, FleetEventKind::Crash { .. })) {
         let FleetEventKind::Crash {
             node,

@@ -31,7 +31,7 @@
 use modm_cluster::GpuKind;
 use modm_core::{MoDMConfig, TenancyPolicy, TenantShare};
 use modm_scenario::{
-    RetryPolicy, Scenario, ScenarioAction, ScenarioReport, ScenarioScript, TwoRegion,
+    ElasticReport, RetryPolicy, Scenario, ScenarioAction, ScenarioScript, TwoRegion,
 };
 use modm_workload::{QosClass, TenantId, TenantMix};
 
@@ -205,7 +205,7 @@ pub fn churn_scenario_for(seed: u64) -> Scenario {
     .expect("the churn script validates against its policy")
 }
 
-fn tenant_slice(report: &ScenarioReport, tenant: TenantId) -> Option<&modm_core::TenantSlice> {
+fn tenant_slice(report: &ElasticReport, tenant: TenantId) -> Option<&modm_core::TenantSlice> {
     report.tenant_slices.iter().find(|s| s.tenant == tenant)
 }
 
@@ -231,7 +231,7 @@ pub fn retry_table_for(seed: u64) -> String {
             report.retry.offers,
             report.retry.reoffers,
             report.retry.abandoned,
-            report.completed(),
+            report.completed,
             crowd.completed,
             crowd.rejected,
             inter.slo_attainment(&report.slo, SLO_MULTIPLE),
@@ -261,7 +261,7 @@ pub fn failover_table_for(seed: u64) -> String {
             .map_or("-".to_string(), |m| format!("{m:.1}"));
         out.push_str(&format!(
             "{name:<7}  {:>9}  {:>11}  {:>8.3}  {:>7}  {:>6.3}  {:>7}  {:>6.3}  {lost:>8}  {:>9.2}\n",
-            report.completed(),
+            report.completed,
             report.retry.redelivered,
             report.hit_rate(),
             r0.completed,

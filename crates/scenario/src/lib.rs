@@ -26,9 +26,10 @@
 //!   backlog is redelivered to the survivor and the hottest half of the
 //!   cache entries is handed off across the region boundary.
 //!
-//! Runs produce a [`ScenarioReport`] —
-//! the familiar latency/SLO/tenant surface plus retry amplification and
-//! per-region slices — and [`Scenario`] implements
+//! Runs produce the engine's [`ElasticReport`], the report every
+//! non-fixed tier shares: the familiar latency/SLO/tenant surface plus
+//! retry accounting ([`RetryStats`]) and per-region slices
+//! ([`RegionSlice`]). [`Scenario`] implements
 //! [`ServingBackend`](modm_deploy::ServingBackend), so scenarios drop
 //! into every generic driver in `modm-deploy`.
 //!
@@ -67,7 +68,7 @@
 //! let report = scenario.run();
 //! // Every request reaches exactly one terminal, crowd or no crowd.
 //! assert_eq!(
-//!     report.completed() + report.rejected + report.shed,
+//!     report.completed + report.rejected + report.shed,
 //!     scenario.trace().len() as u64,
 //! );
 //! ```
@@ -81,4 +82,4 @@ pub use script::{ScenarioAction, ScenarioError, ScenarioScript};
 // The client population, the control vocabulary and the report belong
 // to the serving engine that runs them; re-export them so scenario
 // users need only this crate.
-pub use modm_controlplane::{ControlAction, RegionSlice, RetryPolicy, RetryStats, ScenarioReport};
+pub use modm_controlplane::{ControlAction, ElasticReport, RegionSlice, RetryPolicy, RetryStats};

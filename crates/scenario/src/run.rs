@@ -20,7 +20,7 @@
 use modm_controlplane::{run_regions, ElasticFleetConfig};
 use modm_core::config::MoDMConfig;
 use modm_core::events::Observer;
-use modm_deploy::{DeployOptions, RunOutcome, ScenarioReport, ServingBackend, TierKind};
+use modm_deploy::{DeployOptions, ElasticReport, RunOutcome, ServingBackend, TierKind};
 use modm_fleet::{GeoRouter, RoutingPolicy};
 use modm_simkit::{SimDuration, SimTime};
 use modm_workload::{Trace, TraceBuilder};
@@ -81,7 +81,7 @@ impl TwoRegion {
 /// let scenario = Scenario::new(node, script, TwoRegion::new(2)).unwrap();
 /// let report = scenario.run();
 /// assert_eq!(
-///     report.completed() + report.rejected + report.shed,
+///     report.completed + report.rejected + report.shed,
 ///     scenario.trace().len() as u64,
 ///     "every request reaches exactly one terminal"
 /// );
@@ -170,18 +170,18 @@ impl Scenario {
     }
 
     /// Runs the scenario on its canonical trace.
-    pub fn run(&self) -> ScenarioReport {
+    pub fn run(&self) -> ElasticReport {
         self.run_trace(&self.trace(), None)
     }
 
     /// Runs the scenario on its canonical trace, streaming every
     /// [`SimEvent`](modm_core::events::SimEvent) to `observer`. Results are identical to
     /// [`Scenario::run`]: observation never perturbs the simulation.
-    pub fn run_observed_scenario(&self, observer: &mut dyn Observer) -> ScenarioReport {
+    pub fn run_observed_scenario(&self, observer: &mut dyn Observer) -> ElasticReport {
         self.run_trace(&self.trace(), Some(observer))
     }
 
-    fn run_trace(&self, trace: &Trace, observer: Option<&mut dyn Observer>) -> ScenarioReport {
+    fn run_trace(&self, trace: &Trace, observer: Option<&mut dyn Observer>) -> ElasticReport {
         let nodes = self.nodes();
         let config = ElasticFleetConfig {
             policy: ROUTING,
@@ -223,7 +223,7 @@ impl ServingBackend for Scenario {
     fn run_with(&mut self, trace: &Trace, options: DeployOptions) -> RunOutcome {
         Self::assert_default_options(options);
         let report = self.run_trace(trace, None);
-        RunOutcome::from_scenario(report, self.nodes(), self.total_gpus())
+        RunOutcome::from_regions(report, self.nodes(), self.total_gpus())
     }
 
     fn run_observed(
@@ -234,7 +234,7 @@ impl ServingBackend for Scenario {
     ) -> RunOutcome {
         Self::assert_default_options(options);
         let report = self.run_trace(trace, Some(observer));
-        RunOutcome::from_scenario(report, self.nodes(), self.total_gpus())
+        RunOutcome::from_regions(report, self.nodes(), self.total_gpus())
     }
 }
 
@@ -269,7 +269,7 @@ mod tests {
             .expect("valid script");
         let trace = scenario.trace();
         let report = scenario.run();
-        assert_eq!(report.completed(), trace.len() as u64);
+        assert_eq!(report.completed, trace.len() as u64);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.shed, 0);
         assert_eq!(
@@ -318,7 +318,7 @@ mod tests {
         let trace = scenario.trace();
         let report = scenario.run();
         assert_eq!(
-            report.completed() + report.rejected + report.shed,
+            report.completed + report.rejected + report.shed,
             trace.len() as u64,
             "terminals conserved across the failover"
         );
@@ -369,6 +369,7 @@ mod tests {
         let outcome = scenario.run_with(&trace, DeployOptions::default());
         assert_eq!(outcome.tier(), TierKind::Scenario);
         assert_eq!(outcome.completed(), trace.len() as u64);
-        assert!(outcome.region_slices().is_some());
+        let report = outcome.as_elastic().expect("the engine's report");
+        assert_eq!(report.regions.len(), TwoRegion::REGIONS);
     }
 }

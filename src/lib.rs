@@ -402,7 +402,7 @@
 //! // The closed loop conserves requests: every arrival ends exactly one
 //! // of completed / abandoned-after-retries / shed.
 //! assert_eq!(
-//!     report.completed() + report.rejected + report.shed,
+//!     report.completed + report.rejected + report.shed,
 //!     scenario.trace().len() as u64,
 //! );
 //! // The surge trips the bucket and the clients re-offer.

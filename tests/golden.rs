@@ -203,10 +203,10 @@ fn scenarios_full_rows() -> String {
     let mut rendered = String::new();
     for (label, scenario) in runs {
         let mut outcome =
-            RunOutcome::from_scenario(scenario.run(), scenario.nodes(), scenario.total_gpus());
+            RunOutcome::from_regions(scenario.run(), scenario.nodes(), scenario.total_gpus());
         rendered.push_str(&outcome.summary(scenarios::SLO_MULTIPLE).to_json(label));
         rendered.push('\n');
-        let report = outcome.as_scenario().expect("a scenario outcome");
+        let report = outcome.as_elastic().expect("the engine's report");
         rendered.push_str(&format!(
             "retry={:?}\nregions={:?}\nrouted_per_node={:?} gpu_hours_bits={:#018x} \
              finished_at={:?}\n",

@@ -5,7 +5,7 @@
 use std::sync::OnceLock;
 
 use modm::core::{TenancyPolicy, TenantShare};
-use modm::scenario::{RetryPolicy, ScenarioAction, ScenarioError, ScenarioReport, ScenarioScript};
+use modm::scenario::{ElasticReport, RetryPolicy, ScenarioAction, ScenarioError, ScenarioScript};
 use modm::trace::TraceObserver;
 use modm::workload::{QosClass, TenantId, TenantMix};
 use modm_experiments::scenarios::{
@@ -31,8 +31,8 @@ fn sweep_seeds() -> Vec<u64> {
 
 /// The storm pair — the same flash-crowd trace under honoring vs naive
 /// clients — shared across the retry-storm claims.
-fn storm_pair() -> &'static (ScenarioReport, ScenarioReport) {
-    static PAIR: OnceLock<(ScenarioReport, ScenarioReport)> = OnceLock::new();
+fn storm_pair() -> &'static (ElasticReport, ElasticReport) {
+    static PAIR: OnceLock<(ElasticReport, ElasticReport)> = OnceLock::new();
     PAIR.get_or_init(|| {
         let honored = storm_scenario_for(STUDY_SEED, RetryPolicy::honoring(), true).run();
         let naive = storm_scenario_for(STUDY_SEED, RetryPolicy::naive(), true).run();
@@ -40,7 +40,7 @@ fn storm_pair() -> &'static (ScenarioReport, ScenarioReport) {
     })
 }
 
-fn slice(report: &ScenarioReport, tenant: TenantId) -> &modm::core::TenantSlice {
+fn slice(report: &ElasticReport, tenant: TenantId) -> &modm::core::TenantSlice {
     report
         .tenant_slices
         .iter()
@@ -49,7 +49,7 @@ fn slice(report: &ScenarioReport, tenant: TenantId) -> &modm::core::TenantSlice 
 }
 
 /// Fraction of the tenant's offered requests that completed.
-fn completion_fraction(report: &ScenarioReport, tenant: TenantId) -> f64 {
+fn completion_fraction(report: &ElasticReport, tenant: TenantId) -> f64 {
     let s = slice(report, tenant);
     s.completed as f64 / s.offered() as f64
 }
@@ -64,10 +64,10 @@ fn honoring_retry_after_converges_where_naive_hammering_abandons() {
     // it; naive half-second hammering burns the retry budget inside the
     // crunch and abandons a fifth of the crowd.
     let (honored, naive) = storm_pair();
-    let offered = honored.completed() + honored.rejected + honored.shed;
+    let offered = honored.completed + honored.rejected + honored.shed;
     assert_eq!(
         offered,
-        naive.completed() + naive.rejected + naive.shed,
+        naive.completed + naive.rejected + naive.shed,
         "both populations face the identical offered load"
     );
 
@@ -135,7 +135,7 @@ fn tenant_churn_preserves_accounting_and_reserve_invariants() {
     let trace = scenario.trace();
     let report = scenario.run();
     assert_eq!(
-        report.completed() + report.rejected + report.shed,
+        report.completed + report.rejected + report.shed,
         trace.len() as u64,
         "churn must conserve the request population"
     );
@@ -196,7 +196,7 @@ fn region_loss_redelivers_the_backlog_and_handoff_preserves_hit_rate() {
     // population is conserved and the survivor absorbs the rest of the
     // run.
     assert_eq!(
-        lossy.completed() + lossy.rejected + lossy.shed,
+        lossy.completed + lossy.rejected + lossy.shed,
         scenario.trace().len() as u64,
         "region loss must conserve the request population"
     );
@@ -246,8 +246,8 @@ fn traced_failover_runs_bit_identical_to_untraced() {
     assert_eq!(traced.gpu_hours.to_bits(), untraced.gpu_hours.to_bits());
     let (mut traced, mut untraced) = (traced, untraced);
     assert_eq!(
-        traced.p99_secs().map(f64::to_bits),
-        untraced.p99_secs().map(f64::to_bits)
+        traced.latency.p99_secs().map(f64::to_bits),
+        untraced.latency.p99_secs().map(f64::to_bits)
     );
 }
 
@@ -263,7 +263,7 @@ fn closed_loop_conservation_holds_under_churn_and_failover_across_seeds() {
         for scenario in [churn_scenario_for(seed), failover_scenario_for(seed, true)] {
             let trace = scenario.trace();
             let report = scenario.run();
-            let terminals = report.completed() + report.rejected + report.shed;
+            let terminals = report.completed + report.rejected + report.shed;
             assert_eq!(
                 terminals,
                 trace.len() as u64,
