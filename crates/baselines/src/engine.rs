@@ -83,12 +83,14 @@ enum Event {
     WorkerFree(usize),
 }
 
+/// RNG seed of every baseline run.
+const BASELINE_SEED: u64 = 0xBA5E;
+
 /// Runs a [`BaselinePolicy`] over a trace on a homogeneous GPU pool.
 pub struct BaselineEngine<P> {
     policy: P,
     gpu: GpuKind,
     num_gpus: usize,
-    seed: u64,
 }
 
 impl<P: BaselinePolicy> BaselineEngine<P> {
@@ -103,14 +105,7 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             policy,
             gpu,
             num_gpus,
-            seed: 0xBA5E,
         }
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Access to the policy (e.g. to inspect caches after a run).
@@ -133,7 +128,7 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             options.warmup < trace.len(),
             "warmup consumes the whole trace"
         );
-        let mut rng = SimRng::seed_from(self.seed);
+        let mut rng = SimRng::seed_from(BASELINE_SEED);
         for req in trace.iter().take(options.warmup) {
             self.policy.warm(req, &mut rng);
         }

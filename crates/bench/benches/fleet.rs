@@ -65,7 +65,7 @@ fn main() {
             ("load_imbalance", Json::Num(report.load_imbalance())),
             (
                 "sim_requests_per_wall_sec",
-                Json::Num(report.completed() as f64 / (wall_ns / 1e9)),
+                Json::Num(report.completed as f64 / (wall_ns / 1e9)),
             ),
             ("wall_ms_per_run", Json::Num(wall_ns / 1e6)),
             ("wall_ms_min", Json::Num(timing.min_ns / 1e6)),

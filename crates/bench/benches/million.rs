@@ -23,10 +23,10 @@ use std::time::Instant;
 
 use modm_bench::{format_ns, write_json};
 use modm_cluster::GpuKind;
-use modm_controlplane::Fleet;
+use modm_controlplane::{ElasticReport, Fleet};
 use modm_core::{MoDMConfig, RunOptions};
 use modm_embedding::IndexPolicy;
-use modm_fleet::{FleetReport, RoutingConfig, RoutingPolicy, SemanticClusterer};
+use modm_fleet::{RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
 use modm_simkit::Json;
 use modm_workload::TraceBuilder;
@@ -81,12 +81,12 @@ fn main() {
         let exact_wall_ns = t0.elapsed().as_secs_f64() * 1e9;
         println!(
             "million/exact: {} requests in {} — {:.0} sim-requests/wall-sec (hit rate {:.3})",
-            exact_report.completed(),
+            exact_report.completed,
             format_ns(exact_wall_ns),
-            exact_report.completed() as f64 / (exact_wall_ns / 1e9),
+            exact_report.completed as f64 / (exact_wall_ns / 1e9),
             exact_report.hit_rate()
         );
-        Some((exact_report.completed(), exact_report.hit_rate()))
+        Some((exact_report.completed, exact_report.hit_rate()))
     } else {
         None
     };
@@ -94,28 +94,24 @@ fn main() {
     // Headline: the median of `RUNS_K` unprofiled end-to-end runs. Runs
     // are deterministic, so every one completes the same requests.
     let mut walls_ns = Vec::with_capacity(RUNS_K);
-    let mut report: Option<FleetReport> = None;
+    let mut report: Option<ElasticReport> = None;
     for _ in 0..RUNS_K {
         let t0 = Instant::now();
         let run = fleet.run_with(&trace, opts);
         walls_ns.push(t0.elapsed().as_secs_f64() * 1e9);
         if let Some(previous) = &report {
-            assert_eq!(
-                previous.completed(),
-                run.completed(),
-                "runs are deterministic"
-            );
+            assert_eq!(previous.completed, run.completed, "runs are deterministic");
         }
         report = Some(run);
     }
     let report = report.expect("at least one headline run");
     walls_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let wall_ns = walls_ns[RUNS_K / 2];
-    let headline = report.completed() as f64 / (wall_ns / 1e9);
+    let headline = report.completed as f64 / (wall_ns / 1e9);
     println!(
         "million/headline: {} requests in {} (median of {RUNS_K}; min {}, max {}) — \
          {:.0} sim-requests/wall-sec (hit rate {:.3})",
-        report.completed(),
+        report.completed,
         format_ns(wall_ns),
         format_ns(walls_ns[0]),
         format_ns(walls_ns[RUNS_K - 1]),
@@ -124,8 +120,7 @@ fn main() {
     );
     if let Some((exact_completed, exact_hits)) = exact_summary {
         assert_eq!(
-            report.completed(),
-            exact_completed,
+            report.completed, exact_completed,
             "approx run must complete the same closed-loop request count"
         );
         let drift = (report.hit_rate() - exact_hits).abs();
@@ -143,8 +138,7 @@ fn main() {
     let prof = profiler.report();
     drop(profiler);
     assert_eq!(
-        profiled.completed(),
-        report.completed(),
+        profiled.completed, report.completed,
         "profiling must not change simulation results"
     );
 
@@ -175,7 +169,7 @@ fn main() {
         ("cache_per_node", Json::Num(CACHE_PER_NODE as f64)),
         ("policy", Json::Str("cache-affinity".into())),
         ("index_policy", Json::Str("approx".into())),
-        ("completed", Json::Num(report.completed() as f64)),
+        ("completed", Json::Num(report.completed as f64)),
         ("hit_rate", Json::Num(report.hit_rate())),
         ("wall_secs", Json::Num(wall_ns / 1e9)),
         ("wall_ms_min", Json::Num(walls_ns[0] / 1e6)),

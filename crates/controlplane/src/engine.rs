@@ -39,8 +39,8 @@ use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
 use modm_core::TenancyPolicy;
 use modm_diffusion::{QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
-use modm_fleet::{FleetReport, GeoRouter, NodeReport, Router, ShardedCache};
-use modm_metrics::{LatencyReport, SloThresholds, ThroughputReport};
+use modm_fleet::{GeoRouter, Router, ShardedCache};
+use modm_metrics::{LatencyReport, SloThresholds};
 use modm_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use modm_workload::{Request, TenantId, Trace};
 
@@ -51,7 +51,7 @@ use crate::fault::FaultInjector;
 use crate::lifecycle::{NodeLifecycle, NodeState};
 use crate::region::RegionLifecycle;
 use crate::report::{
-    ElasticReport, FleetEvent, FleetEventKind, RegionSlice, RetryStats, WindowSample,
+    ElasticReport, FleetEvent, FleetEventKind, NodeReport, RegionSlice, RetryStats, WindowSample,
 };
 
 /// Closed-loop backlog depth per worker under saturation.
@@ -168,7 +168,7 @@ pub(crate) struct ElasticRun<'a, 'o> {
     // Fleet-wide metrics (completion-based, so every request counts once
     // even if a crash re-routed it).
     latency: LatencyReport,
-    throughput: ThroughputReport,
+    completed: u64,
     /// Sheds harvested from node incarnations as they tear down (nodes
     /// come and go; the counters must outlive them).
     shed: u64,
@@ -320,7 +320,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             retried: BTreeMap::new(),
             stats: RetryStats::default(),
             latency: LatencyReport::new(),
-            throughput: ThroughputReport::new(),
+            completed: 0,
             shed: 0,
             tenants: BTreeMap::new(),
             slo_bound_secs: slo.bound_secs(config.slo_multiple),
@@ -492,7 +492,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             Self::harvest_shed(&mut self.shed, &mut self.tenants, node);
         }
         assert_eq!(
-            self.throughput.completed() + self.stats.abandoned + self.shed,
+            self.completed + self.stats.abandoned + self.shed,
             self.requests.len() as u64,
             "every request reaches exactly one terminal"
         );
@@ -667,7 +667,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let node = self.nodes[node_idx].as_mut().expect("completing node");
         node.record_completion(now, &inflight.routed, &image, self.obs.as_deref_mut());
         self.latency.record(inflight.routed.arrival, now);
-        self.throughput.record_completion(now);
+        self.completed += 1;
         self.win_completions += 1;
         let region = &mut self.regions[node_idx / self.region_size];
         let slice = self
@@ -1085,23 +1085,16 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
     }
 
-    fn hits(&self) -> u64 {
-        self.regions.iter().map(|r| r.hits).sum()
-    }
-
-    fn misses(&self) -> u64 {
-        self.regions.iter().map(|r| r.misses).sum()
-    }
-
     /// Offers routed to each node id, across regions.
     fn routed_per_node(&self) -> Vec<u64> {
         let routers = self.regions.iter().map(|r| r.router.routed_per_node());
         routers.flatten().copied().collect()
     }
 
-    /// The elastic view of an executed run: fleet-wide counters, GPU-hours
+    /// The report of an executed run: fleet-wide counters, GPU-hours
     /// metered per node, the control-plane log, the per-window series,
-    /// retry accounting and one slice per region.
+    /// retry accounting, one slice per region, and one [`NodeReport`]
+    /// per node still serving.
     pub(crate) fn into_elastic_report(self) -> ElasticReport {
         let gpu_hours =
             self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
@@ -1125,11 +1118,36 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 }
             })
             .collect();
+        let nodes = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(id, node)| {
+                let node = node?;
+                // The serving state was built when the node last became
+                // active (time zero for the initial nodes).
+                let history = self.lifecycle[id].history();
+                let (started, _) = *history
+                    .iter()
+                    .rev()
+                    .find(|(_, state)| *state == NodeState::Active)
+                    .expect("a serving node became active");
+                let shard = self.regions[id / self.region_size]
+                    .cache
+                    .shard(id % self.region_size);
+                let stats = shard.stats().clone();
+                Some(NodeReport {
+                    node: id,
+                    routed: routed_per_node[id],
+                    report: node.into_report(started, self.finished_at, self.slo, stats),
+                })
+            })
+            .collect();
         ElasticReport {
             scaler: self.scaler.name(),
-            completed: self.throughput.completed(),
-            hits: self.hits(),
-            misses: self.misses(),
+            completed: self.completed,
+            hits: self.regions.iter().map(|r| r.hits).sum(),
+            misses: self.regions.iter().map(|r| r.misses).sum(),
             rejected: self.stats.abandoned,
             shed: self.shed,
             retry: RetryStats {
@@ -1137,6 +1155,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 ..self.stats
             },
             regions,
+            nodes,
+            cache: self.regions.iter().map(|r| r.cache.summary()).sum(),
             routed_per_node,
             latency: self.latency,
             slo: self.slo,
@@ -1146,52 +1166,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             windows: self.windows,
             tenant_slices: self.tenants.into_values().collect(),
             finished_at: self.finished_at,
-        }
-    }
-
-    /// The fixed-fleet view of an executed one-region run: one
-    /// [`NodeReport`] per node id, the shard-cache summary and the
-    /// fleet-wide aggregates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node id has no serving state at the end of the run,
-    /// which only a scale-down or a crash can cause.
-    pub(crate) fn into_fleet_report(self) -> FleetReport {
-        let finished_at = self.finished_at;
-        let slo = self.slo;
-        let Ok(
-            [Region {
-                router, mut cache, ..
-            }],
-        ) = <[Region; 1]>::try_from(self.regions)
-        else {
-            panic!("a fleet report covers one region");
-        };
-        let routed = router.routed_per_node();
-        let cache_summary = cache.summary();
-        let nodes: Vec<NodeReport> = self
-            .nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, node)| NodeReport {
-                node: i,
-                routed: routed[i],
-                report: node.expect("a fixed fleet keeps every node").into_report(
-                    finished_at,
-                    slo,
-                    cache.shard_mut(i).stats().clone(),
-                ),
-            })
-            .collect();
-        FleetReport {
-            policy: router.policy(),
-            nodes,
-            latency: self.latency,
-            throughput: self.throughput,
-            cache: cache_summary,
-            tenant_slices: self.tenants.into_values().collect(),
-            finished_at,
         }
     }
 }
@@ -1408,9 +1382,9 @@ mod tests {
     #[test]
     fn fixed_fleet_and_holding_elastic_fleet_agree() {
         // The cross-view oracle: one static configuration, one salt, run
-        // once through the fixed fleet's constructor (its router template,
-        // the fleet view) and once through the elastic fleet's (a router
-        // built from the policy, the elastic view).
+        // once through the fixed fleet's constructor (its router template)
+        // and once through the elastic fleet's (a router built from the
+        // policy) must report the same run.
         const NODES: usize = 3;
         let trace = TraceBuilder::diffusion_db(77)
             .requests(400)
@@ -1426,7 +1400,7 @@ mod tests {
             ELASTIC_SALT,
             None,
         );
-        let mut elastic = ElasticFleet::new(ElasticFleetConfig {
+        let elastic = ElasticFleet::new(ElasticFleetConfig {
             policy,
             ..ElasticFleetConfig::new(overloaded_node(), NODES, NODES, NODES)
         })
@@ -1435,41 +1409,14 @@ mod tests {
         assert!(elastic.rejected > 0, "token buckets must refuse");
         assert!(elastic.shed > 0, "the queue budget must shed");
         assert!(elastic.events.is_empty(), "a holding fleet never scales");
-        assert_eq!(fleet.completed(), elastic.completed);
-        // A fleet report counts hits and misses as routed (shed work
-        // included); the elastic report counts completions, as the
-        // fleet's tenant slices do.
-        let served =
-            |kind: fn(&TenantSlice) -> u64| fleet.tenant_slices.iter().map(kind).sum::<u64>();
-        assert_eq!(served(|s| s.hits), elastic.hits);
-        assert_eq!(served(|s| s.misses), elastic.misses);
-        assert_eq!(fleet.rejected(), elastic.rejected);
-        assert_eq!(fleet.shed(), elastic.shed);
-        let routed: Vec<u64> = fleet.nodes.iter().map(|n| n.routed).collect();
-        assert_eq!(routed, elastic.routed_per_node);
-        let mut fleet_latency = fleet.latency.clone();
         assert_eq!(
-            latency_quantiles(&mut fleet_latency),
-            latency_quantiles(&mut elastic.latency)
+            elastic.nodes.len(),
+            NODES,
+            "a holding fleet keeps every node"
         );
-        assert_eq!(fleet.tenant_slices.len(), elastic.tenant_slices.len());
-        for (f, e) in fleet.tenant_slices.iter().zip(&elastic.tenant_slices) {
-            let counts = |s: &TenantSlice| {
-                (
-                    s.tenant,
-                    s.qos,
-                    s.completed,
-                    s.hits,
-                    s.misses,
-                    s.rejected,
-                    s.shed,
-                )
-            };
-            assert_eq!(counts(f), counts(e));
-            let (mut fl, mut el) = (f.latency.clone(), e.latency.clone());
-            assert_eq!(latency_quantiles(&mut fl), latency_quantiles(&mut el));
-        }
-        assert_eq!(fleet.finished_at, elastic.finished_at);
+        // Debug renders every field, floats as their shortest round-trip
+        // form, so equal text is an equal report.
+        assert_eq!(format!("{fleet:?}"), format!("{elastic:?}"));
         let gpus = NODES * overloaded_node().num_gpus;
         let expect = gpus as f64 * elastic.finished_at.as_secs_f64() / 3600.0;
         assert!(
@@ -1537,7 +1484,7 @@ mod tests {
             ])
             .build();
         let policy = RoutingPolicy::CacheAffinity;
-        let fleet = Fleet::new(node.clone(), Router::new(policy, NODES)).serve(
+        let mut fleet = Fleet::new(node.clone(), Router::new(policy, NODES)).serve(
             &trace,
             RunOptions::default(),
             ELASTIC_SALT,
@@ -1563,18 +1510,22 @@ mod tests {
         assert!(regions.rejected > 0, "token buckets must refuse");
         assert!(regions.shed > 0, "the queue budget must shed");
         assert_eq!(regions.regions[1].routed, 0, "no tenant homes to region 1");
-        assert_eq!(fleet.completed(), regions.completed);
-        let served =
-            |kind: fn(&TenantSlice) -> u64| fleet.tenant_slices.iter().map(kind).sum::<u64>();
-        assert_eq!(served(|s| s.hits), regions.hits);
-        assert_eq!(served(|s| s.misses), regions.misses);
-        assert_eq!(fleet.rejected(), regions.rejected);
-        assert_eq!(fleet.shed(), regions.shed);
-        let routed: Vec<u64> = fleet.nodes.iter().map(|n| n.routed).collect();
-        assert_eq!(routed, regions.routed_per_node[..NODES]);
-        let mut fleet_latency = fleet.latency.clone();
         assert_eq!(
-            latency_quantiles(&mut fleet_latency),
+            (fleet.completed, fleet.hits, fleet.misses),
+            (regions.completed, regions.hits, regions.misses)
+        );
+        assert_eq!(
+            (fleet.rejected, fleet.shed),
+            (regions.rejected, regions.shed)
+        );
+        assert_eq!(fleet.routed_per_node, regions.routed_per_node[..NODES]);
+        assert_eq!(
+            format!("{:?}", fleet.nodes),
+            format!("{:?}", &regions.nodes[..NODES]),
+            "region 0's nodes serve as the fleet's do"
+        );
+        assert_eq!(
+            latency_quantiles(&mut fleet.latency),
             latency_quantiles(&mut regions.latency)
         );
         assert_eq!(fleet.tenant_slices.len(), regions.tenant_slices.len());

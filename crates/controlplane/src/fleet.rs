@@ -11,7 +11,7 @@
 
 use modm_core::config::{MoDMConfig, RunOptions};
 use modm_core::events::Observer;
-use modm_fleet::{FleetReport, Router};
+use modm_fleet::Router;
 use modm_workload::Trace;
 
 use crate::autoscaler::HoldAutoscaler;
@@ -19,6 +19,7 @@ use crate::client::Clients;
 use crate::elastic::ElasticFleetConfig;
 use crate::engine::ElasticRun;
 use crate::fault::FaultInjector;
+use crate::report::ElasticReport;
 
 /// RNG salt of fleet runs ("FLTR").
 const FLEET_SALT: u64 = 0x464C_5452;
@@ -44,7 +45,8 @@ const FLEET_SALT: u64 = 0x464C_5452;
 /// let node = MoDMConfig::builder().gpus(GpuKind::Mi210, 4).cache_capacity(500).build();
 /// let fleet = Fleet::new(node, Router::new(RoutingPolicy::CacheAffinity, 4));
 /// let report = fleet.run(&trace);
-/// assert_eq!(report.completed(), 120);
+/// assert_eq!(report.completed, 120);
+/// assert_eq!(report.nodes.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fleet {
@@ -86,7 +88,7 @@ impl Fleet {
     }
 
     /// Serves the trace with default options.
-    pub fn run(&self, trace: &Trace) -> FleetReport {
+    pub fn run(&self, trace: &Trace) -> ElasticReport {
         self.run_with(trace, RunOptions::default())
     }
 
@@ -95,7 +97,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if `options.warmup >= trace.len()`.
-    pub fn run_with(&self, trace: &Trace, options: RunOptions) -> FleetReport {
+    pub fn run_with(&self, trace: &Trace, options: RunOptions) -> ElasticReport {
         self.run_observed(trace, options, None)
     }
 
@@ -113,7 +115,7 @@ impl Fleet {
         trace: &Trace,
         options: RunOptions,
         observer: Option<&mut dyn Observer>,
-    ) -> FleetReport {
+    ) -> ElasticReport {
         self.serve(trace, options, FLEET_SALT, observer)
     }
 
@@ -130,7 +132,7 @@ impl Fleet {
         options: RunOptions,
         salt: u64,
         obs: Option<&mut dyn Observer>,
-    ) -> FleetReport {
+    ) -> ElasticReport {
         assert!(
             options.warmup < trace.len(),
             "warmup consumes the whole trace"
@@ -153,7 +155,7 @@ impl Fleet {
             obs,
         )
         .execute()
-        .into_fleet_report()
+        .into_elastic_report()
     }
 }
 
@@ -188,8 +190,8 @@ mod tests {
             RoutingPolicy::HybridAffinity,
         ] {
             let report = fleet(policy, 4).run(&trace);
-            assert_eq!(report.completed(), 200, "{policy:?}");
-            assert_eq!(report.hits() + report.misses(), 200, "{policy:?}");
+            assert_eq!(report.completed, 200, "{policy:?}");
+            assert_eq!(report.hits + report.misses, 200, "{policy:?}");
             let per_node: u64 = report.nodes.iter().map(|n| n.report.completed()).sum();
             assert_eq!(per_node, 200, "{policy:?} node accounting");
             let routed: u64 = report.nodes.iter().map(|n| n.routed).sum();
@@ -205,7 +207,7 @@ mod tests {
             .build();
         let a = fleet(RoutingPolicy::CacheAffinity, 4).run(&trace);
         let b = fleet(RoutingPolicy::CacheAffinity, 4).run(&trace);
-        assert_eq!(a.hits(), b.hits());
+        assert_eq!(a.hits, b.hits);
         assert!((a.requests_per_minute() - b.requests_per_minute()).abs() < 1e-12);
         for (x, y) in a.nodes.iter().zip(&b.nodes) {
             assert_eq!(x.routed, y.routed);
@@ -301,7 +303,7 @@ mod tests {
             .rate_per_min(10.0)
             .build();
         let report = fleet(RoutingPolicy::CacheAffinity, 1).run(&trace);
-        assert_eq!(report.completed(), 150);
+        assert_eq!(report.completed, 150);
         assert_eq!(report.nodes.len(), 1);
         assert_eq!(report.nodes[0].routed, 150);
         assert!(report.hit_rate() > 0.0);
@@ -315,7 +317,7 @@ mod tests {
             .build();
         let report =
             fleet(RoutingPolicy::CacheAffinity, 4).run_with(&trace, RunOptions::saturated(60));
-        assert_eq!(report.completed(), 200);
+        assert_eq!(report.completed, 200);
         // At 2 req/min the timed run would take 100 minutes; saturation
         // finishes far faster.
         assert!(report.finished_at.as_mins_f64() < 60.0);
@@ -339,7 +341,7 @@ mod tests {
                     saturate: false,
                 },
             );
-            assert_eq!(report.completed(), 200, "{policy:?}");
+            assert_eq!(report.completed, 200, "{policy:?}");
             let routed: u64 = report.nodes.iter().map(|n| n.routed).sum();
             assert_eq!(routed, 200, "{policy:?}: warmup leaked into routed counts");
         }

@@ -20,11 +20,13 @@
 //!   retry under a [`RetryPolicy`], with a control timeline of tenancy
 //!   rewrites and region losses ([`ControlAction`]).
 //!
-//! Every run that is not a fixed fleet reports an [`ElasticReport`]:
-//! fleet-wide counters, GPU-hours metered per node, the control-plane
-//! log, retry accounting ([`RetryStats`]) and one [`RegionSlice`] per
-//! region. A fixed fleet keeps every node to the end, so it reports
-//! per-node detail instead (`modm_fleet::FleetReport`).
+//! Every run reports an [`ElasticReport`]: fleet-wide counters that
+//! count each request once, at its terminal (a hit or a miss when it
+//! completes), GPU-hours metered per node, the control-plane log, retry
+//! accounting ([`RetryStats`]), one [`RegionSlice`] per region, and one
+//! [`NodeReport`] per node still serving at the end — every node of a
+//! fixed fleet. [`ServingSystem`] hands back its one node's
+//! `ServingReport`.
 //!
 //! Each entry point salts the run's RNG with its own private constant,
 //! so every tier's results stay seed-for-seed stable. The control-plane
@@ -90,6 +92,6 @@ pub use fleet::Fleet;
 pub use lifecycle::{IllegalTransition, NodeLifecycle, NodeState};
 pub use region::{run_regions, RegionLifecycle, RegionState, RegionTransitionError};
 pub use report::{
-    ElasticReport, FleetEvent, FleetEventKind, RegionSlice, RetryStats, WindowSample,
+    ElasticReport, FleetEvent, FleetEventKind, NodeReport, RegionSlice, RetryStats, WindowSample,
 };
 pub use system::ServingSystem;

@@ -1,9 +1,9 @@
 //! What an engine run measured: fleet-wide serving metrics, GPU-hours,
 //! the control-plane event log, the per-window time series, retry
-//! accounting and one slice per region.
+//! accounting, one slice per region and one serving report per node.
 
-use modm_core::report::TenantSlice;
-use modm_fleet::HandoffReport;
+use modm_core::report::{ServingReport, TenantSlice};
+use modm_fleet::{HandoffReport, ShardSummary};
 use modm_metrics::{LatencyReport, SloThresholds};
 use modm_simkit::SimTime;
 
@@ -143,9 +143,27 @@ pub struct RegionSlice {
     pub lost_at_mins: Option<f64>,
 }
 
-/// Everything measured during an engine run that is not a fixed fleet:
-/// an [`crate::ElasticFleet`] run, or a multi-region
-/// [`crate::run_regions`] run.
+/// One node's slice of a run.
+#[derive(Debug, Clone)]
+pub struct NodeReport {
+    /// Node id.
+    pub node: usize,
+    /// Requests the router sent to this node.
+    pub routed: u64,
+    /// The node's serving report over its last incarnation, from when it
+    /// became active to the end of the run. Its hit and miss counts are
+    /// scheduler-level (taken when each request was decided, shed work
+    /// included), and its `cache_stats` are the node's shard statistics.
+    pub report: ServingReport,
+}
+
+/// Everything measured during an engine run, on every tier: a
+/// [`crate::ServingSystem`], [`crate::Fleet`] or [`crate::ElasticFleet`]
+/// run, or a multi-region [`crate::run_regions`] run.
+///
+/// The fleet-wide counters (`completed`, `hits`, `misses`, `rejected`,
+/// `shed` and the tenant slices) count each request once, at its
+/// terminal: a hit or a miss is counted when the request completes.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Name of the autoscaling policy that drove the run.
@@ -184,6 +202,11 @@ pub struct ElasticReport {
     pub retry: RetryStats,
     /// Per-region slices, in region order (one for single-region runs).
     pub regions: Vec<RegionSlice>,
+    /// One report per node that is serving at the end of the run, in id
+    /// order: every node of a fixed fleet.
+    pub nodes: Vec<NodeReport>,
+    /// Shard-cache counters, summed over every region's shards.
+    pub cache: ShardSummary,
     /// Fleet-level per-tenant slices, sorted by tenant id
     /// (completion-based, like [`ElasticReport::latency`]).
     pub tenant_slices: Vec<TenantSlice>,
@@ -224,6 +247,19 @@ impl ElasticReport {
         } else {
             self.completed as f64 / mins
         }
+    }
+
+    /// Max-over-mean of the per-node routed counts over every node id
+    /// (1.0 = a perfectly balanced front end; zero before any offer).
+    pub fn load_imbalance(&self) -> f64 {
+        let total: u64 = self.routed_per_node.iter().sum();
+        let Some(&max) = self.routed_per_node.iter().max() else {
+            return 0.0;
+        };
+        if total == 0 {
+            return 0.0;
+        }
+        max as f64 / (total as f64 / self.routed_per_node.len() as f64)
     }
 
     /// Mean active node count over the control windows.

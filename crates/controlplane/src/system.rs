@@ -17,6 +17,7 @@ use modm_fleet::{Router, RoutingPolicy};
 use modm_workload::Trace;
 
 use crate::fleet::Fleet;
+use crate::report::ElasticReport;
 
 /// RNG salt of single-node runs ("RUN"). The fleet and elastic tiers
 /// salt their runs differently; keeping each is what keeps each tier's
@@ -92,8 +93,25 @@ impl ServingSystem {
         options: RunOptions,
         observer: Option<&mut dyn Observer>,
     ) -> ServingReport {
-        let mut report = self.fleet.serve(trace, options, SINGLE_SALT, observer);
+        let mut report = self.run_engine(trace, options, observer);
         report.nodes.pop().expect("a fleet of one").report
+    }
+
+    /// Serves the trace like [`ServingSystem::run_observed`] and returns
+    /// the engine's whole report: counters taken as each request reaches
+    /// its terminal, GPU-hours metered on the node, and the node's
+    /// [`ServingReport`] as `nodes[0].report`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.warmup >= trace.len()`.
+    pub fn run_engine(
+        &self,
+        trace: &Trace,
+        options: RunOptions,
+        observer: Option<&mut dyn Observer>,
+    ) -> ElasticReport {
+        self.fleet.serve(trace, options, SINGLE_SALT, observer)
     }
 }
 

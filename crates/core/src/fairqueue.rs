@@ -243,11 +243,6 @@ impl TenancyPolicy {
         self
     }
 
-    /// The token bucket configured for `tenant`, if any.
-    pub fn rate_limit_of(&self, tenant: TenantId) -> Option<&RateLimit> {
-        self.rate_limits.iter().find(|l| l.tenant == tenant)
-    }
-
     /// The WFQ weight of `tenant` (1.0 when unlisted).
     pub fn weight_of(&self, tenant: TenantId) -> f64 {
         self.shares

@@ -185,11 +185,6 @@ impl ServingNode {
         self.id
     }
 
-    /// Number of GPU workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Scheduler-level hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -549,19 +544,21 @@ impl ServingNode {
         pending
     }
 
-    /// Finalizes the node into its [`ServingReport`]. `finished_at` is the
-    /// host loop's last-completion time (energy idles until then), and
-    /// `cache_stats` are the statistics of whatever cache the host
-    /// scheduled this node against.
+    /// Finalizes the node into its [`ServingReport`]. `started` is when
+    /// the node began serving and `finished_at` the host loop's
+    /// last-completion time (energy idles in between), and `cache_stats`
+    /// are the statistics of whatever cache the host scheduled this node
+    /// against.
     pub fn into_report(
         self,
+        started: SimTime,
         finished_at: SimTime,
         slo: SloThresholds,
         cache_stats: modm_cache::CacheStats,
     ) -> ServingReport {
         let energy = ClusterEnergy::aggregate(
             self.workers.iter().map(|w| (w.energy(), w.gpu())),
-            SimTime::ZERO,
+            started,
             finished_at,
         );
         ServingReport {

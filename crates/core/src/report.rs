@@ -97,8 +97,8 @@ impl TenantSlice {
     }
 }
 
-/// Everything measured on one serving node during a run: the single-node
-/// tier's report, and each node's share of a fleet run.
+/// Everything measured on one serving node during a run: each node's
+/// share of an engine run, and a baseline's whole run.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     /// Per-request end-to-end latencies.
@@ -113,9 +113,11 @@ pub struct ServingReport {
     pub slo: SloThresholds,
     /// Cache statistics (hit ages feed Fig 15).
     pub cache_stats: CacheStats,
-    /// Requests served from cache.
+    /// Scheduler-level cache hits: requests decided as hits when they
+    /// were admitted, shed work included.
     pub hits: u64,
-    /// Requests requiring full generation.
+    /// Scheduler-level cache misses: requests decided as misses when
+    /// they were admitted, shed work included.
     pub misses: u64,
     /// Requests refused at admission by tenant token buckets.
     pub rejected: u64,
@@ -125,7 +127,8 @@ pub struct ServingReport {
     pub k_histogram: [u64; K_CHOICES.len()],
     /// Monitor allocation over time.
     pub allocation_series: Vec<AllocationSample>,
-    /// Per-tenant slices, sorted by tenant id.
+    /// Per-tenant slices, sorted by tenant id (hits and misses
+    /// scheduler-level, like [`ServingReport::hits`]).
     pub tenant_slices: Vec<TenantSlice>,
     /// Total model switches across workers.
     pub model_switches: u64,
@@ -139,7 +142,7 @@ impl ServingReport {
         self.throughput.completed()
     }
 
-    /// Cache hit rate over the serving phase.
+    /// Scheduler-level cache hit rate over the serving phase.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

@@ -283,26 +283,27 @@ impl Deployment {
         observer: Option<&mut dyn Observer>,
     ) -> RunOutcome {
         let gpus = self.node_config().num_gpus;
-        match &mut self.tier {
-            Tier::Single(system) => {
-                RunOutcome::from_single(system.run_observed(trace, options, observer), gpus)
-            }
-            Tier::Fleet(fleet) => {
-                RunOutcome::from_fleet(fleet.run_observed(trace, options, observer), gpus)
-            }
+        let tier = self.tier();
+        let report = match &mut self.tier {
+            Tier::Single(system) => system.run_engine(trace, options, observer),
+            Tier::Fleet(fleet) => fleet.run_observed(trace, options, observer),
             Tier::Elastic {
                 fleet,
                 scaler,
                 faults,
             } => {
                 Self::assert_elastic_options(options);
-                let report = match observer {
+                match observer {
                     Some(observer) => fleet.run_observed(trace, scaler.as_mut(), faults, observer),
                     None => fleet.run_with_faults(trace, scaler.as_mut(), faults),
-                };
-                RunOutcome::from_elastic(report, gpus)
+                }
             }
-        }
+        };
+        let nodes = match tier {
+            TierKind::Elastic => report.peak_active_nodes(),
+            _ => report.nodes.len(),
+        };
+        RunOutcome::new(tier, report, nodes, nodes * gpus)
     }
 }
 

@@ -11,19 +11,20 @@
 //!   [`Deployment::elastic`]. All implement [`ServingBackend`], so
 //!   experiments, benches and tests drive any tier through one
 //!   `run(&Trace) -> RunOutcome` interface.
-//! * [`RunOutcome`] / [`Summary`] — the unified result layer wrapping
-//!   `ServingReport` / `FleetReport` / `ElasticReport` behind one
-//!   accessor surface (completions, hit rate, SLO attainment, GPU-hours,
+//! * [`RunOutcome`] / [`Summary`] — the unified result layer: every tier
+//!   reports the engine's [`ElasticReport`], and one accessor surface
+//!   answers over it (completions, hit rate, SLO attainment, GPU-hours,
 //!   per-node breakdowns), so cross-tier comparison tables are generic
-//!   code.
+//!   code. Each request counts once, at its terminal: a hit or a miss
+//!   when it completes.
 //! * The typed observer API — an [`Observer`] receives every
 //!   [`SimEvent`] (admitted, cache hit/miss, dispatched, completed,
 //!   scale-up/down, crash/recover) emitted from the shared
 //!   `modm_core::node::ServingNode` step and the control loop, with
 //!   built-in observers for latency histograms
-//!   ([`LatencyHistogramObserver`]), event-log capture
-//!   ([`EventLogObserver`]) and CSV/JSON trace export
-//!   ([`TraceExportObserver`]).
+//!   ([`LatencyHistogramObserver`]) and event-log capture
+//!   ([`EventLogObserver`]), whose capture exports as CSV or JSON
+//!   ([`events_to_csv`], [`events_to_json`]).
 //!
 //! The per-tier entry points stay public; `tests/deploy.rs` pins
 //! seed-for-seed equivalence between them and this API.
@@ -75,11 +76,10 @@ pub mod outcome;
 pub use deployment::{run_backend, DeployOptions, Deployment, LifecyclePlan, ServingBackend};
 pub use observers::{
     events_to_csv, events_to_json, EventLogObserver, LatencyHistogramObserver, MultiObserver,
-    TraceExportObserver,
 };
 pub use outcome::{summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary, TierKind};
-// The elastic and scenario tiers' report is built by the serving engine;
-// re-export it so deployment users need only this crate.
+// Every tier's report is built by the serving engine; re-export it so
+// deployment users need only this crate.
 pub use modm_controlplane::{ElasticReport, RegionSlice, RetryStats};
 
 // The observer vocabulary lives in modm-core (the nodes emit it); re-export

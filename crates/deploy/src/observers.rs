@@ -1,11 +1,11 @@
 //! Ready-made observers for the typed event stream: latency histograms,
-//! event-log capture, and CSV/JSON trace export.
+//! event-log capture and fan-out, plus CSV/JSON export of a capture.
 //!
-//! All three implement [`Observer`] and can be attached to any tier via
+//! Each implements [`Observer`] and can be attached to any tier via
 //! [`ServingBackend::run_observed`](crate::ServingBackend::run_observed).
 //! They are deliberately allocation-light: `on_event` runs inside the
-//! simulation's hot loop, and the export observers render their output
-//! only when asked.
+//! simulation's hot loop, and a capture is rendered only when
+//! [`events_to_csv`] or [`events_to_json`] is asked for it.
 
 use modm_core::events::{Observer, SimEvent};
 use modm_simkit::{Json, SimTime};
@@ -117,9 +117,9 @@ impl Observer for LatencyHistogramObserver {
 /// Captures the full event stream, timestamped, in arrival order.
 ///
 /// Useful for assertions ("a crash fired before the first scale-down")
-/// and for post-run analysis. By default memory grows with the event
-/// count (as does [`TraceExportObserver`], which captures the same
-/// stream); for long saturated runs either bound the log with
+/// and for post-run analysis; [`events_to_csv`] and [`events_to_json`]
+/// export a capture for offline analysis. By default memory grows with
+/// the event count; for long saturated runs either bound the log with
 /// [`EventLogObserver::with_capacity`] — a ring buffer keeping only the
 /// most recent events — or prefer [`LatencyHistogramObserver`], which
 /// stays O(buckets).
@@ -357,68 +357,6 @@ pub fn events_to_json(events: &[(SimTime, SimEvent)]) -> String {
     out
 }
 
-/// Exports the event stream as CSV or JSON lines for offline analysis.
-///
-/// A thin wrapper over [`EventLogObserver`] — capture is shared, only
-/// rendering differs, and [`events_to_csv`] / [`events_to_json`] are
-/// public so an existing [`EventLogObserver::events`] capture can be
-/// exported the same way. Memory grows with the event count.
-#[derive(Debug, Clone, Default)]
-pub struct TraceExportObserver {
-    log: EventLogObserver,
-}
-
-impl TraceExportObserver {
-    /// An empty exporter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of rows captured.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// True when nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Renders the stream as CSV (see [`events_to_csv`]).
-    pub fn to_csv(&self) -> String {
-        events_to_csv(self.log.events())
-    }
-
-    /// Renders the stream as JSON Lines (see [`events_to_json`]).
-    pub fn to_json(&self) -> String {
-        events_to_json(self.log.events())
-    }
-
-    /// Writes [`TraceExportObserver::to_csv`]'s output to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_csv(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Writes [`TraceExportObserver::to_json`]'s output to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-impl Observer for TraceExportObserver {
-    fn on_event(&mut self, at: SimTime, event: &SimEvent) {
-        self.log.on_event(at, event);
-    }
-}
-
 /// Fans one event stream out to several observers, in order.
 #[derive(Default)]
 pub struct MultiObserver<'a> {
@@ -518,8 +456,8 @@ mod tests {
 
     #[test]
     fn export_renders_csv_and_json() {
-        let mut exp = TraceExportObserver::new();
-        exp.on_event(
+        let mut log = EventLogObserver::new();
+        log.on_event(
             SimTime::from_secs_f64(1.5),
             &SimEvent::CacheHit {
                 node: 2,
@@ -528,11 +466,11 @@ mod tests {
                 k: 20,
             },
         );
-        exp.on_event(SimTime::from_secs_f64(3.0), &completed(1.5));
-        let csv = exp.to_csv();
+        log.on_event(SimTime::from_secs_f64(3.0), &completed(1.5));
+        let csv = events_to_csv(log.events());
         assert!(csv.starts_with("at_secs,event,node,request,tenant"));
         assert!(csv.contains("1.5,cache_hit,2,9,7,,,20,,,,,"));
-        let json = exp.to_json();
+        let json = events_to_json(log.events());
         assert!(json.contains("\"event\": \"cache_hit\""));
         assert!(json.contains("\"tenant\": 7"));
         assert!(json.contains("\"k\": 20"));
@@ -545,8 +483,8 @@ mod tests {
 
     #[test]
     fn export_renders_overload_events() {
-        let mut exp = TraceExportObserver::new();
-        exp.on_event(
+        let mut log = EventLogObserver::new();
+        log.on_event(
             SimTime::from_secs_f64(4.0),
             &SimEvent::Rejected {
                 node: 1,
@@ -555,7 +493,7 @@ mod tests {
                 retry_after_secs: 12.5,
             },
         );
-        exp.on_event(
+        log.on_event(
             SimTime::from_secs_f64(8.0),
             &SimEvent::ShedDeadline {
                 node: 1,
@@ -564,10 +502,10 @@ mod tests {
                 waited_secs: 480.5,
             },
         );
-        let csv = exp.to_csv();
+        let csv = events_to_csv(log.events());
         assert!(csv.contains("4,rejected,1,3,2,,,,,,,,12.5"));
         assert!(csv.contains("8,shed_deadline,1,5,2,,,,480.5,,,,"));
-        let json = exp.to_json();
+        let json = events_to_json(log.events());
         assert!(json.contains("\"event\": \"rejected\""));
         assert!(json.contains("\"retry_after_secs\": 12.5"));
         assert!(json.contains("\"event\": \"shed_deadline\""));
@@ -582,18 +520,12 @@ mod tests {
             redelivered: 5,
             lost_entries: 41,
         };
-        let mut exp = TraceExportObserver::new();
-        exp.on_event(SimTime::from_secs_f64(9.0), &crash);
-        assert!(exp.to_csv().contains("9,crash,3,,,,,,,,5,41,"));
-        assert!(exp
-            .to_json()
-            .contains("\"redelivered\": 5, \"lost_entries\": 41"));
-        // A raw EventLogObserver capture exports identically.
         let mut log = EventLogObserver::new();
         log.on_event(SimTime::from_secs_f64(9.0), &crash);
-        assert_eq!(events_to_csv(log.events()), exp.to_csv());
-        assert_eq!(events_to_json(log.events()), exp.to_json());
-        assert_eq!(json_rows(&exp.to_json()).len(), 1);
+        let json = events_to_json(log.events());
+        assert!(events_to_csv(log.events()).contains("9,crash,3,,,,,,,,5,41,"));
+        assert!(json.contains("\"redelivered\": 5, \"lost_entries\": 41"));
+        assert_eq!(json_rows(&json).len(), 1);
     }
 
     #[test]

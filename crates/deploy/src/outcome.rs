@@ -1,19 +1,18 @@
-//! The unified result layer: one accessor surface over the three tier
-//! reports, so cross-tier comparison tables are generic code.
+//! The unified result layer: one accessor surface over the serving
+//! engine's report, so cross-tier comparison tables are generic code.
 //!
-//! A [`RunOutcome`] wraps whichever report the tier produced
-//! ([`ServingReport`], [`FleetReport`] or [`ElasticReport`], which the
-//! elastic and scenario tiers share) and answers
-//! the questions every experiment asks — completions, hit rate,
-//! throughput, tail latency, SLO attainment, GPU-hours, per-node
-//! breakdown — identically across tiers. [`RunOutcome::summary`] flattens
-//! those answers into a plain [`Summary`] value that derives `PartialEq`,
-//! which is what the cross-tier equivalence tests compare and what the
-//! generic table printers render.
+//! Every tier runs on one engine, and every run reports an
+//! [`ElasticReport`]. A [`RunOutcome`] holds that report with the tier
+//! that ran and the deployment's size, and answers the questions every
+//! experiment asks — completions, hit rate, throughput, tail latency, SLO
+//! attainment, GPU-hours, per-node breakdown — identically across tiers.
+//! [`RunOutcome::summary`] flattens those answers into a plain
+//! [`Summary`] value that derives `PartialEq`, which is what the
+//! cross-tier equivalence tests compare and what the generic table
+//! printers render.
 
 use modm_controlplane::ElasticReport;
 use modm_core::report::{ServingReport, TenantSlice};
-use modm_fleet::FleetReport;
 use modm_metrics::SloThresholds;
 use modm_simkit::{Json, SimTime};
 use modm_workload::{QosClass, TenantId};
@@ -46,9 +45,10 @@ impl TierKind {
 
 /// One node's slice of an outcome, where the tier tracks it.
 ///
-/// Fleets report full per-node serving detail; elastic runs only keep
-/// per-node routing counts (their nodes come and go, and the serving
-/// state dies with each incarnation), so the detail fields are optional.
+/// Single and fleet tiers report full per-node serving detail; elastic
+/// and scenario runs only keep per-node routing counts (their nodes come
+/// and go, and the serving state dies with each incarnation), so the
+/// detail fields are optional.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSlice {
     /// Stable node id.
@@ -57,23 +57,12 @@ pub struct NodeSlice {
     pub routed: u64,
     /// Requests the node completed (`None` for elastic tiers).
     pub completed: Option<u64>,
-    /// The node's cache hit rate (`None` for elastic tiers).
+    /// The node's scheduler-level cache hit rate (`None` for elastic
+    /// tiers).
     pub hit_rate: Option<f64>,
 }
 
-/// The tier-specific report inside a [`RunOutcome`].
-///
-/// Reports are boxed: a `ServingReport` alone is half a kilobyte, and
-/// outcomes move through generic experiment code by value.
-#[derive(Debug, Clone)]
-enum TierReport {
-    Single(Box<ServingReport>),
-    Fleet(Box<FleetReport>),
-    /// An elastic fleet's or a multi-region scenario's run.
-    Elastic(Box<ElasticReport>),
-}
-
-/// What a deployment run produced: the tier's own report behind one
+/// What a deployment run produced: the engine's report behind one
 /// accessor surface.
 ///
 /// Tier-specific detail stays reachable through [`RunOutcome::as_single`]
@@ -81,8 +70,10 @@ enum TierReport {
 /// experiment to the unified API never loses information.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    report: TierReport,
-    /// The tier that ran: the elastic and scenario tiers share a report.
+    /// Boxed: the report carries every node's `ServingReport`, and
+    /// outcomes move through generic experiment code by value.
+    report: Box<ElasticReport>,
+    /// The tier that ran.
     tier: TierKind,
     /// Nodes the deployment ran (peak active count for elastic tiers).
     nodes: usize,
@@ -91,49 +82,14 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Wraps a single-node [`ServingReport`]. `total_gpus` is the
-    /// cluster's worker count (the report itself does not store it).
-    pub fn from_single(report: ServingReport, total_gpus: usize) -> Self {
+    /// Wraps the engine's report of a `tier` run. `nodes` is the node
+    /// count the deployment ran (the peak active set for the elastic
+    /// tier, every region's nodes for the scenario tier); `total_gpus`
+    /// the GPUs across those nodes.
+    pub fn new(tier: TierKind, report: ElasticReport, nodes: usize, total_gpus: usize) -> Self {
         RunOutcome {
-            report: TierReport::Single(Box::new(report)),
-            tier: TierKind::Single,
-            nodes: 1,
-            total_gpus,
-        }
-    }
-
-    /// Wraps a [`FleetReport`]. `gpus_per_node` is each node's worker
-    /// count (fleets are homogeneous).
-    pub fn from_fleet(report: FleetReport, gpus_per_node: usize) -> Self {
-        let nodes = report.nodes.len();
-        RunOutcome {
-            report: TierReport::Fleet(Box::new(report)),
-            tier: TierKind::Fleet,
-            nodes,
-            total_gpus: nodes * gpus_per_node,
-        }
-    }
-
-    /// Wraps an [`ElasticReport`]. `gpus_per_node` is each node's worker
-    /// count; the node count is the run's peak active set.
-    pub fn from_elastic(report: ElasticReport, gpus_per_node: usize) -> Self {
-        let nodes = report.peak_active_nodes();
-        RunOutcome {
-            report: TierReport::Elastic(Box::new(report)),
-            tier: TierKind::Elastic,
-            nodes,
-            total_gpus: nodes * gpus_per_node,
-        }
-    }
-
-    /// Wraps the [`ElasticReport`] of a multi-region run
-    /// (`modm_controlplane::run_regions`) as a scenario-tier outcome.
-    /// `nodes` is the total node count across regions; `total_gpus` the
-    /// GPUs across those nodes.
-    pub fn from_regions(report: ElasticReport, nodes: usize, total_gpus: usize) -> Self {
-        RunOutcome {
-            report: TierReport::Elastic(Box::new(report)),
-            tier: TierKind::Scenario,
+            report: Box::new(report),
+            tier,
             nodes,
             total_gpus,
         }
@@ -156,49 +112,29 @@ impl RunOutcome {
 
     /// Requests served.
     pub fn completed(&self) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.completed(),
-            TierReport::Fleet(r) => r.completed(),
-            TierReport::Elastic(r) => r.completed,
-        }
+        self.report.completed
     }
 
-    /// Requests served from cache.
+    /// Completions served from cache.
     pub fn hits(&self) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.hits,
-            TierReport::Fleet(r) => r.hits(),
-            TierReport::Elastic(r) => r.hits,
-        }
+        self.report.hits
     }
 
-    /// Requests requiring full generation.
+    /// Completions that required full generation.
     pub fn misses(&self) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.misses,
-            TierReport::Fleet(r) => r.misses(),
-            TierReport::Elastic(r) => r.misses,
-        }
+        self.report.misses
     }
 
     /// Requests refused at admission by tenant token buckets (zero
     /// unless the deployment configured rate limits).
     pub fn rejected(&self) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.rejected,
-            TierReport::Fleet(r) => r.rejected(),
-            TierReport::Elastic(r) => r.rejected,
-        }
+        self.report.rejected
     }
 
     /// Requests shed at dispatch after exceeding the queue-time budget
     /// (zero unless the deployment configured one).
     pub fn shed(&self) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.shed,
-            TierReport::Fleet(r) => r.shed(),
-            TierReport::Elastic(r) => r.shed,
-        }
+        self.report.shed
     }
 
     /// Requests offered to the deployment: completed plus refused plus
@@ -212,113 +148,73 @@ impl RunOutcome {
     /// scores zero — which is exactly why refusing hopeless work early
     /// can *raise* this number under overload.
     pub fn goodput(&self, multiple: f64) -> u64 {
-        match &self.report {
-            TierReport::Single(r) => r.goodput(multiple),
-            TierReport::Fleet(r) => r.goodput(multiple),
-            TierReport::Elastic(r) => r.goodput(multiple),
-        }
+        self.report.goodput(multiple)
     }
 
-    /// Cache hit rate over the run.
+    /// Cache hit rate over the completions.
     pub fn hit_rate(&self) -> f64 {
-        match &self.report {
-            TierReport::Single(r) => r.hit_rate(),
-            TierReport::Fleet(r) => r.hit_rate(),
-            TierReport::Elastic(r) => r.hit_rate(),
-        }
+        self.report.hit_rate()
     }
 
     /// Sustained throughput, requests/minute.
     pub fn requests_per_minute(&self) -> f64 {
-        match &self.report {
-            TierReport::Single(r) => r.requests_per_minute(),
-            TierReport::Fleet(r) => r.requests_per_minute(),
-            TierReport::Elastic(r) => r.requests_per_minute(),
-        }
+        self.report.requests_per_minute()
     }
 
     /// P99 end-to-end latency, seconds (`None` before any completion).
     pub fn p99_secs(&mut self) -> Option<f64> {
-        match &mut self.report {
-            TierReport::Single(r) => r.p99_secs(),
-            TierReport::Fleet(r) => r.p99_secs(),
-            TierReport::Elastic(r) => r.latency.p99_secs(),
-        }
+        self.report.latency.p99_secs()
     }
 
     /// Fraction of requests meeting the SLO at `multiple` × the
     /// large-model latency.
     pub fn slo_attainment(&self, multiple: f64) -> f64 {
-        match &self.report {
-            TierReport::Single(r) => 1.0 - r.slo_violation_rate(multiple),
-            TierReport::Fleet(r) => 1.0 - r.slo_violation_rate(multiple),
-            TierReport::Elastic(r) => 1.0 - r.latency.slo_violation_rate(&r.slo, multiple),
-        }
+        1.0 - self
+            .report
+            .latency
+            .slo_violation_rate(&self.report.slo, multiple)
     }
 
-    /// GPU-hours the run consumed. Static tiers occupy all their GPUs
-    /// for the whole run; the elastic and scenario tiers meter per-node
-    /// occupancy from provisioning to release, crash or region loss.
+    /// GPU-hours the run consumed, metered per node from provisioning to
+    /// release, crash or region loss (a static tier's nodes run from
+    /// time zero to the last completion).
     pub fn gpu_hours(&self) -> f64 {
-        match &self.report {
-            TierReport::Single(r) => self.total_gpus as f64 * r.finished_at.as_secs_f64() / 3600.0,
-            TierReport::Fleet(r) => self.total_gpus as f64 * r.finished_at.as_secs_f64() / 3600.0,
-            TierReport::Elastic(r) => r.gpu_hours,
-        }
+        self.report.gpu_hours
     }
 
     /// Virtual time of the last completion.
     pub fn finished_at(&self) -> SimTime {
-        match &self.report {
-            TierReport::Single(r) => r.finished_at,
-            TierReport::Fleet(r) => r.finished_at,
-            TierReport::Elastic(r) => r.finished_at,
-        }
+        self.report.finished_at
     }
 
     /// Per-tenant slices, sorted by tenant id — identical shape across
     /// tiers. Single-tenant runs report exactly one slice for the default
     /// tenant.
     pub fn tenant_slices(&self) -> &[TenantSlice] {
-        match &self.report {
-            TierReport::Single(r) => &r.tenant_slices,
-            TierReport::Fleet(r) => &r.tenant_slices,
-            TierReport::Elastic(r) => &r.tenant_slices,
-        }
+        &self.report.tenant_slices
     }
 
     /// The deployment's SLO reference (shared by every node — fleets are
     /// homogeneous).
     pub fn slo_thresholds(&self) -> SloThresholds {
-        match &self.report {
-            TierReport::Single(r) => r.slo,
-            TierReport::Fleet(r) => r.nodes.first().expect("fleet has nodes").report.slo,
-            TierReport::Elastic(r) => r.slo,
-        }
+        self.report.slo
     }
 
-    /// Max-over-mean of per-node routed counts, where the tier routes
-    /// (`None` for single-node deployments).
+    /// Max-over-mean of per-node routed counts, for the fleet tier
+    /// (`None` for the others).
     pub fn load_imbalance(&self) -> Option<f64> {
-        match &self.report {
-            TierReport::Single(_) => None,
-            TierReport::Fleet(r) => Some(r.load_imbalance()),
-            TierReport::Elastic(_) => None,
-        }
+        (self.tier == TierKind::Fleet).then(|| self.report.load_imbalance())
     }
 
     /// Per-node breakdown, in node order. Single-node deployments report
-    /// one slice; elastic tiers report routing counts only (see
-    /// [`NodeSlice`]).
+    /// one slice; elastic and scenario tiers report routing counts only
+    /// (see [`NodeSlice`]).
     pub fn per_node(&self) -> Vec<NodeSlice> {
-        match &self.report {
-            TierReport::Single(r) => vec![NodeSlice {
-                node: 0,
-                routed: r.completed(),
-                completed: Some(r.completed()),
-                hit_rate: Some(r.hit_rate()),
-            }],
-            TierReport::Fleet(r) => r
+        // A static tier's nodes all serve to the end of the run, so their
+        // reports cover the whole deployment.
+        if matches!(self.tier, TierKind::Single | TierKind::Fleet) {
+            return self
+                .report
                 .nodes
                 .iter()
                 .map(|n| NodeSlice {
@@ -327,71 +223,41 @@ impl RunOutcome {
                     completed: Some(n.report.completed()),
                     hit_rate: Some(n.report.hit_rate()),
                 })
-                .collect(),
-            TierReport::Elastic(r) => r
-                .routed_per_node
-                .iter()
-                .enumerate()
-                .map(|(node, &routed)| NodeSlice {
-                    node,
-                    routed,
-                    completed: None,
-                    hit_rate: None,
-                })
-                .collect(),
+                .collect();
         }
+        self.report
+            .routed_per_node
+            .iter()
+            .enumerate()
+            .map(|(node, &routed)| NodeSlice {
+                node,
+                routed,
+                completed: None,
+                hit_rate: None,
+            })
+            .collect()
     }
 
-    /// The single-node report, if this is a single-tier outcome.
+    /// The node's report, if this is a single-tier outcome.
     pub fn as_single(&self) -> Option<&ServingReport> {
-        match &self.report {
-            TierReport::Single(r) => Some(r),
-            _ => None,
-        }
+        (self.tier == TierKind::Single).then(|| &self.report.nodes[0].report)
     }
 
-    /// The fleet report, if this is a fleet-tier outcome.
-    pub fn as_fleet(&self) -> Option<&FleetReport> {
-        match &self.report {
-            TierReport::Fleet(r) => Some(r),
-            _ => None,
-        }
+    /// The engine's report, if this is a fleet-tier outcome.
+    pub fn as_fleet(&self) -> Option<&ElasticReport> {
+        (self.tier == TierKind::Fleet).then_some(&*self.report)
     }
 
-    /// The elastic report, if this is an elastic- or scenario-tier
+    /// The engine's report, if this is an elastic- or scenario-tier
     /// outcome.
     pub fn as_elastic(&self) -> Option<&ElasticReport> {
-        match &self.report {
-            TierReport::Elastic(r) => Some(r),
-            _ => None,
-        }
+        matches!(self.tier, TierKind::Elastic | TierKind::Scenario).then_some(&*self.report)
     }
 
     /// Flattens the outcome into a comparable [`Summary`], judging SLO
     /// attainment (overall and per tenant) at `slo_multiple` × the
     /// large-model latency.
     pub fn summary(&mut self, slo_multiple: f64) -> Summary {
-        let slo = self.slo_thresholds();
-        let tenants = self
-            .tenant_slices()
-            .iter()
-            .map(|slice| {
-                let mut slice = slice.clone();
-                TenantSummary {
-                    tenant: slice.tenant,
-                    qos: slice.qos,
-                    completed: slice.completed,
-                    hits: slice.hits,
-                    misses: slice.misses,
-                    rejected: slice.rejected,
-                    shed: slice.shed,
-                    goodput: slice.goodput(&slo, slo_multiple),
-                    hit_rate: slice.hit_rate(),
-                    p99_secs: slice.p99_secs(),
-                    slo_attainment: slice.slo_attainment(&slo, slo_multiple),
-                }
-            })
-            .collect();
         Summary {
             tier: self.tier(),
             nodes: self.nodes,
@@ -409,9 +275,36 @@ impl RunOutcome {
             slo_attainment: self.slo_attainment(slo_multiple),
             gpu_hours: self.gpu_hours(),
             finished_mins: self.finished_at().as_mins_f64(),
-            tenants,
+            tenants: tenant_rows(self.tenant_slices(), &self.slo_thresholds(), slo_multiple),
         }
     }
+}
+
+/// One [`TenantSummary`] per slice, judged at `slo_multiple` × `slo`.
+fn tenant_rows(
+    slices: &[TenantSlice],
+    slo: &SloThresholds,
+    slo_multiple: f64,
+) -> Vec<TenantSummary> {
+    slices
+        .iter()
+        .map(|slice| {
+            let mut slice = slice.clone();
+            TenantSummary {
+                tenant: slice.tenant,
+                qos: slice.qos,
+                completed: slice.completed,
+                hits: slice.hits,
+                misses: slice.misses,
+                rejected: slice.rejected,
+                shed: slice.shed,
+                goodput: slice.goodput(slo, slo_multiple),
+                hit_rate: slice.hit_rate(),
+                p99_secs: slice.p99_secs(),
+                slo_attainment: slice.slo_attainment(slo, slo_multiple),
+            }
+        })
+        .collect()
 }
 
 /// One tenant's row of a [`Summary`]: its completion, cache and SLO
@@ -523,6 +416,37 @@ pub struct Summary {
 }
 
 impl Summary {
+    /// Summarizes one node's [`ServingReport`] from a loop of its own
+    /// (the paper's baselines), judging SLO attainment at `slo_multiple`
+    /// × the large-model latency. The counters are the node's
+    /// scheduler-level ones; GPU-hours are `total_gpus` busy from time
+    /// zero to the last completion.
+    pub fn from_node_report(
+        mut report: ServingReport,
+        total_gpus: usize,
+        slo_multiple: f64,
+    ) -> Summary {
+        Summary {
+            tier: TierKind::Single,
+            nodes: 1,
+            total_gpus,
+            completed: report.completed(),
+            hits: report.hits,
+            misses: report.misses,
+            rejected: report.rejected,
+            shed: report.shed,
+            goodput: report.goodput(slo_multiple),
+            hit_rate: report.hit_rate(),
+            requests_per_minute: report.requests_per_minute(),
+            p99_secs: report.p99_secs(),
+            slo_multiple,
+            slo_attainment: 1.0 - report.slo_violation_rate(slo_multiple),
+            gpu_hours: total_gpus as f64 * report.finished_at.as_secs_f64() / 3600.0,
+            finished_mins: report.finished_at.as_mins_f64(),
+            tenants: tenant_rows(&report.tenant_slices, &report.slo, slo_multiple),
+        }
+    }
+
     /// Compares two summaries with float tolerance `epsilon` (mixed
     /// absolute/relative; discrete fields compare exactly).
     ///

@@ -10,7 +10,7 @@ use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm_cluster::GpuKind;
 use modm_controlplane::ServingSystem;
 use modm_core::{MoDMConfig, RunOptions};
-use modm_deploy::{DeployOptions, Deployment, RunOutcome, ServingBackend, Summary};
+use modm_deploy::{DeployOptions, Deployment, ServingBackend, Summary};
 use modm_diffusion::ModelId;
 use modm_workload::{Trace, TraceBuilder};
 
@@ -77,15 +77,15 @@ pub fn modm(large: ModelId, small: ModelId, cache: usize) -> ServingSystem {
 /// Runs the five Fig 7/8 systems on a trace, returning `(label, summary)`
 /// pairs with Vanilla first.
 ///
-/// The baselines run through their legacy engines and the MoDM variants
-/// through [`Deployment::single`]; both sides land in the same
-/// [`Summary`] shape via [`RunOutcome`], which is what makes the fig7
-/// tables generic over system kind.
+/// The baselines run through their own engine and land in a [`Summary`]
+/// through [`Summary::from_node_report`]; the MoDM variants run through
+/// [`Deployment::single`]. Both sides share the [`Summary`] shape, which
+/// is what makes the fig7 tables generic over system kind.
 pub fn run_fig7_suite(trace: &Trace, large: ModelId) -> Vec<(String, Summary)> {
     let opts = saturated();
     let floor = trace.dataset().fid_floor();
     let (gpu, n) = CLUSTER;
-    let summarize = |report| RunOutcome::from_single(report, n).summary(2.0);
+    let summarize = |report| Summary::from_node_report(report, n, 2.0);
     let mut out = Vec::new();
     out.push((
         "Vanilla".to_string(),

@@ -1,5 +1,4 @@
-//! `modm-fleet` — routing, sharding and reports for multi-node MoDM
-//! serving.
+//! `modm-fleet` — routing and sharding for multi-node MoDM serving.
 //!
 //! The paper's deployment is one cluster with one monolithic image
 //! cache. This crate holds the pieces that spread it over N serving
@@ -20,8 +19,9 @@
 //! * [`GeoRouter`] — one level above the per-region router: latency-
 //!   biased region selection with typed-`Result` region loss/restore,
 //!   the primitive under the two-region failover scenarios.
-//! * [`FleetReport`] — per-node [`modm_core::ServingReport`]s plus the
-//!   fleet-wide latency/SLO/throughput/hit-rate aggregates.
+//!
+//! What a run measured, per node and fleet-wide, is the serving
+//! engine's report (`modm_controlplane::ElasticReport`).
 //!
 //! # Example
 //!
@@ -41,14 +41,12 @@
 
 pub mod affinity;
 pub mod geo;
-pub mod report;
 pub mod ring;
 pub mod router;
 pub mod shard;
 
 pub use affinity::{LeaderVerdict, SemanticClusterer};
 pub use geo::{GeoError, GeoRouter};
-pub use report::{FleetReport, NodeReport};
 pub use ring::{HashRing, RingMembershipError};
 pub use router::{Router, RouterConfigError, RoutingConfig, RoutingPolicy};
 pub use shard::{HandoffReport, RebalanceReport, ShardSummary, ShardedCache};

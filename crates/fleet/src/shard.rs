@@ -8,7 +8,7 @@
 //! recovers most of the monolithic cache's hit rate while `RoundRobin`
 //! scatters sessions over shards and loses it.
 
-use modm_cache::{CacheConfig, CacheStats, ImageCache};
+use modm_cache::{CacheConfig, ImageCache};
 use modm_diffusion::GeneratedImage;
 use modm_embedding::Embedding;
 use modm_simkit::SimTime;
@@ -37,6 +37,21 @@ pub struct ShardSummary {
     pub len: usize,
     /// Total capacity.
     pub capacity: usize,
+}
+
+/// Summing shard summaries adds every counter: what a multi-region run
+/// reports for all of its regions' shards.
+impl std::iter::Sum for ShardSummary {
+    fn sum<I: Iterator<Item = ShardSummary>>(iter: I) -> Self {
+        iter.fold(ShardSummary::default(), |a, b| ShardSummary {
+            lookups: a.lookups + b.lookups,
+            hits: a.hits + b.hits,
+            insertions: a.insertions + b.insertions,
+            evictions: a.evictions + b.evictions,
+            len: a.len + b.len,
+            capacity: a.capacity + b.capacity,
+        })
+    }
 }
 
 impl ShardSummary {
@@ -151,11 +166,6 @@ impl ShardedCache {
     /// Sum of shard capacities.
     pub fn total_capacity(&self) -> usize {
         self.shards.iter().map(ImageCache::capacity).sum()
-    }
-
-    /// Per-shard statistics, in shard order.
-    pub fn per_shard_stats(&self) -> Vec<&CacheStats> {
-        self.shards.iter().map(ImageCache::stats).collect()
     }
 
     /// Aggregated counters over all shards.

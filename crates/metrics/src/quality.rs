@@ -63,11 +63,6 @@ impl QualityAggregator {
         self.inception.score()
     }
 
-    /// The fidelity feature moments, for FID against a ground-truth set.
-    pub fn feature_stats(&self) -> &GaussianStats {
-        &self.features
-    }
-
     /// FID against a ground-truth aggregator (the paper generates the
     /// ground truth with the large model under different seeds).
     ///

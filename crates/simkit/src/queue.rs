@@ -74,13 +74,6 @@ impl<T> FifoQueue<T> {
         Some(q)
     }
 
-    /// Removes the oldest item *without* recording a wait observation —
-    /// for draining a queue that is being abandoned (e.g. a crashed node
-    /// re-delivering its backlog) rather than served.
-    pub fn pop_front_untimed(&mut self) -> Option<T> {
-        self.items.pop_front().map(|q| q.item)
-    }
-
     /// Looks at the oldest item without removing it.
     pub fn peek(&self) -> Option<&Queued<T>> {
         self.items.front()

@@ -41,7 +41,7 @@ fn main() {
             policy.name(),
             report.hit_rate(),
             report.requests_per_minute(),
-            report.p99_secs().unwrap_or(0.0),
+            report.latency.p99_secs().unwrap_or(0.0),
             report.load_imbalance()
         );
     }

@@ -13,13 +13,13 @@
 //! * [`core`] — the MoDM node (scheduler decision, global monitor, PID,
 //!   per-node serving step) and the typed [`core::events`] stream.
 //! * [`baselines`] — Vanilla, Nirvana and Pinecone baselines.
-//! * [`fleet`] — multi-node sharded serving: pluggable request routing,
-//!   a consistent-hash semantic cache and the fleet report.
+//! * [`fleet`] — multi-node sharded serving: pluggable request routing
+//!   and a consistent-hash semantic cache.
 //! * [`controlplane`] — the serving engine, one event loop behind the
 //!   single node ([`controlplane::ServingSystem`], a fleet of one), the
 //!   fixed fleet ([`controlplane::Fleet`], an elastic fleet that holds)
 //!   and elastic autoscaling: node lifecycle, cache handoff, fault
-//!   injection.
+//!   injection. Every run reports one [`controlplane::ElasticReport`].
 //! * [`deploy`] — **the front door**: one [`deploy::Deployment`] builder
 //!   across all three tiers, the unified [`deploy::RunOutcome`] /
 //!   [`deploy::Summary`] result layer, and the [`deploy::Observer`] API.

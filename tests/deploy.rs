@@ -39,13 +39,15 @@ fn trace(seed: u64, requests: usize) -> Trace {
 fn single_deployment_matches_legacy_serving_system() {
     let cfg = node_config(8, 1_000);
     let t = trace(101, 300);
-    let legacy = ServingSystem::new(cfg.clone()).run(&t);
+    let system = ServingSystem::new(cfg.clone());
+    let legacy = system.run(&t);
     let mut unified = Deployment::single(cfg.clone()).run(&t);
 
     // Summary-level identity (the acceptance criterion). approx_eq, not
     // the derived PartialEq: the claim is behavioral equivalence, and raw
     // f64 equality would also break on benign float reassociation.
-    let legacy_summary = RunOutcome::from_single(legacy.clone(), cfg.num_gpus).summary(2.0);
+    let engine = system.run_engine(&t, RunOptions::default(), None);
+    let legacy_summary = RunOutcome::new(TierKind::Single, engine, 1, cfg.num_gpus).summary(2.0);
     assert!(unified.summary(2.0).approx_eq(&legacy_summary, EPS));
     assert_eq!(unified.tier(), TierKind::Single);
 
@@ -62,10 +64,10 @@ fn single_deployment_matches_legacy_serving_system() {
 fn single_deployment_matches_legacy_under_warmup_and_saturation() {
     let cfg = node_config(8, 1_000);
     let t = trace(102, 400);
-    let legacy = ServingSystem::new(cfg.clone()).run_with(&t, RunOptions::saturated(100));
+    let legacy = ServingSystem::new(cfg.clone()).run_engine(&t, RunOptions::saturated(100), None);
     let mut unified = Deployment::single(cfg.clone()).run_with(&t, DeployOptions::saturated(100));
     assert!(unified.summary(2.0).approx_eq(
-        &RunOutcome::from_single(legacy, cfg.num_gpus).summary(2.0),
+        &RunOutcome::new(TierKind::Single, legacy, 1, cfg.num_gpus).summary(2.0),
         EPS
     ));
 }
@@ -91,7 +93,7 @@ fn fleet_deployment_matches_legacy_fleet() {
     );
     assert_eq!(unified.tier(), TierKind::Fleet);
 
-    let legacy_outcome = RunOutcome::from_fleet(legacy.clone(), cfg.num_gpus);
+    let legacy_outcome = RunOutcome::new(TierKind::Fleet, legacy.clone(), 4, 4 * cfg.num_gpus);
     let per_node = unified.per_node();
     for (slice, node) in per_node.iter().zip(&legacy.nodes) {
         assert_eq!(slice.routed, node.routed);
@@ -101,7 +103,7 @@ fn fleet_deployment_matches_legacy_fleet() {
         .summary(2.0)
         .approx_eq(&legacy_outcome.clone().summary(2.0), EPS));
     let new = unified.as_fleet().expect("fleet tier");
-    assert_eq!(new.hits(), legacy.hits());
+    assert_eq!(new.hits, legacy.hits);
     assert_eq!(new.load_imbalance(), legacy.load_imbalance());
 }
 
@@ -128,10 +130,12 @@ fn elastic_deployment_matches_legacy_elastic_fleet() {
     let mut unified =
         Deployment::elastic(cfg.clone(), plan(), LifecyclePlan::new(4, 2, 8), faults).run(&t);
     assert_eq!(unified.tier(), TierKind::Elastic);
-    assert!(unified.summary(2.0).approx_eq(
-        &RunOutcome::from_elastic(legacy.clone(), cfg.num_gpus).summary(2.0),
-        EPS
-    ));
+    let peak = legacy.peak_active_nodes();
+    let legacy_outcome =
+        RunOutcome::new(TierKind::Elastic, legacy.clone(), peak, peak * cfg.num_gpus);
+    assert!(unified
+        .summary(2.0)
+        .approx_eq(&legacy_outcome.clone().summary(2.0), EPS));
     let new = unified.as_elastic().expect("elastic tier");
     assert_eq!(new.completed, legacy.completed);
     assert_eq!(new.hits, legacy.hits);

@@ -146,7 +146,7 @@ fn elastic_and_static_fleet_agree_on_workload_accounting() {
         modm::controlplane::ElasticFleetConfig::new(node, 4, 4, 4),
     )
     .run(&trace, &mut HoldAutoscaler);
-    assert_eq!(elastic.completed, fixed.completed());
+    assert_eq!(elastic.completed, fixed.completed);
     assert!(
         (elastic.hit_rate() - fixed.hit_rate()).abs() < 0.05,
         "elastic {} vs fixed {} hit rate",

@@ -2,9 +2,9 @@
 //! routing-policy claims must hold on full serving runs.
 
 use modm::cluster::GpuKind;
-use modm::controlplane::Fleet;
+use modm::controlplane::{ElasticReport, Fleet};
 use modm::core::MoDMConfig;
-use modm::fleet::{FleetReport, Router, RoutingPolicy};
+use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::TraceBuilder;
 
 /// Fleet-wide budget: 16 GPUs / 8k cache over 8 nodes.
@@ -17,7 +17,7 @@ fn node_config() -> MoDMConfig {
         .build()
 }
 
-fn run(policy: RoutingPolicy, seed: u64) -> FleetReport {
+fn run(policy: RoutingPolicy, seed: u64) -> ElasticReport {
     let trace = TraceBuilder::diffusion_db(seed)
         .requests(1_600)
         .rate_per_min(20.0)
@@ -57,8 +57,8 @@ fn fleet_conserves_requests_across_policies() {
         RoutingPolicy::CacheAffinity,
     ] {
         let r = run(policy, 4);
-        assert_eq!(r.completed(), 1_600, "{policy:?}");
-        assert_eq!(r.hits() + r.misses(), 1_600, "{policy:?}");
+        assert_eq!(r.completed, 1_600, "{policy:?}");
+        assert_eq!(r.hits + r.misses, 1_600, "{policy:?}");
         let per_node: u64 = r.nodes.iter().map(|n| n.report.completed()).sum();
         assert_eq!(per_node, 1_600, "{policy:?}");
     }
@@ -68,7 +68,7 @@ fn fleet_conserves_requests_across_policies() {
 fn fleet_runs_are_deterministic() {
     let a = run(RoutingPolicy::CacheAffinity, 5);
     let b = run(RoutingPolicy::CacheAffinity, 5);
-    assert_eq!(a.hits(), b.hits());
+    assert_eq!(a.hits, b.hits);
     assert!((a.requests_per_minute() - b.requests_per_minute()).abs() < 1e-12);
     for (x, y) in a.nodes.iter().zip(&b.nodes) {
         assert_eq!(x.routed, y.routed);

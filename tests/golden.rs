@@ -31,7 +31,7 @@ use modm::controlplane::{FaultInjector, ScaleDecision, ScheduledAutoscaler};
 use modm::core::{MoDMConfig, ServingReport, TenancyPolicy, TenantShare};
 use modm::deploy::{
     summaries_to_json, DeployOptions, Deployment, EventLogObserver, LifecyclePlan, RunOutcome,
-    ServingBackend, Summary,
+    ServingBackend, Summary, TierKind,
 };
 use modm::fleet::{Router, RoutingPolicy};
 use modm::scenario::RetryPolicy;
@@ -202,8 +202,8 @@ fn scenarios_full_rows() -> String {
     ];
     let mut rendered = String::new();
     for (label, scenario) in runs {
-        let mut outcome =
-            RunOutcome::from_regions(scenario.run(), scenario.nodes(), scenario.total_gpus());
+        let (nodes, gpus) = (scenario.nodes(), scenario.total_gpus());
+        let mut outcome = RunOutcome::new(TierKind::Scenario, scenario.run(), nodes, gpus);
         rendered.push_str(&outcome.summary(scenarios::SLO_MULTIPLE).to_json(label));
         rendered.push('\n');
         let report = outcome.as_elastic().expect("the engine's report");
@@ -326,9 +326,22 @@ fn single_closed_loop_rows(observe: bool) -> (String, Vec<Summary>) {
     (rendered, summaries)
 }
 
+/// Asserts one accounting: every row, and each of its tenants, counts a
+/// request as a hit or a miss exactly when it completes.
+fn assert_each_completion_counts_once(summaries: &[Summary]) {
+    for summary in summaries {
+        let tier = summary.tier.name();
+        assert_eq!(summary.hits + summary.misses, summary.completed, "{tier}");
+        for t in &summary.tenants {
+            assert_eq!(t.hits + t.misses, t.completed, "{tier} tenant {}", t.tenant);
+        }
+    }
+}
+
 #[test]
 fn single_closed_loop_matches_golden_snapshot() {
     let (rendered, summaries) = single_closed_loop_rows(false);
+    assert_each_completion_counts_once(&summaries);
     // The saturated run must exercise both closed-loop backfill paths:
     // refusals retry after their hint, sheds release their slot.
     assert!(summaries[0].rejected > 0, "token buckets must refuse");
@@ -425,6 +438,7 @@ fn engine_rows(observe: bool) -> (String, Vec<Summary>) {
 #[test]
 fn engine_matches_golden_snapshot() {
     let (rendered, summaries) = engine_rows(false);
+    assert_each_completion_counts_once(&summaries);
     for (summary, tier) in summaries.iter().zip(["fleet", "elastic"]) {
         assert!(summary.rejected > 0, "{tier}: token buckets must refuse");
         assert!(summary.shed > 0, "{tier}: the queue budget must shed");

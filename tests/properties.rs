@@ -1051,11 +1051,10 @@ fn fleet_conserves_requests_property() {
         );
         let r = fleet.run(&t);
         assert_eq!(
-            r.completed(),
-            n as u64,
+            r.completed, n as u64,
             "case {case} ({policy:?}, {nodes} nodes)"
         );
-        assert_eq!(r.hits() + r.misses(), n as u64, "case {case}");
+        assert_eq!(r.hits + r.misses, n as u64, "case {case}");
     }
 }
 
@@ -1063,10 +1062,11 @@ fn fleet_conserves_requests_property() {
 fn cache_counters_agree_with_scheduler_decisions_under_overload() {
     // Admission runs before the cache decision, so only admitted requests
     // probe the cache: its own lookup and hit counters equal the
-    // scheduler's hit/miss decisions (shed work included, since it was
-    // routed before it was shed) even while token buckets refuse.
+    // scheduler's hit/miss decisions in the node reports (shed work
+    // included, since it was routed before it was shed) even while token
+    // buckets refuse.
     use modm::cluster::GpuKind;
-    use modm::core::MoDMConfig;
+    use modm::core::{MoDMConfig, ServingReport};
     use modm::deploy::{DeployOptions, Deployment, ServingBackend};
     use modm::fleet::{Router, RoutingPolicy};
     use modm::workload::{TenantMix, TraceBuilder};
@@ -1112,14 +1112,23 @@ fn cache_counters_agree_with_scheduler_decisions_under_overload() {
             for mut deployment in deployments {
                 let mut outcome = deployment.run_with(&trace, options);
                 let summary = outcome.summary(2.0);
-                let (lookups, hits) = match (outcome.as_single(), outcome.as_fleet()) {
-                    (Some(report), _) => (report.cache_stats.lookups(), report.cache_stats.hits()),
-                    (_, Some(report)) => (report.cache.lookups, report.cache.hits),
+                let nodes: Vec<&ServingReport> = match (outcome.as_single(), outcome.as_fleet()) {
+                    (Some(report), _) => vec![report],
+                    (_, Some(report)) => report.nodes.iter().map(|n| &n.report).collect(),
                     _ => unreachable!("single or fixed fleet"),
                 };
+                let sum = |count: fn(&ServingReport) -> u64| nodes.iter().map(|r| count(r)).sum();
+                let lookups: u64 = sum(|r| r.cache_stats.lookups());
+                let cache_hits: u64 = sum(|r| r.cache_stats.hits());
+                let (decided_hits, decided_misses): (u64, u64) =
+                    (sum(|r| r.hits), sum(|r| r.misses));
                 let label = format!("seed {seed} case {case} {:?} ({policy:?})", summary.tier);
-                assert_eq!(lookups, summary.hits + summary.misses, "{label}");
-                assert_eq!(hits, summary.hits, "{label}");
+                assert_eq!(lookups, decided_hits + decided_misses, "{label}");
+                assert_eq!(cache_hits, decided_hits, "{label}");
+                // The summary counts each completion once; shed work was
+                // decided but never completes.
+                assert_eq!(summary.hits + summary.misses, summary.completed, "{label}");
+                assert!(summary.hits <= decided_hits, "{label}");
                 rejected += summary.rejected;
                 shed += summary.shed;
             }
