@@ -1094,7 +1094,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// The report of an executed run: fleet-wide counters, GPU-hours
     /// metered per node, the control-plane log, the per-window series,
     /// retry accounting, one slice per region, and one [`NodeReport`]
-    /// per node still serving.
+    /// per node when every node served the whole run.
     pub(crate) fn into_elastic_report(self) -> ElasticReport {
         let gpu_hours =
             self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
@@ -1118,31 +1118,29 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 }
             })
             .collect();
-        let nodes = self
-            .nodes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(id, node)| {
-                let node = node?;
-                // The serving state was built when the node last became
-                // active (time zero for the initial nodes).
-                let history = self.lifecycle[id].history();
-                let (started, _) = *history
-                    .iter()
-                    .rev()
-                    .find(|(_, state)| *state == NodeState::Active)
-                    .expect("a serving node became active");
-                let shard = self.regions[id / self.region_size]
-                    .cache
-                    .shard(id % self.region_size);
-                let stats = shard.stats().clone();
-                Some(NodeReport {
-                    node: id,
-                    routed: routed_per_node[id],
-                    report: node.into_report(started, self.finished_at, self.slo, stats),
+        // A node's serving report covers the whole run only if the node
+        // served from time zero to the end; a fleet whose nodes came and
+        // went reports routing counts alone.
+        let mut lifecycles = self.nodes.iter().zip(&self.lifecycle);
+        let whole_run =
+            lifecycles.all(|(node, lifecycle)| node.is_some() && lifecycle.history().len() == 1);
+        let nodes = if whole_run {
+            let nodes = self.nodes.into_iter().flatten().enumerate();
+            nodes
+                .map(|(id, node)| {
+                    let shard = self.regions[id / self.region_size]
+                        .cache
+                        .shard(id % self.region_size);
+                    NodeReport {
+                        node: id,
+                        routed: routed_per_node[id],
+                        report: node.into_report(self.finished_at, self.slo, shard.stats().clone()),
+                    }
                 })
-            })
-            .collect();
+                .collect()
+        } else {
+            Vec::new()
+        };
         ElasticReport {
             scaler: self.scaler.name(),
             completed: self.completed,

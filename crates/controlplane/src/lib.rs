@@ -24,8 +24,8 @@
 //! count each request once, at its terminal (a hit or a miss when it
 //! completes), GPU-hours metered per node, the control-plane log, retry
 //! accounting ([`RetryStats`]), one [`RegionSlice`] per region, and one
-//! [`NodeReport`] per node still serving at the end — every node of a
-//! fixed fleet. [`ServingSystem`] hands back its one node's
+//! [`NodeReport`] per node when every node served the whole run — every
+//! node of a fixed fleet. [`ServingSystem`] hands back its one node's
 //! `ServingReport`.
 //!
 //! Each entry point salts the run's RNG with its own private constant,

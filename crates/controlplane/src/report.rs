@@ -150,10 +150,10 @@ pub struct NodeReport {
     pub node: usize,
     /// Requests the router sent to this node.
     pub routed: u64,
-    /// The node's serving report over its last incarnation, from when it
-    /// became active to the end of the run. Its hit and miss counts are
-    /// scheduler-level (taken when each request was decided, shed work
-    /// included), and its `cache_stats` are the node's shard statistics.
+    /// The node's serving report over the whole run. Its hit and miss
+    /// counts are scheduler-level (taken when each request was decided,
+    /// shed work included), and its `cache_stats` are the node's shard
+    /// statistics.
     pub report: ServingReport,
 }
 
@@ -202,8 +202,9 @@ pub struct ElasticReport {
     pub retry: RetryStats,
     /// Per-region slices, in region order (one for single-region runs).
     pub regions: Vec<RegionSlice>,
-    /// One report per node that is serving at the end of the run, in id
-    /// order: every node of a fixed fleet.
+    /// One report per node, in id order, when every node served from time
+    /// zero to the end of the run (every node of a fixed fleet); empty
+    /// when nodes came and went.
     pub nodes: Vec<NodeReport>,
     /// Shard-cache counters, summed over every region's shards.
     pub cache: ShardSummary,

@@ -544,21 +544,19 @@ impl ServingNode {
         pending
     }
 
-    /// Finalizes the node into its [`ServingReport`]. `started` is when
-    /// the node began serving and `finished_at` the host loop's
-    /// last-completion time (energy idles in between), and `cache_stats`
-    /// are the statistics of whatever cache the host scheduled this node
-    /// against.
+    /// Finalizes the node into its [`ServingReport`]. `finished_at` is the
+    /// host loop's last-completion time (energy idles until then), and
+    /// `cache_stats` are the statistics of whatever cache the host
+    /// scheduled this node against.
     pub fn into_report(
         self,
-        started: SimTime,
         finished_at: SimTime,
         slo: SloThresholds,
         cache_stats: modm_cache::CacheStats,
     ) -> ServingReport {
         let energy = ClusterEnergy::aggregate(
             self.workers.iter().map(|w| (w.energy(), w.gpu())),
-            started,
+            SimTime::ZERO,
             finished_at,
         );
         ServingReport {

@@ -299,11 +299,7 @@ impl Deployment {
                 }
             }
         };
-        let nodes = match tier {
-            TierKind::Elastic => report.peak_active_nodes(),
-            _ => report.nodes.len(),
-        };
-        RunOutcome::new(tier, report, nodes, nodes * gpus)
+        RunOutcome::new(tier, report, gpus)
     }
 }
 

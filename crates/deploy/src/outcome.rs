@@ -82,16 +82,20 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Wraps the engine's report of a `tier` run. `nodes` is the node
-    /// count the deployment ran (the peak active set for the elastic
-    /// tier, every region's nodes for the scenario tier); `total_gpus`
-    /// the GPUs across those nodes.
-    pub fn new(tier: TierKind, report: ElasticReport, nodes: usize, total_gpus: usize) -> Self {
+    /// Wraps the engine's report of a `tier` run whose nodes carry
+    /// `gpus_per_node` GPUs each. The node count is the peak active set
+    /// for the elastic tier and every routed node (every region's, for
+    /// the scenario tier) otherwise.
+    pub fn new(tier: TierKind, report: ElasticReport, gpus_per_node: usize) -> Self {
+        let nodes = match tier {
+            TierKind::Elastic => report.peak_active_nodes(),
+            _ => report.routed_per_node.len(),
+        };
         RunOutcome {
             report: Box::new(report),
             tier,
             nodes,
-            total_gpus,
+            total_gpus: nodes * gpus_per_node,
         }
     }
 

@@ -223,7 +223,7 @@ impl ServingBackend for Scenario {
     fn run_with(&mut self, trace: &Trace, options: DeployOptions) -> RunOutcome {
         Self::assert_default_options(options);
         let report = self.run_trace(trace, None);
-        RunOutcome::new(TierKind::Scenario, report, self.nodes(), self.total_gpus())
+        RunOutcome::new(TierKind::Scenario, report, self.node_config.num_gpus)
     }
 
     fn run_observed(
@@ -234,7 +234,7 @@ impl ServingBackend for Scenario {
     ) -> RunOutcome {
         Self::assert_default_options(options);
         let report = self.run_trace(trace, Some(observer));
-        RunOutcome::new(TierKind::Scenario, report, self.nodes(), self.total_gpus())
+        RunOutcome::new(TierKind::Scenario, report, self.node_config.num_gpus)
     }
 }
 

@@ -202,8 +202,8 @@ fn scenarios_full_rows() -> String {
     ];
     let mut rendered = String::new();
     for (label, scenario) in runs {
-        let (nodes, gpus) = (scenario.nodes(), scenario.total_gpus());
-        let mut outcome = RunOutcome::new(TierKind::Scenario, scenario.run(), nodes, gpus);
+        let gpus = scenario.node_config().num_gpus;
+        let mut outcome = RunOutcome::new(TierKind::Scenario, scenario.run(), gpus);
         rendered.push_str(&outcome.summary(scenarios::SLO_MULTIPLE).to_json(label));
         rendered.push('\n');
         let report = outcome.as_elastic().expect("the engine's report");
