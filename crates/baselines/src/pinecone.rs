@@ -96,7 +96,7 @@ impl PineconePolicy {
         }
         let key = self.next_key;
         self.next_key += 1;
-        self.index.insert(key, text_embedding);
+        self.index.insert(key, &text_embedding);
         self.fifo.push_back(key);
         self.images.insert(key, image);
         self.stats.record_insertion();

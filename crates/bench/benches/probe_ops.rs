@@ -24,9 +24,15 @@
 //!   tier's shape (6 serving shards × 600 entries, full 4,096-leader
 //!   exact clusterer), priced per resident entry: `prewarm/closure`
 //!   places every entry with `Router::shard_for` (a full leader scan),
-//!   `prewarm/verdict` with `Router::shard_for_image` (only leaders
-//!   minted since the entry's last placement). Each cycle also mints a
-//!   few leaders, as live traffic does between scale events.
+//!   `prewarm/verdict` through the router's kept verdicts
+//!   (`ShardedCache::{pull_routed, handoff_routed}`). There each pull
+//!   and handoff is one batch: an entry no migration has placed yet
+//!   takes a full scan, and every other entry only needs the leaders
+//!   minted since its last placement, each screened in fixed point
+//!   against sixteen entries per SIMD block, with the rare survivor
+//!   scored in f64. Each cycle mints 16 leaders first, as live traffic
+//!   does between scale events, and the price includes those mints and
+//!   the moved entries' cache inserts.
 //!
 //! Pass `--smoke` (CI does) to take one sample per case instead of five:
 //! every case still runs and prints its price, which nothing gates on.

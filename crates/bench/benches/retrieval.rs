@@ -15,8 +15,8 @@ fn main() {
         let mut inverted = InvertedIndex::for_capacity(space.dim(), n);
         for i in 0..n {
             let e = text.encode(&format!("cached prompt {} variant {}", i % 2_000, i));
-            flat.insert(i as u64, e.clone());
-            inverted.insert(i as u64, e);
+            flat.insert(i as u64, &e);
+            inverted.insert(i as u64, &e);
         }
         bench.measure(format!("flat/{n}"), || {
             std::hint::black_box(flat.nearest(&query))

@@ -11,12 +11,12 @@
 //! entries). With no reserves configured — the default — victim selection
 //! is exactly the untenanted policy behavior.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use modm_diffusion::{GeneratedImage, ImageId};
 use modm_embedding::{Embedding, EmbeddingIndex, IndexPolicy, InvertedIndex, Neighbor};
-use modm_simkit::{profile, SimTime};
+use modm_simkit::{profile, IdMap, SimTime};
 use modm_workload::TenantId;
 
 use crate::slot_list::IndexedList;
@@ -54,7 +54,7 @@ impl CacheIndex {
     /// queries that can hit this entry are exactly the prompts similar to
     /// it; the image embedding itself is noise-dominated and would
     /// partition randomly.
-    pub(crate) fn insert(&mut self, key: u64, e: Embedding, anchor: &Embedding) {
+    pub(crate) fn insert(&mut self, key: u64, e: &Embedding, anchor: &Embedding) {
         match self {
             CacheIndex::Flat(i) => i.insert(key, e),
             CacheIndex::Inverted(i) => i.insert_anchored(key, anchor, e),
@@ -291,7 +291,7 @@ struct S3State {
     small: IndexedList,
     main: IndexedList,
     ghost: IndexedList,
-    freq: HashMap<u64, u8>,
+    freq: IdMap<u64, u8>,
 }
 
 /// Maximum tracked access frequency under S3-FIFO.
@@ -378,13 +378,13 @@ impl S3State {
 #[derive(Debug, Clone)]
 pub struct ImageCache {
     config: CacheConfig,
-    entries: HashMap<u64, CachedImage>,
+    entries: IdMap<u64, CachedImage>,
     index: CacheIndex,
     fifo: IndexedList,
     lru_index: BTreeSet<(SimTime, u64)>,
     util_index: BTreeSet<(u64, SimTime, u64)>,
     s3: S3State,
-    tenant_counts: HashMap<TenantId, usize>,
+    tenant_counts: IdMap<TenantId, usize>,
     stats: CacheStats,
 }
 
@@ -398,13 +398,13 @@ impl ImageCache {
         );
         ImageCache {
             config,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             index,
             fifo: IndexedList::new(),
             lru_index: BTreeSet::new(),
             util_index: BTreeSet::new(),
             s3: S3State::default(),
-            tenant_counts: HashMap::new(),
+            tenant_counts: IdMap::default(),
             stats: CacheStats::new(),
         }
     }
@@ -639,8 +639,7 @@ impl ImageCache {
             self.index.remove(&victim);
             self.stats.record_eviction();
         }
-        self.index
-            .insert(key, image.embedding.clone(), &image.text_anchor);
+        self.index.insert(key, &image.embedding, &image.text_anchor);
         match self.config.policy {
             MaintenancePolicy::S3Fifo => {
                 self.s3.freq.insert(key, 0);
@@ -834,30 +833,35 @@ impl ImageCache {
             .collect()
     }
 
-    /// Removes and returns every resident image (with its owning tenant)
-    /// that satisfies `pred`, in ascending id order
-    /// (deterministic despite the hash-map backing). `pred` is also
-    /// *called* in ascending id order, so a stateful predicate (the fleet
-    /// router's, which can mint clusterer leaders) sees the same sequence
-    /// every run. Hit-count and recency bookkeeping of the *remaining*
-    /// entries is untouched, and the removals are not counted as
-    /// evictions. This is the selective-migration primitive: a shard
+    /// Every resident image in ascending id order (deterministic despite
+    /// the hash-map backing): the order in which a migration visits a
+    /// shard, so a stateful placement (the fleet router's, which can mint
+    /// clusterer leaders) sees the same sequence every run.
+    pub fn images_by_id(&self) -> Vec<&GeneratedImage> {
+        let mut images: Vec<(u64, &GeneratedImage)> = self
+            .entries
+            .iter()
+            .map(|(&key, e)| (key, &e.image))
+            .collect();
+        images.sort_unstable_by_key(|&(key, _)| key);
+        images.into_iter().map(|(_, image)| image).collect()
+    }
+
+    /// Removes and returns the resident images with the given ids (with
+    /// their owning tenants), in the order given; ids that are not
+    /// resident are skipped. Hit-count and recency bookkeeping of the
+    /// *remaining* entries is untouched, and the removals are not counted
+    /// as evictions. This is the selective-migration primitive: a shard
     /// joining the fleet pulls exactly the entries whose keyspace it now
     /// owns.
-    pub fn extract_matching(
-        &mut self,
-        mut pred: impl FnMut(&GeneratedImage) -> bool,
-    ) -> Vec<(TenantId, GeneratedImage)> {
-        let mut keys: Vec<u64> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        keys.retain(|key| pred(&self.entries[key].image));
-        keys.into_iter()
-            .map(|key| {
-                let entry = self.entries.remove(&key).expect("key from entries");
-                self.index.remove(&key);
-                self.remove_from_queues(key, &entry);
+    pub fn extract(&mut self, ids: &[ImageId]) -> Vec<(TenantId, GeneratedImage)> {
+        ids.iter()
+            .filter_map(|id| {
+                let entry = self.entries.remove(&id.0)?;
+                self.index.remove(&id.0);
+                self.remove_from_queues(id.0, &entry);
                 self.dec_tenant(entry.tenant);
-                (entry.tenant, entry.image)
+                Some((entry.tenant, entry.image))
             })
             .collect()
     }

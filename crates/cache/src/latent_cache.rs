@@ -153,8 +153,7 @@ impl LatentCache {
         self.next_key += 1;
         // Latent retrieval is text-to-text, so the embedding is its own
         // anchor.
-        self.index
-            .insert(key, text_embedding.clone(), &text_embedding);
+        self.index.insert(key, &text_embedding, &text_embedding);
         self.fifo.push_back(key);
         let mut latents = latents;
         latents.sort_by_key(|l| l.step);

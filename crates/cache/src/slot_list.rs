@@ -6,7 +6,7 @@
 //! costs O(n) for the other two (`iter().position()` + shifting
 //! `remove`). [`IndexedList`] stores nodes in a slot arena (`Vec`, with a
 //! free list for recycling), links them with `u32` slot indices instead
-//! of pointers, and keeps a `HashMap` from key to slot, so `push_back` /
+//! of pointers, and keeps an [`IdMap`] from key to slot, so `push_back` /
 //! `pop_front` / `remove` / `contains` are all O(1) while iteration still
 //! walks exact queue order.
 //!
@@ -14,7 +14,7 @@
 //! list; [`IndexedList::push_back`] panics on a duplicate so a
 //! desynchronized caller fails loudly instead of corrupting links.
 
-use std::collections::HashMap;
+use modm_simkit::IdMap;
 
 /// Sentinel slot index meaning "no node".
 const NIL: u32 = u32::MAX;
@@ -46,7 +46,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct IndexedList {
     nodes: Vec<Node>,
-    index: HashMap<u64, u32>,
+    index: IdMap<u64, u32>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
@@ -66,7 +66,7 @@ impl IndexedList {
     pub fn new() -> Self {
         IndexedList {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,

@@ -45,12 +45,29 @@ const REUSE_BIAS: f64 = 1.3;
 /// (the Pinecone baseline): staleness/mismatch cost, FID ~ floor + 2.4^2.
 const UNREFINED_BIAS: f64 = 2.4;
 
+/// Deterministic unit direction of a model's fidelity bias.
+fn fidelity_direction(model: ModelId) -> [f64; FEATURE_DIM] {
+    let name = model.spec().name;
+    let mut h: u64 = 0x9E37_79B9;
+    for b in name.as_bytes() {
+        h = h.wrapping_mul(31).wrapping_add(*b as u64);
+    }
+    let mut rng = SimRng::seed_from(h);
+    let mut v = [0.0; FEATURE_DIM];
+    v.fill_with(|| rng.standard_normal());
+    vector::normalize(&mut v);
+    v
+}
+
 /// The calibrated stochastic quality model shared by samplers and metrics.
 #[derive(Debug, Clone)]
 pub struct QualityModel {
     space: SemanticSpace,
     run_jitter: Vec<f64>,
     reuse_dir: Vec<f64>,
+    /// Each model's fidelity-bias direction, indexed by `ModelId as usize`
+    /// ([`ModelId::ALL`] order).
+    fidelity_dirs: [[f64; FEATURE_DIM]; ModelId::ALL.len()],
     rng_seed: u64,
 }
 
@@ -80,6 +97,7 @@ impl QualityModel {
             space,
             run_jitter: jitter,
             reuse_dir,
+            fidelity_dirs: ModelId::ALL.map(fidelity_direction),
             rng_seed: seed,
         }
     }
@@ -112,23 +130,10 @@ impl QualityModel {
         modm_embedding::CLIP_COS_SCALE * a / (1.0 + a * a).sqrt()
     }
 
-    /// Deterministic unit direction of a model's fidelity bias.
-    fn fidelity_direction(&self, model: ModelId) -> Vec<f64> {
-        let name = model.spec().name;
-        let mut h: u64 = 0x9E37_79B9;
-        for b in name.as_bytes() {
-            h = h.wrapping_mul(31).wrapping_add(*b as u64);
-        }
-        let mut rng = SimRng::seed_from(h);
-        let mut v: Vec<f64> = (0..FEATURE_DIM).map(|_| rng.standard_normal()).collect();
-        vector::normalize(&mut v);
-        v
-    }
-
     /// Samples the fidelity features of a from-scratch generation by `model`.
     pub fn fresh_features(&self, model: ModelId, rng: &mut SimRng) -> Vec<f64> {
         let spec = model.spec();
-        let dir = self.fidelity_direction(model);
+        let dir = &self.fidelity_dirs[model as usize];
         (0..FEATURE_DIM)
             .map(|i| {
                 self.run_jitter[i]
@@ -269,6 +274,14 @@ mod tests {
 
     fn qm(seed: u64) -> QualityModel {
         QualityModel::new(SemanticSpace::default(), seed, 6.29)
+    }
+
+    #[test]
+    fn fidelity_directions_are_indexed_by_model() {
+        for (i, &model) in ModelId::ALL.iter().enumerate() {
+            assert_eq!(model as usize, i, "ModelId::ALL is in declaration order");
+            assert_eq!(qm(1).fidelity_dirs[i], fidelity_direction(model));
+        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! which [`Embedding::from_vec`] guarantees. [`EmbeddingIndex::top_k`]
 //! scans the f64 rows in full.
 
-use std::collections::HashMap;
-
 use modm_numerics::lanes::{Candidates, ScreenedRows, LANES};
+use modm_simkit::IdMap;
 
 use crate::space::Embedding;
 
@@ -44,8 +43,8 @@ pub struct Neighbor<K> {
 /// use modm_embedding::{EmbeddingIndex, Embedding};
 ///
 /// let mut idx = EmbeddingIndex::new();
-/// idx.insert(1u64, Embedding::from_vec(vec![1.0, 0.0]));
-/// idx.insert(2u64, Embedding::from_vec(vec![0.0, 1.0]));
+/// idx.insert(1u64, &Embedding::from_vec(vec![1.0, 0.0]));
+/// idx.insert(2u64, &Embedding::from_vec(vec![0.0, 1.0]));
 /// let q = Embedding::from_vec(vec![0.9, 0.1]);
 /// let best = idx.nearest(&q).unwrap();
 /// assert_eq!(best.key, 1);
@@ -62,7 +61,7 @@ pub struct EmbeddingIndex<K> {
     /// The screen's buffers, reused by [`EmbeddingIndex::nearest_mut`].
     candidates: Candidates,
     free_slots: Vec<usize>,
-    by_key: HashMap<K, usize>,
+    by_key: IdMap<K, usize>,
     live: usize,
 }
 
@@ -80,7 +79,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
             rows: ScreenedRows::new(),
             candidates: Candidates::new(),
             free_slots: Vec::new(),
-            by_key: HashMap::new(),
+            by_key: IdMap::default(),
             live: 0,
         }
     }
@@ -100,7 +99,7 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// # Panics
     ///
     /// Panics if `embedding`'s dimension differs from earlier inserts.
-    pub fn insert(&mut self, key: K, embedding: Embedding) {
+    pub fn insert(&mut self, key: K, embedding: &Embedding) {
         let values = embedding.as_slice();
         if let Some(&slot) = self.by_key.get(&key) {
             self.rows.set(slot, values);
@@ -256,9 +255,9 @@ mod tests {
     #[test]
     fn nearest_finds_best_match() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0, 0.0]));
-        idx.insert(2, emb(vec![0.0, 1.0, 0.0]));
-        idx.insert(3, emb(vec![0.7, 0.7, 0.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0, 0.0]));
+        idx.insert(2, &emb(vec![0.0, 1.0, 0.0]));
+        idx.insert(3, &emb(vec![0.7, 0.7, 0.0]));
         let q = emb(vec![0.6, 0.8, 0.0]);
         let n = idx.nearest(&q).unwrap();
         assert_eq!(n.key, 3);
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn threshold_filters_weak_matches() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0]));
         let q = emb(vec![0.0, 1.0]);
         assert!(idx.nearest_above(&q, 0.25).is_none());
         assert!(idx.nearest_above(&q, -1.0).is_some());
@@ -276,8 +275,8 @@ mod tests {
     #[test]
     fn removal_frees_and_recycles_slots() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0]));
-        idx.insert(2, emb(vec![0.0, 1.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0]));
+        idx.insert(2, &emb(vec![0.0, 1.0]));
         assert!(idx.remove(&1));
         assert!(!idx.remove(&1));
         assert_eq!(idx.len(), 1);
@@ -285,7 +284,7 @@ mod tests {
         let q = emb(vec![1.0, 0.0]);
         assert_eq!(idx.nearest(&q).unwrap().key, 2);
         // Slot is recycled.
-        idx.insert(3, emb(vec![1.0, 0.0]));
+        idx.insert(3, &emb(vec![1.0, 0.0]));
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.nearest(&q).unwrap().key, 3);
     }
@@ -293,9 +292,9 @@ mod tests {
     #[test]
     fn top_k_sorted_descending() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0]));
-        idx.insert(2, emb(vec![0.9, 0.1]));
-        idx.insert(3, emb(vec![0.0, 1.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0]));
+        idx.insert(2, &emb(vec![0.9, 0.1]));
+        idx.insert(3, &emb(vec![0.0, 1.0]));
         let q = emb(vec![1.0, 0.0]);
         let hits = idx.top_k(&q, 2);
         assert_eq!(hits.len(), 2);
@@ -307,8 +306,8 @@ mod tests {
     #[test]
     fn insert_replaces_existing_key() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(7, emb(vec![1.0, 0.0]));
-        idx.insert(7, emb(vec![0.0, 1.0]));
+        idx.insert(7, &emb(vec![1.0, 0.0]));
+        idx.insert(7, &emb(vec![0.0, 1.0]));
         assert_eq!(idx.len(), 1);
         let q = emb(vec![0.0, 1.0]);
         let n = idx.nearest(&q).unwrap();
@@ -326,7 +325,7 @@ mod tests {
     #[should_panic(expected = "query dimension mismatch")]
     fn nearest_rejects_mismatched_query() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0, 0.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0, 0.0]));
         let _ = idx.nearest(&emb(vec![1.0, 0.0]));
     }
 
@@ -334,7 +333,7 @@ mod tests {
     #[should_panic(expected = "query dimension mismatch")]
     fn top_k_rejects_mismatched_query_after_removals() {
         let mut idx = EmbeddingIndex::new();
-        idx.insert(1, emb(vec![1.0, 0.0, 0.0]));
+        idx.insert(1, &emb(vec![1.0, 0.0, 0.0]));
         idx.remove(&1);
         let _ = idx.top_k(&emb(vec![1.0, 0.0, 0.0, 0.0]), 1);
     }
@@ -343,7 +342,7 @@ mod tests {
     fn storage_bytes_scale() {
         let mut idx = EmbeddingIndex::new();
         for i in 0..100u64 {
-            idx.insert(i, emb(vec![1.0; 64]));
+            idx.insert(i, &emb(vec![1.0; 64]));
         }
         assert_eq!(idx.storage_bytes(), 100 * (64 * 4 + 16));
     }

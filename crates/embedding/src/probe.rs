@@ -17,10 +17,8 @@
 //!   [`dot_f32`]'s lane-split accumulators, which LLVM autovectorizes into
 //!   SIMD adds.
 
-use std::collections::HashMap;
-
 use modm_numerics::vector;
-use modm_simkit::SimRng;
+use modm_simkit::{IdMap, SimRng};
 
 use crate::index::Neighbor;
 use crate::space::Embedding;
@@ -159,7 +157,7 @@ const INVERTED_SEED: u64 = 0x494E_5646;
 /// ```
 /// use modm_embedding::{probe::InvertedIndex, Embedding};
 /// let mut idx = InvertedIndex::for_capacity(64, 128);
-/// idx.insert(1u64, Embedding::from_vec(vec![1.0; 64]));
+/// idx.insert(1u64, &Embedding::from_vec(vec![1.0; 64]));
 /// let q = Embedding::from_vec(vec![1.0; 64]);
 /// assert_eq!(idx.nearest(&q).unwrap().key, 1);
 /// ```
@@ -176,7 +174,7 @@ pub struct InvertedIndex<K> {
     /// Keys parallel to each bucket's rows.
     bucket_keys: Vec<Vec<K>>,
     /// key → (bucket, position within bucket).
-    by_key: HashMap<K, (u32, u32)>,
+    by_key: IdMap<K, (u32, u32)>,
 }
 
 impl<K: Copy + Eq + std::hash::Hash> InvertedIndex<K> {
@@ -201,7 +199,7 @@ impl<K: Copy + Eq + std::hash::Hash> InvertedIndex<K> {
             dim,
             bucket_rows: vec![Vec::new(); centroids],
             bucket_keys: vec![Vec::new(); centroids],
-            by_key: HashMap::new(),
+            by_key: IdMap::default(),
         }
     }
 
@@ -256,9 +254,8 @@ impl<K: Copy + Eq + std::hash::Hash> InvertedIndex<K> {
     /// # Panics
     ///
     /// Panics if `embedding`'s dimension differs from the index's.
-    pub fn insert(&mut self, key: K, embedding: Embedding) {
-        let anchor = embedding.clone();
-        self.insert_anchored(key, &anchor, embedding);
+    pub fn insert(&mut self, key: K, embedding: &Embedding) {
+        self.insert_anchored(key, embedding, embedding);
     }
 
     /// Inserts (or replaces) the embedding for `key`, bucketed by
@@ -273,7 +270,7 @@ impl<K: Copy + Eq + std::hash::Hash> InvertedIndex<K> {
     /// # Panics
     ///
     /// Panics if either dimension differs from the index's.
-    pub fn insert_anchored(&mut self, key: K, anchor: &Embedding, embedding: Embedding) {
+    pub fn insert_anchored(&mut self, key: K, anchor: &Embedding, embedding: &Embedding) {
         self.remove(&key);
         let values = embedding.as_slice();
         assert_eq!(values.len(), self.dim, "embedding dimension mismatch");
@@ -641,10 +638,10 @@ mod tests {
         let mut idx: InvertedIndex<u64> = InvertedIndex::new(8, 4, 2);
         let e1 = Embedding::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let e2 = Embedding::from_vec(vec![0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        idx.insert(1, e1.clone());
+        idx.insert(1, &e1);
         assert!(idx.contains(&1));
         assert_eq!(idx.len(), 1);
-        idx.insert(1, e2.clone());
+        idx.insert(1, &e2);
         assert_eq!(idx.len(), 1, "re-insert replaces");
         let n = idx.nearest(&e2).unwrap();
         assert_eq!(n.key, 1);
@@ -656,8 +653,8 @@ mod tests {
         );
         // Every bucket probed: top_k sees both rows, best first.
         let mut all: InvertedIndex<u64> = InvertedIndex::new(8, 4, 4);
-        all.insert(1, e1.clone());
-        all.insert(2, e2.clone());
+        all.insert(1, &e1);
+        all.insert(2, &e2);
         let ranked = all.top_k(&e2, 2);
         assert_eq!(ranked.iter().map(|n| n.key).collect::<Vec<_>>(), vec![2, 1]);
         assert!(ranked[0].similarity > ranked[1].similarity);
@@ -688,8 +685,8 @@ mod tests {
         for (i, p) in prompts.iter().enumerate() {
             let anchor = enc.encode(p);
             let image = imgenc.encode(&anchor, &mut rng);
-            inv.insert_anchored(i as u64, &anchor, image.clone());
-            flat.insert(i as u64, image);
+            inv.insert_anchored(i as u64, &anchor, &image);
+            flat.insert(i as u64, &image);
         }
         // The property the cache depends on: hit/miss *decisions* at the
         // retrieval floor agree with the exact scan on every query, and a

@@ -30,8 +30,8 @@ pub fn run() {
         let mut inverted = InvertedIndex::for_capacity(space.dim(), n);
         for i in 0..n {
             let e = text.encode(&format!("cached prompt {} variant {}", i % 2_000, i));
-            flat.insert(i as u64, e.clone());
-            inverted.insert(i as u64, e);
+            flat.insert(i as u64, &e);
+            inverted.insert(i as u64, &e);
         }
         let t0 = Instant::now();
         for q in &queries {

@@ -27,11 +27,14 @@
 //! against a leader table that barely moved in between. A
 //! [`LeaderVerdict`] remembers an embedding's last exact scan, so
 //! [`SemanticClusterer::cluster_of_since`] only scores the leaders minted
-//! since — with the same answer the full scan gives.
+//! since — with the same answer the full scan gives. A migration resumes
+//! its verdicts together (`SemanticClusterer::resume_all`): their images
+//! are screened in fixed point against the new leaders sixteen at a
+//! time, and only a leader that could beat a verdict is scored in f64.
 
 use modm_embedding::probe::unit_f32_into;
 use modm_embedding::{Embedding, IndexPolicy, TwoLevelProbe};
-use modm_numerics::lanes::{Candidates, ScreenedRows};
+use modm_numerics::lanes::{Candidates, FixedQuery, QueryBlocks, ScreenedRows, SCREEN_LANES};
 use modm_numerics::vector;
 
 /// One embedding's exact leader verdict: the first strict maximum, in
@@ -362,6 +365,117 @@ impl SemanticClusterer {
             seen: self.next_id,
         });
         id
+    }
+
+    /// The id the next minted leader will get.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Whether [`SemanticClusterer::cluster_of_since`] would answer from
+    /// `verdict` by extension alone, with no chance of a mint: the exact
+    /// policy, the verdict's leader live and its score at the threshold.
+    /// Extension only raises the score, so the answer then joins.
+    pub(crate) fn resumes(&self, verdict: &LeaderVerdict) -> bool {
+        let oldest = self.next_id - self.ids.len() as u64;
+        self.approx.is_none()
+            && verdict.sim >= self.threshold
+            && (oldest..self.next_id).contains(&verdict.id)
+    }
+
+    /// The id of the leader the next mint retires, if the table is full.
+    pub(crate) fn next_retiree(&self) -> Option<u64> {
+        (self.ids.len() == self.max_leaders).then(|| self.next_id - self.ids.len() as u64)
+    }
+
+    /// Extends each set-aside verdict over the leaders minted from its
+    /// `seen` up to its `until`, as [`SemanticClusterer::cluster_of_since`]
+    /// would have at its visit, and sets its `seen` to its `until`.
+    ///
+    /// Each of `set_aside` is `(k, until, embedding)`: slot `k` of
+    /// `images` holds the fixed-point copy of `embedding`, whose verdict
+    /// is `verdicts[k]`, and `until` was the next cluster id at its
+    /// visit. Each of these verdicts must have
+    /// [`SemanticClusterer::resumes`]d at its visit, and no leader it
+    /// needs may have retired since. The other verdicts are left alone.
+    ///
+    /// Each block of sixteen slots is screened in fixed point against
+    /// every new leader it needs, one leader after another, so the block
+    /// is read from memory once ([`QueryBlocks::block_scores`]). A
+    /// verdict keeps a leader only if the integer score reaches
+    /// [`ScreenedRows::seed_for`] at the verdict's own score: a leader it
+    /// drops scores below the verdict, so the extension's strict `>`
+    /// would never take it. A kept leader is scored as the extension
+    /// scores it (`slot_dot` from `-0.0`, then
+    /// [`vector::cosine_with_norms`]), and each verdict takes its leaders
+    /// in admission order, so every verdict keeps its bits.
+    pub(crate) fn resume_all(
+        &self,
+        images: &QueryBlocks,
+        verdicts: &mut [LeaderVerdict],
+        set_aside: &[(usize, u64, &Embedding)],
+    ) {
+        let (Some(first), Some(last)) = (
+            set_aside.iter().map(|&(k, ..)| verdicts[k].seen).min(),
+            set_aside.iter().map(|&(_, until, _)| until).max(),
+        ) else {
+            return;
+        };
+        let oldest = self.next_id - self.ids.len() as u64;
+        debug_assert!(
+            first >= oldest && last <= self.next_id,
+            "a leader a resumed verdict needs has retired"
+        );
+        // Per block: each lane's seed (`i64::MAX`, which no score
+        // reaches, for a slot not set aside) and entry of `set_aside`,
+        // and the leaders its set-aside verdicts need.
+        let mut blocks =
+            vec![([i64::MAX; SCREEN_LANES], [0; SCREEN_LANES], u64::MAX, 0); images.blocks()];
+        for (j, &(k, until, _)) in set_aside.iter().enumerate() {
+            let (seeds, entries, from, to) = &mut blocks[k / SCREEN_LANES];
+            (seeds[k % SCREEN_LANES], entries[k % SCREEN_LANES]) =
+                (self.rows.seed_for(verdicts[k].sim), j);
+            (*from, *to) = (verdicts[k].seen.min(*from), until.max(*to));
+        }
+        let leaders: Vec<(usize, FixedQuery)> = (first..last)
+            .map(|id| {
+                let slot = self.slot_at((id - oldest) as usize);
+                let mut leader = FixedQuery::new();
+                leader.set(&self.rows.exact().row(slot));
+                (slot, leader)
+            })
+            .collect();
+        for (b, (seeds, entries, from, to)) in blocks.iter().enumerate() {
+            // A block whose best score misses its lowest seed keeps nothing.
+            let floor = *seeds.iter().min().expect("non-empty");
+            let mut norms = [None; SCREEN_LANES];
+            for id in *from..*to {
+                let (slot, leader) = &leaders[(id - first) as usize];
+                let scores = images.block_scores(b, leader);
+                if i64::from(scores.into_iter().max().expect("non-empty")) < floor {
+                    continue;
+                }
+                for (lane, (score, &seed)) in scores.into_iter().zip(seeds).enumerate() {
+                    if i64::from(score) < seed {
+                        continue;
+                    }
+                    let (k, until, embedding) = set_aside[entries[lane]];
+                    let v = &mut verdicts[k];
+                    if id < v.seen || id >= until {
+                        continue;
+                    }
+                    let q = embedding.as_slice();
+                    let qn = *norms[lane].get_or_insert_with(|| vector::l2_norm(q));
+                    let sim = self.cosine(*slot, q, qn);
+                    if sim > v.sim {
+                        (v.id, v.sim) = (id, sim);
+                    }
+                }
+            }
+        }
+        for &(k, until, _) in set_aside {
+            verdicts[k].seen = until;
+        }
     }
 
     /// The exact scan's answer over every live leader — the first strict

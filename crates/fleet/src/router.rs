@@ -25,14 +25,66 @@
 //! over the new active set — the primitive behind elastic scale-out,
 //! draining and crash handling in `modm-controlplane`.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use modm_diffusion::{GeneratedImage, ImageId};
 use modm_embedding::{Embedding, IndexPolicy};
+use modm_numerics::lanes::{FixedQuery, QueryBlocks};
+use modm_simkit::IdMap;
 
 use crate::affinity::{LeaderVerdict, SemanticClusterer};
 use crate::ring::HashRing;
+
+/// What the router keeps for the images migrations placed, one slot
+/// per image: its last exact leader verdict, the migration pass that
+/// placed it, and its embedding in the leader screen's fixed point,
+/// made once and stored sixteen to a block so that a batch of verdicts
+/// resumes sixteen images per screen-kernel call.
+#[derive(Debug, Clone, Default)]
+struct Placements {
+    slot_of: IdMap<ImageId, usize>,
+    /// Per slot: the image, or `None` for a free slot.
+    ids: Vec<Option<ImageId>>,
+    verdicts: Vec<LeaderVerdict>,
+    visits: Vec<u64>,
+    images: QueryBlocks,
+    free: Vec<usize>,
+}
+
+impl Placements {
+    /// Keeps `verdict` for `image`, which has no slot yet.
+    fn insert(&mut self, image: &GeneratedImage, verdict: LeaderVerdict, visit: u64) {
+        let mut query = FixedQuery::new();
+        query.set(image.embedding.as_slice());
+        let slot = self.free.pop().unwrap_or(self.ids.len());
+        if slot == self.ids.len() {
+            self.ids.push(None);
+            self.verdicts.push(verdict);
+            self.visits.push(visit);
+        }
+        self.images.set(slot, &query);
+        (self.ids[slot], self.verdicts[slot], self.visits[slot]) = (Some(image.id), verdict, visit);
+        self.slot_of.insert(image.id, slot);
+    }
+
+    /// Frees the slots of the images `keep` rejects, given each image and
+    /// the pass that placed it.
+    fn retain(&mut self, mut keep: impl FnMut(ImageId, u64) -> bool) {
+        for slot in 0..self.ids.len() {
+            if let Some(id) = self.ids[slot] {
+                if !keep(id, self.visits[slot]) {
+                    self.remove(slot);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: usize) {
+        let id = self.ids[slot].take().expect("a used slot");
+        self.slot_of.remove(&id);
+        self.free.push(slot);
+    }
+}
 
 /// Why a [`Router`] configuration was rejected.
 ///
@@ -180,7 +232,7 @@ impl RoutingConfig {
             ring: HashRing::new(self.nodes, self.vnodes),
             routed: vec![0; self.nodes],
             spill_threshold: self.spill_threshold,
-            verdicts: HashMap::new(),
+            placed: Placements::default(),
             visit: 0,
         })
     }
@@ -256,9 +308,9 @@ pub struct Router {
     /// Requests routed per node id (grows as nodes are added).
     routed: Vec<u64>,
     spill_threshold: f64,
-    /// Each migrated image's last exact leader verdict, stamped with the
-    /// migration pass that placed it (see [`Router::shard_for_image`]).
-    verdicts: HashMap<ImageId, (LeaderVerdict, u64)>,
+    /// Each migrated image's last exact leader verdict (see
+    /// [`Router::shard_for_image`]).
+    placed: Placements,
     /// The current migration pass; [`Router::sweeping_verdicts`] starts
     /// a new one.
     visit: u64,
@@ -408,47 +460,162 @@ impl Router {
     /// [`Router::shard_for`] of a resident image's embedding, resumed
     /// from the leader verdict its last placement left: only leaders
     /// minted since are scored, and the answer is bit-identical to
-    /// `shard_for(&image.embedding)`. Shard migration re-places the same
-    /// images on every membership change, which is where this pays.
+    /// `shard_for(&image.embedding)`. Shard migrations re-place the same
+    /// images on every membership change; they place each pull or
+    /// handoff as one batch with this method's answers, and debug builds
+    /// check every batch against it.
     ///
     /// Verdicts are keyed by [`ImageId`], so every image placed through
     /// one router must carry a distinct id for its embedding. Ids are
     /// unique per `Sampler`, and each tier runs one sampler per run.
     pub fn shard_for_image(&mut self, image: &GeneratedImage) -> usize {
-        let mut verdict = self.verdicts.get(&image.id).map(|&(v, _)| v);
+        let cluster = self.cluster_of_image(image);
+        self.ring.node_for(cluster)
+    }
+
+    /// The cluster behind [`Router::shard_for_image`], on the per-image
+    /// path: the verdict is resumed (or a full scan runs) right away.
+    fn cluster_of_image(&mut self, image: &GeneratedImage) -> u64 {
+        let slot = self.placed.slot_of.get(&image.id).copied();
+        let mut verdict = slot.map(|s| self.placed.verdicts[s]);
         let cluster = self
             .clusterer
             .cluster_of_since(&image.embedding, &mut verdict);
-        match verdict {
-            Some(v) => {
-                self.verdicts.insert(image.id, (v, self.visit));
+        match (verdict, slot) {
+            (Some(verdict), Some(s)) => {
+                (self.placed.verdicts[s], self.placed.visits[s]) = (verdict, self.visit);
             }
-            None => {
-                self.verdicts.remove(&image.id);
+            (Some(verdict), None) => self.placed.insert(image, verdict, self.visit),
+            (None, Some(s)) => self.placed.remove(s),
+            (None, None) => {}
+        }
+        cluster
+    }
+
+    /// [`Router::shard_for_image`] of each of `images` in turn, with
+    /// the same answers, mints and verdicts, placed in three phases:
+    ///
+    /// 1. In order, every image whose verdict cannot mint
+    ///    ([`SemanticClusterer::resumes`]) is set aside with the
+    ///    clusterer's next id at its visit, unless no leader is new to it;
+    ///    every other image takes the per-image path, which may scan the
+    ///    whole table and mint. Those are the only mints, so the leader
+    ///    table evolves as on the per-image path.
+    /// 2. The set-aside verdicts are extended together
+    ///    ([`SemanticClusterer::resume_all`]), each over the leaders
+    ///    minted from its `seen` up to its visit, so a mid-batch mint
+    ///    counts only for images visited after it. A mint that would
+    ///    retire a leader one of them needs first resumes those set
+    ///    aside so far.
+    /// 3. Each distinct cluster's ring owner is looked up once.
+    ///
+    /// Debug builds replay the batch on a clone through the per-image
+    /// path and check every answer, the leader table and every verdict.
+    ///
+    /// Ids must be distinct, as for [`Router::shard_for_image`].
+    pub(crate) fn shards_for_images(&mut self, images: &[&GeneratedImage]) -> Vec<usize> {
+        let oracle = cfg!(debug_assertions).then(|| self.clone());
+        let mut clusters = vec![0; images.len()];
+        // The set-aside verdicts as `(slot, next id at the visit,
+        // embedding)`, and each one's position in `images`.
+        let (mut set_aside, mut positions) = (Vec::new(), Vec::new());
+        // The oldest leader a set-aside verdict may still need.
+        let mut needed_from = u64::MAX;
+        for (i, image) in images.iter().enumerate() {
+            let next_id = self.clusterer.next_id();
+            let placed = &mut self.placed;
+            match placed.slot_of.get(&image.id).copied() {
+                Some(s) if self.clusterer.resumes(&placed.verdicts[s]) => {
+                    let seen = placed.verdicts[s].seen;
+                    if seen == next_id {
+                        // No leader is new to it: the verdict stands.
+                        placed.visits[s] = self.visit;
+                        clusters[i] = placed.verdicts[s].id;
+                    } else {
+                        needed_from = needed_from.min(seen);
+                        set_aside.push((s, next_id, &image.embedding));
+                        positions.push(i);
+                    }
+                }
+                _ => {
+                    if self.clusterer.next_retiree() >= Some(needed_from) {
+                        self.resume_set_aside(&mut set_aside, &mut positions, &mut clusters);
+                        needed_from = u64::MAX;
+                    }
+                    clusters[i] = self.cluster_of_image(image);
+                }
             }
         }
-        self.ring.node_for(cluster)
+        self.resume_set_aside(&mut set_aside, &mut positions, &mut clusters);
+        let owners = self.owners_of(&clusters);
+        if let Some(mut oracle) = oracle {
+            let per_image: Vec<usize> = images
+                .iter()
+                .map(|image| oracle.shard_for_image(image))
+                .collect();
+            assert!(
+                per_image == owners
+                    && oracle.clusterer.next_id() == self.clusterer.next_id()
+                    && oracle.clusterer.num_leaders() == self.clusterer.num_leaders()
+                    && same_verdicts(&oracle.placed, &self.placed),
+                "the batched placement changed an answer of the per-image path"
+            );
+        }
+        owners
+    }
+
+    /// Phase 2 of [`Router::shards_for_images`]: resumes the verdicts set
+    /// aside so far together and records their clusters at their
+    /// `positions`.
+    fn resume_set_aside(
+        &mut self,
+        set_aside: &mut Vec<(usize, u64, &Embedding)>,
+        positions: &mut Vec<usize>,
+        clusters: &mut [u64],
+    ) {
+        let placed = &mut self.placed;
+        self.clusterer
+            .resume_all(&placed.images, &mut placed.verdicts, set_aside);
+        for (&(s, ..), i) in set_aside.iter().zip(positions.drain(..)) {
+            placed.visits[s] = self.visit;
+            clusters[i] = placed.verdicts[s].id;
+        }
+        set_aside.clear();
+    }
+
+    /// The ring owner of each cluster, looked up once per distinct id.
+    fn owners_of(&self, clusters: &[u64]) -> Vec<usize> {
+        let (Some(&low), Some(&high)) = (clusters.iter().min(), clusters.iter().max()) else {
+            return Vec::new();
+        };
+        // Clusters are leader ids, live or minted during the batch: a
+        // window of at most the table size plus the batch.
+        let mut memo = vec![None; (high - low) as usize + 1];
+        clusters
+            .iter()
+            .map(|&c| *memo[(c - low) as usize].get_or_insert_with(|| self.ring.node_for(c)))
+            .collect()
     }
 
     /// Leader verdicts currently kept for migrated images.
     pub fn num_verdicts(&self) -> usize {
-        self.verdicts.len()
+        self.placed.slot_of.len()
     }
 
     /// Runs `pull`, a migration pass that places every resident image
-    /// off one shard through [`Router::shard_for_image`], then drops the
-    /// verdicts of images it did not place: those are no longer resident.
+    /// off one shard through the kept verdicts, then drops the verdicts
+    /// of images it did not place: those are no longer resident.
     pub(crate) fn sweeping_verdicts<R>(&mut self, pull: impl FnOnce(&mut Router) -> R) -> R {
         self.visit += 1;
         let out = pull(self);
         let visit = self.visit;
-        self.verdicts.retain(|_, &mut (_, placed)| placed == visit);
+        self.placed.retain(|_, placed| placed == visit);
         out
     }
 
     /// Drops the verdicts of images `resident` rejects.
     pub(crate) fn retain_verdicts(&mut self, mut resident: impl FnMut(ImageId) -> bool) {
-        self.verdicts.retain(|&id, _| resident(id));
+        self.placed.retain(|id, _| resident(id));
     }
 
     /// Whether [`Router::route`] reads its `loads` argument. Pure
@@ -523,6 +690,18 @@ impl Router {
     }
 }
 
+/// Whether two routers' placements hold the same verdicts, bit for bit.
+fn same_verdicts(a: &Placements, b: &Placements) -> bool {
+    let bits = |p: &Placements, s: usize| {
+        let v = p.verdicts[s];
+        (v.id, v.sim.to_bits(), v.seen, p.visits[s])
+    };
+    a.slot_of.len() == b.slot_of.len()
+        && a.slot_of
+            .iter()
+            .all(|(id, &s)| b.slot_of.get(id).map(|&t| bits(b, t)) == Some(bits(a, s)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +709,57 @@ mod tests {
 
     fn encoder() -> TextEncoder {
         TextEncoder::new(SemanticSpace::default())
+    }
+
+    /// An image with id `id` whose embedding is `v`, normalized.
+    fn image(id: u64, v: Vec<f64>) -> GeneratedImage {
+        let e = Embedding::from_vec(v);
+        GeneratedImage {
+            id: ImageId(id),
+            prompt_id: id,
+            embedding: e.clone(),
+            text_anchor: e,
+            features: Vec::new(),
+            model: modm_diffusion::ModelId::Sd35Large,
+            steps_run: 0,
+            steps_skipped: 0,
+            clip_to_prompt: 0.0,
+        }
+    }
+
+    /// Basis vector `i` of length 8.
+    fn axis(i: usize) -> Vec<f64> {
+        let mut v = vec![0.0; 8];
+        v[i] = 1.0;
+        v
+    }
+
+    #[test]
+    fn a_batch_resumes_set_aside_verdicts_before_their_leaders_retire() {
+        // A three-leader table at threshold 0.5. `x` joins leader 0
+        // (cosine 0.64) when leaders 1 and 2 are minted after it, so its
+        // batched placement sets it aside to score them. Two first-time
+        // images then each mint a leader: the first retires leader 0, the
+        // second leader 1, which `x` still needs, and takes its slot. The
+        // new leader 4 lies closer to `x` (0.77) than leader 0, but it
+        // was minted after `x`'s visit, so it must not count: `x` stays
+        // in cluster 0, as on the per-image path.
+        let clusterer = SemanticClusterer::new(0.5, 3);
+        let mut r = RoutingConfig::new(RoutingPolicy::CacheAffinity, 4)
+            .clusterer(clusterer)
+            .build();
+        let x = image(1, vec![1.0, 0.0, 0.0, 0.0, 1.2, 0.0, 0.0, 0.0]);
+        r.shard_for(&Embedding::from_vec(axis(0)));
+        r.shard_for_image(&x);
+        r.shard_for(&Embedding::from_vec(axis(1)));
+        r.shard_for(&Embedding::from_vec(axis(2)));
+        let batch = [&x, &image(2, axis(3)), &image(3, axis(4))];
+        let mut per_image = r.clone();
+        let expected: Vec<usize> = batch.iter().map(|i| per_image.shard_for_image(i)).collect();
+        assert_eq!(r.shards_for_images(&batch), expected);
+        let verdict = r.placed.verdicts[r.placed.slot_of[&x.id]];
+        assert_eq!((verdict.id, verdict.seen), (0, 3));
+        assert_eq!(r.clusterer().next_id(), 5, "both first-time images minted");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! scatters sessions over shards and loses it.
 
 use modm_cache::{CacheConfig, ImageCache};
-use modm_diffusion::GeneratedImage;
+use modm_diffusion::{GeneratedImage, ImageId};
 use modm_embedding::Embedding;
 use modm_simkit::SimTime;
 use modm_workload::TenantId;
@@ -221,21 +221,38 @@ impl ShardedCache {
     /// migrates in, so the newcomer can hit on the keyspace slice it just
     /// inherited instead of starting cold. The donors' remaining entries
     /// keep their hit-count/recency bookkeeping; returns how many entries
-    /// moved. `assign`'s answer is reduced modulo the shard count, as in
-    /// every migration.
+    /// moved. `assign` is called once per entry off `to`, shard by shard
+    /// in ascending image id order, and its answer is reduced modulo the
+    /// shard count, as in every migration.
     pub fn pull_owned(
         &mut self,
         now: SimTime,
         to: usize,
         mut assign: impl FnMut(&Embedding) -> usize,
     ) -> usize {
-        self.pull_images(now, to, |image| assign(&image.embedding))
+        self.pull_images(now, to, |images| {
+            images
+                .iter()
+                .map(|image| assign(&image.embedding))
+                .collect()
+        })
     }
 
-    /// [`ShardedCache::pull_owned`] placed by `router`'s affinity map
-    /// through [`Router::shard_for_image`], so each entry re-uses its last
-    /// leader verdict; moves exactly the entries
-    /// `pull_owned(now, to, |e| router.shard_for(e))` moves.
+    /// [`ShardedCache::pull_owned`] placed by `router`'s affinity map;
+    /// moves exactly the entries
+    /// `pull_owned(now, to, |e| router.shard_for(e))` moves, and leaves
+    /// the leader table as that call does.
+    ///
+    /// The router keeps each migrated image's last leader verdict, so a
+    /// pull costs one full leader scan per entry no migration has placed
+    /// yet (only those can mint a leader). Every other entry only needs
+    /// the leaders minted since its last placement, and those are scored
+    /// in one batch: each new leader is screened in fixed point against
+    /// sixteen entries per SIMD block, and only a leader that could beat
+    /// an entry's verdict is scored in f64 (see
+    /// [`Router::shard_for_image`]). Each distinct cluster's ring owner
+    /// is then looked up once, and only the entries moving to `to` leave
+    /// their shards.
     ///
     /// The pull visits every entry off `to`, and a joining shard is
     /// empty, so afterwards the router keeps verdicts only for the images
@@ -244,7 +261,7 @@ impl ShardedCache {
     pub fn pull_routed(&mut self, now: SimTime, to: usize, router: &mut Router) -> usize {
         let before = self.shards[to].len();
         let moved = router.sweeping_verdicts(|router| {
-            self.pull_images(now, to, |image| router.shard_for_image(image))
+            self.pull_images(now, to, |images| router.shards_for_images(images))
         });
         if self.shards[to].len() != before + moved {
             // `to` overflowed and evicted some of what it pulled.
@@ -254,26 +271,38 @@ impl ShardedCache {
         moved
     }
 
-    /// The pull primitive: moves every entry off `to` whose image
-    /// `assign` targets at `to`, calling `assign` shard by shard in
-    /// ascending image id order.
+    /// The pull primitive: `place` answers, for every entry off `to` in
+    /// visiting order (shard by shard, ascending image id), the shard it
+    /// belongs on; the entries it sends to `to` move there, donor by
+    /// donor, in that order.
     fn pull_images(
         &mut self,
         now: SimTime,
         to: usize,
-        mut assign: impl FnMut(&GeneratedImage) -> usize,
+        place: impl FnOnce(&[&GeneratedImage]) -> Vec<usize>,
     ) -> usize {
         let shards = self.shards.len();
-        let mut moved = 0;
-        for from in 0..shards {
-            if from == to {
-                continue;
+        let mut visited: Vec<&GeneratedImage> = Vec::new();
+        let mut donors = Vec::new();
+        for (from, shard) in self.shards.iter().enumerate() {
+            if from != to {
+                let images = shard.images_by_id();
+                donors.resize(donors.len() + images.len(), from);
+                visited.extend(images);
             }
-            let pulled =
-                self.shards[from].extract_matching(|image| target(assign(image), shards) == to);
-            moved += pulled.len();
-            for (tenant, image) in pulled {
+        }
+        let owners = place(&visited);
+        let mut moving: Vec<Vec<ImageId>> = vec![Vec::new(); shards];
+        for ((owner, image), from) in owners.into_iter().zip(visited).zip(donors) {
+            if target(owner, shards) == to {
+                moving[from].push(image.id);
+            }
+        }
+        let mut moved = 0;
+        for (from, ids) in moving.iter().enumerate() {
+            for (tenant, image) in self.shards[from].extract(ids) {
                 self.shards[to].insert_for(now, tenant, image);
+                moved += 1;
             }
         }
         moved
@@ -298,12 +327,19 @@ impl ShardedCache {
         count: usize,
         mut assign: impl FnMut(&Embedding) -> usize,
     ) -> HandoffReport {
-        self.handoff_images(now, from, count, |image| assign(&image.embedding))
+        self.handoff_images(now, from, count, |images| {
+            images
+                .iter()
+                .map(|image| assign(&image.embedding))
+                .collect()
+        })
     }
 
-    /// [`ShardedCache::handoff`] placed by `router`'s affinity map through
-    /// [`Router::shard_for_image`]; migrates exactly what
+    /// [`ShardedCache::handoff`] placed by `router`'s affinity map;
+    /// migrates exactly what
     /// `handoff(now, from, count, |e| router.shard_for(e))` migrates.
+    /// The exported entries are placed as [`ShardedCache::pull_routed`]
+    /// places a pull's: through their verdicts, batched.
     ///
     /// # Panics
     ///
@@ -315,16 +351,17 @@ impl ShardedCache {
         count: usize,
         router: &mut Router,
     ) -> HandoffReport {
-        self.handoff_images(now, from, count, |image| router.shard_for_image(image))
+        self.handoff_images(now, from, count, |images| router.shards_for_images(images))
     }
 
-    /// The handoff primitive behind both entry points.
+    /// The handoff primitive behind both entry points: `place` answers
+    /// the shard of each exported image, hottest first.
     fn handoff_images(
         &mut self,
         now: SimTime,
         from: usize,
         count: usize,
-        mut assign: impl FnMut(&GeneratedImage) -> usize,
+        place: impl FnOnce(&[&GeneratedImage]) -> Vec<usize>,
     ) -> HandoffReport {
         let hot = self.shards[from].export_hottest(count);
         let mut report = HandoffReport {
@@ -332,8 +369,9 @@ impl ShardedCache {
             migrated: 0,
             abandoned: self.shards[from].len(),
         };
-        for (tenant, image) in hot {
-            let to = target(assign(&image), self.shards.len());
+        let owners = place(&hot.iter().map(|(_, image)| image).collect::<Vec<_>>());
+        for ((tenant, image), owner) in hot.into_iter().zip(owners) {
+            let to = target(owner, self.shards.len());
             assert_ne!(to, from, "handoff target is the draining shard");
             self.shards[to].insert_for(now, tenant, image);
             report.migrated += 1;
@@ -506,102 +544,145 @@ mod tests {
 
     #[test]
     fn routed_migrations_match_closure_migrations() {
-        use crate::{RoutingConfig, RoutingPolicy, SemanticClusterer};
         // Twin fleets: one migrates through `shard_for` closures, the
-        // other through persisted leader verdicts. A 24-leader table keeps
-        // verdict leaders retiring, and 8-entry shards keep evicting
-        // (including the pulling shard itself).
-        for seed in 0..6 {
-            let mut f = fixture();
-            let mut rng = SimRng::seed_from(0x7_1115 + seed);
-            let nodes = 5;
-            let router = RoutingConfig::new(RoutingPolicy::CacheAffinity, nodes)
-                .clusterer(SemanticClusterer::new(0.7, 24))
-                .build();
-            let mut closure = (ShardedCache::new(nodes, CacheConfig::fifo(8)), router);
-            let mut routed = closure.clone();
-            let mut active: Vec<usize> = (0..nodes).collect();
-            let mut bound = 0; // verdicts after the last pull + handed off since
-            let topics = 40;
-            for step in 0..400 {
-                let now = SimTime::from_secs_f64(step as f64);
-                let ctx = format!("seed {seed}, step {step}");
-                match rng.index(8) {
-                    // Serve a request: route (may mint), insert on a miss.
-                    0..=3 => {
-                        let t = rng.index(topics);
-                        let p = format!("topic{t} scene{t} hue{t} mood{t} take{}", rng.index(3));
-                        let image = image_for(&mut f, &p);
-                        let a = closure.1.route(&image.embedding, &[]);
-                        let b = routed.1.route(&image.embedding, &[]);
-                        assert_eq!(a, b, "{ctx}: routes diverged");
-                        let tenant = TenantId(rng.index(2) as u16);
-                        closure
-                            .0
-                            .shard_mut(a)
-                            .insert_for(now, tenant, image.clone());
-                        routed.0.shard_mut(b).insert_for(now, tenant, image);
-                    }
-                    // A node joins and pre-warms.
-                    4 | 5 => {
-                        let Some(node) = (0..nodes).find(|n| !active.contains(n)) else {
-                            continue;
-                        };
-                        active.push(node);
-                        closure.1.add_node(node);
-                        routed.1.add_node(node);
-                        let router = &mut closure.1;
-                        let a = closure.0.pull_owned(now, node, |e| router.shard_for(e));
-                        let b = routed.0.pull_routed(now, node, &mut routed.1);
-                        assert_eq!(a, b, "{ctx}: pulls moved different counts");
-                        assert!(
-                            routed.1.num_verdicts() <= routed.0.len(),
-                            "{ctx}: {} verdicts for {} residents",
-                            routed.1.num_verdicts(),
-                            routed.0.len()
-                        );
-                        bound = routed.1.num_verdicts();
-                    }
-                    // A node drains (hot handoff, then decommission) or
-                    // crashes (no handoff).
-                    _ => {
-                        if active.len() <= 1 {
-                            continue;
-                        }
-                        let node = active.swap_remove(rng.index(active.len()));
-                        closure.1.remove_node(node);
-                        routed.1.remove_node(node);
-                        if rng.index(3) != 0 {
-                            let count = rng.index(closure.0.shard(node).len() + 1);
-                            let router = &mut closure.1;
-                            let a = closure.0.handoff(now, node, count, |e| router.shard_for(e));
-                            let b = routed.0.handoff_routed(now, node, count, &mut routed.1);
-                            assert_eq!(a, b, "{ctx}: handoffs diverged");
-                            bound += b.exported;
-                        }
-                        drop(closure.0.shard_mut(node).drain_images());
-                        drop(routed.0.shard_mut(node).drain_images());
-                    }
+        // other through persisted leader verdicts, batched. Requests are
+        // routed by their prompt and the generated image is cached, as
+        // the engine does, so an image first placed by a migration may
+        // join no leader and mint one mid-migration. 12- and 24-leader
+        // tables keep verdict leaders retiring, the 12-leader one often
+        // while a batch still needs them; a 4,096-leader one never wraps.
+        // 8-entry shards keep evicting (including the pulling shard).
+        for max_leaders in [12, 24, 4_096] {
+            let mut mid_migration_mints = 0;
+            for seed in 0..6 {
+                mid_migration_mints += twin_migrations(seed, max_leaders);
+            }
+            assert!(
+                mid_migration_mints > 0,
+                "{max_leaders} leaders: no migration minted a leader"
+            );
+        }
+    }
+
+    /// One twin run of [`routed_migrations_match_closure_migrations`];
+    /// returns how many leaders its routed migrations minted.
+    fn twin_migrations(seed: u64, max_leaders: usize) -> u64 {
+        use crate::{RoutingConfig, RoutingPolicy, SemanticClusterer};
+        let mut f = fixture();
+        let mut rng = SimRng::seed_from(0x7_1115 + seed);
+        let nodes = 5;
+        let router = RoutingConfig::new(RoutingPolicy::CacheAffinity, nodes)
+            .clusterer(SemanticClusterer::new(0.7, max_leaders))
+            .build();
+        let mut closure = (ShardedCache::new(nodes, CacheConfig::fifo(8)), router);
+        let mut routed = closure.clone();
+        let mut active: Vec<usize> = (0..nodes).collect();
+        let mut bound = 0; // verdicts after the last pull + handed off since
+        let mut minted = 0;
+        let topics = 40;
+        for step in 0..400 {
+            let now = SimTime::from_secs_f64(step as f64);
+            let ctx = format!("seed {seed}, {max_leaders} leaders, step {step}");
+            let before = routed.1.clusterer().next_id();
+            match rng.index(8) {
+                // Serve a request: route the prompt (may mint), cache the
+                // image generated for it.
+                0..=3 => {
+                    let t = rng.index(topics);
+                    let p = format!("topic{t} scene{t} hue{t} mood{t} take{}", rng.index(3));
+                    let prompt = f.text.encode(&p);
+                    let image = f.sampler.generate(ModelId::Sd35Large, &prompt, &mut f.rng);
+                    let a = closure.1.route(&prompt, &[]);
+                    let b = routed.1.route(&prompt, &[]);
+                    assert_eq!(a, b, "{ctx}: routes diverged");
+                    let tenant = TenantId(rng.index(2) as u16);
+                    closure
+                        .0
+                        .shard_mut(a)
+                        .insert_for(now, tenant, image.clone());
+                    routed.0.shard_mut(b).insert_for(now, tenant, image);
+                    assert_twins_agree(&closure, &routed, bound, &ctx);
+                    continue;
                 }
-                assert_eq!(contents(&closure.0), contents(&routed.0), "{ctx}: shards");
-                assert!(routed.1.num_verdicts() <= bound, "{ctx}: verdicts grew");
-                let (mut a, mut b) = (closure.1.clusterer().clone(), routed.1.clusterer().clone());
-                assert_eq!(a.num_leaders(), b.num_leaders(), "{ctx}: leader tables");
-                for shard in 0..nodes {
-                    let mut resident: Vec<_> =
-                        closure.0.shard(shard).iter().map(|c| &c.image).collect();
-                    resident.sort_unstable_by_key(|image| image.id);
-                    for image in resident {
-                        assert_eq!(
-                            a.cluster_of(&image.embedding),
-                            b.cluster_of(&image.embedding),
-                            "{ctx}: cluster of {}",
-                            image.id
-                        );
+                // A node joins and pre-warms.
+                4 | 5 => {
+                    let Some(node) = (0..nodes).find(|n| !active.contains(n)) else {
+                        continue;
+                    };
+                    active.push(node);
+                    closure.1.add_node(node);
+                    routed.1.add_node(node);
+                    let router = &mut closure.1;
+                    let a = closure.0.pull_owned(now, node, |e| router.shard_for(e));
+                    let b = routed.0.pull_routed(now, node, &mut routed.1);
+                    assert_eq!(a, b, "{ctx}: pulls moved different counts");
+                    assert!(
+                        routed.1.num_verdicts() <= routed.0.len(),
+                        "{ctx}: {} verdicts for {} residents",
+                        routed.1.num_verdicts(),
+                        routed.0.len()
+                    );
+                    bound = routed.1.num_verdicts();
+                }
+                // A node drains (hot handoff, then decommission) or
+                // crashes (no handoff).
+                _ => {
+                    if active.len() <= 1 {
+                        continue;
                     }
+                    let node = active.swap_remove(rng.index(active.len()));
+                    closure.1.remove_node(node);
+                    routed.1.remove_node(node);
+                    if rng.index(3) != 0 {
+                        let count = rng.index(closure.0.shard(node).len() + 1);
+                        let router = &mut closure.1;
+                        let a = closure.0.handoff(now, node, count, |e| router.shard_for(e));
+                        let b = routed.0.handoff_routed(now, node, count, &mut routed.1);
+                        assert_eq!(a, b, "{ctx}: handoffs diverged");
+                        bound += b.exported;
+                    }
+                    drop(closure.0.shard_mut(node).drain_images());
+                    drop(routed.0.shard_mut(node).drain_images());
                 }
             }
-            assert!(bound > 0, "seed {seed}: no verdict was ever kept");
+            minted += routed.1.clusterer().next_id() - before;
+            assert_twins_agree(&closure, &routed, bound, &ctx);
+        }
+        assert!(bound > 0, "seed {seed}: no verdict was ever kept");
+        if max_leaders == 4_096 {
+            assert!(
+                routed.1.clusterer().num_leaders() < max_leaders,
+                "the table wrapped"
+            );
+        }
+        minted
+    }
+
+    /// The twins' shards, leader tables and the clusters of every
+    /// resident image agree, and the routed twin keeps at most `bound`
+    /// verdicts.
+    fn assert_twins_agree(
+        closure: &(ShardedCache, Router),
+        routed: &(ShardedCache, Router),
+        bound: usize,
+        ctx: &str,
+    ) {
+        assert_eq!(contents(&closure.0), contents(&routed.0), "{ctx}: shards");
+        assert!(routed.1.num_verdicts() <= bound, "{ctx}: verdicts grew");
+        let (mut a, mut b) = (closure.1.clusterer().clone(), routed.1.clusterer().clone());
+        assert_eq!(a.num_leaders(), b.num_leaders(), "{ctx}: leader tables");
+        assert_eq!(a.next_id(), b.next_id(), "{ctx}: leader ids");
+        for shard in 0..closure.0.num_shards() {
+            let mut resident: Vec<_> = closure.0.shard(shard).iter().map(|c| &c.image).collect();
+            resident.sort_unstable_by_key(|image| image.id);
+            for image in resident {
+                assert_eq!(
+                    a.cluster_of(&image.embedding),
+                    b.cluster_of(&image.embedding),
+                    "{ctx}: cluster of {}",
+                    image.id
+                );
+            }
         }
     }
 

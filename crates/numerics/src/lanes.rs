@@ -40,7 +40,9 @@
 //! ([`ScreenedRows::seed_for`]) below which no row can reach that score.
 //! Rows under it are never candidates, and when every row falls under
 //! it, nothing is re-scored at all. The table re-scores its candidates in
-//! its own admission order.
+//! its own admission order. The same kernel also runs the other way
+//! round, in [`QueryBlocks`]: many stored queries, sixteen to a block,
+//! scored against one row, each against a seed of its own.
 //!
 //! The guarantee needs rows and queries of Euclidean norm at most
 //! `1 + 2^-30`, which every normalized (or zero) vector meets.
@@ -50,7 +52,7 @@ pub const LANES: usize = 8;
 
 /// Rows per fixed-point screen block: four SSE2 registers of four `i32`
 /// lanes each.
-const SCREEN_LANES: usize = 16;
+pub const SCREEN_LANES: usize = 16;
 
 /// The fixed-point scale `S`: a component `x` is stored as
 /// `round(x * S)`, saturated to `±S`. `-32768` is never stored, so one
@@ -239,13 +241,12 @@ fn quantize(x: f64) -> i16 {
     ((x * s).clamp(-s, s) + ROUNDER).to_bits() as i16
 }
 
-/// One or two components (a row's last pair when its length is odd) in
-/// fixed point, padded with a zero.
-fn quantize_pair(values: &[f64]) -> [i16; 2] {
-    [
-        quantize(values[0]),
-        values.get(1).copied().map_or(0, quantize),
-    ]
+/// `values` in fixed point, in component pairs; an odd last component is
+/// padded with a zero.
+fn quantized_pairs(values: &[f64]) -> impl Iterator<Item = [i16; 2]> + '_ {
+    let (pairs, odd) = values.as_chunks::<2>();
+    let pairs = pairs.iter().map(|&[a, b]| [quantize(a), quantize(b)]);
+    pairs.chain(odd.iter().map(|&a| [quantize(a), 0]))
 }
 
 /// The bound, in fixed-point units (`S = 32767`, so a score of `S²`
@@ -323,16 +324,23 @@ impl FixedRows {
     /// Writes `row` into slot `slot`, growing the store by whole blocks.
     /// The owner checks the slot and the row length.
     fn set(&mut self, slot: usize, row: &[f64]) {
-        self.pairs = row.len().div_ceil(2);
+        self.write(slot, row.len().div_ceil(2), quantized_pairs(row));
+    }
+
+    /// Writes the `pairs` fixed-point component pairs `values` into slot
+    /// `slot`, growing the store by whole blocks.
+    fn write(&mut self, slot: usize, pairs: usize, values: impl Iterator<Item = [i16; 2]>) {
+        self.pairs = pairs;
         let stride = self.stride();
         let end = (slot / SCREEN_LANES + 1) * stride;
         if self.data.len() < end {
             self.data.resize(end, 0);
         }
-        let block = &mut self.data[end - stride..end];
+        // Pair `p` of lane `l` is the `p * SCREEN_LANES + l`-th pair.
+        let (block, _) = self.data[end - stride..end].as_chunks_mut::<{ 2 * SCREEN_LANES }>();
         let lane = 2 * (slot % SCREEN_LANES);
-        for (pair, values) in block.chunks_exact_mut(2 * SCREEN_LANES).zip(row.chunks(2)) {
-            pair[lane..lane + 2].copy_from_slice(&quantize_pair(values));
+        for (lanes, [lo, hi]) in block.iter_mut().zip(values) {
+            (lanes[lane], lanes[lane + 1]) = (lo, hi);
         }
     }
 
@@ -350,10 +358,10 @@ impl FixedRows {
     /// `_mm_set1_epi32` broadcasts to every `pmaddwd` pair.
     fn query_into(q: &[f64], out: &mut Vec<i32>) {
         out.clear();
-        out.extend(q.chunks(2).map(|p| {
-            let [lo, hi] = quantize_pair(p);
-            (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32
-        }));
+        out.extend(
+            quantized_pairs(q)
+                .map(|[lo, hi]| (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32),
+        );
     }
 }
 
@@ -414,6 +422,85 @@ fn block_scores_scalar(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
 
 #[cfg(not(target_arch = "x86_64"))]
 use block_scores_scalar as block_scores;
+
+/// A vector in the screen's fixed point, packed as the kernel reads a
+/// query: built once with [`FixedQuery::set`], then stored in a
+/// [`QueryBlocks`] or scored against one.
+#[derive(Debug, Clone, Default)]
+pub struct FixedQuery {
+    pairs: Vec<i32>,
+}
+
+impl FixedQuery {
+    /// Creates an empty query.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Makes this the fixed-point copy of `q`, reusing the buffer.
+    pub fn set(&mut self, q: &[f64]) {
+        FixedRows::query_into(q, &mut self.pairs);
+    }
+}
+
+/// [`FixedQuery`]s in numbered slots, stored the way the screen stores
+/// rows, sixteen to a block: [`QueryBlocks::block_scores`] then scores
+/// one more query against a block of them at once, with the screen's
+/// kernel.
+/// Integer dot products are exact, so each score is the one
+/// [`ScreenedRows::screen`] gives the same two vectors with their roles
+/// swapped, and the seeds of [`ScreenedRows::seed_for`] apply to it
+/// unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct QueryBlocks {
+    rows: FixedRows,
+    len: usize,
+}
+
+impl QueryBlocks {
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stores a copy of `q` in slot `slot`, overwriting it, or appending
+    /// it when `slot` is the number of slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is past the number of slots or `q`'s length
+    /// differs from the stored queries'.
+    pub fn set(&mut self, slot: usize, q: &FixedQuery) {
+        assert!(slot <= self.len, "slot {slot} out of range");
+        assert!(
+            self.len == 0 || q.pairs.len() == self.rows.pairs,
+            "query dimension mismatch"
+        );
+        let values = q.pairs.iter().map(|&p| [p as i16, (p >> 16) as i16]);
+        self.rows.write(slot, q.pairs.len(), values);
+        self.len = self.len.max(slot + 1);
+    }
+
+    /// Number of blocks: the number of slots over [`SCREEN_LANES`],
+    /// rounded up.
+    pub fn blocks(&self) -> usize {
+        self.len.div_ceil(SCREEN_LANES)
+    }
+
+    /// Integer scores of block `b`'s slots against `q`: lane `l` scores
+    /// slot `b * SCREEN_LANES + l`, and lanes past the last slot score
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not below [`QueryBlocks::blocks`] or `q`'s length
+    /// differs from the stored queries'.
+    pub fn block_scores(&self, b: usize, q: &FixedQuery) -> [i32; SCREEN_LANES] {
+        assert!(b < self.blocks(), "block {b} out of range");
+        let stride = self.rows.stride();
+        block_scores(&self.rows.data[b * stride..][..stride], &q.pairs)
+    }
+}
 
 /// The rows a [`ScreenedRows::screen`] passed, with the buffers the
 /// screen reuses: a caller that keeps one `Candidates` across calls
@@ -842,6 +929,33 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    #[test]
+    fn query_blocks_score_as_the_screen_with_roles_swapped() {
+        for dim in [7, 64] {
+            let vector = |i: usize| -> Vec<f64> { (0..dim).map(|d| pseudo(i * 37 + d)).collect() };
+            let (mut rows, mut queries) = (ScreenedRows::new(), QueryBlocks::new());
+            let mut fixed = FixedQuery::new();
+            for slot in 0..21 {
+                rows.push(&vector(slot));
+                fixed.set(&vector(slot));
+                queries.set(slot, &fixed);
+            }
+            // Overwrite a slot in both stores.
+            rows.set(5, &vector(99));
+            fixed.set(&vector(99));
+            queries.set(5, &fixed);
+            assert_eq!(queries.blocks(), 2);
+            let q = vector(1_000);
+            fixed.set(&q);
+            let swapped: Vec<i32> = (0..queries.blocks())
+                .flat_map(|b| queries.block_scores(b, &fixed))
+                .collect();
+            let screened: Vec<i32> = rows.screen.block_scores(&packed(&q)).flatten().collect();
+            assert_eq!(swapped, screened, "dim {dim}");
+            assert!(swapped[21..].iter().all(|&s| s == 0), "dim {dim}: padding");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! ```
 
 pub mod event;
+pub mod idmap;
 pub mod json;
 pub mod profile;
 pub mod queue;
@@ -31,6 +32,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
+pub use idmap::{IdHasher, IdMap};
 pub use json::{Json, JsonError};
 pub use profile::{timed, ProfileReport, Profiler, Subsystem};
 pub use queue::FifoQueue;

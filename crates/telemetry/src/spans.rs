@@ -15,41 +15,11 @@
 //! exactly once per request, so breakdown counts key on terminals and
 //! stay exact across node teardown).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use modm_simkit::SimTime;
+use modm_simkit::{IdMap, SimTime};
 use modm_workload::TenantId;
-
-/// Deterministic multiply–rotate hasher for the span map's request-id
-/// keys. The default SipHash is keyed for HashDoS resistance the DES
-/// does not need (ids come from the simulator, not an adversary) and
-/// costs a measurable slice of the per-event telemetry budget; one
-/// odd-constant multiply mixes sequential ids more than well enough
-/// for an open-addressed table.
-#[derive(Debug, Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(26);
-    }
-}
-
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// A request's in-progress span.
 #[derive(Debug, Clone, Copy)]
@@ -112,13 +82,13 @@ impl StageBreakdown {
 
 /// Assembles spans from events and aggregates them per tenant.
 ///
-/// Open spans live in a `HashMap` — one probe per event on the DES hot
+/// Open spans live in an [`IdMap`] — one probe per event on the DES hot
 /// path, and nothing ever iterates them (only the count and the
 /// per-tenant `BTreeMap` aggregation are observable), so determinism is
 /// unaffected.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTracker {
-    open: IdMap<OpenSpan>,
+    open: IdMap<u64, OpenSpan>,
     by_tenant: BTreeMap<TenantId, StageBreakdown>,
 }
 

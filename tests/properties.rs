@@ -488,8 +488,8 @@ fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
                 } else {
                     gaussian(&mut rng)
                 };
-                inv.insert(k, e.clone());
-                flat.insert(k, e);
+                inv.insert(k, &e);
+                flat.insert(k, &e);
             }
             let ctx = format!("seed {seed} case {case} duplicates");
             for q in [dup.clone(), near(&dup, &mut rng), antipode(&dup)] {
@@ -503,8 +503,8 @@ fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
                 let ctx = format!("seed {seed} case {case} antipode {k}");
                 let mut inv = InvertedIndex::new(dim, 16, 4);
                 let mut flat = EmbeddingIndex::new();
-                inv.insert(k, row.clone());
-                flat.insert(k, row.clone());
+                inv.insert(k, &row);
+                flat.insert(k, &row);
                 assert_floor_verdicts_match(&inv, &flat, &antipode(&row), &ctx);
             }
 
@@ -517,8 +517,8 @@ fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
                 .map(|i| text.encode(&format!("anchored {i} cobalt tokens {}", i * 11 + case)))
                 .collect();
             for (k, e) in rows.iter().enumerate() {
-                inv.insert_anchored(k as u64, &anchor, e.clone());
-                flat.insert(k as u64, e.clone());
+                inv.insert_anchored(k as u64, &anchor, e);
+                flat.insert(k as u64, e);
             }
             let ctx = format!("seed {seed} case {case} one bucket");
             for q in rows.iter().chain([&anchor, &gaussian(&mut rng)]) {
@@ -538,8 +538,8 @@ fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
                 } else {
                     gaussian(&mut rng)
                 };
-                inv.insert_anchored(k, &far, e.clone());
-                flat.insert(k, e);
+                inv.insert_anchored(k, &far, &e);
+                flat.insert(k, &e);
             }
             assert!(
                 inv.nearest(&q).is_none(),
@@ -556,8 +556,8 @@ fn inverted_floor_verdicts_match_exact_on_adversarial_inputs() {
                 .map(|i| text.encode(&format!("item {i} distinct tokens {}", i * 7 + case)))
                 .collect();
             for (k, e) in rows.iter().enumerate() {
-                inv.insert(k as u64, e.clone());
-                flat.insert(k as u64, e.clone());
+                inv.insert(k as u64, e);
+                flat.insert(k as u64, e);
             }
             let q = &rows[rng.index(n)];
             let a = inv.nearest(q).unwrap();

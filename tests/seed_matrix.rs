@@ -662,7 +662,7 @@ fn flat_index_matches_serial_slot_order_reference() {
                 match rng.index(10) {
                     0..=3 => {
                         let e = fresh(&mut rng);
-                        index.insert(next_key, e.clone());
+                        index.insert(next_key, &e);
                         model.insert(next_key, &e);
                         live.push(next_key);
                         next_key += 1;
@@ -671,7 +671,7 @@ fn flat_index_matches_serial_slot_order_reference() {
                         // Replace in place.
                         let key = live[rng.index(live.len())];
                         let e = fresh(&mut rng);
-                        index.insert(key, e.clone());
+                        index.insert(key, &e);
                         model.insert(key, &e);
                     }
                     5..=6 => {
@@ -721,7 +721,7 @@ fn flat_index_matches_serial_slot_order_reference() {
             // f32 (16-lane) layout, so the padding lanes are exercised.
             while model.slots.len().is_multiple_of(8) {
                 let e = fresh(&mut rng);
-                index.insert(next_key, e.clone());
+                index.insert(next_key, &e);
                 model.insert(next_key, &e);
                 next_key += 1;
             }
