@@ -8,13 +8,13 @@
 //! reports with so results are directly comparable.
 
 use modm_cluster::{ClusterEnergy, GpuKind, Worker};
-use modm_core::report::ServingReport;
+use modm_core::report::{fold_completions, Completion, ServingReport, TenantSlice};
 use modm_core::RunOptions;
 use modm_diffusion::{GeneratedImage, ModelId, K_CHOICES};
 use modm_embedding::Embedding;
 use modm_metrics::{LatencyReport, QualityAggregator, SloThresholds, ThroughputReport};
 use modm_simkit::{EventQueue, FifoQueue, SimRng, SimTime};
-use modm_workload::{Request, Trace};
+use modm_workload::{QosClass, Request, TenantId, Trace};
 
 /// What a completed job should produce.
 #[derive(Debug, Clone)]
@@ -168,32 +168,13 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             requests.len()
         };
 
-        let mut latency = LatencyReport::new();
-        let mut throughput = ThroughputReport::new();
+        let mut completions = Vec::with_capacity(requests.len());
         let mut quality = QualityAggregator::new();
         let mut k_histogram = [0u64; K_CHOICES.len()];
         let mut hits = 0u64;
         let mut misses = 0u64;
-        let mut finished_at = SimTime::ZERO;
-
-        let complete = |now: SimTime,
-                        job: &BaselineJob,
-                        policy: &mut P,
-                        rng: &mut SimRng,
-                        latency: &mut LatencyReport,
-                        throughput: &mut ThroughputReport,
-                        quality: &mut QualityAggregator,
-                        finished_at: &mut SimTime| {
-            let image = policy.produce(job, rng);
-            latency.record(job.arrival, now);
-            throughput.record_completion(now);
-            quality.record(&job.prompt_embedding, &image);
-            *finished_at = (*finished_at).max(now);
-            policy.on_complete(now, job, &image);
-        };
-
         while let Some((now, event)) = events.pop() {
-            match event {
+            let finished = match event {
                 Event::Arrival(i) => {
                     let job = self.policy.classify(now, &requests[i], &mut rng);
                     if job.is_hit {
@@ -206,41 +187,29 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
                     }
                     if job.steps == 0 {
                         // Served straight from the cache, no GPU involved.
-                        complete(
-                            now,
-                            &job,
-                            &mut self.policy,
-                            &mut rng,
-                            &mut latency,
-                            &mut throughput,
-                            &mut quality,
-                            &mut finished_at,
-                        );
-                        if options.saturate && next_admission < requests.len() {
-                            events.schedule(now, Event::Arrival(next_admission));
-                            next_admission += 1;
-                        }
+                        Some(job)
                     } else {
                         queue.push(now, job);
+                        None
                     }
                 }
-                Event::WorkerFree(w) => {
-                    if let Some(job) = in_flight[w].take() {
-                        complete(
-                            now,
-                            &job,
-                            &mut self.policy,
-                            &mut rng,
-                            &mut latency,
-                            &mut throughput,
-                            &mut quality,
-                            &mut finished_at,
-                        );
-                        if options.saturate && next_admission < requests.len() {
-                            events.schedule(now, Event::Arrival(next_admission));
-                            next_admission += 1;
-                        }
-                    }
+                Event::WorkerFree(w) => in_flight[w].take(),
+            };
+            if let Some(job) = finished {
+                let image = self.policy.produce(&job, &mut rng);
+                completions.push(Completion {
+                    arrival: job.arrival,
+                    finished: now,
+                    node: 0,
+                    tenant: TenantId::DEFAULT,
+                    qos: QosClass::default(),
+                    hit: job.is_hit,
+                });
+                quality.record(&job.prompt_embedding, &image);
+                self.policy.on_complete(now, &job, &image);
+                if options.saturate && next_admission < requests.len() {
+                    events.schedule(now, Event::Arrival(next_admission));
+                    next_admission += 1;
                 }
             }
             // Dispatch idle workers.
@@ -256,23 +225,22 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             }
         }
 
+        let finished_at = completions.last().map_or(SimTime::ZERO, |c| c.finished);
         let energy = ClusterEnergy::aggregate(
             workers.iter().map(|w| (w.energy(), w.gpu())),
             SimTime::ZERO,
             finished_at,
         );
         // Baselines are tenant-blind: everything lands on one aggregate
-        // default-tenant slice.
-        let aggregate = modm_core::report::TenantSlice {
-            completed: throughput.completed(),
+        // default-tenant slice, whose completions the log folds in.
+        let aggregate = TenantSlice {
             hits,
             misses,
-            latency: latency.clone(),
             ..Default::default()
         };
-        ServingReport {
-            latency,
-            throughput,
+        let mut report = ServingReport {
+            latency: LatencyReport::new(),
+            throughput: ThroughputReport::new(),
             quality,
             energy,
             slo: SloThresholds::for_deployment(self.gpu, model),
@@ -286,6 +254,8 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             tenant_slices: vec![aggregate],
             model_switches: 0,
             finished_at,
-        }
+        };
+        fold_completions(&completions, None, std::slice::from_mut(&mut report));
+        report
     }
 }

@@ -230,8 +230,11 @@ fn main() {
             }
             pulled
         };
-        // One untimed cycle leaves every resident entry with a verdict.
+        // One untimed cycle leaves every resident entry with a verdict;
+        // its time sizes the samples to hold ten or more cycles each.
+        let once = std::time::Instant::now();
         cycle(&mut cache, &mut router);
+        bench = bench.with_sample_secs((12.0 * once.elapsed().as_secs_f64()).max(0.1));
         let entries = cache.len() as u64;
         let name = if verdicts { "verdict" } else { "closure" };
         bench.measure_per(format!("prewarm/{name}"), entries, || {

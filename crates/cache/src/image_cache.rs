@@ -868,10 +868,9 @@ impl ImageCache {
 
     /// Empties the cache, returning every resident image (with its owning
     /// tenant) in ascending id order (so downstream re-placement is
-    /// deterministic). Maintenance state (queues, ghost memory,
-    /// frequencies) is reset; lookup/insertion/eviction counters are
-    /// preserved but the drain itself is not counted as evictions. This is
-    /// the primitive behind shard rebalancing in `modm-fleet`.
+    /// deterministic). Maintenance state is reset as by
+    /// [`ImageCache::clear`]. This is the primitive behind shard
+    /// rebalancing in `modm-fleet`.
     pub fn drain_images(&mut self) -> Vec<(TenantId, GeneratedImage)> {
         let mut images: Vec<(TenantId, GeneratedImage)> = self
             .entries
@@ -879,6 +878,19 @@ impl ImageCache {
             .map(|(_, e)| (e.tenant, e.image))
             .collect();
         images.sort_unstable_by_key(|(_, img)| img.id.0);
+        self.clear();
+        images
+    }
+
+    /// Empties the cache without collecting its images and returns how
+    /// many it held. Maintenance state (queues, ghost memory,
+    /// frequencies) is reset and the index rebuilt empty, releasing its
+    /// rows (an emptied shard may sit idle for long), so the cache answers
+    /// every probe as a new one would; lookup/insertion/eviction counters
+    /// are preserved and the removals are not counted as evictions.
+    pub fn clear(&mut self) -> usize {
+        let resident = self.entries.len();
+        self.entries.clear();
         self.index = CacheIndex::for_policy(
             self.config.index_policy,
             self.config.capacity,
@@ -889,7 +901,7 @@ impl ImageCache {
         self.util_index.clear();
         self.s3 = S3State::default();
         self.tenant_counts.clear();
-        images
+        resident
     }
 }
 
@@ -1478,6 +1490,52 @@ mod tests {
                     assert_eq!(cache.s3.main.check_links().len(), cache.s3.main.len());
                     assert_eq!(cache.s3.ghost.check_links().len(), cache.s3.ghost.len());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cleared_then_refilled_cache_answers_like_a_fresh_one() {
+        for index_policy in [IndexPolicy::Exact, IndexPolicy::Approx] {
+            for policy in [
+                MaintenancePolicy::Fifo,
+                MaintenancePolicy::Lru,
+                MaintenancePolicy::Utility,
+                MaintenancePolicy::S3Fifo,
+            ] {
+                let config = CacheConfig {
+                    index_policy,
+                    ..CacheConfig::with_policy(16, policy)
+                };
+                let mut f = fixture();
+                let mut cleared = ImageCache::new(config.clone());
+                for i in 0..40 {
+                    let now = SimTime::from_secs_f64(i as f64);
+                    cleared.insert(now, image_for(&mut f, &format!("harbor {i} at dusk")));
+                    let q = f.text.encode(&format!("harbor {} at dusk", i / 2));
+                    let _ = cleared.retrieve(now, &q, 0.25);
+                }
+                assert_eq!(cleared.clear(), 16);
+                assert!(cleared.is_empty() && cleared.iter().next().is_none());
+                let mut fresh = ImageCache::new(config);
+                for i in 0..60 {
+                    let now = SimTime::from_secs_f64(100.0 + i as f64);
+                    let image = image_for(&mut f, &format!("meadow {} in rain", i % 25));
+                    cleared.insert(now, image.clone());
+                    fresh.insert(now, image);
+                    let q = f.text.encode(&format!("meadow {} in rain", (i * 7) % 30));
+                    let answer =
+                        |r: Option<RetrievedImage>| r.map(|r| (r.image.id, r.similarity.to_bits()));
+                    assert_eq!(answer(cleared.peek(&q, -1.0)), answer(fresh.peek(&q, -1.0)));
+                    assert_eq!(
+                        answer(cleared.retrieve(now, &q, 0.25)),
+                        answer(fresh.retrieve(now, &q, 0.25)),
+                        "{index_policy:?}/{policy:?}, step {i}"
+                    );
+                }
+                let ids =
+                    |c: &ImageCache| c.images_by_id().iter().map(|i| i.id).collect::<Vec<_>>();
+                assert_eq!(ids(&cleared), ids(&fresh));
             }
         }
     }

@@ -34,13 +34,13 @@ use std::collections::BTreeMap;
 use modm_core::config::AdmissionPolicy;
 use modm_core::events::{emit, Obs, SimEvent};
 use modm_core::node::{render_completion, EnqueueOutcome, NodeInFlight, ServingNode};
-use modm_core::report::TenantSlice;
+use modm_core::report::{fold_completions, Completion, FleetViews, TenantSlice};
 use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
 use modm_core::TenancyPolicy;
 use modm_diffusion::{QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
 use modm_fleet::{GeoRouter, Router, ShardedCache};
-use modm_metrics::{LatencyReport, SloThresholds};
+use modm_metrics::SloThresholds;
 use modm_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use modm_workload::{Request, TenantId, Trace};
 
@@ -117,13 +117,11 @@ struct Parked {
 }
 
 /// One region: a router and a cache shard per node over a contiguous
-/// range of node ids, with the region's own lifecycle and hit counters.
+/// range of node ids, with the region's own lifecycle.
 struct Region {
     router: Router,
     cache: ShardedCache,
     lifecycle: RegionLifecycle,
-    hits: u64,
-    misses: u64,
 }
 
 /// One run of the serving engine.
@@ -165,17 +163,18 @@ pub(crate) struct ElasticRun<'a, 'o> {
     /// redelivery keeps its request's retry count.
     retried: BTreeMap<u64, u32>,
     stats: RetryStats,
-    // Fleet-wide metrics (completion-based, so every request counts once
-    // even if a crash re-routed it).
-    latency: LatencyReport,
-    completed: u64,
+    /// Every completion, once: the report folds the fleet's, the
+    /// regions' and the nodes' completion views from it (so every
+    /// request counts once even if a crash re-routed it).
+    completions: Vec<Completion>,
     /// Sheds harvested from node incarnations as they tear down (nodes
     /// come and go; the counters must outlive them).
     shed: u64,
+    /// Per-tenant refusals and sheds; the report folds the completions
+    /// into these slices.
     tenants: BTreeMap<TenantId, TenantSlice>,
     slo: SloThresholds,
     slo_bound_secs: f64,
-    finished_at: SimTime,
     // Control window counters.
     win_arrivals: u64,
     win_completions: u64,
@@ -289,8 +288,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 router,
                 cache,
                 lifecycle: RegionLifecycle::new(SimTime::ZERO),
-                hits: 0,
-                misses: 0,
             })
             .collect();
         let slo = SloThresholds::for_deployment(node_config.gpu, node_config.large_model);
@@ -319,13 +316,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             controls_pending: 0,
             retried: BTreeMap::new(),
             stats: RetryStats::default(),
-            latency: LatencyReport::new(),
-            completed: 0,
+            completions: Vec::with_capacity(requests.len()),
             shed: 0,
             tenants: BTreeMap::new(),
             slo_bound_secs: slo.bound_secs(config.slo_multiple),
             slo,
-            finished_at: SimTime::ZERO,
             win_arrivals: 0,
             win_completions: 0,
             win_hits: 0,
@@ -484,7 +479,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 }
             }
         }
-        let end = self.finished_at;
+        let end = self.finished_at();
         for node in 0..self.config.max_nodes {
             self.end_gpu(node, end);
         }
@@ -492,7 +487,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             Self::harvest_shed(&mut self.shed, &mut self.tenants, node);
         }
         assert_eq!(
-            self.completed + self.stats.abandoned + self.shed,
+            self.completions.len() as u64 + self.stats.abandoned + self.shed,
             self.requests.len() as u64,
             "every request reaches exactly one terminal"
         );
@@ -666,38 +661,26 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         );
         let node = self.nodes[node_idx].as_mut().expect("completing node");
         node.record_completion(now, &inflight.routed, &image, self.obs.as_deref_mut());
-        self.latency.record(inflight.routed.arrival, now);
-        self.completed += 1;
+        let hit = matches!(inflight.routed.route, RouteKind::Hit { .. });
+        self.completions.push(Completion {
+            arrival: inflight.routed.arrival,
+            finished: now,
+            node: node_idx as u32,
+            tenant: inflight.routed.tenant,
+            qos: inflight.routed.qos,
+            hit,
+        });
         self.win_completions += 1;
-        let region = &mut self.regions[node_idx / self.region_size];
-        let slice = self
-            .tenants
-            .entry(inflight.routed.tenant)
-            .or_insert_with(|| TenantSlice::new(inflight.routed.tenant, inflight.routed.qos));
-        slice.qos = inflight.routed.qos;
-        slice.completed += 1;
-        slice.latency.record(inflight.routed.arrival, now);
-        match inflight.routed.route {
-            RouteKind::Hit { .. } => {
-                region.hits += 1;
-                self.win_hits += 1;
-                slice.hits += 1;
-            }
-            RouteKind::Miss => {
-                region.misses += 1;
-                slice.misses += 1;
-            }
-        }
+        self.win_hits += u64::from(hit);
         if now.saturating_since(inflight.routed.arrival).as_secs_f64() > self.slo_bound_secs {
             self.win_violations += 1;
         }
-        self.finished_at = self.finished_at.max(now);
         let admit = match self.config.node_config.admission {
             AdmissionPolicy::CacheAll => true,
             AdmissionPolicy::CacheLarge => image.is_full_generation(),
         };
         if admit {
-            region
+            self.regions[node_idx / self.region_size]
                 .cache
                 .shard_mut(node_idx % self.region_size)
                 .insert_for(now, inflight.routed.tenant, image);
@@ -935,7 +918,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
         // The cold tail the handoff left behind dies with the shard.
         let (region, local) = self.locate(node);
-        drop(region.cache.shard_mut(local).drain_images());
+        region.cache.shard_mut(local).clear();
         self.end_gpu(node, now);
         self.log.push(FleetEvent {
             at: now,
@@ -956,7 +939,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         };
         let (region, local) = self.locate(victim);
         region.router.remove_node(local);
-        let lost = region.cache.shard_mut(local).drain_images().len();
+        let lost = region.cache.shard_mut(local).clear();
         self.fail_node(now, victim, SimDuration::ZERO, lost);
         self.events.schedule(
             now + self.faults.recovery_delay(),
@@ -1062,7 +1045,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             let shard = self.regions[region].cache.shard_mut(local);
             let keep = (shard.len() as f64 * self.config.handoff_fraction).ceil() as usize;
             let exported = shard.export_hottest(keep);
-            shard.drain_images();
+            shard.clear();
             for (tenant, image) in exported {
                 let dest = &mut self.regions[self.geo.target_region(tenant).0];
                 let dest_local = dest.router.shard_for(&image.embedding);
@@ -1085,6 +1068,13 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
     }
 
+    /// Virtual time of the last completion (the log is in time order).
+    fn finished_at(&self) -> SimTime {
+        self.completions
+            .last()
+            .map_or(SimTime::ZERO, |c| c.finished)
+    }
+
     /// Offers routed to each node id, across regions.
     fn routed_per_node(&self) -> Vec<u64> {
         let routers = self.regions.iter().map(|r| r.router.routed_per_node());
@@ -1094,17 +1084,46 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// The report of an executed run: fleet-wide counters, GPU-hours
     /// metered per node, the control-plane log, the per-window series,
     /// retry accounting, one slice per region, and one [`NodeReport`]
-    /// per node when every node served the whole run.
-    pub(crate) fn into_elastic_report(self) -> ElasticReport {
+    /// per node when every node served the whole run. Every completion
+    /// view is folded from the completion log in one pass.
+    pub(crate) fn into_elastic_report(mut self) -> ElasticReport {
+        // The loop's buffers go first, so the views reuse their memory.
+        drop(std::mem::take(&mut self.events));
+        drop(std::mem::take(&mut self.parked));
         let gpu_hours =
             self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
         let routed_per_node = self.routed_per_node();
-        let regions = self
-            .regions
-            .iter()
+        let finished_at = self.finished_at();
+        // A node's serving report covers the whole run only if the node
+        // served from time zero to the end; a fleet whose nodes came and
+        // went reports routing counts alone.
+        let mut lifecycles = self.nodes.iter().zip(&self.lifecycle);
+        let whole_run =
+            lifecycles.all(|(node, lifecycle)| node.is_some() && lifecycle.history().len() == 1);
+        let mut reports: Vec<_> = if whole_run {
+            let nodes = self.nodes.into_iter().flatten().enumerate();
+            nodes
+                .map(|(id, node)| {
+                    let shard = self.regions[id / self.region_size]
+                        .cache
+                        .shard(id % self.region_size);
+                    node.into_report(finished_at, self.slo, shard.stats().clone())
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut fleet = FleetViews {
+            tenants: self.tenants,
+            nodes: vec![(0, 0); self.config.max_nodes],
+            ..FleetViews::default()
+        };
+        fold_completions(&self.completions, Some(&mut fleet), &mut reports);
+        let tallies = fleet.nodes.chunks(self.region_size);
+        let regions = (self.regions.iter().zip(tallies))
             .enumerate()
-            .map(|(r, region)| {
-                let completed = region.hits + region.misses;
+            .map(|(r, (region, nodes))| {
+                let (completed, hits) = nodes.iter().fold((0, 0), |(c, h), t| (c + t.0, h + t.1));
                 RegionSlice {
                     region: r,
                     routed: region.router.routed_per_node().iter().sum(),
@@ -1112,40 +1131,28 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     hit_rate: if completed == 0 {
                         0.0
                     } else {
-                        region.hits as f64 / completed as f64
+                        hits as f64 / completed as f64
                     },
                     lost_at_mins: region.lifecycle.lost_at().map(SimTime::as_mins_f64),
                 }
             })
             .collect();
-        // A node's serving report covers the whole run only if the node
-        // served from time zero to the end; a fleet whose nodes came and
-        // went reports routing counts alone.
-        let mut lifecycles = self.nodes.iter().zip(&self.lifecycle);
-        let whole_run =
-            lifecycles.all(|(node, lifecycle)| node.is_some() && lifecycle.history().len() == 1);
-        let nodes = if whole_run {
-            let nodes = self.nodes.into_iter().flatten().enumerate();
-            nodes
-                .map(|(id, node)| {
-                    let shard = self.regions[id / self.region_size]
-                        .cache
-                        .shard(id % self.region_size);
-                    NodeReport {
-                        node: id,
-                        routed: routed_per_node[id],
-                        report: node.into_report(self.finished_at, self.slo, shard.stats().clone()),
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let nodes = reports
+            .into_iter()
+            .enumerate()
+            .map(|(id, report)| NodeReport {
+                node: id,
+                routed: routed_per_node[id],
+                report,
+            })
+            .collect();
+        let completed = self.completions.len() as u64;
+        let hits = fleet.nodes.iter().map(|t| t.1).sum();
         ElasticReport {
             scaler: self.scaler.name(),
-            completed: self.completed,
-            hits: self.regions.iter().map(|r| r.hits).sum(),
-            misses: self.regions.iter().map(|r| r.misses).sum(),
+            completed,
+            hits,
+            misses: completed - hits,
             rejected: self.stats.abandoned,
             shed: self.shed,
             retry: RetryStats {
@@ -1156,14 +1163,14 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             nodes,
             cache: self.regions.iter().map(|r| r.cache.summary()).sum(),
             routed_per_node,
-            latency: self.latency,
+            latency: fleet.latency,
             slo: self.slo,
             slo_multiple: self.config.slo_multiple,
             gpu_hours,
             events: self.log,
             windows: self.windows,
-            tenant_slices: self.tenants.into_values().collect(),
-            finished_at: self.finished_at,
+            tenant_slices: fleet.tenants.into_values().collect(),
+            finished_at,
         }
     }
 }
@@ -1176,6 +1183,7 @@ mod tests {
     use modm_core::fairqueue::{TenancyPolicy, TenantShare};
     use modm_core::kselect::HIT_THRESHOLD;
     use modm_fleet::RoutingPolicy;
+    use modm_metrics::LatencyReport;
     use modm_workload::{QosClass, TenantMix, TraceBuilder};
 
     use super::*;

@@ -194,6 +194,32 @@ mod tests {
             assert_eq!(report.hits + report.misses, 200, "{policy:?}");
             let per_node: u64 = report.nodes.iter().map(|n| n.report.completed()).sum();
             assert_eq!(per_node, 200, "{policy:?} node accounting");
+            // Node and fleet views fold one completion log: the nodes'
+            // samples together are the fleet's, and their tenant slices
+            // complete what the fleet's do.
+            let sorted_bits = |samples: Vec<f64>| {
+                let mut bits: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
+                bits.sort_unstable();
+                bits
+            };
+            let nodes = report.nodes.iter().map(|n| &n.report);
+            let node_samples = nodes.clone().flat_map(|r| r.latency.samples_secs());
+            assert_eq!(
+                sorted_bits(node_samples.copied().collect()),
+                sorted_bits(report.latency.samples_secs().to_vec()),
+                "{policy:?} node latencies"
+            );
+            for fleet_slice in &report.tenant_slices {
+                let node_slices = nodes.clone().flat_map(|r| &r.tenant_slices);
+                let completed: u64 = node_slices
+                    .filter(|s| s.tenant == fleet_slice.tenant)
+                    .map(|s| s.completed)
+                    .sum();
+                assert_eq!(
+                    completed, fleet_slice.completed,
+                    "{policy:?} tenant accounting"
+                );
+            }
             let routed: u64 = report.nodes.iter().map(|n| n.routed).sum();
             assert_eq!(routed, 200, "{policy:?} router accounting");
         }

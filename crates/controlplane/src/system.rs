@@ -143,6 +143,25 @@ mod tests {
     }
 
     #[test]
+    fn the_node_report_holds_the_engine_latencies_in_order() {
+        // Both views are folded from one completion log; a node of one
+        // sees every completion, in the order they completed.
+        let trace = TraceBuilder::diffusion_db(6)
+            .requests(120)
+            .rate_per_min(30.0)
+            .build();
+        let report = small_system(2).run_engine(&trace, RunOptions::default(), None);
+        let bits = |samples: &[f64]| samples.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let node = &report.nodes[0].report;
+        assert_eq!(
+            bits(node.latency.samples_secs()),
+            bits(report.latency.samples_secs())
+        );
+        assert_eq!(node.latency.count(), 120);
+        assert_eq!(node.throughput.completed(), 120);
+    }
+
+    #[test]
     fn deterministic_under_seed() {
         let trace = TraceBuilder::diffusion_db(2)
             .requests(60)

@@ -85,5 +85,5 @@ pub use modm_embedding::IndexPolicy;
 pub use monitor::{GlobalMonitor, WindowStats};
 pub use node::{EnqueueOutcome, NodeInFlight, ServingNode};
 pub use pid::PidController;
-pub use report::{ServingReport, TenantSlice};
+pub use report::{fold_completions, Completion, FleetViews, ServingReport, TenantSlice};
 pub use scheduler::{route_against_cache, IncomingRequest, RouteKind, RoutedRequest};

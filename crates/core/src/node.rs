@@ -83,7 +83,9 @@ pub struct NodeInFlight {
 }
 
 /// One MoDM serving node: GPU workers, hit/miss queues, the node-local
-/// global monitor, and the node's slice of the metrics.
+/// global monitor, and the node's decision-time and quality metrics.
+/// Completion latency and throughput are the host's: it logs each
+/// completion once and folds the node's views from that log.
 ///
 /// The host event loop owns time: it calls [`ServingNode::enqueue`] when a
 /// request reaches the node, [`ServingNode::dispatch`] whenever the node
@@ -117,8 +119,6 @@ pub struct ServingNode {
     /// Queue-time shed budget (`None` never sheds).
     queue_budget: Option<SimDuration>,
     // Metrics.
-    latency: LatencyReport,
-    throughput: ThroughputReport,
     quality: QualityAggregator,
     k_histogram: [u64; K_CHOICES.len()],
     hits: u64,
@@ -163,8 +163,6 @@ impl ServingNode {
             charge: config.tenancy.charge,
             charge_model: config.large_model,
             queue_budget: config.tenancy.queue_budget,
-            latency: LatencyReport::new(),
-            throughput: ThroughputReport::new(),
             quality: QualityAggregator::new(),
             k_histogram: [0; K_CHOICES.len()],
             hits: 0,
@@ -188,11 +186,6 @@ impl ServingNode {
     /// Scheduler-level hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Scheduler-level misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Requests refused at admission so far.
@@ -502,8 +495,8 @@ impl ServingNode {
         self.in_flight[w].take()
     }
 
-    /// Records a completed request into the node's latency, throughput and
-    /// quality metrics, emitting [`SimEvent::Completed`] to `obs`.
+    /// Records a completed request's image into the node's quality
+    /// metrics, emitting [`SimEvent::Completed`] to `obs`.
     pub fn record_completion(
         &mut self,
         now: SimTime,
@@ -511,15 +504,7 @@ impl ServingNode {
         image: &GeneratedImage,
         mut obs: Obs<'_, '_>,
     ) {
-        self.latency.record(routed.arrival, now);
-        self.throughput.record_completion(now);
         self.quality.record(&routed.prompt_embedding, image);
-        let slice = self
-            .tenants
-            .entry(routed.tenant)
-            .or_insert_with(|| TenantSlice::new(routed.tenant, routed.qos));
-        slice.completed += 1;
-        slice.latency.record(routed.arrival, now);
         emit(&mut obs, now, || SimEvent::Completed {
             node: self.id,
             request_id: routed.request_id,
@@ -547,7 +532,10 @@ impl ServingNode {
     /// Finalizes the node into its [`ServingReport`]. `finished_at` is the
     /// host loop's last-completion time (energy idles until then), and
     /// `cache_stats` are the statistics of whatever cache the host
-    /// scheduled this node against.
+    /// scheduled this node against. The latency and throughput views and
+    /// the tenant slices' `completed` and `latency` are left empty for
+    /// the host to fold from its completion log
+    /// ([`fold_completions`](crate::report::fold_completions)).
     pub fn into_report(
         self,
         finished_at: SimTime,
@@ -560,8 +548,8 @@ impl ServingNode {
             finished_at,
         );
         ServingReport {
-            latency: self.latency,
-            throughput: self.throughput,
+            latency: LatencyReport::new(),
+            throughput: ThroughputReport::new(),
             quality: self.quality,
             energy,
             slo,

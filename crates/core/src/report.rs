@@ -1,4 +1,10 @@
 //! The outcome of a serving run: every number the paper's figures need.
+//!
+//! A run logs each completion once, as a [`Completion`]; the latency,
+//! throughput and tenant views of its reports are folded from that log
+//! when the run ends ([`fold_completions`]).
+
+use std::collections::BTreeMap;
 
 use modm_cache::CacheStats;
 use modm_cluster::ClusterEnergy;
@@ -97,6 +103,79 @@ impl TenantSlice {
     }
 }
 
+/// One completed request, as its run logged it: what every latency,
+/// throughput and tenant view is folded from (24 bytes).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Completion {
+    /// First arrival (client retries and crash redeliveries keep it).
+    pub arrival: SimTime,
+    /// Completion time.
+    pub finished: SimTime,
+    /// The node that served it.
+    pub node: u32,
+    /// Its tenant.
+    pub tenant: TenantId,
+    /// Its QoS class.
+    pub qos: QosClass,
+    /// Whether it was served from cache.
+    pub hit: bool,
+}
+
+/// The fleet-wide views of a run's completion log.
+#[derive(Debug, Clone, Default)]
+pub struct FleetViews {
+    /// Every completion's end-to-end latency.
+    pub latency: LatencyReport,
+    /// Per-tenant slices: the fold adds `completed`, `hits`, `misses` and
+    /// `latency` and sets `qos` to the last completion's class.
+    pub tenants: BTreeMap<TenantId, TenantSlice>,
+    /// `(completed, hits)` per node id: the caller sizes it, one entry per
+    /// node.
+    pub nodes: Vec<(u64, u64)>,
+}
+
+/// Folds a run's completion log in one pass, in completion order, so
+/// every view sees its samples in the order they completed: into `fleet`
+/// when given, and into `nodes[c.node]` (latency, throughput and the
+/// tenant slice's `completed` and `latency`) when `nodes` holds one
+/// report per node id.
+pub fn fold_completions(
+    log: &[Completion],
+    mut fleet: Option<&mut FleetViews>,
+    nodes: &mut [ServingReport],
+) {
+    for c in log {
+        if let Some(fleet) = fleet.as_deref_mut() {
+            fleet.latency.record(c.arrival, c.finished);
+            let slice = fleet
+                .tenants
+                .entry(c.tenant)
+                .or_insert_with(|| TenantSlice::new(c.tenant, c.qos));
+            slice.qos = c.qos;
+            slice.completed += 1;
+            slice.latency.record(c.arrival, c.finished);
+            if c.hit {
+                slice.hits += 1;
+            } else {
+                slice.misses += 1;
+            }
+            let tally = &mut fleet.nodes[c.node as usize];
+            tally.0 += 1;
+            tally.1 += u64::from(c.hit);
+        }
+        if let Some(report) = nodes.get_mut(c.node as usize) {
+            report.latency.record(c.arrival, c.finished);
+            report.throughput.record_completion(c.finished);
+            let slices = &mut report.tenant_slices;
+            let at = slices
+                .binary_search_by_key(&c.tenant, |s| s.tenant)
+                .expect("a node holds a slice for every tenant it admitted");
+            slices[at].completed += 1;
+            slices[at].latency.record(c.arrival, c.finished);
+        }
+    }
+}
+
 /// Everything measured on one serving node during a run: each node's
 /// share of an engine run, and a baseline's whole run.
 #[derive(Debug, Clone)]
@@ -174,19 +253,6 @@ impl ServingReport {
         self.latency.goodput(&self.slo, multiple)
     }
 
-    /// Fraction of hits at each k, in [`K_CHOICES`] order (Fig 9's stacked
-    /// bars).
-    pub fn k_distribution(&self) -> [f64; K_CHOICES.len()] {
-        let total: u64 = self.k_histogram.iter().sum();
-        let mut out = [0.0; K_CHOICES.len()];
-        if total > 0 {
-            for (o, &c) in out.iter_mut().zip(&self.k_histogram) {
-                *o = c as f64 / total as f64;
-            }
-        }
-        out
-    }
-
     /// Mean denoising steps skipped per hit.
     pub fn mean_k(&self) -> f64 {
         let total: u64 = self.k_histogram.iter().sum();
@@ -239,9 +305,6 @@ mod tests {
         r.misses = 1;
         r.k_histogram = [1, 0, 0, 0, 0, 2]; // one k=5, two k=30
         assert_eq!(r.hit_rate(), 0.75);
-        let d = r.k_distribution();
-        assert!((d[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((d[5] - 2.0 / 3.0).abs() < 1e-12);
         assert!((r.mean_k() - (5.0 + 60.0) / 3.0).abs() < 1e-12);
     }
 

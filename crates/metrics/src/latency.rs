@@ -62,6 +62,12 @@ impl LatencyReport {
         self.latencies.count()
     }
 
+    /// Every recorded latency in seconds, in recording order until a
+    /// quantile query sorts them.
+    pub fn samples_secs(&self) -> &[f64] {
+        self.latencies.samples()
+    }
+
     /// Mean latency in seconds.
     pub fn mean_secs(&self) -> f64 {
         self.latencies.mean()

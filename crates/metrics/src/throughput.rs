@@ -1,4 +1,4 @@
-//! Throughput accounting: completions over time and normalized comparisons.
+//! Throughput accounting: completions over time.
 
 use modm_simkit::{SimDuration, SimTime, TimeSeries};
 
@@ -6,7 +6,6 @@ use modm_simkit::{SimDuration, SimTime, TimeSeries};
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
     completed: u64,
-    first_completion: Option<SimTime>,
     last_completion: Option<SimTime>,
     series: TimeSeries,
 }
@@ -20,25 +19,16 @@ impl Default for ThroughputReport {
 impl ThroughputReport {
     /// Creates a report with 1-minute series windows (the paper's unit).
     pub fn new() -> Self {
-        Self::with_window(SimDuration::from_mins_f64(1.0))
-    }
-
-    /// Creates a report with an explicit series window.
-    pub fn with_window(window: SimDuration) -> Self {
         ThroughputReport {
             completed: 0,
-            first_completion: None,
             last_completion: None,
-            series: TimeSeries::new(window),
+            series: TimeSeries::new(SimDuration::from_mins_f64(1.0)),
         }
     }
 
     /// Records a completed request.
     pub fn record_completion(&mut self, at: SimTime) {
         self.completed += 1;
-        if self.first_completion.is_none() {
-            self.first_completion = Some(at);
-        }
         self.last_completion = Some(self.last_completion.map_or(at, |t| t.max(at)));
         self.series.record(at, 1.0);
     }
@@ -65,17 +55,6 @@ impl ThroughputReport {
         }
     }
 
-    /// Throughput normalized against a baseline report (Fig 7/8's y-axis).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline has zero throughput.
-    pub fn normalized_against(&self, baseline: &ThroughputReport) -> f64 {
-        let b = baseline.requests_per_minute();
-        assert!(b > 0.0, "baseline throughput is zero");
-        self.requests_per_minute() / b
-    }
-
     /// Per-window completion rates (requests/minute), for Figs 10 and 17.
     pub fn per_minute_series(&self) -> Vec<f64> {
         self.series.rates_per_minute()
@@ -95,17 +74,6 @@ mod tests {
         // 20 completions over 10 minutes.
         assert!((r.requests_per_minute() - 2.0).abs() < 1e-9);
         assert_eq!(r.completed(), 20);
-    }
-
-    #[test]
-    fn normalization() {
-        let mut a = ThroughputReport::new();
-        let mut b = ThroughputReport::new();
-        for i in 1..=10 {
-            a.record_completion(SimTime::from_secs_f64(i as f64 * 6.0));
-            b.record_completion(SimTime::from_secs_f64(i as f64 * 12.0));
-        }
-        assert!((a.normalized_against(&b) - 2.0).abs() < 1e-9);
     }
 
     #[test]
