@@ -8,7 +8,9 @@
 //! reports with so results are directly comparable.
 
 use modm_cluster::{ClusterEnergy, GpuKind, Worker};
-use modm_core::report::{fold_completions, Completion, ServingReport, TenantSlice};
+use modm_core::report::{
+    fold_terminals, Outcome, ServingReport, Terminal, TerminalKind, TerminalLog,
+};
 use modm_core::RunOptions;
 use modm_diffusion::{GeneratedImage, ModelId, K_CHOICES};
 use modm_embedding::Embedding;
@@ -168,23 +170,12 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             requests.len()
         };
 
-        let mut completions = Vec::with_capacity(requests.len());
+        let mut terminals = TerminalLog::with_capacity(requests.len());
         let mut quality = QualityAggregator::new();
-        let mut k_histogram = [0u64; K_CHOICES.len()];
-        let mut hits = 0u64;
-        let mut misses = 0u64;
         while let Some((now, event)) = events.pop() {
             let finished = match event {
                 Event::Arrival(i) => {
                     let job = self.policy.classify(now, &requests[i], &mut rng);
-                    if job.is_hit {
-                        hits += 1;
-                        if let Some(slot) = K_CHOICES.iter().position(|&c| c == job.k) {
-                            k_histogram[slot] += 1;
-                        }
-                    } else {
-                        misses += 1;
-                    }
                     if job.steps == 0 {
                         // Served straight from the cache, no GPU involved.
                         Some(job)
@@ -197,14 +188,15 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             };
             if let Some(job) = finished {
                 let image = self.policy.produce(&job, &mut rng);
-                completions.push(Completion {
+                let served = Terminal {
                     arrival: job.arrival,
-                    finished: now,
+                    at: now,
                     node: 0,
                     tenant: TenantId::DEFAULT,
                     qos: QosClass::default(),
-                    hit: job.is_hit,
-                });
+                    outcome: Outcome::new(TerminalKind::Served, job.is_hit.then_some(job.k)),
+                };
+                terminals.push(job.request_id, served);
                 quality.record(&job.prompt_embedding, &image);
                 self.policy.on_complete(now, &job, &image);
                 if options.saturate && next_admission < requests.len() {
@@ -225,19 +217,15 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             }
         }
 
-        let finished_at = completions.last().map_or(SimTime::ZERO, |c| c.finished);
+        terminals.assert_covers(requests.iter().map(|r| r.id));
+        let finished_at = terminals.finished_at();
         let energy = ClusterEnergy::aggregate(
             workers.iter().map(|w| (w.energy(), w.gpu())),
             SimTime::ZERO,
             finished_at,
         );
-        // Baselines are tenant-blind: everything lands on one aggregate
-        // default-tenant slice, whose completions the log folds in.
-        let aggregate = TenantSlice {
-            hits,
-            misses,
-            ..Default::default()
-        };
+        // Baselines are tenant-blind: the fold lands every completion on
+        // one default-tenant slice.
         let mut report = ServingReport {
             latency: LatencyReport::new(),
             throughput: ThroughputReport::new(),
@@ -245,17 +233,17 @@ impl<P: BaselinePolicy> BaselineEngine<P> {
             energy,
             slo: SloThresholds::for_deployment(self.gpu, model),
             cache_stats: self.policy.cache_stats(),
-            hits,
-            misses,
+            hits: 0,
+            misses: 0,
             rejected: 0,
             shed: 0,
-            k_histogram,
+            k_histogram: [0; K_CHOICES.len()],
             allocation_series: Vec::new(),
-            tenant_slices: vec![aggregate],
+            tenant_slices: Vec::new(),
             model_switches: 0,
             finished_at,
         };
-        fold_completions(&completions, None, std::slice::from_mut(&mut report));
+        fold_terminals(&terminals, None, std::slice::from_mut(&mut report));
         report
     }
 }

@@ -34,15 +34,15 @@ use std::collections::BTreeMap;
 use modm_core::config::AdmissionPolicy;
 use modm_core::events::{emit, Obs, SimEvent};
 use modm_core::node::{render_completion, EnqueueOutcome, NodeInFlight, ServingNode};
-use modm_core::report::{fold_completions, Completion, FleetViews, TenantSlice};
-use modm_core::scheduler::{route_against_cache, IncomingRequest, RouteKind};
+use modm_core::report::{fold_terminals, FleetViews, Outcome, Terminal, TerminalKind, TerminalLog};
+use modm_core::scheduler::{route_against_cache, IncomingRequest};
 use modm_core::TenancyPolicy;
 use modm_diffusion::{QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
 use modm_fleet::{GeoRouter, Router, ShardedCache};
 use modm_metrics::SloThresholds;
 use modm_simkit::{EventQueue, SimDuration, SimRng, SimTime};
-use modm_workload::{Request, TenantId, Trace};
+use modm_workload::{Request, Trace};
 
 use crate::autoscaler::{Autoscaler, ScaleDecision, ScalerObservation};
 use crate::client::Clients;
@@ -163,23 +163,16 @@ pub(crate) struct ElasticRun<'a, 'o> {
     /// redelivery keeps its request's retry count.
     retried: BTreeMap<u64, u32>,
     stats: RetryStats,
-    /// Every completion, once: the report folds the fleet's, the
-    /// regions' and the nodes' completion views from it (so every
-    /// request counts once even if a crash re-routed it).
-    completions: Vec<Completion>,
-    /// Sheds harvested from node incarnations as they tear down (nodes
-    /// come and go; the counters must outlive them).
-    shed: u64,
-    /// Per-tenant refusals and sheds; the report folds the completions
-    /// into these slices.
-    tenants: BTreeMap<TenantId, TenantSlice>,
+    /// Every request's terminal, once: the report folds the fleet's,
+    /// the regions' and the nodes' views from it (so every request counts
+    /// once even if a crash re-routed it), and each control tick folds
+    /// the terminals logged since the last.
+    terminals: TerminalLog,
     slo: SloThresholds,
     slo_bound_secs: f64,
-    // Control window counters.
+    // Control window: admitted offers, and where its terminals start.
     win_arrivals: u64,
-    win_completions: u64,
-    win_hits: u64,
-    win_violations: u64,
+    win_from: usize,
     // GPU-hour metering.
     gpu_since: Vec<Option<SimTime>>,
     gpu_secs: Vec<f64>,
@@ -316,15 +309,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             controls_pending: 0,
             retried: BTreeMap::new(),
             stats: RetryStats::default(),
-            completions: Vec::with_capacity(requests.len()),
-            shed: 0,
-            tenants: BTreeMap::new(),
+            terminals: TerminalLog::with_capacity(requests.len()),
             slo_bound_secs: slo.bound_secs(config.slo_multiple),
             slo,
             win_arrivals: 0,
-            win_completions: 0,
-            win_hits: 0,
-            win_violations: 0,
+            win_from: 0,
             gpu_since,
             gpu_secs: vec![0.0; config.max_nodes],
             log: Vec::new(),
@@ -378,12 +367,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         &self.regions[0].cache
     }
 
-    /// Runs the event loop to exhaustion, then closes GPU metering and
-    /// harvests the surviving nodes' shed counters.
+    /// Runs the event loop to exhaustion, then closes GPU metering.
     ///
     /// # Panics
     ///
-    /// Panics unless every request reached exactly one terminal.
+    /// Panics unless the log holds one terminal per request (debug
+    /// builds also check that each request id logged exactly one).
     pub(crate) fn execute(mut self) -> Self {
         while let Some((now, event)) = self.events.pop() {
             match event {
@@ -479,18 +468,17 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 }
             }
         }
-        let end = self.finished_at();
+        let end = self.terminals.finished_at();
         for node in 0..self.config.max_nodes {
             self.end_gpu(node, end);
         }
-        for node in self.nodes.iter().flatten() {
-            Self::harvest_shed(&mut self.shed, &mut self.tenants, node);
-        }
         assert_eq!(
-            self.completions.len() as u64 + self.stats.abandoned + self.shed,
-            self.requests.len() as u64,
+            self.terminals.len(),
+            self.requests.len(),
             "every request reaches exactly one terminal"
         );
+        self.terminals
+            .assert_covers(self.requests.iter().map(|r| r.id));
         self
     }
 
@@ -593,27 +581,38 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 retry_after_secs,
                 request,
             } => {
-                self.refused(now, request, attempt, retry_after_secs);
+                self.refused(now, node_idx, request, attempt, retry_after_secs);
                 None
             }
         }
     }
 
-    /// What the client population does with a refusal: retry after its
-    /// backoff, or abandon the request. Under saturation the abandoned
-    /// request frees its backlog slot, and the replacement arrives after
-    /// the refusal's hint, like a backing-off client.
-    fn refused(&mut self, now: SimTime, request: IncomingRequest, attempt: u32, hint: f64) {
+    /// What the client population does with `node`'s refusal: retry
+    /// after its backoff, or abandon the request. Under saturation the
+    /// abandoned request frees its backlog slot, and the replacement
+    /// arrives after the refusal's hint, like a backing-off client.
+    fn refused(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        request: IncomingRequest,
+        attempt: u32,
+        hint: f64,
+    ) {
         let retry = match &mut self.clients {
             Clients::Saturated { .. } => None,
             Clients::Retrying { policy, jitter } => policy.delay(attempt + 1, hint, jitter),
         };
         let Some(wait) = retry else {
-            self.stats.abandoned += 1;
-            self.tenants
-                .entry(request.tenant)
-                .or_insert_with(|| TenantSlice::new(request.tenant, request.qos))
-                .absorb_overload(1, 0);
+            let abandoned = Terminal {
+                arrival: request.arrival,
+                at: now,
+                node: node as u32,
+                tenant: request.tenant,
+                qos: request.qos,
+                outcome: Outcome::ABANDONED,
+            };
+            self.terminals.push(request.request_id, abandoned);
             self.admit_next(now + SimDuration::from_secs_f64(hint));
             return;
         };
@@ -630,28 +629,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         );
     }
 
-    /// Merges a node incarnation's shed counters into the fleet-level
-    /// accounting. Must run exactly once per incarnation, right before
-    /// its serving state is dropped (decommission, crash) or at the end
-    /// of the run for nodes still alive. (Refusals are counted as the
-    /// clients abandon them.)
-    fn harvest_shed(
-        shed: &mut u64,
-        tenants: &mut BTreeMap<TenantId, TenantSlice>,
-        node: &ServingNode,
-    ) {
-        *shed += node.shed();
-        for (tenant, qos, _, node_shed) in node.tenant_overload() {
-            if node_shed == 0 {
-                continue;
-            }
-            tenants
-                .entry(tenant)
-                .or_insert_with(|| TenantSlice::new(tenant, qos))
-                .absorb_overload(0, node_shed);
-        }
-    }
-
     fn complete(&mut self, now: SimTime, node_idx: usize, inflight: NodeInFlight) {
         let image = render_completion(
             &self.sampler,
@@ -661,20 +638,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         );
         let node = self.nodes[node_idx].as_mut().expect("completing node");
         node.record_completion(now, &inflight.routed, &image, self.obs.as_deref_mut());
-        let hit = matches!(inflight.routed.route, RouteKind::Hit { .. });
-        self.completions.push(Completion {
-            arrival: inflight.routed.arrival,
-            finished: now,
-            node: node_idx as u32,
-            tenant: inflight.routed.tenant,
-            qos: inflight.routed.qos,
-            hit,
-        });
-        self.win_completions += 1;
-        self.win_hits += u64::from(hit);
-        if now.saturating_since(inflight.routed.arrival).as_secs_f64() > self.slo_bound_secs {
-            self.win_violations += 1;
-        }
+        let served = Terminal::routed(&inflight.routed, node_idx, now, TerminalKind::Served);
+        self.terminals.push(inflight.routed.request_id, served);
         let admit = match self.config.node_config.admission {
             AdmissionPolicy::CacheAll => true,
             AdmissionPolicy::CacheLarge => image.is_full_generation(),
@@ -696,7 +661,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let Some(node) = self.nodes[node_idx].as_mut() else {
             return;
         };
-        let shed_before = node.shed();
+        let logged = self.terminals.len();
         let epoch = self.epoch[node_idx];
         let events = &mut self.events;
         node.dispatch(
@@ -711,12 +676,13 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     },
                 );
             },
+            &mut self.terminals,
             self.obs.as_deref_mut(),
         );
         // Closed-loop saturation: like refusals, sheds complete nothing
         // — each one must release its backlog slot or the closed loop
         // drains (and, past the prime depth, stalls).
-        for _ in shed_before..node.shed() {
+        for _ in logged..self.terminals.len() {
             self.admit_next(now);
         }
     }
@@ -749,14 +715,26 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         } else {
             loads / active.len() as f64
         };
+        // The window's completions, hits and SLO violations, folded from
+        // the terminals logged since the last tick.
+        let (mut completions, mut hits, mut violations) = (0, 0, 0);
+        for t in &self.terminals[self.win_from..] {
+            if t.outcome.kind() == TerminalKind::Served {
+                completions += 1;
+                hits += u64::from(t.outcome.is_hit());
+                let latency = t.at.saturating_since(t.arrival).as_secs_f64();
+                violations += u64::from(latency > self.slo_bound_secs);
+            }
+        }
+        self.win_from = self.terminals.len();
         let obs = ScalerObservation {
             arrival_rate_per_min: self.win_arrivals as f64
                 / self.config.control_period.as_mins_f64(),
             queue_depth_per_node: mean_queue,
-            slo_violation_rate: if self.win_completions == 0 {
+            slo_violation_rate: if completions == 0 {
                 0.0
             } else {
-                self.win_violations as f64 / self.win_completions as f64
+                violations as f64 / completions as f64
             },
             active_nodes: active.len(),
             min_nodes: self.config.min_nodes,
@@ -766,17 +744,14 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         self.windows.push(WindowSample {
             end: now,
             arrival_rate_per_min: obs.arrival_rate_per_min,
-            completions: self.win_completions,
-            hits: self.win_hits,
-            slo_violations: self.win_violations,
+            completions,
+            hits,
+            slo_violations: violations,
             active_nodes: active.len(),
             mean_queue_depth: mean_queue,
             decision,
         });
         self.win_arrivals = 0;
-        self.win_completions = 0;
-        self.win_hits = 0;
-        self.win_violations = 0;
         match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::Up(n) => self.scale_up(now, n),
@@ -913,9 +888,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     fn decommission(&mut self, now: SimTime, node: usize) {
         self.transition(node, NodeState::Decommissioned, now);
         self.epoch[node] += 1; // invalidate any straggler events
-        if let Some(n) = self.nodes[node].take() {
-            Self::harvest_shed(&mut self.shed, &mut self.tenants, &n);
-        }
+        self.nodes[node] = None;
         // The cold tail the handoff left behind dies with the shard.
         let (region, local) = self.locate(node);
         region.cache.shard_mut(local).clear();
@@ -958,7 +931,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         self.transition(node, NodeState::Failed, now);
         self.epoch[node] += 1;
         let mut serving = self.nodes[node].take().expect("failing node existed");
-        Self::harvest_shed(&mut self.shed, &mut self.tenants, &serving);
         let pending = serving.drain_pending();
         self.end_gpu(node, now);
         let redelivered = pending.len();
@@ -1068,13 +1040,6 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
     }
 
-    /// Virtual time of the last completion (the log is in time order).
-    fn finished_at(&self) -> SimTime {
-        self.completions
-            .last()
-            .map_or(SimTime::ZERO, |c| c.finished)
-    }
-
     /// Offers routed to each node id, across regions.
     fn routed_per_node(&self) -> Vec<u64> {
         let routers = self.regions.iter().map(|r| r.router.routed_per_node());
@@ -1084,8 +1049,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// The report of an executed run: fleet-wide counters, GPU-hours
     /// metered per node, the control-plane log, the per-window series,
     /// retry accounting, one slice per region, and one [`NodeReport`]
-    /// per node when every node served the whole run. Every completion
-    /// view is folded from the completion log in one pass.
+    /// per node when every node served the whole run. Every count and
+    /// completion view is folded from the terminal log in one pass.
     pub(crate) fn into_elastic_report(mut self) -> ElasticReport {
         // The loop's buffers go first, so the views reuse their memory.
         drop(std::mem::take(&mut self.events));
@@ -1093,7 +1058,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let gpu_hours =
             self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
         let routed_per_node = self.routed_per_node();
-        let finished_at = self.finished_at();
+        let finished_at = self.terminals.finished_at();
         // A node's serving report covers the whole run only if the node
         // served from time zero to the end; a fleet whose nodes came and
         // went reports routing counts alone.
@@ -1114,11 +1079,10 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             Vec::new()
         };
         let mut fleet = FleetViews {
-            tenants: self.tenants,
             nodes: vec![(0, 0); self.config.max_nodes],
             ..FleetViews::default()
         };
-        fold_completions(&self.completions, Some(&mut fleet), &mut reports);
+        fold_terminals(&self.terminals, Some(&mut fleet), &mut reports);
         let tallies = fleet.nodes.chunks(self.region_size);
         let regions = (self.regions.iter().zip(tallies))
             .enumerate()
@@ -1146,17 +1110,20 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 report,
             })
             .collect();
-        let completed = self.completions.len() as u64;
+        let completed = fleet.nodes.iter().map(|t| t.0).sum();
         let hits = fleet.nodes.iter().map(|t| t.1).sum();
+        let abandoned = fleet.tenants.values().map(|t| t.rejected).sum();
+        let shed = fleet.tenants.values().map(|t| t.shed).sum();
         ElasticReport {
             scaler: self.scaler.name(),
             completed,
             hits,
             misses: completed - hits,
-            rejected: self.stats.abandoned,
-            shed: self.shed,
+            rejected: abandoned,
+            shed,
             retry: RetryStats {
                 offers: routed_per_node.iter().sum(),
+                abandoned,
                 ..self.stats
             },
             regions,
@@ -1182,9 +1149,10 @@ mod tests {
     use modm_core::config::{MoDMConfig, RunOptions};
     use modm_core::fairqueue::{TenancyPolicy, TenantShare};
     use modm_core::kselect::HIT_THRESHOLD;
+    use modm_core::report::TenantSlice;
     use modm_fleet::RoutingPolicy;
     use modm_metrics::LatencyReport;
-    use modm_workload::{QosClass, TenantMix, TraceBuilder};
+    use modm_workload::{QosClass, TenantId, TenantMix, TraceBuilder};
 
     use super::*;
     use crate::autoscaler::HoldAutoscaler;
@@ -1265,7 +1233,7 @@ mod tests {
         };
         let node = |run: &ElasticRun| {
             let node = run.nodes[0].as_ref().expect("node 0 is active");
-            (node.hits(), node.rejected())
+            (run.cache().shard(0).stats().hits(), node.rejected())
         };
 
         let admitted = run.place(SimTime::from_secs_f64(60.0), 0, offer(1_000), 0);
@@ -1357,7 +1325,7 @@ mod tests {
             prompt_embedding: embedding.clone(),
         };
         let now = SimTime::from_secs_f64(1.0);
-        run.refused(now, request(7), 0, 5.0);
+        run.refused(now, 1, request(7), 0, 5.0);
         let retry = run.parked[0].take().expect("the refusal parks a retry");
         assert_eq!((retry.attempt, retry.leg), (1, Leg::Client));
         run.offer(now, request(6), 0, Leg::Client);

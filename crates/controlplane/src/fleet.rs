@@ -194,7 +194,7 @@ mod tests {
             assert_eq!(report.hits + report.misses, 200, "{policy:?}");
             let per_node: u64 = report.nodes.iter().map(|n| n.report.completed()).sum();
             assert_eq!(per_node, 200, "{policy:?} node accounting");
-            // Node and fleet views fold one completion log: the nodes'
+            // Node and fleet views fold one terminal log: the nodes'
             // samples together are the fleet's, and their tenant slices
             // complete what the fleet's do.
             let sorted_bits = |samples: Vec<f64>| {

@@ -151,9 +151,9 @@ pub struct NodeReport {
     /// Requests the router sent to this node.
     pub routed: u64,
     /// The node's serving report over the whole run. Its hit and miss
-    /// counts are scheduler-level (taken when each request was decided,
-    /// shed work included), and its `cache_stats` are the node's shard
-    /// statistics.
+    /// counts are scheduler-level (folded from the requests it served or
+    /// shed, which for a whole-run node are every request it admitted),
+    /// and its `cache_stats` are the node's shard statistics.
     pub report: ServingReport,
 }
 
@@ -162,8 +162,9 @@ pub struct NodeReport {
 /// run, or a multi-region [`crate::run_regions`] run.
 ///
 /// The fleet-wide counters (`completed`, `hits`, `misses`, `rejected`,
-/// `shed` and the tenant slices) count each request once, at its
-/// terminal: a hit or a miss is counted when the request completes.
+/// `shed` and the tenant slices) are folded from the run's terminal log,
+/// so each request counts once, at its terminal: a hit or a miss is
+/// counted when the request completes.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Name of the autoscaling policy that drove the run.

@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn the_node_report_holds_the_engine_latencies_in_order() {
-        // Both views are folded from one completion log; a node of one
+        // Both views are folded from one terminal log; a node of one
         // sees every completion, in the order they completed.
         let trace = TraceBuilder::diffusion_db(6)
             .requests(120)

@@ -85,5 +85,8 @@ pub use modm_embedding::IndexPolicy;
 pub use monitor::{GlobalMonitor, WindowStats};
 pub use node::{EnqueueOutcome, NodeInFlight, ServingNode};
 pub use pid::PidController;
-pub use report::{fold_completions, Completion, FleetViews, ServingReport, TenantSlice};
+pub use report::{
+    fold_terminals, FleetViews, Outcome, ServingReport, TenantSlice, Terminal, TerminalKind,
+    TerminalLog,
+};
 pub use scheduler::{route_against_cache, IncomingRequest, RouteKind, RoutedRequest};

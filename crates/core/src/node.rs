@@ -27,7 +27,9 @@ use crate::config::{validate_tenancy, ConfigError, MoDMConfig};
 use crate::events::{emit, Obs, SimEvent};
 use crate::fairqueue::{FairQueue, FairnessCharge, TenancyPolicy};
 use crate::monitor::{GlobalMonitor, WindowStats};
-use crate::report::{AllocationSample, ServingReport, TenantSlice};
+use crate::report::{
+    AllocationSample, ServingReport, TenantSlice, Terminal, TerminalKind, TerminalLog,
+};
 use crate::scheduler::{IncomingRequest, RouteKind, RoutedRequest};
 
 /// Which admission lane a dispatch pop draws from.
@@ -83,9 +85,10 @@ pub struct NodeInFlight {
 }
 
 /// One MoDM serving node: GPU workers, hit/miss queues, the node-local
-/// global monitor, and the node's decision-time and quality metrics.
-/// Completion latency and throughput are the host's: it logs each
-/// completion once and folds the node's views from that log.
+/// global monitor, its refusal count and its quality metrics. Every
+/// other count is the host's: the host logs each request's terminal
+/// once (the node appends the sheds) and folds the node's views from
+/// that log.
 ///
 /// The host event loop owns time: it calls [`ServingNode::enqueue`] when a
 /// request reaches the node, [`ServingNode::dispatch`] whenever the node
@@ -120,16 +123,11 @@ pub struct ServingNode {
     queue_budget: Option<SimDuration>,
     // Metrics.
     quality: QualityAggregator,
-    k_histogram: [u64; K_CHOICES.len()],
-    hits: u64,
-    misses: u64,
     /// Requests refused at admission.
     rejected: u64,
-    /// Requests shed at dispatch past the queue-time budget.
-    shed: u64,
     allocation_series: Vec<AllocationSample>,
-    /// Per-tenant accounting, keyed for deterministic report order.
-    tenants: BTreeMap<TenantId, TenantSlice>,
+    /// Per-tenant refusals, keyed for deterministic report order.
+    refusals: BTreeMap<TenantId, TenantSlice>,
     // Monitor window counters.
     win_arrivals: u64,
     win_hits: u64,
@@ -164,13 +162,9 @@ impl ServingNode {
             charge_model: config.large_model,
             queue_budget: config.tenancy.queue_budget,
             quality: QualityAggregator::new(),
-            k_histogram: [0; K_CHOICES.len()],
-            hits: 0,
-            misses: 0,
             rejected: 0,
-            shed: 0,
             allocation_series: Vec::new(),
-            tenants: BTreeMap::new(),
+            refusals: BTreeMap::new(),
             win_arrivals: 0,
             win_hits: 0,
             win_misses: 0,
@@ -183,31 +177,9 @@ impl ServingNode {
         self.id
     }
 
-    /// Scheduler-level hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Requests refused at admission so far.
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Requests shed past the queue-time budget so far.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Per-tenant `(tenant, qos, rejected, shed)` overload counters, in
-    /// tenant order — what a host that aggregates fleet-level slices
-    /// (and tears nodes down mid-run, like the elastic control plane)
-    /// harvests before dropping the node.
-    pub fn tenant_overload(&self) -> Vec<(TenantId, modm_workload::QosClass, u64, u64)> {
-        self.tenants
-            .values()
-            .filter(|s| s.rejected > 0 || s.shed > 0)
-            .map(|s| (s.tenant, s.qos, s.rejected, s.shed))
-            .collect()
     }
 
     /// Outstanding backlog: queued requests plus busy workers. The unit is
@@ -259,16 +231,15 @@ impl ServingNode {
     /// counter advances, nothing is queued, and the method returns
     /// [`EnqueueOutcome::Rejected`] with the request (the host loop uses
     /// the hint to schedule the client's next move). Refused
-    /// requests never touch the hit/miss accounting or the monitor's
-    /// window counters — the monitor plans capacity for admitted work
-    /// only.
+    /// requests never touch the monitor's window counters — the monitor
+    /// plans capacity for admitted work only.
     ///
     /// An admitted request emits [`SimEvent::Admitted`], is routed by
     /// `decide` (the host's cache decision on the prompt embedding,
     /// typically [`route_against_cache`](crate::route_against_cache) on
     /// this node's shard), emits [`SimEvent::CacheHit`] /
-    /// [`SimEvent::CacheMiss`], updates hit/miss accounting and the
-    /// monitor window counters, and joins its lane's queue.
+    /// [`SimEvent::CacheMiss`], updates the monitor window counters,
+    /// and joins its lane's queue.
     pub fn enqueue(
         &mut self,
         now: SimTime,
@@ -280,13 +251,13 @@ impl ServingNode {
         let admit = profile::timed(profile::Subsystem::Admission, || {
             self.admission.try_admit_or_retry(now, tenant)
         });
-        let slice = self
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantSlice::new(tenant, qos));
-        slice.qos = qos;
         if let Err(retry_after_secs) = admit {
             self.rejected += 1;
+            let slice = self
+                .refusals
+                .entry(tenant)
+                .or_insert_with(|| TenantSlice::new(tenant, qos));
+            slice.qos = qos;
             slice.rejected += 1;
             emit(&mut obs, now, || SimEvent::Rejected {
                 node: self.id,
@@ -326,12 +297,8 @@ impl ServingNode {
         };
         match &routed.route {
             RouteKind::Hit { k, .. } => {
-                slice.hits += 1;
-                self.hits += 1;
                 self.win_hits += 1;
-                let slot = k_slot(*k);
-                self.k_histogram[slot] += 1;
-                self.win_k[slot] += 1;
+                self.win_k[k_slot(*k)] += 1;
                 emit(&mut obs, now, || SimEvent::CacheHit {
                     node: self.id,
                     request_id,
@@ -341,8 +308,6 @@ impl ServingNode {
                 self.hit_q.push_weighted(now, tenant, qos, cost, routed);
             }
             RouteKind::Miss => {
-                slice.misses += 1;
-                self.misses += 1;
                 self.win_misses += 1;
                 emit(&mut obs, now, || SimEvent::CacheMiss {
                     node: self.id,
@@ -392,13 +357,15 @@ impl ServingNode {
     /// queued jobs — large workers prefer misses and help with hits rather
     /// than idling, small workers serve hits. Calls `schedule(done, w)`
     /// for every worker `w` that becomes busy until virtual time `done`;
-    /// the host loop turns that into its worker-free event. Emits one
-    /// [`SimEvent::Dispatched`] per job handed to a worker (model
-    /// switches are not dispatches).
+    /// the host loop turns that into its worker-free event. Appends one
+    /// shed [`Terminal`] to `terminals` per request shed on the way.
+    /// Emits one [`SimEvent::Dispatched`] per job handed to a worker
+    /// (model switches are not dispatches).
     pub fn dispatch(
         &mut self,
         now: SimTime,
         mut schedule: impl FnMut(SimTime, usize),
+        terminals: &mut TerminalLog,
         mut obs: Obs<'_, '_>,
     ) {
         loop {
@@ -416,12 +383,12 @@ impl ServingNode {
                 }
                 let hosted = self.workers[w].model();
                 let job = if hosted.spec().is_large() {
-                    match self.pop_serveable(now, Lane::Miss, &mut obs) {
+                    match self.pop_serveable(now, Lane::Miss, terminals, &mut obs) {
                         Some(job) => Some(job),
-                        None => self.pop_serveable(now, Lane::Hit, &mut obs),
+                        None => self.pop_serveable(now, Lane::Hit, terminals, &mut obs),
                     }
                 } else {
-                    self.pop_serveable(now, Lane::Hit, &mut obs)
+                    self.pop_serveable(now, Lane::Hit, terminals, &mut obs)
                 };
                 let Some(routed) = job else { continue };
                 let steps = steps_for(&routed, hosted);
@@ -449,13 +416,15 @@ impl ServingNode {
     /// Pops the next *serveable* job from `lane`, shedding any item whose
     /// queue wait already exceeds the configured budget: a request that
     /// waited past the budget is hopeless for its SLO, and serving it
-    /// would only push every later request further out. Sheds emit
-    /// [`SimEvent::ShedDeadline`] and advance the tenant's `shed`
-    /// counter; with no budget configured this is exactly a plain pop.
+    /// would only push every later request further out. Each shed emits
+    /// [`SimEvent::ShedDeadline`] and appends its terminal to
+    /// `terminals`; with no budget configured this is exactly a plain
+    /// pop.
     fn pop_serveable(
         &mut self,
         now: SimTime,
         lane: Lane,
+        terminals: &mut TerminalLog,
         obs: &mut Obs<'_, '_>,
     ) -> Option<RoutedRequest> {
         loop {
@@ -470,13 +439,8 @@ impl ServingNode {
                 (waited, budget.is_some_and(|b| waited > b))
             });
             if expired {
-                self.shed += 1;
-                let slice = self
-                    .tenants
-                    .entry(routed.tenant)
-                    .or_insert_with(|| TenantSlice::new(routed.tenant, routed.qos));
-                slice.qos = routed.qos;
-                slice.shed += 1;
+                let shed = Terminal::routed(&routed, self.id, now, TerminalKind::Shed);
+                terminals.push(routed.request_id, shed);
                 emit(obs, now, || SimEvent::ShedDeadline {
                     node: self.id,
                     request_id: routed.request_id,
@@ -532,10 +496,10 @@ impl ServingNode {
     /// Finalizes the node into its [`ServingReport`]. `finished_at` is the
     /// host loop's last-completion time (energy idles until then), and
     /// `cache_stats` are the statistics of whatever cache the host
-    /// scheduled this node against. The latency and throughput views and
-    /// the tenant slices' `completed` and `latency` are left empty for
-    /// the host to fold from its completion log
-    /// ([`fold_completions`](crate::report::fold_completions)).
+    /// scheduled this node against. The report holds the node's refusals
+    /// (and a tenant slice per refused tenant); every other count and
+    /// view is left empty for the host to fold from its terminal log
+    /// ([`fold_terminals`](crate::report::fold_terminals)).
     pub fn into_report(
         self,
         finished_at: SimTime,
@@ -554,13 +518,13 @@ impl ServingNode {
             energy,
             slo,
             cache_stats,
-            hits: self.hits,
-            misses: self.misses,
+            hits: 0,
+            misses: 0,
             rejected: self.rejected,
-            shed: self.shed,
-            k_histogram: self.k_histogram,
+            shed: 0,
+            k_histogram: [0; K_CHOICES.len()],
             allocation_series: self.allocation_series,
-            tenant_slices: self.tenants.into_values().collect(),
+            tenant_slices: self.refusals.into_values().collect(),
             model_switches: self.workers.iter().map(Worker::switches).sum(),
             finished_at,
         }
@@ -655,7 +619,13 @@ mod tests {
         );
         assert_eq!(node.load(), 2.0);
         let mut scheduled = Vec::new();
-        node.dispatch(SimTime::ZERO, |done, w| scheduled.push((done, w)), None);
+        let mut terminals = TerminalLog::default();
+        node.dispatch(
+            SimTime::ZERO,
+            |done, w| scheduled.push((done, w)),
+            &mut terminals,
+            None,
+        );
         assert_eq!(scheduled.len(), 2, "both workers took a job");
         assert!(node.busy());
         assert_eq!(node.load(), 2.0, "queued became in-flight");
@@ -673,7 +643,7 @@ mod tests {
         for i in 0..3 {
             node.enqueue(SimTime::ZERO, request(i, "slate canyon dusk"), miss, None);
         }
-        node.dispatch(SimTime::ZERO, |_, _| {}, None);
+        node.dispatch(SimTime::ZERO, |_, _| {}, &mut TerminalLog::default(), None);
         let pending = node.drain_pending();
         assert_eq!(pending.len(), 3, "1 in-flight + 2 queued");
         assert!(!node.busy());
@@ -701,7 +671,12 @@ mod tests {
             miss,
             Some(&mut obs),
         );
-        node.dispatch(SimTime::ZERO, |_, _| {}, Some(&mut obs));
+        node.dispatch(
+            SimTime::ZERO,
+            |_, _| {},
+            &mut TerminalLog::default(),
+            Some(&mut obs),
+        );
         assert_eq!(obs.0, vec!["admitted", "cache_miss", "dispatched"]);
     }
 

@@ -1,10 +1,11 @@
 //! The outcome of a serving run: every number the paper's figures need.
 //!
-//! A run logs each completion once, as a [`Completion`]; the latency,
-//! throughput and tenant views of its reports are folded from that log
-//! when the run ends ([`fold_completions`]).
+//! A run logs each request's terminal once, as a [`Terminal`] (served,
+//! shed or abandoned); every count, latency, throughput and tenant view
+//! of its reports is folded from that log when the run ends
+//! ([`fold_terminals`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use modm_cache::CacheStats;
 use modm_cluster::ClusterEnergy;
@@ -12,6 +13,8 @@ use modm_diffusion::{ModelId, K_CHOICES};
 use modm_metrics::{LatencyReport, QualityAggregator, SloThresholds, ThroughputReport};
 use modm_simkit::SimTime;
 use modm_workload::{QosClass, TenantId};
+
+use crate::scheduler::{RouteKind, RoutedRequest};
 
 /// One observation of the monitor's allocation over time (Fig 10's regime
 /// annotations).
@@ -94,84 +97,225 @@ impl TenantSlice {
         self.latency.goodput(slo, multiple)
     }
 
-    /// Merges another slice's overload counters into this one (what the
-    /// fleet-level aggregations use to absorb per-node refusals and
-    /// sheds, which never reach the completion path).
-    pub fn absorb_overload(&mut self, rejected: u64, shed: u64) {
-        self.rejected += rejected;
-        self.shed += shed;
+    /// Counts one terminal: a served request's completion, latency and
+    /// cache decision, a shed, or an abandonment.
+    fn record(&mut self, t: &Terminal) {
+        self.qos = t.qos;
+        match t.outcome.kind() {
+            TerminalKind::Served => {
+                self.completed += 1;
+                self.latency.record(t.arrival, t.at);
+                self.hits += u64::from(t.outcome.is_hit());
+                self.misses += u64::from(!t.outcome.is_hit());
+            }
+            TerminalKind::Shed => self.shed += 1,
+            TerminalKind::Abandoned => self.rejected += 1,
+        }
     }
 }
 
-/// One completed request, as its run logged it: what every latency,
-/// throughput and tenant view is folded from (24 bytes).
+/// How a request ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TerminalKind {
+    /// A worker served it.
+    Served,
+    /// Its node shed it at dispatch, past the queue-time budget.
+    Shed,
+    /// Its client gave up after a refusal at admission.
+    Abandoned,
+}
+
+/// A terminal's kind and cache decision in one byte: the kind above bit
+/// 3, and in bits 0–2 a miss (0), a hit at [`K_CHOICES`] slot `d - 1`
+/// (`1..=6`) or a hit whose k is off that ladder (7). An abandoned
+/// request was never decided and reads as a miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome(u8);
+
+impl Outcome {
+    /// An abandoned request's outcome.
+    pub const ABANDONED: Outcome = Outcome((TerminalKind::Abandoned as u8) << 3);
+
+    /// A decided request's outcome: `hit_k` is the steps a hit skips.
+    pub fn new(kind: TerminalKind, hit_k: Option<u32>) -> Outcome {
+        let slot = |k| {
+            K_CHOICES
+                .iter()
+                .position(|&c| c == k)
+                .map_or(7, |s| s as u8 + 1)
+        };
+        Outcome((kind as u8) << 3 | hit_k.map_or(0, slot))
+    }
+
+    /// How the request ended.
+    pub fn kind(self) -> TerminalKind {
+        use TerminalKind::*;
+        [Served, Shed, Abandoned][usize::from(self.0 >> 3)]
+    }
+
+    /// Whether the request was decided as a cache hit.
+    pub fn is_hit(self) -> bool {
+        self.0 & 7 != 0
+    }
+
+    /// A hit's [`K_CHOICES`] slot (`None` for a miss or an off-ladder k).
+    pub fn k_slot(self) -> Option<usize> {
+        let slot = usize::from(self.0 & 7).checked_sub(1);
+        slot.filter(|&s| s < K_CHOICES.len())
+    }
+}
+
+/// One request's terminal, as its run logged it: what every count,
+/// latency, throughput and tenant view is folded from (24 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Completion {
+pub struct Terminal {
     /// First arrival (client retries and crash redeliveries keep it).
     pub arrival: SimTime,
-    /// Completion time.
-    pub finished: SimTime,
-    /// The node that served it.
+    /// When it was served, shed or abandoned.
+    pub at: SimTime,
+    /// The node that served, shed or last refused it.
     pub node: u32,
     /// Its tenant.
     pub tenant: TenantId,
     /// Its QoS class.
     pub qos: QosClass,
-    /// Whether it was served from cache.
-    pub hit: bool,
+    /// How it ended, and its cache decision.
+    pub outcome: Outcome,
 }
 
-/// The fleet-wide views of a run's completion log.
+impl Terminal {
+    /// The terminal of a routed request `node` served or shed at `at`.
+    pub fn routed(routed: &RoutedRequest, node: usize, at: SimTime, kind: TerminalKind) -> Self {
+        let hit_k = match routed.route {
+            RouteKind::Hit { k, .. } => Some(k),
+            RouteKind::Miss => None,
+        };
+        Terminal {
+            arrival: routed.arrival,
+            at,
+            node: node as u32,
+            tenant: routed.tenant,
+            qos: routed.qos,
+            outcome: Outcome::new(kind, hit_k),
+        }
+    }
+}
+
+/// A run's terminal log: one [`Terminal`] per request, in the order the
+/// requests ended (it derefs to the records). Debug builds also keep the
+/// logged request ids in a side set: a second terminal for one id
+/// panics, and [`TerminalLog::assert_covers`] checks that every expected
+/// id logged one.
+#[derive(Debug, Default)]
+pub struct TerminalLog {
+    records: Vec<Terminal>,
+    ids: HashSet<u64>,
+}
+
+impl std::ops::Deref for TerminalLog {
+    type Target = [Terminal];
+
+    fn deref(&self) -> &[Terminal] {
+        &self.records
+    }
+}
+
+impl TerminalLog {
+    /// An empty log with room for `capacity` terminals.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let records = Vec::with_capacity(capacity);
+        TerminalLog {
+            records,
+            ids: HashSet::new(),
+        }
+    }
+
+    /// Logs request `request_id`'s terminal; debug builds panic if it
+    /// already logged one.
+    pub fn push(&mut self, request_id: u64, terminal: Terminal) {
+        let fresh = !cfg!(debug_assertions) || self.ids.insert(request_id);
+        assert!(fresh, "request {request_id} logged a second terminal");
+        self.records.push(terminal);
+    }
+
+    /// When the last served request completed.
+    pub fn finished_at(&self) -> SimTime {
+        let served = |t: &&Terminal| t.outcome.kind() == TerminalKind::Served;
+        self.iter()
+            .rev()
+            .find(served)
+            .map_or(SimTime::ZERO, |t| t.at)
+    }
+
+    /// Debug builds: panics unless every id in `ids` logged a terminal.
+    pub fn assert_covers(&self, ids: impl IntoIterator<Item = u64>) {
+        if cfg!(debug_assertions) {
+            for id in ids {
+                assert!(self.ids.contains(&id), "request {id} logged no terminal");
+            }
+        }
+    }
+}
+
+/// The fleet-wide views of a run's terminal log.
 #[derive(Debug, Clone, Default)]
 pub struct FleetViews {
     /// Every completion's end-to-end latency.
     pub latency: LatencyReport,
-    /// Per-tenant slices: the fold adds `completed`, `hits`, `misses` and
-    /// `latency` and sets `qos` to the last completion's class.
+    /// Per-tenant slices, each counting its tenant's terminals.
     pub tenants: BTreeMap<TenantId, TenantSlice>,
     /// `(completed, hits)` per node id: the caller sizes it, one entry per
     /// node.
     pub nodes: Vec<(u64, u64)>,
 }
 
-/// Folds a run's completion log in one pass, in completion order, so
-/// every view sees its samples in the order they completed: into `fleet`
-/// when given, and into `nodes[c.node]` (latency, throughput and the
-/// tenant slice's `completed` and `latency`) when `nodes` holds one
-/// report per node id.
-pub fn fold_completions(
-    log: &[Completion],
+/// Folds a run's terminal log in one pass, in logging order, so every
+/// view sees its samples in the order the requests ended: into `fleet`
+/// when given, and into `nodes[t.node]` when `nodes` holds one report per
+/// node id. A node folds the requests it served or shed (its refusals
+/// are its own count), and counts each one's cache decision.
+pub fn fold_terminals(
+    log: &[Terminal],
     mut fleet: Option<&mut FleetViews>,
     nodes: &mut [ServingReport],
 ) {
-    for c in log {
+    for t in log {
+        let (kind, hit) = (t.outcome.kind(), t.outcome.is_hit());
         if let Some(fleet) = fleet.as_deref_mut() {
-            fleet.latency.record(c.arrival, c.finished);
-            let slice = fleet
-                .tenants
-                .entry(c.tenant)
-                .or_insert_with(|| TenantSlice::new(c.tenant, c.qos));
-            slice.qos = c.qos;
-            slice.completed += 1;
-            slice.latency.record(c.arrival, c.finished);
-            if c.hit {
-                slice.hits += 1;
-            } else {
-                slice.misses += 1;
+            let slice = fleet.tenants.entry(t.tenant);
+            slice
+                .or_insert_with(|| TenantSlice::new(t.tenant, t.qos))
+                .record(t);
+            if kind == TerminalKind::Served {
+                fleet.latency.record(t.arrival, t.at);
+                let tally = &mut fleet.nodes[t.node as usize];
+                tally.0 += 1;
+                tally.1 += u64::from(hit);
             }
-            let tally = &mut fleet.nodes[c.node as usize];
-            tally.0 += 1;
-            tally.1 += u64::from(c.hit);
         }
-        if let Some(report) = nodes.get_mut(c.node as usize) {
-            report.latency.record(c.arrival, c.finished);
-            report.throughput.record_completion(c.finished);
-            let slices = &mut report.tenant_slices;
-            let at = slices
-                .binary_search_by_key(&c.tenant, |s| s.tenant)
-                .expect("a node holds a slice for every tenant it admitted");
-            slices[at].completed += 1;
-            slices[at].latency.record(c.arrival, c.finished);
+        let report = match nodes.get_mut(t.node as usize) {
+            Some(report) if kind != TerminalKind::Abandoned => report,
+            _ => continue,
+        };
+        let slices = &mut report.tenant_slices;
+        let at = slices.binary_search_by_key(&t.tenant, |s| s.tenant);
+        let at = at.unwrap_or_else(|at| {
+            slices.insert(at, TenantSlice::new(t.tenant, t.qos));
+            at
+        });
+        slices[at].record(t);
+        report.hits += u64::from(hit);
+        report.misses += u64::from(!hit);
+        if let Some(slot) = t.outcome.k_slot() {
+            report.k_histogram[slot] += 1;
+        }
+        if kind == TerminalKind::Served {
+            report.latency.record(t.arrival, t.at);
+            report.throughput.record_completion(t.at);
+        } else {
+            report.shed += 1;
+            slices[at].hits += u64::from(hit);
+            slices[at].misses += u64::from(!hit);
         }
     }
 }
@@ -192,17 +336,20 @@ pub struct ServingReport {
     pub slo: SloThresholds,
     /// Cache statistics (hit ages feed Fig 15).
     pub cache_stats: CacheStats,
-    /// Scheduler-level cache hits: requests decided as hits when they
-    /// were admitted, shed work included.
+    /// Scheduler-level cache hits: the node's served and shed requests
+    /// decided as hits, folded from its terminals. A node that served
+    /// the whole run served or shed every request it admitted, so this
+    /// equals the hits decided at admission.
     pub hits: u64,
-    /// Scheduler-level cache misses: requests decided as misses when
-    /// they were admitted, shed work included.
+    /// Scheduler-level cache misses, folded like [`ServingReport::hits`].
     pub misses: u64,
-    /// Requests refused at admission by tenant token buckets.
+    /// Requests refused at admission by tenant token buckets (the
+    /// node's own count: a retried refusal is not a terminal).
     pub rejected: u64,
     /// Requests shed at dispatch after exceeding the queue-time budget.
     pub shed: u64,
-    /// Hits per k value, in [`K_CHOICES`] order.
+    /// Hits per k value, in [`K_CHOICES`] order, folded like
+    /// [`ServingReport::hits`].
     pub k_histogram: [u64; K_CHOICES.len()],
     /// Monitor allocation over time.
     pub allocation_series: Vec<AllocationSample>,
@@ -306,6 +453,52 @@ mod tests {
         r.k_histogram = [1, 0, 0, 0, 0, 2]; // one k=5, two k=30
         assert_eq!(r.hit_rate(), 0.75);
         assert!((r.mean_k() - (5.0 + 60.0) / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_terminal_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Terminal>(), 24);
+    }
+
+    #[test]
+    fn outcome_packs_kind_and_decision_in_one_byte() {
+        for kind in [TerminalKind::Served, TerminalKind::Shed] {
+            let miss = Outcome::new(kind, None);
+            assert_eq!(
+                (miss.kind(), miss.is_hit(), miss.k_slot()),
+                (kind, false, None)
+            );
+            for (slot, k) in K_CHOICES.into_iter().enumerate() {
+                let hit = Outcome::new(kind, Some(k));
+                assert_eq!(
+                    (hit.kind(), hit.is_hit(), hit.k_slot()),
+                    (kind, true, Some(slot))
+                );
+            }
+            let off = Outcome::new(kind, Some(50));
+            assert_eq!((off.kind(), off.is_hit(), off.k_slot()), (kind, true, None));
+        }
+        let gone = Outcome::ABANDONED;
+        assert_eq!(gone.kind(), TerminalKind::Abandoned);
+        assert!(!gone.is_hit());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "request 7 logged a second terminal")]
+    fn a_second_terminal_for_one_id_panics() {
+        let shed = Terminal {
+            arrival: SimTime::ZERO,
+            at: SimTime::ZERO,
+            node: 0,
+            tenant: TenantId::DEFAULT,
+            qos: QosClass::default(),
+            outcome: Outcome::new(TerminalKind::Shed, None),
+        };
+        let mut log = TerminalLog::default();
+        log.push(7, shed);
+        log.assert_covers([7]);
+        log.push(7, shed);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! Crash re-delivery re-admits a request id on a surviving node; the
 //! tracker simply re-opens the span (the terminal event still fires
 //! exactly once per request, so breakdown counts key on terminals and
-//! stay exact across node teardown).
+//! stay exact across node teardown). A refusal is the one terminal that
+//! can be undone: a retrying client may offer the same id again, so a
+//! refusal counts once per id and is retracted when that id is admitted
+//! again.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,7 +38,8 @@ struct OpenSpan {
 pub struct StageBreakdown {
     /// Requests that completed service.
     pub completed: u64,
-    /// Requests refused at admission.
+    /// Requests whose last offer was refused at admission (once per
+    /// request, however often it was refused).
     pub rejected: u64,
     /// Requests shed past their queue-time budget.
     pub shed: u64,
@@ -89,6 +93,8 @@ impl StageBreakdown {
 #[derive(Debug, Clone, Default)]
 pub struct SpanTracker {
     open: IdMap<u64, OpenSpan>,
+    /// Requests whose last event was a refusal, with their tenant.
+    refused: IdMap<u64, TenantId>,
     by_tenant: BTreeMap<TenantId, StageBreakdown>,
 }
 
@@ -103,8 +109,13 @@ impl SpanTracker {
     }
 
     /// A request entered a node's queues (re-opens the span on crash
-    /// re-delivery: stage clocks restart on the surviving node).
+    /// re-delivery: stage clocks restart on the surviving node). A
+    /// refusal of the same id was not terminal after all, and is
+    /// retracted.
     pub fn admitted(&mut self, at: SimTime, request_id: u64, tenant: TenantId) {
+        if let Some(refused_as) = self.refused.remove(&request_id) {
+            self.slot(refused_as).rejected -= 1;
+        }
         self.open.insert(
             request_id,
             OpenSpan {
@@ -152,12 +163,15 @@ impl SpanTracker {
         }
     }
 
-    /// Terminal: refused at admission. A first-time refusal never opened
-    /// a span; a crash-redelivered request *can* be refused on
-    /// re-admission, so any span it left open is closed here.
+    /// Terminal unless the id is admitted later: refused at admission.
+    /// A first-time refusal never opened a span; a crash-redelivered
+    /// request *can* be refused on re-admission, so any span it left open
+    /// is closed here. Repeated refusals of one id count once.
     pub fn rejected(&mut self, request_id: u64, tenant: TenantId) {
         self.open.remove(&request_id);
-        self.slot(tenant).rejected += 1;
+        if self.refused.insert(request_id, tenant).is_none() {
+            self.slot(tenant).rejected += 1;
+        }
     }
 
     /// Terminal: shed at dispatch after `waited_secs` in queue.
@@ -272,6 +286,29 @@ mod tests {
             (b.queue_secs - 10.0).abs() < 1e-9,
             "clock restarts on re-admit"
         );
+    }
+
+    #[test]
+    fn a_refusal_counts_once_per_id_until_readmission() {
+        let mut s = SpanTracker::new();
+        // Refused twice, then admitted and served: one completion, no
+        // refusal.
+        s.rejected(4, TenantId(1));
+        s.rejected(4, TenantId(1));
+        assert_eq!(s.by_tenant()[&TenantId(1)].rejected, 1, "re-refusal");
+        s.admitted(t(30.0), 4, TenantId(1));
+        assert_eq!(s.by_tenant()[&TenantId(1)].rejected, 0, "re-admission");
+        s.dispatched(t(31.0), 4);
+        s.completed(t(40.0), 4, TenantId(1));
+        // Admitted, then refused on redelivery and abandoned: one
+        // refusal.
+        s.admitted(t(0.0), 5, TenantId(1));
+        s.rejected(5, TenantId(1));
+        s.rejected(5, TenantId(1));
+        let b = s.by_tenant()[&TenantId(1)];
+        assert_eq!((b.completed, b.rejected, b.shed), (1, 1, 0));
+        assert_eq!(b.terminal(), 2, "two requests, two terminals");
+        assert_eq!(s.open_spans(), 0);
     }
 
     #[test]

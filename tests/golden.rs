@@ -448,3 +448,54 @@ fn engine_matches_golden_snapshot() {
     assert!(observed == rendered, "observation perturbed the runs");
     check_text("engine", ENGINE_SEED, &rendered);
 }
+
+/// Each node's decision counts and tenant slices, one line per node.
+fn node_views(report: &modm::controlplane::ElasticReport) -> String {
+    let mut rendered = String::new();
+    for node in &report.nodes {
+        let r = &node.report;
+        rendered.push_str(&format!(
+            "node={} hits={} misses={} k={:?} shed={} rejected={}",
+            node.node, r.hits, r.misses, r.k_histogram, r.shed, r.rejected
+        ));
+        for s in &r.tenant_slices {
+            rendered.push_str(&format!(
+                " t{}:{}/c{}/h{}/m{}/r{}/s{}",
+                s.tenant.0, s.qos, s.completed, s.hits, s.misses, s.rejected, s.shed
+            ));
+        }
+        rendered.push('\n');
+    }
+    rendered
+}
+
+#[test]
+fn node_views_under_shedding_are_pinned() {
+    // An open-loop 4-node cache-affinity fleet under the overload
+    // policy: every node refuses and sheds, so each node's hits, misses
+    // and k histogram include work that never completed.
+    let trace = overload_trace(ENGINE_SEED, ENGINE_REQUESTS);
+    let mut fleet = Deployment::fleet(
+        overloaded_node(2),
+        Router::new(RoutingPolicy::CacheAffinity, 4),
+    );
+    let options = DeployOptions {
+        warmup: ENGINE_WARMUP,
+        saturate: false,
+    };
+    let outcome = fleet.run_with(&trace, options);
+    let report = outcome.as_fleet().expect("a fleet outcome");
+    // These equal the decisions counted at admission: a node that serves
+    // the whole run serves or sheds every request it admits.
+    let want = "\
+node=0 hits=84 misses=24 k=[37, 25, 16, 0, 5, 1] shed=43 rejected=11 \
+t1:interactive/c15/h14/m1/r0/s0 t2:standard/c48/h68/m16/r11/s36 t3:best-effort/c2/h2/m7/r0/s7
+node=1 hits=122 misses=20 k=[43, 20, 48, 0, 10, 1] shed=24 rejected=41 \
+t1:interactive/c21/h17/m4/r0/s0 t2:standard/c95/h94/m6/r36/s5 t3:best-effort/c2/h11/m10/r5/s19
+node=2 hits=88 misses=36 k=[18, 59, 6, 0, 5, 0] shed=74 rejected=4 \
+t1:interactive/c4/h2/m4/r0/s2 t2:standard/c39/h84/m9/r1/s54 t3:best-effort/c7/h2/m23/r3/s18
+node=3 hits=33 misses=32 k=[22, 2, 6, 0, 2, 1] shed=29 rejected=5 \
+t1:interactive/c5/h2/m4/r0/s1 t2:standard/c29/h17/m19/r0/s7 t3:best-effort/c2/h14/m9/r5/s21
+";
+    assert_eq!(node_views(report), want);
+}

@@ -6,6 +6,7 @@ use std::sync::OnceLock;
 
 use modm::core::{TenancyPolicy, TenantShare};
 use modm::scenario::{ElasticReport, RetryPolicy, ScenarioAction, ScenarioError, ScenarioScript};
+use modm::telemetry::TelemetryObserver;
 use modm::trace::TraceObserver;
 use modm::workload::{QosClass, TenantId, TenantMix};
 use modm_experiments::scenarios::{
@@ -255,14 +256,23 @@ fn traced_failover_runs_bit_identical_to_untraced() {
 
 #[test]
 fn closed_loop_conservation_holds_under_churn_and_failover_across_seeds() {
-    // The property behind every claim above: under tenant churn and
-    // region loss combined with closed-loop retries, no request is ever
-    // double-counted (a re-offer is the same request, not a new one)
-    // and every request id reaches exactly one terminal.
+    // The property behind every claim above: under tenant churn, region
+    // loss and a retry storm, combined with closed-loop retries, no
+    // request is ever double-counted (a re-offer is the same request,
+    // not a new one) and every request id reaches exactly one terminal.
+    // The telemetry
+    // span breakdown, which sees only the event stream, must count the
+    // same terminals: a refusal the client retries is not one.
     for seed in sweep_seeds() {
-        for scenario in [churn_scenario_for(seed), failover_scenario_for(seed, true)] {
+        let storm = storm_scenario_for(seed, RetryPolicy::honoring(), true);
+        for scenario in [
+            churn_scenario_for(seed),
+            failover_scenario_for(seed, true),
+            storm,
+        ] {
             let trace = scenario.trace();
-            let report = scenario.run();
+            let mut telemetry = TelemetryObserver::default();
+            let report = scenario.run_observed_scenario(&mut telemetry);
             let terminals = report.completed + report.rejected + report.shed;
             assert_eq!(
                 terminals,
@@ -284,6 +294,18 @@ fn closed_loop_conservation_holds_under_churn_and_failover_across_seeds() {
                     s.offered(),
                     trace.tenant_len(tenant) as u64,
                     "seed {seed}: tenant {} slice conserved",
+                    tenant.0
+                );
+                let spans = telemetry.spans().by_tenant()[&tenant];
+                assert_eq!(
+                    spans.terminal(),
+                    s.offered(),
+                    "seed {seed}: tenant {} span terminals",
+                    tenant.0
+                );
+                assert_eq!(
+                    spans.rejected, s.rejected,
+                    "seed {seed}: tenant {} span refusals",
                     tenant.0
                 );
             }
