@@ -118,7 +118,7 @@ impl BaselinePolicy for PineconePolicy {
         let emb = self.encoder.encode(&request.prompt);
         let hit = self
             .index
-            .nearest_above(&emb, SERVE_THRESHOLD)
+            .nearest_above_mut(&emb, SERVE_THRESHOLD)
             .map(|n| (n.key, n.similarity));
         match hit {
             Some((key, sim)) => {

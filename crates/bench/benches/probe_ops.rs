@@ -34,6 +34,13 @@
 //!   does between scale events, and the price includes those mints and
 //!   the moved entries' cache inserts.
 //!
+//! The run first prints the 8-bit pass's kernel this CPU selected
+//! (`modm_numerics::lanes::screen_kernel`). After `cache_retrieve_*/exact/1600`
+//! and `cluster_of/exact/660/*` it also prints, as counts from
+//! `modm_numerics::lanes::screen_tally` over 256 more probes, how many
+//! sixteen-row blocks each probe scored in 8 bits and how many of those it
+//! re-screened in 16 bits.
+//!
 //! Pass `--smoke` (CI does) to take one sample per case instead of five:
 //! every case still runs and prints its price, which nothing gates on.
 
@@ -42,7 +49,25 @@ use modm_cache::{CacheConfig, ImageCache};
 use modm_diffusion::{GeneratedImage, ModelId, QualityModel, Sampler};
 use modm_embedding::{Embedding, IndexPolicy, SemanticSpace, TextEncoder};
 use modm_fleet::{Router, RoutingConfig, RoutingPolicy, SemanticClusterer, ShardedCache};
+use modm_numerics::lanes::{screen_kernel, screen_tally};
 use modm_simkit::{SimRng, SimTime};
+
+/// Runs `probe` 256 times and prints, per probe, the blocks the screen
+/// scored in 8 bits and the blocks it re-screened in 16 bits.
+fn print_rescreens(id: &str, mut probe: impl FnMut(usize)) {
+    let before = screen_tally();
+    for i in 0..256 {
+        probe(i);
+    }
+    let after = screen_tally();
+    let screens = (after.screens - before.screens).max(1) as f64;
+    println!(
+        "probe_ops/{id}: {:.2} of {:.0} blocks re-screened in 16 bits per probe ({} screens)",
+        (after.rescreened - before.rescreened) as f64 / screens,
+        (after.blocks - before.blocks) as f64 / screens,
+        after.screens - before.screens,
+    );
+}
 
 fn main() {
     let space = SemanticSpace::default();
@@ -63,6 +88,7 @@ fn main() {
         .collect();
 
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
+    println!("probe_ops: 8-bit screen kernel {}", screen_kernel());
     let mut bench = Bench::new("probe_ops").with_samples(if smoke { 1 } else { 5 });
     for (name, policy) in [
         ("exact", IndexPolicy::Exact),
@@ -123,6 +149,14 @@ fn main() {
                 0.25,
             )
         });
+        if entries == 1_600 {
+            print_rescreens("cache_retrieve_hit/exact/1600", |i| {
+                cache.retrieve(SimTime::from_micros(500_000), &hit_queries[i], 0.25);
+            });
+            print_rescreens("cache_retrieve_miss/exact/1600", |i| {
+                cache.retrieve(SimTime::from_micros(500_000), &miss_queries[i], 0.25);
+            });
+        }
     }
 
     for (name, policy) in [
@@ -191,10 +225,16 @@ fn main() {
         i += 1;
         elastic.cluster_of(&joiners[(i * 17) % leaders])
     });
+    print_rescreens(&format!("cluster_of/exact/{leaders}/join"), |i| {
+        elastic.cluster_of(&joiners[(i * 17) % leaders]);
+    });
     let mut i = 0usize;
     bench.measure(format!("cluster_of/exact/{leaders}/mint"), || {
         i += 1;
         elastic.cluster_of(&minters[i % minters.len()])
+    });
+    print_rescreens(&format!("cluster_of/exact/{leaders}/mint"), |k| {
+        elastic.cluster_of(&minters[(i + k) % minters.len()]);
     });
 
     let prewarm_images: Vec<GeneratedImage> = (0..3_600)

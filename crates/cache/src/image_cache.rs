@@ -24,14 +24,32 @@ use crate::stats::CacheStats;
 
 /// Index backend shared by the cache variants, selected by the
 /// [`IndexPolicy`] on [`CacheConfig`]: the exact flat index or the f32
-/// anchored inverted index. The flat index screens its entries in 16-bit
-/// fixed point and re-scores the few within the screen's error bound of
-/// the best in f64, so its answers are bit-identical to a full f64 scan.
+/// anchored inverted index. The flat index scores its entries in 8-bit
+/// fixed point, re-screens in 16 bits only the blocks that could reach
+/// the hit floor, and re-scores in f64 the few within the 16-bit screen's
+/// error bound of the best, so its answers are bit-identical to a full
+/// f64 scan.
 #[derive(Debug, Clone)]
 pub(crate) enum CacheIndex {
     Flat(EmbeddingIndex<u64>),
     Inverted(InvertedIndex<u64>),
 }
+
+/// How far the flat index's seed sits below the cosine floor
+/// `fl(threshold / CLIP_COS_SCALE)`, so that no similarity `c` the hit
+/// test `fl(CLIP_COS_SCALE * c) >= threshold` accepts falls under it.
+///
+/// With `K = CLIP_COS_SCALE > 0` and unit roundoff `u = 2^-53`, the test
+/// passing means `K c (1 + δ) >= threshold` with `|δ| <= u` (plus at most
+/// `2^-1074` if the product is subnormal), and the floor is
+/// `(threshold / K)(1 + δ')` with `|δ'| <= u`. Together `c` is at least
+/// the floor minus `3u` times its size (and a subnormal step), less than
+/// `1e-15` for any floor of size up to 3. Larger floors decide nothing:
+/// above 1 no similarity reaches them even lowered (`c <= 1`), and below
+/// −1 every similarity does. Subtracting `1e-9` leaves a wide margin and,
+/// at `S² ≈ 1.07e9` per unit of cosine, widens the 16-bit seed by about
+/// one step.
+const FLOOR_SLACK: f64 = 1e-9;
 
 impl CacheIndex {
     pub(crate) fn for_policy(policy: IndexPolicy, capacity: usize, dim: usize) -> Self {
@@ -68,12 +86,21 @@ impl CacheIndex {
         }
     }
 
-    /// Nearest neighbor, given the retrieval floor (cosine scale). The
-    /// inverted backend uses the floor to keep hit/miss verdicts exact: a
-    /// probed miss falls back to a full scan before being declared.
+    /// Nearest neighbor, given the retrieval floor (cosine scale): the
+    /// answer the caller's hit test `CLIP_COS_SCALE * similarity >=
+    /// threshold` needs, for `floor = threshold / CLIP_COS_SCALE`.
+    ///
+    /// The flat backend seeds its screen with the floor, lowered by
+    /// [`FLOOR_SLACK`], and answers only an entry that reaches the
+    /// lowered floor ([`EmbeddingIndex::nearest_above`]): the full scan's
+    /// best whenever the hit test could pass it, and `None` or a
+    /// sub-floor entry otherwise, so every hit-or-miss verdict is the
+    /// full scan's. The inverted backend uses the floor to keep those
+    /// verdicts exact too: a probed miss falls back to a full scan before
+    /// being declared.
     pub(crate) fn nearest_with_floor(&self, q: &Embedding, floor: f64) -> Option<Neighbor<u64>> {
         match self {
-            CacheIndex::Flat(i) => i.nearest(q),
+            CacheIndex::Flat(i) => i.nearest_above(q, floor - FLOOR_SLACK),
             CacheIndex::Inverted(i) => i.nearest_with_floor(q, floor),
         }
     }
@@ -86,7 +113,7 @@ impl CacheIndex {
         floor: f64,
     ) -> Option<Neighbor<u64>> {
         match self {
-            CacheIndex::Flat(i) => i.nearest_mut(q),
+            CacheIndex::Flat(i) => i.nearest_above_mut(q, floor - FLOOR_SLACK),
             CacheIndex::Inverted(i) => i.nearest_with_floor(q, floor),
         }
     }
@@ -1412,6 +1439,50 @@ mod tests {
         let q = f.text.encode(p);
         assert!(cache.peek(&q, 0.2).is_some());
         assert_eq!(cache.stats().lookups(), 0);
+    }
+
+    #[test]
+    fn verdicts_at_the_threshold_match_the_full_scan_to_the_ulp() {
+        // A hit tests `CLIP_COS_SCALE * c >= threshold` on the cosine `c`,
+        // while the flat index is seeded and filtered at the cosine floor
+        // `threshold / CLIP_COS_SCALE`. For a threshold equal to a row's
+        // own scaled similarity, the two roundings can put that floor an
+        // ulp above `c`; the verdict must stay the full scan's hit there,
+        // a hit one ulp lower and a miss one ulp higher.
+        use modm_embedding::CLIP_COS_SCALE;
+        let mut f = fixture();
+        let mut floor_above_row = 0;
+        for i in 0..48 {
+            let p = format!("lantern {i} harbor at dusk oil painting");
+            let image = image_for(&mut f, &p);
+            let q = f.text.encode(&p);
+            let c = q
+                .as_slice()
+                .iter()
+                .zip(image.embedding.as_slice())
+                .fold(0.0, |acc, (x, y)| acc + x * y)
+                .clamp(-1.0, 1.0);
+            let sim = CLIP_COS_SCALE * c;
+            floor_above_row += usize::from(sim / CLIP_COS_SCALE > c);
+            let mut cache = ImageCache::new(CacheConfig::fifo(4));
+            cache.insert(SimTime::ZERO, image);
+            for (threshold, hit) in [(sim.next_down(), true), (sim, true), (sim.next_up(), false)] {
+                let want = hit.then_some(sim);
+                let peeked = cache.peek(&q, threshold).map(|r| r.similarity);
+                assert_eq!(peeked, want, "peek, prompt {i}, threshold {threshold:e}");
+                let retrieved = cache
+                    .retrieve(SimTime::ZERO, &q, threshold)
+                    .map(|r| r.similarity);
+                assert_eq!(
+                    retrieved, want,
+                    "retrieve, prompt {i}, threshold {threshold:e}"
+                );
+            }
+        }
+        assert!(
+            floor_above_row > 0,
+            "no threshold's cosine floor rounded above its own row"
+        );
     }
 
     /// Seeds for the bounded-bookkeeping sweep. Defaults to `[1]`; CI's

@@ -202,25 +202,6 @@ impl SimEvent {
         }
     }
 
-    /// True for events that carry a trace request id (admission,
-    /// cache decision, dispatch and terminals); false for
-    /// control-plane transitions.
-    pub fn is_request_scoped(&self) -> bool {
-        self.request_id().is_some()
-    }
-
-    /// True for the three terminal events — exactly one of which ends
-    /// every admitted request's span: `Completed`, `Rejected` or
-    /// `ShedDeadline`. (A rejection is only provisional when the same
-    /// id is later re-admitted by a closed-loop retry or a crash
-    /// redelivery re-offer.)
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            SimEvent::Completed { .. } | SimEvent::Rejected { .. } | SimEvent::ShedDeadline { .. }
-        )
-    }
-
     /// Short kind name, stable across versions (used by the CSV/JSON
     /// exporters in `modm-deploy`).
     pub fn kind(&self) -> &'static str {
@@ -366,29 +347,5 @@ mod tests {
         assert_eq!(shed.kind(), "shed_deadline");
         assert_eq!(shed.request_id(), Some(12));
         assert_eq!(shed.tenant(), Some(TenantId(6)));
-    }
-
-    #[test]
-    fn terminal_and_request_scope_classification() {
-        let completed = SimEvent::Completed {
-            node: 0,
-            request_id: 1,
-            tenant: TenantId(1),
-            latency_secs: 1.0,
-            hit: false,
-        };
-        let admitted = SimEvent::Admitted {
-            node: 0,
-            request_id: 1,
-            tenant: TenantId(1),
-        };
-        let crash = SimEvent::Crash {
-            node: 0,
-            redelivered: 2,
-            lost_entries: 5,
-        };
-        assert!(completed.is_terminal() && completed.is_request_scoped());
-        assert!(!admitted.is_terminal() && admitted.is_request_scoped());
-        assert!(!crash.is_terminal() && !crash.is_request_scoped());
     }
 }

@@ -63,16 +63,6 @@ impl EnqueueOutcome {
     pub fn is_accepted(&self) -> bool {
         matches!(self, EnqueueOutcome::Accepted)
     }
-
-    /// The refusal's back-off hint, if the request was refused.
-    pub fn retry_after_secs(&self) -> Option<f64> {
-        match self {
-            EnqueueOutcome::Accepted => None,
-            EnqueueOutcome::Rejected {
-                retry_after_secs, ..
-            } => Some(*retry_after_secs),
-        }
-    }
 }
 
 /// A request a worker is currently generating or refining.

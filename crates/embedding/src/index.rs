@@ -5,18 +5,22 @@
 //! vectors reproduces that cost profile in simulation and keeps results
 //! exact; removals (FIFO eviction) are O(1) via slot recycling.
 //!
-//! Every row is stored twice, lane-blocked ([`ScreenedRows`]): in f64,
-//! eight slots per block, and in 16-bit fixed point, sixteen slots per
-//! block. [`EmbeddingIndex::nearest`] screens the live rows with exact
-//! integer dot products, which read a quarter of the bytes and pass over
-//! whole blocks that cannot reach the top, then re-scores in f64, in slot
-//! order, only the rows whose integer score lies within twice a proven
-//! quantization bound of the integer maximum (a handful). The best row in
-//! f64 is always among them, so the answer is the one a full f64 scan
-//! gives: every similarity is the f64 a serial dot product of the query
-//! against the row produces (folded from `0.0` in component order, then
-//! clamped to `[-1, 1]`), and the first strict maximum in slot order
-//! wins, bit for bit. The bound needs unit (or zero) rows and queries,
+//! Every row is stored three times, lane-blocked ([`ScreenedRows`]): in
+//! f64, eight slots per block, and in 16-bit and 8-bit fixed point,
+//! sixteen slots per block. [`EmbeddingIndex::nearest`] scores every
+//! block in 8 bits first (an eighth of the f64 bytes, at the CPU's widest
+//! detected vector width), re-scores in 16 bits only the blocks whose
+//! 8-bit top could still reach the running floor, and then re-scores in
+//! f64, in slot order, only the rows whose 16-bit score lies within twice
+//! a proven quantization bound of the 16-bit maximum (a handful). The
+//! best row in f64 is always among them, so the answer is the one a full
+//! f64 scan gives: every similarity is the f64 a serial dot product of
+//! the query against the row produces (folded from `0.0` in component
+//! order, then clamped to `[-1, 1]`), and the first strict maximum in
+//! slot order wins, bit for bit. [`EmbeddingIndex::nearest_above`] seeds
+//! the screen with its threshold, so rows that cannot reach it are never
+//! candidates and, on a miss, nearly every block is ruled out by the
+//! 8-bit pass alone. The bounds need unit (or zero) rows and queries,
 //! which [`Embedding::from_vec`] guarantees. [`EmbeddingIndex::top_k`]
 //! scans the f64 rows in full.
 
@@ -53,12 +57,13 @@ pub struct Neighbor<K> {
 pub struct EmbeddingIndex<K> {
     /// Key per slot; `None` marks a removed slot awaiting reuse.
     keys: Vec<Option<K>>,
-    /// Slot-parallel rows in f64 and 16-bit fixed point, lane-blocked so
-    /// the scans score eight (f64) or sixteen (fixed point) slots per pass. Rows of removed slots
-    /// keep their stale values (skipped via `keys`) until recycled; the
-    /// row length is learned from the first insert.
+    /// Slot-parallel rows in f64 and in 16-bit and 8-bit fixed point,
+    /// lane-blocked so the scans score eight (f64) or sixteen (fixed
+    /// point) slots per pass. Rows of removed slots keep their stale
+    /// values (skipped via `keys`) until recycled; the row length is
+    /// learned from the first insert.
     rows: ScreenedRows,
-    /// The screen's buffers, reused by [`EmbeddingIndex::nearest_mut`].
+    /// The screen's buffers, reused by [`EmbeddingIndex::nearest_above_mut`].
     candidates: Candidates,
     free_slots: Vec<usize>,
     by_key: IdMap<K, usize>,
@@ -157,40 +162,70 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
     /// The single most similar entry to `query`, if any entry is live. Ties
     /// go to the lowest slot.
     ///
-    /// Screens in 16-bit fixed point and re-scores the rows near the top
-    /// in f64 ([`ScreenedRows::nearest`]); the result is bit-identical to
-    /// taking the first strict maximum of a full f64 scan, which debug
-    /// builds check on every call. That holds because every stored
-    /// embedding and query is a unit or zero vector.
+    /// Screens in 8-bit and 16-bit fixed point and re-scores the rows
+    /// near the top in f64 ([`ScreenedRows::nearest`]); the result is
+    /// bit-identical to taking the first strict maximum of a full f64
+    /// scan, which debug builds check on every call. That holds because
+    /// every stored embedding and query is a unit or zero vector.
     ///
     /// # Panics
     ///
     /// Panics if `query`'s dimension differs from the inserted embeddings'.
     pub fn nearest(&self, query: &Embedding) -> Option<Neighbor<K>> {
-        self.nearest_in(query, &mut Candidates::new())
+        self.nearest_in(query, f64::NEG_INFINITY, &mut Candidates::new())
     }
 
-    /// [`EmbeddingIndex::nearest`], screening with the index's own
+    /// The most similar entry at or above `threshold`, mirroring the paper's
+    /// retrieval rule "retrieve only if S(q, I*) >= tau": the answer of
+    /// [`EmbeddingIndex::nearest`] when its similarity reaches
+    /// `threshold`, bit for bit, and `None` otherwise (always `None` for
+    /// a NaN threshold).
+    ///
+    /// The screen is seeded at `threshold` ([`ScreenedRows::seed_for`]),
+    /// so only rows that can reach it are re-scored, and a block whose
+    /// 8-bit top lies well below it is never looked at in 16 bits. Debug
+    /// builds check the answer against a full f64 scan on every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query`'s dimension differs from the inserted embeddings'.
+    pub fn nearest_above(&self, query: &Embedding, threshold: f64) -> Option<Neighbor<K>> {
+        self.nearest_in(query, threshold, &mut Candidates::new())
+    }
+
+    /// [`EmbeddingIndex::nearest_above`], screening with the index's own
     /// buffers: a probe allocates nothing once they have grown.
     ///
     /// # Panics
     ///
     /// Panics if `query`'s dimension differs from the inserted embeddings'.
-    pub fn nearest_mut(&mut self, query: &Embedding) -> Option<Neighbor<K>> {
+    pub fn nearest_above_mut(&mut self, query: &Embedding, threshold: f64) -> Option<Neighbor<K>> {
         let mut candidates = std::mem::take(&mut self.candidates);
-        let best = self.nearest_in(query, &mut candidates);
+        let best = self.nearest_in(query, threshold, &mut candidates);
         self.candidates = candidates;
         best
     }
 
-    fn nearest_in(&self, query: &Embedding, candidates: &mut Candidates) -> Option<Neighbor<K>> {
+    /// The best live entry whenever its similarity reaches `threshold`,
+    /// screened from a seed at `threshold` in `candidates`' buffers.
+    fn nearest_in(
+        &self,
+        query: &Embedding,
+        threshold: f64,
+        candidates: &mut Candidates,
+    ) -> Option<Neighbor<K>> {
+        if threshold.is_nan() {
+            return None;
+        }
         let best = self
             .rows
             .nearest(
                 query.as_slice(),
                 |slot| self.keys[slot].is_some(),
+                self.rows.seed_for(threshold),
                 candidates,
             )
+            .filter(|&(_, similarity)| similarity >= threshold)
             .map(|(slot, similarity)| Neighbor {
                 key: self.keys[slot].expect("the screen answers live slots"),
                 similarity,
@@ -205,23 +240,14 @@ impl<K: Copy + Eq + std::hash::Hash> EmbeddingIndex<K> {
                         } else {
                             best
                         }
-                    });
+                    })
+                    .filter(|n| n.similarity >= threshold);
                 let bits = |n: Option<Neighbor<K>>| n.map(|n| (n.key, n.similarity.to_bits()));
                 bits(best) == bits(full)
             },
             "the fixed-point screen changed the answer of the full f64 scan"
         );
         best
-    }
-
-    /// The most similar entry at or above `threshold`, mirroring the paper's
-    /// retrieval rule "retrieve only if S(q, I*) >= tau".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query`'s dimension differs from the inserted embeddings'.
-    pub fn nearest_above(&self, query: &Embedding, threshold: f64) -> Option<Neighbor<K>> {
-        self.nearest(query).filter(|n| n.similarity >= threshold)
     }
 
     /// The `k` most similar entries, best first; equal similarities keep

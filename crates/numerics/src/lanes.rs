@@ -17,35 +17,50 @@
 //! multiply and add, so every score is the same f64 a serial fold from
 //! `init` produces.
 //!
-//! [`ScreenedRows`] keeps a second, fixed-point copy of the same rows:
-//! each component `x` as the `i16` `round(x * 32767)`, saturated to
-//! `±32767`, sixteen rows per block. It finds the best-scoring row in two
-//! steps. [`ScreenedRows::screen`] scores the rows with integer dot
-//! products (SSE2 `pmaddwd` on x86-64), which read a quarter of the f64
-//! scan's bytes, and keeps as candidates only the rows whose integer
-//! score is within twice [`fixed_screen_error_bound`] of the largest. The
-//! caller then re-scores the candidates in f64 with
-//! [`LaneRows::slot_dot`]. Integer dot products are exact, so the bound
-//! covers only quantization and the f64 fold's own rounding; no integer
-//! score is further than it from its f64 score (scaled by `32767²`), so
-//! the row an all-f64 scan would pick is always among the candidates,
-//! and the answer is bit for bit the full scan's. A block whose best lane
-//! is already below the floor is passed over without looking at its
-//! lanes.
+//! [`ScreenedRows`] keeps two more, fixed-point copies of the same rows,
+//! sixteen rows per block: at scale `S = 32767`, each component `x` as
+//! the `i16` `round(x * S)`, saturated to `±S`, and at scale `S₈ = 127`
+//! as an `i8`. It finds the best-scoring row in three steps, and the
+//! first two read only integers. [`ScreenedRows::screen`] scores every
+//! block against the query in 8 bits, in one kernel call at the CPU's
+//! widest detected vector width (AVX-512BW or AVX2, see [`screen_kernel`];
+//! a CPU without AVX2 skips this pass), and keeps each block's top lane.
+//! It then visits the blocks, the one of the largest
+//! 8-bit top first, and re-scores in 16 bits (SSE2 `pmaddwd` on x86-64)
+//! only those whose 8-bit top could still reach the running floor,
+//! keeping as candidates the rows whose 16-bit score is within twice
+//! [`fixed_screen_error_bound`] of the largest. The caller then re-scores
+//! the candidates in f64 with [`LaneRows::slot_dot`]. Integer dot
+//! products are exact, so each bound covers only quantization and the
+//! f64 fold's own rounding: no 16-bit score is further than
+//! [`fixed_screen_error_bound`] from its f64 score scaled by `S²`, nor
+//! any 8-bit score further than [`byte_screen_error_bound`] from it
+//! scaled by `S₈²`. So the 8-bit pass never passes over a block holding a
+//! row the 16-bit screen would keep, the row an all-f64 scan would pick
+//! is always among the candidates, and the answer is bit for bit the full
+//! scan's. The 16-bit screen stays the authority: the 8-bit bound (6.4%
+//! of the scale at 64 components, against 0.024%) is too loose to pick
+//! candidates with, but tight enough to rule out nearly every block once
+//! the floor is high. The 16-bit copy reads a quarter of the f64 scan's
+//! bytes, and the 8-bit one an eighth.
 //!
 //! The screen has two consumers. The cache's flat index asks
-//! [`ScreenedRows::nearest`] for the best row, re-scored in slot order.
-//! The fleet's affinity leader table only cares about a leader that
-//! reaches its join threshold, so it also passes a *seed*: a floor
+//! [`ScreenedRows::nearest`] for the best row, re-scored in slot order,
+//! seeded with its hit floor. The fleet's affinity leader table only
+//! cares about a leader that reaches its join threshold, and re-scores
+//! the candidates in its own admission order. Both pass a *seed*: a floor
 //! ([`ScreenedRows::seed_for`]) below which no row can reach that score.
-//! Rows under it are never candidates, and when every row falls under
-//! it, nothing is re-scored at all. The table re-scores its candidates in
-//! its own admission order. The same kernel also runs the other way
-//! round, in [`QueryBlocks`]: many stored queries, sixteen to a block,
-//! scored against one row, each against a seed of its own.
+//! Rows under it are never candidates, and when every row falls under it,
+//! the 8-bit pass rules out nearly every block and nothing is re-scored
+//! at all. The 16-bit kernel also runs the other way round, in
+//! [`QueryBlocks`]: many stored queries, sixteen to a block, scored
+//! against one row, each against a seed of its own.
 //!
 //! The guarantee needs rows and queries of Euclidean norm at most
 //! `1 + 2^-30`, which every normalized (or zero) vector meets.
+
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// Rows per f64 block, and accumulators per kernel call.
 pub const LANES: usize = 8;
@@ -61,6 +76,13 @@ const FIXED_ONE: i16 = i16::MAX;
 
 /// `S²`, the fixed-point score of a unit row against itself.
 const FIXED_ONE_SQ: i64 = FIXED_ONE as i64 * FIXED_ONE as i64;
+
+/// The 8-bit pass's scale `S₈`: rows and queries are stored as `i8`,
+/// saturated to `±S₈`.
+const BYTE_ONE: i16 = i8::MAX as i16;
+
+/// `S₈²`, the 8-bit score of a unit row against itself.
+const BYTE_ONE_SQ: i64 = BYTE_ONE as i64 * BYTE_ONE as i64;
 
 /// The largest row length for which [`fixed_screen_error_bound`]'s
 /// derivation and its no-overflow argument are carried out.
@@ -230,35 +252,40 @@ impl LaneRows {
     }
 }
 
-/// `x` in fixed point: `x * 32767` rounded to the nearest integer (ties
-/// to even), saturated to `±32767`.
-fn quantize(x: f64) -> i16 {
-    // For |y| <= S, y + 1.5 * 2^52 lies in [2^52, 2^53), where the f64
+/// `x` at fixed-point scale `SCALE` (at most `2^15 − 1`): `x * SCALE`
+/// rounded to the nearest integer (ties to even), saturated to `±SCALE`.
+fn quantize<const SCALE: i16>(x: f64) -> i16 {
+    // For |y| <= SCALE, y + 1.5 * 2^52 lies in [2^52, 2^53), where the f64
     // spacing is 1, so the add rounds y to an integer held in the low
     // bits of the sum's mantissa (offset by 2^51, above the low 16).
     const ROUNDER: f64 = 6_755_399_441_055_744.0;
-    let s = f64::from(FIXED_ONE);
+    let s = f64::from(SCALE);
     ((x * s).clamp(-s, s) + ROUNDER).to_bits() as i16
 }
 
-/// `values` in fixed point, in component pairs; an odd last component is
-/// padded with a zero.
-fn quantized_pairs(values: &[f64]) -> impl Iterator<Item = [i16; 2]> + '_ {
+/// `values` at fixed-point scale `SCALE`, in component pairs; an odd last
+/// component is padded with a zero.
+fn quantized_pairs<const SCALE: i16>(values: &[f64]) -> impl Iterator<Item = [i16; 2]> + '_ {
     let (pairs, odd) = values.as_chunks::<2>();
-    let pairs = pairs.iter().map(|&[a, b]| [quantize(a), quantize(b)]);
-    pairs.chain(odd.iter().map(|&a| [quantize(a), 0]))
+    let pairs = pairs
+        .iter()
+        .map(|&[a, b]| [quantize::<SCALE>(a), quantize::<SCALE>(b)]);
+    pairs.chain(odd.iter().map(|&a| [quantize::<SCALE>(a), 0]))
 }
 
 /// The bound, in fixed-point units (`S = 32767`, so a score of `S²`
-/// means 1.0), on how far the screen's integer score of a row can fall
-/// from `S²` times its f64 score ([`LaneRows::block_dots`] from `0.0`),
-/// when row and query are f64 vectors of length `n = dim` and Euclidean
-/// norm at most `1 + δ`, `δ = 2^-30`: `⌈S √n + n / 4⌉ + 1`. Normalizing
-/// in f64 errs by about `(n / 2 + 2) 2^-53`, so every unit vector of
-/// length up to [`MAX_SCREEN_DIM`] qualifies, and so does the zero vector.
+/// means 1.0), on how far the 16-bit screen's integer score of a row can
+/// fall from `S²` times its f64 score ([`LaneRows::block_dots`] from
+/// `0.0`), when row and query are f64 vectors of length `n = dim` and
+/// Euclidean norm at most `1 + δ`, `δ = 2^-30`: `⌈S √n + n / 4⌉ + 1`.
+/// Normalizing in f64 errs by about `(n / 2 + 2) 2^-53`, so every unit
+/// vector of length up to [`MAX_SCREEN_DIM`] qualifies, and so does the
+/// zero vector.
 ///
-/// Write `v = 2^-53` (f64 unit roundoff), `Q(x)` for the stored integer
-/// and `I = Σ Q(q_i) Q(r_i)` for the screen's score:
+/// The derivation holds for any scale `S` from 1 to 32767, with rows and
+/// query both stored at `S`; [`byte_screen_error_bound`] is the same
+/// bound at `S₈ = 127`. Write `v = 2^-53` (f64 unit roundoff), `Q(x)` for
+/// the stored integer and `I = Σ Q(q_i) Q(r_i)` for the screen's score:
 ///
 /// 1. Every component has `|x| <= 1 + δ`, so `fl(x S)` is within
 ///    `S (1 + δ) v < 2^-37` of `x S`, and `x S` is within `S δ < 2^-15`
@@ -294,47 +321,68 @@ fn quantized_pairs(values: &[f64]) -> impl Iterator<Item = [i16; 2]> + '_ {
 ///
 /// Panics if `dim` exceeds [`MAX_SCREEN_DIM`].
 pub fn fixed_screen_error_bound(dim: usize) -> i64 {
+    screen_error_bound(FIXED_ONE, dim)
+}
+
+/// [`fixed_screen_error_bound`] for the 8-bit pass, in its units
+/// (`S₈ = 127`, so a score of `S₈²` means 1.0): `⌈S₈ √n + n / 4⌉ + 1`,
+/// by the same derivation with `S = S₈`. That is 1,033 at 64 components,
+/// 6.4% of the scale. The no-overflow argument gives
+/// `|I| <= (S₈ (1 + δ) + ε √n)² < 2^19` for `n <= 2^20`.
+///
+/// # Panics
+///
+/// Panics if `dim` exceeds [`MAX_SCREEN_DIM`].
+pub fn byte_screen_error_bound(dim: usize) -> i64 {
+    screen_error_bound(BYTE_ONE, dim)
+}
+
+/// `⌈S √n + n / 4⌉ + 1` at scale `S = scale`, `n = dim`.
+fn screen_error_bound(scale: i16, dim: usize) -> i64 {
     assert!(
         dim <= MAX_SCREEN_DIM,
         "row length {dim} exceeds the screen's proven range ({MAX_SCREEN_DIM})"
     );
     let n = dim as f64;
-    (f64::from(FIXED_ONE) * n.sqrt() + n / 4.0).ceil() as i64 + 1
+    (f64::from(scale) * n.sqrt() + n / 4.0).ceil() as i64 + 1
 }
 
-/// The fixed-point copy behind [`ScreenedRows`]: sixteen slots per
-/// block, components interleaved in pairs. Within a block, pair `p` of
-/// lane `l` holds `[Q(r[2p]), Q(r[2p + 1])]` at `p * 32 + 2 * l`, so one
-/// 16-byte load feeds `pmaddwd` four lanes' pair. An odd row length is
-/// padded with a zero component.
+/// A fixed-point copy behind [`ScreenedRows`], at one scale: sixteen
+/// slots per block, components interleaved in pairs. Within a block, pair
+/// `p` of lane `l` holds `[Q(r[2p]), Q(r[2p + 1])]` at `p * 32 + 2 * l`,
+/// and an odd row length is padded with a zero component. The 16-bit
+/// screen stores `i16` values, so one 16-byte load feeds `pmaddwd` four
+/// lanes' pair; the 8-bit pass stores `i8` values, so one 32-byte load
+/// holds all sixteen lanes' pair, which `vpmovsxbw` widens for
+/// `vpmaddwd`.
 #[derive(Debug, Clone, Default)]
-struct FixedRows {
+struct FixedRows<T> {
     /// Blocks of `pairs * 2 * SCREEN_LANES` values; unset lanes are zero.
-    data: Vec<i16>,
+    data: Vec<T>,
     /// Component pairs per row, `dim.div_ceil(2)`.
     pairs: usize,
 }
 
-impl FixedRows {
+impl<T: Copy + Default> FixedRows<T> {
     /// Values per block.
     fn stride(&self) -> usize {
         self.pairs * 2 * SCREEN_LANES
     }
 
-    /// Writes `row` into slot `slot`, growing the store by whole blocks.
-    /// The owner checks the slot and the row length.
-    fn set(&mut self, slot: usize, row: &[f64]) {
-        self.write(slot, row.len().div_ceil(2), quantized_pairs(row));
+    /// Block `b`'s values.
+    fn block(&self, b: usize) -> &[T] {
+        let stride = self.stride();
+        &self.data[b * stride..][..stride]
     }
 
     /// Writes the `pairs` fixed-point component pairs `values` into slot
     /// `slot`, growing the store by whole blocks.
-    fn write(&mut self, slot: usize, pairs: usize, values: impl Iterator<Item = [i16; 2]>) {
+    fn write(&mut self, slot: usize, pairs: usize, values: impl Iterator<Item = [T; 2]>) {
         self.pairs = pairs;
         let stride = self.stride();
         let end = (slot / SCREEN_LANES + 1) * stride;
         if self.data.len() < end {
-            self.data.resize(end, 0);
+            self.data.resize(end, T::default());
         }
         // Pair `p` of lane `l` is the `p * SCREEN_LANES + l`-th pair.
         let (block, _) = self.data[end - stride..end].as_chunks_mut::<{ 2 * SCREEN_LANES }>();
@@ -343,26 +391,40 @@ impl FixedRows {
             (lanes[lane], lanes[lane + 1]) = (lo, hi);
         }
     }
+}
 
-    /// Integer scores of every block against `q` (packed pairs, from
-    /// [`FixedRows::query_into`]), one `[i32; SCREEN_LANES]` per block.
-    fn block_scores<'a>(&'a self, q: &'a [i32]) -> impl Iterator<Item = [i32; SCREEN_LANES]> + 'a {
-        // `max(1)` only matters while empty, when `data` is too.
-        self.data
-            .chunks_exact(self.stride().max(1))
-            .map(move |block| block_scores(block, q))
-    }
-
-    /// Writes `q` in fixed point to `out`, each component pair packed
-    /// into one `i32`, the first in the low half: the operand
-    /// `_mm_set1_epi32` broadcasts to every `pmaddwd` pair.
-    fn query_into(q: &[f64], out: &mut Vec<i32>) {
-        out.clear();
-        out.extend(
-            quantized_pairs(q)
-                .map(|[lo, hi]| (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32),
+impl FixedRows<i16> {
+    /// Writes `row` at scale `S` into slot `slot`, growing the store by
+    /// whole blocks. The owner checks the slot and the row length.
+    fn set(&mut self, slot: usize, row: &[f64]) {
+        self.write(
+            slot,
+            row.len().div_ceil(2),
+            quantized_pairs::<FIXED_ONE>(row),
         );
     }
+}
+
+impl FixedRows<i8> {
+    /// Writes `row` at scale `S₈` into slot `slot`, as the 16-bit copy's
+    /// `set` does at `S`.
+    fn set(&mut self, slot: usize, row: &[f64]) {
+        // `quantize` saturates to `±S₈`, so every value fits in an `i8`.
+        let values = quantized_pairs::<BYTE_ONE>(row).map(|[lo, hi]| [lo as i8, hi as i8]);
+        self.write(slot, row.len().div_ceil(2), values);
+    }
+}
+
+/// Writes `q` at fixed-point scale `SCALE` to `out`, each component pair
+/// packed into one `i32`, the first in the low half: the operand
+/// `set1_epi32` broadcasts to every `pmaddwd` pair. At scale `S₈` the
+/// halves are the words `vpmovsxbw` makes of the 8-bit copy's pairs.
+fn query_into<const SCALE: i16>(q: &[f64], out: &mut Vec<i32>) {
+    out.clear();
+    out.extend(
+        quantized_pairs::<SCALE>(q)
+            .map(|[lo, hi]| (u32::from(lo as u16) | (u32::from(hi as u16) << 16)) as i32),
+    );
 }
 
 /// One block's sixteen integer scores against the packed query pairs
@@ -404,16 +466,22 @@ fn block_scores(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
     out
 }
 
-/// [`block_scores`] as a scalar fold: the same wrapping sums, lane for
-/// lane. The kernel on targets without SSE2, and its reference in tests.
+/// [`block_scores`] as a scalar fold over either copy: the same wrapping
+/// sums, lane for lane. The 16-bit kernel on targets without SSE2, and the
+/// reference of every kernel in tests.
+///
+/// # Panics
+///
+/// Panics if `block` does not hold exactly `2 * SCREEN_LANES` values per
+/// query pair.
 #[cfg(any(test, not(target_arch = "x86_64")))]
-fn block_scores_scalar(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
+fn block_scores_scalar<T: Copy + Into<i32>>(block: &[T], q: &[i32]) -> [i32; SCREEN_LANES] {
     assert_eq!(block.len(), q.len() * 2 * SCREEN_LANES, "screen block size");
     let mut acc = [0i32; SCREEN_LANES];
     for (&pair, values) in q.iter().zip(block.as_chunks::<{ 2 * SCREEN_LANES }>().0) {
         let (q0, q1) = (i32::from(pair as i16), i32::from((pair >> 16) as i16));
         for (a, r) in acc.iter_mut().zip(values.as_chunks::<2>().0) {
-            let dot = (i32::from(r[0]) * q0).wrapping_add(i32::from(r[1]) * q1);
+            let dot = (r[0].into() * q0).wrapping_add(r[1].into() * q1);
             *a = a.wrapping_add(dot);
         }
     }
@@ -421,7 +489,228 @@ fn block_scores_scalar(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-use block_scores_scalar as block_scores;
+fn block_scores(block: &[i16], q: &[i32]) -> [i32; SCREEN_LANES] {
+    block_scores_scalar(block, q)
+}
+
+/// A kernel for the 8-bit pass: writes each block's *top*, the largest of
+/// its sixteen lanes' integer scores (padding lanes included) against
+/// the packed query pairs, each summed in wrapping `i32` arithmetic as
+/// the scalar fold sums it. Integer sums are exact, so every kernel
+/// writes the same tops. [`ScreenedRows::screen`] runs the widest one the
+/// CPU supports ([`ByteKernel::detect`]). A CPU with neither (an x86-64
+/// CPU without AVX2, or another architecture) skips the 8-bit pass and
+/// screens every block in 16 bits: a narrower 8-bit kernel costs about as
+/// much as the 16-bit screen it would spare (an SSE2 one measured 2.5
+/// times the cost of screening every block in 16 bits).
+///
+/// A value is only ever made by [`ByteKernel::available`], after the
+/// kernel's CPU features were detected at run time; the `unsafe` kernel
+/// calls in [`ByteKernel::block_tops`] rely on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ByteKernel {
+    /// AVX-512BW: per component pair, one 32-byte load of all sixteen
+    /// lanes, sign-extended to words (`vpmovsxbw`), and one `vpmaddwd`
+    /// ([`avx512_tops`]).
+    #[cfg(target_arch = "x86_64")]
+    Avx512Bw,
+    /// AVX2: the same on 256 bits, two registers per block
+    /// ([`avx2_tops`]).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl ByteKernel {
+    /// Every kernel this CPU supports, widest first, detected at run time.
+    fn available() -> Vec<Self> {
+        #[cfg(target_arch = "x86_64")]
+        let kernels = [
+            (
+                ByteKernel::Avx512Bw,
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw"),
+            ),
+            (ByteKernel::Avx2, is_x86_feature_detected!("avx2")),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let kernels: [(Self, bool); 0] = [];
+        kernels
+            .into_iter()
+            .filter_map(|(kernel, detected)| detected.then_some(kernel))
+            .collect()
+    }
+
+    /// The widest kernel this CPU supports, if any, detected once per
+    /// process.
+    fn detect() -> Option<Self> {
+        static DETECTED: OnceLock<Option<ByteKernel>> = OnceLock::new();
+        *DETECTED.get_or_init(|| Self::available().first().copied())
+    }
+
+    /// The kernel's name, as [`screen_kernel`] reports it.
+    fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ByteKernel::Avx512Bw => "avx512bw",
+            #[cfg(target_arch = "x86_64")]
+            ByteKernel::Avx2 => "avx2",
+        }
+    }
+
+    /// Writes the top of block `b` of `data` against the packed query
+    /// pairs `q` to `tops[b]`, for every block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` does not hold `tops.len()` blocks of
+    /// `2 * SCREEN_LANES` values per query pair.
+    fn block_tops(self, data: &[i8], q: &[i32], tops: &mut [i32]) {
+        let stride = q.len() * 2 * SCREEN_LANES;
+        assert_eq!(data.len(), tops.len() * stride, "8-bit block size");
+        if tops.is_empty() {
+            return;
+        }
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ByteKernel::Avx512Bw => in_flight(
+                data,
+                stride,
+                tops,
+                // SAFETY: `self` came from `ByteKernel::available`, which
+                // detected AVX-512F and AVX-512BW on this CPU at run time.
+                |blocks| unsafe { avx512_tops(blocks, q) },
+                // SAFETY: as for the group of blocks.
+                |block| unsafe { avx512_tops(block, q) },
+            ),
+            #[cfg(target_arch = "x86_64")]
+            ByteKernel::Avx2 => in_flight(
+                data,
+                stride,
+                tops,
+                // SAFETY: `self` came from `ByteKernel::available`, which
+                // detected AVX2 on this CPU at run time.
+                |blocks| unsafe { avx2_tops(blocks, q) },
+                // SAFETY: as for the group of blocks.
+                |block| unsafe { avx2_tops(block, q) },
+            ),
+        }
+    }
+}
+
+/// Blocks each wide kernel scores at once.
+#[cfg(target_arch = "x86_64")]
+const IN_FLIGHT: usize = 4;
+
+/// Runs a wide kernel over every block of `data`, `stride` values each,
+/// writing block `b`'s top to `tops[b]`: `group` scores [`IN_FLIGHT`]
+/// blocks at a time, and `single` the rest one by one.
+#[cfg(target_arch = "x86_64")]
+fn in_flight(
+    data: &[i8],
+    stride: usize,
+    tops: &mut [i32],
+    group: impl Fn(&[i8]) -> [i32; IN_FLIGHT],
+    single: impl Fn(&[i8]) -> [i32; 1],
+) {
+    let (groups, rest) = tops.as_chunks_mut::<IN_FLIGHT>();
+    let (whole, tail) = data.split_at(groups.len() * IN_FLIGHT * stride);
+    for (out, blocks) in groups
+        .iter_mut()
+        .zip(whole.chunks_exact(IN_FLIGHT * stride))
+    {
+        *out = group(blocks);
+    }
+    for (out, block) in rest.iter_mut().zip(tail.chunks_exact(stride)) {
+        [*out] = single(block);
+    }
+}
+
+/// The tops of the `N` consecutive blocks in `blocks` with AVX-512BW: per
+/// component pair, all sixteen lanes as one 32-byte load, sign-extended
+/// to words (`vpmovsxbw`) and multiplied by the query pair with
+/// `vpmaddwd`, which leaves each lane's pair sum in its own `i32`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512BW.
+///
+/// # Panics
+///
+/// Panics if `blocks` does not hold `N` blocks of `32 * q.len()` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn avx512_tops<const N: usize>(blocks: &[i8], q: &[i32]) -> [i32; N] {
+    use std::arch::x86_64::{
+        _mm256_loadu_si256, _mm512_add_epi32, _mm512_cvtepi8_epi16, _mm512_madd_epi16,
+        _mm512_reduce_max_epi32, _mm512_set1_epi32, _mm512_setzero_si512,
+    };
+    let stride = q.len() * 2 * SCREEN_LANES;
+    assert_eq!(blocks.len(), N * stride, "8-bit block size");
+    let mut acc = [_mm512_setzero_si512(); N];
+    for (p, &pair) in q.iter().enumerate() {
+        let pair = _mm512_set1_epi32(pair);
+        for (k, a) in acc.iter_mut().enumerate() {
+            // SAFETY: pair `p` of block `k` is the 32 bytes at
+            // `k * stride + 32 p`, inside `blocks` (asserted above) since
+            // `p < q.len()`; `loadu` needs no alignment.
+            let r = unsafe { _mm256_loadu_si256(blocks.as_ptr().add(k * stride + 32 * p).cast()) };
+            *a = _mm512_add_epi32(*a, _mm512_madd_epi16(_mm512_cvtepi8_epi16(r), pair));
+        }
+    }
+    acc.map(|a| _mm512_reduce_max_epi32(a))
+}
+
+/// The tops of the `N` consecutive blocks in `blocks` with AVX2: as
+/// [`avx512_tops`] on 256 bits, lanes 0–7 and 8–15 of each pair as two
+/// 16-byte loads.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+///
+/// # Panics
+///
+/// Panics if `blocks` does not hold `N` blocks of `32 * q.len()` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_tops<const N: usize>(blocks: &[i8], q: &[i32]) -> [i32; N] {
+    use std::arch::x86_64::{
+        _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
+        _mm256_madd_epi16, _mm256_max_epi32, _mm256_set1_epi32, _mm256_setzero_si256,
+        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_max_epi32, _mm_shuffle_epi32,
+    };
+    let stride = q.len() * 2 * SCREEN_LANES;
+    assert_eq!(blocks.len(), N * stride, "8-bit block size");
+    let mut acc = [[_mm256_setzero_si256(); 2]; N];
+    for (p, &pair) in q.iter().enumerate() {
+        let pair = _mm256_set1_epi32(pair);
+        for (k, halves) in acc.iter_mut().enumerate() {
+            for (h, a) in halves.iter_mut().enumerate() {
+                // SAFETY: lanes `8h` to `8h + 7` of pair `p` of block `k`
+                // are the 16 bytes at `k * stride + 32 p + 16 h`, inside
+                // `blocks` (asserted above); `loadu` needs no alignment.
+                let at = k * stride + 32 * p + 16 * h;
+                let r = unsafe { _mm_loadu_si128(blocks.as_ptr().add(at).cast()) };
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(r), pair));
+            }
+        }
+    }
+    acc.map(|[lo, hi]| {
+        let m = _mm256_max_epi32(lo, hi);
+        let m = _mm_max_epi32(_mm256_castsi256_si128(m), _mm256_extracti128_si256(m, 1));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32(m, 0b01_00_11_10));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32(m, 0b10_11_00_01));
+        _mm_cvtsi128_si32(m)
+    })
+}
+
+/// The 8-bit pass's kernel on this CPU, by name: `"avx512bw"` or
+/// `"avx2"`, picked once per process from the CPU's detected features,
+/// or `"none"` when the CPU has neither and every block goes to the
+/// 16-bit screen. That screen is SSE2 on every x86-64 CPU and the scalar
+/// fold elsewhere.
+pub fn screen_kernel() -> &'static str {
+    ByteKernel::detect().map_or("none", ByteKernel::name)
+}
 
 /// A vector in the screen's fixed point, packed as the kernel reads a
 /// query: built once with [`FixedQuery::set`], then stored in a
@@ -439,7 +728,7 @@ impl FixedQuery {
 
     /// Makes this the fixed-point copy of `q`, reusing the buffer.
     pub fn set(&mut self, q: &[f64]) {
-        FixedRows::query_into(q, &mut self.pairs);
+        query_into::<FIXED_ONE>(q, &mut self.pairs);
     }
 }
 
@@ -453,7 +742,7 @@ impl FixedQuery {
 /// unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBlocks {
-    rows: FixedRows,
+    rows: FixedRows<i16>,
     len: usize,
 }
 
@@ -497,8 +786,7 @@ impl QueryBlocks {
     /// differs from the stored queries'.
     pub fn block_scores(&self, b: usize, q: &FixedQuery) -> [i32; SCREEN_LANES] {
         assert!(b < self.blocks(), "block {b} out of range");
-        let stride = self.rows.stride();
-        block_scores(&self.rows.data[b * stride..][..stride], &q.pairs)
+        block_scores(self.rows.block(b), &q.pairs)
     }
 }
 
@@ -507,8 +795,12 @@ impl QueryBlocks {
 /// screens without allocating once the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct Candidates {
-    /// The query in fixed point, as [`FixedRows::query_into`] packs it.
+    /// The query at scale `S`, as [`query_into`] packs it.
     query: Vec<i32>,
+    /// The query at scale `S₈`, packed the same way, for the 8-bit pass.
+    byte_query: Vec<i32>,
+    /// Each block's 8-bit top, from the last screen's 8-bit pass.
+    tops: Vec<i32>,
     /// `(slot, integer score)` of every live row that cleared the
     /// running floor; once the screen returns, only those that clear the
     /// final one, in slot order.
@@ -527,18 +819,67 @@ impl Candidates {
     }
 }
 
-/// The same rows stored twice, as exact f64 [`LaneRows`] and as a 16-bit
-/// fixed-point screen copy, kept in step: [`ScreenedRows::push`] and
-/// [`ScreenedRows::set`] write both. Rows and queries are meant to have
-/// Euclidean norm at most `1 + 2^-30` (unit or zero vectors, such as
-/// normalized embeddings).
+/// The least 8-bit top a block needs to be re-scored in 16 bits against
+/// the running floor `floor`, for 16-bit and 8-bit error bounds `bound`
+/// and `byte_bound` (`i32::MIN` re-scores every block).
+/// [`ScreenedRows::screen`]'s 8-bit test skips a block of top `t` iff `f`
+/// lies in `(−S², S²]` and `S² (max(t, −S₈²) + B₈) + S₈² B < S₈² f`, that
+/// is iff `S² max(t, −S₈²) < R := S₈² (f − B) − S² B₈`, which for an
+/// integer `t` is `max(t, −S₈²) < ⌈R / S²⌉`.
+fn least_byte_top(floor: i64, bound: i64, byte_bound: i64) -> i32 {
+    if floor <= -FIXED_ONE_SQ || floor > FIXED_ONE_SQ {
+        return i32::MIN;
+    }
+    // `⌈R / S²⌉ = −⌊−R / S²⌋`; every term stays below `2^50`.
+    let least =
+        -(BYTE_ONE_SQ * (bound - floor) + FIXED_ONE_SQ * byte_bound).div_euclid(FIXED_ONE_SQ);
+    if least > -BYTE_ONE_SQ {
+        i32::try_from(least).expect("at most S₈²")
+    } else {
+        i32::MIN
+    }
+}
+
+/// What the [`ScreenedRows::screen`] calls on one thread have done, as
+/// counts: screens run, blocks screened (each scored in 8 bits first
+/// when the CPU has a kernel for it), and the blocks among those that the
+/// 16-bit screen re-scored. Read with [`screen_tally`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScreenTally {
+    /// Screens run.
+    pub screens: u64,
+    /// Blocks screened.
+    pub blocks: u64,
+    /// Blocks re-scored in 16 bits.
+    pub rescreened: u64,
+}
+
+thread_local! {
+    static TALLY: Cell<ScreenTally> = const {
+        Cell::new(ScreenTally { screens: 0, blocks: 0, rescreened: 0 })
+    };
+}
+
+/// The calling thread's [`ScreenTally`] since the thread started; the
+/// difference of two readings counts the screens between them.
+pub fn screen_tally() -> ScreenTally {
+    TALLY.with(Cell::get)
+}
+
+/// The same rows stored three times, as exact f64 [`LaneRows`] and as
+/// 16-bit and 8-bit fixed-point screen copies, kept in step:
+/// [`ScreenedRows::push`] and [`ScreenedRows::set`] write all three. Rows
+/// and queries are meant to have Euclidean norm at most `1 + 2^-30` (unit
+/// or zero vectors, such as normalized embeddings). At 64 components a
+/// row takes 512 bytes in f64, 128 in 16 bits and 64 in 8 bits.
 ///
 /// Two exact probes store their rows here and share
 /// [`ScreenedRows::screen`]: the cache's flat index, through
-/// [`ScreenedRows::nearest`] (no seed, re-scored in slot order), and the
-/// fleet's affinity leader table, which seeds the screen with its join
-/// threshold ([`ScreenedRows::seed_for`]) and re-scores the candidates
-/// in its own admission order.
+/// [`ScreenedRows::nearest`] (re-scored in slot order, seeded with the
+/// hit floor when it has one), and the fleet's affinity leader table,
+/// which seeds the screen with its join threshold
+/// ([`ScreenedRows::seed_for`]) and re-scores the candidates in its own
+/// admission order.
 ///
 /// # Example
 ///
@@ -550,13 +891,17 @@ impl Candidates {
 /// rows.push(&[0.6, 0.8]);
 /// rows.push(&[0.0, 1.0]);
 /// // Slot 2 is dead; slot 1 is the best live row.
-/// let best = rows.nearest(&[0.0, 1.0], |slot| slot != 2, &mut Candidates::new());
+/// let best = rows.nearest(&[0.0, 1.0], |slot| slot != 2, i64::MIN, &mut Candidates::new());
 /// assert_eq!(best, Some((1, 0.8)));
+/// // Seeded at 0.9, no live row qualifies.
+/// let seed = rows.seed_for(0.9);
+/// assert_eq!(rows.nearest(&[0.0, 1.0], |slot| slot != 2, seed, &mut Candidates::new()), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ScreenedRows {
     exact: LaneRows,
-    screen: FixedRows,
+    screen: FixedRows<i16>,
+    bytes: FixedRows<i8>,
 }
 
 impl ScreenedRows {
@@ -586,7 +931,7 @@ impl ScreenedRows {
         &self.exact
     }
 
-    /// Appends `row` to both copies and returns its slot.
+    /// Appends `row` to all three copies and returns its slot.
     ///
     /// # Panics
     ///
@@ -594,10 +939,11 @@ impl ScreenedRows {
     pub fn push(&mut self, row: &[f64]) -> usize {
         let slot = self.exact.push(row);
         self.screen.set(slot, row);
+        self.bytes.set(slot, row);
         slot
     }
 
-    /// Overwrites slot `slot` in both copies.
+    /// Overwrites slot `slot` in all three copies.
     ///
     /// # Panics
     ///
@@ -605,6 +951,7 @@ impl ScreenedRows {
     pub fn set(&mut self, slot: usize, row: &[f64]) {
         self.exact.set(slot, row);
         self.screen.set(slot, row);
+        self.bytes.set(slot, row);
     }
 
     /// The seed for [`ScreenedRows::screen`] that keeps every row whose
@@ -636,17 +983,20 @@ impl ScreenedRows {
 
     /// Screens every live row against `q` in fixed point and leaves in
     /// `out` the candidate slots, in slot order: the live rows whose
-    /// integer score reaches `max(seed, min(m, S²) − 2B)`, where `m` is
-    /// the largest integer score of a live row, `S = 32767` and `B` is
-    /// [`fixed_screen_error_bound`]. `live(slot)` says whether a slot is
-    /// live; it is asked only about slots of blocks that are scored lane
-    /// by lane. Pass `i64::MIN` as `seed` for no seed.
+    /// 16-bit integer score reaches `max(seed, min(m, S²) − 2B)`, where
+    /// `m` is the largest 16-bit score of a live row, `S = 32767` and `B`
+    /// is [`fixed_screen_error_bound`]. `live(slot)` says whether a slot
+    /// is live; it is asked only about slots of blocks that are scored
+    /// lane by lane. Pass `i64::MIN` as `seed` for no seed.
     ///
-    /// What the candidates guarantee: write `I` for a row's integer
-    /// score, `Î` for it clamped to `[−S², S²]`, and `c` for an f64 score
-    /// of the row, clamped to `[-1, 1]`, with `|Î − S² c| <= B`. The
-    /// clamped f64 dot from [`LaneRows::slot_dot`] is such a score when
-    /// the rows and `q` have Euclidean norm at most `1 + 2^-30` (see
+    /// What the candidates guarantee: write `I` for a row's 16-bit
+    /// integer score, `Î` for it clamped to `[−S², S²]`, and `c` for an
+    /// f64 score of the row, clamped to `[-1, 1]`, with `|Î − S² c| <= B`,
+    /// and likewise `|Î₈ − S₈² c| <= B₈` for its 8-bit score `I₈` clamped
+    /// to `[−S₈², S₈²]`, `S₈ = 127` and `B₈` the
+    /// [`byte_screen_error_bound`]. The clamped f64 dot from
+    /// [`LaneRows::slot_dot`] is such a score when the rows and `q` have
+    /// Euclidean norm at most `1 + 2^-30` (see
     /// [`fixed_screen_error_bound`]); a cosine within `B`'s slack of that
     /// dot is another. Every live row of largest `c` whose `c` reaches
     /// the score the seed was made for ([`ScreenedRows::seed_for`]; any
@@ -664,40 +1014,93 @@ impl ScreenedRows {
     /// the screen by more than `2B`.
     ///
     /// The floor is kept as the scan runs and only rises, so every row
-    /// that clears the final floor cleared it when seen. A block whose
-    /// largest lane (dead and padding lanes included) is below the
-    /// running floor is skipped without asking `live`: none of its lanes
-    /// could clear the final floor, and none could raise it, since a lane
-    /// below the floor lifts `min(m, S²) − 2B` to less than itself.
+    /// that clears the final floor cleared it when seen. A block none of
+    /// whose lanes reaches the running floor is skipped without asking
+    /// `live`: none of its lanes could clear the final floor, and none
+    /// could raise it, since a lane below the floor lifts
+    /// `min(m, S²) − 2B` to less than itself. Two tests find such blocks.
+    ///
+    /// 1. **The 8-bit pass.** One kernel call first scores every block in
+    ///    8 bits and keeps its top `t`, the largest of its lanes (dead and
+    ///    padding lanes included). While the running floor `f` lies in
+    ///    `(−S², S²]`, block `b` is skipped without a 16-bit look iff
+    ///    `S² (max(t, −S₈²) + B₈) + S₈² B < S₈² f`. Every lane of it has
+    ///    `I₈ <= t`, so `S₈² c <= Î₈ + B₈ <= max(t, −S₈²) + B₈`, and then
+    ///    `S₈² Î <= S₈² (S² c + B) <= S² (max(t, −S₈²) + B₈) + S₈² B`,
+    ///    which is below `S₈² f`: `Î < f <= S²`, so `I < f` too. A CPU
+    ///    without a wide 8-bit kernel ([`screen_kernel`] is `"none"`)
+    ///    skips this test.
+    /// 2. **The 16-bit top.** A block that passes is scored in 16 bits,
+    ///    and skipped if its largest lane is below `f`.
+    ///
+    /// The block of the largest 8-bit top is visited first, and the rest
+    /// in order: the final floor, and so the candidates, do not depend on
+    /// the order, and an early high floor rules out more blocks. Each
+    /// screen adds to the calling thread's [`screen_tally`].
     ///
     /// # Panics
     ///
     /// Panics if rows are stored and `q`'s length differs from theirs,
     /// or if their length exceeds [`MAX_SCREEN_DIM`].
     pub fn screen(&self, q: &[f64], live: impl Fn(usize) -> bool, seed: i64, out: &mut Candidates) {
+        self.screen_with(ByteKernel::detect(), q, live, seed, out);
+    }
+
+    /// [`ScreenedRows::screen`] with the 8-bit pass run by `kernel`, or
+    /// skipped with `None`: every block then goes to the 16-bit screen.
+    fn screen_with(
+        &self,
+        kernel: Option<ByteKernel>,
+        q: &[f64],
+        live: impl Fn(usize) -> bool,
+        seed: i64,
+        out: &mut Candidates,
+    ) {
         assert!(
             self.exact.is_empty() || q.len() == self.dim(),
             "query dimension mismatch: {} vs {}",
             q.len(),
             self.dim()
         );
-        let window = 2 * fixed_screen_error_bound(self.dim());
-        // Rows whose clamped integer score reaches `min(m, S²) − window`,
-        // for the running maximum `m`. A floor at or below −S² admits
-        // every row, whatever its unclamped score.
+        let bound = fixed_screen_error_bound(self.dim());
+        let byte_bound = byte_screen_error_bound(self.dim());
+        // Rows whose clamped integer score reaches `min(m, S²) − 2B`, for
+        // the running maximum `m`. A floor at or below −S² admits every
+        // row, whatever its unclamped score.
         let floor_of = |m: i64| {
-            let floor = m.min(FIXED_ONE_SQ) - window;
+            let floor = m.min(FIXED_ONE_SQ) - 2 * bound;
             if floor > -FIXED_ONE_SQ {
                 floor.max(seed)
             } else {
                 seed
             }
         };
-        FixedRows::query_into(q, &mut out.query);
+        query_into::<FIXED_ONE>(q, &mut out.query);
+        out.tops.clear();
+        out.tops.resize(self.len().div_ceil(SCREEN_LANES), i32::MAX);
+        if let Some(kernel) = kernel {
+            query_into::<BYTE_ONE>(q, &mut out.byte_query);
+            kernel.block_tops(&self.bytes.data, &out.byte_query, &mut out.tops);
+        }
         out.hits.clear();
         let mut m = i64::MIN;
         let mut floor = seed;
-        for (b, scores) in self.screen.block_scores(&out.query).enumerate() {
+        let mut least = least_byte_top(floor, bound, byte_bound);
+        let mut rescreened = 0;
+        // The block of the largest 8-bit top goes first: it most likely
+        // holds the best row, and the floor it sets rules out more of the
+        // rest. When even that top is under the seed's floor, so is every
+        // block's, and the floor only rises: nothing is re-scored.
+        let max_top = out.tops.iter().copied().max().unwrap_or(i32::MIN);
+        let lead = out.tops.iter().position(|&t| t == max_top).unwrap_or(0);
+        let visits = if max_top < least { 0 } else { out.tops.len() };
+        let order = std::iter::once(lead).chain((0..out.tops.len()).filter(|&b| b != lead));
+        for b in order.take(visits) {
+            if out.tops[b] < least {
+                continue;
+            }
+            rescreened += 1;
+            let scores = block_scores(self.screen.block(b), &out.query);
             let top = i64::from(scores.into_iter().fold(i32::MIN, i32::max));
             if top < floor {
                 continue;
@@ -712,6 +1115,7 @@ impl ScreenedRows {
                 if s > m {
                     m = s;
                     floor = floor_of(m);
+                    least = least_byte_top(floor, bound, byte_bound);
                 }
                 if s >= floor {
                     out.hits.push((slot, s));
@@ -719,25 +1123,40 @@ impl ScreenedRows {
             }
         }
         out.hits.retain(|&(_, s)| s >= floor);
+        if lead > 0 {
+            out.hits.sort_unstable_by_key(|&(slot, _)| slot);
+        }
+        TALLY.with(|tally| {
+            let t = tally.get();
+            tally.set(ScreenTally {
+                screens: t.screens + 1,
+                blocks: t.blocks + out.tops.len() as u64,
+                rescreened: t.rescreened + rescreened,
+            });
+        });
     }
 
     /// The live slot with the highest f64 score against `q`, and that
     /// score, clamped to `[-1, 1]`: the first strict maximum in slot
-    /// order. `live(slot)` says whether a slot is live; dead slots are
-    /// never scored into the answer. `None` when no slot is live.
+    /// order, whenever its score reaches the one `seed` was made for
+    /// ([`ScreenedRows::seed_for`]; pass `i64::MIN` for no seed). When no
+    /// live slot reaches it, the answer is `None` or a slot scoring below
+    /// it. `live(slot)` says whether a slot is live; dead slots are never
+    /// scored into the answer. `None` when no slot is live.
     ///
-    /// Runs [`ScreenedRows::screen`] with no seed, then re-scores the
-    /// candidates in slot order with [`LaneRows::slot_dot`] from `0.0`.
-    /// The answer is bit-identical to clamping every live lane of
+    /// Runs [`ScreenedRows::screen`], then re-scores the candidates in
+    /// slot order with [`LaneRows::slot_dot`] from `0.0`. The answer is
+    /// bit-identical to clamping every live lane of
     /// `exact().block_dots(q, 0.0)` and keeping the first strict maximum,
-    /// provided every row is finite and every live row's integer score,
-    /// clamped to `[−S², S²]`, is within [`fixed_screen_error_bound`] of
-    /// `S²` times its clamped f64 score (`S = 32767`). That holds when
-    /// the rows and `q` have Euclidean norm at most `1 + 2^-30`, and for
-    /// rows whose integer and f64 scores both clamp to the same end of
-    /// the range. The screen runs in `candidates`' buffers: a caller that
-    /// keeps one `Candidates` across probes allocates nothing once they
-    /// have grown.
+    /// provided every row is finite and every live row's 16-bit and 8-bit
+    /// integer scores, clamped to `[−S², S²]` and `[−S₈², S₈²]`, are within
+    /// [`fixed_screen_error_bound`] and [`byte_screen_error_bound`] of
+    /// `S²` and `S₈²` times its clamped f64 score (`S = 32767`,
+    /// `S₈ = 127`). That holds when the rows and `q` have Euclidean norm
+    /// at most `1 + 2^-30`, and for rows whose integer and f64 scores all
+    /// clamp to the same end of the range. The screen runs in
+    /// `candidates`' buffers: a caller that keeps one `Candidates` across
+    /// probes allocates nothing once they have grown.
     ///
     /// # Panics
     ///
@@ -746,9 +1165,10 @@ impl ScreenedRows {
         &self,
         q: &[f64],
         live: impl Fn(usize) -> bool,
+        seed: i64,
         candidates: &mut Candidates,
     ) -> Option<(usize, f64)> {
-        self.screen(q, live, i64::MIN, candidates);
+        self.screen(q, live, seed, candidates);
         let mut best: Option<(usize, f64)> = None;
         for slot in candidates.slots() {
             let sim = self.exact.slot_dot(slot, q, 0.0).clamp(-1.0, 1.0);
@@ -767,8 +1187,40 @@ mod tests {
     /// `q` in fixed point, packed as the kernel reads it.
     fn packed(q: &[f64]) -> Vec<i32> {
         let mut out = Vec::new();
-        FixedRows::query_into(q, &mut out);
+        query_into::<FIXED_ONE>(q, &mut out);
         out
+    }
+
+    /// The 16-bit scores of every block of `rows` against the packed
+    /// query `qi`, block by block, padding lanes included.
+    fn block_scores_of(rows: &ScreenedRows, qi: &[i32]) -> Vec<i32> {
+        (0..rows.len().div_ceil(SCREEN_LANES))
+            .flat_map(|b| block_scores(rows.screen.block(b), qi))
+            .collect()
+    }
+
+    /// `q` at the 8-bit scale, packed as the 8-bit pass reads it.
+    fn byte_packed(q: &[f64]) -> Vec<i32> {
+        let mut out = Vec::new();
+        query_into::<BYTE_ONE>(q, &mut out);
+        out
+    }
+
+    /// The 8-bit scores of every block of `rows` against `q`, by the
+    /// scalar fold, block by block, padding lanes included.
+    fn byte_scores_of(rows: &ScreenedRows, q: &[f64]) -> Vec<i32> {
+        let qi = byte_packed(q);
+        (0..rows.len().div_ceil(SCREEN_LANES))
+            .flat_map(|b| block_scores_scalar(rows.bytes.block(b), &qi))
+            .collect()
+    }
+
+    /// Each 8-bit block's top against `q`, by the scalar fold.
+    fn reference_tops(rows: &ScreenedRows, q: &[f64]) -> Vec<i32> {
+        byte_scores_of(rows, q)
+            .chunks(SCREEN_LANES)
+            .map(|lanes| lanes.iter().copied().max().expect("sixteen lanes"))
+            .collect()
     }
 
     fn serial(q: &[f64], row: &[f64], init: f64) -> f64 {
@@ -876,34 +1328,43 @@ mod tests {
         v
     }
 
-    /// Largest `|integer score − S² · f64 score| / fixed_screen_error_bound(dim)`
-    /// over every pair of `rows` (each also used as a query).
-    fn worst_ratio(rows: &[Vec<f64>]) -> f64 {
+    /// Largest `|integer score − S² · f64 score| / bound` over every pair
+    /// of `rows` (each also used as a query): at the 16-bit scale against
+    /// [`fixed_screen_error_bound`], or with `byte` at the 8-bit one
+    /// against [`byte_screen_error_bound`].
+    fn worst_ratio(rows: &[Vec<f64>], byte: bool) -> f64 {
         let dim = rows[0].len();
-        let mut screened = ScreenedRows::new();
-        for r in rows {
-            screened.push(r);
-        }
-        let bound = fixed_screen_error_bound(dim) as f64;
+        let store = screened(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let (scale_sq, bound) = if byte {
+            (BYTE_ONE_SQ, byte_screen_error_bound(dim))
+        } else {
+            (FIXED_ONE_SQ, fixed_screen_error_bound(dim))
+        };
         let mut worst: f64 = 0.0;
         for q in rows {
-            let qi = packed(q);
-            let wide = screened.exact.block_dots(q, 0.0).flatten();
-            let fixed = screened.screen.block_scores(&qi).flatten();
+            let wide = store.exact.block_dots(q, 0.0).flatten();
+            let fixed = if byte {
+                byte_scores_of(&store, q)
+            } else {
+                block_scores_of(&store, &packed(q))
+            };
             for (d, s) in wide.zip(fixed).take(rows.len()) {
-                worst = worst.max((f64::from(s) - d * FIXED_ONE_SQ as f64).abs() / bound);
+                let error = (f64::from(s) - d * scale_sq as f64).abs();
+                worst = worst.max(error / bound as f64);
             }
         }
         worst
     }
 
-    #[test]
-    fn fixed_screen_error_bound_holds_and_is_not_loose() {
+    /// The error-bound test at either scale: random unit rows and the
+    /// zero row must stay inside the bound and come within 100x of it,
+    /// and so must rows built to round in lockstep.
+    fn check_error_bound(byte: bool) {
         let mut seed = 0x5EED;
         for dim in [1, 3, 64, 512] {
             let mut rows: Vec<Vec<f64>> = (0..128).map(|_| unit(dim, &mut seed)).collect();
             rows.push(vec![0.0; dim]);
-            let worst = worst_ratio(&rows);
+            let worst = worst_ratio(&rows, byte);
             assert!(worst <= 1.0, "dim {dim}: error {worst} x the bound");
             // Unit vectors of length 1 are ±1 and score exactly.
             if dim > 1 {
@@ -917,9 +1378,20 @@ mod tests {
             let c = 1.0 / (dim as f64).sqrt();
             let alternating: Vec<f64> = (0..dim).map(|d| if d % 2 == 0 { c } else { -c }).collect();
             let flat = vec![c; dim];
-            let worst = worst_ratio(&[alternating, flat]);
+            let worst = worst_ratio(&[alternating, flat], byte);
             assert!(worst <= 1.0, "dim {dim}: error {worst} x the bound");
         }
+    }
+
+    #[test]
+    fn fixed_screen_error_bound_holds_and_is_not_loose() {
+        check_error_bound(false);
+    }
+
+    #[test]
+    fn byte_screen_error_bound_holds_and_is_not_loose() {
+        check_error_bound(true);
+        assert_eq!(byte_screen_error_bound(64), 1_033);
     }
 
     /// Splitmix64 step, for raw fixed-point test values.
@@ -952,7 +1424,7 @@ mod tests {
             let swapped: Vec<i32> = (0..queries.blocks())
                 .flat_map(|b| queries.block_scores(b, &fixed))
                 .collect();
-            let screened: Vec<i32> = rows.screen.block_scores(&packed(&q)).flatten().collect();
+            let screened = block_scores_of(&rows, &packed(&q));
             assert_eq!(swapped, screened, "dim {dim}");
             assert!(swapped[21..].iter().all(|&s| s == 0), "dim {dim}: padding");
         }
@@ -1005,15 +1477,17 @@ mod tests {
 
     #[test]
     fn saturated_components_never_wrap_a_pair() {
-        assert_eq!(quantize(-2.0), -FIXED_ONE);
-        assert_eq!(quantize(2.0), FIXED_ONE);
+        assert_eq!(quantize::<FIXED_ONE>(-2.0), -FIXED_ONE);
+        assert_eq!(quantize::<BYTE_ONE>(-2.0), -BYTE_ONE);
+        assert_eq!(quantize::<FIXED_ONE>(2.0), FIXED_ONE);
+        assert_eq!(quantize::<BYTE_ONE>(2.0), BYTE_ONE);
         // Both components of query and row saturate: the pair sum is
         // 2 S², just inside i32, and the row must still win.
         let mut rows = ScreenedRows::new();
         rows.push(&[-2.0, -2.0]);
         rows.push(&[0.0, 0.0]);
         assert_eq!(
-            rows.nearest(&[-2.0, -2.0], |_| true, &mut Candidates::new()),
+            rows.nearest(&[-2.0, -2.0], |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, 1.0))
         );
     }
@@ -1044,7 +1518,7 @@ mod tests {
     fn fixed_scores(rows: &ScreenedRows, q: &[f64]) -> Vec<i32> {
         let qi = packed(q);
         let n = rows.exact().len();
-        rows.screen.block_scores(&qi).flatten().take(n).collect()
+        block_scores_of(rows, &qi).into_iter().take(n).collect()
     }
 
     #[test]
@@ -1078,17 +1552,17 @@ mod tests {
         );
         assert!(high > low, "the nudge must raise the f64 score");
         assert_eq!(
-            pair.nearest(&q, |_| true, &mut Candidates::new()),
+            pair.nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((1, high))
         );
         let swapped = screened(&[&up, &r]);
         assert_eq!(
-            swapped.nearest(&q, |_| true, &mut Candidates::new()),
+            swapped.nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, high))
         );
         let twins = screened(&[&r, &r]);
         assert_eq!(
-            twins.nearest(&q, |_| true, &mut Candidates::new()),
+            twins.nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, low))
         );
 
@@ -1112,11 +1586,11 @@ mod tests {
             .expect("some nearby rows round out of f64 order");
         let (base, near, best) = flipped;
         assert_eq!(
-            screened(&[&base, &near]).nearest(&q, |_| true, &mut Candidates::new()),
+            screened(&[&base, &near]).nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, best))
         );
         assert_eq!(
-            screened(&[&near, &base]).nearest(&q, |_| true, &mut Candidates::new()),
+            screened(&[&near, &base]).nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((1, best))
         );
     }
@@ -1145,10 +1619,16 @@ mod tests {
             .collect();
         let want = full_scan(&store, &q, &live);
         assert_eq!(want.map(|(s, _)| s), Some(39));
-        assert_eq!(store.nearest(&q, |s| live[s], &mut Candidates::new()), want);
+        assert_eq!(
+            store.nearest(&q, |s| live[s], i64::MIN, &mut Candidates::new()),
+            want
+        );
         // With block 1 live too, it still cannot win: same answer.
         let live: Vec<bool> = (0..rows.len()).map(|s| s != 0).collect();
-        assert_eq!(store.nearest(&q, |s| live[s], &mut Candidates::new()), want);
+        assert_eq!(
+            store.nearest(&q, |s| live[s], i64::MIN, &mut Candidates::new()),
+            want
+        );
     }
 
     #[test]
@@ -1176,7 +1656,7 @@ mod tests {
             (FIXED_ONE_SQ, floor)
         );
         assert_eq!(
-            store.nearest(&q, |_| true, &mut Candidates::new()),
+            store.nearest(&q, |_| true, i64::MIN, &mut Candidates::new()),
             Some((16, 1.0))
         );
     }
@@ -1195,7 +1675,7 @@ mod tests {
             .iter()
             .all(|&s| i64::from(s) > FIXED_ONE_SQ));
         assert_eq!(
-            rows.nearest(&[c, c], |_| true, &mut Candidates::new()),
+            rows.nearest(&[c, c], |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, 1.0))
         );
         // The same at the bottom, where the floor falls below −S².
@@ -1203,7 +1683,7 @@ mod tests {
         rows.push(&[-1.0, -1.0]);
         rows.push(&[-0.75, -0.75]);
         assert_eq!(
-            rows.nearest(&[c, c], |_| true, &mut Candidates::new()),
+            rows.nearest(&[c, c], |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, -1.0))
         );
     }
@@ -1217,7 +1697,7 @@ mod tests {
         rows.push(&[1.5, 0.0]);
         rows.push(&[2.0, 0.0]);
         assert_eq!(
-            rows.nearest(&[1.0, 0.0], |_| true, &mut Candidates::new()),
+            rows.nearest(&[1.0, 0.0], |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, 1.0))
         );
         // The same at the bottom: -2.0 and -1.5 both clamp to -1.0.
@@ -1225,7 +1705,7 @@ mod tests {
         rows.push(&[-2.0, 0.0]);
         rows.push(&[-1.5, 0.0]);
         assert_eq!(
-            rows.nearest(&[1.0, 0.0], |_| true, &mut Candidates::new()),
+            rows.nearest(&[1.0, 0.0], |_| true, i64::MIN, &mut Candidates::new()),
             Some((0, -1.0))
         );
     }
@@ -1377,7 +1857,7 @@ mod tests {
                         full = Some((slot, sim));
                     }
                 }
-                let screened = rows.nearest(q, |s| live[s], &mut Candidates::new());
+                let screened = rows.nearest(q, |s| live[s], i64::MIN, &mut Candidates::new());
                 assert_eq!(
                     screened.map(|(s, x)| (s, x.to_bits())),
                     full.map(|(s, x)| (s, x.to_bits())),
@@ -1385,10 +1865,262 @@ mod tests {
                 );
             }
             assert_eq!(
-                rows.nearest(&stored[0], |_| false, &mut Candidates::new()),
+                rows.nearest(&stored[0], |_| false, i64::MIN, &mut Candidates::new()),
                 None
             );
         }
+    }
+
+    #[test]
+    fn byte_kernels_match_the_scalar_fold() {
+        let kernels = ByteKernel::available();
+        assert_eq!(
+            screen_kernel(),
+            kernels.first().map_or("none", |k| k.name())
+        );
+        let s = f64::from(BYTE_ONE);
+        let mut seed = 0xB17E;
+        // Rows and queries of the given integers (`k / S₈` quantizes back
+        // to `k`).
+        type Pattern = fn(usize, usize, &mut u64) -> i16;
+        let patterns: [Pattern; 5] = [
+            |_, _, seed| (next(seed) % 255) as i16 - BYTE_ONE,
+            |_, _, _| BYTE_ONE,
+            |_, _, _| -BYTE_ONE,
+            |slot, d, _| {
+                if (slot + d) % 2 == 0 {
+                    BYTE_ONE
+                } else {
+                    -BYTE_ONE
+                }
+            },
+            |slot, d, seed| {
+                if (slot * 7 + d) % 3 == 0 {
+                    0
+                } else {
+                    (next(seed) % 255) as i16 - BYTE_ONE
+                }
+            },
+        ];
+        // Odd and even row lengths, and row counts that leave
+        // partial last blocks and groups of in-flight blocks with a tail.
+        for dim in [1, 2, 3, 5, 63, 64, 129] {
+            for count in [1, 16, 37, 64, 70, 150] {
+                for (p, pattern) in patterns.iter().enumerate() {
+                    let ints = |slot: usize, seed: &mut u64| -> Vec<f64> {
+                        (0..dim)
+                            .map(|d| f64::from(pattern(slot, d, seed)) / s)
+                            .collect()
+                    };
+                    let mut rows = ScreenedRows::new();
+                    for slot in 0..count {
+                        rows.push(&ints(slot, &mut seed));
+                    }
+                    for query in 0..3 {
+                        let q = ints(1_000 + query, &mut seed);
+                        let want = reference_tops(&rows, &q);
+                        assert_eq!(want.len(), count.div_ceil(SCREEN_LANES));
+                        for &kernel in &kernels {
+                            let mut tops = vec![0; want.len()];
+                            kernel.block_tops(&rows.bytes.data, &byte_packed(&q), &mut tops);
+                            assert_eq!(
+                                tops,
+                                want,
+                                "{}: dim {dim}, {count} rows, pattern {p}",
+                                kernel.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn least_byte_top_is_the_skip_rule_solved_for_the_top() {
+        let (sq, byte_sq) = (FIXED_ONE_SQ, BYTE_ONE_SQ);
+        let mut seed = 0xF100;
+        for dim in [1, 3, 64, 512] {
+            let (bound, byte_bound) = (fixed_screen_error_bound(dim), byte_screen_error_bound(dim));
+            let skips = |top: i64, floor: i64| {
+                floor > -sq
+                    && floor <= sq
+                    && sq * (top.max(-byte_sq) + byte_bound) + byte_sq * bound < byte_sq * floor
+            };
+            let edges = [i64::MIN, -sq - 1, -sq, -sq + 1, 0, sq - 1, sq, sq + 1];
+            for k in 0..4_000 {
+                let floor = match k % 3 {
+                    0 => edges[k % edges.len()],
+                    _ => (next(&mut seed) % (4 * sq as u64)) as i64 - 2 * sq,
+                };
+                let least = least_byte_top(floor, bound, byte_bound);
+                let random = (next(&mut seed) % (4 * byte_sq as u64)) as i64 - 2 * byte_sq;
+                let near = i64::from(least).clamp(-3 * byte_sq, 3 * byte_sq);
+                for top in [random, near - 1, near, near + 1, -byte_sq - 1, -byte_sq] {
+                    assert_eq!(
+                        top < i64::from(least),
+                        skips(top, floor),
+                        "dim {dim}, top {top}, floor {floor}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `q` plus `spread` times a random unit direction, normalized: its
+    /// cosine to `q` falls as `spread` grows.
+    fn near(q: &[f64], spread: f64, seed: &mut u64) -> Vec<f64> {
+        let noise = unit(q.len(), seed);
+        let mut v: Vec<f64> = q.iter().zip(&noise).map(|(x, n)| x + spread * n).collect();
+        crate::vector::normalize(&mut v);
+        v
+    }
+
+    /// What a screen with no 8-bit pass and no skipped block leaves: the
+    /// final floor, and every live row whose 16-bit score reaches it, in
+    /// slot order.
+    fn unskipped_candidates(
+        rows: &ScreenedRows,
+        q: &[f64],
+        live: &[bool],
+        seed: i64,
+    ) -> (i64, Vec<usize>) {
+        let window = 2 * fixed_screen_error_bound(rows.dim());
+        let scores = fixed_scores(rows, q);
+        let m = (0..rows.len())
+            .filter(|&slot| live[slot])
+            .map(|slot| i64::from(scores[slot]))
+            .max();
+        let floor = match m.map(|m| m.min(FIXED_ONE_SQ) - window) {
+            Some(floor) if floor > -FIXED_ONE_SQ => floor.max(seed),
+            _ => seed,
+        };
+        let slots = (0..rows.len())
+            .filter(|&slot| live[slot] && i64::from(scores[slot]) >= floor)
+            .collect();
+        (floor, slots)
+    }
+
+    #[test]
+    fn the_byte_pass_skips_no_block_the_16_bit_screen_would_keep() {
+        let mut seed = 0x5C1F;
+        let dim = 64;
+        let (bound, byte_bound) = (fixed_screen_error_bound(dim), byte_screen_error_bound(dim));
+        let (mut blocks, mut rescreened) = (0, 0);
+        for trial in 0..48 {
+            let q = unit(dim, &mut seed);
+            let count = 1 + (next(&mut seed) % 300) as usize;
+            // Rows from near-copies of the query to unrelated directions.
+            let spread = [0.02, 0.3, 1.0, 8.0][trial % 4];
+            let rows: Vec<Vec<f64>> = (0..count).map(|_| near(&q, spread, &mut seed)).collect();
+            let store = screened(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let live: Vec<bool> = (0..count)
+                .map(|_| !next(&mut seed).is_multiple_of(5))
+                .collect();
+            let scores = fixed_scores(&store, &q);
+            let tops = reference_tops(&store, &q);
+            for threshold in [None, Some(-0.5), Some(0.3), Some(0.8), Some(0.97)] {
+                let seed_score = threshold.map_or(i64::MIN, |t| store.seed_for(t));
+                let (floor, want) = unskipped_candidates(&store, &q, &live, seed_score);
+                // Every kernel this CPU runs, and no 8-bit pass at all.
+                let kernels = ByteKernel::available().into_iter().map(Some);
+                for kernel in kernels.chain([None]) {
+                    let before = screen_tally();
+                    let mut out = Candidates::new();
+                    store.screen_with(kernel, &q, |slot| live[slot], seed_score, &mut out);
+                    let after = screen_tally();
+                    if kernel.is_some() {
+                        blocks += after.blocks - before.blocks;
+                        rescreened += after.rescreened - before.rescreened;
+                    } else {
+                        assert_eq!(after.rescreened - before.rescreened, tops.len() as u64);
+                    }
+                    let name = kernel.map_or("none", |k| k.name());
+                    let got: Vec<usize> = out.slots().collect();
+                    assert_eq!(got, want, "trial {trial}, kernel {name}");
+                }
+                // The bound behind every skip: at the final floor (the
+                // running one only rises to it), no block the 8-bit test
+                // rules out holds a live lane whose clamped 16-bit score
+                // reaches the floor.
+                let least = least_byte_top(floor, bound, byte_bound);
+                for (b, _) in tops.iter().enumerate().filter(|&(_, &t)| t < least) {
+                    for slot in (b * SCREEN_LANES..count).take(SCREEN_LANES) {
+                        let clamped = i64::from(scores[slot]).clamp(-FIXED_ONE_SQ, FIXED_ONE_SQ);
+                        assert!(
+                            !live[slot] || clamped < floor,
+                            "trial {trial}: block {b} skipped past slot {slot}"
+                        );
+                    }
+                }
+            }
+        }
+        // The skips are exercised: near-copies of the query rule out
+        // nothing, unrelated rows nearly everything.
+        assert!(
+            ByteKernel::available().is_empty() || blocks - rescreened > blocks / 5,
+            "{rescreened} of {blocks} re-screened"
+        );
+    }
+
+    #[test]
+    fn near_tie_sets_match_the_full_f64_scan_seeded_and_unseeded() {
+        let mut seed = 0x071E_55E7;
+        let dim = 64;
+        let q = unit(dim, &mut seed);
+        // 1,600 rows within 0.05 cosine of each other, all near the query.
+        let base = near(&q, 0.3, &mut seed);
+        let mut rows: Vec<Vec<f64>> = (0..1_600).map(|_| near(&base, 0.1, &mut seed)).collect();
+        // The best live row, duplicated in three blocks: the first wins.
+        let best_row = near(&q, 0.25, &mut seed);
+        for slot in [35, 700, 1_599] {
+            rows[slot] = best_row.clone();
+        }
+        // Dead lanes carrying high stale scores: copies of the query, in
+        // the blocks of live rows and in a block of their own.
+        let dead: Vec<usize> = [0, 17, 36, 702].into_iter().chain(400..416).collect();
+        for &slot in &dead {
+            rows[slot] = q.clone();
+        }
+        let live: Vec<bool> = (0..rows.len()).map(|slot| !dead.contains(&slot)).collect();
+        let store = screened(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let dots: Vec<f64> = (0..rows.len())
+            .filter(|&slot| live[slot])
+            .map(|slot| store.exact().slot_dot(slot, &q, 0.0))
+            .collect();
+        let spread = dots.iter().fold(f64::MIN, |a, &b| a.max(b))
+            - dots.iter().fold(f64::MAX, |a, &b| a.min(b));
+        assert!(spread < 0.05, "rows spread over {spread} of cosine");
+        let want = full_scan(&store, &q, &live);
+        assert_eq!(want.map(|(slot, _)| slot), Some(35));
+        let best = want.expect("live rows").1;
+        let mut candidates = Candidates::new();
+        let live_slot = |slot: usize| live[slot];
+        assert_eq!(
+            store.nearest(&q, live_slot, i64::MIN, &mut candidates),
+            want
+        );
+        for t in [
+            -1.0,
+            best - 0.04,
+            best - 1e-9,
+            best,
+            best.next_up(),
+            best + 0.01,
+        ] {
+            let got = store.nearest(&q, live_slot, store.seed_for(t), &mut candidates);
+            if best >= t {
+                assert_eq!(got, want, "seeded at {t}");
+            } else {
+                assert!(got.is_none_or(|(_, sim)| sim < t), "seeded at {t}: {got:?}");
+            }
+        }
+        // With every lane live, the first copy of the query wins.
+        let all = full_scan(&store, &q, &vec![true; rows.len()]);
+        assert_eq!(all.map(|(slot, _)| slot), Some(0));
+        assert_eq!(store.nearest(&q, |_| true, i64::MIN, &mut candidates), all);
+        let seed = store.seed_for(0.99);
+        assert_eq!(store.nearest(&q, |_| true, seed, &mut candidates), all);
     }
 
     #[test]

@@ -41,14 +41,6 @@ impl TelemetryObserver {
             let _ = writeln!(out, "{} {}", key.prometheus(), value);
         }
         last_metric = "";
-        for (key, value) in self.registry().gauges() {
-            if key.metric != last_metric {
-                let _ = writeln!(out, "# TYPE {} gauge", key.metric);
-                last_metric = key.metric;
-            }
-            let _ = writeln!(out, "{} {}", key.prometheus(), fmt_f64(value));
-        }
-        last_metric = "";
         for (key, hist) in self.registry().histograms() {
             if key.metric != last_metric {
                 let _ = writeln!(out, "# TYPE {} summary", key.metric);

@@ -5,8 +5,8 @@
 //! `modm_core::events` stream; this crate turns that stream into the
 //! telemetry loop a production serving system lives on, in four pillars:
 //!
-//! 1. **Metrics registry** ([`Registry`]) — counters, gauges and
-//!    log-linear latency histograms keyed by `(metric, tenant, node)`,
+//! 1. **Metrics registry** ([`Registry`]) — counters and log-linear
+//!    latency histograms keyed by `(metric, tenant, node)`,
 //!    with sim-time **windowed series** ([`SeriesBank`]) so queue depth,
 //!    goodput, hit rate and per-class P99 are plottable series rather
 //!    than end-of-run scalars.

@@ -4,7 +4,7 @@
 //! Attach it to any tier through the existing observer plumbing
 //! (`run_observed` / `DeployOptions`) and it maintains, in one pass:
 //!
-//! * the metrics [`Registry`] — counters, gauges and latency histograms
+//! * the metrics [`Registry`] — counters and latency histograms
 //!   keyed by `(metric, tenant, node)`;
 //! * the [`SeriesBank`] — windowed time series of completions,
 //!   rejections, sheds, goodput, hits/misses, queue depth and per-class

@@ -1,13 +1,11 @@
-//! The metrics registry: counters, gauges and log-linear histograms
+//! The metrics registry: counters and log-linear histograms
 //! keyed by `(metric, tenant, node)`.
 //!
-//! Everything is stored in `BTreeMap`s so iteration — and therefore
-//! every export format — is deterministic. Metric names follow the
+//! Every read that exposes keys returns them in key order, so iteration
+//! — and therefore every export format — is deterministic. Metric names follow the
 //! Prometheus convention (`modm_requests_completed_total`), and the two
 //! optional label dimensions mirror how the serving stack slices every
 //! report: per tenant and per node.
-
-use std::collections::BTreeMap;
 
 use modm_workload::TenantId;
 
@@ -15,7 +13,7 @@ use modm_workload::TenantId;
 ///
 /// `tenant`/`node` are optional so the same registry holds both sliced
 /// series (`completed{tenant="1",node="0"}`) and unsliced ones
-/// (`crashes{node="3"}`, or fully global gauges).
+/// (`crashes{node="3"}`, or fully global ones).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Prometheus-style metric name.
@@ -258,7 +256,6 @@ fn sorted_entries<V>(buckets: &[MetricBucket<V>]) -> impl Iterator<Item = (Key, 
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: Vec<MetricBucket<u64>>,
-    gauges: BTreeMap<Key, f64>,
     histograms: Vec<MetricBucket<LogLinearHistogram>>,
 }
 
@@ -271,11 +268,6 @@ impl Registry {
     /// Adds `delta` to the counter at `key`.
     pub fn inc(&mut self, key: Key, delta: u64) {
         *bucket_of_mut(&mut self.counters, key.metric).slot_mut((key.tenant, key.node)) += delta;
-    }
-
-    /// Sets the gauge at `key`.
-    pub fn set_gauge(&mut self, key: Key, value: f64) {
-        self.gauges.insert(key, value);
     }
 
     /// Records `value` into the histogram at `key`.
@@ -309,11 +301,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// The gauge at `key`, if set.
-    pub fn gauge(&self, key: &Key) -> Option<f64> {
-        self.gauges.get(key).copied()
-    }
-
     /// The histogram at `key`, if any value was observed.
     pub fn histogram(&self, key: &Key) -> Option<&LogLinearHistogram> {
         bucket_of(&self.histograms, key.metric).and_then(|b| b.slot((key.tenant, key.node)))
@@ -341,11 +328,6 @@ impl Registry {
     /// All counters, in key order.
     pub fn counters(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
         sorted_entries(&self.counters).map(|(k, &v)| (k, v))
-    }
-
-    /// All gauges, in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&Key, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
     }
 
     /// All histograms, in key order.
