@@ -158,75 +158,6 @@ impl Bench {
         });
     }
 
-    /// Measures several arms **round-robin**: each round runs every arm
-    /// once, with one untimed warm-up round first. Sequential per-arm
-    /// measurement lets slow drift (frequency scaling, cache/page
-    /// warm-up, background load) land entirely on whichever arm runs
-    /// later, which is how an instrumented configuration can appear
-    /// *faster* than the bare one; interleaving spreads drift across all
-    /// arms so same-round timings are directly comparable. Within each
-    /// round the arm order is shuffled (deterministically seeded), since
-    /// a fixed order leaks position-in-round bias straight into the
-    /// paired deltas — an A/A comparison under fixed order reproducibly
-    /// showed the first arm several percent slower than an identical
-    /// later arm.
-    ///
-    /// Records each arm's median per-run time as a [`BenchResult`] and
-    /// returns the full per-arm, per-round timing matrix (nanoseconds) so
-    /// callers can form paired same-round deltas via
-    /// [`paired_overhead_frac`].
-    pub fn measure_interleaved(
-        &mut self,
-        arms: &mut [(&str, &mut dyn FnMut())],
-        rounds: usize,
-    ) -> Vec<Vec<f64>> {
-        for (_, work) in arms.iter_mut() {
-            work();
-        }
-        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut order: Vec<usize> = (0..arms.len()).collect();
-        let mut matrix: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); arms.len()];
-        for _ in 0..rounds.max(1) {
-            for i in (1..order.len()).rev() {
-                order.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            for &i in &order {
-                let (_, work) = &mut arms[i];
-                let t = Instant::now();
-                work();
-                matrix[i].push(t.elapsed().as_secs_f64() * 1e9);
-            }
-        }
-        for (i, (id, _)) in arms.iter().enumerate() {
-            let mut sorted = matrix[i].clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            let median_ns = sorted[sorted.len() / 2];
-            let min_ns = sorted[0];
-            println!(
-                "{:<40} {:>12} {:>14}  (interleaved, {} rounds)",
-                format!("{}/{}", self.suite, id),
-                format_ns(median_ns),
-                format!("min {}", format_ns(min_ns)),
-                rounds.max(1)
-            );
-            self.results.push(BenchResult {
-                id: id.to_string(),
-                iters: 1,
-                median_ns,
-                min_ns,
-                max_ns: sorted[sorted.len() - 1],
-                samples: sorted.len(),
-            });
-        }
-        matrix
-    }
-
     /// Measures overhead arms against a base arm with **ABBA pairing**:
     /// each round runs `base, arm, arm, base` back-to-back per arm and
     /// forms one `(arm₁+arm₂)/(base₁+base₂) − 1` sample from the block.
@@ -377,22 +308,6 @@ impl Bench {
     }
 }
 
-/// Overhead of `arm` relative to `base` from paired same-round timings:
-/// the median of per-round `arm/base - 1` ratios. Pairing cancels drift
-/// that both arms saw in the same round, so the estimate is centered on
-/// the true instrumentation cost instead of on whichever arm ran in the
-/// warmer half of the session.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn paired_overhead_frac(base: &[f64], arm: &[f64]) -> f64 {
-    assert_eq!(base.len(), arm.len(), "paired timings must align");
-    assert!(!base.is_empty(), "no rounds measured");
-    let ratios: Vec<f64> = base.iter().zip(arm).map(|(b, a)| a / b - 1.0).collect();
-    median_frac(&ratios)
-}
-
 /// Median of a sample of overhead fractions (e.g. one per
 /// [`Bench::measure_paired`] round) — the robust center that discards
 /// blocks a noise burst corrupted.
@@ -458,22 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_records_all_arms_and_returns_matrix() {
-        let mut b = Bench::new("t");
-        let mut hits = [0u32; 2];
-        let mut a0 = || hits[0] += 1;
-        let mut a1 = || {
-            std::hint::black_box(vec![0u8; 256]);
-        };
-        let matrix = b.measure_interleaved(&mut [("fast", &mut a0), ("alloc", &mut a1)], 4);
-        assert_eq!(matrix.len(), 2);
-        assert!(matrix.iter().all(|rounds| rounds.len() == 4));
-        assert_eq!(b.results().len(), 2);
-        assert_eq!(b.results()[0].id, "fast");
-        assert_eq!(b.results()[1].id, "alloc");
-    }
-
-    #[test]
     fn paired_abba_records_base_and_arms_and_returns_fracs() {
         let mut b = Bench::new("t");
         let mut base = || {
@@ -503,14 +402,6 @@ mod tests {
     #[test]
     fn median_frac_is_robust_to_one_outlier() {
         assert_eq!(median_frac(&[0.01, 0.02, 9.0]), 0.02);
-    }
-
-    #[test]
-    fn paired_overhead_is_zero_for_identical_timings() {
-        let base = vec![10.0, 12.0, 11.0];
-        assert_eq!(paired_overhead_frac(&base, &base), 0.0);
-        let double: Vec<f64> = base.iter().map(|x| x * 2.0).collect();
-        assert!((paired_overhead_frac(&base, &double) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl ClusterEnergy {
         assert!(requests > 0, "no requests served");
         self.total_joules / requests as f64
     }
-
-    /// Percentage saving of `self` relative to a `baseline` energy figure.
-    pub fn savings_vs(&self, baseline: &ClusterEnergy) -> f64 {
-        if baseline.total_joules <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.total_joules / baseline.total_joules)
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +133,6 @@ mod tests {
             span_end,
         );
         assert!(low.total_joules < high.total_joules);
-        let sav = low.savings_vs(&high);
-        assert!(sav > 0.0 && sav < 100.0, "savings = {sav}");
         assert!((high.utilization - 1.0).abs() < 1e-9);
         assert!((low.utilization - 0.5).abs() < 1e-9);
     }

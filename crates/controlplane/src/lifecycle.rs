@@ -35,15 +35,6 @@ pub enum NodeState {
 }
 
 impl NodeState {
-    /// True while the node occupies GPUs (and therefore bills GPU-hours):
-    /// everything between provisioning and release.
-    pub fn consumes_gpu(self) -> bool {
-        matches!(
-            self,
-            NodeState::Provisioning | NodeState::Warming | NodeState::Active | NodeState::Draining
-        )
-    }
-
     /// True when the router may send *new* requests to the node. Draining
     /// nodes keep serving what they already accepted but receive nothing
     /// new.
@@ -203,13 +194,6 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(Provisioning.consumes_gpu());
-        assert!(Warming.consumes_gpu());
-        assert!(Active.consumes_gpu());
-        assert!(Draining.consumes_gpu());
-        assert!(!Decommissioned.consumes_gpu());
-        assert!(!Failed.consumes_gpu());
-
         assert!(Active.accepts_traffic());
         for s in [Provisioning, Warming, Draining, Decommissioned, Failed] {
             assert!(!s.accepts_traffic(), "{s:?} must not receive new requests");

@@ -3,11 +3,11 @@
 //!
 //! A region loss needs one fact per region — alive or lost, and since
 //! when — with the same typed-`Result` discipline as
-//! [`crate::NodeLifecycle`]: a scripted `RegionLoss` firing twice, or a
-//! restore of a region that never failed, is a script bug that should
-//! surface as an error, not silently corrupt the run. Routing across the
-//! surviving regions is the geo router's job (`modm_fleet::GeoRouter`);
-//! this machine owns the authoritative state and its history.
+//! [`crate::NodeLifecycle`]: a scripted `RegionLoss` firing twice is a
+//! script bug that should surface as an error, not silently corrupt the
+//! run. Routing across the surviving regions is the geo router's job
+//! (`modm_fleet::GeoRouter`); this machine owns the authoritative state
+//! and its history.
 //!
 //! [`run_regions`] serves a trace over several equal regions with
 //! clients that retry under a [`RetryPolicy`] and a control timeline —
@@ -95,15 +95,12 @@ pub enum RegionState {
 pub enum RegionTransitionError {
     /// The region is already lost; it cannot be lost again.
     AlreadyLost,
-    /// The region is active; there is nothing to restore.
-    NotLost,
 }
 
 impl std::fmt::Display for RegionTransitionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RegionTransitionError::AlreadyLost => f.write_str("region is already lost"),
-            RegionTransitionError::NotLost => f.write_str("region is not lost"),
         }
     }
 }
@@ -167,21 +164,6 @@ impl RegionLifecycle {
         self.history.push((at, RegionState::Lost));
         Ok(())
     }
-
-    /// Brings the region back at `at` (empty caches, fresh nodes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegionTransitionError::NotLost`] if it never failed.
-    pub fn restore(&mut self, at: SimTime) -> Result<(), RegionTransitionError> {
-        if self.state == RegionState::Active {
-            return Err(RegionTransitionError::NotLost);
-        }
-        self.state = RegionState::Active;
-        self.since = at;
-        self.history.push((at, RegionState::Active));
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -193,22 +175,19 @@ mod tests {
     }
 
     #[test]
-    fn loss_and_restore_round_trip() {
+    fn loss_is_recorded_with_its_time() {
         let mut r = RegionLifecycle::new(t(0.0));
         assert!(r.is_alive());
         assert_eq!(r.lost_at(), None);
         r.fail(t(10.0)).expect("first loss is legal");
         assert!(!r.is_alive());
         assert_eq!(r.lost_at(), Some(t(10.0)));
-        r.restore(t(20.0)).expect("restore after loss");
-        assert!(r.is_alive());
-        assert_eq!(r.history().len(), 3);
+        assert_eq!(r.history().len(), 2);
     }
 
     #[test]
     fn illegal_edges_are_typed_and_leave_state_alone() {
         let mut r = RegionLifecycle::new(t(0.0));
-        assert_eq!(r.restore(t(1.0)), Err(RegionTransitionError::NotLost));
         r.fail(t(2.0)).unwrap();
         assert_eq!(r.fail(t(3.0)), Err(RegionTransitionError::AlreadyLost));
         assert_eq!(r.lost_at(), Some(t(2.0)), "rejected edge must not move");

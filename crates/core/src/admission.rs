@@ -151,11 +151,6 @@ impl AdmissionControl {
         }
     }
 
-    /// True when no tenant is rate-limited (the fast path).
-    pub fn is_unlimited(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
     /// Rebuilds the controller for a new policy *mid-run*, preserving
     /// token state wherever it can: a tenant whose [`RateLimit`] is
     /// unchanged keeps its bucket (spent tokens stay spent — a policy
@@ -231,7 +226,6 @@ mod tests {
     fn controller_limits_only_configured_tenants() {
         let policy = TenancyPolicy::fifo().with_rate_limit(TenantId(1), 60.0, 1.0);
         let mut ac = AdmissionControl::new(&policy);
-        assert!(!ac.is_unlimited());
         let t = SimTime::ZERO;
         assert!(ac.try_admit(t, TenantId(1)));
         assert!(!ac.try_admit(t, TenantId(1)), "tenant 1 over its burst");
@@ -297,7 +291,6 @@ mod tests {
     #[test]
     fn empty_policy_admits_everything() {
         let mut ac = AdmissionControl::new(&TenancyPolicy::fifo());
-        assert!(ac.is_unlimited());
         assert!(ac.try_admit(SimTime::ZERO, TenantId(9)));
     }
 

@@ -260,11 +260,6 @@ impl MoDMConfig {
             .with_reserves(self.tenancy.cache_reserves())
             .with_index_policy(self.index_policy)
     }
-
-    /// The cheapest configured small model.
-    pub fn smallest_model(&self) -> ModelId {
-        *self.small_models.last().expect("validated non-empty")
-    }
 }
 
 /// Builder for [`MoDMConfig`].
@@ -436,7 +431,6 @@ mod tests {
         assert_eq!(c.small_models, vec![ModelId::Sdxl, ModelId::Sana]);
         assert_eq!(c.cache_capacity, 10_000);
         assert_eq!(c.mode, ServingMode::ThroughputOptimized);
-        assert_eq!(c.smallest_model(), ModelId::Sana);
     }
 
     #[test]

@@ -260,15 +260,6 @@ pub trait Observer {
     fn on_event(&mut self, at: SimTime, event: &SimEvent);
 }
 
-/// An observer that ignores everything (for code paths that take an
-/// observer unconditionally).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn on_event(&mut self, _at: SimTime, _event: &SimEvent) {}
-}
-
 /// The optional observer handle the serving loops thread through their
 /// steps: `None` is the unobserved fast path. The two lifetimes keep the
 /// borrow (`'a`) independent of the observer value itself (`'b`), so a

@@ -76,7 +76,7 @@ pub use config::{
     validate_tenancy, AdmissionPolicy, ConfigError, MoDMConfig, MoDMConfigBuilder, RunOptions,
     ServingMode,
 };
-pub use events::{NullObserver, Obs, Observer, SimEvent};
+pub use events::{Obs, Observer, SimEvent};
 pub use fairqueue::{
     AgingBounds, FairQueue, FairnessCharge, QueueDiscipline, RateLimit, TenancyPolicy, TenantShare,
 };

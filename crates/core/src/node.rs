@@ -58,13 +58,6 @@ pub enum EnqueueOutcome {
     },
 }
 
-impl EnqueueOutcome {
-    /// True when the request was queued.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, EnqueueOutcome::Accepted)
-    }
-}
-
 /// A request a worker is currently generating or refining.
 #[derive(Debug, Clone)]
 pub struct NodeInFlight {
@@ -678,7 +671,7 @@ mod tests {
         // Unlimited at birth: both offers are accepted.
         for i in 0..2 {
             let out = node.enqueue(SimTime::ZERO, request(i, "jade harbor rain"), miss, None);
-            assert!(out.is_accepted());
+            assert!(matches!(out, EnqueueOutcome::Accepted));
         }
 
         // An overcommitted reserve is refused and leaves the node as-is.
@@ -693,16 +686,14 @@ mod tests {
                 capacity: 100
             }
         ));
-        assert!(node
-            .enqueue(SimTime::ZERO, request(2, "jade harbor rain"), miss, None)
-            .is_accepted());
+        let out = node.enqueue(SimTime::ZERO, request(2, "jade harbor rain"), miss, None);
+        assert!(matches!(out, EnqueueOutcome::Accepted));
 
         // A valid revision installs the new rate limit immediately.
         let strict = TenancyPolicy::fifo().with_rate_limit(TenantId::DEFAULT, 60.0, 1.0);
         node.try_update_tenancy(&strict, 100).unwrap();
-        assert!(node
-            .enqueue(SimTime::ZERO, request(3, "jade harbor rain"), miss, None)
-            .is_accepted());
+        let out = node.enqueue(SimTime::ZERO, request(3, "jade harbor rain"), miss, None);
+        assert!(matches!(out, EnqueueOutcome::Accepted));
         let out = node.enqueue(SimTime::ZERO, request(4, "jade harbor rain"), miss, None);
         assert!(matches!(out, EnqueueOutcome::Rejected { .. }));
     }

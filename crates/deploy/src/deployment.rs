@@ -335,12 +335,6 @@ impl ServingBackend for Deployment {
     }
 }
 
-/// Convenience: run any backend unobserved through a shared reference to
-/// the trait object (used by generic experiment drivers).
-pub fn run_backend(backend: &mut dyn ServingBackend, trace: &Trace) -> RunOutcome {
-    backend.run_with(trace, DeployOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +412,8 @@ mod tests {
             ),
         ];
         for d in &mut deployments {
-            let outcome = run_backend(d, &trace);
+            let backend: &mut dyn ServingBackend = d;
+            let outcome = backend.run_with(&trace, DeployOptions::default());
             assert_eq!(outcome.completed(), 60, "{:?}", outcome.tier());
         }
     }

@@ -73,7 +73,7 @@ pub mod deployment;
 pub mod observers;
 pub mod outcome;
 
-pub use deployment::{run_backend, DeployOptions, Deployment, LifecyclePlan, ServingBackend};
+pub use deployment::{DeployOptions, Deployment, LifecyclePlan, ServingBackend};
 pub use observers::{
     events_to_csv, events_to_json, EventLogObserver, LatencyHistogramObserver, MultiObserver,
 };
@@ -84,4 +84,4 @@ pub use modm_controlplane::{ElasticReport, RegionSlice, RetryStats};
 
 // The observer vocabulary lives in modm-core (the nodes emit it); re-export
 // it so deployment users need only this crate.
-pub use modm_core::events::{NullObserver, Observer, SimEvent};
+pub use modm_core::events::{Observer, SimEvent};

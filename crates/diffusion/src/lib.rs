@@ -11,9 +11,9 @@
 //!   CLIP-like space (alignment calibrated to the paper's CLIPScores) and a
 //!   16-d fidelity feature vector whose distribution is calibrated so that
 //!   Fréchet distances between model outputs land near the paper's FID table.
-//! * **Mechanics**: noise schedules, the forward-noising rule of Eq. (2), and
-//!   a sampler that implements both full generation and MoDM's
-//!   retrieve-noise-refine pipeline with `k` skipped steps.
+//! * **Mechanics**: the noise schedules of Eq. (2), and a sampler that
+//!   implements both full generation and MoDM's retrieve-noise-refine
+//!   pipeline with `k` skipped steps.
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@ pub use latent::{Latent, LatentError};
 pub use model::{ModelFamily, ModelId, ModelSpec};
 pub use quality::QualityModel;
 pub use sampler::Sampler;
-pub use schedule::{forward_noise, NoiseSchedule};
+pub use schedule::NoiseSchedule;
 
 /// Total denoising steps used by every non-distilled model in the paper.
 pub const TOTAL_STEPS: u32 = 50;

@@ -103,11 +103,6 @@ impl ModelSpec {
         }
     }
 
-    /// Seconds for a full generation (all default steps) on an A40.
-    pub fn full_generation_secs_a40(&self) -> f64 {
-        self.step_secs_a40 * self.default_steps as f64
-    }
-
     /// True for the models the paper uses as "large" (full-quality) models.
     pub fn is_large(&self) -> bool {
         matches!(self.id, ModelId::Sd35Large | ModelId::Flux)
@@ -219,7 +214,8 @@ mod tests {
     fn calibration_matches_paper_throughput_anchors() {
         // SD3.5L on A40: ~48 s per image -> ~1.25 req/min/GPU (paper: 4 A40s
         // saturate near 5 req/min).
-        let t = ModelId::Sd35Large.spec().full_generation_secs_a40();
+        let spec = ModelId::Sd35Large.spec();
+        let t = spec.step_secs_a40 * f64::from(spec.default_steps);
         assert!((t - 48.0).abs() < 1.0, "t = {t}");
         // SDXL is ~3.2x cheaper per step; SANA ~8x.
         let large = ModelId::Sd35Large.spec().step_secs_a40;
@@ -229,8 +225,9 @@ mod tests {
 
     #[test]
     fn turbo_uses_ten_steps() {
-        assert_eq!(ModelId::Sd35Turbo.spec().default_steps, 10);
-        assert!(ModelId::Sd35Turbo.spec().full_generation_secs_a40() < 10.0);
+        let spec = ModelId::Sd35Turbo.spec();
+        assert_eq!(spec.default_steps, 10);
+        assert!(spec.step_secs_a40 * f64::from(spec.default_steps) < 10.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   DiffusionDB); per-model bias magnitudes then place each model's FID at
 //!   its Table 2 value (`FID = bias^2 + floor`).
 
-use modm_embedding::{clip_score, Embedding, ImageEncoder, SemanticSpace, TextEncoder};
+use modm_embedding::{clip_score, Embedding, ImageEncoder, SemanticSpace};
 use modm_numerics::vector;
 use modm_simkit::SimRng;
 
@@ -110,11 +110,6 @@ impl QualityModel {
     /// The seed the model was built with.
     pub fn seed(&self) -> u64 {
         self.rng_seed
-    }
-
-    /// Text encoder over the same space.
-    pub fn text_encoder(&self) -> TextEncoder {
-        TextEncoder::new(self.space.clone())
     }
 
     /// Image encoder for a given model's alignment.
@@ -270,6 +265,7 @@ impl QualityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modm_embedding::TextEncoder;
     use modm_numerics::GaussianStats;
 
     fn qm(seed: u64) -> QualityModel {
@@ -369,7 +365,7 @@ mod tests {
     #[test]
     fn refined_embedding_alignment_tracks_target() {
         let q = qm(5);
-        let text = q.text_encoder();
+        let text = TextEncoder::new(q.space().clone());
         let mut rng = SimRng::seed_from(77);
         let t_old = text.encode("a lighthouse in a storm dramatic oil painting");
         let t_new = text.encode("a lighthouse in a storm at night oil painting");
@@ -395,7 +391,7 @@ mod tests {
     #[test]
     fn refined_embedding_correlates_with_cached() {
         let q = qm(6);
-        let text = q.text_encoder();
+        let text = TextEncoder::new(q.space().clone());
         let mut rng = SimRng::seed_from(78);
         let t = text.encode("desert canyon at dawn photograph");
         let imgenc = q.image_encoder(ModelId::Sd35Large);

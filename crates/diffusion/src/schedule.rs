@@ -1,4 +1,4 @@
-//! Noise schedules and the forward-noising rule (Eq. 2 of the paper).
+//! Noise schedules: the `sigma` of the forward-noising rule (Eq. 2 of the paper).
 //!
 //! A schedule maps a target timestep `t_k` (equivalently, the number of
 //! skipped steps `k`) to a noise scaling factor `sigma in [0, 1]`. MoDM uses
@@ -9,8 +9,6 @@
 //! Flow-matching models (SD3.5L, FLUX) use the rectified linear schedule;
 //! epsilon-prediction U-Nets (SDXL) use a cosine-like beta schedule; we also
 //! provide Karras sigmas for completeness since SANA-style samplers use them.
-
-use modm_simkit::SimRng;
 
 /// A noise schedule over `total_steps` denoising steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,20 +80,6 @@ impl NoiseSchedule {
     }
 }
 
-/// Applies the forward-noising rule of Eq. (2) to a feature/pixel vector:
-/// `out[i] = sigma * eps_i + (1 - sigma) * image[i]` with `eps ~ N(0, I)`.
-///
-/// # Panics
-///
-/// Panics if `sigma` is outside `[0, 1]`.
-pub fn forward_noise(image: &[f64], sigma: f64, rng: &mut SimRng) -> Vec<f64> {
-    assert!((0.0..=1.0).contains(&sigma), "sigma out of range: {sigma}");
-    image
-        .iter()
-        .map(|&x| sigma * rng.standard_normal() + (1.0 - sigma) * x)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,28 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_noise_endpoints() {
-        let mut rng = SimRng::seed_from(3);
-        let img = vec![2.0; 8];
-        let clean = forward_noise(&img, 0.0, &mut rng);
-        assert_eq!(clean, img);
-        let noisy = forward_noise(&img, 1.0, &mut rng);
-        // Pure noise: mean far from 2.0 almost surely, each sample ~N(0,1).
-        assert!(noisy.iter().all(|x| x.abs() < 10.0));
-        assert!(noisy != img);
-    }
-
-    #[test]
-    fn forward_noise_interpolates() {
-        let mut rng = SimRng::seed_from(4);
-        let img = vec![10.0; 512];
-        let half = forward_noise(&img, 0.5, &mut rng);
-        let mean = half.iter().sum::<f64>() / half.len() as f64;
-        // E[out] = 0.5*0 + 0.5*10 = 5.
-        assert!((mean - 5.0).abs() < 0.3, "mean = {mean}");
-    }
-
-    #[test]
     fn model_schedule_mapping() {
         assert_eq!(
             NoiseSchedule::for_model(ModelId::Sd35Large),
@@ -174,12 +136,5 @@ mod tests {
             NoiseSchedule::for_model(ModelId::Sana),
             NoiseSchedule::Karras
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma out of range")]
-    fn forward_noise_rejects_bad_sigma() {
-        let mut rng = SimRng::seed_from(5);
-        let _ = forward_noise(&[1.0], 1.5, &mut rng);
     }
 }

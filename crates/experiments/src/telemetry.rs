@@ -32,12 +32,10 @@ use modm_diffusion::ModelId;
 use modm_metrics::SloThresholds;
 use modm_simkit::Profiler;
 use modm_telemetry::{metric, ProfileReport, TelemetryConfig, TelemetryObserver};
-use modm_workload::QosClass;
 
 use crate::common::banner;
 use crate::overload::{
-    queue_only_policy, study_fleet, study_trace, BATCH, FREE, INTERACTIVE, INTERACTIVE_TARGET,
-    SLO_MULTIPLE,
+    queue_only_policy, study_fleet, study_trace, INTERACTIVE, INTERACTIVE_TARGET, SLO_MULTIPLE,
 };
 
 /// The SLO latency bound the study alerts on: the same
@@ -48,15 +46,10 @@ pub fn study_slo_bound_secs() -> f64 {
 }
 
 /// The study's telemetry pipeline: 60 s windows, the interactive
-/// tenant's 0.9 target, the default fast/slow burn-rate rule, and QoS
-/// classes matching the overload mix.
+/// tenant's 0.9 target and the default fast/slow burn-rate rule.
 pub fn study_telemetry() -> TelemetryObserver {
     TelemetryObserver::new(
-        TelemetryConfig::new(study_slo_bound_secs())
-            .with_slo_target(INTERACTIVE_TARGET)
-            .with_class(INTERACTIVE, QosClass::Interactive)
-            .with_class(BATCH, QosClass::Standard)
-            .with_class(FREE, QosClass::BestEffort),
+        TelemetryConfig::new(study_slo_bound_secs()).with_slo_target(INTERACTIVE_TARGET),
     )
 }
 

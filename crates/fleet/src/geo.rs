@@ -30,8 +30,6 @@ pub enum GeoError {
     AlreadyLost(usize),
     /// Losing the region would leave no region alive.
     LastAliveRegion,
-    /// A restore named a region that is not lost.
-    NotLost(usize),
 }
 
 impl fmt::Display for GeoError {
@@ -40,7 +38,6 @@ impl fmt::Display for GeoError {
             GeoError::UnknownRegion(r) => write!(f, "unknown region {r}"),
             GeoError::AlreadyLost(r) => write!(f, "region {r} already lost"),
             GeoError::LastAliveRegion => write!(f, "cannot lose the last alive region"),
-            GeoError::NotLost(r) => write!(f, "region {r} is not lost"),
         }
     }
 }
@@ -148,23 +145,6 @@ impl GeoRouter {
         self.alive[region] = false;
         Ok(())
     }
-
-    /// Brings a lost `region` back; its tenants return home on the next
-    /// offer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::UnknownRegion`] or [`GeoError::NotLost`].
-    pub fn restore_region(&mut self, region: usize) -> Result<(), GeoError> {
-        match self.alive.get(region) {
-            None => Err(GeoError::UnknownRegion(region)),
-            Some(true) => Err(GeoError::NotLost(region)),
-            Some(false) => {
-                self.alive[region] = true;
-                Ok(())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,14 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn failover_crosses_to_nearest_survivor_and_back() {
+    fn failover_crosses_to_nearest_survivor() {
         let mut geo = two_region();
         geo.fail_region(0).unwrap();
         assert_eq!(geo.target_region(TenantId(2)), (1, true));
         assert_eq!(geo.target_region(TenantId(1)), (1, false), "home survives");
         assert_eq!(geo.alive_regions(), 1);
-        geo.restore_region(0).unwrap();
-        assert_eq!(geo.target_region(TenantId(2)), (0, false));
     }
 
     #[test]
@@ -202,7 +180,6 @@ mod tests {
         geo.fail_region(1).unwrap();
         assert_eq!(geo.fail_region(1).unwrap_err(), GeoError::AlreadyLost(1));
         assert_eq!(geo.fail_region(0).unwrap_err(), GeoError::LastAliveRegion);
-        assert_eq!(geo.restore_region(0).unwrap_err(), GeoError::NotLost(0));
         assert!(geo.is_alive(0));
         assert!(!geo.is_alive(1));
         assert!(!geo.is_alive(9), "out-of-range is never alive");

@@ -17,7 +17,7 @@
 //!   with per-shard statistics and a [`ShardedCache::rebalance`] hook for
 //!   node-count changes.
 //! * [`GeoRouter`] — one level above the per-region router: latency-
-//!   biased region selection with typed-`Result` region loss/restore,
+//!   biased region selection with typed-`Result` region loss,
 //!   the primitive under the two-region failover scenarios.
 //!
 //! What a run measured, per node and fleet-wide, is the serving

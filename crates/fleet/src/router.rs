@@ -351,11 +351,6 @@ impl Router {
         &self.active
     }
 
-    /// True when `node` is in the active set.
-    pub fn is_active(&self, node: usize) -> bool {
-        self.active.binary_search(&node).is_ok()
-    }
-
     /// Admits `node` into the active set (and onto the affinity ring) —
     /// the control plane calls this when a node finishes warming.
     ///
@@ -434,18 +429,6 @@ impl Router {
     /// Requests routed to each node id so far.
     pub fn routed_per_node(&self) -> &[u64] {
         &self.routed
-    }
-
-    /// Max-over-mean of the per-node routed counts over nodes that saw
-    /// any traffic-eligible id (1.0 = perfectly even). Zero before any
-    /// request was routed.
-    pub fn imbalance(&self) -> f64 {
-        let total: u64 = self.routed.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = *self.routed.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / self.active.len() as f64)
     }
 
     /// The shard the affinity mapping assigns to `embedding`, independent
@@ -598,7 +581,8 @@ impl Router {
     }
 
     /// Leader verdicts currently kept for migrated images.
-    pub fn num_verdicts(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_verdicts(&self) -> usize {
         self.placed.slot_of.len()
     }
 
@@ -769,7 +753,6 @@ mod tests {
         let mut r = Router::new(RoutingPolicy::RoundRobin, 3);
         let seq: Vec<usize> = (0..6).map(|_| r.route(&e, &[0.0; 3])).collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
-        assert!((r.imbalance() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -854,7 +837,7 @@ mod tests {
         let e = enc.encode("lighthouse keeper stormy night etching");
         let home = r.route(&e, &[0.0; 4]);
         r.remove_node(home);
-        assert!(!r.is_active(home));
+        assert!(!r.active_nodes().contains(&home));
         let fallback = r.route(&e, &[0.0; 4]);
         assert_ne!(fallback, home, "removed node receives nothing");
         // Re-adding restores the original placement (ring points are

@@ -98,12 +98,10 @@ pub struct HandoffReport {
 ///
 /// let cache = ShardedCache::new(4, CacheConfig::fifo(100));
 /// assert_eq!(cache.num_shards(), 4);
-/// assert_eq!(cache.total_capacity(), 400);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedCache {
     shards: Vec<ImageCache>,
-    config: CacheConfig,
 }
 
 impl ShardedCache {
@@ -118,15 +116,7 @@ impl ShardedCache {
             shards: (0..nodes)
                 .map(|_| ImageCache::new(config.clone()))
                 .collect(),
-            config,
         }
-    }
-
-    /// Appends a fresh (empty) shard with the same per-shard config,
-    /// returning its index — the storage half of elastic scale-out.
-    pub fn add_shard(&mut self) -> usize {
-        self.shards.push(ImageCache::new(self.config.clone()));
-        self.shards.len() - 1
     }
 
     /// Number of shards.
@@ -161,11 +151,6 @@ impl ShardedCache {
     /// True when every shard is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(ImageCache::is_empty)
-    }
-
-    /// Sum of shard capacities.
-    pub fn total_capacity(&self) -> usize {
-        self.shards.iter().map(ImageCache::capacity).sum()
     }
 
     /// Aggregated counters over all shards.
@@ -684,17 +669,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn add_shard_extends_capacity_with_same_config() {
-        let mut cache = ShardedCache::new(2, CacheConfig::fifo(25));
-        assert_eq!(cache.total_capacity(), 50);
-        let idx = cache.add_shard();
-        assert_eq!(idx, 2);
-        assert_eq!(cache.num_shards(), 3);
-        assert_eq!(cache.total_capacity(), 75);
-        assert!(cache.shard(2).is_empty());
     }
 
     #[test]

@@ -103,38 +103,6 @@ impl GaussianStats {
         }
         Some(m)
     }
-
-    /// Merges another estimator over the same dimension (Chan's method).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: &GaussianStats) {
-        assert_eq!(self.dim, other.dim, "dimension mismatch");
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let total = n1 + n2;
-        let delta: Vec<f64> = (0..self.dim)
-            .map(|i| other.mean[i] - self.mean[i])
-            .collect();
-        for i in 0..self.dim {
-            self.mean[i] += delta[i] * n2 / total;
-        }
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                self.comoment[i * self.dim + j] +=
-                    other.comoment[i * self.dim + j] + delta[i] * delta[j] * n1 * n2 / total;
-            }
-        }
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -168,40 +136,6 @@ mod tests {
         assert!(g.covariance().is_none());
         g.record(&[2.0, 3.0, 4.0]);
         assert!(g.covariance().is_some());
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<[f64; 2]> = (0..50)
-            .map(|i| {
-                let t = i as f64 * 0.37;
-                [t.sin(), t.cos() * 2.0]
-            })
-            .collect();
-        let mut whole = GaussianStats::new(2);
-        for x in &xs {
-            whole.record(x);
-        }
-        let mut a = GaussianStats::new(2);
-        let mut b = GaussianStats::new(2);
-        for x in &xs[..17] {
-            a.record(x);
-        }
-        for x in &xs[17..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for i in 0..2 {
-            assert!((a.mean()[i] - whole.mean()[i]).abs() < 1e-9);
-        }
-        let ca = a.covariance().unwrap();
-        let cw = whole.covariance().unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((ca.get(i, j) - cw.get(i, j)).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -57,16 +57,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n * n`.
-    pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "wrong data length");
-        Matrix { n, data }
-    }
-
     /// Creates a diagonal matrix from the given entries.
     pub fn from_diagonal(diag: &[f64]) -> Self {
         let mut m = Matrix::zeros(diag.len());
@@ -320,6 +310,12 @@ impl std::error::Error for EigenError {}
 mod tests {
     use super::*;
 
+    /// A matrix from row-major data.
+    fn from_rows(n: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), n * n, "wrong data length");
+        Matrix { n, data }
+    }
+
     #[test]
     fn identity_multiplication() {
         let i = Matrix::identity(4);
@@ -335,7 +331,7 @@ mod tests {
 
     #[test]
     fn trace_and_transpose() {
-        let m = Matrix::from_rows(2, vec![1.0, 2.0, 3.0, 4.0]);
+        let m = from_rows(2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.trace(), 5.0);
         let t = m.transpose();
         assert_eq!(t.get(0, 1), 3.0);
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn eigen_reconstructs_matrix() {
         // Symmetric test matrix.
-        let m = Matrix::from_rows(3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]);
+        let m = from_rows(3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]);
         let (eig, v) = m.symmetric_eigen().unwrap();
         let d = Matrix::from_diagonal(&eig);
         let rec = v.mul(&d).mul(&v.transpose());
@@ -371,7 +367,7 @@ mod tests {
 
     #[test]
     fn sqrt_of_psd_squares_back() {
-        let m = Matrix::from_rows(2, vec![2.0, 1.0, 1.0, 2.0]);
+        let m = from_rows(2, vec![2.0, 1.0, 1.0, 2.0]);
         let s = m.sqrt_psd().unwrap();
         let sq = s.mul(&s);
         for r in 0..2 {
@@ -389,13 +385,13 @@ mod tests {
 
     #[test]
     fn eigen_rejects_asymmetric() {
-        let m = Matrix::from_rows(2, vec![1.0, 2.0, 0.0, 1.0]);
+        let m = from_rows(2, vec![1.0, 2.0, 0.0, 1.0]);
         assert_eq!(m.symmetric_eigen().err(), Some(EigenError::NotSymmetric));
     }
 
     #[test]
     fn add_sub_scale() {
-        let a = Matrix::from_rows(2, vec![1.0, 2.0, 3.0, 4.0]);
+        let a = from_rows(2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::identity(2);
         assert_eq!(a.add(&b).get(0, 0), 2.0);
         assert_eq!(a.sub(&b).get(1, 1), 3.0);

@@ -129,11 +129,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The firing time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.front.as_ref().map(|e| e.at.max(self.last_popped))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + usize::from(self.front.is_some())
@@ -188,16 +183,6 @@ mod tests {
         q.schedule(SimTime::from_micros(5), "late-scheduled");
         let (t2, _) = q.pop().unwrap();
         assert!(t2 >= t1);
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(42)));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_micros(42));
-        assert!(q.peek_time().is_none());
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
             2 => Json::Str(string(rng)),
             3 => Json::Num(match rng.index(4) {
                 0 => rng.index(1_000_000) as f64,
-                1 => rng.normal(0.0, 1e3),
+                1 => 1e3 * rng.standard_normal(),
                 2 => f64::from_bits(rng.next_u64()),
                 _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][rng.index(4)],
             }),

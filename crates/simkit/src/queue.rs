@@ -108,12 +108,6 @@ impl<T> FifoQueue<T> {
     pub fn iter(&self) -> impl Iterator<Item = &Queued<T>> {
         self.items.iter()
     }
-
-    /// Removes every queued item, returning them oldest-first without
-    /// recording waits (used when re-planning queues on reconfiguration).
-    pub fn drain_all(&mut self) -> Vec<Queued<T>> {
-        self.items.drain(..).collect()
-    }
 }
 
 #[cfg(test)]
@@ -153,17 +147,5 @@ mod tests {
         q.push(SimTime::ZERO, 4);
         assert_eq!(q.peak_depth(), 3);
         assert_eq!(q.total_enqueued(), 4);
-    }
-
-    #[test]
-    fn drain_preserves_order_without_wait_stats() {
-        let mut q = FifoQueue::new();
-        q.push(SimTime::ZERO, 'x');
-        q.push(SimTime::ZERO, 'y');
-        let drained = q.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].item, 'x');
-        assert!(q.is_empty());
-        assert_eq!(q.wait_stats().count(), 0);
     }
 }

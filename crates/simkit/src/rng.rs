@@ -2,7 +2,7 @@
 //!
 //! The build runs in fully offline environments, so both the generator
 //! (xoshiro256++ seeded through SplitMix64) and the distribution samplers
-//! (`normal`, `exponential`, `poisson`, `zipf`) are implemented here rather
+//! (`standard_normal`, `exponential`, `zipf`) are implemented here rather
 //! than pulled from `rand`/`rand_distr`. All samplers are exercised against
 //! their analytic moments in the unit tests.
 
@@ -148,16 +148,6 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "negative std dev: {std_dev}");
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Exponential sample with the given rate (events per unit time).
     ///
     /// Used for Poisson-process inter-arrival times, as in the paper's
@@ -170,36 +160,6 @@ impl SimRng {
         assert!(rate > 0.0, "rate must be positive: {rate}");
         let u = 1.0 - self.uniform(); // in (0, 1]
         -u.ln() / rate
-    }
-
-    /// Poisson sample with the given mean.
-    ///
-    /// Knuth's product method for small means, normal approximation (clamped
-    /// at zero) for large ones — the simulation only needs counts, not exact
-    /// tail shape, above `mean > 64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is negative or not finite.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean.is_finite() && mean >= 0.0, "invalid mean: {mean}");
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.normal(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s`.
@@ -242,33 +202,6 @@ impl SimRng {
         }
     }
 
-    /// Samples an index according to non-negative `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "no weights");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights sum to zero");
-        let mut target = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Raw 64-bit draw; exposed for hashing-style uses.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -304,7 +237,9 @@ mod tests {
     #[test]
     fn normal_moments() {
         let mut rng = SimRng::seed_from(11);
-        let xs: Vec<f64> = (0..50_000).map(|_| rng.normal(3.0, 2.0)).collect();
+        let xs: Vec<f64> = (0..50_000)
+            .map(|_| 3.0 + 2.0 * rng.standard_normal())
+            .collect();
         let m = mean_of(&xs);
         let v = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((m - 3.0).abs() < 0.05, "mean {m}");
@@ -317,15 +252,6 @@ mod tests {
         let xs: Vec<f64> = (0..50_000).map(|_| rng.exponential(4.0)).collect();
         assert!((mean_of(&xs) - 0.25).abs() < 0.01);
         assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let mut rng = SimRng::seed_from(17);
-        let small: Vec<f64> = (0..20_000).map(|_| rng.poisson(3.0) as f64).collect();
-        assert!((mean_of(&small) - 3.0).abs() < 0.1);
-        let large: Vec<f64> = (0..20_000).map(|_| rng.poisson(200.0) as f64).collect();
-        assert!((mean_of(&large) - 200.0).abs() < 1.0);
     }
 
     #[test]
@@ -351,29 +277,6 @@ mod tests {
         let min = *counts.iter().min().unwrap() as f64;
         let max = *counts.iter().max().unwrap() as f64;
         assert!(max / min < 1.3, "counts {counts:?}");
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed_from(29);
-        let mut counts = [0usize; 3];
-        for _ in 0..30_000 {
-            counts[rng.weighted_index(&[1.0, 2.0, 7.0])] += 1;
-        }
-        assert!(counts[2] > counts[1] && counts[1] > counts[0]);
-        let frac2 = counts[2] as f64 / 30_000.0;
-        assert!((frac2 - 0.7).abs() < 0.03);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(31);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -65,20 +65,6 @@ impl TimeSeries {
         self.sums.clone()
     }
 
-    /// Count of events in each window.
-    pub fn window_counts(&self) -> Vec<u64> {
-        self.counts.clone()
-    }
-
-    /// Mean of recorded values in each window (0 when empty).
-    pub fn window_means(&self) -> Vec<f64> {
-        self.sums
-            .iter()
-            .zip(&self.counts)
-            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-            .collect()
-    }
-
     /// Event rate per window expressed per minute, the unit the paper plots.
     pub fn rates_per_minute(&self) -> Vec<f64> {
         let mins = self.window.as_mins_f64();
@@ -94,11 +80,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.sums.is_empty()
     }
-
-    /// Midpoint (in minutes) of window `i`, for labelling the x axis.
-    pub fn window_mid_mins(&self, i: usize) -> f64 {
-        self.window.as_mins_f64() * (i as f64 + 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +93,6 @@ mod tests {
         ts.record(SimTime::from_secs_f64(9.999), 3.0);
         ts.record(SimTime::from_secs_f64(10.0), 5.0);
         assert_eq!(ts.window_sums(), vec![5.0, 5.0]);
-        assert_eq!(ts.window_counts(), vec![2, 1]);
     }
 
     #[test]
@@ -123,20 +103,5 @@ mod tests {
         }
         // 6 events in the first 30s window -> 12/min.
         assert_eq!(ts.rates_per_minute()[0], 12.0);
-    }
-
-    #[test]
-    fn window_means() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs_f64(1.0));
-        ts.record(SimTime::from_secs_f64(0.1), 2.0);
-        ts.record(SimTime::from_secs_f64(0.2), 4.0);
-        assert_eq!(ts.window_means(), vec![3.0]);
-    }
-
-    #[test]
-    fn window_midpoints() {
-        let ts = TimeSeries::new(SimDuration::from_mins_f64(2.0));
-        assert_eq!(ts.window_mid_mins(0), 1.0);
-        assert_eq!(ts.window_mid_mins(3), 7.0);
     }
 }

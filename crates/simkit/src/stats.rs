@@ -90,26 +90,6 @@ impl StreamingStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for StreamingStats {
@@ -319,27 +299,6 @@ mod tests {
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = StreamingStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
     }
 
     #[test]

@@ -63,19 +63,6 @@ impl BurnRateRule {
         rule
     }
 
-    /// Overrides the burn threshold.
-    pub fn with_threshold(mut self, burn_threshold: f64) -> Self {
-        self.burn_threshold = burn_threshold;
-        self.validate();
-        self
-    }
-
-    /// Overrides the fast-window minimum sample count.
-    pub fn with_min_samples(mut self, min_samples: u64) -> Self {
-        self.min_samples = min_samples;
-        self
-    }
-
     fn validate(&self) {
         assert!(!self.fast.is_zero(), "fast window must be positive");
         assert!(
@@ -351,12 +338,14 @@ mod tests {
     fn rule_rearms_after_recovery() {
         let mut e = AlertEngine::new(
             0.9,
-            vec![BurnRateRule::new(
-                "r",
-                SimDuration::from_secs_f64(30.0),
-                SimDuration::from_secs_f64(60.0),
-            )
-            .with_min_samples(5)],
+            vec![BurnRateRule {
+                min_samples: 5,
+                ..BurnRateRule::new(
+                    "r",
+                    SimDuration::from_secs_f64(30.0),
+                    SimDuration::from_secs_f64(60.0),
+                )
+            }],
         );
         for i in 0..100 {
             e.record(t(i as f64), true);

@@ -8,8 +8,8 @@
 //! 1. **Metrics registry** ([`Registry`]) — counters and log-linear
 //!    latency histograms keyed by `(metric, tenant, node)`,
 //!    with sim-time **windowed series** ([`SeriesBank`]) so queue depth,
-//!    goodput, hit rate and per-class P99 are plottable series rather
-//!    than end-of-run scalars.
+//!    goodput and hit rate are plottable series rather than end-of-run
+//!    scalars.
 //! 2. **Request spans** ([`SpanTracker`]) — per-request stage timing
 //!    (admitted → queued → dispatched → service → terminal) assembled
 //!    from tagged events into a per-tenant latency breakdown.

@@ -7,8 +7,7 @@
 //! * the metrics [`Registry`] — counters and latency histograms
 //!   keyed by `(metric, tenant, node)`;
 //! * the [`SeriesBank`] — windowed time series of completions,
-//!   rejections, sheds, goodput, hits/misses, queue depth and per-class
-//!   latency quantiles;
+//!   rejections, sheds, goodput, hits/misses and queue depth;
 //! * the [`SpanTracker`] — per-request stage timing folded into a
 //!   per-tenant latency breakdown;
 //! * the [`AlertEngine`] — multi-window SLO burn-rate rules over the
@@ -25,7 +24,7 @@ use std::collections::BTreeMap;
 
 use modm_core::events::{Observer, SimEvent};
 use modm_simkit::{SimDuration, SimTime};
-use modm_workload::{QosClass, TenantId};
+use modm_workload::TenantId;
 
 use crate::alerts::{Alert, AlertEngine, BurnRateRule};
 use crate::registry::{Key, Registry};
@@ -93,9 +92,6 @@ pub struct TelemetryConfig {
     /// Burn-rate rules (default: one `slo-burn` rule, 60 s fast window,
     /// 300 s slow window, 2x threshold).
     pub rules: Vec<BurnRateRule>,
-    /// Tenant → QoS class map for per-class latency series (tenants
-    /// absent here fall back to [`QosClass::Standard`]).
-    pub classes: Vec<(TenantId, QosClass)>,
 }
 
 impl Default for TelemetryConfig {
@@ -109,7 +105,6 @@ impl Default for TelemetryConfig {
                 SimDuration::from_secs_f64(60.0),
                 SimDuration::from_secs_f64(300.0),
             )],
-            classes: Vec::new(),
         }
     }
 }
@@ -123,12 +118,6 @@ impl TelemetryConfig {
         }
     }
 
-    /// Overrides the series window width.
-    pub fn with_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
     /// Overrides the attainment target.
     pub fn with_slo_target(mut self, slo_target: f64) -> Self {
         self.slo_target = slo_target;
@@ -139,21 +128,6 @@ impl TelemetryConfig {
     pub fn with_rules(mut self, rules: Vec<BurnRateRule>) -> Self {
         self.rules = rules;
         self
-    }
-
-    /// Declares a tenant's QoS class for per-class latency series.
-    pub fn with_class(mut self, tenant: TenantId, class: QosClass) -> Self {
-        self.classes.retain(|(t, _)| *t != tenant);
-        self.classes.push((tenant, class));
-        self
-    }
-
-    fn class_of(&self, tenant: TenantId) -> QosClass {
-        self.classes
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, c)| *c)
-            .unwrap_or(QosClass::Standard)
     }
 }
 
@@ -403,8 +377,6 @@ impl Observer for TelemetryObserver {
                     Key::new(metric::LATENCY, Some(tenant), Some(node)),
                     latency_secs,
                 );
-                self.series
-                    .record_latency(at, self.config.class_of(tenant), latency_secs);
                 let good = latency_secs <= self.config.slo_bound_secs;
                 if good {
                     self.registry
@@ -532,9 +504,7 @@ mod tests {
     #[test]
     fn pillars_agree_on_a_small_stream() {
         let tenant = TenantId(1);
-        let mut obs = TelemetryObserver::new(
-            TelemetryConfig::new(100.0).with_class(tenant, QosClass::Interactive),
-        );
+        let mut obs = TelemetryObserver::new(TelemetryConfig::new(100.0));
         drive_request(&mut obs, 1, tenant, 0.0, 5.0, 50.0, true);
         drive_request(&mut obs, 2, tenant, 10.0, 20.0, 200.0, false);
         // Registry.
@@ -554,11 +524,6 @@ mod tests {
         assert_eq!(b.hits, 1);
         assert!((b.queue_secs - 15.0).abs() < 1e-9);
         assert!((b.total_secs - (50.0 + 190.0)).abs() < 1e-9);
-        // Per-class latency series sees both completions.
-        assert_eq!(
-            obs.series().latency_merged(QosClass::Interactive).count(),
-            2
-        );
         // Attainment: 1 good of 2 = 0.5, but below the sample gate.
         assert_eq!(obs.attainment(tenant), 0.5);
         assert_eq!(obs.attainment_first_below(tenant), None);

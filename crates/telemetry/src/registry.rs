@@ -61,9 +61,9 @@ impl Key {
 /// Values are bucketed by octave (powers of two) with
 /// [`SUB_BUCKETS`](LogLinearHistogram::SUB_BUCKETS) linear sub-buckets
 /// per octave — the classic HDR-style layout: relative error is bounded
-/// (~1/8 here) at every scale, the bucket count stays small, and merges
-/// are exact. Values below one second/unit land in a single underflow
-/// bucket, which is fine for latencies measured in tens of seconds.
+/// (~1/8 here) at every scale and the bucket count stays small. Values
+/// below one second/unit land in a single underflow bucket, which is
+/// fine for latencies measured in tens of seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogLinearHistogram {
     buckets: Vec<u64>,
@@ -158,20 +158,6 @@ impl LogLinearHistogram {
             }
         }
         self.max
-    }
-
-    /// Folds `other` into `self` (bucket layouts are globally aligned,
-    /// so merging is exact).
-    pub fn merge(&mut self, other: &LogLinearHistogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -302,27 +288,9 @@ impl Registry {
     }
 
     /// The histogram at `key`, if any value was observed.
-    pub fn histogram(&self, key: &Key) -> Option<&LogLinearHistogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, key: &Key) -> Option<&LogLinearHistogram> {
         bucket_of(&self.histograms, key.metric).and_then(|b| b.slot((key.tenant, key.node)))
-    }
-
-    /// Merges every histogram instance of `metric` matching the label
-    /// filters into one (exact: bucket layouts are aligned).
-    pub fn histogram_merged(
-        &self,
-        metric: &str,
-        tenant: Option<TenantId>,
-        node: Option<usize>,
-    ) -> LogLinearHistogram {
-        let mut merged = LogLinearHistogram::new();
-        if let Some(b) = bucket_of(&self.histograms, metric) {
-            for &((kt, kn), ref h) in &b.by_label {
-                if tenant.is_none_or(|t| kt == Some(t)) && node.is_none_or(|n| kn == Some(n)) {
-                    merged.merge(h);
-                }
-            }
-        }
-        merged
     }
 
     /// All counters, in key order.
@@ -380,38 +348,6 @@ mod tests {
         assert!((p99 - 990.0).abs() / 990.0 < 0.125, "p99 = {p99}");
         assert_eq!(h.quantile(1.0), 1000.0);
         assert!((h.mean() - 500.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = LogLinearHistogram::new();
-        let mut b = LogLinearHistogram::new();
-        let mut whole = LogLinearHistogram::new();
-        for v in 0..200 {
-            let v = (v as f64) * 1.7;
-            if v < 100.0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn histogram_merged_filters_labels() {
-        let mut r = Registry::new();
-        r.observe(Key::new("lat", Some(TenantId(1)), Some(0)), 10.0);
-        r.observe(Key::new("lat", Some(TenantId(1)), Some(1)), 20.0);
-        r.observe(Key::new("lat", Some(TenantId(2)), Some(0)), 30.0);
-        assert_eq!(r.histogram_merged("lat", None, None).count(), 3);
-        assert_eq!(
-            r.histogram_merged("lat", Some(TenantId(1)), None).count(),
-            2
-        );
-        assert_eq!(r.histogram_merged("lat", None, Some(0)).count(), 2);
     }
 
     #[test]

@@ -5,16 +5,10 @@
 //! virtual time (configurable, 60 s by default) on top of
 //! [`modm_simkit::TimeSeries`], keyed by `(metric, tenant)` — so queue
 //! depth, goodput, hit rate and rejection rate become per-tenant
-//! time series instead of single end-of-run numbers. Latency gets the
-//! full treatment: one [`LogLinearHistogram`] per `(QoS class, window)`
-//! so per-class P99 is itself a series.
-
-use std::collections::BTreeMap;
+//! time series instead of single end-of-run numbers.
 
 use modm_simkit::{SimDuration, SimTime, TimeSeries};
-use modm_workload::{QosClass, TenantId};
-
-use crate::registry::LogLinearHistogram;
+use modm_workload::TenantId;
 
 /// A series instance: metric name plus optional tenant slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,8 +41,6 @@ pub struct SeriesBank {
     /// Per-metric buckets in first-recorded order; every read that
     /// exposes keys sorts, so iteration order is unchanged.
     metrics: Vec<MetricSeries>,
-    /// Per-class windowed latency histograms: `latency[class][window]`.
-    latency: BTreeMap<QosClass, Vec<LogLinearHistogram>>,
 }
 
 impl SeriesBank {
@@ -62,17 +54,12 @@ impl SeriesBank {
         SeriesBank {
             window,
             metrics: Vec::new(),
-            latency: BTreeMap::new(),
         }
     }
 
     /// The configured window width.
     pub fn window(&self) -> SimDuration {
         self.window
-    }
-
-    fn window_index(&self, at: SimTime) -> usize {
-        (at.as_micros() / self.window.as_micros()) as usize
     }
 
     fn bucket(&self, metric: &str) -> Option<&MetricSeries> {
@@ -126,16 +113,6 @@ impl SeriesBank {
             .record(at, value);
     }
 
-    /// Records a completion latency into `class`'s windowed histograms.
-    pub fn record_latency(&mut self, at: SimTime, class: QosClass, latency_secs: f64) {
-        let w = self.window_index(at);
-        let per_window = self.latency.entry(class).or_default();
-        if w >= per_window.len() {
-            per_window.resize(w + 1, LogLinearHistogram::new());
-        }
-        per_window[w].record(latency_secs);
-    }
-
     /// The series at `(metric, tenant)`, if anything was recorded.
     pub fn series(&self, metric: &'static str, tenant: Option<TenantId>) -> Option<&TimeSeries> {
         let bucket = self.bucket(metric)?;
@@ -162,26 +139,6 @@ impl SeriesBank {
         self.window_sums(metric, tenant).iter().sum()
     }
 
-    /// Per-window quantile of `class`'s latency (0 for empty windows):
-    /// `quantile_series(class, 0.99)` is the plottable per-class P99.
-    pub fn quantile_series(&self, class: QosClass, q: f64) -> Vec<f64> {
-        self.latency
-            .get(&class)
-            .map(|hists| hists.iter().map(|h| h.quantile(q)).collect())
-            .unwrap_or_default()
-    }
-
-    /// `class`'s latency histograms merged across all windows.
-    pub fn latency_merged(&self, class: QosClass) -> LogLinearHistogram {
-        let mut merged = LogLinearHistogram::new();
-        if let Some(hists) = self.latency.get(&class) {
-            for h in hists {
-                merged.merge(h);
-            }
-        }
-        merged
-    }
-
     /// Every series key recorded so far, in sorted `(metric, tenant)`
     /// order (the all-tenants `None` slice sorts before tenant slices,
     /// exactly as the old map-keyed layout iterated).
@@ -204,11 +161,6 @@ impl SeriesBank {
             .collect();
         keys.sort();
         keys.into_iter()
-    }
-
-    /// The QoS classes with recorded latency.
-    pub fn latency_classes(&self) -> impl Iterator<Item = QosClass> + '_ {
-        self.latency.keys().copied()
     }
 }
 
@@ -238,25 +190,5 @@ mod tests {
         assert_eq!(b.total("completed", None), 3.0);
         assert_eq!(b.total("completed", Some(TenantId(2))), 1.0);
         assert!(b.series("other", None).is_none());
-    }
-
-    #[test]
-    fn per_class_p99_is_a_series() {
-        let mut b = bank();
-        // Window 0: fast completions. Window 2: slow ones.
-        for i in 0..20 {
-            b.record_latency(t(i as f64), QosClass::Interactive, 10.0);
-        }
-        for i in 0..20 {
-            b.record_latency(t(120.0 + i as f64), QosClass::Interactive, 400.0);
-        }
-        let p99 = b.quantile_series(QosClass::Interactive, 0.99);
-        assert_eq!(p99.len(), 3);
-        assert!(p99[0] < 12.0, "fast window p99 = {}", p99[0]);
-        assert_eq!(p99[1], 0.0, "empty window");
-        assert!(p99[2] > 300.0, "slow window p99 = {}", p99[2]);
-        let merged = b.latency_merged(QosClass::Interactive);
-        assert_eq!(merged.count(), 40);
-        assert!(b.quantile_series(QosClass::BestEffort, 0.99).is_empty());
     }
 }

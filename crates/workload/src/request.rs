@@ -48,19 +48,6 @@ impl Request {
             qos,
         }
     }
-
-    /// A copy of the request with its arrival moved to `arrival`,
-    /// preserving the tenant tags — what the serving loops use to re-base
-    /// a trace onto their own timeline.
-    pub fn rebased(&self, arrival: SimTime) -> Request {
-        Request {
-            id: self.id,
-            prompt: self.prompt.clone(),
-            arrival,
-            tenant: self.tenant,
-            qos: self.qos,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -75,22 +62,5 @@ mod tests {
         assert_eq!(r.arrival.as_secs_f64(), 2.0);
         assert_eq!(r.tenant, TenantId::DEFAULT);
         assert_eq!(r.qos, QosClass::Standard);
-    }
-
-    #[test]
-    fn tenant_tags_survive_rebasing() {
-        let r = Request::for_tenant(
-            9,
-            "a dog",
-            SimTime::from_secs_f64(5.0),
-            TenantId(3),
-            QosClass::Interactive,
-        );
-        let moved = r.rebased(SimTime::ZERO);
-        assert_eq!(moved.id, 9);
-        assert_eq!(moved.arrival, SimTime::ZERO);
-        assert_eq!(moved.tenant, TenantId(3));
-        assert_eq!(moved.qos, QosClass::Interactive);
-        assert_eq!(moved.prompt, r.prompt);
     }
 }

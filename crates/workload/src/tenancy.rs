@@ -109,14 +109,6 @@ impl TenantMix {
         }
     }
 
-    /// Drives the slice from a time-varying [`crate::RateSchedule`]
-    /// instead of a constant rate (builder style).
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: crate::RateSchedule) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
     /// Restricts arrivals to `[start_mins, end_mins)` (builder style).
     ///
     /// # Panics

@@ -80,22 +80,6 @@ impl Trace {
         &self.requests
     }
 
-    /// A copy of the first `n` requests (or all, if shorter).
-    pub fn truncated(&self, n: usize) -> Trace {
-        Trace {
-            dataset: self.dataset,
-            requests: self.requests.iter().take(n).cloned().collect(),
-        }
-    }
-
-    /// The distinct tenants appearing in the trace, ascending.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        let mut ids: Vec<TenantId> = self.requests.iter().map(|r| r.tenant).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Number of requests belonging to `tenant`.
     pub fn tenant_len(&self, tenant: TenantId) -> usize {
         self.requests.iter().filter(|r| r.tenant == tenant).count()
@@ -427,14 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation() {
-        let t = TraceBuilder::diffusion_db(3).requests(100).build();
-        let head = t.truncated(10);
-        assert_eq!(head.len(), 10);
-        assert_eq!(head.requests()[9], t.requests()[9]);
-    }
-
-    #[test]
     fn multi_tenant_mix_splits_by_rate_and_tags_requests() {
         use crate::tenancy::QosClass;
         let t = TraceBuilder::diffusion_db(5)
@@ -445,7 +421,6 @@ mod tests {
             ])
             .build();
         assert_eq!(t.len(), 400);
-        assert_eq!(t.tenant_ids(), vec![TenantId(1), TenantId(2)]);
         let n1 = t.tenant_len(TenantId(1));
         let n2 = t.tenant_len(TenantId(2));
         assert_eq!(n1 + n2, 400);
@@ -492,7 +467,7 @@ mod tests {
             .tenants(vec![])
             .build();
         assert_eq!(plain.requests(), tagged.requests());
-        assert_eq!(plain.tenant_ids(), vec![TenantId::DEFAULT]);
+        assert!(plain.iter().all(|r| r.tenant == TenantId::DEFAULT));
     }
 
     #[test]
@@ -520,8 +495,10 @@ mod tests {
             .tenants(vec![
                 TenantMix::new(TenantId(1), QosClass::Interactive, 6.0),
                 TenantMix::new(TenantId(2), QosClass::Standard, 6.0).with_window(30.0, 60.0),
-                TenantMix::new(TenantId(3), QosClass::BestEffort, 1.0)
-                    .with_schedule(RateSchedule::spike(6.0, 8.0, 20.0, 10.0)),
+                TenantMix {
+                    schedule: Some(RateSchedule::spike(6.0, 8.0, 20.0, 10.0)),
+                    ..TenantMix::new(TenantId(3), QosClass::BestEffort, 1.0)
+                },
             ])
             .build_over(90.0);
         assert!(t
@@ -555,8 +532,10 @@ mod tests {
             .tenants(vec![
                 TenantMix::new(TenantId(1), QosClass::Interactive, 6.0),
                 TenantMix::new(TenantId(2), QosClass::Standard, 6.0).with_window(30.0, 60.0),
-                TenantMix::new(TenantId(3), QosClass::BestEffort, 1.0)
-                    .with_schedule(RateSchedule::spike(6.0, 8.0, 20.0, 10.0)),
+                TenantMix {
+                    schedule: Some(RateSchedule::spike(6.0, 8.0, 20.0, 10.0)),
+                    ..TenantMix::new(TenantId(3), QosClass::BestEffort, 1.0)
+                },
             ])
             .build_over(90.0);
         assert_eq!(t.requests(), again.requests());

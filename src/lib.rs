@@ -271,10 +271,7 @@
 //! // Judge the same 2x SLO the summary reports, in 60 s windows, with
 //! // the default fast/slow burn-rate rule.
 //! let slo = SloThresholds::for_deployment(config.gpu, config.large_model);
-//! let mut telemetry = TelemetryObserver::new(
-//!     TelemetryConfig::new(slo.bound_secs(2.0))
-//!         .with_class(interactive, QosClass::Interactive),
-//! );
+//! let mut telemetry = TelemetryObserver::new(TelemetryConfig::new(slo.bound_secs(2.0)));
 //! let summary = Deployment::single(config)
 //!     .run_observed(&trace, DeployOptions::default(), &mut telemetry)
 //!     .summary(2.0);

@@ -247,12 +247,7 @@ fn telemetry_conserves_through_elastic_crash_and_drain() {
         LifecyclePlan::new(4, 2, 8),
         FaultInjector::at(&[8.0], 4.0),
     );
-    let mut telemetry = TelemetryObserver::new(
-        TelemetryConfig::new(192.0)
-            .with_class(T_INTERACTIVE, QosClass::Interactive)
-            .with_class(T_BATCH, QosClass::Standard)
-            .with_class(T_FREE, QosClass::BestEffort),
-    );
+    let mut telemetry = TelemetryObserver::new(TelemetryConfig::new(192.0));
     let summary = deployment
         .run_observed(&trace, DeployOptions::default(), &mut telemetry)
         .summary(2.0);
