@@ -18,20 +18,15 @@
 //! full pipeline and writes the JSON.
 
 use modm_bench::{write_json, Bench};
-use modm_controlplane::{
-    Autoscaler, FleetEventKind, HoldAutoscaler, PredictiveAutoscaler, ReactiveAutoscaler,
-};
-use modm_experiments::elastic::{
-    diurnal_trace, elastic_fleet, predictive, reactive, GPUS_PER_NODE,
-};
+use modm_controlplane::{Autoscaler, FleetEventKind, HoldAutoscaler};
+use modm_deploy::{Deployment, ServingBackend};
+use modm_experiments::elastic::{deployment, diurnal_trace, predictive, reactive, GPUS_PER_NODE};
 use modm_simkit::Json;
 
-fn scalers() -> Vec<Box<dyn Autoscaler>> {
-    vec![
-        Box::new(HoldAutoscaler),
-        Box::<ReactiveAutoscaler>::new(reactive()),
-        Box::<PredictiveAutoscaler>::new(predictive()),
-    ]
+/// The study's fleet (8 nodes at the peak, 3 at the floor) under
+/// `scaler`, with the scaler's name.
+fn fleet(scaler: impl Autoscaler + 'static) -> (&'static str, Deployment) {
+    (scaler.name(), deployment(8, 3, 8, scaler))
 }
 
 fn main() {
@@ -43,20 +38,22 @@ fn main() {
     };
 
     let trace = diurnal_trace(5, requests);
-    let fleet = elastic_fleet(8, 3, 8);
-
     let mut bench = Bench::new("autoscale")
         .with_sample_secs(sample_secs)
         .with_samples(samples);
     let mut points: Vec<Json> = Vec::new();
-    for mut scaler in scalers() {
-        let name = scaler.name();
+    for (name, mut fleet) in [
+        fleet(HoldAutoscaler),
+        fleet(reactive()),
+        fleet(predictive()),
+    ] {
         bench.measure(format!("run/{name}"), || {
-            std::hint::black_box(fleet.run(&trace, scaler.as_mut()))
+            std::hint::black_box(fleet.run(&trace))
         });
         let timing = bench.results().last().expect("just measured").clone();
         let wall_ns = timing.median_ns;
-        let report = fleet.run(&trace, scaler.as_mut());
+        let outcome = fleet.run(&trace);
+        let report = outcome.as_elastic().expect("elastic tier");
         let scale_actions = report
             .events
             .iter()

@@ -14,8 +14,8 @@
 
 use modm_bench::{write_json, Bench};
 use modm_cluster::GpuKind;
-use modm_controlplane::Fleet;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_fleet::{Router, RoutingPolicy};
 use modm_simkit::Json;
 use modm_workload::TraceBuilder;
@@ -47,13 +47,14 @@ fn main() {
         RoutingPolicy::LeastLoaded,
         RoutingPolicy::CacheAffinity,
     ] {
-        let fleet = Fleet::new(node.clone(), Router::new(policy, NODES));
+        let mut fleet = Deployment::fleet(node.clone(), Router::new(policy, NODES));
         bench.measure(format!("run/{}", policy.name()), || {
             std::hint::black_box(fleet.run(&trace))
         });
         let timing = bench.results().last().expect("just measured").clone();
         let wall_ns = timing.median_ns;
-        let report = fleet.run(&trace);
+        let outcome = fleet.run(&trace);
+        let report = outcome.as_fleet().expect("fleet tier");
         points.push(Json::obj([
             ("policy", Json::Str(policy.name().into())),
             ("nodes", Json::Num(NODES as f64)),

@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use modm_bench::{format_ns, write_json};
 use modm_cluster::GpuKind;
-use modm_controlplane::{ElasticReport, Fleet};
 use modm_core::{MoDMConfig, RunOptions};
+use modm_deploy::{Deployment, RunOutcome, ServingBackend};
 use modm_embedding::IndexPolicy;
 use modm_fleet::{RoutingConfig, RoutingPolicy, SemanticClusterer};
 use modm_simkit::profile::{Profiler, Subsystem};
@@ -45,14 +45,14 @@ const MAX_LEADERS: usize = 512;
 /// Timed headline runs; the median is the headline.
 const RUNS_K: usize = 5;
 
-fn build_fleet(index_policy: IndexPolicy) -> Fleet {
+fn build_fleet(index_policy: IndexPolicy) -> Deployment {
     let node = MoDMConfig::builder()
         .gpus(GpuKind::Mi210, GPUS_PER_NODE)
         .cache_capacity(CACHE_PER_NODE)
         .index_policy(index_policy)
         .build();
     let clusterer = SemanticClusterer::new(SemanticClusterer::DEFAULT_THRESHOLD, MAX_LEADERS);
-    Fleet::new(
+    Deployment::fleet(
         node,
         RoutingConfig::new(RoutingPolicy::CacheAffinity, NODES)
             .clusterer(clusterer)
@@ -73,12 +73,13 @@ fn main() {
     // The headline runs the approximate probes (anchored inverted cache
     // index + two-level leader probe); smoke mode also runs the exact
     // backends so CI exercises both paths on every push.
-    let fleet = build_fleet(IndexPolicy::Approx);
+    let mut fleet = build_fleet(IndexPolicy::Approx);
     let exact_summary = if smoke {
-        let exact_fleet = build_fleet(IndexPolicy::Exact);
+        let mut exact_fleet = build_fleet(IndexPolicy::Exact);
         let t0 = Instant::now();
-        let exact_report = exact_fleet.run_with(&trace, opts);
+        let exact_outcome = exact_fleet.run_with(&trace, opts);
         let exact_wall_ns = t0.elapsed().as_secs_f64() * 1e9;
+        let exact_report = exact_outcome.as_fleet().expect("fleet tier");
         println!(
             "million/exact: {} requests in {} — {:.0} sim-requests/wall-sec (hit rate {:.3})",
             exact_report.completed,
@@ -94,17 +95,22 @@ fn main() {
     // Headline: the median of `RUNS_K` unprofiled end-to-end runs. Runs
     // are deterministic, so every one completes the same requests.
     let mut walls_ns = Vec::with_capacity(RUNS_K);
-    let mut report: Option<ElasticReport> = None;
+    let mut outcome: Option<RunOutcome> = None;
     for _ in 0..RUNS_K {
         let t0 = Instant::now();
         let run = fleet.run_with(&trace, opts);
         walls_ns.push(t0.elapsed().as_secs_f64() * 1e9);
-        if let Some(previous) = &report {
-            assert_eq!(previous.completed, run.completed, "runs are deterministic");
+        if let Some(previous) = &outcome {
+            assert_eq!(
+                previous.completed(),
+                run.completed(),
+                "runs are deterministic"
+            );
         }
-        report = Some(run);
+        outcome = Some(run);
     }
-    let report = report.expect("at least one headline run");
+    let outcome = outcome.expect("at least one headline run");
+    let report = outcome.as_fleet().expect("fleet tier");
     walls_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let wall_ns = walls_ns[RUNS_K / 2];
     let headline = report.completed as f64 / (wall_ns / 1e9);
@@ -138,7 +144,8 @@ fn main() {
     let prof = profiler.report();
     drop(profiler);
     assert_eq!(
-        profiled.completed, report.completed,
+        profiled.completed(),
+        report.completed,
         "profiling must not change simulation results"
     );
 

@@ -17,9 +17,9 @@
 use modm_baselines::VanillaSystem;
 use modm_bench::{median_frac, write_json, Bench};
 use modm_cluster::GpuKind;
-use modm_controlplane::ServingSystem;
 use modm_core::events::{Observer, SimEvent};
 use modm_core::{MoDMConfig, RunOptions};
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::ModelId;
 use modm_simkit::{Json, SimTime};
 use modm_telemetry::{TelemetryConfig, TelemetryObserver};
@@ -59,12 +59,13 @@ fn main() {
     let served = (requests - requests / 6) as f64;
 
     let mut bench = Bench::new("end_to_end");
-    let system = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GpuKind::Mi210, 16)
-            .cache_capacity(2_000)
-            .build(),
-    );
+    let config = MoDMConfig::builder()
+        .gpus(GpuKind::Mi210, 16)
+        .cache_capacity(2_000)
+        .build();
+    // One deployment per arm: each closure below serves through its own.
+    let mut systems: [Deployment; 5] = std::array::from_fn(|_| Deployment::single(config.clone()));
+    let [plain, observed, telemetry, traced, checked] = &mut systems;
 
     // The observed configurations are measured against the bare system
     // with ABBA pairing (base, arm, arm, base per round): a sequential
@@ -75,21 +76,21 @@ fn main() {
     // host. The symmetric block cancels drift and position bias inside
     // ~4 run-lengths, and the per-round medians discard the rest.
     let mut arm_plain = || {
-        std::hint::black_box(system.run_with(&trace, opts));
+        std::hint::black_box(plain.run_with(&trace, opts));
     };
     let mut arm_observed = || {
         let mut counter = CountingObserver::default();
-        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut counter)));
+        std::hint::black_box(observed.run_observed(&trace, opts, &mut counter));
     };
     // The full telemetry pipeline: registry + series + spans + alerts.
     let mut arm_telemetry = || {
-        let mut telemetry = TelemetryObserver::new(TelemetryConfig::new(192.0));
-        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut telemetry)));
+        let mut observer = TelemetryObserver::new(TelemetryConfig::new(192.0));
+        std::hint::black_box(telemetry.run_observed(&trace, opts, &mut observer));
     };
     // Causal tracing: span-tree assembly under default tail sampling.
     let mut arm_trace = || {
         let mut tracer = TraceObserver::new(TraceConfig::new());
-        std::hint::black_box(system.run_observed(&trace, opts, Some(&mut tracer)));
+        std::hint::black_box(traced.run_observed(&trace, opts, &mut tracer));
     };
     let arm_vanilla = || {
         let mut v = VanillaSystem::new(ModelId::Sd35Large, GpuKind::Mi210, 16);
@@ -114,9 +115,9 @@ fn main() {
 
     // One verification run for the event tally and the report cross-check.
     let mut counter = CountingObserver::default();
-    let report = system.run_observed(&trace, opts, Some(&mut counter));
+    let outcome = checked.run_observed(&trace, opts, &mut counter);
     assert_eq!(
-        report.completed() as f64,
+        outcome.completed() as f64,
         served,
         "observer changes nothing"
     );

@@ -1,282 +1,23 @@
-//! The elastic fleet: a MoDM fleet whose node count is a control variable.
-//!
-//! [`ElasticFleet`] runs the serving engine — per-node [`ServingNode`]s
-//! behind a [`Router`], one shard per node — with the control plane
-//! switched on:
-//!
-//! * a **control tick** every `control_period` observes the last window
-//!   (arrival rate, queue depth, SLO violations) and asks the
-//!   [`Autoscaler`] whether to scale;
-//! * **scale-up** walks a spare node through `Provisioning → Warming →
-//!   Active`, paying the cold-start delays before it takes traffic;
-//! * **scale-down** removes a node from the router (draining nodes accept
-//!   nothing new), *hands its hottest cache entries to its ring
-//!   successors* — the shards that inherit its keyspace — lets it finish
-//!   its backlog, then decommissions it;
-//! * **crashes** from a seeded [`FaultInjector`] destroy a node's shard
-//!   and re-deliver its backlog to the survivors; recovery re-provisions
-//!   the node from cold.
-//!
-//! GPU-hours are metered per node from provisioning to release, so a run
-//! reports both *how well* it served (SLO attainment, hit rate) and *what
-//! it paid* — the autoscaling trade-off the `elastic` experiment plots.
-//!
-//! [`ServingNode`]: modm_core::node::ServingNode
-
-use std::fmt;
-
-use modm_core::config::MoDMConfig;
-use modm_core::events::Observer;
-use modm_fleet::{Router, RoutingPolicy};
-use modm_simkit::SimDuration;
-use modm_workload::Trace;
-
-use crate::autoscaler::Autoscaler;
-use crate::client::Clients;
-use crate::engine::ElasticRun;
-use crate::fault::FaultInjector;
-use crate::report::ElasticReport;
-
-/// RNG salt of elastic runs ("ELAS").
-pub(crate) const ELASTIC_SALT: u64 = 0x454C_4153;
-
-/// Why [`ElasticFleet::try_new`] rejected its configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum ElasticConfigError {
-    /// `min_nodes` was zero — the fleet needs at least one permanent node.
-    NoPermanentNodes,
-    /// The node bounds violated `min <= initial <= max`.
-    BadNodeBounds {
-        /// Configured floor.
-        min: usize,
-        /// Configured starting count.
-        initial: usize,
-        /// Configured ceiling.
-        max: usize,
-    },
-    /// The drain handoff fraction was outside `[0, 1]`.
-    HandoffFractionOutOfRange(f64),
-    /// The control period was zero.
-    ZeroControlPeriod,
-    /// The SLO multiple was not positive.
-    NonPositiveSloMultiple(f64),
-}
-
-impl fmt::Display for ElasticConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ElasticConfigError::NoPermanentNodes => {
-                write!(f, "need at least one permanent node")
-            }
-            ElasticConfigError::BadNodeBounds { min, initial, max } => {
-                write!(
-                    f,
-                    "need min <= initial <= max, got {min} <= {initial} <= {max}"
-                )
-            }
-            ElasticConfigError::HandoffFractionOutOfRange(v) => {
-                write!(f, "handoff fraction must be in [0, 1], got {v}")
-            }
-            ElasticConfigError::ZeroControlPeriod => write!(f, "control period must be positive"),
-            ElasticConfigError::NonPositiveSloMultiple(v) => {
-                write!(f, "SLO multiple must be positive, got {v}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ElasticConfigError {}
-
-/// Configuration of an [`ElasticFleet`].
-#[derive(Debug, Clone)]
-pub struct ElasticFleetConfig {
-    /// Per-node MoDM configuration (every node is homogeneous).
-    pub node_config: MoDMConfig,
-    /// Front-end routing policy.
-    pub policy: RoutingPolicy,
-    /// Nodes active (warm) at time zero.
-    pub initial_nodes: usize,
-    /// The control plane never drains below this many active nodes.
-    pub min_nodes: usize,
-    /// Node-id capacity: the control plane never provisions beyond this.
-    pub max_nodes: usize,
-    /// Control-plane observation/decision period.
-    pub control_period: SimDuration,
-    /// Cold-start: hardware request to model loading.
-    pub provision_delay: SimDuration,
-    /// Cold-start: model loading to serving.
-    pub warm_delay: SimDuration,
-    /// Fraction of a draining shard's residents migrated (hottest first)
-    /// to its ring successors; the cold remainder dies with the shard.
-    pub handoff_fraction: f64,
-    /// SLO multiple (× large-model latency) the run is judged against.
-    pub slo_multiple: f64,
-}
-
-impl ElasticFleetConfig {
-    /// A config with production-shaped defaults: 60 s control period,
-    /// 45 s + 30 s cold start, hottest-60% handoff, 2× SLO.
-    pub fn new(
-        node_config: MoDMConfig,
-        initial_nodes: usize,
-        min_nodes: usize,
-        max_nodes: usize,
-    ) -> Self {
-        ElasticFleetConfig {
-            node_config,
-            policy: RoutingPolicy::CacheAffinity,
-            initial_nodes,
-            min_nodes,
-            max_nodes,
-            control_period: SimDuration::from_secs_f64(60.0),
-            provision_delay: SimDuration::from_secs_f64(45.0),
-            warm_delay: SimDuration::from_secs_f64(30.0),
-            handoff_fraction: 0.6,
-            slo_multiple: 2.0,
-        }
-    }
-}
-
-/// A fleet driven through time by a control plane.
-///
-/// # Example
-///
-/// ```
-/// use modm_controlplane::{ElasticFleet, ElasticFleetConfig, HoldAutoscaler};
-/// use modm_core::MoDMConfig;
-/// use modm_cluster::GpuKind;
-/// use modm_workload::TraceBuilder;
-///
-/// let node = MoDMConfig::builder().gpus(GpuKind::Mi210, 2).cache_capacity(400).build();
-/// let fleet = ElasticFleet::new(ElasticFleetConfig::new(node, 4, 2, 8));
-/// let trace = TraceBuilder::diffusion_db(9).requests(150).rate_per_min(10.0).build();
-/// let report = fleet.run(&trace, &mut HoldAutoscaler);
-/// assert_eq!(report.completed, 150);
-/// assert!(report.gpu_hours > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ElasticFleet {
-    config: ElasticFleetConfig,
-}
-
-impl ElasticFleet {
-    /// Validates and wraps the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invariants [`ElasticFleet::try_new`] reports as
-    /// errors.
-    pub fn new(config: ElasticFleetConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(fleet) => fleet,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`ElasticFleet::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `1 <= min_nodes <= initial_nodes <=
-    /// max_nodes`, the handoff fraction is in `[0, 1]`, the control
-    /// period is non-zero, and the SLO multiple is positive.
-    pub fn try_new(config: ElasticFleetConfig) -> Result<Self, ElasticConfigError> {
-        if config.min_nodes < 1 {
-            return Err(ElasticConfigError::NoPermanentNodes);
-        }
-        if config.min_nodes > config.initial_nodes || config.initial_nodes > config.max_nodes {
-            return Err(ElasticConfigError::BadNodeBounds {
-                min: config.min_nodes,
-                initial: config.initial_nodes,
-                max: config.max_nodes,
-            });
-        }
-        if !(0.0..=1.0).contains(&config.handoff_fraction) {
-            return Err(ElasticConfigError::HandoffFractionOutOfRange(
-                config.handoff_fraction,
-            ));
-        }
-        if config.control_period.is_zero() {
-            return Err(ElasticConfigError::ZeroControlPeriod);
-        }
-        if config.slo_multiple <= 0.0 {
-            return Err(ElasticConfigError::NonPositiveSloMultiple(
-                config.slo_multiple,
-            ));
-        }
-        Ok(ElasticFleet { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ElasticFleetConfig {
-        &self.config
-    }
-
-    /// Serves `trace` under `scaler`, without failure injection.
-    pub fn run(&self, trace: &Trace, scaler: &mut dyn Autoscaler) -> ElasticReport {
-        self.run_with_faults(trace, scaler, &FaultInjector::none())
-    }
-
-    /// Serves `trace` under `scaler` with `faults` crashing nodes along
-    /// the way. Deterministic in (trace, config, scaler, faults).
-    pub fn run_with_faults(
-        &self,
-        trace: &Trace,
-        scaler: &mut dyn Autoscaler,
-        faults: &FaultInjector,
-    ) -> ElasticReport {
-        self.serve(trace, scaler, faults, None)
-    }
-
-    /// Serves `trace` under `scaler` and `faults` while streaming every
-    /// [`SimEvent`](modm_core::events::SimEvent) to `observer`: the
-    /// request-level stream the nodes emit *plus* the control-plane
-    /// transitions (scale-up/down, activation, decommission, crash,
-    /// recovery). Identical results to [`ElasticFleet::run_with_faults`]:
-    /// observation never perturbs the simulation.
-    pub fn run_observed(
-        &self,
-        trace: &Trace,
-        scaler: &mut dyn Autoscaler,
-        faults: &FaultInjector,
-        observer: &mut dyn Observer,
-    ) -> ElasticReport {
-        self.serve(trace, scaler, faults, Some(observer))
-    }
-
-    fn serve(
-        &self,
-        trace: &Trace,
-        scaler: &mut dyn Autoscaler,
-        faults: &FaultInjector,
-        obs: Option<&mut dyn Observer>,
-    ) -> ElasticReport {
-        scaler.reset();
-        let router = Router::new(self.config.policy, self.config.initial_nodes);
-        ElasticRun::one_region(
-            &self.config,
-            router,
-            trace,
-            0,
-            Clients::open_loop(),
-            ELASTIC_SALT,
-            scaler,
-            faults,
-            obs,
-        )
-        .execute()
-        .into_elastic_report()
-    }
-}
+//! Behaviour tests of the elastic tier: a MoDM fleet whose node count is
+//! a control variable, served by [`run_tier`](crate::run_tier) with the
+//! control plane switched on (scale-up through the cold start, drains
+//! with cache handoff, seeded crashes and recovery) and GPU-hours
+//! metered per node.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::autoscaler::{HoldAutoscaler, ScaleDecision, ScheduledAutoscaler};
-    use crate::report::FleetEventKind;
     use modm_cluster::GpuKind;
-    use modm_workload::TraceBuilder;
+    use modm_core::config::MoDMConfig;
+    use modm_fleet::Router;
+    use modm_workload::{Trace, TraceBuilder};
+
+    use crate::autoscaler::{Autoscaler, HoldAutoscaler, ScaleDecision, ScheduledAutoscaler};
+    use crate::client::Clients;
+    use crate::engine::ElasticRun;
+    use crate::fault::FaultInjector;
+    use crate::report::{ElasticReport, FleetEventKind};
+    use crate::tier::tests::elastic;
+    use crate::tier::{LifecyclePlan, ELASTIC_SALT};
 
     fn node_config() -> MoDMConfig {
         MoDMConfig::builder()
@@ -285,8 +26,15 @@ mod tests {
             .build()
     }
 
-    fn fleet(initial: usize, min: usize, max: usize) -> ElasticFleet {
-        ElasticFleet::new(ElasticFleetConfig::new(node_config(), initial, min, max))
+    /// A fault-free elastic fleet of 2-GPU nodes between `min` and `max`
+    /// nodes, starting at `initial`, under `scaler`.
+    fn run(
+        (initial, min, max): (usize, usize, usize),
+        trace: &Trace,
+        scaler: &mut dyn Autoscaler,
+    ) -> ElasticReport {
+        let plan = LifecyclePlan::new(initial, min, max);
+        elastic(&node_config(), plan, trace, scaler, &FaultInjector::none())
     }
 
     #[test]
@@ -303,11 +51,12 @@ mod tests {
             ..node_config()
         };
         for (node, backend) in [(node_config(), "flat"), (approx, "inverted")] {
-            let config = ElasticFleetConfig::new(node, 2, 1, 4);
+            let plan = LifecyclePlan::new(2, 1, 4);
             let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
-            let router = Router::new(config.policy, config.initial_nodes);
+            let router = Router::new(plan.policy, plan.initial_nodes);
             let run = ElasticRun::one_region(
-                &config,
+                &node,
+                &plan,
                 router,
                 &trace,
                 0,
@@ -320,7 +69,7 @@ mod tests {
             for shard in 0..run.cache().num_shards() {
                 assert_eq!(run.cache().shard(shard).index_backend(), backend);
             }
-            let report = ElasticFleet::new(config).run(&trace, &mut HoldAutoscaler);
+            let report = elastic(&node, plan, &trace, &mut HoldAutoscaler, &faults);
             assert_eq!(report.completed, 60, "{backend} shards serve everything");
         }
     }
@@ -331,7 +80,7 @@ mod tests {
             .requests(200)
             .rate_per_min(12.0)
             .build();
-        let report = fleet(4, 4, 4).run(&trace, &mut HoldAutoscaler);
+        let report = run((4, 4, 4), &trace, &mut HoldAutoscaler);
         assert_eq!(report.completed, 200);
         assert_eq!(report.hits + report.misses, 200);
         assert!(report.events.is_empty(), "static fleet never scales");
@@ -352,7 +101,7 @@ mod tests {
             ScaleDecision::Hold,
             ScaleDecision::Down(1),
         ]);
-        let report = fleet(4, 2, 8).run(&trace, &mut plan);
+        let report = run((4, 2, 8), &trace, &mut plan);
         assert_eq!(report.completed, 500, "scaling never loses a request");
         let ups = report
             .events
@@ -401,16 +150,16 @@ mod tests {
             .requests(400)
             .rate_per_min(14.0)
             .build();
-        let run = || {
+        let scripted = || {
             let mut plan = ScheduledAutoscaler::new(vec![
                 ScaleDecision::Up(1),
                 ScaleDecision::Hold,
                 ScaleDecision::Down(1),
             ]);
-            fleet(3, 2, 6).run(&trace, &mut plan)
+            run((3, 2, 6), &trace, &mut plan)
         };
-        let a = run();
-        let b = run();
+        let a = scripted();
+        let b = scripted();
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.routed_per_node, b.routed_per_node);
@@ -436,7 +185,7 @@ mod tests {
             ScaleDecision::Down(1),
             ScaleDecision::Down(1),
         ]);
-        let report = fleet(5, 2, 5).run(&trace, &mut plan);
+        let report = run((5, 2, 5), &trace, &mut plan);
         assert_eq!(report.completed, 600);
         let drains = report
             .events
@@ -457,7 +206,13 @@ mod tests {
             .rate_per_min(20.0)
             .build();
         let faults = FaultInjector::seeded(5, 8.0, 1, 4.0);
-        let report = fleet(4, 2, 6).run_with_faults(&trace, &mut HoldAutoscaler, &faults);
+        let report = elastic(
+            &node_config(),
+            LifecyclePlan::new(4, 2, 6),
+            &trace,
+            &mut HoldAutoscaler,
+            &faults,
+        );
         assert_eq!(report.completed, 700, "crashed work is re-served");
         let crash = report
             .find_event(|k| matches!(k, FleetEventKind::Crash { .. }))

@@ -1,9 +1,8 @@
 //! The serving engine: the one discrete-event loop behind every tier.
 //!
-//! [`ElasticFleet`](crate::ElasticFleet), [`Fleet`](crate::Fleet),
-//! [`ServingSystem`](crate::ServingSystem) and
-//! [`run_regions`](crate::run_regions) (the scenario tier's entry) are
-//! thin entry points over [`ElasticRun`]: per-node [`ServingNode`]s,
+//! [`run_tier`](crate::run_tier) (the single, fleet and elastic tiers)
+//! and [`run_regions`](crate::run_regions) (the scenario tier) are thin
+//! entry points over [`ElasticRun`]: per-node [`ServingNode`]s,
 //! one cache shard per node, arrivals, worker completions and monitor
 //! ticks interleaved on one virtual clock, and a control tick that asks
 //! an [`Autoscaler`] whether to change the node count. Three pieces of
@@ -26,12 +25,12 @@
 //! ties on the clock break in scheduling order, so the extra ticks leave
 //! every other event where it was.
 //!
-//! Each entry point salts the run's RNG with its own constant, which
-//! keeps every tier's results seed-for-seed stable.
+//! Each tier salts the run's RNG with its own constant, which keeps
+//! every tier's results seed-for-seed stable.
 
 use std::collections::BTreeMap;
 
-use modm_core::config::AdmissionPolicy;
+use modm_core::config::{AdmissionPolicy, MoDMConfig};
 use modm_core::events::{emit, Obs, SimEvent};
 use modm_core::node::{render_completion, EnqueueOutcome, NodeInFlight, ServingNode};
 use modm_core::report::{fold_terminals, FleetViews, Outcome, Terminal, TerminalKind, TerminalLog};
@@ -46,13 +45,13 @@ use modm_workload::{Request, Trace};
 
 use crate::autoscaler::{Autoscaler, ScaleDecision, ScalerObservation};
 use crate::client::Clients;
-use crate::elastic::ElasticFleetConfig;
 use crate::fault::FaultInjector;
 use crate::lifecycle::{NodeLifecycle, NodeState};
 use crate::region::RegionLifecycle;
 use crate::report::{
     ElasticReport, FleetEvent, FleetEventKind, NodeReport, RegionSlice, RetryStats, WindowSample,
 };
+use crate::tier::LifecyclePlan;
 
 /// Closed-loop backlog depth per worker under saturation.
 const SATURATION_BACKLOG_PER_WORKER: usize = 2;
@@ -126,7 +125,8 @@ struct Region {
 
 /// One run of the serving engine.
 pub(crate) struct ElasticRun<'a, 'o> {
-    config: &'a ElasticFleetConfig,
+    node_config: &'a MoDMConfig,
+    plan: &'a LifecyclePlan,
     scaler: &'a mut dyn Autoscaler,
     faults: &'a FaultInjector,
     /// The serving phase: the trace past its warmup.
@@ -185,7 +185,7 @@ pub(crate) struct ElasticRun<'a, 'o> {
 impl<'a, 'o> ElasticRun<'a, 'o> {
     /// Sets up a run of `config` over one region per router in
     /// `routers` (`geo` picks the region; each region owns an equal share
-    /// of `config.max_nodes`), drawing from `rng`. The first `warmup`
+    /// of `plan.max_nodes`), drawing from `rng`. The first `warmup`
     /// requests pre-fill the shards off-line; `clients` offer the rest.
     ///
     /// # Panics
@@ -193,7 +193,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// Panics if `warmup > trace.len()`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        config: &'a ElasticFleetConfig,
+        node_config: &'a MoDMConfig,
+        plan: &'a LifecyclePlan,
         geo: GeoRouter,
         mut routers: Vec<Router>,
         trace: &'a Trace,
@@ -205,12 +206,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         obs: Obs<'o, 'o>,
     ) -> Self {
         debug_assert_eq!(routers.len(), geo.regions(), "one router per region");
-        let node_config = &config.node_config;
         let space = SemanticSpace::default();
         let encoder = TextEncoder::new(space.clone());
         let quality_model = QualityModel::new(space, node_config.seed, trace.dataset().fid_floor());
         let sampler = Sampler::new(quality_model);
-        let region_size = config.max_nodes / routers.len();
+        let region_size = plan.max_nodes / routers.len();
         let mut caches: Vec<ShardedCache> = routers
             .iter()
             .map(|_| ShardedCache::new(region_size, node_config.cache_config()))
@@ -232,11 +232,11 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let requests = &trace.requests()[warmup..];
         let base = requests.first().map_or(SimTime::ZERO, |r| r.arrival);
 
-        let mut nodes: Vec<Option<ServingNode>> = (0..config.max_nodes).map(|_| None).collect();
-        let mut lifecycle = Vec::with_capacity(config.max_nodes);
-        let mut gpu_since = vec![None; config.max_nodes];
-        for id in 0..config.max_nodes {
-            if id < config.initial_nodes {
+        let mut nodes: Vec<Option<ServingNode>> = (0..plan.max_nodes).map(|_| None).collect();
+        let mut lifecycle = Vec::with_capacity(plan.max_nodes);
+        let mut gpu_since = vec![None; plan.max_nodes];
+        for id in 0..plan.max_nodes {
+            if id < plan.initial_nodes {
                 nodes[id] = Some(ServingNode::new(node_config, id));
                 lifecycle.push(NodeLifecycle::new(NodeState::Active, SimTime::ZERO));
                 gpu_since[id] = Some(SimTime::ZERO);
@@ -248,7 +248,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         let mut events = EventQueue::with_capacity(requests.len() + 64);
         match &mut clients {
             Clients::Saturated { next } => {
-                let workers = config.initial_nodes * node_config.num_gpus;
+                let workers = plan.initial_nodes * node_config.num_gpus;
                 *next = (workers * SATURATION_BACKLOG_PER_WORKER).min(requests.len());
                 for i in 0..*next {
                     events.schedule(SimTime::ZERO, Event::Arrival(i));
@@ -263,13 +263,13 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 }
             }
         }
-        for id in 0..config.initial_nodes {
+        for id in 0..plan.initial_nodes {
             events.schedule(
                 SimTime::ZERO + node_config.monitor_period,
                 Event::MonitorTick { node: id, epoch: 0 },
             );
         }
-        events.schedule(SimTime::ZERO + config.control_period, Event::ControlTick);
+        events.schedule(SimTime::ZERO + plan.control_period, Event::ControlTick);
         for (k, &at) in faults.crash_times().iter().enumerate() {
             events.schedule(at, Event::Crash(k));
         }
@@ -285,7 +285,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             .collect();
         let slo = SloThresholds::for_deployment(node_config.gpu, node_config.large_model);
         ElasticRun {
-            config,
+            node_config,
+            plan,
             scaler,
             faults,
             requests,
@@ -300,7 +301,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             loads: vec![0.0; region_size],
             nodes,
             lifecycle,
-            epoch: vec![0; config.max_nodes],
+            epoch: vec![0; plan.max_nodes],
             events,
             timeline: Vec::new(),
             parked: Vec::new(),
@@ -310,12 +311,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             retried: BTreeMap::new(),
             stats: RetryStats::default(),
             terminals: TerminalLog::with_capacity(requests.len()),
-            slo_bound_secs: slo.bound_secs(config.slo_multiple),
+            slo_bound_secs: slo.bound_secs(plan.slo_multiple),
             slo,
             win_arrivals: 0,
             win_from: 0,
             gpu_since,
-            gpu_secs: vec![0.0; config.max_nodes],
+            gpu_secs: vec![0.0; plan.max_nodes],
             log: Vec::new(),
             windows: Vec::new(),
             obs,
@@ -326,7 +327,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// from `router`, whose RNG stream is salted by `salt`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn one_region(
-        config: &'a ElasticFleetConfig,
+        node_config: &'a MoDMConfig,
+        plan: &'a LifecyclePlan,
         router: Router,
         trace: &'a Trace,
         warmup: usize,
@@ -337,13 +339,14 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         obs: Obs<'o, 'o>,
     ) -> Self {
         Self::new(
-            config,
+            node_config,
+            plan,
             GeoRouter::new(1, SimDuration::ZERO),
             vec![router],
             trace,
             warmup,
             clients,
-            SimRng::seed_from(config.node_config.seed ^ salt),
+            SimRng::seed_from(node_config.seed ^ salt),
             scaler,
             faults,
             obs,
@@ -419,7 +422,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     if self.epoch[node] != epoch || self.nodes[node].is_none() {
                         continue;
                     }
-                    let period = self.config.node_config.monitor_period;
+                    let period = self.node_config.monitor_period;
                     self.nodes[node].as_mut().unwrap().monitor_tick(now, period);
                     let busy = self.nodes[node].as_ref().unwrap().busy();
                     // Keep ticking while this node may still see work: any
@@ -437,7 +440,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     }
                     self.transition(node, NodeState::Warming, now);
                     self.events
-                        .schedule(now + self.config.warm_delay, Event::Warmed { node, epoch });
+                        .schedule(now + self.plan.warm_delay, Event::Warmed { node, epoch });
                 }
                 Event::Warmed { node, epoch } => {
                     if self.epoch[node] != epoch {
@@ -469,7 +472,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             }
         }
         let end = self.terminals.finished_at();
-        for node in 0..self.config.max_nodes {
+        for node in 0..self.plan.max_nodes {
             self.end_gpu(node, end);
         }
         assert_eq!(
@@ -559,7 +562,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             self.lifecycle[node_idx].state()
         );
         let shard = cache.shard_mut(local);
-        let shift = self.config.node_config.threshold_shift;
+        let shift = self.node_config.threshold_shift;
         let outcome = self.nodes[node_idx]
             .as_mut()
             .expect("active node exists")
@@ -640,7 +643,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         node.record_completion(now, &inflight.routed, &image, self.obs.as_deref_mut());
         let served = Terminal::routed(&inflight.routed, node_idx, now, TerminalKind::Served);
         self.terminals.push(inflight.routed.request_id, served);
-        let admit = match self.config.node_config.admission {
+        let admit = match self.node_config.admission {
             AdmissionPolicy::CacheAll => true,
             AdmissionPolicy::CacheLarge => image.is_full_generation(),
         };
@@ -728,8 +731,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
         self.win_from = self.terminals.len();
         let obs = ScalerObservation {
-            arrival_rate_per_min: self.win_arrivals as f64
-                / self.config.control_period.as_mins_f64(),
+            arrival_rate_per_min: self.win_arrivals as f64 / self.plan.control_period.as_mins_f64(),
             queue_depth_per_node: mean_queue,
             slo_violation_rate: if completions == 0 {
                 0.0
@@ -737,8 +739,8 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                 violations as f64 / completions as f64
             },
             active_nodes: active.len(),
-            min_nodes: self.config.min_nodes,
-            max_nodes: self.config.max_nodes,
+            min_nodes: self.plan.min_nodes,
+            max_nodes: self.plan.max_nodes,
         };
         let decision = self.scaler.decide(&obs);
         self.windows.push(WindowSample {
@@ -759,12 +761,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
         if self.work_pending() || self.any_node_busy() {
             self.events
-                .schedule(now + self.config.control_period, Event::ControlTick);
+                .schedule(now + self.plan.control_period, Event::ControlTick);
         }
     }
 
     fn active_nodes(&self) -> Vec<usize> {
-        (0..self.config.max_nodes)
+        (0..self.plan.max_nodes)
             .filter(|&id| self.lifecycle[id].state() == NodeState::Active)
             .collect()
     }
@@ -776,7 +778,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     fn scale_up(&mut self, now: SimTime, n: usize) {
         for _ in 0..n {
             // Committed capacity: everything on its way to (or at) Active.
-            let committed = (0..self.config.max_nodes)
+            let committed = (0..self.plan.max_nodes)
                 .filter(|&id| {
                     matches!(
                         self.lifecycle[id].state(),
@@ -784,12 +786,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     )
                 })
                 .count();
-            if committed >= self.config.max_nodes {
+            if committed >= self.plan.max_nodes {
                 break;
             }
             // Lowest decommissioned id becomes the new node (failed nodes
             // recover on their own schedule).
-            let Some(spare) = (0..self.config.max_nodes)
+            let Some(spare) = (0..self.plan.max_nodes)
                 .find(|&id| self.lifecycle[id].state() == NodeState::Decommissioned)
             else {
                 break;
@@ -810,7 +812,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         self.transition(node, NodeState::Provisioning, now);
         self.gpu_since[node] = Some(now);
         self.events.schedule(
-            now + self.config.provision_delay,
+            now + self.plan.provision_delay,
             Event::Provisioned {
                 node,
                 epoch: self.epoch[node],
@@ -826,12 +828,12 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// donors' other entries keep their hotness bookkeeping untouched.
     fn activate(&mut self, now: SimTime, node: usize, epoch: u64) {
         self.transition(node, NodeState::Active, now);
-        self.nodes[node] = Some(ServingNode::new(&self.config.node_config, node));
+        self.nodes[node] = Some(ServingNode::new(self.node_config, node));
         let (region, local) = self.locate(node);
         region.router.add_node(local);
         let prewarmed = region.cache.pull_routed(now, local, &mut region.router);
         self.events.schedule(
-            now + self.config.node_config.monitor_period,
+            now + self.node_config.monitor_period,
             Event::MonitorTick { node, epoch },
         );
         self.log.push(FleetEvent {
@@ -847,7 +849,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     fn scale_down(&mut self, now: SimTime, n: usize) {
         for _ in 0..n {
             let active = self.active_nodes();
-            if active.len() <= self.config.min_nodes {
+            if active.len() <= self.plan.min_nodes {
                 break;
             }
             // Drain the least-loaded active node (cheapest to finish);
@@ -861,7 +863,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
                     la.partial_cmp(&lb).expect("finite loads")
                 })
                 .expect("non-empty active set");
-            let fraction = self.config.handoff_fraction;
+            let fraction = self.plan.handoff_fraction;
             let (region, local) = self.locate(victim);
             region.router.remove_node(local);
             // Cache handoff: the hottest entries follow their keyspace to
@@ -974,7 +976,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
     /// are validated before the run, so these rewrites cannot fail.
     fn apply_policy(&mut self, policy: &TenancyPolicy) {
         let reserves = policy.cache_reserves();
-        let capacity = self.config.node_config.cache_capacity;
+        let capacity = self.node_config.cache_capacity;
         let nodes = self.nodes.chunks_mut(self.region_size);
         for (region, nodes) in self.regions.iter_mut().zip(nodes) {
             if !region.lifecycle.is_alive() {
@@ -1015,7 +1017,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         }
         for local in 0..self.region_size {
             let shard = self.regions[region].cache.shard_mut(local);
-            let keep = (shard.len() as f64 * self.config.handoff_fraction).ceil() as usize;
+            let keep = (shard.len() as f64 * self.plan.handoff_fraction).ceil() as usize;
             let exported = shard.export_hottest(keep);
             shard.clear();
             for (tenant, image) in exported {
@@ -1056,7 +1058,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
         drop(std::mem::take(&mut self.events));
         drop(std::mem::take(&mut self.parked));
         let gpu_hours =
-            self.gpu_secs.iter().sum::<f64>() * self.config.node_config.num_gpus as f64 / 3600.0;
+            self.gpu_secs.iter().sum::<f64>() * self.node_config.num_gpus as f64 / 3600.0;
         let routed_per_node = self.routed_per_node();
         let finished_at = self.terminals.finished_at();
         // A node's serving report covers the whole run only if the node
@@ -1079,7 +1081,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             Vec::new()
         };
         let mut fleet = FleetViews {
-            nodes: vec![(0, 0); self.config.max_nodes],
+            nodes: vec![(0, 0); self.plan.max_nodes],
             ..FleetViews::default()
         };
         fold_terminals(&self.terminals, Some(&mut fleet), &mut reports);
@@ -1132,7 +1134,7 @@ impl<'a, 'o> ElasticRun<'a, 'o> {
             routed_per_node,
             latency: fleet.latency,
             slo: self.slo,
-            slo_multiple: self.config.slo_multiple,
+            slo_multiple: self.plan.slo_multiple,
             gpu_hours,
             events: self.log,
             windows: self.windows,
@@ -1152,13 +1154,13 @@ mod tests {
     use modm_core::report::TenantSlice;
     use modm_fleet::RoutingPolicy;
     use modm_metrics::LatencyReport;
-    use modm_workload::{QosClass, TenantId, TenantMix, TraceBuilder};
+    use modm_workload::{QosClass, TenantId, TenantMix, Trace, TraceBuilder};
 
     use super::*;
     use crate::autoscaler::HoldAutoscaler;
     use crate::client::RetryPolicy;
-    use crate::elastic::{ElasticFleet, ELASTIC_SALT};
-    use crate::fleet::Fleet;
+    use crate::tier::tests::elastic;
+    use crate::tier::{run_salted, ELASTIC_SALT};
 
     /// A 4-GPU node whose tenancy policy both refuses (token buckets)
     /// and sheds (a tight queue-time budget).
@@ -1198,16 +1200,17 @@ mod tests {
             .cache_capacity(100)
             .tenancy(TenancyPolicy::fifo().with_rate_limit(TenantId(2), 0.01, 1.0))
             .build();
-        let config = ElasticFleetConfig::new(node, 1, 1, 1);
+        let plan = LifecyclePlan::new(1, 1, 1);
         let trace = TraceBuilder::diffusion_db(5).requests(40).build();
         let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
         let options = RunOptions {
             warmup: 30,
             saturate: false,
         };
-        let router = Router::new(config.policy, 1);
+        let router = Router::new(plan.policy, 1);
         let mut run = ElasticRun::one_region(
-            &config,
+            &node,
+            &plan,
             router,
             &trace,
             options.warmup,
@@ -1231,18 +1234,18 @@ mod tests {
             qos: QosClass::Standard,
             prompt_embedding: embedding.clone(),
         };
-        let node = |run: &ElasticRun| {
+        let counts = |run: &ElasticRun| {
             let node = run.nodes[0].as_ref().expect("node 0 is active");
             (run.cache().shard(0).stats().hits(), node.rejected())
         };
 
         let admitted = run.place(SimTime::from_secs_f64(60.0), 0, offer(1_000), 0);
         assert_eq!(admitted, Some(0));
-        assert_eq!(node(&run), (1, 0), "the admitted offer hits");
+        assert_eq!(counts(&run), (1, 0), "the admitted offer hits");
         let before = probe_state(run.cache().shard(0));
         let refused = run.place(SimTime::from_secs_f64(120.0), 0, offer(1_001), 0);
         assert_eq!(refused, None);
-        assert_eq!(node(&run), (1, 1), "the second offer is refused");
+        assert_eq!(counts(&run), (1, 1), "the second offer is refused");
         assert_eq!(probe_state(run.cache().shard(0)), before);
     }
 
@@ -1261,12 +1264,13 @@ mod tests {
             ..plain()
         };
         for (node, backend) in [(plain(), "flat"), (approx, "inverted")] {
-            let config = ElasticFleetConfig::new(node, 4, 4, 4);
+            let plan = LifecyclePlan::new(4, 4, 4);
             let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
             let run = ElasticRun::new(
-                &config,
+                &node,
+                &plan,
                 GeoRouter::new(2, SimDuration::ZERO),
-                vec![Router::new(config.policy, 2); 2],
+                vec![Router::new(plan.policy, 2); 2],
                 &trace,
                 0,
                 Clients::open_loop(),
@@ -1297,7 +1301,7 @@ mod tests {
             .gpus(GpuKind::Mi210, 1)
             .cache_capacity(50)
             .build();
-        let config = ElasticFleetConfig::new(node, 2, 2, 2);
+        let plan = LifecyclePlan::new(2, 2, 2);
         let trace = TraceBuilder::diffusion_db(5).requests(10).build();
         let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
         let clients = Clients::Retrying {
@@ -1305,9 +1309,10 @@ mod tests {
             jitter: SimRng::seed_from(2),
         };
         let mut run = ElasticRun::new(
-            &config,
+            &node,
+            &plan,
             GeoRouter::new(2, SimDuration::from_secs_f64(0.2)),
-            vec![Router::new(config.policy, 1); 2],
+            vec![Router::new(plan.policy, 1); 2],
             &trace,
             0,
             clients,
@@ -1353,32 +1358,73 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn fixed_fleet_and_holding_elastic_fleet_agree() {
-        // The cross-view oracle: one static configuration, one salt, run
-        // once through the fixed fleet's constructor (its router template)
-        // and once through the elastic fleet's (a router built from the
-        // policy) must report the same run.
-        const NODES: usize = 3;
-        let trace = TraceBuilder::diffusion_db(77)
-            .requests(400)
+    /// A fixed fleet of `router.nodes()` `node` nodes, its RNG salted by
+    /// `salt`.
+    fn fixed(
+        node: &MoDMConfig,
+        router: Router,
+        trace: &Trace,
+        options: RunOptions,
+        salt: u64,
+    ) -> ElasticReport {
+        let n = router.nodes();
+        let plan = LifecyclePlan {
+            policy: router.policy(),
+            ..LifecyclePlan::new(n, n, n)
+        };
+        let faults = FaultInjector::none();
+        run_salted(
+            node,
+            &plan,
+            router,
+            trace,
+            options,
+            salt,
+            &mut HoldAutoscaler,
+            &faults,
+            None,
+        )
+    }
+
+    /// The two-tenant trace `overloaded_node` refuses and sheds from.
+    fn two_tenant_trace(seed: u64, requests: usize) -> Trace {
+        TraceBuilder::diffusion_db(seed)
+            .requests(requests)
             .tenants(vec![
                 TenantMix::new(TenantId(1), QosClass::Interactive, 6.0),
                 TenantMix::new(TenantId(2), QosClass::BestEffort, 16.0),
             ])
-            .build();
+            .build()
+    }
+
+    #[test]
+    fn fixed_fleet_and_holding_elastic_fleet_agree() {
+        // The cross-view oracle: one static configuration, one salt, run
+        // once as a fixed fleet (its plan taken from its router) and once
+        // as an elastic fleet (a router built from its plan) must report
+        // the same run.
+        const NODES: usize = 3;
+        let trace = two_tenant_trace(77, 400);
         let policy = RoutingPolicy::HybridAffinity;
-        let fleet = Fleet::new(overloaded_node(), Router::new(policy, NODES)).serve(
+        let fleet = fixed(
+            &overloaded_node(),
+            Router::new(policy, NODES),
             &trace,
             RunOptions::default(),
             ELASTIC_SALT,
-            None,
         );
-        let elastic = ElasticFleet::new(ElasticFleetConfig {
+        let plan = LifecyclePlan {
             policy,
-            ..ElasticFleetConfig::new(overloaded_node(), NODES, NODES, NODES)
-        })
-        .run(&trace, &mut HoldAutoscaler);
+            ..LifecyclePlan::new(NODES, NODES, NODES)
+        };
+        let faults = FaultInjector::none();
+        let elastic = elastic(
+            &overloaded_node(),
+            plan,
+            &trace,
+            &mut HoldAutoscaler,
+            &faults,
+        );
 
         assert!(elastic.rejected > 0, "token buckets must refuse");
         assert!(elastic.shed > 0, "the queue budget must shed");
@@ -1401,19 +1447,49 @@ mod tests {
     }
 
     #[test]
+    fn one_node_fleet_is_the_single_node_under_every_policy() {
+        // A tier reduction: under one salt, a fixed fleet of one node is
+        // the single tier (one node behind a one-node round-robin router)
+        // whatever its router's policy, in the open loop and under
+        // warm-up plus saturation.
+        let trace = two_tenant_trace(76, 300);
+        for options in [RunOptions::default(), RunOptions::saturated(60)] {
+            let single = Router::new(RoutingPolicy::RoundRobin, 1);
+            let single = fixed(&overloaded_node(), single, &trace, options, ELASTIC_SALT);
+            assert!(single.rejected > 0, "token buckets must refuse");
+            assert!(single.shed > 0, "the queue budget must shed");
+            for policy in [
+                RoutingPolicy::RoundRobin,
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::CacheAffinity,
+                RoutingPolicy::HybridAffinity,
+            ] {
+                let router = Router::new(policy, 1);
+                let fleet = fixed(&overloaded_node(), router, &trace, options, ELASTIC_SALT);
+                assert_eq!(
+                    format!("{fleet:?}"),
+                    format!("{single:?}"),
+                    "{policy:?}, {options:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn holding_elastic_fleet_reports_one_region_slice_and_its_retries() {
         // A one-region run carries one slice, and it covers the whole
         // run; open-loop clients abandon every refusal on the spot, and
         // every offer reached a node.
-        let trace = TraceBuilder::diffusion_db(79)
-            .requests(300)
-            .tenants(vec![
-                TenantMix::new(TenantId(1), QosClass::Interactive, 6.0),
-                TenantMix::new(TenantId(2), QosClass::BestEffort, 16.0),
-            ])
-            .build();
-        let report = ElasticFleet::new(ElasticFleetConfig::new(overloaded_node(), 2, 2, 2))
-            .run(&trace, &mut HoldAutoscaler);
+        let trace = two_tenant_trace(79, 300);
+        let plan = LifecyclePlan::new(2, 2, 2);
+        let faults = FaultInjector::none();
+        let report = elastic(
+            &overloaded_node(),
+            plan,
+            &trace,
+            &mut HoldAutoscaler,
+            &faults,
+        );
 
         assert!(report.rejected > 0, "token buckets must refuse");
         assert_eq!(report.regions.len(), 1);
@@ -1458,22 +1534,20 @@ mod tests {
             ])
             .build();
         let policy = RoutingPolicy::CacheAffinity;
-        let mut fleet = Fleet::new(node.clone(), Router::new(policy, NODES)).serve(
-            &trace,
-            RunOptions::default(),
-            ELASTIC_SALT,
-            None,
-        );
-        let config = ElasticFleetConfig::new(node, 2 * NODES, 2 * NODES, 2 * NODES);
+        let router = Router::new(policy, NODES);
+        let options = RunOptions::default();
+        let mut fleet = fixed(&node, router, &trace, options, ELASTIC_SALT);
+        let plan = LifecyclePlan::new(2 * NODES, 2 * NODES, 2 * NODES);
         let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
         let mut regions = ElasticRun::new(
-            &config,
+            &node,
+            &plan,
             GeoRouter::new(2, SimDuration::from_secs_f64(0.2)),
             vec![Router::new(policy, NODES); 2],
             &trace,
             0,
             Clients::open_loop(),
-            SimRng::seed_from(config.node_config.seed ^ ELASTIC_SALT),
+            SimRng::seed_from(node.seed ^ ELASTIC_SALT),
             &mut scaler,
             &faults,
             None,

@@ -13,6 +13,7 @@
 //! clients that retry under a [`RetryPolicy`] and a control timeline —
 //! the scenario tier.
 
+use modm_core::config::MoDMConfig;
 use modm_core::events::Observer;
 use modm_fleet::{GeoRouter, Router};
 use modm_simkit::{SimRng, SimTime};
@@ -20,23 +21,23 @@ use modm_workload::Trace;
 
 use crate::autoscaler::HoldAutoscaler;
 use crate::client::{Clients, RetryPolicy};
-use crate::elastic::ElasticFleetConfig;
 use crate::engine::{ControlAction, ElasticRun};
 use crate::fault::FaultInjector;
 use crate::report::ElasticReport;
+use crate::tier::LifecyclePlan;
 
 /// Salt of the retrying clients' jitter stream ("JITT"), forked off the
 /// run's stream before anything else draws from it.
 const JITTER_SALT: u64 = 0x4A49_5454;
 
-/// Serves `trace` on `geo.regions()` regions of `config.max_nodes /
-/// geo.regions()` nodes each, every region routed by its own
-/// `config.policy` router over its own cache shards, under a holding
+/// Serves `trace` on `geo.regions()` regions of `plan.max_nodes /
+/// geo.regions()` `config` nodes each, every region routed by its own
+/// `plan.policy` router over its own cache shards, under a holding
 /// control plane with no faults. Clients retry refusals under `retry`,
 /// and `timeline`'s actions fire at their times: a policy rewrite
 /// reaches every live node and shard, and a region loss redelivers its
 /// backlog after one `geo` round trip and hands the hottest
-/// `config.handoff_fraction` of each lost shard to the survivors. The
+/// `plan.handoff_fraction` of each lost shard to the survivors. The
 /// run's RNG is salted by `salt`. Observation never perturbs the run.
 ///
 /// # Panics
@@ -44,8 +45,10 @@ const JITTER_SALT: u64 = 0x4A49_5454;
 /// Panics unless the timeline's policies validate against the node
 /// config and its region losses are legal for `geo`, or if the run
 /// breaks request conservation.
+#[allow(clippy::too_many_arguments)]
 pub fn run_regions(
-    config: &ElasticFleetConfig,
+    config: &MoDMConfig,
+    plan: &LifecyclePlan,
     geo: GeoRouter,
     trace: &Trace,
     retry: RetryPolicy,
@@ -53,10 +56,10 @@ pub fn run_regions(
     salt: u64,
     observer: Option<&mut dyn Observer>,
 ) -> ElasticReport {
-    let mut rng = SimRng::seed_from(config.node_config.seed ^ salt);
+    let mut rng = SimRng::seed_from(config.seed ^ salt);
     let jitter = rng.fork(JITTER_SALT);
     let routers = (0..geo.regions())
-        .map(|_| Router::new(config.policy, config.max_nodes / geo.regions()))
+        .map(|_| Router::new(plan.policy, plan.max_nodes / geo.regions()))
         .collect();
     let clients = Clients::Retrying {
         policy: retry,
@@ -65,6 +68,7 @@ pub fn run_regions(
     let (mut scaler, faults) = (HoldAutoscaler, FaultInjector::none());
     ElasticRun::new(
         config,
+        plan,
         geo,
         routers,
         trace,

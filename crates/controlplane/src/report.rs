@@ -158,8 +158,8 @@ pub struct NodeReport {
 }
 
 /// Everything measured during an engine run, on every tier: a
-/// [`crate::ServingSystem`], [`crate::Fleet`] or [`crate::ElasticFleet`]
-/// run, or a multi-region [`crate::run_regions`] run.
+/// single-node, fixed-fleet or elastic [`crate::run_tier`] run, or a
+/// multi-region [`crate::run_regions`] run.
 ///
 /// The fleet-wide counters (`completed`, `hits`, `misses`, `rejected`,
 /// `shed` and the tenant slices) are folded from the run's terminal log,

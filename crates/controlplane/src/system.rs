@@ -1,134 +1,33 @@
-//! The single-node MoDM serving system — the paper's deployment: one
+//! Behaviour tests of the single-node tier: the paper's deployment (one
 //! scheduler, one global monitor, one pool of GPU workers and one image
-//! cache.
-//!
-//! It runs as a fleet of one. Behind a one-node router every request
-//! reaches node 0, whose shard is the whole cache, so the serving
-//! engine's loop (arrivals, worker completions, monitor ticks) over a
-//! one-node [`Fleet`] is exactly the single-node loop. Workers are never preempted; the monitor's
-//! re-allocation takes effect as workers become idle, paying the
-//! model-load latency on switches — the same dynamics that make Fig 10's
-//! regime transitions gradual rather than instantaneous.
-
-use modm_core::config::{MoDMConfig, RunOptions};
-use modm_core::events::Observer;
-use modm_core::report::ServingReport;
-use modm_fleet::{Router, RoutingPolicy};
-use modm_workload::Trace;
-
-use crate::fleet::Fleet;
-use crate::report::ElasticReport;
-
-/// RNG salt of single-node runs ("RUN"). The fleet and elastic tiers
-/// salt their runs differently; keeping each is what keeps each tier's
-/// results seed-for-seed stable.
-const SINGLE_SALT: u64 = 0x52_554E;
-
-/// The MoDM serving system on one node.
-///
-/// Construct once from a [`MoDMConfig`]; each [`ServingSystem::run`]
-/// builds fresh state (cache, workers, RNG) so runs are independent and
-/// deterministic.
-///
-/// # Example
-///
-/// ```
-/// use modm_controlplane::ServingSystem;
-/// use modm_core::MoDMConfig;
-/// use modm_cluster::GpuKind;
-/// use modm_workload::TraceBuilder;
-///
-/// let trace = TraceBuilder::diffusion_db(42).requests(60).rate_per_min(12.0).build();
-/// let config = MoDMConfig::builder()
-///     .gpus(GpuKind::Mi210, 8)
-///     .cache_capacity(500)
-///     .build();
-/// let report = ServingSystem::new(config).run(&trace);
-/// assert_eq!(report.completed(), 60);
-/// assert!(report.hit_rate() > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ServingSystem {
-    fleet: Fleet,
-}
-
-impl ServingSystem {
-    /// Creates a system with the given configuration.
-    pub fn new(config: MoDMConfig) -> Self {
-        ServingSystem {
-            fleet: Fleet::new(config, Router::new(RoutingPolicy::RoundRobin, 1)),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MoDMConfig {
-        self.fleet.node_config()
-    }
-
-    /// Serves the trace with default options.
-    pub fn run(&self, trace: &Trace) -> ServingReport {
-        self.run_with(trace, RunOptions::default())
-    }
-
-    /// Serves the trace with explicit options, unobserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.warmup >= trace.len()`.
-    pub fn run_with(&self, trace: &Trace, options: RunOptions) -> ServingReport {
-        self.run_observed(trace, options, None)
-    }
-
-    /// Serves the trace while streaming every
-    /// [`SimEvent`](modm_core::events::SimEvent) (admissions, cache
-    /// decisions, dispatches, completions) to `observer`, if one is
-    /// attached. Observation never perturbs the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.warmup >= trace.len()`.
-    pub fn run_observed(
-        &self,
-        trace: &Trace,
-        options: RunOptions,
-        observer: Option<&mut dyn Observer>,
-    ) -> ServingReport {
-        let mut report = self.run_engine(trace, options, observer);
-        report.nodes.pop().expect("a fleet of one").report
-    }
-
-    /// Serves the trace like [`ServingSystem::run_observed`] and returns
-    /// the engine's whole report: counters taken as each request reaches
-    /// its terminal, GPU-hours metered on the node, and the node's
-    /// [`ServingReport`] as `nodes[0].report`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.warmup >= trace.len()`.
-    pub fn run_engine(
-        &self,
-        trace: &Trace,
-        options: RunOptions,
-        observer: Option<&mut dyn Observer>,
-    ) -> ElasticReport {
-        self.fleet.serve(trace, options, SINGLE_SALT, observer)
-    }
-}
+//! cache), served by [`run_tier`](crate::run_tier) as a fixed fleet of
+//! one.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use modm_cluster::GpuKind;
-    use modm_core::config::{AdmissionPolicy, ServingMode};
-    use modm_workload::TraceBuilder;
+    use modm_core::config::{AdmissionPolicy, MoDMConfig, RunOptions, ServingMode};
+    use modm_core::report::ServingReport;
+    use modm_fleet::{Router, RoutingPolicy};
+    use modm_workload::{Trace, TraceBuilder};
 
-    fn small_system(n_gpus: usize) -> ServingSystem {
-        ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GpuKind::Mi210, n_gpus)
-                .cache_capacity(2_000)
-                .build(),
-        )
+    use crate::tier::tests::{fleet, single};
+
+    fn small_system(n_gpus: usize) -> MoDMConfig {
+        MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, n_gpus)
+            .cache_capacity(2_000)
+            .build()
+    }
+
+    /// The single tier's node report.
+    fn run_with(config: &MoDMConfig, trace: &Trace, options: RunOptions) -> ServingReport {
+        let mut report = single(config, trace, options);
+        report.nodes.pop().expect("a fleet of one").report
+    }
+
+    fn run(config: &MoDMConfig, trace: &Trace) -> ServingReport {
+        run_with(config, trace, RunOptions::default())
     }
 
     #[test]
@@ -137,7 +36,7 @@ mod tests {
             .requests(80)
             .rate_per_min(10.0)
             .build();
-        let report = small_system(8).run(&trace);
+        let report = run(&small_system(8), &trace);
         assert_eq!(report.completed(), 80);
         assert_eq!(report.hits + report.misses, 80);
     }
@@ -150,7 +49,7 @@ mod tests {
             .requests(120)
             .rate_per_min(30.0)
             .build();
-        let report = small_system(2).run_engine(&trace, RunOptions::default(), None);
+        let report = single(&small_system(2), &trace, RunOptions::default());
         let bits = |samples: &[f64]| samples.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         let node = &report.nodes[0].report;
         assert_eq!(
@@ -167,8 +66,8 @@ mod tests {
             .requests(60)
             .rate_per_min(10.0)
             .build();
-        let a = small_system(8).run(&trace);
-        let b = small_system(8).run(&trace);
+        let a = run(&small_system(8), &trace);
+        let b = run(&small_system(8), &trace);
         assert_eq!(a.completed(), b.completed());
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.k_histogram, b.k_histogram);
@@ -182,7 +81,7 @@ mod tests {
             .requests(400)
             .rate_per_min(10.0)
             .build();
-        let report = small_system(16).run(&trace);
+        let report = run(&small_system(16), &trace);
         assert!(
             report.hit_rate() > 0.4,
             "DiffusionDB-like locality should hit often: {}",
@@ -196,7 +95,8 @@ mod tests {
             .requests(100)
             .rate_per_min(10.0)
             .build();
-        let report = small_system(8).run_with(
+        let report = run_with(
+            &small_system(8),
             &trace,
             RunOptions {
                 warmup: 40,
@@ -212,7 +112,7 @@ mod tests {
             .requests(150)
             .rate_per_min(1.0)
             .build();
-        let report = small_system(16).run_with(&trace, RunOptions::saturated(0));
+        let report = run_with(&small_system(16), &trace, RunOptions::saturated(0));
         // At 1 req/min the timed run would take 150 minutes; saturation
         // finishes far faster than that.
         assert!(report.finished_at.as_mins_f64() < 60.0);
@@ -225,7 +125,7 @@ mod tests {
             .requests(120)
             .rate_per_min(4.0)
             .build();
-        let report = small_system(16).run(&trace);
+        let report = run(&small_system(16), &trace);
         assert!(
             report.slo_violation_rate(2.0) < 0.1,
             "rate = {}",
@@ -240,7 +140,7 @@ mod tests {
             .rate_per_min(40.0)
             .build();
         // Tiny cluster: 2 GPUs cannot sustain 40 req/min.
-        let report = small_system(2).run(&trace);
+        let report = run(&small_system(2), &trace);
         assert!(
             report.slo_violation_rate(2.0) > 0.5,
             "rate = {}",
@@ -261,17 +161,15 @@ mod tests {
             .requests(60)
             .rate_per_min(10.0)
             .build();
-        let report = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GpuKind::Mi210, 2)
-                .cache_capacity(500)
-                .tenancy(
-                    TenancyPolicy::fifo()
-                        .with_queue_budget(modm_simkit::SimDuration::from_secs_f64(1.0)),
-                )
-                .build(),
-        )
-        .run_with(&trace, RunOptions::saturated(0));
+        let config = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 2)
+            .cache_capacity(500)
+            .tenancy(
+                TenancyPolicy::fifo()
+                    .with_queue_budget(modm_simkit::SimDuration::from_secs_f64(1.0)),
+            )
+            .build();
+        let report = run_with(&config, &trace, RunOptions::saturated(0));
         assert!(report.shed > 0, "the tight budget must shed");
         assert_eq!(
             report.completed() + report.shed,
@@ -286,22 +184,22 @@ mod tests {
             .requests(300)
             .rate_per_min(6.0)
             .build();
-        let quality = ServingSystem::new(
-            MoDMConfig::builder()
+        let quality = run(
+            &MoDMConfig::builder()
                 .gpus(GpuKind::Mi210, 16)
                 .cache_capacity(2_000)
                 .mode(ServingMode::QualityOptimized)
                 .build(),
-        )
-        .run(&trace);
-        let throughput = ServingSystem::new(
-            MoDMConfig::builder()
+            &trace,
+        );
+        let throughput = run(
+            &MoDMConfig::builder()
                 .gpus(GpuKind::Mi210, 16)
                 .cache_capacity(2_000)
                 .mode(ServingMode::ThroughputOptimized)
                 .build(),
-        )
-        .run(&trace);
+            &trace,
+        );
         let mean_large = |r: &ServingReport| {
             if r.allocation_series.is_empty() {
                 return 16.0;
@@ -327,14 +225,14 @@ mod tests {
             .requests(150)
             .rate_per_min(10.0)
             .build();
-        let report = ServingSystem::new(
-            MoDMConfig::builder()
+        let report = run(
+            &MoDMConfig::builder()
                 .gpus(GpuKind::Mi210, 8)
                 .cache_capacity(60) // small enough to exercise eviction
                 .cache_policy(MaintenancePolicy::S3Fifo)
                 .build(),
-        )
-        .run(&trace);
+            &trace,
+        );
         assert_eq!(report.completed(), 150);
         assert!(report.cache_stats.evictions() > 0, "S3-FIFO must evict");
         assert!(report.hit_rate() > 0.0, "locality still produces hits");
@@ -346,22 +244,22 @@ mod tests {
             .requests(200)
             .rate_per_min(10.0)
             .build();
-        let all = ServingSystem::new(
-            MoDMConfig::builder()
+        let all = run(
+            &MoDMConfig::builder()
                 .gpus(GpuKind::Mi210, 8)
                 .cache_capacity(5_000)
                 .admission(AdmissionPolicy::CacheAll)
                 .build(),
-        )
-        .run(&trace);
-        let large_only = ServingSystem::new(
-            MoDMConfig::builder()
+            &trace,
+        );
+        let large_only = run(
+            &MoDMConfig::builder()
                 .gpus(GpuKind::Mi210, 8)
                 .cache_capacity(5_000)
                 .admission(AdmissionPolicy::CacheLarge)
                 .build(),
-        )
-        .run(&trace);
+            &trace,
+        );
         // Cache-all inserts every completion; cache-large only misses.
         assert!(all.cache_stats.insertions() > large_only.cache_stats.insertions());
     }
@@ -382,8 +280,8 @@ mod tests {
                 .threshold_shift(shift)
                 .build()
         };
-        let base = ServingSystem::new(config(0.0)).run(&trace);
-        let shifted = ServingSystem::new(config(0.08)).run(&trace);
+        let base = run(&config(0.0), &trace);
+        let shifted = run(&config(0.08), &trace);
         assert!(base.hits > 0, "locality must hit without a shift");
         assert!(
             shifted.hits < base.hits,
@@ -413,16 +311,13 @@ mod tests {
                 .expect("a string panic payload")
         };
         let single = message(&|| {
-            small_system(4).run_with(&trace, options);
+            run_with(&small_system(4), &trace, options);
         });
-        let fleet = message(&|| {
-            Fleet::new(
-                small_system(4).config().clone(),
-                Router::new(RoutingPolicy::CacheAffinity, 2),
-            )
-            .run_with(&trace, options);
+        let router = Router::new(RoutingPolicy::CacheAffinity, 2);
+        let fixed = message(&|| {
+            fleet(&small_system(4), router.clone(), &trace, options);
         });
         assert_eq!(single, "warmup consumes the whole trace");
-        assert_eq!(fleet, single);
+        assert_eq!(fixed, single);
     }
 }

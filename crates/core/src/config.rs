@@ -205,7 +205,7 @@ pub enum ServingMode {
 }
 
 /// Full configuration of one MoDM serving node: the single-node
-/// `modm_controlplane::ServingSystem`, and every node of a fleet.
+/// deployment, and every node of a fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoDMConfig {
     /// GPU kind of every worker (the paper's clusters are homogeneous).

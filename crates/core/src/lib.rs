@@ -22,10 +22,9 @@
 //!   `modm-deploy` observer API.
 //!
 //! The discrete-event loop that ties these to GPU workers, the cache and
-//! the metrics lives in `modm-controlplane`:
-//! `modm_controlplane::ServingSystem` runs one node,
-//! `modm_controlplane::Fleet` runs N of them on one clock, and
-//! `modm_controlplane::ElasticFleet` lets a control plane change N.
+//! the metrics lives in `modm-controlplane`, and `modm_deploy::Deployment`
+//! builds every tier on it: one node, N of them on one clock, or N that a
+//! control plane changes.
 //!
 //! # Quickstart
 //!

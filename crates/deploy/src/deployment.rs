@@ -1,16 +1,15 @@
 //! The deployment builder and the one trait every tier serves through.
 
 use modm_controlplane::{
-    Autoscaler, ElasticConfigError, ElasticFleet, ElasticFleetConfig, FaultInjector, Fleet,
-    ServingSystem,
+    run_tier, Autoscaler, ElasticConfigError, FaultInjector, HoldAutoscaler, LifecyclePlan,
+    TierKind,
 };
 use modm_core::events::Observer;
 use modm_core::{MoDMConfig, RunOptions};
 use modm_fleet::{Router, RoutingPolicy};
-use modm_simkit::SimDuration;
 use modm_workload::Trace;
 
-use crate::outcome::{RunOutcome, TierKind};
+use crate::outcome::RunOutcome;
 
 /// Options controlling a deployment run, uniform across tiers.
 ///
@@ -19,71 +18,6 @@ use crate::outcome::{RunOutcome, TierKind};
 /// replays real arrival times — its whole point is reacting to them — and
 /// rejects non-default options.
 pub type DeployOptions = RunOptions;
-
-/// How an elastic deployment's node set behaves over time: bounds,
-/// routing, control cadence and the cold-start/drain mechanics.
-///
-/// This is the "lifecycle" argument of [`Deployment::elastic`], kept
-/// separate from the per-node [`MoDMConfig`] so the same node shape can
-/// be deployed under different elasticity regimes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LifecyclePlan {
-    /// Nodes active (warm) at time zero.
-    pub initial_nodes: usize,
-    /// The control plane never drains below this many active nodes.
-    pub min_nodes: usize,
-    /// The control plane never provisions beyond this many nodes.
-    pub max_nodes: usize,
-    /// Front-end routing policy.
-    pub policy: RoutingPolicy,
-    /// Control-plane observation/decision period.
-    pub control_period: SimDuration,
-    /// Cold-start: hardware request to model loading.
-    pub provision_delay: SimDuration,
-    /// Cold-start: model loading to serving.
-    pub warm_delay: SimDuration,
-    /// Fraction of a draining shard's residents migrated (hottest first)
-    /// to its ring successors.
-    pub handoff_fraction: f64,
-    /// SLO multiple (× large-model latency) the run is judged against.
-    pub slo_multiple: f64,
-}
-
-impl LifecyclePlan {
-    /// A plan with production-shaped defaults (matching
-    /// [`ElasticFleetConfig::new`]): cache-affinity routing, 60 s control
-    /// period, 45 s + 30 s cold start, hottest-60% handoff, 2× SLO.
-    pub fn new(initial_nodes: usize, min_nodes: usize, max_nodes: usize) -> Self {
-        LifecyclePlan {
-            initial_nodes,
-            min_nodes,
-            max_nodes,
-            policy: RoutingPolicy::CacheAffinity,
-            control_period: SimDuration::from_secs_f64(60.0),
-            provision_delay: SimDuration::from_secs_f64(45.0),
-            warm_delay: SimDuration::from_secs_f64(30.0),
-            handoff_fraction: 0.6,
-            slo_multiple: 2.0,
-        }
-    }
-
-    /// Expands the plan into a full [`ElasticFleetConfig`] around
-    /// `node_config`.
-    pub fn into_config(self, node_config: MoDMConfig) -> ElasticFleetConfig {
-        ElasticFleetConfig {
-            node_config,
-            policy: self.policy,
-            initial_nodes: self.initial_nodes,
-            min_nodes: self.min_nodes,
-            max_nodes: self.max_nodes,
-            control_period: self.control_period,
-            provision_delay: self.provision_delay,
-            warm_delay: self.warm_delay,
-            handoff_fraction: self.handoff_fraction,
-            slo_multiple: self.slo_multiple,
-        }
-    }
-}
 
 /// Anything that can serve a trace end to end and report a unified
 /// [`RunOutcome`] — the one interface all three tiers (and any future
@@ -125,26 +59,17 @@ pub trait ServingBackend {
     ) -> RunOutcome;
 }
 
-enum Tier {
-    Single(Box<ServingSystem>),
-    Fleet(Box<Fleet>),
-    Elastic {
-        fleet: Box<ElasticFleet>,
-        scaler: Box<dyn Autoscaler>,
-        faults: FaultInjector,
-    },
-}
-
 /// A serving deployment: one builder for every tier.
 ///
 /// `Deployment` is the front door of the whole reproduction — the same
 /// trace can be replayed through a single node, a sharded fleet, or an
 /// autoscaled elastic fleet, and the [`RunOutcome`]s compare through one
-/// accessor surface. A deployment is a thin, uniformly-shaped handle over
-/// one event loop, `modm-controlplane`'s engine: `ElasticFleet` runs it
-/// with the control plane on, `Fleet` as an elastic fleet that holds, and
-/// `ServingSystem` as a fleet of one. The tests in `tests/deploy.rs` pin
-/// that each handle reproduces its per-tier entry point seed for seed.
+/// accessor surface. Every tier is plain data for one event loop,
+/// `modm-controlplane`'s engine: a node config, a router, a
+/// [`LifecyclePlan`], an autoscaler and a fault schedule. The elastic
+/// tier runs the plan it is given; a fixed fleet is the plan `n, n, n`
+/// under [`HoldAutoscaler`] with no faults, and the single node is a
+/// fixed fleet of one.
 ///
 /// # Example
 ///
@@ -186,23 +111,45 @@ enum Tier {
 /// assert_eq!(fleet_summary.nodes, 4);
 /// ```
 pub struct Deployment {
-    tier: Tier,
+    tier: TierKind,
+    config: MoDMConfig,
+    /// The router every run starts from.
+    router: Router,
+    plan: LifecyclePlan,
+    scaler: Box<dyn Autoscaler>,
+    faults: FaultInjector,
 }
 
 impl Deployment {
     /// One MoDM node with a monolithic cache: `config.num_gpus` workers,
     /// the paper's deployment.
     pub fn single(config: MoDMConfig) -> Self {
-        Deployment {
-            tier: Tier::Single(Box::new(ServingSystem::new(config))),
-        }
+        Self::fixed(
+            TierKind::Single,
+            config,
+            Router::new(RoutingPolicy::RoundRobin, 1),
+        )
     }
 
     /// A fixed fleet: every one of `router.nodes()` nodes runs
     /// `node_config` with its own cache shard, behind `router`.
     pub fn fleet(node_config: MoDMConfig, router: Router) -> Self {
+        Self::fixed(TierKind::Fleet, node_config, router)
+    }
+
+    /// A static tier: `router.nodes()` nodes that hold.
+    fn fixed(tier: TierKind, config: MoDMConfig, router: Router) -> Self {
+        let n = router.nodes();
         Deployment {
-            tier: Tier::Fleet(Box::new(Fleet::new(node_config, router))),
+            tier,
+            config,
+            plan: LifecyclePlan {
+                policy: router.policy(),
+                ..LifecyclePlan::new(n, n, n)
+            },
+            router,
+            scaler: Box::new(HoldAutoscaler),
+            faults: FaultInjector::none(),
         }
     }
 
@@ -230,49 +177,32 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns an error unless `1 <= min <= initial <= max`, the handoff
-    /// fraction is in `[0, 1]`, the control period is non-zero and the
-    /// SLO multiple is positive.
+    /// Returns the error [`LifecyclePlan::validate`] finds in `lifecycle`.
     pub fn try_elastic(
         node_config: MoDMConfig,
         scaler: impl Autoscaler + 'static,
         lifecycle: LifecyclePlan,
         faults: FaultInjector,
     ) -> Result<Self, ElasticConfigError> {
-        let fleet = Box::new(ElasticFleet::try_new(lifecycle.into_config(node_config))?);
+        lifecycle.validate()?;
         Ok(Deployment {
-            tier: Tier::Elastic {
-                fleet,
-                scaler: Box::new(scaler),
-                faults,
-            },
+            tier: TierKind::Elastic,
+            config: node_config,
+            router: Router::new(lifecycle.policy, lifecycle.initial_nodes),
+            plan: lifecycle,
+            scaler: Box::new(scaler),
+            faults,
         })
     }
 
     /// Nodes the deployment manages (the ceiling, for elastic tiers).
     pub fn nodes(&self) -> usize {
-        match &self.tier {
-            Tier::Single(_) => 1,
-            Tier::Fleet(f) => f.nodes(),
-            Tier::Elastic { fleet, .. } => fleet.config().max_nodes,
-        }
+        self.plan.max_nodes
     }
 
     /// The per-node MoDM configuration.
     pub fn node_config(&self) -> &MoDMConfig {
-        match &self.tier {
-            Tier::Single(s) => s.config(),
-            Tier::Fleet(f) => f.node_config(),
-            Tier::Elastic { fleet, .. } => &fleet.config().node_config,
-        }
-    }
-
-    fn assert_elastic_options(options: DeployOptions) {
-        assert!(
-            options == DeployOptions::default(),
-            "elastic deployments replay real arrival times; \
-             warmup/saturate apply to single and fleet tiers only"
-        );
+        &self.config
     }
 
     /// The one run path behind both [`ServingBackend`] entry points.
@@ -282,24 +212,23 @@ impl Deployment {
         options: DeployOptions,
         observer: Option<&mut dyn Observer>,
     ) -> RunOutcome {
-        let gpus = self.node_config().num_gpus;
-        let tier = self.tier();
-        let report = match &mut self.tier {
-            Tier::Single(system) => system.run_engine(trace, options, observer),
-            Tier::Fleet(fleet) => fleet.run_observed(trace, options, observer),
-            Tier::Elastic {
-                fleet,
-                scaler,
-                faults,
-            } => {
-                Self::assert_elastic_options(options);
-                match observer {
-                    Some(observer) => fleet.run_observed(trace, scaler.as_mut(), faults, observer),
-                    None => fleet.run_with_faults(trace, scaler.as_mut(), faults),
-                }
-            }
-        };
-        RunOutcome::new(tier, report, gpus)
+        assert!(
+            self.tier != TierKind::Elastic || options == DeployOptions::default(),
+            "elastic deployments replay real arrival times; \
+             warmup/saturate apply to single and fleet tiers only"
+        );
+        let report = run_tier(
+            self.tier,
+            &self.config,
+            &self.plan,
+            self.router.clone(),
+            trace,
+            options,
+            self.scaler.as_mut(),
+            &self.faults,
+            observer,
+        );
+        RunOutcome::new(self.tier, report, self.config.num_gpus)
     }
 }
 
@@ -314,11 +243,7 @@ impl std::fmt::Debug for Deployment {
 
 impl ServingBackend for Deployment {
     fn tier(&self) -> TierKind {
-        match &self.tier {
-            Tier::Single(_) => TierKind::Single,
-            Tier::Fleet(_) => TierKind::Fleet,
-            Tier::Elastic { .. } => TierKind::Elastic,
-        }
+        self.tier
     }
 
     fn run_with(&mut self, trace: &Trace, options: DeployOptions) -> RunOutcome {
@@ -339,7 +264,6 @@ impl ServingBackend for Deployment {
 mod tests {
     use super::*;
     use modm_cluster::GpuKind;
-    use modm_controlplane::HoldAutoscaler;
     use modm_workload::TraceBuilder;
 
     fn config(gpus: usize) -> MoDMConfig {

@@ -1,10 +1,9 @@
 //! `modm-deploy` — one deployment API across every serving tier.
 //!
-//! The reproduction grew three tiers — `modm_controlplane::ServingSystem`
-//! (one node), `modm_controlplane::Fleet` (a sharded fleet) and
-//! `modm_controlplane::ElasticFleet` (an autoscaled fleet) — each with its
-//! own constructor, run entry point and report type, all over one event
-//! loop. This crate redesigns the public surface around three pieces:
+//! Every MoDM serving tier — one node, a sharded fleet, an autoscaled
+//! fleet — runs on `modm-controlplane`'s one event loop and reports one
+//! [`ElasticReport`]; each tier is a setting of that engine's knobs. This
+//! crate is the one way in, built from three pieces:
 //!
 //! * [`Deployment`] — one builder for every tier:
 //!   [`Deployment::single`], [`Deployment::fleet`],
@@ -25,9 +24,6 @@
 //!   ([`LatencyHistogramObserver`]) and event-log capture
 //!   ([`EventLogObserver`]), whose capture exports as CSV or JSON
 //!   ([`events_to_csv`], [`events_to_json`]).
-//!
-//! The per-tier entry points stay public; `tests/deploy.rs` pins
-//! seed-for-seed equivalence between them and this API.
 //!
 //! # Example: the same trace through all three tiers
 //!
@@ -69,18 +65,19 @@
 //! }
 //! ```
 
-pub mod deployment;
-pub mod observers;
-pub mod outcome;
+mod deployment;
+mod observers;
+mod outcome;
 
-pub use deployment::{DeployOptions, Deployment, LifecyclePlan, ServingBackend};
+pub use deployment::{DeployOptions, Deployment, ServingBackend};
 pub use observers::{
     events_to_csv, events_to_json, EventLogObserver, LatencyHistogramObserver, MultiObserver,
 };
-pub use outcome::{summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary, TierKind};
-// Every tier's report is built by the serving engine; re-export it so
-// deployment users need only this crate.
-pub use modm_controlplane::{ElasticReport, RegionSlice, RetryStats};
+pub use outcome::{summaries_to_json, NodeSlice, RunOutcome, Summary, TenantSummary};
+// Every tier's report is built by the serving engine, which also owns the
+// plan and tier vocabulary; re-export them so deployment users need only
+// this crate.
+pub use modm_controlplane::{ElasticReport, LifecyclePlan, RegionSlice, RetryStats, TierKind};
 
 // The observer vocabulary lives in modm-core (the nodes emit it); re-export
 // it so deployment users need only this crate.

@@ -11,37 +11,11 @@
 //! cross-tier equivalence tests compare and what the generic table
 //! printers render.
 
-use modm_controlplane::ElasticReport;
+use modm_controlplane::{ElasticReport, TierKind};
 use modm_core::report::{ServingReport, TenantSlice};
 use modm_metrics::SloThresholds;
 use modm_simkit::{Json, SimTime};
 use modm_workload::{QosClass, TenantId};
-
-/// Which serving tier produced an outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TierKind {
-    /// One MoDM node with a monolithic cache (`modm_controlplane::ServingSystem`).
-    Single,
-    /// A fixed fleet of nodes behind a router (`modm_controlplane::Fleet`).
-    Fleet,
-    /// An autoscaled fleet under a control plane
-    /// (`modm_controlplane::ElasticFleet`).
-    Elastic,
-    /// A multi-region closed-loop scenario run (`modm-scenario`).
-    Scenario,
-}
-
-impl TierKind {
-    /// Short display name for tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            TierKind::Single => "single",
-            TierKind::Fleet => "fleet",
-            TierKind::Elastic => "elastic",
-            TierKind::Scenario => "scenario",
-        }
-    }
-}
 
 /// One node's slice of an outcome, where the tier tracks it.
 ///
@@ -344,37 +318,6 @@ impl TenantSummary {
     pub fn offered(&self) -> u64 {
         self.completed + self.rejected + self.shed
     }
-
-    fn approx_eq(&self, other: &TenantSummary, epsilon: f64) -> bool {
-        self.tenant == other.tenant
-            && self.qos == other.qos
-            && self.completed == other.completed
-            && self.hits == other.hits
-            && self.misses == other.misses
-            && self.rejected == other.rejected
-            && self.shed == other.shed
-            && self.goodput == other.goodput
-            && float_close(self.hit_rate, other.hit_rate, epsilon)
-            && option_close(self.p99_secs, other.p99_secs, epsilon)
-            && float_close(self.slo_attainment, other.slo_attainment, epsilon)
-    }
-}
-
-/// Mixed absolute/relative float comparison: exact for identical bits,
-/// otherwise within `epsilon * max(1, |a|, |b|)`.
-fn float_close(a: f64, b: f64, epsilon: f64) -> bool {
-    if a == b || (a.is_nan() && b.is_nan()) {
-        return true;
-    }
-    (a - b).abs() <= epsilon * 1.0_f64.max(a.abs()).max(b.abs())
-}
-
-fn option_close(a: Option<f64>, b: Option<f64>, epsilon: f64) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => float_close(x, y, epsilon),
-        _ => false,
-    }
 }
 
 /// The flattened, tier-agnostic view of a run — every column a
@@ -449,39 +392,6 @@ impl Summary {
             finished_mins: report.finished_at.as_mins_f64(),
             tenants: tenant_rows(&report.tenant_slices, &report.slo, slo_multiple),
         }
-    }
-
-    /// Compares two summaries with float tolerance `epsilon` (mixed
-    /// absolute/relative; discrete fields compare exactly).
-    ///
-    /// The derived `PartialEq` compares raw `f64` bits, which is the
-    /// right tool for pinning a seed-for-seed identical run but brittle
-    /// against benign float reassociation (e.g. a refactor summing
-    /// per-node metrics in a different order). Equivalence tests use this
-    /// instead.
-    pub fn approx_eq(&self, other: &Summary, epsilon: f64) -> bool {
-        self.tier == other.tier
-            && self.nodes == other.nodes
-            && self.total_gpus == other.total_gpus
-            && self.completed == other.completed
-            && self.hits == other.hits
-            && self.misses == other.misses
-            && self.rejected == other.rejected
-            && self.shed == other.shed
-            && self.goodput == other.goodput
-            && float_close(self.hit_rate, other.hit_rate, epsilon)
-            && float_close(self.requests_per_minute, other.requests_per_minute, epsilon)
-            && option_close(self.p99_secs, other.p99_secs, epsilon)
-            && float_close(self.slo_multiple, other.slo_multiple, epsilon)
-            && float_close(self.slo_attainment, other.slo_attainment, epsilon)
-            && float_close(self.gpu_hours, other.gpu_hours, epsilon)
-            && float_close(self.finished_mins, other.finished_mins, epsilon)
-            && self.tenants.len() == other.tenants.len()
-            && self
-                .tenants
-                .iter()
-                .zip(&other.tenants)
-                .all(|(a, b)| a.approx_eq(b, epsilon))
     }
 
     /// Renders the summary as one stable JSON object (field order fixed,
@@ -728,21 +638,5 @@ mod tests {
         assert!(header.contains("goodput") && header.contains("rejected"));
         assert!(rows[0].starts_with("demo"));
         assert!(rows[0].contains("interactive"));
-    }
-
-    #[test]
-    fn approx_eq_tolerates_small_float_drift_only() {
-        let a = summary();
-        let mut b = summary();
-        b.hit_rate += 1e-12;
-        assert!(a.approx_eq(&b, 1e-9));
-        b.hit_rate = 0.7;
-        assert!(!a.approx_eq(&b, 1e-9), "real drift must fail");
-        let mut c = summary();
-        c.completed = 11;
-        assert!(!a.approx_eq(&c, 1e-9), "discrete fields compare exactly");
-        let mut d = summary();
-        d.tenants[0].p99_secs = None;
-        assert!(!a.approx_eq(&d, 1e-9), "tenant rows compare too");
     }
 }

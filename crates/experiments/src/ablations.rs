@@ -6,8 +6,8 @@
 //!   allocation at moderate load.
 
 use modm_cache::MaintenancePolicy;
-use modm_controlplane::ServingSystem;
 use modm_core::{MoDMConfig, ServingMode};
+use modm_deploy::{Deployment, ServingBackend};
 use modm_workload::TraceBuilder;
 
 use crate::common::{banner, db_trace, saturated, CACHE, CLUSTER};
@@ -28,14 +28,13 @@ pub fn run_maintenance() {
         MaintenancePolicy::S3Fifo,
     ] {
         // Small cache so eviction pressure is real.
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(gpu, n)
-                .cache_capacity(1_500)
-                .cache_policy(policy)
-                .build(),
-        )
-        .run_with(&trace, saturated());
+        let config = MoDMConfig::builder()
+            .gpus(gpu, n)
+            .cache_capacity(1_500)
+            .cache_policy(policy)
+            .build();
+        let outcome = Deployment::single(config).run_with(&trace, saturated());
+        let r = outcome.as_single().expect("single tier");
         println!(
             "{:<10} {:>9.2} {:>7.3} {:>8.1}",
             format!("{policy:?}"),
@@ -65,14 +64,13 @@ pub fn run_modes() {
             ServingMode::QualityOptimized,
             ServingMode::ThroughputOptimized,
         ] {
-            let r = ServingSystem::new(
-                MoDMConfig::builder()
-                    .gpus(gpu, n)
-                    .cache_capacity(CACHE)
-                    .mode(mode)
-                    .build(),
-            )
-            .run(&trace);
+            let config = MoDMConfig::builder()
+                .gpus(gpu, n)
+                .cache_capacity(CACHE)
+                .mode(mode)
+                .build();
+            let outcome = Deployment::single(config).run(&trace);
+            let r = outcome.as_single().expect("single tier");
             let avg_large = if r.allocation_series.is_empty() {
                 n as f64
             } else {

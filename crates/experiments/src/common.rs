@@ -2,15 +2,13 @@
 //! `modm-deploy` API.
 //!
 //! Experiments construct [`Deployment`]s and compare [`Summary`] values;
-//! the legacy helpers ([`modm`], [`saturated`]) remain as thin wrappers
-//! for the modules that still need a raw `ServingSystem` or
-//! tier-specific report detail.
+//! a module that needs the node's own report reads it through
+//! `RunOutcome::as_single`.
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm_cluster::GpuKind;
-use modm_controlplane::ServingSystem;
 use modm_core::{MoDMConfig, RunOptions};
-use modm_deploy::{DeployOptions, Deployment, ServingBackend, Summary};
+use modm_deploy::{Deployment, ServingBackend, Summary};
 use modm_diffusion::ModelId;
 use modm_workload::{Trace, TraceBuilder};
 
@@ -26,15 +24,10 @@ pub const WARMUP: usize = 3_000;
 /// Measured requests after the warm-up.
 pub const SERVED: usize = 6_000;
 
-/// Saturated-run options with the standard warm-up (legacy entry point;
-/// new code takes [`deploy_opts`]).
+/// Saturated-run options with the standard warm-up, for the baselines
+/// and MoDM deployments alike.
 pub fn saturated() -> RunOptions {
     RunOptions::saturated(WARMUP)
-}
-
-/// Saturated deployment options with the standard warm-up.
-pub fn deploy_opts() -> DeployOptions {
-    DeployOptions::saturated(WARMUP)
 }
 
 /// The standard DiffusionDB-like trace for throughput studies.
@@ -66,12 +59,6 @@ pub fn modm_config(large: ModelId, small: ModelId, cache: usize) -> MoDMConfig {
 /// A single-node MoDM deployment in the standard cluster.
 pub fn modm_deployment(large: ModelId, small: ModelId, cache: usize) -> Deployment {
     Deployment::single(modm_config(large, small, cache))
-}
-
-/// Builds a MoDM system in the standard cluster with one small model
-/// (legacy entry point; new code takes [`modm_deployment`]).
-pub fn modm(large: ModelId, small: ModelId, cache: usize) -> ServingSystem {
-    ServingSystem::new(modm_config(large, small, cache))
 }
 
 /// Runs the five Fig 7/8 systems on a trace, returning `(label, summary)`
@@ -110,7 +97,7 @@ pub fn run_fig7_suite(trace: &Trace, large: ModelId) -> Vec<(String, Summary)> {
                 "SANA"
             }
         );
-        let mut outcome = modm_deployment(large, small, CACHE).run_with(trace, deploy_opts());
+        let mut outcome = modm_deployment(large, small, CACHE).run_with(trace, opts);
         out.push((label, outcome.summary(2.0)));
     }
     out

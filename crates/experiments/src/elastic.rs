@@ -12,8 +12,8 @@
 
 use modm_cluster::GpuKind;
 use modm_controlplane::{
-    Autoscaler, ElasticFleet, ElasticFleetConfig, FaultInjector, FleetEventKind, HoldAutoscaler,
-    PredictiveAutoscaler, PredictiveConfig, ReactiveAutoscaler, ReactiveConfig,
+    Autoscaler, FaultInjector, FleetEventKind, HoldAutoscaler, PredictiveAutoscaler,
+    PredictiveConfig, ReactiveAutoscaler, ReactiveConfig,
 };
 use modm_core::MoDMConfig;
 use modm_deploy::{Deployment, LifecyclePlan, RunOutcome, ServingBackend};
@@ -51,14 +51,8 @@ pub fn diurnal_trace(seed: u64, requests: usize) -> Trace {
         .build()
 }
 
-/// An elastic fleet between `min` and `max` nodes, starting at `initial`
-/// (legacy entry point; the experiment itself drives [`deployment`]).
-pub fn elastic_fleet(initial: usize, min: usize, max: usize) -> ElasticFleet {
-    ElasticFleet::new(ElasticFleetConfig::new(node_config(), initial, min, max))
-}
-
-/// The same fleet as [`elastic_fleet`], wrapped as a fault-free unified
-/// [`Deployment`] under `scaler`.
+/// A fault-free elastic fleet of study nodes between `min` and `max`
+/// nodes, starting at `initial`, under `scaler`.
 pub fn deployment(
     initial: usize,
     min: usize,
@@ -141,9 +135,7 @@ fn row(label: &str, outcome: &RunOutcome) {
     );
 }
 
-/// Runs the elastic autoscaling study (through the unified
-/// [`Deployment::elastic`] API — the legacy `ElasticFleet` entry point
-/// stays pinned by `tests/elastic.rs`).
+/// Runs the elastic autoscaling study.
 pub fn run() {
     banner("Elastic control plane: static-N vs autoscaled fleets (diurnal trace)");
     let trace = diurnal_trace(2_024, 1_600);

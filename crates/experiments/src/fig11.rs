@@ -7,8 +7,8 @@
 //! paper's cluster runs), not closed-loop.
 
 use modm_cluster::GpuKind;
-use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_workload::TraceBuilder;
 
 use crate::common::banner;
@@ -27,13 +27,12 @@ pub fn run() {
         "GPUs", "req/min", "norm", "hit"
     );
     for n in [4usize, 8, 12, 16, 20, 24, 28, 32] {
-        let system = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GpuKind::Mi210, n)
-                .cache_capacity(10_000)
-                .build(),
-        );
-        let report = system.run(&trace);
+        let config = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, n)
+            .cache_capacity(10_000)
+            .build();
+        let outcome = Deployment::single(config).run(&trace);
+        let report = outcome.as_single().expect("single tier");
         // Measure sustained completion rate over the first 80 minutes of
         // virtual time so slow configs (deep backlogs) do not skew the span.
         let series = report.throughput.per_minute_series();

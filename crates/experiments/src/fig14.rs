@@ -2,8 +2,8 @@
 //! with FLUX as the large model, sweeping MoDM's runtime knobs.
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
-use modm_controlplane::ServingSystem;
 use modm_core::{AdmissionPolicy, MoDMConfig};
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
 use modm_embedding::{SemanticSpace, TextEncoder};
 use modm_metrics::QualityAggregator;
@@ -131,8 +131,9 @@ pub fn run() {
         ),
     ];
     for (label, config) in sweep {
-        let r = ServingSystem::new(config).run_with(&trace, opts);
-        points.push((label, r.requests_per_minute(), r.quality));
+        let outcome = Deployment::single(config).run_with(&trace, opts);
+        let r = outcome.as_single().expect("single tier");
+        points.push((label, r.requests_per_minute(), r.quality.clone()));
     }
 
     println!(

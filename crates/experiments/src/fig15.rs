@@ -2,8 +2,8 @@
 //! generation of its retrieved image — the temporal-locality evidence for
 //! FIFO maintenance.
 
-use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_simkit::Histogram;
 use modm_workload::TraceBuilder;
 
@@ -18,13 +18,12 @@ pub fn run() {
         .rate_per_min(10.0)
         .build();
     let (gpu, n) = CLUSTER;
-    let report = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(gpu, n)
-            .cache_capacity(100_000) // no eviction: measure raw locality
-            .build(),
-    )
-    .run(&trace);
+    let config = MoDMConfig::builder()
+        .gpus(gpu, n)
+        .cache_capacity(100_000) // no eviction: measure raw locality
+        .build();
+    let outcome = Deployment::single(config).run(&trace);
+    let report = outcome.as_single().expect("single tier");
 
     let ages = report.cache_stats.hit_ages_secs();
     let four_hours = 4.0 * 3600.0;

@@ -6,8 +6,8 @@
 //! running refinements on lower-power small models.
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
-use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::ModelId;
 use modm_workload::TraceBuilder;
 
@@ -47,14 +47,13 @@ pub fn run() {
                 "SANA"
             }
         );
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(gpu, n)
-                .small_model(small)
-                .cache_capacity(CACHE)
-                .build(),
-        )
-        .run(&trace);
+        let config = MoDMConfig::builder()
+            .gpus(gpu, n)
+            .small_model(small)
+            .cache_capacity(CACHE)
+            .build();
+        let outcome = Deployment::single(config).run(&trace);
+        let r = outcome.as_single().expect("single tier");
         let j = r.energy.joules_per_request(r.completed());
         println!(
             "{:<12} {:>14.1} {:>8.1}%",

@@ -3,9 +3,9 @@
 //! (MJHQ hit rates).
 
 use modm_baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
-use modm_controlplane::ServingSystem;
 use modm_core::report::ServingReport;
 use modm_core::{AdmissionPolicy, MoDMConfig};
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::{ModelId, QualityModel, Sampler};
 use modm_embedding::{IndexPolicy, SemanticSpace, TextEncoder};
 use modm_metrics::{QualityAggregator, QualityRow};
@@ -65,16 +65,15 @@ fn quality_rows(trace: &Trace, large: ModelId) -> Vec<QualityRow> {
     push("Pinecone", &pc.run_with(trace, opts));
 
     for (label, small) in [("MoDM-SDXL", ModelId::Sdxl), ("MoDM-SANA", ModelId::Sana)] {
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(gpu, n)
-                .large_model(large)
-                .small_model(small)
-                .cache_capacity(CACHE)
-                .build(),
-        )
-        .run_with(trace, opts);
-        push(label, &r);
+        let config = MoDMConfig::builder()
+            .gpus(gpu, n)
+            .large_model(large)
+            .small_model(small)
+            .cache_capacity(CACHE)
+            .build();
+        let outcome = Deployment::single(config).run_with(trace, opts);
+        let r = outcome.as_single().expect("single tier");
+        push(label, r);
     }
     rows
 }
@@ -132,14 +131,13 @@ pub fn run_a6() {
         ("cache-large only", AdmissionPolicy::CacheLarge),
         ("cache-all", AdmissionPolicy::CacheAll),
     ] {
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(gpu, n)
-                .cache_capacity(CACHE)
-                .admission(admission)
-                .build(),
-        )
-        .run_with(&trace, opts);
+        let config = MoDMConfig::builder()
+            .gpus(gpu, n)
+            .cache_capacity(CACHE)
+            .admission(admission)
+            .build();
+        let outcome = Deployment::single(config).run_with(&trace, opts);
+        let r = outcome.as_single().expect("single tier");
         let fid = r.quality.fid_against(&gt).map_or(f64::NAN, |f| f);
         println!(
             "{:<18} hit rate {:.3}  CLIP {:.2}  FID {:.2}",

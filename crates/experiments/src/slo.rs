@@ -3,9 +3,9 @@
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
 use modm_cluster::GpuKind;
-use modm_controlplane::ServingSystem;
 use modm_core::report::ServingReport;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::ModelId;
 use modm_workload::TraceBuilder;
 
@@ -44,13 +44,13 @@ fn run_all(gpu: GpuKind, n: usize, rate: f64, seed: u64) -> [ServingReport; 3] {
         .build();
     let mut vanilla = VanillaSystem::new(ModelId::Sd35Large, gpu, n);
     let mut nirvana = NirvanaSystem::new(ModelId::Sd35Large, gpu, n, 10_000);
-    let modm = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(gpu, n)
-            .cache_capacity(10_000)
-            .build(),
-    );
-    [vanilla.run(&trace), nirvana.run(&trace), modm.run(&trace)]
+    let config = MoDMConfig::builder()
+        .gpus(gpu, n)
+        .cache_capacity(10_000)
+        .build();
+    let modm = Deployment::single(config).run(&trace);
+    let modm = modm.as_single().expect("single tier").clone();
+    [vanilla.run(&trace), nirvana.run(&trace), modm]
 }
 
 fn print_sweep(multiple: Option<f64>) {

@@ -3,8 +3,8 @@
 
 use modm_baselines::{NirvanaSystem, VanillaSystem};
 use modm_cluster::GpuKind;
-use modm_controlplane::ServingSystem;
 use modm_core::MoDMConfig;
+use modm_deploy::{Deployment, ServingBackend};
 use modm_diffusion::ModelId;
 use modm_workload::{RateSchedule, TraceBuilder};
 
@@ -63,13 +63,12 @@ pub fn run_fig10() {
     let v = vanilla.run(&trace);
     let mut nirvana = NirvanaSystem::new(ModelId::Sd35Large, gpu, n, 10_000);
     let ni = nirvana.run(&trace);
-    let modm = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(gpu, n)
-            .cache_capacity(10_000)
-            .build(),
-    )
-    .run(&trace);
+    let config = MoDMConfig::builder()
+        .gpus(gpu, n)
+        .cache_capacity(10_000)
+        .build();
+    let outcome = Deployment::single(config).run(&trace);
+    let modm = outcome.as_single().expect("single tier");
 
     println!("per-10-minute served throughput (req/min):");
     println!(
@@ -130,13 +129,12 @@ pub fn run_fig17() {
     let v = vanilla.run(&trace);
     let mut nirvana = NirvanaSystem::new(ModelId::Sd35Large, gpu, n, 10_000);
     let ni = nirvana.run(&trace);
-    let modm = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(gpu, n)
-            .cache_capacity(10_000)
-            .build(),
-    )
-    .run(&trace);
+    let config = MoDMConfig::builder()
+        .gpus(gpu, n)
+        .cache_capacity(10_000)
+        .build();
+    let outcome = Deployment::single(config).run(&trace);
+    let modm = outcome.as_single().expect("single tier");
     println!("per-10-minute served throughput (req/min):");
     println!(
         "{:>8} {:>8} {:>8} {:>8} {:>8}",

@@ -3,8 +3,8 @@
 //! The paper's deployment is one cluster with one monolithic image
 //! cache. This crate holds the pieces that spread it over N serving
 //! nodes; the event loop that drives them lives in `modm-controlplane`,
-//! whose `ServingSystem`, `Fleet` and `ElasticFleet` entry points all run
-//! one engine over these types:
+//! whose one engine serves the single-node, fixed-fleet, elastic and
+//! scenario tiers over these types:
 //!
 //! * [`Router`] — the front-end, with pluggable [`RoutingPolicy`]s:
 //!   round-robin, least-loaded, and *cache-affinity* (consistent-hash of

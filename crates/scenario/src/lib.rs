@@ -26,8 +26,8 @@
 //!   backlog is redelivered to the survivor and the hottest half of the
 //!   cache entries is handed off across the region boundary.
 //!
-//! Runs produce the engine's [`ElasticReport`], the report every
-//! non-fixed tier shares: the familiar latency/SLO/tenant surface plus
+//! Runs produce the engine's [`ElasticReport`], the report every tier
+//! shares: the familiar latency/SLO/tenant surface plus
 //! retry accounting ([`RetryStats`]) and per-region slices
 //! ([`RegionSlice`]). [`Scenario`] implements
 //! [`ServingBackend`](modm_deploy::ServingBackend), so scenarios drop

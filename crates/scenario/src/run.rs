@@ -17,7 +17,7 @@
 //! is exactly deterministic under a fixed seed, and observation never
 //! perturbs it.
 
-use modm_controlplane::{run_regions, ElasticFleetConfig};
+use modm_controlplane::{run_regions, LifecyclePlan};
 use modm_core::config::MoDMConfig;
 use modm_core::events::Observer;
 use modm_deploy::{DeployOptions, ElasticReport, RunOutcome, ServingBackend, TierKind};
@@ -183,10 +183,10 @@ impl Scenario {
 
     fn run_trace(&self, trace: &Trace, observer: Option<&mut dyn Observer>) -> ElasticReport {
         let nodes = self.nodes();
-        let config = ElasticFleetConfig {
+        let plan = LifecyclePlan {
             policy: ROUTING,
             handoff_fraction: HANDOFF_FRACTION,
-            ..ElasticFleetConfig::new(self.node_config.clone(), nodes, nodes, nodes)
+            ..LifecyclePlan::new(nodes, nodes, nodes)
         };
         let timeline = self
             .script
@@ -196,7 +196,8 @@ impl Scenario {
             .collect();
         let geo = GeoRouter::new(TwoRegion::REGIONS, SimDuration::from_secs_f64(RTT_SECS));
         run_regions(
-            &config,
+            &self.node_config,
+            &plan,
             geo,
             trace,
             self.retry,

@@ -3,15 +3,17 @@
 //!
 //! Demand climbs from 6 to 26 requests/minute. Watch the global monitor
 //! shift GPUs from the large model to the small one, then escalate the
-//! small model from SDXL to SANA when even SDXL cannot keep up.
+//! small model from SDXL to SANA when even SDXL cannot keep up. The node
+//! runs as a `Deployment::single`, and the monitor's allocation series is
+//! read from the node's own report.
 //!
 //! ```text
 //! cargo run --example adaptive_serving --release
 //! ```
 
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::MoDMConfig;
+use modm::deploy::{Deployment, ServingBackend};
 use modm::workload::{RateSchedule, TraceBuilder};
 
 fn main() {
@@ -25,7 +27,8 @@ fn main() {
         .gpus(GpuKind::Mi210, 16)
         .cache_capacity(10_000)
         .build();
-    let report = ServingSystem::new(config).run(&trace);
+    let outcome = Deployment::single(config).run(&trace);
+    let report = outcome.as_single().expect("single tier");
 
     println!("allocation decisions over time:");
     println!(

@@ -2,7 +2,8 @@
 //!
 //! Runs Vanilla, Nirvana, Pinecone and both MoDM variants on the same
 //! saturated DiffusionDB-like workload and prints throughput, quality and
-//! energy side by side.
+//! energy side by side. MoDM runs as a `Deployment::single`; every system
+//! is compared on its node's own report.
 //!
 //! ```text
 //! cargo run --example baseline_faceoff --release
@@ -10,9 +11,9 @@
 
 use modm::baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::report::ServingReport;
 use modm::core::{MoDMConfig, RunOptions};
+use modm::deploy::{Deployment, ServingBackend};
 use modm::diffusion::ModelId;
 use modm::workload::TraceBuilder;
 
@@ -39,15 +40,13 @@ fn main() {
         PineconeSystem::new(ModelId::Sd35Large, gpu, n, cache).run_with(&trace, opts),
     ));
     for (label, small) in [("MoDM-SDXL", ModelId::Sdxl), ("MoDM-SANA", ModelId::Sana)] {
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(gpu, n)
-                .small_model(small)
-                .cache_capacity(cache)
-                .build(),
-        )
-        .run_with(&trace, opts);
-        results.push((label, r));
+        let config = MoDMConfig::builder()
+            .gpus(gpu, n)
+            .small_model(small)
+            .cache_capacity(cache)
+            .build();
+        let outcome = Deployment::single(config).run_with(&trace, opts);
+        results.push((label, outcome.as_single().expect("single tier").clone()));
     }
 
     let base_rpm = results[0].1.requests_per_minute();

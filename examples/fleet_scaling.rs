@@ -1,13 +1,14 @@
 //! Fleet scaling: serve one DiffusionDB-like workload with an 8-node
-//! sharded MoDM fleet under each routing policy and compare hit rates.
+//! sharded MoDM fleet (`Deployment::fleet`) under each routing policy and
+//! compare hit rates.
 //!
 //! ```text
 //! cargo run --example fleet_scaling --release
 //! ```
 
 use modm::cluster::GpuKind;
-use modm::controlplane::Fleet;
 use modm::core::MoDMConfig;
+use modm::deploy::{Deployment, ServingBackend};
 use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::TraceBuilder;
 
@@ -34,8 +35,8 @@ fn main() {
         RoutingPolicy::LeastLoaded,
         RoutingPolicy::CacheAffinity,
     ] {
-        let fleet = Fleet::new(node.clone(), Router::new(policy, 8));
-        let mut report = fleet.run(&trace);
+        let outcome = Deployment::fleet(node.clone(), Router::new(policy, 8)).run(&trace);
+        let mut report = outcome.as_fleet().expect("fleet tier").clone();
         println!(
             "{:<15} {:>7.3} {:>9.2} {:>9.0} {:>9.2}",
             policy.name(),

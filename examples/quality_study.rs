@@ -1,6 +1,6 @@
 //! Quality study: compare the images MoDM serves against the vanilla large
 //! model and a standalone small model — the Table 2 methodology in
-//! miniature.
+//! miniature. MoDM runs as a `Deployment::single`.
 //!
 //! ```text
 //! cargo run --example quality_study --release
@@ -8,8 +8,8 @@
 
 use modm::baselines::VanillaSystem;
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::{MoDMConfig, RunOptions};
+use modm::deploy::{Deployment, ServingBackend};
 use modm::diffusion::{ModelId, QualityModel, Sampler};
 use modm::embedding::{SemanticSpace, TextEncoder};
 use modm::metrics::{QualityAggregator, QualityRow};
@@ -48,14 +48,14 @@ fn main() {
     );
     let mut sana = VanillaSystem::new(ModelId::Sana, gpu, n);
     rows.push(sana.run_with(&trace, opts).quality.row("SANA alone", &gt));
-    let modm = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(gpu, n)
-            .small_model(ModelId::Sana)
-            .cache_capacity(10_000)
-            .build(),
-    );
-    rows.push(modm.run_with(&trace, opts).quality.row("MoDM-SANA", &gt));
+    let config = MoDMConfig::builder()
+        .gpus(gpu, n)
+        .small_model(ModelId::Sana)
+        .cache_capacity(10_000)
+        .build();
+    let modm = Deployment::single(config).run_with(&trace, opts);
+    let modm = modm.as_single().expect("single tier");
+    rows.push(modm.quality.row("MoDM-SANA", &gt));
 
     println!("{}", QualityRow::header());
     for row in &rows {

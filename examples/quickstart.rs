@@ -1,13 +1,13 @@
-//! Quickstart: serve a small DiffusionDB-like workload with MoDM and print
-//! the headline numbers.
+//! Quickstart: serve a small DiffusionDB-like workload with a single-node
+//! MoDM deployment (`Deployment::single`) and print the headline numbers.
 //!
 //! ```text
 //! cargo run --example quickstart --release
 //! ```
 
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::MoDMConfig;
+use modm::deploy::{Deployment, ServingBackend};
 use modm::workload::TraceBuilder;
 
 fn main() {
@@ -26,8 +26,9 @@ fn main() {
         .cache_capacity(10_000)
         .build();
 
-    // 3. Serve.
-    let mut report = ServingSystem::new(config).run(&trace);
+    // 3. Serve, and read the node's own report.
+    let outcome = Deployment::single(config).run(&trace);
+    let mut report = outcome.as_single().expect("single tier").clone();
 
     println!("served            : {} requests", report.completed());
     println!("cache hit rate    : {:.1}%", 100.0 * report.hit_rate());

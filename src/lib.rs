@@ -15,11 +15,11 @@
 //! * [`baselines`] — Vanilla, Nirvana and Pinecone baselines.
 //! * [`fleet`] — multi-node sharded serving: pluggable request routing
 //!   and a consistent-hash semantic cache.
-//! * [`controlplane`] — the serving engine, one event loop behind the
-//!   single node ([`controlplane::ServingSystem`], a fleet of one), the
-//!   fixed fleet ([`controlplane::Fleet`], an elastic fleet that holds)
-//!   and elastic autoscaling: node lifecycle, cache handoff, fault
-//!   injection. Every run reports one [`controlplane::ElasticReport`].
+//! * [`controlplane`] — the serving engine, one event loop behind every
+//!   tier ([`controlplane::run_tier`]): elastic autoscaling with node
+//!   lifecycle, cache handoff and fault injection, the fixed fleet (an
+//!   elastic fleet that holds) and the single node (a fixed fleet of
+//!   one). Every run reports one [`controlplane::ElasticReport`].
 //! * [`deploy`] — **the front door**: one [`deploy::Deployment`] builder
 //!   across all three tiers, the unified [`deploy::RunOutcome`] /
 //!   [`deploy::Summary`] result layer, and the [`deploy::Observer`] API.

@@ -1,25 +1,17 @@
-//! Cross-tier equivalence tests for the unified deployment API: every
-//! tier driven through `Deployment` must reproduce the legacy entry
-//! point's results seed-for-seed, with or without an observer attached.
+//! Tests of the unified deployment API across its tiers: observing a run
+//! never changes it, the event stream agrees with the report, a
+//! single-tenant trace runs bit-identically with or without the
+//! tenancy-aware machinery, and every tier's summary reads the same
+//! quantities the same way.
 
 use modm::cluster::GpuKind;
-use modm::controlplane::{
-    ElasticFleet, ElasticFleetConfig, FaultInjector, Fleet, HoldAutoscaler, ScaleDecision,
-    ScheduledAutoscaler, ServingSystem,
-};
-use modm::core::{MoDMConfig, RunOptions, TenancyPolicy, TenantShare};
+use modm::controlplane::{FaultInjector, HoldAutoscaler, ScaleDecision, ScheduledAutoscaler};
+use modm::core::{MoDMConfig, TenancyPolicy, TenantShare};
 use modm::deploy::{
-    DeployOptions, Deployment, EventLogObserver, LifecyclePlan, RunOutcome, ServingBackend,
-    SimEvent, Summary, TierKind,
+    DeployOptions, Deployment, EventLogObserver, LifecyclePlan, ServingBackend, SimEvent, Summary,
 };
 use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::{TenantId, Trace, TraceBuilder};
-
-/// Float tolerance for [`modm::deploy::Summary::approx_eq`] in the
-/// equivalence tests: tight enough that any behavioral drift fails, loose
-/// enough that benign float reassociation (e.g. a reordered reduction in
-/// a refactor) does not.
-const EPS: f64 = 1e-9;
 
 fn node_config(gpus: usize, cache: usize) -> MoDMConfig {
     MoDMConfig::builder()
@@ -33,120 +25,6 @@ fn trace(seed: u64, requests: usize) -> Trace {
         .requests(requests)
         .rate_per_min(12.0)
         .build()
-}
-
-#[test]
-fn single_deployment_matches_legacy_serving_system() {
-    let cfg = node_config(8, 1_000);
-    let t = trace(101, 300);
-    let system = ServingSystem::new(cfg.clone());
-    let legacy = system.run(&t);
-    let mut unified = Deployment::single(cfg.clone()).run(&t);
-    assert_eq!(unified.tier(), TierKind::Single);
-
-    // Summary-level identity (the acceptance criterion). approx_eq, not
-    // the derived PartialEq: the claim is behavioral equivalence, and raw
-    // f64 equality would also break on benign float reassociation.
-    let summary = unified.summary(2.0);
-    let engine = system.run_engine(&t, RunOptions::default(), None);
-    let engine_summary = RunOutcome::new(TierKind::Single, engine, cfg.num_gpus).summary(2.0);
-    assert!(summary.approx_eq(&engine_summary, EPS));
-    // Nothing is shed, so the legacy report's scheduler-level counts and
-    // static GPU-hours summarize to the same row.
-    let legacy_summary = Summary::from_node_report(legacy.clone(), cfg.num_gpus, 2.0);
-    assert!(summary.approx_eq(&legacy_summary, EPS));
-
-    // ...and deep report identity underneath.
-    let new = unified.as_single().expect("single tier");
-    assert_eq!(format!("{new:?}"), format!("{legacy:?}"));
-}
-
-#[test]
-fn single_deployment_matches_legacy_under_warmup_and_saturation() {
-    let cfg = node_config(8, 1_000);
-    let t = trace(102, 400);
-    let system = ServingSystem::new(cfg.clone());
-    let legacy = system.run_with(&t, RunOptions::saturated(100));
-    let engine = system.run_engine(&t, RunOptions::saturated(100), None);
-    let mut unified = Deployment::single(cfg.clone()).run_with(&t, DeployOptions::saturated(100));
-
-    let summary = unified.summary(2.0);
-    let engine_summary = RunOutcome::new(TierKind::Single, engine, cfg.num_gpus).summary(2.0);
-    assert!(summary.approx_eq(&engine_summary, EPS));
-    let legacy_summary = Summary::from_node_report(legacy.clone(), cfg.num_gpus, 2.0);
-    assert!(summary.approx_eq(&legacy_summary, EPS));
-    let new = unified.as_single().expect("single tier");
-    assert_eq!(format!("{new:?}"), format!("{legacy:?}"));
-}
-
-#[test]
-fn fleet_deployment_matches_legacy_fleet() {
-    let cfg = node_config(2, 500);
-    let t = trace(103, 400);
-    let router = || Router::new(RoutingPolicy::CacheAffinity, 4);
-    let legacy = Fleet::new(cfg.clone(), router()).run_with(
-        &t,
-        RunOptions {
-            warmup: 50,
-            saturate: false,
-        },
-    );
-    let mut unified = Deployment::fleet(cfg.clone(), router()).run_with(
-        &t,
-        DeployOptions {
-            warmup: 50,
-            saturate: false,
-        },
-    );
-    assert_eq!(unified.tier(), TierKind::Fleet);
-
-    let legacy_outcome = RunOutcome::new(TierKind::Fleet, legacy.clone(), cfg.num_gpus);
-    let per_node = unified.per_node();
-    for (slice, node) in per_node.iter().zip(&legacy.nodes) {
-        assert_eq!(slice.routed, node.routed);
-        assert_eq!(slice.completed, Some(node.report.completed()));
-    }
-    assert!(unified
-        .summary(2.0)
-        .approx_eq(&legacy_outcome.clone().summary(2.0), EPS));
-    let new = unified.as_fleet().expect("fleet tier");
-    assert_eq!(new.hits, legacy.hits);
-    assert_eq!(new.load_imbalance(), legacy.load_imbalance());
-}
-
-#[test]
-fn elastic_deployment_matches_legacy_elastic_fleet() {
-    let cfg = node_config(2, 500);
-    let t = trace(104, 600);
-    let plan = || {
-        ScheduledAutoscaler::new(vec![
-            ScaleDecision::Up(2),
-            ScaleDecision::Hold,
-            ScaleDecision::Down(1),
-        ])
-    };
-    let faults = FaultInjector::seeded(9, 6.0, 1, 3.0);
-
-    let mut legacy_plan = plan();
-    let legacy = ElasticFleet::new(ElasticFleetConfig::new(cfg.clone(), 4, 2, 8)).run_with_faults(
-        &t,
-        &mut legacy_plan,
-        &faults,
-    );
-
-    let mut unified =
-        Deployment::elastic(cfg.clone(), plan(), LifecyclePlan::new(4, 2, 8), faults).run(&t);
-    assert_eq!(unified.tier(), TierKind::Elastic);
-    let legacy_outcome = RunOutcome::new(TierKind::Elastic, legacy.clone(), cfg.num_gpus);
-    assert!(unified
-        .summary(2.0)
-        .approx_eq(&legacy_outcome.clone().summary(2.0), EPS));
-    let new = unified.as_elastic().expect("elastic tier");
-    assert_eq!(new.completed, legacy.completed);
-    assert_eq!(new.hits, legacy.hits);
-    assert_eq!(new.routed_per_node, legacy.routed_per_node);
-    assert_eq!(new.events.len(), legacy.events.len());
-    assert!((new.gpu_hours - legacy.gpu_hours).abs() < 1e-12);
 }
 
 #[test]
@@ -249,8 +127,7 @@ fn tenancy_aware_path_is_seed_identical_for_single_tenant_traces() {
     // FIFO path seed for seed, on all three tiers. The WFQ queue with one
     // tenant degenerates to FIFO, and a tenant's reserve never protects
     // it from itself — so the two configurations must be *bit*-identical,
-    // which the derived PartialEq on Summary checks (approx_eq would hide
-    // a real divergence here).
+    // which the derived PartialEq on Summary checks.
     let t = trace(108, 300);
     let tenancy = || {
         TenancyPolicy::weighted_fair(vec![
@@ -326,11 +203,21 @@ fn tenancy_aware_path_is_seed_identical_for_single_tenant_traces() {
 #[test]
 fn summaries_expose_tier_appropriate_gpu_hours() {
     let t = trace(107, 200);
-    let mut single = Deployment::single(node_config(4, 400)).run(&t);
-    let s = single.summary(2.0);
-    // A static tier occupies all its GPUs for the whole run.
-    let expect = 4.0 * s.finished_mins / 60.0;
-    assert!((s.gpu_hours - expect).abs() < 1e-9);
+    for options in [DeployOptions::default(), DeployOptions::saturated(50)] {
+        let mut single = Deployment::single(node_config(4, 400)).run_with(&t, options);
+        let s = single.summary(2.0);
+        // A static tier occupies all its GPUs for the whole run.
+        let expect = 4.0 * s.finished_mins / 60.0;
+        assert!((s.gpu_hours - expect).abs() < 1e-9);
+
+        // The baselines summarize their node's own report. With nothing
+        // shed, the single tier's node report summarizes to the same row
+        // as the engine's.
+        let node = single.as_single().expect("single tier").clone();
+        assert_eq!(node.shed, 0);
+        let from_node = Summary::from_node_report(node, 4, 2.0);
+        assert_eq!(from_node, s, "{options:?}");
+    }
 
     let mut fleet = Deployment::fleet(
         node_config(2, 200),
@@ -340,4 +227,12 @@ fn summaries_expose_tier_appropriate_gpu_hours() {
     let f = fleet.summary(2.0);
     assert_eq!(f.total_gpus, 4);
     assert!((f.gpu_hours - 4.0 * f.finished_mins / 60.0).abs() < 1e-9);
+    // The per-node breakdown reads each node's own report.
+    let report = fleet.as_fleet().expect("fleet tier");
+    let per_node = fleet.per_node();
+    assert_eq!(per_node.len(), report.nodes.len());
+    for (slice, node) in per_node.iter().zip(&report.nodes) {
+        assert_eq!(slice.routed, node.routed);
+        assert_eq!(slice.completed, Some(node.report.completed()));
+    }
 }

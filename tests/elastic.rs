@@ -5,8 +5,11 @@
 //! experiment (`cargo run -p modm-experiments -- elastic`), so these tests
 //! pin exactly what the experiment reports.
 
-use modm::controlplane::{FleetEventKind, HoldAutoscaler, ScaleDecision, ScheduledAutoscaler};
-use modm_experiments::elastic::{diurnal_trace, elastic_fleet, predictive, reactive};
+use modm::controlplane::{
+    FaultInjector, FleetEventKind, HoldAutoscaler, ScaleDecision, ScheduledAutoscaler,
+};
+use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
+use modm_experiments::elastic::{deployment, diurnal_trace, node_config, predictive, reactive};
 
 #[test]
 fn autoscaled_fleet_matches_static_slo_with_fewer_gpu_hours() {
@@ -15,10 +18,11 @@ fn autoscaled_fleet_matches_static_slo_with_fewer_gpu_hours() {
     // peak-provisioned static fleet's SLO attainment while paying
     // measurably fewer GPU-hours; the reactive scaler must do the same.
     let trace = diurnal_trace(2_024, 1_600);
-    let static_peak = elastic_fleet(8, 8, 8).run(&trace, &mut HoldAutoscaler);
+    let static_peak = deployment(8, 8, 8, HoldAutoscaler).run(&trace);
+    let static_peak = static_peak.as_elastic().expect("elastic tier");
 
-    let mut pre = predictive();
-    let p = elastic_fleet(8, 3, 8).run(&trace, &mut pre);
+    let p = deployment(8, 3, 8, predictive()).run(&trace);
+    let p = p.as_elastic().expect("elastic tier");
     assert_eq!(p.completed, 1_600, "scaling never loses a request");
     assert!(
         p.slo_attainment() >= static_peak.slo_attainment(),
@@ -33,8 +37,8 @@ fn autoscaled_fleet_matches_static_slo_with_fewer_gpu_hours() {
         static_peak.gpu_hours
     );
 
-    let mut re = reactive();
-    let r = elastic_fleet(8, 3, 8).run(&trace, &mut re);
+    let r = deployment(8, 3, 8, reactive()).run(&trace);
+    let r = r.as_elastic().expect("elastic tier");
     assert_eq!(r.completed, 1_600);
     assert!(
         r.slo_attainment() >= static_peak.slo_attainment(),
@@ -60,8 +64,9 @@ fn scale_down_with_handoff_preserves_hit_rate() {
     let trace = diurnal_trace(2_024, 1_600);
     let mut plan_decisions = vec![ScaleDecision::Hold; 40];
     plan_decisions[30] = ScaleDecision::Down(1); // mid-run, cache warm
-    let mut plan = ScheduledAutoscaler::new(plan_decisions);
-    let report = elastic_fleet(6, 2, 6).run(&trace, &mut plan);
+    let plan = ScheduledAutoscaler::new(plan_decisions);
+    let outcome = deployment(6, 2, 6, plan).run(&trace);
+    let report = outcome.as_elastic().expect("elastic tier");
     assert_eq!(report.completed, 1_600);
 
     let drain = report
@@ -86,10 +91,11 @@ fn crash_recovery_restores_the_hit_rate() {
     // re-serve the lost backlog (exact completion conservation) and the
     // hit rate must recover once the node re-provisions and the ring
     // re-warms its slice.
-    use modm::controlplane::FaultInjector;
     let trace = diurnal_trace(2_024, 1_600);
     let faults = FaultInjector::at(&[55.0], 5.0);
-    let report = elastic_fleet(6, 2, 8).run_with_faults(&trace, &mut HoldAutoscaler, &faults);
+    let plan = LifecyclePlan::new(6, 2, 8);
+    let outcome = Deployment::elastic(node_config(), HoldAutoscaler, plan, faults).run(&trace);
+    let report = outcome.as_elastic().expect("elastic tier");
     assert_eq!(report.completed, 1_600, "crashed work is re-served");
 
     let crash = report
@@ -123,12 +129,11 @@ fn crash_recovery_restores_the_hit_rate() {
 
 #[test]
 fn elastic_and_static_fleet_agree_on_workload_accounting() {
-    // Cross-check the two multi-node entry points: an ElasticFleet that
-    // never scales and a Fleet over the same node count serve the same
+    // Cross-check the two multi-node tiers: an elastic fleet that never
+    // scales and a fixed fleet over the same node count serve the same
     // trace with the same per-node shape; their hit rates must be in the
-    // same regime (the entry points differ in RNG salt and router).
+    // same regime (the tiers differ in RNG salt).
     use modm::cluster::GpuKind;
-    use modm::controlplane::Fleet;
     use modm::core::MoDMConfig;
     use modm::fleet::{Router, RoutingPolicy};
     use modm::workload::TraceBuilder;
@@ -141,12 +146,12 @@ fn elastic_and_static_fleet_agree_on_workload_accounting() {
         .gpus(GpuKind::Mi210, 4)
         .cache_capacity(600)
         .build();
-    let fixed = Fleet::new(node.clone(), Router::new(RoutingPolicy::CacheAffinity, 4)).run(&trace);
-    let elastic = modm::controlplane::ElasticFleet::new(
-        modm::controlplane::ElasticFleetConfig::new(node, 4, 4, 4),
-    )
-    .run(&trace, &mut HoldAutoscaler);
-    assert_eq!(elastic.completed, fixed.completed);
+    let router = Router::new(RoutingPolicy::CacheAffinity, 4);
+    let fixed = Deployment::fleet(node.clone(), router).run(&trace);
+    let plan = LifecyclePlan::new(4, 4, 4);
+    let elastic =
+        Deployment::elastic(node, HoldAutoscaler, plan, FaultInjector::none()).run(&trace);
+    assert_eq!(elastic.completed(), fixed.completed());
     assert!(
         (elastic.hit_rate() - fixed.hit_rate()).abs() < 0.05,
         "elastic {} vs fixed {} hit rate",

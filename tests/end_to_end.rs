@@ -3,8 +3,8 @@
 
 use modm::baselines::{NirvanaSystem, PineconeSystem, VanillaSystem};
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::{MoDMConfig, RunOptions};
+use modm::deploy::{Deployment, ServingBackend};
 use modm::diffusion::ModelId;
 use modm::workload::{RateSchedule, TraceBuilder};
 
@@ -28,22 +28,20 @@ fn throughput_ordering_matches_fig7() {
     let t = trace(1);
     let v = VanillaSystem::new(ModelId::Sd35Large, GPU, N).run_with(&t, opts());
     let ni = NirvanaSystem::new(ModelId::Sd35Large, GPU, N, CACHE).run_with(&t, opts());
-    let modm_sdxl = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .small_model(ModelId::Sdxl)
-            .cache_capacity(CACHE)
-            .build(),
-    )
-    .run_with(&t, opts());
-    let modm_sana = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .small_model(ModelId::Sana)
-            .cache_capacity(CACHE)
-            .build(),
-    )
-    .run_with(&t, opts());
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .small_model(ModelId::Sdxl)
+        .cache_capacity(CACHE)
+        .build();
+    let modm_sdxl = Deployment::single(config).run_with(&t, opts());
+    let modm_sdxl = modm_sdxl.as_single().expect("single tier");
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .small_model(ModelId::Sana)
+        .cache_capacity(CACHE)
+        .build();
+    let modm_sana = Deployment::single(config).run_with(&t, opts());
+    let modm_sana = modm_sana.as_single().expect("single tier");
 
     let (rv, rn, rx, rs) = (
         v.requests_per_minute(),
@@ -83,14 +81,13 @@ fn quality_ordering_matches_table2() {
 
     let v = VanillaSystem::new(ModelId::Sd35Large, GPU, N).run_with(&t, opts());
     let sana = VanillaSystem::new(ModelId::Sana, GPU, N).run_with(&t, opts());
-    let modm = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .small_model(ModelId::Sana)
-            .cache_capacity(CACHE)
-            .build(),
-    )
-    .run_with(&t, opts());
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .small_model(ModelId::Sana)
+        .cache_capacity(CACHE)
+        .build();
+    let modm = Deployment::single(config).run_with(&t, opts());
+    let modm = modm.as_single().expect("single tier");
     let pc = PineconeSystem::new(ModelId::Sd35Large, GPU, N, CACHE).run_with(&t, opts());
 
     let fid_v = v.quality.fid_against(&gt).unwrap();
@@ -112,12 +109,11 @@ fn quality_ordering_matches_table2() {
 
 #[test]
 fn slo_violations_monotone_in_rate() {
-    let system = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, 8)
-            .cache_capacity(CACHE)
-            .build(),
-    );
+    let config = MoDMConfig::builder()
+        .gpus(GPU, 8)
+        .cache_capacity(CACHE)
+        .build();
+    let mut system = Deployment::single(config);
     let mut last = -1.0;
     for rate in [4.0, 12.0, 28.0, 60.0] {
         let t = TraceBuilder::diffusion_db(3)
@@ -125,7 +121,7 @@ fn slo_violations_monotone_in_rate() {
             .rate_per_min(rate)
             .build();
         let r = system.run(&t);
-        let viol = r.slo_violation_rate(2.0);
+        let viol = r.as_single().expect("single tier").slo_violation_rate(2.0);
         assert!(
             viol >= last - 0.05,
             "violations should not fall as load rises: {viol} after {last}"
@@ -142,13 +138,12 @@ fn temporal_locality_matches_fig15() {
         .requests(4_000)
         .rate_per_min(10.0)
         .build();
-    let r = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .cache_capacity(50_000)
-            .build(),
-    )
-    .run(&t);
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .cache_capacity(50_000)
+        .build();
+    let r = Deployment::single(config).run(&t);
+    let r = r.as_single().expect("single tier");
     let young = r.cache_stats.fraction_of_hits_younger_than(4.0 * 3600.0);
     assert!(young > 0.9, "4-hour locality = {young}");
 }
@@ -159,13 +154,12 @@ fn monitor_escalates_small_model_under_ramp() {
         .requests(2_200)
         .rate_schedule(RateSchedule::ramp(6.0, 26.0, 4.0, 12.0))
         .build();
-    let r = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .cache_capacity(CACHE)
-            .build(),
-    )
-    .run(&t);
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .cache_capacity(CACHE)
+        .build();
+    let r = Deployment::single(config).run(&t);
+    let r = r.as_single().expect("single tier");
     let used_sana = r
         .allocation_series
         .iter()
@@ -183,13 +177,12 @@ fn monitor_escalates_small_model_under_ramp() {
 fn runs_are_deterministic() {
     let t = trace(6);
     let run = || {
-        ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GPU, N)
-                .cache_capacity(CACHE)
-                .build(),
-        )
-        .run_with(&t, opts())
+        let config = MoDMConfig::builder()
+            .gpus(GPU, N)
+            .cache_capacity(CACHE)
+            .build();
+        let outcome = Deployment::single(config).run_with(&t, opts());
+        outcome.as_single().expect("single tier").clone()
     };
     let a = run();
     let b = run();
@@ -208,17 +201,16 @@ fn energy_savings_ordering_matches_fig18() {
         .build();
     let v = VanillaSystem::new(ModelId::Sd35Large, GPU, N).run(&t);
     let ni = NirvanaSystem::new(ModelId::Sd35Large, GPU, N, CACHE).run(&t);
-    let modm_sana = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GPU, N)
-            .small_model(ModelId::Sana)
-            .cache_capacity(CACHE)
-            .build(),
-    )
-    .run(&t);
+    let config = MoDMConfig::builder()
+        .gpus(GPU, N)
+        .small_model(ModelId::Sana)
+        .cache_capacity(CACHE)
+        .build();
+    let modm_sana = Deployment::single(config).run(&t);
+    let modm_sana = modm_sana.as_single().expect("single tier");
     let j = |r: &modm::core::report::ServingReport| r.energy.joules_per_request(r.completed());
     assert!(j(&ni) < j(&v), "Nirvana saves energy vs vanilla");
-    assert!(j(&modm_sana) < j(&ni), "MoDM-SANA saves more than Nirvana");
+    assert!(j(modm_sana) < j(&ni), "MoDM-SANA saves more than Nirvana");
 }
 
 #[test]
@@ -231,14 +223,13 @@ fn mjhq_gains_smaller_than_diffusiondb() {
         .build();
     let speedup = |t: &modm::workload::Trace| {
         let v = VanillaSystem::new(ModelId::Sd35Large, GPU, N).run_with(t, opts());
-        let m = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GPU, N)
-                .small_model(ModelId::Sdxl)
-                .cache_capacity(CACHE)
-                .build(),
-        )
-        .run_with(t, opts());
+        let config = MoDMConfig::builder()
+            .gpus(GPU, N)
+            .small_model(ModelId::Sdxl)
+            .cache_capacity(CACHE)
+            .build();
+        let m = Deployment::single(config).run_with(t, opts());
+        let m = m.as_single().expect("single tier");
         m.requests_per_minute() / v.requests_per_minute()
     };
     let s_db = speedup(&db);

@@ -2,8 +2,8 @@
 //! routing-policy claims must hold on full serving runs.
 
 use modm::cluster::GpuKind;
-use modm::controlplane::{ElasticReport, Fleet};
 use modm::core::MoDMConfig;
+use modm::deploy::{Deployment, ElasticReport, ServingBackend};
 use modm::fleet::{Router, RoutingPolicy};
 use modm::workload::TraceBuilder;
 
@@ -22,7 +22,8 @@ fn run(policy: RoutingPolicy, seed: u64) -> ElasticReport {
         .requests(1_600)
         .rate_per_min(20.0)
         .build();
-    Fleet::new(node_config(), Router::new(policy, NODES)).run(&trace)
+    let outcome = Deployment::fleet(node_config(), Router::new(policy, NODES)).run(&trace);
+    outcome.as_fleet().expect("fleet tier").clone()
 }
 
 #[test]
@@ -81,23 +82,18 @@ fn fleet_runs_are_deterministic() {
 fn affinity_hit_rate_tracks_the_monolith() {
     // Sharding with semantic affinity should recover most of the
     // monolithic cache's hit rate (same total GPUs and cache).
-    use modm::controlplane::ServingSystem;
     let trace = TraceBuilder::diffusion_db(6)
         .requests(1_600)
         .rate_per_min(20.0)
         .build();
-    let mono = ServingSystem::new(
-        MoDMConfig::builder()
-            .gpus(GpuKind::Mi210, 16)
-            .cache_capacity(8_000)
-            .build(),
-    )
-    .run(&trace);
-    let fleet = Fleet::new(
-        node_config(),
-        Router::new(RoutingPolicy::CacheAffinity, NODES),
-    )
-    .run(&trace);
+    let monolith = MoDMConfig::builder()
+        .gpus(GpuKind::Mi210, 16)
+        .cache_capacity(8_000)
+        .build();
+    let mono = Deployment::single(monolith).run(&trace);
+    let mono = mono.as_single().expect("single tier");
+    let router = Router::new(RoutingPolicy::CacheAffinity, NODES);
+    let fleet = Deployment::fleet(node_config(), router).run(&trace);
     assert!(
         fleet.hit_rate() > 0.75 * mono.hit_rate(),
         "sharded {} vs monolithic {}",

@@ -8,11 +8,10 @@ use std::sync::OnceLock;
 
 use modm::cache::MaintenancePolicy;
 use modm::cluster::GpuKind;
-use modm::controlplane::ServingSystem;
 use modm::core::config::AdmissionPolicy;
 use modm::core::fairqueue::TenancyPolicy;
 use modm::core::{MoDMConfig, Observer, RunOptions, SimEvent};
-use modm::deploy::Summary;
+use modm::deploy::{Deployment, ServingBackend, Summary};
 use modm::simkit::{SimDuration, SimTime};
 use modm::workload::{DatasetKind, Request, TenantId, Trace};
 use modm_experiments::overload::{
@@ -161,7 +160,7 @@ fn cache_decisions(config: MoDMConfig, trace: &Trace) -> BTreeMap<u64, Vec<&'sta
         }
     }
     let mut decisions = Decisions::default();
-    ServingSystem::new(config).run_observed(trace, RunOptions::default(), Some(&mut decisions));
+    Deployment::single(config).run_observed(trace, RunOptions::default(), &mut decisions);
     decisions.0
 }
 

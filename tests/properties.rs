@@ -982,8 +982,8 @@ fn fair_queue_gpu_cost_shares_track_charged_cost_within_tolerance() {
 #[test]
 fn serving_conserves_requests() {
     use modm::cluster::GpuKind;
-    use modm::controlplane::ServingSystem;
     use modm::core::MoDMConfig;
+    use modm::deploy::{Deployment, ServingBackend};
     use modm::workload::TraceBuilder;
     let mut rng = SimRng::seed_from(109);
     for case in 0..12 {
@@ -994,13 +994,12 @@ fn serving_conserves_requests() {
             .requests(n)
             .rate_per_min(rate)
             .build();
-        let r = ServingSystem::new(
-            MoDMConfig::builder()
-                .gpus(GpuKind::Mi210, 4)
-                .cache_capacity(500)
-                .build(),
-        )
-        .run(&t);
+        let config = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 4)
+            .cache_capacity(500)
+            .build();
+        let r = Deployment::single(config).run(&t);
+        let r = r.as_single().expect("single tier");
         assert_eq!(r.completed(), n as u64, "case {case}");
         assert_eq!(r.hits + r.misses, n as u64, "case {case}");
         let k_total: u64 = r.k_histogram.iter().sum();
@@ -1011,8 +1010,8 @@ fn serving_conserves_requests() {
 #[test]
 fn fleet_conserves_requests_property() {
     use modm::cluster::GpuKind;
-    use modm::controlplane::Fleet;
     use modm::core::MoDMConfig;
+    use modm::deploy::{Deployment, ServingBackend};
     use modm::fleet::{Router, RoutingPolicy};
     use modm::workload::TraceBuilder;
     let mut rng = SimRng::seed_from(110);
@@ -1028,19 +1027,17 @@ fn fleet_conserves_requests_property() {
             .requests(n)
             .rate_per_min(10.0)
             .build();
-        let fleet = Fleet::new(
-            MoDMConfig::builder()
-                .gpus(GpuKind::Mi210, 2)
-                .cache_capacity(200)
-                .build(),
-            Router::new(policy, nodes),
-        );
-        let r = fleet.run(&t);
+        let node = MoDMConfig::builder()
+            .gpus(GpuKind::Mi210, 2)
+            .cache_capacity(200)
+            .build();
+        let r = Deployment::fleet(node, Router::new(policy, nodes)).run(&t);
         assert_eq!(
-            r.completed, n as u64,
+            r.completed(),
+            n as u64,
             "case {case} ({policy:?}, {nodes} nodes)"
         );
-        assert_eq!(r.hits + r.misses, n as u64, "case {case}");
+        assert_eq!(r.hits() + r.misses(), n as u64, "case {case}");
     }
 }
 

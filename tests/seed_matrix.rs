@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use modm::cache::IndexedList;
 use modm::cluster::GpuKind;
-use modm::controlplane::{FaultInjector, Fleet, FleetEventKind};
+use modm::controlplane::{FaultInjector, FleetEventKind};
 use modm::core::MoDMConfig;
 use modm::deploy::{Deployment, LifecyclePlan, ServingBackend};
 use modm::embedding::{Embedding, EmbeddingIndex, IndexPolicy};
@@ -31,7 +31,7 @@ use modm::numerics::{dot, l2_norm};
 use modm::scenario::RetryPolicy;
 use modm::simkit::{EventQueue, SimRng, SimTime};
 use modm::workload::TraceBuilder;
-use modm_experiments::elastic::{diurnal_trace, elastic_fleet, node_config, predictive};
+use modm_experiments::elastic::{deployment, diurnal_trace, node_config, predictive};
 use modm_experiments::scenarios::storm_scenario_for;
 
 /// Seeds the equivalence sweeps run under. Defaults to `[1]`; CI's
@@ -784,7 +784,7 @@ fn single_and_fleet_tiers_are_bit_identical_run_to_run() {
 
         for policy in [RoutingPolicy::CacheAffinity, RoutingPolicy::HybridAffinity] {
             let fleet_run = |trace| {
-                let fleet = Fleet::new(config.clone(), Router::new(policy, 4));
+                let mut fleet = Deployment::fleet(config.clone(), Router::new(policy, 4));
                 format!("{:?}", fleet.run(trace))
             };
             assert_eq!(
@@ -801,10 +801,7 @@ fn single_and_fleet_tiers_are_bit_identical_run_to_run() {
 fn elastic_and_scenario_tiers_are_bit_identical_run_to_run() {
     for seed in sweep_seeds() {
         let trace = diurnal_trace(seed, 400);
-        let elastic = |trace| {
-            let mut scaler = predictive();
-            format!("{:?}", elastic_fleet(6, 3, 6).run(trace, &mut scaler))
-        };
+        let elastic = |trace| format!("{:?}", deployment(6, 3, 6, predictive()).run(trace));
         assert_eq!(
             elastic(&trace),
             elastic(&trace),

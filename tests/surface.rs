@@ -88,10 +88,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
     ),
     // Facade API the README documents.
     (
-        "deploy: Summary::approx_eq",
-        "README: the equivalence tests' tolerance compare",
-    ),
-    (
         "deploy: events_to_csv",
         "README: the event log's CSV export",
     ),
